@@ -23,13 +23,6 @@ pub struct BenchConfig {
     /// mode; skips the full shard sweep and does not rewrite the
     /// committed results file).
     pub churn_only: bool,
-    /// Run only the raw bytes-to-verdict section of a bench that has one
-    /// (CI smoke mode; same skipping rules as `churn_only`).
-    pub raw_only: bool,
-    /// Run only the *batched* raw bytes-to-verdict section (CI smoke mode;
-    /// same skipping rules as `churn_only`): exercises the fused
-    /// batch sweep and asserts batched counters match the per-frame path.
-    pub raw_batch_only: bool,
     /// Run only the tenant-routing section (CI smoke mode; same skipping
     /// rules as `churn_only`): attaches a 1k-tenant fleet, asserts the
     /// routed/unrouted counters and a flat per-packet dispatch-cost bound.
@@ -54,8 +47,7 @@ impl BenchConfig {
 }
 
 /// Parses the standard CLI flags (`--quick`, `--seed N`, `--flows N`,
-/// `--churn-only`, `--raw-only`, `--raw-batch-only`, `--routing-only`,
-/// `--swap-only`).
+/// `--churn-only`, `--routing-only`, `--swap-only`).
 pub fn parse_args() -> BenchConfig {
     let args: Vec<String> = std::env::args().collect();
     let mut cfg = BenchConfig {
@@ -63,8 +55,6 @@ pub fn parse_args() -> BenchConfig {
         seed: 7,
         quick: false,
         churn_only: false,
-        raw_only: false,
-        raw_batch_only: false,
         routing_only: false,
         swap_only: false,
     };
@@ -77,12 +67,6 @@ pub fn parse_args() -> BenchConfig {
             }
             "--churn-only" => {
                 cfg.churn_only = true;
-            }
-            "--raw-only" => {
-                cfg.raw_only = true;
-            }
-            "--raw-batch-only" => {
-                cfg.raw_batch_only = true;
             }
             "--routing-only" => {
                 cfg.routing_only = true;
@@ -99,19 +83,14 @@ pub fn parse_args() -> BenchConfig {
                 cfg.flows_per_class = args[i].parse().expect("--flows takes a number");
             }
             other => panic!(
-                "unknown argument {other} (try --quick / --seed N / --flows N / --churn-only / --raw-only / --raw-batch-only / --routing-only / --swap-only)"
+                "unknown argument {other} (try --quick / --seed N / --flows N / --churn-only / --routing-only / --swap-only)"
             ),
         }
         i += 1;
     }
     assert!(
-        u8::from(cfg.churn_only)
-            + u8::from(cfg.raw_only)
-            + u8::from(cfg.raw_batch_only)
-            + u8::from(cfg.routing_only)
-            + u8::from(cfg.swap_only)
-            <= 1,
-        "--churn-only, --raw-only, --raw-batch-only, --routing-only and --swap-only are mutually exclusive (each runs only its own section)"
+        u8::from(cfg.churn_only) + u8::from(cfg.routing_only) + u8::from(cfg.swap_only) <= 1,
+        "--churn-only, --routing-only and --swap-only are mutually exclusive (each runs only its own section)"
     );
     cfg
 }
@@ -178,8 +157,6 @@ mod tests {
             seed: 1,
             quick: true,
             churn_only: false,
-            raw_only: false,
-            raw_batch_only: false,
             routing_only: false,
             swap_only: false,
         };

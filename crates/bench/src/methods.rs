@@ -234,8 +234,6 @@ mod tests {
             seed: 2,
             quick: true,
             churn_only: false,
-            raw_only: false,
-            raw_batch_only: false,
             routing_only: false,
             swap_only: false,
         };
@@ -252,8 +250,6 @@ mod tests {
             seed: 3,
             quick: true,
             churn_only: false,
-            raw_only: false,
-            raw_batch_only: false,
             routing_only: false,
             swap_only: false,
         };

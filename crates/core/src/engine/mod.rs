@@ -2,32 +2,44 @@
 //!
 //! The engine turns deployed models from one-sample-at-a-time classifiers
 //! into a packet-rate serving runtime, the role the physical switch plays
-//! in the paper's testbed (§7.1) — and it is where the repo's throughput
-//! numbers (`BENCH_throughput.json`) come from. Since the control-plane
-//! redesign it is a *long-lived service*: the [`server`] module hosts the
-//! [`EngineServer`], whose worker shards run
+//! in the paper's testbed (§7.1). It is a *long-lived service*: the
+//! [`server`] module hosts the [`EngineServer`], whose worker shards run
 //! persistently, serve multiple tenants concurrently, and hot-swap
 //! artifacts without draining traffic —
-//! [`Deployment::stream`](crate::pipeline::Deployment::stream) is now a
-//! thin one-tenant wrapper over it.
+//! [`Deployment::stream`](crate::pipeline::Deployment::stream) is a thin
+//! one-tenant wrapper over it.
 //!
-//! # Design
+//! # One packet, one path
 //!
 //! ```text
-//!     IngressHandle.push(pkt)          ControlHandle
-//!             │                  attach / swap / detach / stats
-//!      ┌──────▼──────┐                  │
-//!      │ dispatcher  │◄─────────────────┘   in-band control msgs,
-//!      │ route tenant│    shard = hash(bidirectional
-//!      │ (RSS-style) │            five-tuple) % N
-//!      └─┬────┬────┬─┘
-//!  batched  │    │    │     bounded channels (backpressure)
-//!  ┌────────┘    │    └────────┐
-//! ┌▼─────────┐ ┌─▼────────┐ ┌──▼───────┐
+//!  IngressHandle.push(pkt) ─┐         ControlHandle
+//!  IngressHandle.push_frame ┤   attach / swap / detach / stats
+//!   (parse_frame in-line)   │                │
+//!      ┌────────────────────▼┐               │
+//!      │ dispatcher          │◄──────────────┘  in-band control msgs,
+//!      │ route tenant,       │   shard = hash(bidirectional
+//!      │ append columns      │           five-tuple) % N
+//!      └─┬────────┬────────┬─┘
+//!  one column batch per shard   bounded channels (backpressure)
+//!  (FrameBatch + tenant ids)
+//! ┌──────▼───┐ ┌──▼───────┐ ┌──▼───────┐
 //! │ shard 0  │ │ shard 1  │ │ shard N-1│   each shard: one exec +
-//! │ T1 T2 …  │ │ T1 T2 …  │ │ T1 T2 …  │   FlowState per *tenant*
+//! │ T1 T2 …  │ │ T1 T2 …  │ │ T1 T2 …  │   flow state per *tenant*
 //! └──────────┘ └──────────┘ └──────────┘
+//!   per run of equal tenant id: one `process_batch`
 //! ```
+//!
+//! Both ingress doors fill the same structure: the header fields and the
+//! bounded payload head of every routed packet are appended straight into
+//! the destination shard's pending [`FrameBatch`] columns, beside a
+//! parallel column of tenant ids — no owned packet is materialised in
+//! between. A worker walks each batch as maximal runs of equal tenant id
+//! and serves every run with one tenant lookup, one swap-epoch check, one
+//! clock pair and one `process_batch` call on that tenant's shard state
+//! (`StatelessShard` or `FlowShard`), which is the *only* packet entry
+//! point either has. A single-tenant batch is one run, a many-tenant
+//! interleave degenerates to runs of one, and scalar processing is a batch
+//! of one: there is no second loop to select.
 //!
 //! Three properties fall out of hashing flows to shards by their
 //! *bidirectional* five-tuple key ([`pegasus_net::FiveTuple::shard_of`]):
@@ -42,8 +54,9 @@
 //! * **Per-flow determinism.** A flow's packets are processed by one worker
 //!   in arrival order, so for stateless pipelines (host flow state keyed
 //!   exactly by five-tuple) streaming results are bit-identical to a
-//!   sequential replay regardless of the shard count (asserted by
-//!   `tests/stream_engine.rs`). Per-flow *register* pipelines inherit the
+//!   sequential replay regardless of the shard count, the batch size and
+//!   how tenants interleave (asserted by `tests/stream_engine.rs` and
+//!   `tests/raw_path.rs`). Per-flow *register* pipelines inherit the
 //!   hardware's hash-slot aliasing: colliding flows' verdicts depend on
 //!   which flows share a register file, so they can differ across shard
 //!   counts (more shards, fewer collisions).
@@ -57,12 +70,10 @@
 //! [`FlatProgram`] for the exact guarantees.
 
 pub mod flat;
-pub mod raw;
 pub mod server;
 pub mod stats;
 
 pub use flat::{FlatBatchScratch, FlatProgram, FlatScratch, FlattenSkip};
-pub use raw::{RawIngress, RawVerdict, DEFAULT_BATCH_FRAMES};
 pub use server::{
     ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer, EngineStats,
     FramePush, IngressHandle, PredicateRouter, SwapReport, TenantConfig, TenantRoute, TenantRouter,
@@ -79,8 +90,9 @@ use crate::models::StreamFeatures;
 use crate::runtime::DataplaneModel;
 use pegasus_net::{
     quantize_ipd, quantize_len, FiveTuple, FlowState, FlowTable, FlowTableConfig, FlowTracker,
-    FrameBatch, PacketObs, StatFeatures, TracePacket, WINDOW,
+    FrameBatch, PacketObs, StatFeatures, WINDOW,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-flow stateful bits a *stateless* (register-free) pipeline's host
@@ -142,15 +154,14 @@ impl Default for StreamConfig {
 /// new artifact without re-warming.
 pub(crate) struct StatelessShard {
     dp: Arc<DataplaneModel>,
-    scratch: Option<FlatScratch>,
     features: StreamFeatures,
     tracker: FlowTracker,
-    codes: Vec<f32>,
-    /// Batched-path state (all reused across batches, allocation-free in
-    /// steady state): lane-major code slab of the batch's full-window
-    /// packets, their batch positions, the classes the LUT sweep produced,
-    /// the batch execution scratch, and the per-batch flow → slot cache
-    /// that turns repeat packets of one flow into hinted O(1) admissions.
+    /// Per-run state (all reused across runs, allocation-free in steady
+    /// state): lane-major code slab of the run's full-window packets,
+    /// their positions in the verdict slice, the classes the LUT sweep
+    /// produced, the batch execution scratch, and the per-run flow → slot
+    /// cache that turns repeat packets of one flow into hinted O(1)
+    /// admissions.
     batch_scratch: Option<FlatBatchScratch>,
     batch_codes: Vec<f32>,
     batch_rows: Vec<usize>,
@@ -165,12 +176,10 @@ impl StatelessShard {
         table: FlowTableConfig,
     ) -> Self {
         StatelessShard {
-            scratch: dp.flat().map(|f| f.scratch()),
             batch_scratch: dp.flat().map(|f| f.batch_scratch(0)),
             dp,
             features,
             tracker: FlowTracker::bounded(WINDOW, table),
-            codes: Vec::with_capacity(2 * WINDOW),
             batch_codes: Vec::new(),
             batch_rows: Vec::new(),
             batch_classes: Vec::new(),
@@ -182,61 +191,15 @@ impl StatelessShard {
     /// host flow state is keyed by five-tuple alone, so it is valid under
     /// any stateless artifact (the paper's table-entry-rewrite story).
     pub(crate) fn swap(&mut self, dp: Arc<DataplaneModel>, features: StreamFeatures) {
-        self.scratch = dp.flat().map(|f| f.scratch());
         self.batch_scratch = dp.flat().map(|f| f.batch_scratch(0));
         self.dp = dp;
         self.features = features;
     }
 
-    pub(crate) fn process(&mut self, pkt: &TracePacket) -> Result<Option<usize>, PegasusError> {
-        self.process_parts(
-            pkt.flow,
-            pkt.ts_micros,
-            pkt.wire_len,
-            pkt.tcp_flags,
-            pkt.ttl,
-            pkt.payload_head.len() as u16,
-        )
-    }
-
-    /// The same hot path fed from disaggregated header fields — what the
-    /// zero-copy raw ingress extracts straight from frame bytes, with no
-    /// [`TracePacket`] materialized in between.
-    pub(crate) fn process_parts(
-        &mut self,
-        flow: pegasus_net::FiveTuple,
-        ts_micros: u64,
-        wire_len: u16,
-        tcp_flags: u8,
-        ttl: u8,
-        payload_len: u16,
-    ) -> Result<Option<usize>, PegasusError> {
-        let (obs, _, state) = self.tracker.observe_admit(flow, ts_micros, wire_len);
-        if !state.window_full() {
-            return Ok(None);
-        }
-        self.codes.clear();
-        Self::extend_codes(
-            self.features,
-            state,
-            &obs,
-            flow,
-            tcp_flags,
-            ttl,
-            payload_len,
-            &mut self.codes,
-        );
-        let class = match (self.dp.flat(), &mut self.scratch) {
-            (Some(flat), Some(scratch)) => flat.classify(&self.codes, scratch)?,
-            _ => self.dp.classify(&self.codes)?,
-        };
-        Ok(Some(class))
-    }
-
     /// Appends one packet's feature codes to `out` — the single definition
-    /// of the codes layout shared by the per-packet and batched paths (an
-    /// associated fn so callers can hold the tracker's `state` borrow while
-    /// writing into a disjoint buffer field).
+    /// of the codes layout (an associated fn so the caller can hold the
+    /// tracker's `state` borrow while writing into a disjoint buffer
+    /// field).
     #[allow(clippy::too_many_arguments)]
     fn extend_codes(
         features: StreamFeatures,
@@ -275,40 +238,42 @@ impl StatelessShard {
         }
     }
 
-    /// The fused batched hot path: resolves every frame's flow slot
-    /// sequentially (per-packet admission clock semantics are part of the
-    /// bit-identity contract), using a per-batch flow → slot cache so
-    /// repeat packets of one flow skip the probe chain, then defers all
-    /// full-window classifications to one [`FlatProgram::classify_batch`]
-    /// sweep. `verdicts[i]` is the verdict for `batch` frame `i` — `None`
+    /// The shard's one packet entry point: serves frames `run` of `batch`
+    /// (one tenant's run). Resolves every frame's flow slot sequentially
+    /// (per-packet admission clock semantics are part of the bit-identity
+    /// contract), using a per-run flow → slot cache so repeat packets of
+    /// one flow skip the probe chain, then defers all full-window
+    /// classifications to one [`FlatProgram::classify_batch`] sweep.
+    /// `verdicts[j]` is the verdict for frame `run.start + j` — `None`
     /// while the flow is still warming up.
     ///
     /// Classification is pure (flow state was already updated during slot
-    /// resolution), so deferring it is observationally identical to the
-    /// per-packet path — the differential suite in `tests/raw_path.rs`
-    /// holds this to bit-identical verdicts *and* flow-table counters.
+    /// resolution), so deferring it is observationally identical to
+    /// classifying packet by packet — the differential suite in
+    /// `tests/raw_path.rs` holds a run of one and a run of 64 to
+    /// bit-identical verdicts *and* flow-table counters.
     pub(crate) fn process_batch(
         &mut self,
         batch: &FrameBatch,
+        run: Range<usize>,
         verdicts: &mut Vec<Option<usize>>,
     ) -> Result<(), PegasusError> {
         verdicts.clear();
-        verdicts.resize(batch.len(), None);
+        verdicts.resize(run.len(), None);
         self.batch_codes.clear();
         self.batch_rows.clear();
         self.slot_cache.clear();
-        let flows = batch.flows();
-        let ts = batch.ts_micros();
-        let wires = batch.wire_lens();
-        let flags = batch.tcp_flags();
-        let ttls = batch.ttls();
-        let plens = batch.payload_lens();
-        for i in 0..batch.len() {
-            let flow = flows[i];
+        let flows = &batch.flows()[run.clone()];
+        let ts = &batch.ts_micros()[run.clone()];
+        let wires = &batch.wire_lens()[run.clone()];
+        let flags = &batch.tcp_flags()[run.clone()];
+        let ttls = &batch.ttls()[run.clone()];
+        let plens = &batch.payload_lens()[run];
+        for (j, &flow) in flows.iter().enumerate() {
             let cached = self.slot_cache.iter().position(|(f, _)| *f == flow);
             let hint = cached.map(|p| self.slot_cache[p].1);
             let (obs, _, idx, state) =
-                self.tracker.observe_admit_hinted(flow, ts[i], wires[i], hint);
+                self.tracker.observe_admit_hinted(flow, ts[j], wires[j], hint);
             match cached {
                 Some(p) => self.slot_cache[p].1 = idx,
                 None => self.slot_cache.push((flow, idx)),
@@ -321,12 +286,12 @@ impl StatelessShard {
                 state,
                 &obs,
                 flow,
-                flags[i],
-                ttls[i],
-                plens[i],
+                flags[j],
+                ttls[j],
+                plens[j],
                 &mut self.batch_codes,
             );
-            self.batch_rows.push(i);
+            self.batch_rows.push(j);
         }
         let lanes = self.batch_rows.len();
         if lanes == 0 {
@@ -344,8 +309,8 @@ impl StatelessShard {
                 }
             }
         }
-        for (j, &i) in self.batch_rows.iter().enumerate() {
-            verdicts[i] = Some(self.batch_classes[j]);
+        for (&j, &class) in self.batch_rows.iter().zip(&self.batch_classes) {
+            verdicts[j] = Some(class);
         }
         Ok(())
     }
@@ -511,56 +476,40 @@ impl FlowShard {
         swap.transplants_expired = self.transplants_expired;
     }
 
-    pub(crate) fn process(&mut self, pkt: &TracePacket) -> Result<Option<usize>, PegasusError> {
-        self.process_parts(pkt.flow, pkt.ts_micros, pkt.wire_len, &pkt.payload_head)
-    }
-
-    /// The same hot path fed from a borrowed payload slice — the raw
-    /// ingress hands the parsed frame's payload sub-slice directly, no
-    /// copy into an owned `payload_head` needed.
-    pub(crate) fn process_parts(
-        &mut self,
-        flow: pegasus_net::FiveTuple,
-        ts_micros: u64,
-        wire_len: u16,
-        payload: &[u8],
-    ) -> Result<Option<usize>, PegasusError> {
-        self.codes.clear();
-        self.codes.extend(
-            payload
-                .iter()
-                .take(self.arity)
-                .map(|&b| f32::from(b))
-                .chain(std::iter::repeat(0.0))
-                .take(self.arity),
-        );
-        let hash = flow.dataplane_hash();
-        if self.transplant.is_some() {
-            self.adopt_on_touch(hash);
-        }
-        self.slots.admit(flow, || ());
-        let verdict = self.fc.on_packet_mut(hash, ts_micros, wire_len, &self.codes)?;
-        Ok(verdict.predicted)
-    }
-
-    /// Batched entry point over a pre-parsed [`FrameBatch`]. Per-flow
-    /// register pipelines are RMW-sequential by construction (each packet's
-    /// verdict depends on the register file the previous packet of the
-    /// same flow left behind), so the win here is the amortized parse and
-    /// per-batch timing, not fused execution — the loop stays packet-at-a-
-    /// time and therefore trivially bit-identical.
+    /// The shard's one packet entry point: serves frames `run` of `batch`
+    /// (one tenant's run); `verdicts[j]` is the verdict for frame
+    /// `run.start + j`. Per-flow register pipelines are RMW-sequential by
+    /// construction (each packet's verdict depends on the register file
+    /// the previous packet of the same flow left behind), so the loop
+    /// stays packet-at-a-time; what a run amortizes is the tenant lookup,
+    /// swap check and timing around it.
     pub(crate) fn process_batch(
         &mut self,
         batch: &FrameBatch,
+        run: Range<usize>,
         verdicts: &mut Vec<Option<usize>>,
     ) -> Result<(), PegasusError> {
         verdicts.clear();
         let flows = batch.flows();
         let ts = batch.ts_micros();
         let wires = batch.wire_lens();
-        for i in 0..batch.len() {
-            let v = self.process_parts(flows[i], ts[i], wires[i], batch.payload_head(i))?;
-            verdicts.push(v);
+        for i in run {
+            self.codes.clear();
+            self.codes.extend(
+                batch
+                    .payload_head(i)
+                    .iter()
+                    .map(|&b| f32::from(b))
+                    .chain(std::iter::repeat(0.0))
+                    .take(self.arity),
+            );
+            let hash = flows[i].dataplane_hash();
+            if self.transplant.is_some() {
+                self.adopt_on_touch(hash);
+            }
+            self.slots.admit(flows[i], || ());
+            let verdict = self.fc.on_packet_mut(hash, ts[i], wires[i], &self.codes)?;
+            verdicts.push(verdict.predicted);
         }
         Ok(())
     }

@@ -24,8 +24,8 @@
 //! * [`swap`](ControlHandle::swap) hot-swaps a tenant's compiled artifact
 //!   via epoch/RCU publication — the control plane validates, commits the
 //!   new `Arc` into the tenant entry, and returns without draining a
-//!   single queue; each shard adopts the new epoch at its next packet
-//!   boundary. Flow feature windows and per-flow register files are
+//!   single queue; each shard adopts the new epoch in front of the next
+//!   run of that tenant's packets. Flow feature windows and per-flow register files are
 //!   *retained* across swaps of compatible pipelines — migrated slot by
 //!   slot as flows are touched under the new epoch — so established flows
 //!   keep classifying without re-warming (the table-entry-rewrite story);
@@ -47,12 +47,14 @@
 //! `swap` is deliberately weaker — and therefore stall-free. The new
 //! artifact is published epoch/RCU-style into the tenant entry (an atomic
 //! epoch hint plus a mutex-guarded `(epoch, Arc)` slot); each shard
-//! compares the hint against its locally applied epoch at every packet
-//! boundary and adopts the publication when they differ. The guarantee
-//! is one-sided: every packet pushed *after* `swap` returns is processed
-//! under the new artifact, while packets pushed before the call but
-//! still queued may land on either side of the boundary (the flip can
-//! only move *earlier*, never later). No queue is drained and the
+//! compares the hint against its locally applied epoch in front of every
+//! *run* — a batch's consecutive packets for one tenant, the unit a
+//! worker serves — and adopts the publication when they differ. The
+//! guarantee is one-sided: every packet pushed *after* `swap` returns
+//! rides in a batch sent after it, so the check in front of its run sees
+//! the new epoch and it is processed under the new artifact, while
+//! packets pushed before the call but still queued may land on either
+//! side of the boundary (the flip can only move *earlier*, never later). No queue is drained and the
 //! dispatcher lock is held only for the O(1) validate-and-commit, so
 //! apply latency is microseconds regardless of queue depth. Callers that
 //! need the old exact boundary (the equivalence tests in
@@ -81,10 +83,11 @@ use crate::models::StreamFeatures;
 use crate::runtime::DataplaneModel;
 use pegasus_net::wire::parse_frame;
 use pegasus_net::{
-    CompiledRouter, FiveTuple, FlowTableConfig, FrameSource, PacketSource, ParseError, RawFrame,
-    RouteHit, RoutePredicate, TracePacket,
+    CompiledRouter, FiveTuple, FlowTableConfig, FrameBatch, FrameSource, PacketSource, ParseError,
+    RawFrame, RouteHit, RoutePredicate, TracePacket,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, Weak};
@@ -210,12 +213,8 @@ impl EngineArtifact {
     /// Rejects a tenant flow-table configuration whose state cost exceeds
     /// the switch model's stateful-SRAM budget — the Figure 7 constraint
     /// as an attach-time check: `capacity × bits-per-flow` must fit
-    /// `register_bits_total`. Shared with the single-pass
-    /// [`RawIngress`](crate::engine::raw::RawIngress) constructor.
-    pub(crate) fn validate_state_budget(
-        &self,
-        table: &FlowTableConfig,
-    ) -> Result<(), PegasusError> {
+    /// `register_bits_total`.
+    fn validate_state_budget(&self, table: &FlowTableConfig) -> Result<(), PegasusError> {
         if table.capacity == 0 {
             return Err(PegasusError::InvalidConfig {
                 field: "flow_capacity",
@@ -346,10 +345,17 @@ impl TenantExec {
         }
     }
 
-    fn process(&mut self, pkt: &TracePacket) -> Result<Option<usize>, PegasusError> {
+    /// Serves frames `run` of `batch` — one tenant's run — leaving one
+    /// verdict per frame in `verdicts` (`None` = flow still warming up).
+    fn process_batch(
+        &mut self,
+        batch: &FrameBatch,
+        run: Range<usize>,
+        verdicts: &mut Vec<Option<usize>>,
+    ) -> Result<(), PegasusError> {
         match self {
-            TenantExec::Stateless(s) => s.process(pkt),
-            TenantExec::Flow(s) => s.process(pkt),
+            TenantExec::Stateless(s) => s.process_batch(batch, run, verdicts),
+            TenantExec::Flow(s) => s.process_batch(batch, run, verdicts),
         }
     }
 
@@ -506,13 +512,14 @@ pub struct TenantRoute {
 
 /// Steers each ingress packet to at most one tenant.
 ///
-/// Implementations are called once per pushed packet with the tenants in
-/// attach order; returning `None` drops the packet (counted as unrouted).
-/// The default [`PredicateRouter`] mimics a switch's model-selection
-/// table: first tenant whose [`RoutePredicate`] matches wins.
+/// Implementations are called once per pushed packet with its flow
+/// identity and the tenants in attach order; returning `None` drops the
+/// packet (counted as unrouted). The default [`PredicateRouter`] mimics a
+/// switch's model-selection table: first tenant whose [`RoutePredicate`]
+/// matches wins.
 pub trait TenantRouter: Send + Sync {
     /// Chooses the tenant for one packet.
-    fn route(&self, pkt: &TracePacket, tenants: &[TenantRoute]) -> Option<TenantToken>;
+    fn route(&self, flow: &FiveTuple, tenants: &[TenantRoute]) -> Option<TenantToken>;
 }
 
 /// The default first-match router over attach-time [`RoutePredicate`]s.
@@ -520,8 +527,8 @@ pub trait TenantRouter: Send + Sync {
 pub struct PredicateRouter;
 
 impl TenantRouter for PredicateRouter {
-    fn route(&self, pkt: &TracePacket, tenants: &[TenantRoute]) -> Option<TenantToken> {
-        tenants.iter().find(|t| t.predicate.matches(&pkt.flow)).map(|t| t.token)
+    fn route(&self, flow: &FiveTuple, tenants: &[TenantRoute]) -> Option<TenantToken> {
+        tenants.iter().find(|t| t.predicate.matches(flow)).map(|t| t.token)
     }
 }
 
@@ -542,7 +549,7 @@ pub enum FramePush {
 pub struct SwapReport {
     /// The tenant's published artifact epoch after the swap (attach =
     /// epoch 0; each swap increments it). Shards adopt the publication at
-    /// their next packet boundary — watch the merged
+    /// their next run boundary — watch the merged
     /// [`SwapCounters::applied_epoch`] catch up to this value.
     pub epoch: u64,
     /// Whether per-flow state (feature windows / register files) carries
@@ -655,9 +662,18 @@ impl EngineReport {
 // Internal plumbing.
 // ---------------------------------------------------------------------------
 
-struct Routed {
-    tenant: u32,
-    pkt: TracePacket,
+/// The one shape a packet takes between the dispatcher and a shard: a row
+/// of `frames`' columns plus the id of the tenant it was routed to. Both
+/// ingress doors append here; workers serve it as runs of equal tenant id.
+struct ShardBatch {
+    frames: FrameBatch,
+    tenants: Vec<u32>,
+}
+
+impl ShardBatch {
+    fn with_capacity(cap: usize) -> Self {
+        ShardBatch { frames: FrameBatch::with_capacity(cap), tenants: Vec::with_capacity(cap) }
+    }
 }
 
 /// What one shard returns for one tenant when it ends (detach/shutdown).
@@ -668,7 +684,7 @@ struct TenantShardOut {
 }
 
 enum ShardMsg {
-    Batch(Vec<Routed>),
+    Batch(ShardBatch),
     Attach {
         tenant: u32,
         artifact: Arc<EngineArtifact>,
@@ -689,8 +705,8 @@ enum ShardMsg {
 /// plane (writer) and every shard worker (readers).
 ///
 /// The atomic `epoch` is the fast-path hint: each worker compares it
-/// against its locally applied epoch once per packet boundary — one
-/// `Acquire` load on the hot path — and only when they differ takes the
+/// against its locally applied epoch once per run of the tenant's
+/// packets — one `Acquire` load — and only when they differ takes the
 /// mutex to read the authoritative `(epoch, Arc)` pair. The workspace
 /// forbids `unsafe`, so this hint-plus-mutex pair is the safe-Rust RCU:
 /// the slot lock is contended only during the one boundary crossing that
@@ -731,7 +747,7 @@ struct WorkerTenant {
 }
 
 impl WorkerTenant {
-    /// The per-packet-boundary RCU check: one `Acquire` load against the
+    /// The run-boundary RCU check: one `Acquire` load against the
     /// locally applied epoch; on mismatch, adopt the published artifact.
     /// The apply is O(1) in flows — per-flow register state migrates
     /// adopt-on-first-touch afterwards.
@@ -752,6 +768,38 @@ impl WorkerTenant {
         self.stats.swap.applied_epoch = epoch;
         self.stats.swap.swaps_applied += 1;
         self.stats.swap.last_apply_nanos = t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Serves one run — consecutive frames of one batch, all routed to this
+    /// tenant — through the tenant's executor: one swap-epoch check and one
+    /// clock pair per run, the run's wall time attributed evenly across its
+    /// frames. A pipeline error counts nothing for the run.
+    fn serve_run(
+        &mut self,
+        frames: &FrameBatch,
+        run: Range<usize>,
+        verdicts: &mut Vec<Option<usize>>,
+    ) -> Result<(), PegasusError> {
+        self.maybe_apply_swap();
+        let t0 = Instant::now();
+        self.exec.process_batch(frames, run.clone(), verdicts)?;
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.stats.busy_nanos += nanos;
+        let per_frame = nanos / run.len() as u64;
+        for (flow, verdict) in frames.flows()[run].iter().zip(verdicts.iter()) {
+            self.stats.latency.record(per_frame);
+            self.stats.packets += 1;
+            match verdict {
+                Some(class) => {
+                    self.stats.classified += 1;
+                    if self.record {
+                        self.preds.entry(*flow).or_default().push(*class);
+                    }
+                }
+                None => self.stats.warmup += 1,
+            }
+        }
+        Ok(())
     }
 
     fn finalize(mut self) -> TenantShardOut {
@@ -846,7 +894,7 @@ struct CachedArtifact {
 struct Dispatch {
     /// `None` once the engine has shut down.
     txs: Option<Vec<SyncSender<ShardMsg>>>,
-    pending: Vec<Vec<Routed>>,
+    pending: Vec<ShardBatch>,
     /// A user-supplied router, overriding the compiled plane entirely.
     custom_router: Option<Box<dyn TenantRouter>>,
     /// The compiled routing plane over the live tenant set. Immutable once
@@ -874,14 +922,21 @@ impl Dispatch {
     /// Sends every buffered partial batch, preserving push order ahead of
     /// any control message the caller is about to enqueue.
     fn flush(&mut self) -> Result<(), PegasusError> {
-        let txs = self.txs.as_deref().ok_or(PegasusError::EngineStopped)?;
-        for (shard, buf) in self.pending.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let batch = std::mem::take(buf);
-                txs[shard].send(ShardMsg::Batch(batch)).map_err(|_| PegasusError::EngineStopped)?;
+        self.txs()?;
+        for shard in 0..self.pending.len() {
+            if !self.pending[shard].tenants.is_empty() {
+                self.send_pending(shard)?;
             }
         }
         Ok(())
+    }
+
+    /// Hands shard `shard`'s pending batch to its worker and starts a
+    /// fresh one of the same capacity.
+    fn send_pending(&mut self, shard: usize) -> Result<(), PegasusError> {
+        let cap = self.pending[shard].frames.capacity();
+        let batch = std::mem::replace(&mut self.pending[shard], ShardBatch::with_capacity(cap));
+        self.txs()?[shard].send(ShardMsg::Batch(batch)).map_err(|_| PegasusError::EngineStopped)
     }
 
     /// Rebuilds the custom-router view and the token index after the
@@ -969,7 +1024,6 @@ impl SharedCounters {
 
 struct EngineShared {
     shards: usize,
-    batch: usize,
     dispatch: Mutex<Dispatch>,
     boards: Vec<Mutex<ShardBoard>>,
     /// The stats-path tenant directory: one `Arc<TenantMeta>` per attached
@@ -1171,10 +1225,9 @@ impl EngineBuilder {
         }
         let shared = Arc::new(EngineShared {
             shards: self.shards,
-            batch: self.batch,
             dispatch: Mutex::new(Dispatch {
                 txs: Some(txs),
-                pending: (0..self.shards).map(|_| Vec::new()).collect(),
+                pending: (0..self.shards).map(|_| ShardBatch::with_capacity(self.batch)).collect(),
                 custom_router: self.router,
                 compiled: Arc::new(CompiledRouter::default()),
                 route_gen: 0,
@@ -1228,6 +1281,7 @@ fn worker_loop(
     cadence: u64,
 ) -> Vec<(u32, TenantShardOut)> {
     let mut tenants: HashMap<u32, WorkerTenant> = HashMap::new();
+    let mut verdicts: Vec<Option<usize>> = Vec::new();
     let mut since_publish = 0u64;
     loop {
         // Publish live counters whenever the queue runs dry, so an idle
@@ -1254,32 +1308,20 @@ fn worker_loop(
         };
         match msg {
             ShardMsg::Batch(batch) => {
-                for routed in &batch {
-                    let Some(wt) = tenants.get_mut(&routed.tenant) else { continue };
+                let mut start = 0;
+                for same_tenant in batch.tenants.chunk_by(|a, b| a == b) {
+                    let len = same_tenant.len();
+                    let run = start..start + len;
+                    start = run.end;
+                    let Some(wt) = tenants.get_mut(&same_tenant[0]) else { continue };
                     if wt.err.is_some() {
                         continue;
                     }
-                    wt.maybe_apply_swap();
-                    let t0 = Instant::now();
-                    let verdict = wt.exec.process(&routed.pkt);
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    wt.stats.busy_nanos += nanos;
-                    wt.stats.latency.record(nanos);
-                    wt.stats.packets += 1;
-                    match verdict {
-                        Ok(Some(class)) => {
-                            wt.stats.classified += 1;
-                            if wt.record {
-                                wt.preds.entry(routed.pkt.flow).or_default().push(class);
-                            }
-                        }
-                        Ok(None) => wt.stats.warmup += 1,
-                        Err(e) => {
-                            wt.err = Some(e);
-                            shared.tenant_failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
+                    if let Err(e) = wt.serve_run(&batch.frames, run, &mut verdicts) {
+                        wt.err = Some(e);
+                        shared.tenant_failed.store(true, Ordering::Relaxed);
                     }
-                    since_publish += 1;
+                    since_publish += len as u64;
                     if since_publish >= cadence {
                         publish(shard, shared, &tenants);
                         since_publish = 0;
@@ -1361,16 +1403,40 @@ pub struct IngressHandle {
 }
 
 impl IngressHandle {
-    /// Routes one packet to its tenant and enqueues it on the shard that
-    /// owns its flow. Returns `Ok(true)` when a tenant matched, `Ok(false)`
-    /// when no tenant did (the packet is dropped and counted as unrouted),
-    /// and [`PegasusError::EngineStopped`] after shutdown.
+    /// Routes one packet to its tenant and appends it to the pending batch
+    /// of the shard that owns its flow. Returns `Ok(true)` when a tenant
+    /// matched, `Ok(false)` when no tenant did (the packet is dropped and
+    /// counted as unrouted), and [`PegasusError::EngineStopped`] after
+    /// shutdown. At most the first
+    /// [`RAW_BYTES_PER_PACKET`](pegasus_net::RAW_BYTES_PER_PACKET) bytes of
+    /// `payload_head` are consumed, exactly as for a frame off the wire.
     pub fn push(&self, pkt: TracePacket) -> Result<bool, PegasusError> {
+        self.enqueue(
+            pkt.flow,
+            pkt.ts_micros,
+            pkt.wire_len,
+            pkt.tcp_flags,
+            pkt.ttl,
+            &pkt.payload_head,
+        )
+    }
+
+    /// The one way into the engine, behind both doors: route on the flow,
+    /// then append the packet's columns to its shard's pending batch.
+    fn enqueue(
+        &self,
+        flow: FiveTuple,
+        ts_micros: u64,
+        wire_len: u16,
+        tcp_flags: u8,
+        ttl: u8,
+        payload: &[u8],
+    ) -> Result<bool, PegasusError> {
         let counters = &self.shared.counters;
         let mut d = self.shared.lock_dispatch();
         d.txs()?;
         let token = if let Some(router) = &d.custom_router {
-            match router.route(&pkt, &d.routes) {
+            match router.route(&flow, &d.routes) {
                 Some(token) => token,
                 None => {
                     counters.unrouted.fetch_add(1, Ordering::Relaxed);
@@ -1378,7 +1444,7 @@ impl IngressHandle {
                 }
             }
         } else {
-            let decision = d.compiled.route(&pkt.flow);
+            let decision = d.compiled.route(&flow);
             if decision.residual_scanned > 0 {
                 counters
                     .residual_scans
@@ -1404,14 +1470,12 @@ impl IngressHandle {
         };
         let pos = d.entry_index(token)?;
         d.tenants[pos].meta.routed_packets.fetch_add(1, Ordering::Relaxed);
-        let shard = pkt.flow.shard_of(self.shared.shards);
-        d.pending[shard].push(Routed { tenant: token.0, pkt });
-        if d.pending[shard].len() >= self.shared.batch {
-            let batch =
-                std::mem::replace(&mut d.pending[shard], Vec::with_capacity(self.shared.batch));
-            d.txs()?[shard]
-                .send(ShardMsg::Batch(batch))
-                .map_err(|_| PegasusError::EngineStopped)?;
+        let shard = flow.shard_of(self.shared.shards);
+        let pending = &mut d.pending[shard];
+        pending.frames.append(flow, ts_micros, wire_len, tcp_flags, ttl, payload);
+        pending.tenants.push(token.0);
+        if pending.frames.is_full() {
+            d.send_pending(shard)?;
         }
         Ok(true)
     }
@@ -1429,8 +1493,10 @@ impl IngressHandle {
     }
 
     /// The raw-frame dual of [`push`](IngressHandle::push): parses the
-    /// frame's bytes in-line (zero-copy, panic-free) and routes the result
-    /// like any structured packet. Frames the wire parser rejects are
+    /// frame's bytes in-line (zero-copy, panic-free), routes on the parsed
+    /// flow and appends the header fields and payload head straight into
+    /// the same pending batch — no owned packet in between. Frames the
+    /// wire parser rejects are
     /// counted in the engine's parse-error buckets
     /// ([`EngineStats::parse_errors`]) and dropped — returned as
     /// [`FramePush::Rejected`] with the typed [`ParseError`], never as an
@@ -1438,8 +1504,15 @@ impl IngressHandle {
     pub fn push_frame(&self, frame: RawFrame<'_>) -> Result<FramePush, PegasusError> {
         match parse_frame(frame.bytes) {
             Ok(parsed) => {
-                let pkt = parsed.to_trace_packet(frame.ts_micros, frame.wire_len_u16());
-                Ok(if self.push(pkt)? { FramePush::Routed } else { FramePush::Unrouted })
+                let routed = self.enqueue(
+                    parsed.flow,
+                    frame.ts_micros,
+                    frame.wire_len_u16(),
+                    parsed.tcp_flags,
+                    parsed.ttl,
+                    parsed.payload,
+                )?;
+                Ok(if routed { FramePush::Routed } else { FramePush::Unrouted })
             }
             Err(e) => {
                 // A rejected frame names no flow, so it never touches the
@@ -1619,7 +1692,7 @@ impl ControlHandle {
 
     /// Hot-swaps a tenant's artifact via epoch/RCU publication: the new
     /// `Arc` is committed into the tenant entry with a bumped epoch and
-    /// each shard adopts it at its next packet boundary. Nothing is
+    /// each shard adopts it at its next run boundary. Nothing is
     /// drained and no shard is signalled — the dispatcher lock is held
     /// only for the O(1) validate-and-commit, so ingress pushes proceed
     /// concurrently and apply latency ([`SwapReport::apply_micros`]) is
@@ -1860,7 +1933,6 @@ fn merge_report(
 ) -> StreamReport {
     let mut latency = LatencyHistogram::default();
     let mut table = crate::engine::stats::FlowTableCounters::default();
-    let mut parse = ParseErrorCounters::default();
     // Seed the epoch at MAX so the min-merge reflects the slowest shard;
     // an empty shard list degrades to 0.
     let mut swap = SwapCounters { applied_epoch: u64::MAX, ..SwapCounters::default() };
@@ -1872,7 +1944,6 @@ fn merge_report(
         flows += s.flows;
         latency.merge(&s.latency);
         table.merge(&s.table);
-        parse.merge(&s.parse);
         swap.merge(&s.swap);
     }
     if swap.applied_epoch == u64::MAX {
@@ -1888,7 +1959,9 @@ fn merge_report(
         latency,
         table,
         swap,
-        parse,
+        // Frames are parsed (and rejected) at the dispatcher, before any
+        // tenant is chosen; the frame wrappers fold those counters in.
+        parse: ParseErrorCounters::default(),
         predictions,
     }
 }

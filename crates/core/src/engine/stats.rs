@@ -285,20 +285,16 @@ pub struct ShardStats {
     /// per-flow register pipelines this is the hardware-faithful count
     /// (hash-colliding flows share a slot and count once).
     pub flows: u64,
-    /// Nanoseconds spent inside packet processing (excludes queue waits).
+    /// Nanoseconds spent inside packet processing (excludes queue waits):
+    /// the wall time of every tenant run this shard served.
     pub busy_nanos: u64,
-    /// Per-packet processing latency.
+    /// Per-packet processing latency — each run's wall time attributed
+    /// evenly across its packets.
     pub latency: LatencyHistogram,
     /// Occupancy/eviction/collision counters of this shard's flow table.
     pub table: FlowTableCounters,
     /// Hot-swap apply and transplant-progress counters.
     pub swap: SwapCounters,
-    /// Raw frames this execution context rejected at parse time. Always
-    /// zero for server shard workers (the dispatcher parses before
-    /// routing — see `EngineStats::parse_errors`); populated by the
-    /// single-pass [`RawIngress`](crate::engine::raw::RawIngress) path,
-    /// which owns its whole bytes-to-verdict pipeline.
-    pub parse: ParseErrorCounters,
 }
 
 impl ShardStats {
@@ -313,7 +309,6 @@ impl ShardStats {
             latency: LatencyHistogram::default(),
             table: FlowTableCounters::default(),
             swap: SwapCounters::default(),
-            parse: ParseErrorCounters::default(),
         }
     }
 
@@ -352,10 +347,10 @@ pub struct StreamReport {
     /// Merged hot-swap apply/transplant counters (`applied_epoch` is the
     /// minimum across shards, counts sum, `last_apply_nanos` is the max).
     pub swap: SwapCounters,
-    /// Frames the raw (bytes-to-verdict) ingress rejected at parse time:
-    /// shard-side rejections plus, for reports produced by the frame
-    /// wrappers (`Deployment::stream_frames*`), the dispatcher's. Always
-    /// zero for structured-packet runs.
+    /// Frames the dispatcher rejected at parse time, for reports produced
+    /// by the frame wrappers (`Deployment::stream_frames*`). Zero
+    /// everywhere else: frames are parsed before a tenant is chosen, so
+    /// engine-wide rejections live in `EngineStats::parse_errors`.
     pub parse: ParseErrorCounters,
     /// Per-flow classification sequences, in per-flow packet order
     /// (`Some` only when `StreamConfig::record_predictions` was set).
@@ -445,7 +440,6 @@ serde::impl_serde_struct!(ShardStats {
     latency,
     table,
     swap,
-    parse,
 });
 serde::impl_serde_struct!(StreamReport {
     shards,

@@ -77,9 +77,8 @@ pub use engine::server::{
     TenantStats, TenantToken,
 };
 pub use engine::{
-    ArtifactCounters, FlattenSkip, FlowTableCounters, ParseErrorCounters, RawIngress, RawVerdict,
-    RoutingCounters, StreamConfig, StreamReport, SwapCounters, DEFAULT_BATCH_FRAMES,
-    HOST_WINDOW_STATE_BITS,
+    ArtifactCounters, FlattenSkip, FlowTableCounters, ParseErrorCounters, RoutingCounters,
+    StreamConfig, StreamReport, SwapCounters, HOST_WINDOW_STATE_BITS,
 };
 pub use error::PegasusError;
 pub use models::{DataplaneNet, Lowered, ModelData, StreamFeatures, TrainSettings};

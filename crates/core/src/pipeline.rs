@@ -20,7 +20,7 @@
 use crate::compile::{
     compile_with_trees, CompileOptions, CompileReport, CompileTarget, CompiledPipeline,
 };
-use crate::engine::server::{EngineArtifact, EngineBuilder, TenantConfig};
+use crate::engine::server::{EngineArtifact, EngineBuilder, IngressHandle, TenantConfig};
 use crate::engine::{StreamConfig, StreamReport};
 use crate::error::PegasusError;
 use crate::flowpipe::{FlowClassifier, FlowPipeline};
@@ -459,6 +459,23 @@ impl<M: DataplaneNet> Deployment<M> {
         source: &mut dyn PacketSource,
         cfg: &StreamConfig,
     ) -> Result<StreamReport, PegasusError> {
+        self.stream_one_tenant(cfg, |ingress| match source.next_packet() {
+            Some(pkt) => ingress.push(pkt).map(|_| true),
+            None => Ok(false),
+        })
+    }
+
+    /// The one body behind every `stream*` wrapper: build a server from
+    /// `cfg` (clamping zeros to 1), attach this deployment as the single
+    /// catch-all tenant, call `feed_one` until it reports the source dry
+    /// (`Ok(false)`), shut down, and return the tenant's report with the
+    /// dispatcher's parse rejections folded in (frames are parsed before a
+    /// tenant is chosen, so the engine counts them, not the tenant).
+    fn stream_one_tenant(
+        &self,
+        cfg: &StreamConfig,
+        mut feed_one: impl FnMut(&IngressHandle) -> Result<bool, PegasusError>,
+    ) -> Result<StreamReport, PegasusError> {
         let artifact = self.engine_artifact()?;
         let server = EngineBuilder::new()
             .shards(cfg.shards.max(1))
@@ -472,20 +489,16 @@ impl<M: DataplaneNet> Deployment<M> {
                 .flow_table(cfg.flow_table),
         )?;
         let ingress = server.ingress();
-        while let Some(pkt) = source.next_packet() {
-            ingress.push(pkt)?;
-            // The run is doomed once its only tenant errored; stop feeding
-            // instead of pushing the rest of the source into a dead shard
-            // (the legacy engine aborted dispatch the same way).
-            if server.tenant_failed() {
-                break;
-            }
-        }
+        // The run is doomed once its only tenant errored; stop feeding
+        // instead of pushing the rest of the source into a dead shard.
+        while !server.tenant_failed() && feed_one(&ingress)? {}
         let mut report = server.shutdown()?;
-        report
+        let mut stream = report
             .take_tenant(tenant)
             .ok_or(PegasusError::UnknownTenant { tenant: tenant.id() })?
-            .result
+            .result?;
+        stream.parse = report.parse_errors;
+        Ok(stream)
     }
 
     /// Streams raw wire frames through the sharded packet engine — the
@@ -533,36 +546,10 @@ impl<M: DataplaneNet> Deployment<M> {
         source: &mut dyn FrameSource,
         cfg: &StreamConfig,
     ) -> Result<StreamReport, PegasusError> {
-        let artifact = self.engine_artifact()?;
-        let server = EngineBuilder::new()
-            .shards(cfg.shards.max(1))
-            .batch(cfg.batch.max(1))
-            .queue_batches(cfg.queue_batches.max(1))
-            .build()?;
-        let tenant = server.control().attach(
-            artifact,
-            TenantConfig::new()
-                .record_predictions(cfg.record_predictions)
-                .flow_table(cfg.flow_table),
-        )?;
-        let ingress = server.ingress();
-        while let Some(frame) = source.next_frame() {
-            ingress.push_frame(frame)?;
-            if server.tenant_failed() {
-                break;
-            }
-        }
-        let mut report = server.shutdown()?;
-        let parse = report.parse_errors;
-        let mut stream = report
-            .take_tenant(tenant)
-            .ok_or(PegasusError::UnknownTenant { tenant: tenant.id() })?
-            .result?;
-        // Frame parsing happens at the dispatcher (pre-routing); fold its
-        // counters into the one-tenant report so the caller sees the whole
-        // bytes-to-verdict story in one place.
-        stream.parse.merge(&parse);
-        Ok(stream)
+        self.stream_one_tenant(cfg, |ingress| match source.next_frame() {
+            Some(frame) => ingress.push_frame(frame).map(|_| true),
+            None => Ok(false),
+        })
     }
 
     /// Read-only access to the per-flow classifier of windowed pipelines

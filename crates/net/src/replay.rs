@@ -153,7 +153,7 @@ impl<'a> RawFrame<'a> {
 
 /// Producer of a timestamp-ordered *raw frame* stream — the byte-level
 /// dual of [`PacketSource`], feeding the engine's bytes-to-verdict ingress
-/// (`IngressHandle::push_frame`, `RawIngress`). Yielded frames borrow the
+/// (`IngressHandle::push_frame`). Yielded frames borrow the
 /// source's internal buffer, so a hot loop reads a pcap or synthesizes
 /// traffic without per-packet allocation.
 pub trait FrameSource {

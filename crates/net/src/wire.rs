@@ -290,22 +290,21 @@ fn parse_l4(protocol: u8, l4: &[u8]) -> Result<(u16, u16, u8, &[u8]), ParseError
 // ---------------------------------------------------------------------------
 
 /// A fixed-capacity batch of parsed frames laid out as structure-of-arrays
-/// columns — the batch-friendly dual of [`parse_frame`].
+/// columns — the batch-friendly dual of [`parse_frame`], and the unit the
+/// serving engine hands from its dispatcher to its shard workers.
 ///
-/// The engine's fused bytes-to-verdict loop (`RawIngress` in the core
-/// crate) processes frames in fixed-size batches: each incoming frame is
-/// parsed immediately
-/// (so the zero-copy borrow never outlives the source's buffer) and its
-/// header fields land in parallel POD columns. Downstream stages — flow-slot
-/// resolution, feature extraction, flattened-LUT inference — then sweep the
-/// columns with straight-line loops instead of chasing one packet at a time.
+/// Each incoming frame is parsed immediately (so the zero-copy borrow never
+/// outlives the source's buffer) and its header fields land in parallel
+/// POD columns. Downstream stages — flow-slot resolution, feature
+/// extraction, flattened-LUT inference — then sweep the columns with
+/// straight-line loops instead of chasing one packet at a time.
 ///
 /// Only the bounded payload *head* is copied (at most
 /// [`RAW_BYTES_PER_PACKET`] bytes per frame, at a fixed stride), which is
-/// exactly the slice both engine paths consume; everything else the parser
-/// borrowed is reduced to fixed-width fields. Columns are preallocated at
-/// construction and reused across [`clear`](FrameBatch::clear)s — pushing
-/// into a non-full batch never allocates.
+/// everything the engine consumes; everything else the parser borrowed is
+/// reduced to fixed-width fields. Columns are preallocated at construction
+/// and reused across [`clear`](FrameBatch::clear)s — appending to a
+/// non-full batch never allocates.
 #[derive(Clone, Debug)]
 pub struct FrameBatch {
     cap: usize,
@@ -336,22 +335,45 @@ impl FrameBatch {
         }
     }
 
-    /// Parses `frame` and appends its columns. A rejected frame consumes no
-    /// slot and leaves the batch unchanged — the typed [`ParseError`] is
-    /// returned for the caller's counters. Panics if the batch is already
+    /// Appends one already-parsed packet's columns: the single way a
+    /// packet enters a batch, whichever door it came through. `payload` is
+    /// the captured L4 payload; only its first [`RAW_BYTES_PER_PACKET`]
+    /// bytes are kept. Panics if the batch is already
     /// [full](FrameBatch::is_full) (drain it first).
-    pub fn push(&mut self, frame: &RawFrame<'_>) -> Result<(), ParseError> {
+    pub fn append(
+        &mut self,
+        flow: FiveTuple,
+        ts_micros: u64,
+        wire_len: u16,
+        tcp_flags: u8,
+        ttl: u8,
+        payload: &[u8],
+    ) {
         assert!(!self.is_full(), "frame batch is full (capacity {})", self.cap);
-        let parsed = parse_frame(frame.bytes)?;
-        self.flows.push(parsed.flow);
-        self.ts_micros.push(frame.ts_micros);
-        self.wire_lens.push(frame.wire_len_u16());
-        self.tcp_flags.push(parsed.tcp_flags);
-        self.ttls.push(parsed.ttl);
-        let head = &parsed.payload[..parsed.payload.len().min(RAW_BYTES_PER_PACKET)];
+        self.flows.push(flow);
+        self.ts_micros.push(ts_micros);
+        self.wire_lens.push(wire_len);
+        self.tcp_flags.push(tcp_flags);
+        self.ttls.push(ttl);
+        let head = &payload[..payload.len().min(RAW_BYTES_PER_PACKET)];
         self.payload_lens.push(head.len() as u16);
         self.payload_heads.extend_from_slice(head);
         self.payload_heads.resize(self.flows.len() * RAW_BYTES_PER_PACKET, 0);
+    }
+
+    /// Parses `frame` and [`append`](FrameBatch::append)s its columns. A
+    /// rejected frame consumes no slot and leaves the batch unchanged —
+    /// the typed [`ParseError`] is returned for the caller's counters.
+    pub fn push(&mut self, frame: &RawFrame<'_>) -> Result<(), ParseError> {
+        let parsed = parse_frame(frame.bytes)?;
+        self.append(
+            parsed.flow,
+            frame.ts_micros,
+            frame.wire_len_u16(),
+            parsed.tcp_flags,
+            parsed.ttl,
+            parsed.payload,
+        );
         Ok(())
     }
 
@@ -418,8 +440,7 @@ impl FrameBatch {
         &self.payload_lens
     }
 
-    /// Frame `i`'s captured payload head — the identical slice the
-    /// per-frame path hands the engine.
+    /// Frame `i`'s captured payload head.
     pub fn payload_head(&self, i: usize) -> &[u8] {
         let start = i * RAW_BYTES_PER_PACKET;
         &self.payload_heads[start..start + usize::from(self.payload_lens[i])]

@@ -13,20 +13,22 @@
 //!   nor diverge its verdicts from a segmented sequential reference,
 //!   and every shard converges to the last published epoch;
 //! * the adopt-on-first-touch transplant's grace window bounds the old
-//!   register file's lifetime (raw path, where the boundary is exact by
-//!   construction).
+//!   register file's lifetime (1-shard engine, quiesced around every
+//!   boundary).
 
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{DataplaneNet, ModelData, StreamFeatures, TrainSettings};
 use pegasus::core::{
-    ControlHandle, Deployment, EngineBuilder, IngressHandle, Pegasus, PegasusError, RawIngress,
-    StreamReport, TenantConfig, TenantToken, HOST_WINDOW_STATE_BITS,
+    ControlHandle, Deployment, EngineBuilder, IngressHandle, Pegasus, PegasusError, StreamReport,
+    TenantConfig, TenantToken, HOST_WINDOW_STATE_BITS,
 };
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::wire::build_frame;
-use pegasus::net::{FiveTuple, FlowTracker, FrameSpec, StatFeatures, Trace, WINDOW};
+use pegasus::net::{
+    FiveTuple, FlowTracker, FrameSpec, RawFrame, RoutePredicate, StatFeatures, Trace, WINDOW,
+};
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -391,64 +393,89 @@ fn swaps_do_not_spike_per_packet_latency() {
 
 #[test]
 fn raw_swap_grace_window_bounds_transplant_lifetime() {
-    // The adopt-on-first-touch transplant on the raw path, where the
-    // swap boundary is exact by construction: grace 0 keeps the old
-    // register file until a chained swap completes it eagerly; a finite
-    // grace drops it (flows re-warm) once the window is spent.
+    // The adopt-on-first-touch transplant through the served frame door,
+    // every boundary made exact by quiescing a 1-shard engine around it:
+    // grace 0 keeps the old register file until a chained swap completes
+    // it eagerly; a finite grace drops it (flows re-warm) once the window
+    // is spent.
     let cnn = train_cnn(&generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 }));
-    let artifact = cnn.engine_artifact().expect("artifact");
-    let slots = artifact.flow_slots().expect("flow pipeline") as u64;
-    let mut raw = RawIngress::with_defaults(&artifact).expect("raw ingress");
+    let artifact = || cnn.engine_artifact().expect("artifact");
+    let slots = artifact().flow_slots().expect("flow pipeline") as u64;
+    let server = EngineBuilder::new().shards(1).build().expect("builds");
+    let (control, ingress) = (server.control(), server.ingress());
+    // `patient` keeps the default grace 0; `prompt` gets a 2-packet window.
+    // A packet for either wakes the idle worker, which adopts every
+    // tenant's pending publication before it sleeps again — that is how a
+    // swap's effect is observable before the swapped tenant's next packet.
+    let patient = control
+        .attach(artifact(), TenantConfig::new().route(RoutePredicate::DstPort(8888)))
+        .expect("attaches");
+    let prompt =
+        control.attach(artifact(), TenantConfig::new().swap_grace_packets(2)).expect("attaches");
 
     let f1 = build_frame(&FrameSpec::v4_udp(0x0a00_0001, 0x0a00_0002, 1111, 2222, vec![7; 24]));
     let f2 = build_frame(&FrameSpec::v4_udp(0x0a00_0003, 0x0a00_0004, 3333, 4444, vec![9; 24]));
     let f3 = build_frame(&FrameSpec::v4_udp(0x0a00_0005, 0x0a00_0006, 5555, 6666, vec![3; 24]));
-    let mut ts = 0u64;
-    let mut feed = |raw: &mut RawIngress, frame: &[u8]| {
-        ts += 100;
-        raw.process_frame(ts, frame).expect("processes");
+    let f4 = build_frame(&FrameSpec::v4_udp(0x0a00_0007, 0x0a00_0008, 7777, 8888, vec![5; 24]));
+    let swap_of = |token| control.tenant_stats(token).expect("stats").report.swap;
+    let mut sent = HashMap::new();
+    let mut feed = |token: TenantToken, frame: &[u8]| {
+        let n = sent.entry(token).or_insert(0u64);
+        *n += 1;
+        ingress.push_frame(RawFrame::new(*n * 100, frame)).expect("pushes");
+        quiesce(&ingress, &control, token, *n);
     };
 
     // Warm some pre-swap state; no transplant exists yet.
     for frame in [&f1, &f2, &f3, &f1, &f2, &f3] {
-        feed(&mut raw, frame);
+        feed(prompt, frame);
     }
-    assert_eq!(raw.stats().swap.adopted_slots, 0);
+    feed(patient, &f4);
+    assert_eq!(swap_of(prompt).adopted_slots, 0);
 
-    // Swap with grace 0: the whole register file goes pending, kept
-    // until drained (or a chained swap).
-    assert!(raw.swap(&artifact, 0).expect("swaps"), "same-shape swap retains state");
-    let s = raw.stats().swap;
+    // Swap both: the whole register file goes pending, kept until drained
+    // (or a chained swap, or a spent grace window).
+    assert!(control.swap(prompt, artifact()).expect("swaps").state_retained);
+    assert!(control.swap(patient, artifact()).expect("swaps").state_retained);
+    feed(patient, &f4);
+    let s = swap_of(prompt);
     assert_eq!((s.applied_epoch, s.swaps_applied), (1, 1));
     assert_eq!(s.pending_slots, slots, "nothing adopted yet");
 
     // First touch migrates exactly that flow's slot.
-    feed(&mut raw, &f1);
-    let s = raw.stats().swap;
+    feed(prompt, &f1);
+    let s = swap_of(prompt);
     assert_eq!(s.adopted_slots, 1);
     assert_eq!(s.pending_slots, slots - 1);
     assert_eq!((s.transplants_completed, s.transplants_expired), (0, 0));
 
     // A chained swap completes the pending transplant eagerly (the
     // memory bound: at most one old register file alive at a time),
-    // then opens a new one with a 2-packet grace window.
-    assert!(raw.swap(&artifact, 2).expect("swaps"), "chained swap retains state");
-    let s = raw.stats().swap;
+    // then opens a new one.
+    assert!(control.swap(prompt, artifact()).expect("swaps").state_retained);
+    feed(patient, &f4);
+    let s = swap_of(prompt);
     assert_eq!(s.transplants_completed, 1, "chained swap must finish the pending transplant");
     assert_eq!(s.adopted_slots, slots, "completion migrates every remaining slot");
     assert_eq!(s.pending_slots, slots, "and the new transplant starts full");
+    // Grace 0 outlives any number of packets: two since the swap and the
+    // patient tenant's old file is still there, minus the one touched slot.
+    let p = swap_of(patient);
+    assert_eq!((p.adopted_slots, p.pending_slots), (1, slots - 1));
+    assert_eq!((p.transplants_completed, p.transplants_expired), (0, 0));
 
     // Two packets spend the grace window: the touched slots migrate,
     // everything else is dropped — those flows re-warm.
-    feed(&mut raw, &f2);
-    feed(&mut raw, &f3);
-    let s = raw.stats().swap;
+    feed(prompt, &f2);
+    feed(prompt, &f3);
+    let s = swap_of(prompt);
     assert_eq!(s.transplants_expired, 1, "grace exhausted must drop the old file");
     assert_eq!(s.pending_slots, 0, "expired transplant holds no slots");
     assert!(s.adopted_slots > slots, "grace-window touches still migrated their slots");
     assert_eq!((s.applied_epoch, s.swaps_applied), (2, 2));
 
     // Post-expiry traffic runs plain: counters are frozen.
-    feed(&mut raw, &f1);
-    assert_eq!(raw.stats().swap, s);
+    feed(prompt, &f1);
+    assert_eq!(swap_of(prompt), s);
+    server.shutdown().expect("shuts down");
 }

@@ -1,32 +1,33 @@
 //! The bytes-to-verdict path is the structured path, bit for bit.
 //!
-//! The engine now has two front doors: structured [`TracePacket`]s
-//! (`IngressHandle::push`) and raw wire frames (`push_frame`, plus the
-//! single-pass `RawIngress` executor). This suite proves they are the
-//! same engine — identical per-flow verdict sequences *and* identical
-//! flow-table counters at 1/2/4 shards, for a stateless pipeline (MLP-B)
-//! and the per-flow register pipeline (CNN-L) — and pins the checked-in
-//! golden capture: byte-exact round trips through the pcap writer and a
-//! frozen per-class verdict census.
+//! The engine has two front doors — structured [`TracePacket`]s
+//! (`IngressHandle::push`) and raw wire frames (`push_frame`) — into one
+//! column batch served by one `process_batch`. This suite proves the
+//! doors, every batch size (a batch of one is the scalar schedule) and
+//! every tenant interleave are the same engine — identical per-flow
+//! verdict sequences *and* identical flow-table counters at 1/2/4 shards,
+//! for a stateless pipeline (MLP-B) and the per-flow register pipeline
+//! (CNN-L) — and pins the checked-in golden capture: byte-exact round
+//! trips through the pcap writer and a frozen per-class verdict census.
+
+mod common;
 
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{DataplaneNet, ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, FlowTableCounters, Pegasus, RawIngress, RawVerdict, StreamConfig, StreamReport,
-    DEFAULT_BATCH_FRAMES,
+    Deployment, EngineArtifact, EngineBuilder, Pegasus, StreamConfig, StreamReport, TenantConfig,
 };
 use pegasus::datasets::{
     extract_views, generate_trace, iscxvpn, peerrush, synthesize_pcap, GenConfig, SyntheticConfig,
 };
-use pegasus::net::wire::{build_frame, parse_frame};
+use pegasus::net::wire::{build_frame, encode_trace_packet, parse_frame};
 use pegasus::net::{
-    FiveTuple, FlowTableConfig, FrameBatch, FrameSource, FrameSpec, PacketSource, PcapReader,
-    PcapSource, PcapWriter, RawFrame, DEFAULT_SNAPLEN,
+    FiveTuple, FlowTableConfig, FrameSource, FrameSpec, PacketSource, PcapReader, PcapSource,
+    PcapWriter, RoutePredicate, Trace, TracePacket, DEFAULT_SNAPLEN,
 };
 use pegasus::switch::SwitchConfig;
-use std::collections::HashMap;
 
 const FIXTURE_PATH: &str = "tests/fixtures/golden.pcap";
 /// The fixture's snaplen: small enough that long frames are genuinely
@@ -46,88 +47,60 @@ fn train_mlp(trace: &pegasus::net::Trace) -> Deployment<MlpB> {
         .expect("deploys")
 }
 
-/// Merged counters and per-flow verdict sequences of a sharded batched
-/// [`RawIngress`] run — the fused parse → slot → features → LUT path.
-struct BatchedRun {
-    packets: u64,
-    classified: u64,
-    warmup: u64,
-    flows: u64,
-    table: FlowTableCounters,
-    parse_total: u64,
-    preds: HashMap<FiveTuple, Vec<usize>>,
+fn train_cnn(trace: &pegasus::net::Trace) -> Deployment<CnnL> {
+    let views = extract_views(trace);
+    let data = ModelData::new().with_raw(&views.raw).with_seq(&views.seq);
+    Pegasus::new(CnnL::fit(&views.raw, &views.seq, CnnLVariant::v44(), &TrainSettings::quick()))
+        .options(CompileOptions { clustering_depth: 5, ..Default::default() })
+        .compile(&data)
+        .expect("compiles")
+        .deploy(&SwitchConfig::tofino2())
+        .expect("deploys")
 }
 
-/// Streams the capture through `shards` independent batched [`RawIngress`]
-/// executors — frames routed by the same bidirectional five-tuple hash the
-/// server's dispatcher uses — `batch_frames` frames per fused batch, and
-/// returns the merged counters plus per-flow verdict sequences.
-fn run_batched<M: DataplaneNet>(
+/// Streams the capture through a `shards`-shard [`EngineServer`] handing
+/// `batch_frames` frames to a shard at a time, with `tenants` attached in
+/// order, and returns each tenant's terminal report — per-flow verdict
+/// sequences recorded, the engine's parse rejections folded into `parse`.
+///
+/// [`EngineServer`]: pegasus::core::EngineServer
+fn run_batched(
+    tenants: Vec<(EngineArtifact, TenantConfig)>,
+    pcap: &[u8],
+    shards: usize,
+    batch_frames: usize,
+) -> Vec<StreamReport> {
+    let server = EngineBuilder::new().shards(shards).batch(batch_frames).build().expect("builds");
+    let control = server.control();
+    let tokens: Vec<_> = tenants
+        .into_iter()
+        .map(|(artifact, cfg)| {
+            control.attach(artifact, cfg.record_predictions(true)).expect("attaches")
+        })
+        .collect();
+    let mut src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
+    server.ingress().push_frame_source(&mut src).expect("pushes");
+    let mut report = server.shutdown().expect("shuts down");
+    tokens
+        .into_iter()
+        .map(|token| {
+            let tenant = report.take_tenant(token).expect("tenant report");
+            let mut run = tenant.result.expect("tenant served cleanly");
+            run.parse = report.parse_errors;
+            run
+        })
+        .collect()
+}
+
+/// [`run_batched`] with `deployment` as the one catch-all tenant.
+fn run_one<M: DataplaneNet>(
     deployment: &Deployment<M>,
     pcap: &[u8],
     shards: usize,
     batch_frames: usize,
-) -> BatchedRun {
-    fn flush(
-        ing: &mut RawIngress,
-        batch: &mut FrameBatch,
-        preds: &mut HashMap<FiveTuple, Vec<usize>>,
-    ) {
-        let verdicts = ing.process_batch(batch).expect("batch processes");
-        for (flow, v) in batch.flows().iter().zip(verdicts) {
-            if let Some(class) = v {
-                preds.entry(*flow).or_default().push(*class);
-            }
-        }
-        batch.clear();
-    }
-
-    let artifact = deployment.engine_artifact().expect("artifact");
-    let mut ingresses: Vec<RawIngress> =
-        (0..shards).map(|_| RawIngress::with_defaults(&artifact).expect("raw ingress")).collect();
-    let mut batches: Vec<FrameBatch> =
-        (0..shards).map(|_| FrameBatch::with_capacity(batch_frames)).collect();
-    let mut preds: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
-
-    let mut src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
-    while let Some(frame) = src.next_frame() {
-        // Unparseable frames go to shard 0 so the rejection is counted
-        // somewhere deterministic (the batch push re-rejects them without
-        // consuming a slot, mirroring the dispatcher's drop).
-        let s = match parse_frame(frame.bytes) {
-            Ok(p) => p.flow.shard_of(shards),
-            Err(_) => 0,
-        };
-        ingresses[s].push_batch_frame(&mut batches[s], frame);
-        if batches[s].is_full() {
-            flush(&mut ingresses[s], &mut batches[s], &mut preds);
-        }
-    }
-    for (ing, batch) in ingresses.iter_mut().zip(batches.iter_mut()) {
-        if !batch.is_empty() {
-            flush(ing, batch, &mut preds);
-        }
-    }
-
-    let mut run = BatchedRun {
-        packets: 0,
-        classified: 0,
-        warmup: 0,
-        flows: 0,
-        table: FlowTableCounters::default(),
-        parse_total: 0,
-        preds,
-    };
-    for ing in &ingresses {
-        let s = ing.stats();
-        run.packets += s.packets;
-        run.classified += s.classified;
-        run.warmup += s.warmup;
-        run.flows += s.flows;
-        run.table.merge(&s.table);
-        run.parse_total += s.parse.total();
-    }
-    run
+) -> StreamReport {
+    let tenant = (deployment.engine_artifact().expect("artifact"), TenantConfig::new());
+    run_batched(vec![tenant], pcap, shards, batch_frames).remove(0)
 }
 
 /// Streams the same capture through both front doors at every shard count
@@ -170,30 +143,31 @@ fn assert_raw_matches_structured<M: DataplaneNet>(deployment: &Deployment<M>, pc
             );
         }
 
-        // The fused batched path, at pathological and friendly batch
-        // shapes: single-frame batches, a prime that forces misaligned
-        // partial flushes (7), an exact divisor of the packet count (the
-        // final batch is full — no partial-flush epilogue at 1 shard), and
-        // 64 (a partial last batch). Every shape must reproduce the
-        // structured report bit for bit: counters, flow table, and every
-        // flow's verdict sequence.
+        // The hand-off at pathological and friendly batch shapes:
+        // single-frame batches (every packet a run of one — the scalar
+        // schedule), a prime that forces misaligned partial flushes (7), an
+        // exact divisor of the packet count (the final batch is full — no
+        // partial-flush epilogue at 1 shard), and 64 (a partial last
+        // batch). Every shape must reproduce the structured report bit for
+        // bit: counters, flow table, and every flow's verdict sequence.
         let n = structured.packets as usize;
         let exact = (2..=n.min(96)).rev().find(|d| n.is_multiple_of(*d)).unwrap_or(1);
         for batch_frames in [1usize, 7, exact, 64] {
-            let b = run_batched(deployment, pcap, shards, batch_frames);
+            let b = run_one(deployment, pcap, shards, batch_frames);
             let tag = format!("{shards} shards, batch {batch_frames}");
             assert_eq!(b.packets, structured.packets, "{tag}: packets");
             assert_eq!(b.classified, structured.classified, "{tag}: classified");
             assert_eq!(b.warmup, structured.warmup, "{tag}: warmup");
             assert_eq!(b.flows, structured.flows, "{tag}: flows");
             assert_eq!(b.table, structured.table, "{tag}: flow-table counters");
-            assert_eq!(b.parse_total, 0, "{tag}: nothing rejected");
-            assert_eq!(b.preds.len(), structured_preds.len(), "{tag}: flow sets differ");
+            assert_eq!(b.parse.total(), 0, "{tag}: nothing rejected");
+            let preds = b.predictions.expect("recording requested");
+            assert_eq!(preds.len(), structured_preds.len(), "{tag}: flow sets differ");
             for (flow, seq) in &structured_preds {
                 assert_eq!(
-                    b.preds.get(flow),
+                    preds.get(flow),
                     Some(seq),
-                    "{tag}: flow {flow:?} diverged between fused batches and structs"
+                    "{tag}: flow {flow:?} diverged between batch shapes and structs"
                 );
             }
         }
@@ -230,69 +204,91 @@ fn raw_path_matches_structured_path_cnn_l() {
     };
     let pcap = synthesize_pcap(&spec, &stream_cfg, DEFAULT_SNAPLEN);
 
-    let trace = generate_trace(&spec, &GenConfig { flows_per_class: 4, seed: 41 });
-    let views = extract_views(&trace);
-    let settings = TrainSettings::quick();
-    let data = ModelData::new().with_raw(&views.raw).with_seq(&views.seq);
-    let deployment = Pegasus::new(CnnL::fit(&views.raw, &views.seq, CnnLVariant::v44(), &settings))
-        .options(CompileOptions { clustering_depth: 5, ..Default::default() })
-        .compile(&data)
-        .expect("compiles")
-        .deploy(&SwitchConfig::tofino2())
-        .expect("deploys");
+    let deployment = train_cnn(&generate_trace(&spec, &GenConfig { flows_per_class: 4, seed: 41 }));
     assert_raw_matches_structured(&deployment, &pcap);
 }
 
+/// Run splitting, the one thing the column hand-off adds: the golden
+/// capture (MLP-B, dst port 443) and a second tenant's flows (CNN-L, dst
+/// port 8443) interleaved frame by frame, so every multi-frame batch is cut
+/// into runs of one, the partial-flush tails aside. Batch size and shard
+/// count may change the schedule, never a tenant's verdicts or counters —
+/// and the MLP-B tenant must still equal the independent sequential replay
+/// through the switch simulator.
 #[test]
-fn single_pass_raw_ingress_matches_the_server() {
-    // The allocation-free RawIngress executor (what the bench measures)
-    // must agree with a 1-shard server run packet for packet: same
-    // verdict sequences, same counters, same flow table.
-    let spec = peerrush();
-    let cfg = SyntheticConfig {
-        flows_per_class: 6,
-        seed: 0x5176,
-        payload_bytes: 8,
+fn interleaved_tenants_split_into_runs_without_moving_a_verdict() {
+    let mlp = train_mlp(&generate_trace(&peerrush(), &GenConfig { flows_per_class: 12, seed: 21 }));
+    let cnn = train_cnn(&generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 }));
+
+    // Each capture as the packets its frames parse to, steered to one port.
+    let steered = |pcap: Vec<u8>, port: u16| -> Vec<TracePacket> {
+        let mut src = PcapSource::from_bytes(pcap).expect("capture");
+        std::iter::from_fn(|| src.next_packet())
+            .map(|mut pkt| {
+                pkt.flow.dst_port = port;
+                pkt
+            })
+            .collect()
+    };
+    let golden = steered(std::fs::read(FIXTURE_PATH).expect("golden capture is checked in"), 443);
+    let vpn_cfg = SyntheticConfig {
+        flows_per_class: 3,
+        seed: 0xcafe,
+        payload_bytes: 60,
         ..SyntheticConfig::default()
     };
-    let pcap = synthesize_pcap(&spec, &cfg, DEFAULT_SNAPLEN);
-    let trace = generate_trace(&spec, &GenConfig { flows_per_class: 12, seed: 21 });
-    let deployment = train_mlp(&trace);
-
-    let mut reference_src = PcapSource::from_bytes(pcap.clone()).expect("capture");
-    let reference = deployment
-        .stream_frames_with(
-            &mut reference_src as &mut dyn FrameSource,
-            &StreamConfig { shards: 1, record_predictions: true, ..StreamConfig::default() },
-        )
-        .expect("server streams");
-    let reference_preds = reference.predictions.clone().expect("recording requested");
-
-    let mut raw =
-        RawIngress::with_defaults(&deployment.engine_artifact().expect("artifact")).expect("raw");
-    let mut src = PcapSource::from_bytes(pcap).expect("capture");
-    let mut verdicts: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
-    while let Some(frame) = src.next_frame() {
-        match raw.process(frame).expect("processes") {
-            RawVerdict::Classified(class) => {
-                let flow = parse_frame(frame.bytes).expect("parsed once already").flow;
-                verdicts.entry(flow).or_default().push(class);
-            }
-            RawVerdict::Warmup => {}
-            RawVerdict::Rejected(e) => panic!("fixture frame rejected: {e}"),
+    let vpn = steered(synthesize_pcap(&iscxvpn(), &vpn_cfg, DEFAULT_SNAPLEN), 8443);
+    let mut writer = PcapWriter::with_snaplen(DEFAULT_SNAPLEN);
+    let mut frame = Vec::new();
+    for i in 0..golden.len().max(vpn.len()) {
+        for pkt in [golden.get(i), vpn.get(i)].into_iter().flatten() {
+            encode_trace_packet(pkt, &mut frame);
+            writer.record(pkt.ts_micros, &frame);
         }
     }
+    let pcap = writer.into_bytes();
 
-    let stats = raw.stats();
-    assert_eq!(stats.packets, reference.packets);
-    assert_eq!(stats.classified, reference.classified);
-    assert_eq!(stats.warmup, reference.warmup);
-    assert_eq!(stats.flows, reference.flows);
-    assert_eq!(stats.table, reference.table);
-    assert_eq!(stats.parse.total(), 0);
-    assert_eq!(verdicts.len(), reference_preds.len());
-    for (flow, seq) in &reference_preds {
-        assert_eq!(verdicts.get(flow), Some(seq), "flow {flow:?} diverged from the server");
+    // The MLP-B tenant's packets exactly as the engine will parse them.
+    let mut src = PcapSource::from_bytes(pcap.clone()).expect("capture");
+    let packets: Vec<TracePacket> =
+        std::iter::from_fn(|| src.next_packet()).filter(|p| p.flow.dst_port == 443).collect();
+    assert_eq!(packets.len(), golden.len());
+    let reference = common::sequential_reference(&mlp, &Trace { packets, labels: Vec::new() });
+    assert!(!reference.is_empty(), "golden capture classifies nothing");
+
+    for shards in [1usize, 2, 4] {
+        let mut scalar: Option<Vec<StreamReport>> = None;
+        for batch_frames in [1usize, 7, 64] {
+            let tag = format!("{shards} shards, batch {batch_frames}");
+            let tenants = vec![
+                (
+                    mlp.engine_artifact().expect("artifact"),
+                    TenantConfig::new().route(RoutePredicate::DstPort(443)),
+                ),
+                (
+                    cnn.engine_artifact().expect("artifact"),
+                    TenantConfig::new().route(RoutePredicate::DstPort(8443)),
+                ),
+            ];
+            let runs = run_batched(tenants, &pcap, shards, batch_frames);
+            assert_eq!(runs[0].packets, golden.len() as u64, "{tag}: MLP-B packets");
+            assert_eq!(runs[1].packets, vpn.len() as u64, "{tag}: CNN-L packets");
+            assert_eq!(runs[0].predictions.as_ref(), Some(&reference), "{tag}: MLP-B vs replay");
+            assert!(runs[1].classified > 0, "{tag}: CNN-L classified nothing");
+            let scalar = scalar.get_or_insert_with(|| runs.clone());
+            for (name, run, one) in
+                [("MLP-B", &runs[0], &scalar[0]), ("CNN-L", &runs[1], &scalar[1])]
+            {
+                assert_eq!(
+                    (run.packets, run.classified, run.warmup, run.flows),
+                    (one.packets, one.classified, one.warmup, one.flows),
+                    "{tag}: {name} counters moved with the batch size"
+                );
+                assert_eq!(run.table, one.table, "{tag}: {name} flow-table counters");
+                assert_eq!(run.parse.total(), 0, "{tag}: nothing rejected");
+                assert_eq!(run.predictions, one.predictions, "{tag}: {name} verdict sequences");
+            }
+        }
     }
 }
 
@@ -389,10 +385,10 @@ fn golden_fixture_round_trips_and_pins_verdicts() {
     assert_eq!(census, PINNED_CLASS_CENSUS, "per-class verdict counts drifted");
 }
 
-/// The golden capture through the *fused batched* path must reproduce the
-/// same frozen census the per-frame path pins: 338 packets, 12 flows,
+/// The golden capture through 32-frame batches must reproduce the same
+/// frozen census the default-batch run above pins: 338 packets, 12 flows,
 /// [4, 4, 4] majority-verdict classes. This is the end-to-end witness that
-/// batching changed the schedule, not the semantics.
+/// batching changes the schedule, not the semantics.
 #[test]
 fn golden_fixture_census_survives_the_fused_batched_path() {
     let bytes = std::fs::read(FIXTURE_PATH)
@@ -400,22 +396,14 @@ fn golden_fixture_census_survives_the_fused_batched_path() {
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 12, seed: 21 });
     let deployment = train_mlp(&trace);
 
-    let run = run_batched(&deployment, &bytes, 1, DEFAULT_BATCH_FRAMES);
+    let run = run_one(&deployment, &bytes, 1, 32);
     assert_eq!(run.packets, PINNED_PACKETS, "fixture packet count through batches");
-    assert_eq!(run.parse_total, 0, "every fixture frame parses");
+    assert_eq!(run.parse.total(), 0, "every fixture frame parses");
     assert_eq!(run.flows, PINNED_FLOWS, "fixture flow count through batches");
 
-    // Majority vote per flow, tie-broken exactly like
-    // `StreamReport::flow_verdicts` (ties to the smaller class id).
     let mut census = [0u64; 3];
-    for seq in run.preds.values() {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for &c in seq {
-            *counts.entry(c).or_insert(0) += 1;
-        }
-        let (&class, _) =
-            counts.iter().max_by_key(|(&class, &n)| (n, std::cmp::Reverse(class))).expect("votes");
-        census[class] += 1;
+    for class in run.flow_verdicts().expect("recording requested").values() {
+        census[*class] += 1;
     }
     assert_eq!(census, PINNED_CLASS_CENSUS, "per-class verdict census drifted under batching");
 }
@@ -425,12 +413,11 @@ fn golden_fixture_census_survives_the_fused_batched_path() {
 /// slot-resolution that probed every frame against the pre-batch table
 /// state would admit the flow once per packet, double-counting admissions
 /// and (on a tight table) evicting an innocent neighbor under phantom
-/// capacity pressure. Pinned against the per-frame path on a 2-slot table.
+/// capacity pressure. Pinned against single-frame batches on a 2-slot table.
 #[test]
 fn repeated_new_flow_in_one_batch_admits_a_slot_once() {
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 12, seed: 21 });
     let deployment = train_mlp(&trace);
-    let artifact = deployment.engine_artifact().expect("artifact");
     let table = FlowTableConfig { capacity: 2, idle_timeout_packets: 0, alias: false };
 
     // One resident flow to make spurious evictions observable, then five
@@ -439,25 +426,26 @@ fn repeated_new_flow_in_one_batch_admits_a_slot_once() {
     // have to evict the resident.
     let resident = build_frame(&FrameSpec::v4_udp(0x0a000001, 0x0a000002, 1111, 2222, vec![7; 12]));
     let newcomer = build_frame(&FrameSpec::v4_udp(0x0a000003, 0x0a000004, 3333, 4444, vec![9; 12]));
-    let frames: Vec<&[u8]> =
-        vec![&resident, &newcomer, &newcomer, &newcomer, &newcomer, &newcomer, &resident];
-
-    let mut batched = RawIngress::new(&artifact, table).expect("raw ingress");
-    let mut batch = FrameBatch::with_capacity(frames.len());
-    for (i, f) in frames.iter().enumerate() {
-        let rejected = batched.push_batch_frame(&mut batch, RawFrame::new(i as u64 * 100, f));
-        assert!(rejected.is_none(), "hand-built frame {i} failed to parse");
+    let mut writer = PcapWriter::with_snaplen(DEFAULT_SNAPLEN);
+    for (i, f) in [&resident, &newcomer, &newcomer, &newcomer, &newcomer, &newcomer, &resident]
+        .iter()
+        .enumerate()
+    {
+        parse_frame(f).expect("hand-built frame parses");
+        writer.record(i as u64 * 100, f);
     }
-    batched.process_batch(&batch).expect("batch processes");
+    let pcap = writer.into_bytes();
+    let serve = |batch_frames| {
+        let tenant = (
+            deployment.engine_artifact().expect("artifact"),
+            TenantConfig::new().flow_table(table),
+        );
+        run_batched(vec![tenant], &pcap, 1, batch_frames).remove(0)
+    };
 
-    let mut per_frame = RawIngress::new(&artifact, table).expect("raw ingress");
-    for (i, f) in frames.iter().enumerate() {
-        per_frame.process(RawFrame::new(i as u64 * 100, f)).expect("processes");
-    }
-
-    let b = batched.stats();
-    let p = per_frame.stats();
-    assert_eq!(b.table, p.table, "batched admission diverged from the per-frame path");
+    let b = serve(64);
+    let p = serve(1);
+    assert_eq!(b.table, p.table, "batched admission diverged from single-frame batches");
     assert_eq!(b.table.occupancy, 2, "two distinct flows, two resident slots");
     assert_eq!(
         b.table.evictions_capacity, 0,
@@ -465,6 +453,7 @@ fn repeated_new_flow_in_one_batch_admits_a_slot_once() {
     );
     assert_eq!(b.table.evictions_idle, 0, "no aging configured, none may fire");
     assert_eq!((b.packets, b.classified, b.warmup), (p.packets, p.classified, p.warmup));
+    assert_eq!(b.packets, 7);
 }
 
 /// Pinned facts about `tests/fixtures/golden.pcap` (see the regen note on

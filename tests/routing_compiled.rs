@@ -286,7 +286,7 @@ struct ParkingRouter {
 }
 
 impl TenantRouter for ParkingRouter {
-    fn route(&self, _pkt: &TracePacket, tenants: &[TenantRoute]) -> Option<TenantToken> {
+    fn route(&self, _flow: &FiveTuple, tenants: &[TenantRoute]) -> Option<TenantToken> {
         let _ = self.entered.send(());
         let _ = self.release.lock().expect("release channel poisoned").recv();
         tenants.first().map(|t| t.token)

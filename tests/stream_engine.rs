@@ -6,10 +6,14 @@
 //! flattened-LUT runtime behind it): sharding only partitions flows across
 //! workers, and the flattened representation only changes *how* the
 //! compiled tables are executed — never the verdicts. The sequential
-//! reference below is an independent reimplementation of the per-packet
-//! path: one global `FlowTracker`, features extracted per packet, verdicts
-//! from `Deployment::classify` (the switch-simulator path, not the LUTs).
+//! reference (`common::sequential_reference`) is an independent
+//! reimplementation of the per-packet path: one global `FlowTracker`,
+//! features extracted per packet, verdicts from `Deployment::classify`
+//! (the switch-simulator path, not the LUTs).
 
+mod common;
+
+use common::sequential_reference;
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::rnn_b::RnnB;
@@ -23,42 +27,6 @@ use pegasus::net::{
 };
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
-
-/// Sequential reference: replay the trace through one tracker and the
-/// simulator runtime, recording per-flow classification sequences.
-fn sequential_reference<M: DataplaneNet>(
-    deployment: &Deployment<M>,
-    trace: &Trace,
-) -> HashMap<FiveTuple, Vec<usize>> {
-    let features = deployment.model().stream_features();
-    let mut tracker = FlowTracker::new(WINDOW);
-    let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
-    for pkt in &trace.packets {
-        let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
-        if !state.window_full() {
-            continue;
-        }
-        let codes: Vec<f32> = match features {
-            StreamFeatures::Stat => StatFeatures::extract(
-                state,
-                &obs,
-                pkt.flow.protocol,
-                pkt.tcp_flags,
-                pkt.flow.src_port,
-                pkt.flow.dst_port,
-                pkt.ttl,
-                pkt.payload_head.len() as u16,
-            )
-            .to_f32(),
-            StreamFeatures::Seq => {
-                SeqFeatures::extract(state).expect("window full").to_f32_interleaved()
-            }
-        };
-        let class = deployment.classify(&codes).expect("classifies");
-        out.entry(pkt.flow).or_default().push(class);
-    }
-    out
-}
 
 fn assert_stream_matches_sequential<M: DataplaneNet>(deployment: &Deployment<M>, trace: &Trace) {
     let reference = sequential_reference(deployment, trace);

@@ -17,18 +17,17 @@ use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, EngineBuilder, FramePush, ParseErrorCounters, Pegasus, RawIngress, RawVerdict,
+    Deployment, EngineBuilder, FramePush, ParseErrorCounters, Pegasus, TenantConfig,
 };
 use pegasus::datasets::{extract_views, generate_trace, peerrush, GenConfig};
 use pegasus::net::packet::{ParseError, PROTO_TCP};
 use pegasus::net::wire::{
     build_frame, parse_frame, FrameSpec, IpAddrs, ETHERTYPE_QINQ, ETHERTYPE_VLAN,
 };
-use pegasus::net::{FiveTuple, FrameBatch, RawFrame};
+use pegasus::net::RawFrame;
 use pegasus::switch::SwitchConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// A seeded corpus of structurally valid frames covering the parse graph.
 fn corpus(seed: u64, count: usize) -> Vec<(FrameSpec, Vec<u8>)> {
@@ -229,8 +228,8 @@ fn malformed_inputs_map_to_exact_variants() {
 /// and truncations injected *mid-batch* must (a) never panic, (b) land
 /// every rejected frame in exactly the parse-error bucket a direct
 /// `parse_frame` predicts, and (c) give every surviving frame the same
-/// verdict — and the ingress the same counters — as the frame-at-a-time
-/// path over the identical stream.
+/// verdict — and the engine the same counters — as single-frame batches
+/// over the identical stream.
 #[test]
 fn batched_ingress_survives_mutants_and_matches_per_frame() {
     // A small flow population repeated enough rounds that surviving flows
@@ -260,7 +259,7 @@ fn batched_ingress_survives_mutants_and_matches_per_frame() {
     }
 
     // What a direct parse predicts for every frame: the per-kind buckets
-    // both ingress paths must reproduce exactly.
+    // both batch sizes must reproduce exactly.
     let mut expected = ParseErrorCounters::default();
     let mut survivors = 0u64;
     for f in &frames {
@@ -282,49 +281,33 @@ fn batched_ingress_survives_mutants_and_matches_per_frame() {
         .expect("compiles")
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys");
-    let artifact = deployment.engine_artifact().expect("artifact");
 
-    // Frame-at-a-time reference.
-    let mut per_frame = RawIngress::with_defaults(&artifact).expect("raw ingress");
-    let mut ref_preds: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
-    for (i, f) in frames.iter().enumerate() {
-        match per_frame.process(RawFrame::new(i as u64 * 37, f)).expect("processes") {
-            RawVerdict::Classified(class) => {
-                let flow = parse_frame(f).expect("classified implies parsed").flow;
-                ref_preds.entry(flow).or_default().push(class);
-            }
-            RawVerdict::Warmup | RawVerdict::Rejected(_) => {}
+    // `batch(1)` hands every surviving frame to the shard alone (the
+    // frame-at-a-time reference); under `batch(64)` rejects land mid-batch
+    // without consuming a slot, so batches straddle mutants in every
+    // alignment.
+    let serve = |batch: usize| {
+        let server = EngineBuilder::new().batch(batch).build().expect("builds");
+        let token = server
+            .control()
+            .attach(
+                deployment.engine_artifact().expect("artifact"),
+                TenantConfig::new().record_predictions(true),
+            )
+            .expect("attaches");
+        let ingress = server.ingress();
+        for (i, f) in frames.iter().enumerate() {
+            ingress.push_frame(RawFrame::new(i as u64 * 37, f)).expect("pushes");
         }
-    }
-
-    // Fused batches of 16 — rejects land mid-batch without consuming a
-    // slot, so batches straddle mutants in every alignment.
-    let mut batched = RawIngress::with_defaults(&artifact).expect("raw ingress");
-    let mut batch = FrameBatch::with_capacity(16);
-    let mut batch_preds: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
-    let mut flush = |ing: &mut RawIngress, batch: &mut FrameBatch| {
-        let verdicts = ing.process_batch(batch).expect("batch processes");
-        for (flow, v) in batch.flows().iter().zip(verdicts) {
-            if let Some(class) = v {
-                batch_preds.entry(*flow).or_default().push(*class);
-            }
-        }
-        batch.clear();
+        let mut report = server.shutdown().expect("shuts down");
+        let tenant = report.take_tenant(token).expect("tenant report");
+        (tenant.result.expect("tenant served cleanly"), report.parse_errors)
     };
-    for (i, f) in frames.iter().enumerate() {
-        batched.push_batch_frame(&mut batch, RawFrame::new(i as u64 * 37, f));
-        if batch.is_full() {
-            flush(&mut batched, &mut batch);
-        }
-    }
-    if !batch.is_empty() {
-        flush(&mut batched, &mut batch);
-    }
+    let (a, a_parse) = serve(1);
+    let (b, b_parse) = serve(64);
 
-    let a = per_frame.stats();
-    let b = batched.stats();
-    assert_eq!(a.parse, expected, "per-frame buckets diverged from direct parses");
-    assert_eq!(b.parse, expected, "batched buckets diverged from direct parses");
+    assert_eq!(a_parse, expected, "per-frame buckets diverged from direct parses");
+    assert_eq!(b_parse, expected, "batched buckets diverged from direct parses");
     assert_eq!(a.packets, survivors, "every surviving frame is processed");
     assert_eq!(b.packets, a.packets);
     assert_eq!(b.classified, a.classified);
@@ -332,7 +315,7 @@ fn batched_ingress_survives_mutants_and_matches_per_frame() {
     assert_eq!(b.flows, a.flows);
     assert_eq!(b.table, a.table, "flow-table counters diverged under batching");
     assert!(a.classified > 0, "no surviving flow classified — fuzz stream too short");
-    assert_eq!(batch_preds, ref_preds, "surviving frames' verdicts diverged under batching");
+    assert_eq!(b.predictions, a.predictions, "surviving frames' verdicts diverged under batching");
 }
 
 /// Rejected frames surface in the engine's parse-error buckets — per
