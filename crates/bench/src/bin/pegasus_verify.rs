@@ -12,6 +12,16 @@
 //!   Every net except N3IC must fit; N3IC must *fail* with `V204`
 //!   (the paper's §2 stage-wall result as a falsifiable check).
 //!
+//! * **flat vs simulator** — every stateless net that deploys on the
+//!   Tofino-2 model and flattens must produce, through
+//!   `FlatProgram::classify`/`scores`, exactly what the switch simulator
+//!   (`DataplaneModel::classify`/`scores`) produces on its training rows
+//!   (at least 500). The column also carries the matcher census —
+//!   `dense/indexed` table counts; there is no scan fallback to count, a
+//!   table with a key too wide to index makes the net not flatten — and
+//!   the longest fused action run. Nets that do not flatten print the
+//!   reason instead.
+//!
 //! Exit status is non-zero on any deviation, so CI can gate on it.
 //! Standard flags apply (`--quick`, `--seed N`, `--flows N`).
 
@@ -25,8 +35,9 @@ use pegasus_core::models::cnn_l::CnnL;
 use pegasus_core::models::cnn_m::CnnM;
 use pegasus_core::models::mlp_b::MlpB;
 use pegasus_core::models::rnn_b::RnnB;
-use pegasus_core::models::{DataplaneNet, ModelData};
-use pegasus_core::pipeline::Pegasus;
+use pegasus_core::models::{DataplaneNet, ModelData, StreamFeatures};
+use pegasus_core::pipeline::{Artifact, Pegasus};
+use pegasus_core::runtime::DataplaneModel;
 use pegasus_core::verify::VerifyReport;
 use pegasus_datasets::peerrush;
 use pegasus_switch::SwitchConfig;
@@ -36,6 +47,64 @@ struct NetResult {
     name: &'static str,
     compile_time: VerifyReport,
     on_switch: VerifyReport,
+    flat: FlatCheck,
+}
+
+/// The flat-vs-simulator differential of one net.
+enum FlatCheck {
+    /// The net never reaches a `FlatProgram` (why).
+    Skipped(String),
+    /// Rows compared, rows that differed, and the program's shape.
+    Compared { rows: usize, mismatches: usize, dense: usize, indexed: usize, longest_run: usize },
+}
+
+/// Rows the differential must cover for a net that flattens.
+const MIN_DIFF_ROWS: usize = 500;
+/// Rows it stops at (the simulator side costs tens of µs per row).
+const MAX_DIFF_ROWS: usize = 4000;
+
+/// Holds `FlatProgram` to the simulator on the training rows of the
+/// feature family the net is served with.
+fn differential<M: DataplaneNet>(
+    name: &'static str,
+    model: &M,
+    artifact: &Artifact,
+    data: &ModelData<'_>,
+    switch: &SwitchConfig,
+) -> FlatCheck {
+    let Artifact::Single(pipeline) = artifact else {
+        return FlatCheck::Skipped("per-flow registers".into());
+    };
+    let dp = match DataplaneModel::deploy((**pipeline).clone(), switch) {
+        Ok(dp) => dp,
+        Err(e) => return FlatCheck::Skipped(format!("does not deploy: {e}")),
+    };
+    let Some(flat) = dp.flat() else {
+        return FlatCheck::Skipped(dp.flatten_skip().map(ToString::to_string).unwrap_or_default());
+    };
+    let view = match model.stream_features() {
+        StreamFeatures::Stat => data.stat(name),
+        StreamFeatures::Seq => data.seq(name),
+    }
+    .unwrap_or_else(|e| panic!("{name} has its serving view: {e}"));
+    let rows = view.len().min(MAX_DIFF_ROWS);
+    let mut scratch = flat.scratch();
+    // A net is a classifier, a scorer, or both; each side must agree,
+    // errors included.
+    let mismatches = (0..rows)
+        .filter(|&r| {
+            let row = view.x.row(r);
+            flat.classify(row, &mut scratch) != dp.classify(row)
+                || flat.scores(row, &mut scratch) != dp.scores(row)
+        })
+        .count();
+    FlatCheck::Compared {
+        rows,
+        mismatches,
+        dense: flat.dense_tables(),
+        indexed: flat.indexed_tables(),
+        longest_run: flat.longest_run(),
+    }
 }
 
 fn check<M: DataplaneNet>(
@@ -56,6 +125,7 @@ fn check<M: DataplaneNet>(
         name,
         compile_time: compiled.artifact().verify(None),
         on_switch: compiled.artifact().verify(Some(switch)),
+        flat: differential(name, compiled.model(), compiled.artifact(), data, switch),
     }
 }
 
@@ -100,10 +170,35 @@ fn main() -> std::process::ExitCode {
         check::<N3ic>("N3IC", &bundle, &opts, epochs, seed, &switch),
     ];
 
-    println!("{:<12} {:<40} tofino2", "net", "compile-time");
+    println!(
+        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables)",
+        "net", "compile-time", "tofino2"
+    );
     let mut failed = false;
     for r in &results {
-        println!("{:<12} {:<40} {}", r.name, summarize(&r.compile_time), summarize(&r.on_switch));
+        let flat = match &r.flat {
+            FlatCheck::Skipped(why) => format!("- ({why})"),
+            FlatCheck::Compared { rows, mismatches, dense, indexed, longest_run } => format!(
+                "{mismatches} mismatch(es) on {rows} rows; {dense}/{indexed} tables, \
+                 longest run {longest_run}"
+            ),
+        };
+        println!(
+            "{:<12} {:<40} {:<40} {flat}",
+            r.name,
+            summarize(&r.compile_time),
+            summarize(&r.on_switch)
+        );
+        if let FlatCheck::Compared { rows, mismatches, .. } = r.flat {
+            if mismatches > 0 || rows < MIN_DIFF_ROWS {
+                eprintln!(
+                    "FAIL: {} flat vs simulator: {mismatches} mismatch(es) on {rows} rows \
+                     (need 0 on at least {MIN_DIFF_ROWS})",
+                    r.name
+                );
+                failed = true;
+            }
+        }
         if r.compile_time.has_errors() {
             eprintln!("FAIL: {} has compile-time verifier errors:\n{}", r.name, r.compile_time);
             failed = true;
@@ -123,6 +218,9 @@ fn main() -> std::process::ExitCode {
     if failed {
         return std::process::ExitCode::FAILURE;
     }
-    println!("all nets verified: 8/8 clean on tofino2, N3IC rejected by V204 as expected");
+    println!(
+        "all nets verified: 8/8 clean on tofino2, N3IC rejected by V204 as expected, \
+         0 flat-vs-simulator mismatches"
+    );
     std::process::ExitCode::SUCCESS
 }

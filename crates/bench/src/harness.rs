@@ -30,8 +30,8 @@ pub struct BenchConfig {
     /// Run only the hot-swap cost section (CI smoke mode; same skipping
     /// rules as `churn_only`): measures the epoch/RCU apply latency, the
     /// throughput dip and the adopt-on-first-touch transplant progress,
-    /// and asserts the stall-free bounds (sub-millisecond apply, <5% pps
-    /// dip).
+    /// and asserts the stall-free counters (sub-millisecond apply, shard
+    /// adoption; the pps dip is printed only).
     pub swap_only: bool,
 }
 

@@ -232,14 +232,13 @@ impl EngineArtifact {
     }
 
     /// Re-runs the static verifier over the artifact against the switch
-    /// configuration it was deployed on. Attach and swap call this so a
-    /// corrupt artifact — however it was produced — never reaches a
-    /// serving shard.
+    /// configuration it was deployed on — for a stateless artifact, over
+    /// the very `FlatProgram` its shards execute. Attach and swap call
+    /// this so a corrupt artifact — however it was produced — never
+    /// reaches a serving shard.
     pub fn verify_report(&self) -> crate::verify::VerifyReport {
         match &self.plane {
-            ArtifactPlane::Stateless(dp) => {
-                crate::verify::verify_pipeline(dp.pipeline(), Some(dp.switch_config()))
-            }
+            ArtifactPlane::Stateless(dp) => dp.verify_report(),
             ArtifactPlane::Flow(fc) => {
                 crate::verify::verify_flow(fc.pipeline(), Some(fc.switch_config()))
             }

@@ -12,7 +12,7 @@ use crate::compile::CompiledPipeline;
 use crate::engine::{FlatProgram, FlattenSkip};
 use crate::error::PegasusError;
 use crate::primitives::{Primitive, PrimitiveProgram};
-use crate::verify::verify_pipeline;
+use crate::verify::{verify_pipeline_with, VerifyReport};
 use pegasus_nn::metrics::{pr_rc_f1, PrRcF1};
 use pegasus_nn::Dataset;
 use pegasus_switch::{FieldId, LoadedProgram, ResourceReport, SwitchConfig};
@@ -44,22 +44,29 @@ impl DataplaneModel {
     ///
     /// The static verifier (see [`crate::verify`]) runs first: artifacts
     /// with any `Error`-severity diagnostic are rejected with
-    /// [`PegasusError::Verify`] before the resource model or the flattener
-    /// ever see them. Resource fit is deliberately left to the switch
-    /// model's own typed [`DeployError`](pegasus_switch::DeployError)
-    /// (richer than a `V204` diagnostic); the verifier's resource layer
-    /// covers the same accounting when invoked with a config. Register-free
-    /// pipelines are additionally baked into a [`FlatProgram`] — the
-    /// contiguous-array replica the streaming engine executes (see
-    /// [`flat`](DataplaneModel::flat)).
+    /// [`PegasusError::Verify`] before the resource model ever sees them.
+    /// Resource fit is deliberately left to the switch model's own typed
+    /// [`DeployError`](pegasus_switch::DeployError) (richer than a `V204`
+    /// diagnostic); the verifier's resource layer covers the same
+    /// accounting when invoked with a config. Register-free pipelines are
+    /// baked into a [`FlatProgram`] — the specialised replica the streaming
+    /// engine executes (see [`flat`](DataplaneModel::flat)) — once, inside
+    /// the verifier run, so the program proved in-bounds is the one kept.
     pub fn deploy(pipeline: CompiledPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
-        let report = verify_pipeline(&pipeline, None);
-        if report.has_errors() {
+        let (report, flat) =
+            verify_pipeline_with(&pipeline, None, || FlatProgram::from_pipeline(&pipeline));
+        let Some(flat) = flat.filter(|_| !report.has_errors()) else {
             return Err(PegasusError::Verify { report: Box::new(report) });
-        }
+        };
         let loaded = pipeline.program.clone().deploy(cfg)?;
-        let flat = FlatProgram::from_pipeline(&pipeline);
         Ok(DataplaneModel { pipeline, loaded, flat })
+    }
+
+    /// Re-runs the static verifier against the switch configuration this
+    /// model was deployed on, over the [`FlatProgram`] it serves with —
+    /// nothing is flattened again.
+    pub(crate) fn verify_report(&self) -> VerifyReport {
+        verify_pipeline_with(&self.pipeline, Some(self.switch_config()), || &self.flat).0
     }
 
     /// The compiled artifact.

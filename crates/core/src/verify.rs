@@ -33,7 +33,7 @@
 //!    bus) as static diagnostics instead of deploy-time surprises.
 //!
 //! `V301` (`Info`) records why a pipeline did not flatten into the
-//! streaming hot path (see [`FlattenSkip`](crate::engine::FlattenSkip)).
+//! streaming hot path (see [`FlattenSkip`]).
 //!
 //! # Diagnostic codes
 //!
@@ -56,11 +56,13 @@
 //! | `V301` | Info  | pipeline does not flatten (reason attached) |
 
 use crate::compile::CompiledPipeline;
-use crate::engine::flat::{FlatOp, FlatPart, FlatProgram, FlatTable, Matcher, Src};
+use crate::engine::flat::{FlatProgram, FlatTable, Matcher, OpKind, Run, Src, Trunc};
+use crate::engine::FlattenSkip;
 use crate::flowpipe::FlowPipeline;
 use pegasus_switch::{
     mask_of, AluOp, FieldId, KeyPart, SwitchConfig, SwitchProgram, Table, TernaryKey,
 };
+use std::borrow::Borrow;
 use std::fmt;
 
 /// How bad one diagnostic is.
@@ -191,6 +193,19 @@ const COVERAGE_MAX_POINTS: u64 = 1 << 16;
 /// flattened representation (structural + interval analysis) or the typed
 /// flatten-skip reason as a `V301` info.
 pub fn verify_pipeline(p: &CompiledPipeline, cfg: Option<&SwitchConfig>) -> VerifyReport {
+    verify_pipeline_with(p, cfg, || FlatProgram::from_pipeline(p)).0
+}
+
+/// [`verify_pipeline`] over the flattened representation `flatten` hands
+/// over, so the `FlatProgram` proved in-bounds is the one that serves:
+/// `deploy` builds it here and keeps it, attach/swap lend the resident
+/// one. `flatten` runs only once the structural layer is clean (the
+/// flattener trusts it); what it returned comes back beside the report.
+pub(crate) fn verify_pipeline_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+    p: &CompiledPipeline,
+    cfg: Option<&SwitchConfig>,
+    flatten: impl FnOnce() -> F,
+) -> (VerifyReport, Option<F>) {
     let mut r = verify_program(&p.program, cfg);
     let nfields = p.program.layout.len();
     check_pipeline_fields(&mut r, "input field", &p.input_fields, nfields);
@@ -201,12 +216,13 @@ pub fn verify_pipeline(p: &CompiledPipeline, cfg: Option<&SwitchConfig>) -> Veri
     // Flatten only artifacts that passed the structural layer: the
     // flattener (like the resource model) trusts the invariants above.
     if r.has_errors() {
-        return r;
+        return (r, None);
     }
-    match FlatProgram::from_pipeline(p) {
+    let flat = flatten();
+    match flat.borrow() {
         Ok(flat) => {
             let table_names: Vec<&str> = p.program.tables.iter().map(|t| t.name.as_str()).collect();
-            verify_flat(&mut r, &flat, &table_names);
+            verify_flat(&mut r, flat, &table_names);
         }
         Err(skip) => {
             r.push(
@@ -217,7 +233,7 @@ pub fn verify_pipeline(p: &CompiledPipeline, cfg: Option<&SwitchConfig>) -> Veri
             );
         }
     }
-    r
+    (r, Some(flat))
 }
 
 /// Verifies a per-flow windowed pipeline (program-level layers only —
@@ -730,7 +746,7 @@ fn part_overlaps(a: &KeyPart, b: &KeyPart, bits: u8) -> bool {
 
 fn verify_flat(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str]) {
     let before = r.diagnostics.len();
-    let nfields = flat.fields_meta().len();
+    let nfields = flat.scratch_len();
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
         let name = table_names.get(ti).copied().unwrap_or("?");
         check_flat_table(r, ft, name, nfields);
@@ -766,14 +782,31 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
             ),
         );
     }
+    // Param slots each action's runs read: one past the last.
+    let param_end = |runs: &[Run]| {
+        let ends = runs.iter().flat_map(|run| {
+            [run.first.a, run.first.b].map(|s| if let Src::Param(p) = s { p + run.len } else { 0 })
+        });
+        ends.max().unwrap_or(0)
+    };
     let check_ref = |r: &mut VerifyReport, what: &str, action: u32, off: u32, len: u32| {
-        if action as usize >= ft.actions.len() {
-            r.push(
+        match ft.actions.get(action as usize) {
+            None => r.push(
                 "V003",
                 Severity::Error,
                 Some(name),
                 format!("{what} invokes flat action #{action}, table has {}", ft.actions.len()),
-            );
+            ),
+            Some(runs) if param_end(runs) > len as usize => r.push(
+                "V003",
+                Severity::Error,
+                Some(name),
+                format!(
+                    "{what}: flat action #{action} reads param slot {}, entry carries {len}",
+                    param_end(runs) - 1
+                ),
+            ),
+            Some(_) => {}
         }
         if off as usize + len as usize > ft.data.len() {
             r.push(
@@ -814,68 +847,70 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
                 }
             }
         }
-        Matcher::Scan { parts, priorities, .. } => {
-            let k = ft.keys.len();
-            if parts.len() != priorities.len() * k {
+        Matcher::Indexed(ix) => {
+            let entries = ft.entry_action.len();
+            if let Some(&e) = ix.order.iter().find(|&&e| e as usize >= entries) {
+                r.push(
+                    "V002",
+                    Severity::Error,
+                    Some(name),
+                    format!("index order names entry {e}, table has {entries} entry(ies)"),
+                );
+            }
+            // Every raw key value must land on an interval whose bitset
+            // row exists, and every bit of a row on an `order` slot.
+            let shaped = ix.order.len() == entries
+                && ix.words == entries.div_ceil(64)
+                && ix.keys.len() == ft.keys.len()
+                && ix.keys.iter().zip(&ft.keys).all(|(k, &(_, bits))| {
+                    let rows = k.bitsets.len() / ix.words.max(1);
+                    bits <= 16
+                        && k.interval_of.len() == 1 << bits
+                        && k.interval_of.iter().all(|&iv| usize::from(iv) < rows)
+                });
+            if !shaped {
                 r.push(
                     "V003",
                     Severity::Error,
                     Some(name),
-                    format!(
-                        "flat scan shape disagrees: {} part(s) for {} entry(ies) × {k} key(s)",
-                        parts.len(),
-                        priorities.len()
-                    ),
+                    format!("bit-vector index shape disagrees with {entries} entry(ies) × keys"),
                 );
-            }
-            for (pi, part) in parts.iter().enumerate() {
-                let bits = ft.keys.get(pi % k.max(1)).map_or(64, |&(_, b)| b);
-                match *part {
-                    FlatPart::Range { lo, hi } if lo > hi => r.push(
-                        "V004",
-                        Severity::Error,
-                        Some(name),
-                        format!("flat part #{pi}: inverted range [{lo}, {hi}]"),
-                    ),
-                    FlatPart::Range { hi, .. } if hi > mask_of(bits) => r.push(
-                        "V005",
-                        Severity::Error,
-                        Some(name),
-                        format!("flat part #{pi}: range end {hi} exceeds {bits}-bit key"),
-                    ),
-                    _ => {}
-                }
             }
         }
     }
 
-    for (ai, ops) in ft.actions.iter().enumerate() {
-        for op in ops {
-            let (dst, srcs, shift) = flat_op_parts(op);
-            if dst >= nfields {
+    for (ai, runs) in ft.actions.iter().enumerate() {
+        for run in runs {
+            let Run { first: op, len, .. } = *run;
+            if op.dst + len > nfields {
                 r.push(
                     "V001",
                     Severity::Error,
                     Some(name),
-                    format!("flat action #{ai} writes scratch index {dst} (scratch has {nfields})"),
+                    format!(
+                        "flat action #{ai} writes scratch indices {}..{} (scratch has {nfields})",
+                        op.dst,
+                        op.dst + len
+                    ),
                 );
             }
-            for s in srcs.into_iter().flatten() {
+            for s in [op.a, op.b] {
                 if let Src::Field(f) = s {
-                    if f >= nfields {
+                    if f + len > nfields {
                         r.push(
                             "V001",
                             Severity::Error,
                             Some(name),
                             format!(
-                                "flat action #{ai} reads scratch index {f} \
-                                 (scratch has {nfields})"
+                                "flat action #{ai} reads scratch indices {f}..{} \
+                                 (scratch has {nfields})",
+                                f + len
                             ),
                         );
                     }
                 }
             }
-            if let Some(amount) = shift {
+            if let OpKind::Shl(amount) | OpKind::Shr(amount) = op.kind {
                 if amount >= 64 {
                     r.push(
                         "V006",
@@ -886,23 +921,6 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
                 }
             }
         }
-    }
-}
-
-/// `(dst, [a, b], shift amount)` of one flat op.
-fn flat_op_parts(op: &FlatOp) -> (usize, [Option<Src>; 2], Option<u8>) {
-    match *op {
-        FlatOp::Set { dst, a } | FlatOp::Popcnt { dst, a } => (dst, [Some(a), None], None),
-        FlatOp::Shl { dst, a, amount } | FlatOp::Shr { dst, a, amount } => {
-            (dst, [Some(a), None], Some(amount))
-        }
-        FlatOp::Add { dst, a, b }
-        | FlatOp::Sub { dst, a, b }
-        | FlatOp::Min { dst, a, b }
-        | FlatOp::Max { dst, a, b }
-        | FlatOp::And { dst, a, b }
-        | FlatOp::Or { dst, a, b }
-        | FlatOp::Xor { dst, a, b } => (dst, [Some(a), Some(b)], None),
     }
 }
 
@@ -930,24 +948,13 @@ impl Interval {
     }
 }
 
-/// The representable range of a `bits`-wide field.
-fn representable(bits: u8, signed: bool) -> Interval {
-    if bits >= 64 {
-        return Interval::TOP;
-    }
-    if signed {
-        Interval { lo: -(1i64 << (bits - 1)), hi: (1i64 << (bits - 1)) - 1 }
-    } else {
-        Interval { lo: 0, hi: (1i64 << bits) - 1 }
-    }
-}
-
 /// Abstract `truncate`: identity when the interval fits the field, else
 /// the field's full representable range. The bool reports a *provable*
 /// wrap (a finite interval that exceeds the width) — `TOP` widens
 /// silently, because "unknown" is not "provably wrapping".
-fn truncate_abs(iv: Interval, bits: u8, signed: bool) -> (Interval, bool) {
-    let rep = representable(bits, signed);
+fn truncate_abs(iv: Interval, trunc: Trunc) -> (Interval, bool) {
+    let (lo, hi) = trunc.range();
+    let rep = Interval { lo, hi };
     if rep.lo <= iv.lo && iv.hi <= rep.hi {
         (iv, false)
     } else if iv == Interval::TOP {
@@ -962,12 +969,10 @@ fn clamp128(v: i128) -> i64 {
 }
 
 fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str]) {
-    let metas = flat.fields_meta();
-    let mut state: Vec<Interval> = vec![Interval::point(0); metas.len()];
+    let mut state: Vec<Interval> = vec![Interval::point(0); flat.scratch_len()];
     // Input feature codes are clamped to [0, 255] before the store.
-    for &f in flat.input_scratch() {
-        let (iv, _) = truncate_abs(Interval { lo: 0, hi: 255 }, metas[f].bits, metas[f].signed);
-        state[f] = iv;
+    for &(f, trunc) in flat.inputs() {
+        state[f] = truncate_abs(Interval { lo: 0, hi: 255 }, trunc).0;
     }
 
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
@@ -1017,12 +1022,12 @@ fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&s
                 }
                 seen.iter().enumerate().filter(|(_, &s)| s).map(|(e, _)| e).collect()
             }
-            Matcher::Scan { priorities, .. } => (0..priorities.len()).collect(),
+            Matcher::Indexed(ix) => (0..ix.order.len()).collect(),
         };
         let can_miss = match &ft.matcher {
             Matcher::Always => true,
             Matcher::Dense(lut) => lut.contains(&0),
-            Matcher::Scan { .. } => true, // a scan can always fall through
+            Matcher::Indexed(_) => true, // an indexed key can always fall through
         };
 
         let mut outcomes: Vec<Vec<Interval>> = Vec::new();
@@ -1030,7 +1035,7 @@ fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&s
             let action = ft.entry_action[e] as usize;
             let (off, len) = ft.entry_data[e];
             let params = &ft.data[off as usize..(off + len) as usize];
-            outcomes.push(apply_action(r, &state, &ft.actions[action], params, metas, name));
+            outcomes.push(apply_action(r, &state, &ft.actions[action], params, name));
         }
         if can_miss {
             match ft.default_entry {
@@ -1041,7 +1046,6 @@ fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&s
                         &state,
                         &ft.actions[action as usize],
                         params,
-                        metas,
                         name,
                     ));
                 }
@@ -1061,14 +1065,14 @@ fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&s
     }
 }
 
-/// Runs one action's micro-ops over a copy of the abstract state,
-/// reporting provable wrap-arounds as `V102` (once per table).
+/// Runs one action's runs over a copy of the abstract state — each run's
+/// ops in index order, as the executor does — reporting provable
+/// wrap-arounds as `V102` (once per table).
 fn apply_action(
     r: &mut VerifyReport,
     state: &[Interval],
-    ops: &[FlatOp],
+    runs: &[Run],
     params: &[i64],
-    metas: &[crate::engine::flat::FieldMeta],
     table: &str,
 ) -> Vec<Interval> {
     let mut s = state.to_vec();
@@ -1079,75 +1083,38 @@ fn apply_action(
             Src::Param(i) => Interval::point(params[i]),
         }
     };
-    for op in ops {
-        let (dst, raw) = match *op {
-            FlatOp::Set { dst, a } => (dst, read(&s, a)),
-            FlatOp::Add { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                (
-                    dst,
-                    Interval {
-                        lo: clamp128(x.lo as i128 + y.lo as i128),
-                        hi: clamp128(x.hi as i128 + y.hi as i128),
-                    },
-                )
+    let ops = runs.iter().flat_map(|run| (0..run.len).map(|i| (run.first.step(i), run.trunc)));
+    for (op, trunc) in ops {
+        let (x, y) = (read(&s, op.a), read(&s, op.b));
+        let raw = match op.kind {
+            OpKind::Set => x,
+            OpKind::Add => Interval {
+                lo: clamp128(x.lo as i128 + y.lo as i128),
+                hi: clamp128(x.hi as i128 + y.hi as i128),
+            },
+            OpKind::Sub => Interval {
+                lo: clamp128(x.lo as i128 - y.hi as i128),
+                hi: clamp128(x.hi as i128 - y.lo as i128),
+            },
+            OpKind::Shl(amount) => Interval {
+                lo: clamp128((x.lo as i128) << amount),
+                hi: clamp128((x.hi as i128) << amount),
+            },
+            OpKind::Shr(amount) => Interval { lo: x.lo >> amount, hi: x.hi >> amount },
+            OpKind::Min => Interval { lo: x.lo.min(y.lo), hi: x.hi.min(y.hi) },
+            OpKind::Max => Interval { lo: x.lo.max(y.lo), hi: x.hi.max(y.hi) },
+            OpKind::And if x.lo >= 0 && y.lo >= 0 => Interval { lo: 0, hi: x.hi.min(y.hi) },
+            OpKind::Or | OpKind::Xor if x.lo >= 0 && y.lo >= 0 => {
+                // Results stay within the combined bit hull.
+                let top_bits = 64 - (x.hi.max(y.hi) as u64).leading_zeros();
+                let hi = if top_bits >= 63 { i64::MAX } else { (1i64 << top_bits) - 1 };
+                let lo = if op.kind == OpKind::Or { x.lo.max(y.lo) } else { 0 };
+                Interval { lo, hi }
             }
-            FlatOp::Sub { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                (
-                    dst,
-                    Interval {
-                        lo: clamp128(x.lo as i128 - y.hi as i128),
-                        hi: clamp128(x.hi as i128 - y.lo as i128),
-                    },
-                )
-            }
-            FlatOp::Shl { dst, a, amount } => {
-                let x = read(&s, a);
-                (
-                    dst,
-                    Interval {
-                        lo: clamp128((x.lo as i128) << amount),
-                        hi: clamp128((x.hi as i128) << amount),
-                    },
-                )
-            }
-            FlatOp::Shr { dst, a, amount } => {
-                let x = read(&s, a);
-                (dst, Interval { lo: x.lo >> amount, hi: x.hi >> amount })
-            }
-            FlatOp::Min { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                (dst, Interval { lo: x.lo.min(y.lo), hi: x.hi.min(y.hi) })
-            }
-            FlatOp::Max { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                (dst, Interval { lo: x.lo.max(y.lo), hi: x.hi.max(y.hi) })
-            }
-            FlatOp::And { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                if x.lo >= 0 && y.lo >= 0 {
-                    (dst, Interval { lo: 0, hi: x.hi.min(y.hi) })
-                } else {
-                    (dst, Interval::TOP)
-                }
-            }
-            FlatOp::Or { dst, a, b } | FlatOp::Xor { dst, a, b } => {
-                let (x, y) = (read(&s, a), read(&s, b));
-                if x.lo >= 0 && y.lo >= 0 {
-                    // Results stay within the combined bit hull.
-                    let top_bits = 64 - (x.hi.max(y.hi) as u64).leading_zeros();
-                    let hi = if top_bits >= 63 { i64::MAX } else { (1i64 << top_bits) - 1 };
-                    let lo = if matches!(op, FlatOp::Or { .. }) { x.lo.max(y.lo) } else { 0 };
-                    (dst, Interval { lo, hi })
-                } else {
-                    (dst, Interval::TOP)
-                }
-            }
-            FlatOp::Popcnt { dst, .. } => (dst, Interval { lo: 0, hi: 64 }),
+            OpKind::And | OpKind::Or | OpKind::Xor => Interval::TOP,
+            OpKind::Popcnt => Interval { lo: 0, hi: 64 },
         };
-        let m = metas[dst];
-        let (iv, wrapped) = truncate_abs(raw, m.bits, m.signed);
+        let (iv, wrapped) = truncate_abs(raw, trunc);
         if wrapped
             && !r.diagnostics.iter().any(|d| d.code == "V102" && d.table.as_deref() == Some(table))
         {
@@ -1156,12 +1123,15 @@ fn apply_action(
                 Severity::Warn,
                 Some(table),
                 format!(
-                    "value range [{}, {}] wraps past scratch field #{dst}'s {}-bit width",
-                    raw.lo, raw.hi, m.bits
+                    "value range [{}, {}] wraps past scratch field #{}'s {}-bit width",
+                    raw.lo,
+                    raw.hi,
+                    op.dst,
+                    trunc.bits()
                 ),
             );
         }
-        s[dst] = iv;
+        s[op.dst] = iv;
     }
     s
 }
@@ -1248,6 +1218,44 @@ mod tests {
         check_flat_table(&mut r, &ft, "t", 1);
         assert!(r.has_code("V002"), "{r}");
         assert!(r.has_errors());
+    }
+
+    #[test]
+    fn corrupt_index_and_overlong_run_are_flagged() {
+        use crate::engine::flat::{BitIndex, KeyIndex};
+        let flat = FlatProgram::from_pipeline(&compiled()).expect("flattens");
+        let nfields = flat.scratch_len();
+        // A real run stretched past the scratch, under an index whose order
+        // names entry 7 of 1 and whose interval id 3 has no bitset row.
+        let mut run = *flat
+            .flat_tables()
+            .iter()
+            .flat_map(|t| t.actions.iter().flatten())
+            .next()
+            .expect("the scorer has actions");
+        run.len = nfields + 1;
+        let index = BitIndex {
+            order: vec![7],
+            words: 1,
+            keys: vec![KeyIndex { interval_of: vec![0, 3], bitsets: vec![1] }],
+        };
+        let ft = FlatTable {
+            keys: vec![(0, 1)],
+            matcher: Matcher::Indexed(index),
+            entry_action: vec![0],
+            entry_data: vec![(0, 0)],
+            data: vec![],
+            default_entry: None,
+            actions: vec![vec![run]],
+        };
+        let mut r = VerifyReport::default();
+        check_flat_table(&mut r, &ft, "t", nfields);
+        let messages = |code: &str| -> Vec<&str> {
+            r.diagnostics.iter().filter(|d| d.code == code).map(|d| d.message.as_str()).collect()
+        };
+        assert!(messages("V002").iter().any(|m| m.contains("names entry 7")), "{r}");
+        assert!(messages("V003").iter().any(|m| m.contains("index shape")), "{r}");
+        assert!(messages("V001").iter().any(|m| m.contains("writes scratch indices")), "{r}");
     }
 
     #[test]
