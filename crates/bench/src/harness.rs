@@ -19,20 +19,6 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Reduced-scale run.
     pub quick: bool,
-    /// Run only the flow-churn section of a bench that has one (CI smoke
-    /// mode; skips the full shard sweep and does not rewrite the
-    /// committed results file).
-    pub churn_only: bool,
-    /// Run only the tenant-routing section (CI smoke mode; same skipping
-    /// rules as `churn_only`): attaches a 1k-tenant fleet, asserts the
-    /// routed/unrouted counters and a flat per-packet dispatch-cost bound.
-    pub routing_only: bool,
-    /// Run only the hot-swap cost section (CI smoke mode; same skipping
-    /// rules as `churn_only`): measures the epoch/RCU apply latency, the
-    /// throughput dip and the adopt-on-first-touch transplant progress,
-    /// and asserts the stall-free counters (sub-millisecond apply, shard
-    /// adoption; the pps dip is printed only).
-    pub swap_only: bool,
 }
 
 impl BenchConfig {
@@ -46,53 +32,32 @@ impl BenchConfig {
     }
 }
 
-/// Parses the standard CLI flags (`--quick`, `--seed N`, `--flows N`,
-/// `--churn-only`, `--routing-only`, `--swap-only`).
+/// Parses the standard CLI flags (`--quick`, `--seed N`, `--flows N`);
+/// anything else panics with a usage hint.
 pub fn parse_args() -> BenchConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = BenchConfig {
-        flows_per_class: 120,
-        seed: 7,
-        quick: false,
-        churn_only: false,
-        routing_only: false,
-        swap_only: false,
-    };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_from(&args).unwrap_or_else(|err| panic!("{err} (try --quick / --seed N / --flows N)"))
+}
+
+fn parse_from(args: &[String]) -> Result<BenchConfig, String> {
+    let mut cfg = BenchConfig { flows_per_class: 120, seed: 7, quick: false };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => {
                 cfg.quick = true;
                 cfg.flows_per_class = 30;
             }
-            "--churn-only" => {
-                cfg.churn_only = true;
-            }
-            "--routing-only" => {
-                cfg.routing_only = true;
-            }
-            "--swap-only" => {
-                cfg.swap_only = true;
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--flows" => {
-                i += 1;
-                cfg.flows_per_class = args[i].parse().expect("--flows takes a number");
-            }
-            other => panic!(
-                "unknown argument {other} (try --quick / --seed N / --flows N / --churn-only / --routing-only / --swap-only)"
-            ),
+            "--seed" => cfg.seed = number(arg, args.next())?,
+            "--flows" => cfg.flows_per_class = number(arg, args.next())?,
+            other => return Err(format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    assert!(
-        u8::from(cfg.churn_only) + u8::from(cfg.routing_only) + u8::from(cfg.swap_only) <= 1,
-        "--churn-only, --routing-only and --swap-only are mutually exclusive (each runs only its own section)"
-    );
-    cfg
+    Ok(cfg)
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| format!("{flag} takes a number"))
 }
 
 /// A dataset prepared for evaluation: split traces plus extracted views.
@@ -151,15 +116,23 @@ mod tests {
     use pegasus_datasets::peerrush;
 
     #[test]
-    fn prepare_produces_aligned_views() {
-        let cfg = BenchConfig {
-            flows_per_class: 10,
-            seed: 1,
-            quick: true,
-            churn_only: false,
-            routing_only: false,
-            swap_only: false,
+    fn parse_from_covers_defaults_flags_and_bad_input() {
+        let parse = |args: &[&str]| {
+            parse_from(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+                .map(|c| (c.flows_per_class, c.seed, c.quick))
         };
+        assert_eq!(parse(&[]), Ok((120, 7, false)));
+        assert_eq!(parse(&["--quick"]), Ok((30, 7, true)));
+        assert_eq!(parse(&["--seed", "3", "--flows", "8"]), Ok((8, 3, false)));
+        // A value flag with nothing after it is a usage error like any other.
+        assert_eq!(parse(&["--quick", "--seed"]), Err("--seed takes a number".into()));
+        assert_eq!(parse(&["--flows", "many"]), Err("--flows takes a number".into()));
+        assert_eq!(parse(&["--churn-only"]), Err("unknown argument --churn-only".into()));
+    }
+
+    #[test]
+    fn prepare_produces_aligned_views() {
+        let cfg = BenchConfig { flows_per_class: 10, seed: 1, quick: true };
         let p = prepare(&peerrush(), &cfg);
         assert_eq!(p.classes, 3);
         assert!(!p.train.is_empty());

@@ -229,14 +229,7 @@ mod tests {
 
     #[test]
     fn leo_runs_end_to_end_quick() {
-        let cfg = BenchConfig {
-            flows_per_class: 12,
-            seed: 2,
-            quick: true,
-            churn_only: false,
-            routing_only: false,
-            swap_only: false,
-        };
+        let cfg = BenchConfig { flows_per_class: 12, seed: 2, quick: true };
         let p = prepare(&peerrush(), &cfg);
         let r = run_method(Method::Leo, &p, &cfg);
         assert!(r.dataplane.f1 > 0.4, "{:?}", r.dataplane);
@@ -245,14 +238,7 @@ mod tests {
 
     #[test]
     fn mlp_b_runs_end_to_end_quick() {
-        let cfg = BenchConfig {
-            flows_per_class: 12,
-            seed: 3,
-            quick: true,
-            churn_only: false,
-            routing_only: false,
-            swap_only: false,
-        };
+        let cfg = BenchConfig { flows_per_class: 12, seed: 3, quick: true };
         let p = prepare(&peerrush(), &cfg);
         let r = run_method(Method::MlpB, &p, &cfg);
         assert!(r.dataplane.f1 > 0.3, "{:?}", r.dataplane);

@@ -84,7 +84,7 @@ mod tests {
     fn cpu_throughput_positive() {
         let x = Tensor::ones(&[64, 16]);
         let t = cpu_throughput(&spec(), &x, 10);
-        assert!(t > 1000.0, "throughput {t}");
+        assert!(t.is_finite() && t > 0.0, "throughput {t}");
     }
 
     #[test]

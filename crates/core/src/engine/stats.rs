@@ -100,10 +100,8 @@ pub struct ArtifactCounters {
 /// position `i` (i.e. `[2^i, 2^(i+1))`); quantiles are resolved to the
 /// bucket's *geometric midpoint* (`2^i·√2`), the minimum-relative-error
 /// point estimate for a log-bucketed sample, so reported p50/p99 carry at
-/// most √2 relative error instead of the up-to-2× bias the old
-/// upper-bound convention had (p50 used to read as exactly 4096 ns in
-/// `BENCH_throughput.json` whenever the median fell anywhere in the
-/// `[2048, 4096)` bucket).
+/// most √2 relative error instead of the up-to-2× bias of reporting the
+/// bucket's upper bound.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     buckets: [u64; 64],

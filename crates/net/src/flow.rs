@@ -17,7 +17,6 @@
 //! configured capacity and never grows.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// A flow's five-tuple identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -667,51 +666,6 @@ impl FlowTracker {
     }
 }
 
-/// A thread-safe flow tracker for multi-threaded throughput harnesses.
-///
-/// Sharded by flow hash to avoid a single global lock on the hot path.
-pub struct SharedFlowTracker {
-    shards: Vec<Mutex<FlowTracker>>,
-}
-
-impl SharedFlowTracker {
-    /// Creates a sharded tracker with the default per-shard table shape.
-    pub fn new(shards: usize, window_cap: usize) -> Self {
-        SharedFlowTracker::bounded(shards, window_cap, FlowTableConfig::default())
-    }
-
-    /// Creates a sharded tracker; every shard gets its own table of
-    /// `per_shard.capacity` slots (flows are partitioned by hash, so the
-    /// aggregate capacity is `shards × per_shard.capacity`).
-    pub fn bounded(shards: usize, window_cap: usize, per_shard: FlowTableConfig) -> Self {
-        assert!(shards >= 1);
-        SharedFlowTracker {
-            shards: (0..shards)
-                .map(|_| Mutex::new(FlowTracker::bounded(window_cap, per_shard)))
-                .collect(),
-        }
-    }
-
-    /// Records a packet (see [`FlowTracker::observe`]); returns the
-    /// observation and whether the flow's window is now full.
-    pub fn observe(&self, flow: FiveTuple, ts_micros: u64, wire_len: u16) -> (PacketObs, bool) {
-        let shard = flow.dataplane_hash() as usize % self.shards.len();
-        let mut guard = self.shards[shard].lock().expect("tracker shard poisoned");
-        let (obs, state) = guard.observe(flow, ts_micros, wire_len);
-        (obs, state.window_full())
-    }
-
-    /// Total flows across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("tracker shard poisoned").len()).sum()
-    }
-
-    /// True when no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 // --- serde (control-daemon wire format) --------------------------------
 
 serde::impl_serde_struct!(FiveTuple { src_ip, dst_ip, src_port, dst_port, protocol });
@@ -795,37 +749,6 @@ mod tests {
             seen[ft(i).shard_of(4)] = true;
         }
         assert!(seen.iter().all(|&s| s), "{seen:?}");
-    }
-
-    #[test]
-    fn shared_tracker_counts_flows() {
-        let t = SharedFlowTracker::new(4, 2);
-        let (_, full1) = t.observe(ft(1), 0, 10);
-        assert!(!full1);
-        let (_, full2) = t.observe(ft(1), 1, 20);
-        assert!(full2);
-        t.observe(ft(2), 0, 10);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn shared_tracker_is_threadsafe() {
-        use std::sync::Arc;
-        let t = Arc::new(SharedFlowTracker::new(8, 4));
-        let handles: Vec<_> = (0..4u32)
-            .map(|tid| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        t.observe(ft(tid * 1000 + i), u64::from(i), 100);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.len(), 400);
     }
 
     #[test]

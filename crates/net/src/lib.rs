@@ -37,7 +37,7 @@ pub use features::{
 };
 pub use flow::{
     Admission, FiveTuple, FlowState, FlowTable, FlowTableConfig, FlowTableStats, FlowTracker,
-    PacketObs, SharedFlowTracker, DEFAULT_FLOW_SLOTS,
+    PacketObs, DEFAULT_FLOW_SLOTS,
 };
 pub use packet::{
     build_packet, parse_packet, PacketSpec, ParseError, ParseErrorKind, ParsedPacket,

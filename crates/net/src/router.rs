@@ -710,6 +710,45 @@ mod tests {
     }
 
     #[test]
+    fn ten_thousand_structural_rules_do_no_residual_work() {
+        // A 10 000-tenant rule list in the shape fleets attach: mostly
+        // exact dst-ports (LUT), every 10th a /24 dst subnet (trie), every
+        // 10th a protocol rule. Dispatch cost is flat in the rule count
+        // because no rule lands on the residual list and no lookup scans
+        // it — held here as work done, not as nanoseconds.
+        let rules: Vec<(u32, RoutePredicate)> = (0..10_000u32)
+            .map(|i| {
+                let p = match i % 10 {
+                    1 => RoutePredicate::DstSubnet { addr: 0x0a00_0000 | (i << 8), prefix: 24 },
+                    9 => RoutePredicate::Protocol(1),
+                    _ => RoutePredicate::DstPort((1024 + (i * 37) % 60_000) as u16),
+                };
+                (i, p)
+            })
+            .collect();
+        let r = CompiledRouter::build(&rules);
+        assert_eq!(r.rules(), 10_000);
+        assert_eq!(r.residual_rules(), 0);
+
+        let mut outcomes = Vec::new();
+        for k in 0..2_000u32 {
+            let dst_ip = if k % 3 == 0 { 0x0a00_0007 | (k << 8) } else { 0xc0a8_0000 | k };
+            let dst_port = (1024 + (k * 111) % 62_000) as u16;
+            let probe =
+                FiveTuple::new(0xc0a8_0101, dst_ip, 40_000, dst_port, [6, 17, 1][k as usize % 3]);
+            let d = r.route(&probe);
+            assert_eq!(d.residual_scanned, 0, "{probe:?}");
+            assert_eq!(d.payload, scan(&rules, &probe), "{probe:?}");
+            outcomes.push(d.payload.map(|_| d.hit));
+        }
+        // The probe set reaches every structure the rules compile into,
+        // and misses them all at least once.
+        for want in [Some(RouteHit::Lut), Some(RouteHit::Trie), Some(RouteHit::Proto), None] {
+            assert!(outcomes.contains(&want), "no probe ended in {want:?}");
+        }
+    }
+
+    #[test]
     fn empty_router_routes_nothing() {
         let r = CompiledRouter::default();
         let d = r.route(&ft(1, 1));

@@ -161,10 +161,16 @@ fn run_with_swaps(
     loop {
         let stats = control.tenant_stats(token).expect("stats");
         if stats.report.swap.applied_epoch == want {
+            let applied = stats.report.swap.swaps_applied;
             assert!(
-                stats.report.swap.swaps_applied >= shards as u64,
+                applied >= shards as u64,
                 "{shards} shards: every shard must have applied at least one swap"
             );
+            // Every swap is followed by a quiesced, non-empty segment, so
+            // a lone shard adopts each publication on its own.
+            if shards == 1 {
+                assert_eq!(applied, want, "the shard must have applied every swap");
+            }
             break;
         }
         assert!(
@@ -178,22 +184,6 @@ fn run_with_swaps(
     let tenant = report.take_tenant(token).expect("tenant report");
     assert_eq!(tenant.routed_packets, trace.packets.len() as u64, "{shards} shards");
     tenant.result.expect("tenant served cleanly")
-}
-
-/// Plain no-swap run of the same shape, for latency baselines.
-fn run_without_swaps(model: &Deployment<MlpB>, trace: &Trace, shards: usize) -> StreamReport {
-    let server = EngineBuilder::new().shards(shards).build().expect("builds");
-    let control = server.control();
-    let ingress = server.ingress();
-    let token = control
-        .attach(model.engine_artifact().expect("artifact"), TenantConfig::new())
-        .expect("attaches");
-    for pkt in &trace.packets {
-        ingress.push(pkt.clone()).expect("pushes");
-    }
-    quiesce(&ingress, &control, token, trace.packets.len() as u64);
-    let mut report = server.shutdown().expect("shuts down");
-    report.take_tenant(token).expect("tenant report").result.expect("tenant served cleanly")
 }
 
 #[test]
@@ -350,45 +340,6 @@ fn repeated_swaps_under_sustained_load_match_segmented_reference() {
             );
         }
     }
-}
-
-#[test]
-fn swaps_do_not_spike_per_packet_latency() {
-    // The stall-free apply's latency promise: a stream that absorbs
-    // three swaps must keep its worst per-packet latency within 2x of a
-    // swap-free run (plus a floor that absorbs debug-build timer noise;
-    // the release-mode `--swap-only` bench smoke enforces the strict
-    // bound). Baselines take the max of three trials and the swap run
-    // the min, so a single preempted packet cannot fail the test in
-    // either direction.
-    let trace = test_trace();
-    let views = extract_views(&trace);
-    let data = ModelData::new().with_stat(&views.stat);
-    let a = train_mlp(&data, 5);
-    let rotated: Vec<usize> =
-        views.stat.y.iter().map(|&y| (y + 1) % views.stat.classes()).collect();
-    let stat_rot = pegasus::nn::Dataset::new(views.stat.x.clone(), rotated);
-    let data_rot = ModelData::new().with_stat(&stat_rot);
-    let b = train_mlp(&data_rot, 5);
-
-    let n = trace.packets.len();
-    let bounds = [n / 4, n / 2, 3 * n / 4];
-    let models = [&a, &b, &a, &b];
-
-    let baseline_max = (0..3)
-        .map(|_| run_without_swaps(&a, &trace, 1).latency.max_nanos())
-        .max()
-        .expect("three baseline trials");
-    let swapped_max = (0..3)
-        .map(|_| run_with_swaps(&models, &bounds, &trace, 1).latency.max_nanos())
-        .min()
-        .expect("three swap trials");
-    let bound = (2 * baseline_max).max(2_000_000);
-    assert!(
-        swapped_max <= bound,
-        "worst per-packet latency {swapped_max}ns under swaps exceeds bound {bound}ns \
-         (steady-state max {baseline_max}ns)"
-    );
 }
 
 #[test]

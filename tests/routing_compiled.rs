@@ -329,30 +329,57 @@ fn stats_returns_while_a_push_holds_the_dispatcher_lock() {
 
 #[test]
 fn identical_artifacts_are_shared_across_tenants() {
+    // A handful of tenants and a 1 000-tenant fleet, all serving the same
+    // artifact on one exact dst-port each: the compiled plane's counters
+    // and the dedup accounting, end to end through a live engine.
     let deployment = mlp_deployment();
-    let server = EngineBuilder::new().build().expect("builds");
-    let control = server.control();
-    const TENANTS: u64 = 5;
-    for i in 0..TENANTS {
-        control
-            .attach(
-                deployment.engine_artifact().expect("artifact"),
-                TenantConfig::new()
-                    .name(&format!("dup{i}"))
-                    .route(RoutePredicate::DstPort(1000 + i as u16))
-                    .flow_capacity(64),
-            )
-            .expect("attaches");
+    for tenants in [5u64, 1_000] {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        let ingress = server.ingress();
+        for i in 0..tenants {
+            control
+                .attach(
+                    deployment.engine_artifact().expect("artifact"),
+                    TenantConfig::new()
+                        .name(&format!("dup{i}"))
+                        .route(RoutePredicate::DstPort(1024 + i as u16))
+                        .flow_capacity(8),
+                )
+                .expect("attaches");
+        }
+        // 10 routed packets per 1 unrouted: ports cycle over the tenant
+        // range, every 11th lands on a port no tenant claims.
+        let (mut routed, mut unrouted) = (0u64, 0u64);
+        for k in 0..11_000u64 {
+            let dst_port = if k % 11 == 10 { 63_000 } else { 1024 + (k % tenants) as u16 };
+            let ft = FiveTuple::new(0xc0a8_0101, 0xc0a8_0202, 40_000, dst_port, 6);
+            if ingress.push(packet(ft, k)).expect("pushes") {
+                routed += 1;
+            } else {
+                unrouted += 1;
+            }
+        }
+        ingress.flush().expect("flushes");
+
+        let stats = control.stats().expect("stats");
+        assert_eq!(unrouted, 1_000, "{tenants} tenants: every 11th packet misses the fleet");
+        assert_eq!(stats.unrouted, unrouted, "{tenants} tenants");
+        assert_eq!(
+            stats.routing.lut_hits, routed,
+            "{tenants} tenants: exact ports route via the LUT"
+        );
+        assert_eq!(stats.routing.residual_hits, 0, "{tenants} tenants");
+        let artifacts = &stats.artifacts;
+        assert_eq!(artifacts.tenants, tenants);
+        assert_eq!(artifacts.unique_artifacts, 1, "identical content must dedup to one");
+        assert_eq!(artifacts.naive_bytes, artifacts.resident_bytes * tenants);
+        assert!(
+            artifacts.resident_bytes < 2 * artifacts.naive_bytes / tenants,
+            "resident bytes at {tenants} duplicate tenants must stay under 2x one artifact"
+        );
+        server.shutdown().expect("shuts down");
     }
-    let stats = control.stats().expect("stats");
-    assert_eq!(stats.artifacts.tenants, TENANTS);
-    assert_eq!(stats.artifacts.unique_artifacts, 1, "identical content must dedup to one");
-    assert_eq!(stats.artifacts.naive_bytes, stats.artifacts.resident_bytes * TENANTS);
-    assert!(
-        stats.artifacts.resident_bytes * 2 > stats.artifacts.naive_bytes / TENANTS,
-        "resident bytes at {TENANTS} duplicate tenants must stay near one artifact"
-    );
-    server.shutdown().expect("shuts down");
 }
 
 #[test]
