@@ -13,10 +13,10 @@
 //!
 //! ```text
 //!  IngressHandle.push(pkt) ─┐         ControlHandle
-//!  IngressHandle.push_frame ┤   attach / swap / detach / stats
-//!   (parse_frame in-line)   │                │
-//!      ┌────────────────────▼┐               │
-//!      │ dispatcher          │◄──────────────┘  in-band control msgs,
+//!  IngressHandle.push_frame ┤   attach / detach      swap / stats
+//!   (parse_frame in-line)   │     │ in-band msgs     (through the tenant
+//!      ┌────────────────────▼┐    │                  record: no message)
+//!      │ dispatcher          │◄───┘
 //!      │ route tenant,       │   shard = hash(bidirectional
 //!      │ append columns      │           five-tuple) % N
 //!      └─┬────────┬────────┬─┘
@@ -76,8 +76,7 @@ pub mod stats;
 pub use flat::{FlatBatchScratch, FlatProgram, FlatScratch, FlattenSkip};
 pub use server::{
     ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer, EngineStats,
-    FramePush, IngressHandle, PredicateRouter, SwapReport, TenantConfig, TenantRoute, TenantRouter,
-    TenantStats, TenantToken,
+    FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
 };
 pub use stats::{
     ArtifactCounters, FlowTableCounters, LatencyHistogram, ParseErrorCounters, RoutingCounters,
@@ -106,24 +105,20 @@ pub const HOST_WINDOW_STATE_BITS: u64 = (WINDOW as u64) * 16 + 32 + 8;
 
 /// Streaming-run configuration of the legacy one-shot wrappers
 /// ([`Deployment::stream_with`](crate::pipeline::Deployment::stream_with)).
-///
-/// Out-of-domain values are silently *clamped* to 1 by those wrappers —
-/// the behavior the pre-server API always had, kept for compatibility.
-/// The server path's [`EngineBuilder`] instead
-/// rejects them with [`PegasusError::InvalidConfig`].
+/// Zero `shards`, `batch` or `queue_batches` are rejected with
+/// [`PegasusError::InvalidConfig`] by the [`EngineBuilder`] underneath.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Worker shards (legacy path: clamped to at least 1).
+    /// Worker shards.
     pub shards: usize,
     /// Record every per-flow classification in the report (costs one
     /// `Vec<usize>` per flow; used by determinism tests and accuracy
     /// evaluation, off for pure throughput runs).
     pub record_predictions: bool,
     /// Packets per dispatch batch. Batching amortizes channel overhead;
-    /// per-flow ordering is unaffected (legacy path: clamped to at least 1).
+    /// per-flow ordering is unaffected.
     pub batch: usize,
-    /// Bounded per-shard queue depth, in batches (backpressure; legacy
-    /// path: clamped to at least 1).
+    /// Bounded per-shard queue depth, in batches (backpressure).
     pub queue_batches: usize,
     /// Per-shard flow-table shape for host flow state (capacity, aging,
     /// alias mode). Every shard owns a full table of this capacity, the

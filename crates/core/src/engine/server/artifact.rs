@@ -1,0 +1,272 @@
+//! The servable artifact and its cross-tenant dedup.
+
+use super::{lock, EngineShared};
+use crate::engine::{FlattenSkip, HOST_WINDOW_STATE_BITS};
+use crate::error::PegasusError;
+use crate::flowpipe::FlowClassifier;
+use crate::models::StreamFeatures;
+use crate::runtime::DataplaneModel;
+use pegasus_net::FlowTableConfig;
+use std::sync::{Arc, Weak};
+
+/// A compiled-and-deployed model in the form the serving engine executes:
+/// the switch-side artifact (flattened LUTs or a per-flow register
+/// pipeline) plus its streaming feature family, detached from the trained
+/// float model. Obtained from
+/// [`Deployment::engine_artifact`](crate::pipeline::Deployment::engine_artifact);
+/// attach one per tenant, or hand a fresh one to
+/// [`ControlHandle::swap`](super::ControlHandle::swap).
+pub struct EngineArtifact {
+    pub(crate) plane: ArtifactPlane,
+    pub(crate) features: StreamFeatures,
+    pub(crate) name: String,
+    /// Stateful bits one flow-table slot costs under this artifact:
+    /// real per-slot register SRAM for per-flow pipelines,
+    /// [`HOST_WINDOW_STATE_BITS`] (the switch-side window mirror) for
+    /// register-free ones.
+    pub(crate) state_bits_per_flow: u64,
+    /// The stateful-SRAM budget of the switch model this artifact was
+    /// deployed against (`register_bits_total`) — the ceiling per-tenant
+    /// state budgets are validated under.
+    pub(crate) state_budget_bits: u64,
+    /// FNV-1a hash and byte length of [`content_bytes`](Self::content_bytes),
+    /// stamped once by the engine's dedup pass on the way in (zero until
+    /// then): the cache's probe key, and what `ArtifactCounters` sizes
+    /// the artifact at.
+    content_hash: u64,
+    pub(super) content_len: u64,
+}
+
+pub(crate) enum ArtifactPlane {
+    Stateless(Arc<DataplaneModel>),
+    Flow(Arc<FlowClassifier>),
+}
+
+impl EngineArtifact {
+    pub(crate) fn stateless(dp: Arc<DataplaneModel>, features: StreamFeatures, name: &str) -> Self {
+        let budget = dp.switch_config().register_bits_total;
+        EngineArtifact {
+            plane: ArtifactPlane::Stateless(dp),
+            features,
+            name: name.to_string(),
+            state_bits_per_flow: HOST_WINDOW_STATE_BITS,
+            state_budget_bits: budget,
+            content_hash: 0,
+            content_len: 0,
+        }
+    }
+
+    pub(crate) fn flow(fc: Arc<FlowClassifier>, name: &str) -> Self {
+        let (bits, budget) = (fc.state_bits_per_slot(), fc.switch_config().register_bits_total);
+        // Flow pipelines consume raw packets; the feature tag is unused.
+        EngineArtifact {
+            plane: ArtifactPlane::Flow(fc),
+            features: StreamFeatures::Seq,
+            name: name.to_string(),
+            state_bits_per_flow: bits,
+            state_budget_bits: budget,
+            content_hash: 0,
+            content_len: 0,
+        }
+    }
+
+    /// Builds a servable artifact straight from a compiled stateless
+    /// pipeline by deploying it against `switch` — the path the control
+    /// daemon takes when it revives a persisted artifact file (there is
+    /// no live [`Deployment`](crate::pipeline::Deployment) to call
+    /// [`engine_artifact`](crate::pipeline::Deployment::engine_artifact)
+    /// on). Same gates as the builder path: deployment re-verifies the
+    /// pipeline, and score-only pipelines are rejected with
+    /// [`PegasusError::NotAClassifier`].
+    pub fn from_compiled_pipeline(
+        pipeline: crate::compile::CompiledPipeline,
+        features: StreamFeatures,
+        switch: &pegasus_switch::SwitchConfig,
+    ) -> Result<Self, PegasusError> {
+        if pipeline.predicted_field.is_none() {
+            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
+        }
+        let name = pipeline.program.name.clone();
+        let dp = DataplaneModel::deploy(pipeline, switch)?;
+        Ok(EngineArtifact::stateless(Arc::new(dp), features, &name))
+    }
+
+    /// Builds a servable artifact from a per-flow windowed pipeline by
+    /// deploying it against `switch` — the flow-plane counterpart of
+    /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline).
+    pub fn from_flow_pipeline(
+        pipeline: crate::flowpipe::FlowPipeline,
+        switch: &pegasus_switch::SwitchConfig,
+    ) -> Result<Self, PegasusError> {
+        if pipeline.predicted_field.is_none() {
+            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
+        }
+        let name = pipeline.program.name.clone();
+        let fc = FlowClassifier::deploy(pipeline, switch)?;
+        Ok(EngineArtifact::flow(Arc::new(fc), &name))
+    }
+
+    /// The compiled program's name (diagnostics, default tenant name).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Stateful bits one tracked flow (one table slot) costs under this
+    /// artifact — per-slot register SRAM for per-flow pipelines, the
+    /// host window mirror for register-free ones.
+    pub fn state_bits_per_flow(&self) -> u64 {
+        self.state_bits_per_flow
+    }
+
+    /// Per-flow register slots baked into the artifact (`None` for
+    /// register-free pipelines, whose capacity is the tenant's host
+    /// flow-table choice instead).
+    pub fn flow_slots(&self) -> Option<usize> {
+        match &self.plane {
+            ArtifactPlane::Flow(fc) => Some(fc.flow_slots()),
+            ArtifactPlane::Stateless(_) => None,
+        }
+    }
+
+    /// Rejects a tenant flow-table configuration whose state cost exceeds
+    /// the switch model's stateful-SRAM budget — the Figure 7 constraint
+    /// as an attach-time check: `capacity × bits-per-flow` must fit
+    /// `register_bits_total`.
+    pub(super) fn validate_state_budget(
+        &self,
+        table: &FlowTableConfig,
+    ) -> Result<(), PegasusError> {
+        if table.capacity == 0 {
+            return Err(PegasusError::InvalidConfig {
+                field: "flow_capacity",
+                reason: "must be at least 1",
+            });
+        }
+        let needed = self.state_cost_bits(table);
+        if needed > self.state_budget_bits {
+            return Err(PegasusError::StateBudget {
+                needed_bits: needed,
+                budget_bits: self.state_budget_bits,
+            });
+        }
+        Ok(())
+    }
+
+    /// Re-runs the static verifier over the artifact against the switch
+    /// configuration it was deployed on — for a stateless artifact, over
+    /// the very `FlatProgram` its shards execute. Attach and swap call
+    /// this so a corrupt artifact — however it was produced — never
+    /// reaches a serving shard.
+    pub fn verify_report(&self) -> crate::verify::VerifyReport {
+        match &self.plane {
+            ArtifactPlane::Stateless(dp) => dp.verify_report(),
+            ArtifactPlane::Flow(fc) => {
+                crate::verify::verify_flow(fc.pipeline(), Some(fc.switch_config()))
+            }
+        }
+    }
+
+    /// Why this artifact does not run on the flattened-LUT hot path, if it
+    /// doesn't: per-flow pipelines keep register state by design, and a
+    /// stateless pipeline can carry stateful ops that force the simulator
+    /// fallback. `None` means the tenant streams through flattened LUTs.
+    pub fn flatten_skip(&self) -> Option<String> {
+        match &self.plane {
+            ArtifactPlane::Stateless(dp) => dp.flatten_skip().map(ToString::to_string),
+            ArtifactPlane::Flow(fc) => Some(
+                FlattenSkip::StatefulRegisters { registers: fc.pipeline().program.registers.len() }
+                    .to_string(),
+            ),
+        }
+    }
+
+    /// The artifact's content identity for cross-tenant dedup: the
+    /// serialized compiled pipeline plus the switch model and feature
+    /// family it serves under. Two artifacts with equal content bytes are
+    /// interchangeable on every shard, so the engine shares one `Arc`
+    /// between their tenants (per-tenant flow tables and stats stay
+    /// separate — each worker forks its own execution state from the
+    /// shared program).
+    fn content_bytes(&self) -> Vec<u8> {
+        let mut w = serde::Writer::new();
+        match &self.plane {
+            ArtifactPlane::Stateless(dp) => {
+                w.write_u8(0);
+                serde::Serialize::serialize(dp.pipeline(), &mut w);
+                serde::Serialize::serialize(dp.switch_config(), &mut w);
+                serde::Serialize::serialize(&self.features, &mut w);
+            }
+            ArtifactPlane::Flow(fc) => {
+                w.write_u8(1);
+                serde::Serialize::serialize(fc.pipeline(), &mut w);
+                serde::Serialize::serialize(fc.switch_config(), &mut w);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// The stateful bits serving this artifact under `table` reserves:
+    /// `capacity × bits-per-flow`, the capacity being the artifact's own
+    /// register slot count for per-flow pipelines and the configured
+    /// host-table capacity otherwise. The per-tenant check validates it;
+    /// the engine sums it across the fleet.
+    pub(super) fn state_cost_bits(&self, table: &FlowTableConfig) -> u64 {
+        let capacity = self.flow_slots().unwrap_or(table.capacity) as u64;
+        capacity.saturating_mul(self.state_bits_per_flow)
+    }
+}
+
+/// FNV-1a over an artifact's content bytes — the dedup cache key. Hash
+/// collisions are survivable (the cache confirms hits by comparing the
+/// full content bytes), so a small fast non-cryptographic hash is enough.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Whether swapping `old` for `new` carries per-flow state across, decided
+/// control-plane-side so [`SwapReport::state_retained`] never waits on a
+/// shard: stateless pipelines always keep their host feature windows
+/// (keyed by five-tuple alone), per-flow pipelines keep register files
+/// exactly when the shapes are [`state_compatible`]
+/// (every shard applies the same deterministic check), and a kind change
+/// rebuilds from scratch.
+///
+/// [`state_compatible`]: FlowClassifier::state_compatible
+pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> bool {
+    match (&old.plane, &new.plane) {
+        (ArtifactPlane::Stateless(_), ArtifactPlane::Stateless(_)) => true,
+        (ArtifactPlane::Flow(old_fc), ArtifactPlane::Flow(new_fc)) => {
+            new_fc.state_compatible(old_fc)
+        }
+        _ => false,
+    }
+}
+
+impl EngineShared {
+    /// Deduplicates an incoming artifact against every live one: equal
+    /// content bytes yield the existing `Arc` (tenants then share one
+    /// compiled program; their flow tables and stats stay per-tenant).
+    /// A new artifact is stamped with its content hash and size on the
+    /// way in.
+    pub(super) fn dedup_artifact(&self, mut artifact: EngineArtifact) -> Arc<EngineArtifact> {
+        let bytes = artifact.content_bytes();
+        artifact.content_hash = content_hash(&bytes);
+        artifact.content_len = bytes.len() as u64;
+        let mut cache = lock(&self.artifact_cache, "artifact cache");
+        cache.retain(|cached| cached.strong_count() > 0);
+        for existing in cache.iter().filter_map(Weak::upgrade) {
+            // Hash match is a hint; equality is decided on the bytes.
+            if existing.content_hash == artifact.content_hash && existing.content_bytes() == bytes {
+                return existing;
+            }
+        }
+        let arc = Arc::new(artifact);
+        cache.push(Arc::downgrade(&arc));
+        arc
+    }
+}

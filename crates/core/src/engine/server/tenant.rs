@@ -1,0 +1,309 @@
+//! The tenant: its token and attach-time config, the one shared record,
+//! and the shard-owned executor behind it.
+
+use super::artifact::{ArtifactPlane, EngineArtifact};
+use super::lock;
+use super::report::{merge_report, TenantReport, TenantStats};
+use super::worker::TenantShardOut;
+use crate::engine::stats::{ShardStats, SwapCounters};
+use crate::engine::{FlowShard, StatelessShard};
+use crate::error::PegasusError;
+use pegasus_net::{FiveTuple, FlowTableConfig, FrameBatch, RoutePredicate};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// An opaque handle naming one attached tenant. Returned by
+/// [`ControlHandle::attach`](super::ControlHandle::attach); required by
+/// `swap` and `detach`. Tokens are never reused within one engine's
+/// lifetime, so a detached tenant's token fails later calls with
+/// [`PegasusError::UnknownTenant`] instead of aliasing a newer tenant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TenantToken(pub(crate) u32);
+
+impl TenantToken {
+    /// The numeric tenant id (stable for the engine's lifetime).
+    pub fn id(&self) -> u32 {
+        self.0
+    }
+}
+
+/// Per-tenant attach-time configuration.
+#[derive(Clone, Debug)]
+pub struct TenantConfig {
+    pub(super) name: Option<String>,
+    pub(super) route: RoutePredicate,
+    pub(super) record_predictions: bool,
+    pub(super) flow_table: FlowTableConfig,
+    pub(super) swap_grace_packets: u64,
+}
+
+impl Default for TenantConfig {
+    fn default() -> Self {
+        TenantConfig {
+            name: None,
+            route: RoutePredicate::Any,
+            record_predictions: false,
+            flow_table: FlowTableConfig::default(),
+            swap_grace_packets: 0,
+        }
+    }
+}
+
+impl TenantConfig {
+    /// A default configuration: catch-all route, predictions not recorded,
+    /// tenant named after its artifact, default flow-table shape
+    /// ([`pegasus_net::DEFAULT_FLOW_SLOTS`] slots per shard, no aging).
+    pub fn new() -> Self {
+        TenantConfig::default()
+    }
+
+    /// Names the tenant (reports and stats; defaults to the artifact name).
+    pub fn name(mut self, name: &str) -> Self {
+        self.name = Some(name.to_string());
+        self
+    }
+
+    /// Routes matching packets to this tenant (default:
+    /// [`RoutePredicate::Any`]). Tenants match in attach order — attach
+    /// the most specific predicates first.
+    pub fn route(mut self, route: RoutePredicate) -> Self {
+        self.route = route;
+        self
+    }
+
+    /// Records every per-flow classification in the tenant's reports.
+    pub fn record_predictions(mut self, record: bool) -> Self {
+        self.record_predictions = record;
+        self
+    }
+
+    /// The tenant's whole flow-table shape in one call (capacity, idle
+    /// timeout, alias mode). Applies to the host flow state of
+    /// register-free pipelines; per-flow register pipelines carry their
+    /// capacity in the artifact (`2^flow_slots_log2` slots) and ignore
+    /// everything here but the budget check.
+    pub fn flow_table(mut self, table: FlowTableConfig) -> Self {
+        self.flow_table = table;
+        self
+    }
+
+    /// Caps the tenant's host flow state at `slots` per shard (every
+    /// shard owns a full table, the same way every shard forks a full
+    /// register file). [`attach`](super::ControlHandle::attach) rejects
+    /// capacities whose state cost exceeds the switch model's SRAM budget
+    /// with [`PegasusError::StateBudget`].
+    pub fn flow_capacity(mut self, slots: usize) -> Self {
+        self.flow_table.capacity = slots;
+        self
+    }
+
+    /// Ages resident flows out after this many table packets without
+    /// traffic (a packet-count clock — no wall time on the dataplane).
+    /// `0` disables aging.
+    pub fn idle_timeout_packets(mut self, packets: u64) -> Self {
+        self.flow_table.idle_timeout_packets = packets;
+        self
+    }
+
+    /// Bounds, per shard, how many packets the *old* register file may
+    /// outlive a state-compatible swap while its slots migrate
+    /// adopt-on-first-touch into the new artifact. `0` (the default)
+    /// keeps it until every slot has been adopted — memory stays bounded
+    /// at ≤ 2× register SRAM either way, since at most one transplant is
+    /// pending per shard — while a positive count trades completeness
+    /// for promptness: slots not touched within the window are dropped
+    /// and those flows re-warm from zeroed registers.
+    pub fn swap_grace_packets(mut self, packets: u64) -> Self {
+        self.swap_grace_packets = packets;
+        self
+    }
+}
+
+/// One attached tenant — the software mirror of one entry of the
+/// switch's model-selection table: match key, action data (which model
+/// runs) and a direct counter, rewritten atomically by the control plane.
+///
+/// This one record *is* the tenant everywhere: the control plane commits
+/// swaps into it, the dispatcher's routing snapshot indexes it, every
+/// shard worker polls it, and `stats()` reads it. Identity and attach-time
+/// config are immutable; everything that changes is an atomic or sits
+/// under a lock no packet-path code holds across a channel send.
+pub(super) struct Tenant {
+    pub(super) token: TenantToken,
+    pub(super) name: String,
+    pub(super) attached: Instant,
+    pub(super) predicate: RoutePredicate,
+    pub(super) record: bool,
+    /// Attach-time flow-table shape: swaps re-validate the incoming
+    /// artifact's state cost against it, and a kind-changing swap rebuilds
+    /// the exec with the same bounds.
+    pub(super) table: FlowTableConfig,
+    /// Attach-time transplant grace window (see
+    /// [`TenantConfig::swap_grace_packets`]).
+    pub(super) grace: u64,
+    /// Packets the dispatcher routed here (written under its lock; the
+    /// atomic is for the stats readers — relaxed everywhere).
+    pub(super) routed_packets: AtomicU64,
+    /// Set by the first shard that hits a fatal per-packet error (the
+    /// error itself comes back on detach or shutdown).
+    pub(super) failed: AtomicBool,
+    /// The swap fast-path hint: each worker compares it against its
+    /// locally applied epoch once per run — one `Acquire` load — and only
+    /// on a mismatch takes the `published` lock. The workspace forbids
+    /// `unsafe`, so this hint-plus-mutex pair is the safe-Rust RCU: the
+    /// lock is contended only at the one boundary crossing that applies a
+    /// swap, never in steady state.
+    pub(super) epoch: AtomicU64,
+    /// The authoritative `(epoch, artifact)` publication (attach = epoch
+    /// 0; each swap increments it), read and written under this one lock
+    /// by the control commit, worker adoption, stats and the terminal
+    /// report — so no reader can pair one generation's epoch with
+    /// another's artifact. The control plane commits here first, then
+    /// stores the hint with `Release`: a worker whose `Acquire` load sees
+    /// the new epoch finds (at least) that publication.
+    pub(super) published: Mutex<(u64, Arc<EngineArtifact>)>,
+    /// Worker-published counters, one cell per shard: written every
+    /// `stats_cadence` packets and whenever the shard idles, merged by
+    /// `stats()` without signalling anyone.
+    pub(super) shards: Vec<Mutex<ShardStats>>,
+}
+
+impl Tenant {
+    /// The current publication, as one consistent pair.
+    pub(super) fn published(&self) -> (u64, Arc<EngineArtifact>) {
+        let p = lock(&self.published, "tenant publication");
+        (p.0, Arc::clone(&p.1))
+    }
+
+    /// This tenant's share of the fleet SRAM ledger under the artifact it
+    /// currently serves.
+    pub(super) fn state_cost_bits(&self) -> u64 {
+        lock(&self.published, "tenant publication").1.state_cost_bits(&self.table)
+    }
+
+    /// The live snapshot, plus the artifact it describes (for the fleet's
+    /// dedup accounting).
+    pub(super) fn snapshot(&self) -> (TenantStats, Arc<EngineArtifact>) {
+        let shards = self.shards.iter().map(|cell| lock(cell, "shard stats cell").clone());
+        let report =
+            merge_report(shards.collect(), self.attached.elapsed().as_nanos() as u64, None);
+        let (epoch, artifact) = self.published();
+        let stats = TenantStats {
+            token: self.token,
+            name: self.name.clone(),
+            epoch,
+            routed_packets: self.routed_packets.load(Ordering::Relaxed),
+            failed: self.failed.load(Ordering::Relaxed),
+            report,
+            flatten_skip: artifact.flatten_skip(),
+        };
+        (stats, artifact)
+    }
+
+    /// The terminal report, from what each shard handed back at the end.
+    pub(super) fn report(&self, outs: Vec<TenantShardOut>) -> TenantReport {
+        let elapsed_nanos = self.attached.elapsed().as_nanos() as u64;
+        let mut shards = Vec::with_capacity(outs.len());
+        let mut preds: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
+        let mut first_err = None;
+        for out in outs {
+            if let Some(e) = out.err {
+                first_err.get_or_insert(e);
+            }
+            // Flows are shard-partitioned: no key collisions across workers.
+            preds.extend(out.preds);
+            shards.push(out.stats);
+        }
+        shards.sort_by_key(|s| s.shard);
+        let result = match first_err {
+            Some(e) => Err(e),
+            None => Ok(merge_report(shards, elapsed_nanos, self.record.then_some(preds))),
+        };
+        TenantReport {
+            token: self.token,
+            name: self.name.clone(),
+            epoch: self.published().0,
+            routed_packets: self.routed_packets.load(Ordering::Relaxed),
+            result,
+        }
+    }
+}
+
+/// Per-worker, per-tenant execution state: the shard-owned processor for
+/// whichever artifact kind the tenant currently runs.
+pub(super) enum TenantExec {
+    Stateless(Box<StatelessShard>),
+    Flow(Box<FlowShard>),
+}
+
+impl TenantExec {
+    pub(super) fn new(artifact: &EngineArtifact, table: FlowTableConfig) -> TenantExec {
+        match &artifact.plane {
+            ArtifactPlane::Stateless(dp) => TenantExec::Stateless(Box::new(StatelessShard::new(
+                dp.clone(),
+                artifact.features,
+                table,
+            ))),
+            ArtifactPlane::Flow(fc) => TenantExec::Flow(Box::new(FlowShard::new(fc.fork()))),
+        }
+    }
+
+    /// Applies a hot swap; returns whether per-flow state was retained.
+    /// For per-flow pipelines the apply is O(1): register state migrates
+    /// adopt-on-first-touch afterwards, with `grace_packets` bounding how
+    /// long the detached old file may live (0 = until drained).
+    pub(super) fn swap(
+        &mut self,
+        artifact: &EngineArtifact,
+        table: FlowTableConfig,
+        grace: u64,
+    ) -> bool {
+        match (&mut *self, &artifact.plane) {
+            (TenantExec::Stateless(shard), ArtifactPlane::Stateless(dp)) => {
+                // Host feature windows are keyed by five-tuple alone:
+                // always valid under the new stateless artifact.
+                shard.swap(dp.clone(), artifact.features);
+                true
+            }
+            (TenantExec::Flow(shard), ArtifactPlane::Flow(fc)) => shard.swap(fc, grace),
+            // Kind change: rebuild from scratch, state cannot carry over.
+            (slot, _) => {
+                *slot = TenantExec::new(artifact, table);
+                false
+            }
+        }
+    }
+
+    /// Serves frames `run` of `batch` — one tenant's run — leaving one
+    /// verdict per frame in `verdicts` (`None` = flow still warming up).
+    pub(super) fn process_batch(
+        &mut self,
+        batch: &FrameBatch,
+        run: Range<usize>,
+        verdicts: &mut Vec<Option<usize>>,
+    ) -> Result<(), PegasusError> {
+        match self {
+            TenantExec::Stateless(s) => s.process_batch(batch, run, verdicts),
+            TenantExec::Flow(s) => s.process_batch(batch, run, verdicts),
+        }
+    }
+
+    pub(super) fn table_counters(&self) -> crate::engine::stats::FlowTableCounters {
+        match self {
+            TenantExec::Stateless(s) => s.table_counters(),
+            TenantExec::Flow(s) => s.table_counters(),
+        }
+    }
+
+    /// Refreshes the transplant-progress gauges (apply-side counters are
+    /// maintained by the worker that performed the apply).
+    pub(super) fn swap_counters(&self, swap: &mut SwapCounters) {
+        match self {
+            TenantExec::Stateless(_) => {}
+            TenantExec::Flow(s) => s.swap_counters(swap),
+        }
+    }
+}

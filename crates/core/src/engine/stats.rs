@@ -6,6 +6,7 @@
 //! across shards, good enough for mean/p50/p99 reporting without storing
 //! per-packet samples).
 
+use crate::engine::server::{EngineStats, TenantStats, TenantToken};
 use pegasus_net::{FiveTuple, ParseErrorKind};
 use std::collections::HashMap;
 
@@ -79,12 +80,15 @@ pub struct RoutingCounters {
 }
 
 /// Fleet-wide compiled-artifact accounting: how many tenants share how
-/// many distinct artifacts, and what content-hash dedup saves.
+/// many distinct artifacts, and what content-hash dedup saves. Counted
+/// from what the tenants actually hold — two tenants share an artifact
+/// exactly when they hold the same `Arc` — not from what equal content
+/// should have been deduplicated to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactCounters {
     /// Tenants currently attached.
     pub tenants: u64,
-    /// Distinct compiled artifacts among them (by content hash).
+    /// Distinct compiled artifacts among them (by `Arc` identity).
     pub unique_artifacts: u64,
     /// Bytes of compiled-artifact payload actually resident (each
     /// distinct artifact counted once).
@@ -390,7 +394,8 @@ impl StreamReport {
 // The histogram's buckets are private, so its impl lives here with the
 // rest of the stats family; everything round-trips bit-exactly so the
 // daemon's `stats` verb reports the same numbers an in-process
-// `ControlHandle::stats` call would.
+// `ControlHandle::stats` call would. The live snapshots themselves
+// (`EngineStats`, `TenantStats`) travel as they are, a token as its id.
 
 serde::impl_serde_struct!(ParseErrorCounters { truncated, checksum, malformed, unsupported });
 serde::impl_serde_struct!(RoutingCounters {
@@ -452,6 +457,29 @@ serde::impl_serde_struct!(StreamReport {
     parse,
     predictions,
 });
+
+impl serde::Serialize for TenantToken {
+    fn serialize(&self, w: &mut serde::Writer) {
+        self.0.serialize(w);
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for TenantToken {
+    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
+        Ok(TenantToken(serde::Deserialize::deserialize(r)?))
+    }
+}
+
+serde::impl_serde_struct!(TenantStats {
+    token,
+    name,
+    epoch,
+    routed_packets,
+    failed,
+    report,
+    flatten_skip,
+});
+serde::impl_serde_struct!(EngineStats { tenants, unrouted, parse_errors, routing, artifacts });
 
 #[cfg(test)]
 mod tests {

@@ -79,9 +79,9 @@ pub enum PegasusError {
         what: &'static str,
     },
     /// An engine or builder parameter is outside its valid domain (e.g.
-    /// zero shards). The legacy [`StreamConfig`](crate::engine::StreamConfig)
-    /// path silently clamped such values; the
-    /// [`EngineBuilder`](crate::engine::server::EngineBuilder) rejects them.
+    /// zero shards): rejected by
+    /// [`EngineBuilder::build`](crate::engine::server::EngineBuilder::build),
+    /// whichever entry point configured it.
     InvalidConfig {
         /// The offending parameter.
         field: &'static str,

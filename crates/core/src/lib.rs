@@ -73,8 +73,7 @@ pub mod verify;
 
 pub use engine::server::{
     ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer, EngineStats,
-    FramePush, IngressHandle, PredicateRouter, SwapReport, TenantConfig, TenantRoute, TenantRouter,
-    TenantStats, TenantToken,
+    FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
 };
 pub use engine::{
     ArtifactCounters, FlattenSkip, FlowTableCounters, ParseErrorCounters, RoutingCounters,

@@ -450,10 +450,9 @@ impl<M: DataplaneNet> Deployment<M> {
     /// server, attaches this deployment as a single catch-all tenant,
     /// feeds the source to exhaustion, shuts the server down, and returns
     /// that tenant's report. Out-of-domain `cfg` values (zero
-    /// `shards`/`batch`/`queue_batches`) are silently **clamped to 1** —
-    /// the behavior this API has always had; the server path's
-    /// [`EngineBuilder`] instead
-    /// rejects them with [`PegasusError::InvalidConfig`].
+    /// `shards`/`batch`/`queue_batches`) are rejected with
+    /// [`PegasusError::InvalidConfig`], as [`EngineBuilder`] rejects them
+    /// for every caller.
     pub fn stream_with(
         &self,
         source: &mut dyn PacketSource,
@@ -466,7 +465,7 @@ impl<M: DataplaneNet> Deployment<M> {
     }
 
     /// The one body behind every `stream*` wrapper: build a server from
-    /// `cfg` (clamping zeros to 1), attach this deployment as the single
+    /// `cfg`, attach this deployment as the single
     /// catch-all tenant, call `feed_one` until it reports the source dry
     /// (`Ok(false)`), shut down, and return the tenant's report with the
     /// dispatcher's parse rejections folded in (frames are parsed before a
@@ -478,9 +477,9 @@ impl<M: DataplaneNet> Deployment<M> {
     ) -> Result<StreamReport, PegasusError> {
         let artifact = self.engine_artifact()?;
         let server = EngineBuilder::new()
-            .shards(cfg.shards.max(1))
-            .batch(cfg.batch.max(1))
-            .queue_batches(cfg.queue_batches.max(1))
+            .shards(cfg.shards)
+            .batch(cfg.batch)
+            .queue_batches(cfg.queue_batches)
             .build()?;
         let tenant = server.control().attach(
             artifact,
@@ -539,8 +538,7 @@ impl<M: DataplaneNet> Deployment<M> {
     }
 
     /// [`stream_frames`](Self::stream_frames) with full engine
-    /// configuration. Same clamping semantics as
-    /// [`stream_with`](Self::stream_with).
+    /// configuration, validated like [`stream_with`](Self::stream_with)'s.
     pub fn stream_frames_with(
         &self,
         source: &mut dyn FrameSource,

@@ -238,7 +238,7 @@ fn print_response(response: &Response) {
                 println!(
                     "  {} (token {}, epoch {}): routed {} packets {} classified {} warmup {} flows {}{}",
                     t.name,
-                    t.token,
+                    t.token.id(),
                     t.epoch,
                     t.routed_packets,
                     t.report.packets,

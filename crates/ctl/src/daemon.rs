@@ -29,14 +29,13 @@
 use crate::artifact::ArtifactFile;
 use crate::protocol::{
     read_frame, write_frame, ArtifactInfo, DegradedReason, ErrorKind, ErrorReply, FrameError,
-    ListReply, Request, Response, TenantInfo, TenantState, WireEngineStats, WireTenantConfig,
-    WireTenantReport, WireTenantStats,
+    ListReply, Request, Response, TenantInfo, TenantState, WireTenantConfig, WireTenantReport,
 };
 use crate::registry::{ArtifactRecord, Registry, RegistryError, TenantRecord};
 use pegasus_core::engine::server::TenantReport;
 use pegasus_core::{
-    ControlHandle, EngineBuilder, EngineServer, EngineStats, IngressHandle, PegasusError,
-    TenantConfig, TenantStats, TenantToken,
+    ControlHandle, EngineBuilder, EngineServer, IngressHandle, PegasusError, TenantConfig,
+    TenantToken,
 };
 use pegasus_net::{PcapSource, RouteSummary};
 use std::collections::HashMap;
@@ -108,12 +107,11 @@ impl std::error::Error for DaemonError {}
 /// A registered tenant's in-process state.
 #[derive(Debug)]
 pub enum TenantRuntime {
-    /// Attached to the engine and routing packets.
+    /// Attached to the engine and routing packets (the engine knows the
+    /// rest — epoch, counters — under this token).
     Serving {
         /// Engine token (process-local).
         token: TenantToken,
-        /// Current artifact epoch.
-        epoch: u64,
     },
     /// Registered on disk but refused at recovery.
     Degraded {
@@ -158,28 +156,6 @@ fn engine_error(e: PegasusError) -> ErrorReply {
 
 fn registry_error(e: RegistryError) -> ErrorReply {
     ErrorReply { kind: ErrorKind::Io, message: format!("registry: {e}") }
-}
-
-fn wire_tenant_stats(t: &TenantStats) -> WireTenantStats {
-    WireTenantStats {
-        token: t.token.id(),
-        name: t.name.clone(),
-        epoch: t.epoch,
-        routed_packets: t.routed_packets,
-        failed: t.failed,
-        report: t.report.clone(),
-        flatten_skip: t.flatten_skip.clone(),
-    }
-}
-
-fn wire_engine_stats(s: &EngineStats) -> WireEngineStats {
-    WireEngineStats {
-        tenants: s.tenants.iter().map(wire_tenant_stats).collect(),
-        unrouted: s.unrouted,
-        parse_errors: s.parse_errors,
-        routing: s.routing,
-        artifacts: s.artifacts,
-    }
 }
 
 fn wire_tenant_report(t: TenantReport) -> WireTenantReport {
@@ -253,9 +229,9 @@ impl Daemon {
         let records = self.registry.state().tenants.clone();
         for record in records {
             match self.reattach(&record) {
-                Ok((token, epoch)) => {
+                Ok(token) => {
                     summary.serving.push(record.name.clone());
-                    self.tenants.insert(record.name, TenantRuntime::Serving { token, epoch });
+                    self.tenants.insert(record.name, TenantRuntime::Serving { token });
                 }
                 Err(reason) => {
                     summary.degraded.push((record.name.clone(), reason.clone()));
@@ -268,7 +244,7 @@ impl Daemon {
 
     /// One tenant's recovery: every step that can reject gets its own
     /// typed reason.
-    fn reattach(&self, record: &TenantRecord) -> Result<(TenantToken, u64), DegradedReason> {
+    fn reattach(&self, record: &TenantRecord) -> Result<TenantToken, DegradedReason> {
         let Some(art) = self.registry.find_artifact(&record.artifact) else {
             return Err(DegradedReason::MissingArtifact { artifact: record.artifact.clone() });
         };
@@ -283,11 +259,9 @@ impl Daemon {
         }
         let artifact =
             file.deploy().map_err(|e| DegradedReason::Attach { message: e.to_string() })?;
-        let token = self
-            .control
+        self.control
             .attach(artifact, tenant_config(record))
-            .map_err(|e| DegradedReason::Attach { message: e.to_string() })?;
-        Ok((token, 0))
+            .map_err(|e| DegradedReason::Attach { message: e.to_string() })
     }
 
     /// Binds the socket and serves requests until a `shutdown` verb,
@@ -370,7 +344,7 @@ impl Daemon {
             Request::Detach { tenant } => self.detach(&tenant),
             Request::List => self.list(),
             Request::Stats => match self.control.stats() {
-                Ok(stats) => Response::Stats(wire_engine_stats(&stats)),
+                Ok(stats) => Response::Stats(stats),
                 Err(e) => Response::Error(engine_error(e)),
             },
             Request::IngestPcap { path } => self.ingest_pcap(&path),
@@ -450,13 +424,13 @@ impl Daemon {
             let _ = self.control.detach(token);
             return Response::Error(registry_error(e));
         }
-        self.tenants.insert(tenant.to_string(), TenantRuntime::Serving { token, epoch: 0 });
+        self.tenants.insert(tenant.to_string(), TenantRuntime::Serving { token });
         Response::Attached { tenant: tenant.to_string(), token: token.id(), epoch: 0 }
     }
 
     fn swap(&mut self, tenant: &str, artifact: &str) -> Response {
         let token = match self.tenants.get(tenant) {
-            Some(TenantRuntime::Serving { token, .. }) => *token,
+            Some(TenantRuntime::Serving { token }) => *token,
             Some(TenantRuntime::Degraded { reason }) => {
                 return Response::Error(ErrorReply {
                     kind: ErrorKind::Degraded,
@@ -483,9 +457,6 @@ impl Daemon {
         if let Err(e) = self.registry.record_swap(tenant, artifact) {
             return Response::Error(registry_error(e));
         }
-        if let Some(TenantRuntime::Serving { epoch, .. }) = self.tenants.get_mut(tenant) {
-            *epoch = swap.epoch;
-        }
         Response::Swapped {
             tenant: tenant.to_string(),
             epoch: swap.epoch,
@@ -496,7 +467,7 @@ impl Daemon {
 
     fn detach(&mut self, tenant: &str) -> Response {
         match self.tenants.get(tenant) {
-            Some(TenantRuntime::Serving { token, .. }) => {
+            Some(TenantRuntime::Serving { token }) => {
                 let token = *token;
                 let report = match self.control.detach(token) {
                     Ok(report) => report,
@@ -540,8 +511,15 @@ impl Daemon {
             .iter()
             .map(|record| {
                 let state = match self.tenants.get(&record.name) {
-                    Some(TenantRuntime::Serving { token, epoch }) => {
-                        TenantState::Serving { token: token.id(), epoch: *epoch }
+                    Some(TenantRuntime::Serving { token }) => {
+                        match self.control.tenant_stats(*token) {
+                            Ok(live) => {
+                                TenantState::Serving { token: token.id(), epoch: live.epoch }
+                            }
+                            Err(e) => TenantState::Degraded {
+                                reason: DegradedReason::Attach { message: e.to_string() },
+                            },
+                        }
                     }
                     Some(TenantRuntime::Degraded { reason }) => {
                         TenantState::Degraded { reason: reason.clone() }

@@ -25,8 +25,7 @@ use pegasus_net::{RoutePredicate, RouteSummary};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use pegasus_core::engine::stats::{ArtifactCounters, ParseErrorCounters, RoutingCounters};
-use pegasus_core::StreamReport;
+use pegasus_core::{EngineStats, StreamReport};
 
 /// Hard ceiling on one frame's body size (64 MiB). Compiled artifact
 /// files are a few MiB; anything near the cap is hostile or corrupt.
@@ -535,56 +534,6 @@ pub struct ListReply {
 
 serde::impl_serde_struct!(ListReply { artifacts, tenants });
 
-/// One tenant's live statistics on the wire (the serde mirror of
-/// [`TenantStats`](pegasus_core::TenantStats), with the opaque token
-/// flattened to its id).
-#[derive(Clone, Debug)]
-pub struct WireTenantStats {
-    /// Engine tenant id.
-    pub token: u32,
-    /// Tenant name.
-    pub name: String,
-    /// Artifact epoch.
-    pub epoch: u64,
-    /// Packets routed to it so far.
-    pub routed_packets: u64,
-    /// True once any shard hit a fatal per-packet error.
-    pub failed: bool,
-    /// Merged per-shard counters.
-    pub report: StreamReport,
-    /// Why the artifact runs on the simulator fallback, if it does.
-    pub flatten_skip: Option<String>,
-}
-
-serde::impl_serde_struct!(WireTenantStats {
-    token,
-    name,
-    epoch,
-    routed_packets,
-    failed,
-    report,
-    flatten_skip,
-});
-
-/// The `stats` reply: the serde mirror of
-/// [`EngineStats`](pegasus_core::EngineStats).
-#[derive(Clone, Debug)]
-pub struct WireEngineStats {
-    /// Per-tenant snapshots, attach order.
-    pub tenants: Vec<WireTenantStats>,
-    /// Packets no tenant matched.
-    pub unrouted: u64,
-    /// Raw frames rejected at parse time, by kind.
-    pub parse_errors: ParseErrorCounters,
-    /// Fleet-wide compiled-routing counters (LUT/trie/residual hits,
-    /// rebuilds).
-    pub routing: RoutingCounters,
-    /// Compiled-artifact dedup accounting across the fleet.
-    pub artifacts: ArtifactCounters,
-}
-
-serde::impl_serde_struct!(WireEngineStats { tenants, unrouted, parse_errors, routing, artifacts });
-
 /// A tenant's terminal report on the wire (the serde mirror of
 /// [`TenantReport`](pegasus_core::engine::server::TenantReport), with the
 /// result flattened into report/error halves).
@@ -644,8 +593,10 @@ pub enum Response {
     Detached(Box<WireTenantReport>),
     /// `list`.
     Listing(ListReply),
-    /// `stats`.
-    Stats(WireEngineStats),
+    /// `stats`: the engine's live snapshot, as
+    /// [`ControlHandle::stats`](pegasus_core::ControlHandle::stats)
+    /// returns it.
+    Stats(EngineStats),
     /// `ingest-pcap` pushed the capture.
     Ingested {
         /// Frames consumed from the file (parse rejects included — they

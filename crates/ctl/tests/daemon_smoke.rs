@@ -83,7 +83,7 @@ fn ctl(socket: &Path, args: &[&str]) -> String {
 
 /// One short-lived stats call — the daemon serves connections one at a
 /// time, so pollers must not hold theirs open.
-fn stats_snapshot(socket: &Path) -> pegasus_ctl::protocol::WireEngineStats {
+fn stats_snapshot(socket: &Path) -> pegasus_core::EngineStats {
     let mut client = CtlClient::connect(socket).expect("connect for stats");
     match client.call(&Request::Stats).expect("stats call") {
         Response::Stats(stats) => stats,

@@ -2,8 +2,8 @@
 //!
 //! Everything between raw bytes and model features:
 //!
-//! * [`packet`]: Ethernet/IPv4/TCP/UDP construction and parsing with real
-//!   checksums (the trace generator emits byte-exact frames);
+//! * [`packet`]: the typed parse errors, protocol constants and internet
+//!   checksum the wire frontend shares with its callers;
 //! * [`flow`]: five-tuple flow identification and per-flow state — the
 //!   host-side mirror of the switch's stateful registers;
 //! * [`features`]: the three feature families the paper evaluates with —
@@ -39,9 +39,7 @@ pub use flow::{
     Admission, FiveTuple, FlowState, FlowTable, FlowTableConfig, FlowTableStats, FlowTracker,
     PacketObs, DEFAULT_FLOW_SLOTS,
 };
-pub use packet::{
-    build_packet, parse_packet, PacketSpec, ParseError, ParseErrorKind, ParsedPacket,
-};
+pub use packet::{ParseError, ParseErrorKind};
 pub use pcap::{PcapError, PcapReader, PcapRecord, PcapSource, PcapWriter, DEFAULT_SNAPLEN};
 pub use replay::{
     FrameSource, PacketSink, PacketSource, RawFrame, ReplayOptions, ReplayStats, Replayer, Trace,

@@ -1,11 +1,8 @@
-//! Packet header parsing and construction (Ethernet / IPv4 / TCP / UDP).
-//!
-//! The replay engine feeds the switch simulator from traces of real-looking
-//! packets, so headers are built and parsed byte-exactly, including internet
-//! checksums. Buffers use [`bytes`] to avoid copies on the hot path.
+//! What the wire frontend shares with everything above it: the typed
+//! parse errors, their counter buckets, the protocol constants and the
+//! internet checksum. Frames themselves are parsed and built by
+//! [`wire`](crate::wire).
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// IANA protocol number for TCP.
@@ -17,10 +14,9 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// Errors from packet parsing.
 ///
-/// Shared by the legacy [`parse_packet`] and the zero-copy
-/// [`parse_frame`](crate::wire::parse_frame): every malformed input maps to
-/// exactly one variant, and the engine's ingress counters bucket them by
-/// [`kind`](ParseError::kind).
+/// Returned by [`parse_frame`](crate::wire::parse_frame): every malformed
+/// input maps to exactly one variant, and the engine's ingress counters
+/// bucket them by [`kind`](ParseError::kind).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
     /// Buffer shorter than the header being parsed.
@@ -89,84 +85,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed packet: the headers plus the L4 payload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedPacket {
-    /// Destination MAC.
-    pub dst_mac: [u8; 6],
-    /// Source MAC.
-    pub src_mac: [u8; 6],
-    /// Source IPv4 address.
-    pub src_ip: u32,
-    /// Destination IPv4 address.
-    pub dst_ip: u32,
-    /// IP protocol (TCP or UDP).
-    pub protocol: u8,
-    /// IPv4 TTL.
-    pub ttl: u8,
-    /// Source L4 port.
-    pub src_port: u16,
-    /// Destination L4 port.
-    pub dst_port: u16,
-    /// TCP flags (0 for UDP).
-    pub tcp_flags: u8,
-    /// L4 payload bytes.
-    pub payload: Bytes,
-    /// Total on-wire length in bytes (including Ethernet header).
-    pub wire_len: usize,
-}
-
-/// Specification for building a packet.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PacketSpec {
-    /// Source IPv4 address.
-    pub src_ip: u32,
-    /// Destination IPv4 address.
-    pub dst_ip: u32,
-    /// Source L4 port.
-    pub src_port: u16,
-    /// Destination L4 port.
-    pub dst_port: u16,
-    /// TCP or UDP.
-    pub protocol: u8,
-    /// TCP flags (ignored for UDP).
-    pub tcp_flags: u8,
-    /// IPv4 TTL.
-    pub ttl: u8,
-    /// Payload content.
-    pub payload: Vec<u8>,
-}
-
-impl PacketSpec {
-    /// A plain UDP packet spec.
-    pub fn udp(src_ip: u32, dst_ip: u32, src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
-        PacketSpec {
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            protocol: PROTO_UDP,
-            tcp_flags: 0,
-            ttl: 64,
-            payload,
-        }
-    }
-
-    /// A plain TCP packet spec (flags default to ACK).
-    pub fn tcp(src_ip: u32, dst_ip: u32, src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
-        PacketSpec {
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            protocol: PROTO_TCP,
-            tcp_flags: 0x10,
-            ttl: 64,
-            payload,
-        }
-    }
-}
-
 /// RFC 1071 internet checksum over a byte slice.
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
@@ -183,119 +101,9 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// Builds a full Ethernet/IPv4/{TCP,UDP} frame.
-///
-/// A thin owned-buffer wrapper over the wire module's
-/// [`build_frame`](crate::wire::build_frame) — one encoder for the whole
-/// crate; this entry point keeps the historical [`PacketSpec`]/[`Bytes`]
-/// shape.
-pub fn build_packet(spec: &PacketSpec) -> Bytes {
-    assert!(spec.protocol == PROTO_TCP || spec.protocol == PROTO_UDP, "only TCP/UDP supported");
-    let frame = crate::wire::build_frame(&crate::wire::FrameSpec {
-        vlan: None,
-        ip: crate::wire::IpAddrs::V4 { src: spec.src_ip, dst: spec.dst_ip },
-        src_port: spec.src_port,
-        dst_port: spec.dst_port,
-        protocol: spec.protocol,
-        tcp_flags: spec.tcp_flags,
-        ttl: spec.ttl,
-        payload: spec.payload.clone(),
-    });
-    Bytes::from(frame)
-}
-
-/// Parses an Ethernet/IPv4/{TCP,UDP} frame built by [`build_packet`] (or
-/// any conforming frame).
-///
-/// Delegates to the zero-copy [`parse_frame`](crate::wire::parse_frame)
-/// (one parser for the whole crate, covered by the same fuzz corpus) but
-/// keeps this entry point's historical IPv4-only contract: a VLAN tag or
-/// IPv6 frame — which the wire module parses happily — is rejected here
-/// with [`ParseError::UnsupportedEtherType`], and the result is an owned
-/// [`ParsedPacket`] with MACs and a copied payload.
-pub fn parse_packet(data: &[u8]) -> Result<ParsedPacket, ParseError> {
-    if data.len() < 14 {
-        return Err(ParseError::Truncated { layer: "ethernet", needed: 14, got: data.len() });
-    }
-    let ethertype = u16::from_be_bytes([data[12], data[13]]);
-    if ethertype != ETHERTYPE_IPV4 {
-        return Err(ParseError::UnsupportedEtherType(ethertype));
-    }
-    let frame = crate::wire::parse_frame(data)?;
-    let mut dst_mac = [0u8; 6];
-    let mut src_mac = [0u8; 6];
-    dst_mac.copy_from_slice(&data[0..6]);
-    src_mac.copy_from_slice(&data[6..12]);
-    Ok(ParsedPacket {
-        dst_mac,
-        src_mac,
-        src_ip: frame.flow.src_ip,
-        dst_ip: frame.flow.dst_ip,
-        protocol: frame.flow.protocol,
-        ttl: frame.ttl,
-        src_port: frame.flow.src_port,
-        dst_port: frame.flow.dst_port,
-        tcp_flags: frame.tcp_flags,
-        payload: Bytes::copy_from_slice(frame.payload),
-        wire_len: data.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn udp_round_trip() {
-        let spec = PacketSpec::udp(0x0a000001, 0x0a000002, 1234, 53, b"hello".to_vec());
-        let frame = build_packet(&spec);
-        let p = parse_packet(&frame).unwrap();
-        assert_eq!(p.src_ip, 0x0a000001);
-        assert_eq!(p.dst_ip, 0x0a000002);
-        assert_eq!(p.src_port, 1234);
-        assert_eq!(p.dst_port, 53);
-        assert_eq!(p.protocol, PROTO_UDP);
-        assert_eq!(&p.payload[..], b"hello");
-        assert_eq!(p.wire_len, 14 + 20 + 8 + 5);
-    }
-
-    #[test]
-    fn tcp_round_trip_with_flags() {
-        let mut spec = PacketSpec::tcp(1, 2, 443, 50000, vec![0xab; 100]);
-        spec.tcp_flags = 0x18; // PSH|ACK
-        let frame = build_packet(&spec);
-        let p = parse_packet(&frame).unwrap();
-        assert_eq!(p.tcp_flags, 0x18);
-        assert_eq!(p.payload.len(), 100);
-        assert_eq!(p.wire_len, 14 + 20 + 20 + 100);
-    }
-
-    #[test]
-    fn checksum_detects_corruption() {
-        let spec = PacketSpec::udp(1, 2, 3, 4, vec![]);
-        let frame = build_packet(&spec);
-        let mut bad = frame.to_vec();
-        bad[14 + 8] ^= 0xff; // flip TTL
-        assert_eq!(parse_packet(&bad), Err(ParseError::BadChecksum));
-    }
-
-    #[test]
-    fn truncated_frames_rejected() {
-        let spec = PacketSpec::udp(1, 2, 3, 4, vec![]);
-        let frame = build_packet(&spec);
-        for cut in [3usize, 20, 30] {
-            let err = parse_packet(&frame[..cut]).unwrap_err();
-            assert!(matches!(err, ParseError::Truncated { .. }), "cut={cut}: {err:?}");
-        }
-    }
-
-    #[test]
-    fn non_ipv4_rejected() {
-        let mut frame = build_packet(&PacketSpec::udp(1, 2, 3, 4, vec![])).to_vec();
-        frame[12] = 0x86; // 0x86dd = IPv6
-        frame[13] = 0xdd;
-        assert_eq!(parse_packet(&frame), Err(ParseError::UnsupportedEtherType(0x86dd)));
-    }
 
     #[test]
     fn checksum_rfc1071_example() {

@@ -1,23 +1,21 @@
 //! Compiled tenant routing: the `CompiledRouter` must be bit-identical to
 //! a naive first-match `RoutePredicate` scan — over random predicate sets
 //! with overlaps and priority ties, pure and through the engine at 1/2/4
-//! shards — and the control plane built on it must hold its new
-//! contracts: stats that never wait on the dispatcher lock, content-hash
-//! artifact dedup, and the aggregate fleet SRAM budget.
+//! shards — and the control plane built on it must hold its
+//! contracts: content-hash artifact dedup and the aggregate fleet SRAM
+//! budget. (That `stats` never waits on the dispatcher lock is a unit
+//! test beside the lock, in `engine::server`.)
 
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, EngineBuilder, Pegasus, PegasusError, TenantConfig, TenantRoute, TenantRouter,
-    TenantToken, HOST_WINDOW_STATE_BITS,
+    Deployment, EngineBuilder, Pegasus, PegasusError, TenantConfig, TenantToken,
+    HOST_WINDOW_STATE_BITS,
 };
 use pegasus::datasets::{extract_views, generate_trace, peerrush, GenConfig};
 use pegasus::net::{CompiledRouter, FiveTuple, RoutePredicate, TracePacket};
 use pegasus::switch::SwitchConfig;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
-use std::time::Duration;
 
 // --- seeded generators ----------------------------------------------------
 
@@ -271,57 +269,6 @@ fn detach_recompiles_so_later_rules_take_over() {
     // must fall through to the catch-all, exactly like a fresh scan.
     assert_eq!(stats.tenant(fallback).expect("fallback").routed_packets, 1);
     assert_eq!(stats.unrouted, 0);
-    server.shutdown().expect("shuts down");
-}
-
-// --- stats never waits on the dispatcher lock ------------------------------
-
-/// A router that parks inside `route()` — which the dispatcher calls with
-/// its lock held — until released, signalling entry first. While parked,
-/// the dispatcher lock stays held by the blocked `push`, exactly like a
-/// push stuck on a full shard queue under backpressure.
-struct ParkingRouter {
-    entered: SyncSender<()>,
-    release: Mutex<Receiver<()>>,
-}
-
-impl TenantRouter for ParkingRouter {
-    fn route(&self, _flow: &FiveTuple, tenants: &[TenantRoute]) -> Option<TenantToken> {
-        let _ = self.entered.send(());
-        let _ = self.release.lock().expect("release channel poisoned").recv();
-        tenants.first().map(|t| t.token)
-    }
-}
-
-#[test]
-fn stats_returns_while_a_push_holds_the_dispatcher_lock() {
-    let (entered_tx, entered_rx) = sync_channel(1);
-    let (release_tx, release_rx) = sync_channel(1);
-    let server = EngineBuilder::new()
-        .router(Box::new(ParkingRouter { entered: entered_tx, release: Mutex::new(release_rx) }))
-        .build()
-        .expect("builds");
-    let control = server.control();
-    let ingress = server.ingress();
-    let pusher = std::thread::spawn(move || {
-        let ft = FiveTuple::new(1, 2, 3, 4, 6);
-        ingress.push(packet(ft, 0)).expect("push completes after release")
-    });
-    // Wait until the push provably holds the dispatcher lock (it is parked
-    // inside the router call), then demand a stats snapshot.
-    entered_rx.recv_timeout(Duration::from_secs(10)).expect("push reached the router");
-    let (stats_tx, stats_rx) = sync_channel(1);
-    let stats_control = control.clone();
-    std::thread::spawn(move || {
-        let _ = stats_tx.send(stats_control.stats());
-    });
-    let stats = stats_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("stats blocked behind the parked push: it must not take the dispatcher lock")
-        .expect("stats succeeds");
-    assert!(stats.tenants.is_empty());
-    release_tx.send(()).expect("release");
-    assert!(!pusher.join().expect("pusher joins"), "no tenants: the parked push routes nowhere");
     server.shutdown().expect("shuts down");
 }
 

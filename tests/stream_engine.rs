@@ -459,6 +459,32 @@ fn stream_reports_shard_partition_consistency() {
     assert!(report.pps() > 0.0);
 }
 
+#[test]
+fn stream_config_zeros_are_rejected_like_any_engine_build() {
+    // The one-shot wrappers hand `cfg` to `EngineBuilder::build` as given:
+    // a zero gets the builder's typed rejection, never a silent clamp.
+    use pegasus::core::PegasusError;
+    let trace = test_trace();
+    let views = extract_views(&trace);
+    let data = ModelData::new().with_stat(&views.stat);
+    let deployment = Pegasus::<MlpB>::train(&data, &TrainSettings::quick())
+        .expect("trains")
+        .compile(&data)
+        .expect("compiles")
+        .deploy(&SwitchConfig::tofino2())
+        .expect("deploys");
+    for (cfg, field) in [
+        (StreamConfig { shards: 0, ..StreamConfig::default() }, "shards"),
+        (StreamConfig { batch: 0, ..StreamConfig::default() }, "batch"),
+        (StreamConfig { queue_batches: 0, ..StreamConfig::default() }, "queue_batches"),
+    ] {
+        match deployment.stream_with(&mut trace.source(), &cfg) {
+            Err(PegasusError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
+            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
 /// Satellite regression for the control daemon's error mapping: every
 /// control verb — `swap`, `detach`, `tenant_stats` — answers an unknown
 /// tenant token with the same typed `PegasusError::UnknownTenant`, so the
