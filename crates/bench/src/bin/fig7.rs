@@ -42,13 +42,13 @@ fn main() {
             eprintln!("[fig7] CNN-L {name} on {} ...", data.name);
             let m = CnnL::fit(&data.train.raw, &data.train.seq, variant, &settings);
             let bundle = ModelData::new().with_raw(&data.train.raw).with_seq(&data.train.seq);
-            let mut dp = Pegasus::new(m)
+            let dp = Pegasus::new(m)
                 .options(opts.clone())
                 .compile(&bundle)
                 .expect("compiles")
                 .deploy(&switch)
                 .expect("CNN-L variant deploys");
-            let f1 = CnnL::evaluate_on_trace(dp.flow_mut().expect("per-flow"), &data.test_trace)
+            let f1 = CnnL::evaluate_on_trace(dp.flow().expect("per-flow"), &data.test_trace)
                 .expect("replays")
                 .f1;
             f1s.push(f1);

@@ -182,16 +182,15 @@ pub fn run_method(method: Method, data: &Prepared, cfg: &BenchConfig) -> MethodR
             let mut model = CnnL::train(&bundle, &settings).expect("views present");
             let float = model.evaluate_float(&test_bundle).expect("evaluates");
             let size_kb = model.size_kilobits();
-            let mut dp = Pegasus::new(model)
+            let dp = Pegasus::new(model)
                 .options(opts.clone())
                 .compile(&bundle)
                 .expect("compiles")
                 .deploy(&switch)
                 .expect("CNN-L deploys");
             let resources = dp.resource_report();
-            let dataplane =
-                CnnL::evaluate_on_trace(dp.flow_mut().expect("per-flow"), &data.test_trace)
-                    .expect("replays");
+            let dataplane = CnnL::evaluate_on_trace(dp.flow().expect("per-flow"), &data.test_trace)
+                .expect("replays");
             MethodResult {
                 method: method.name(),
                 input_bits: 0,

@@ -955,7 +955,7 @@ mod tests {
     use super::*;
     use crate::fusion::fuse_basic;
     use pegasus_nn::Tensor;
-    use pegasus_switch::SwitchConfig;
+    use pegasus_switch::{RegFile, SwitchConfig};
     use rand::Rng;
     use rand::SeedableRng;
 
@@ -994,7 +994,7 @@ mod tests {
             let ref_class = if reference[0] >= reference[1] { 0 } else { 1 };
             let inputs: Vec<(FieldId, i64)> =
                 c.input_fields.iter().zip(x.iter()).map(|(&f, &v)| (f, v as i64)).collect();
-            let phv = loaded.process(&inputs);
+            let phv = loaded.process(&inputs, &mut RegFile::default());
             let pred = phv.get(c.predicted_field.expect("classify target"));
             if pred == ref_class {
                 agree += 1;
@@ -1019,7 +1019,7 @@ mod tests {
             let reference = prog.eval(x);
             let inputs: Vec<(FieldId, i64)> =
                 c.input_fields.iter().zip(x.iter()).map(|(&f, &v)| (f, v as i64)).collect();
-            let phv = loaded.process(&inputs);
+            let phv = loaded.process(&inputs, &mut RegFile::default());
             for (j, &sf) in c.score_fields.iter().enumerate() {
                 let got = c.score_format.to_real(phv.get(sf));
                 total_err += (got - reference[j]).abs() / reference[j].abs().max(1.0);
@@ -1050,7 +1050,7 @@ mod tests {
             let reference = p.eval(&x);
             let inputs: Vec<(FieldId, i64)> =
                 c.input_fields.iter().zip(x.iter()).map(|(&f, &v)| (f, v as i64)).collect();
-            let phv = loaded.process(&inputs);
+            let phv = loaded.process(&inputs, &mut RegFile::default());
             let got = c.score_format.to_real(phv.get(c.score_fields[0]));
             assert!(
                 (got - reference[0]).abs() <= 3.0 * c.score_format.step,
@@ -1096,7 +1096,7 @@ mod tests {
                 let reference = prog.eval(x);
                 let inputs: Vec<(FieldId, i64)> =
                     c.input_fields.iter().zip(x.iter()).map(|(&f, &v)| (f, v as i64)).collect();
-                let phv = loaded.process(&inputs);
+                let phv = loaded.process(&inputs, &mut RegFile::default());
                 for (j, &sf) in c.score_fields.iter().enumerate() {
                     err += (c.score_format.to_real(phv.get(sf)) - reference[j]).abs() as f64;
                 }

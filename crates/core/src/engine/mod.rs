@@ -46,11 +46,11 @@
 //!
 //! * **No locks on the hot path.** All per-flow state — host-side windows
 //!   ([`FlowTracker`]) for pipelines that consume extracted features, and
-//!   the per-flow *registers* of windowed flow pipelines (each shard owns a
-//!   [`fork`](crate::flowpipe::FlowClassifier::fork) of the classifier) —
-//!   is owned by exactly one shard. The per-packet register lock the shared
-//!   runtime takes ([`LoadedProgram::process`](pegasus_switch::LoadedProgram::process))
-//!   disappears: shards go through the `&mut self` lock-free paths.
+//!   the per-flow *register file* of windowed flow pipelines (each shard's
+//!   [`fork`](crate::flowpipe::FlowClassifier::fork) shares the artifact's
+//!   program by `Arc` and owns its registers) — is owned by exactly one
+//!   shard, so nothing on the packet path synchronises. A hot swap moves
+//!   the program pointer; the state stays where it is.
 //! * **Per-flow determinism.** A flow's packets are processed by one worker
 //!   in arrival order, so for stateless pipelines (host flow state keyed
 //!   exactly by five-tuple) streaming results are bit-identical to a
@@ -323,33 +323,13 @@ impl StatelessShard {
     }
 }
 
-/// An in-flight adopt-on-first-touch register transplant: the outgoing
-/// classifier's detached register file plus a bitmap of which flow slots
-/// have already been migrated into the new fork.
-///
-/// [`FlowShard::swap`] starts one of these instead of cloning the whole
-/// register file under the swap (the old stop-the-world transplant); each
-/// flow's slot is then copied the first time that flow is touched under
-/// the new epoch, so the apply itself is O(1) in flows and the copy cost
-/// is amortized across the packets that actually need the state. The old
-/// file — the ≤ 2× register-SRAM memory bound — is dropped as soon as
-/// every slot has been adopted, or early when the optional packet-count
-/// grace window runs out (remaining flows then re-warm from zeroed
-/// registers, exactly as a state-incompatible swap would force).
-struct PendingTransplant {
-    old: pegasus_switch::RegFile,
-    migrated: Vec<bool>,
-    remaining: usize,
-    grace_left: Option<u64>,
-}
-
-/// Shard-owned execution state for per-flow windowed pipelines (CNN-L):
-/// owns a fresh-state [`fork`](FlowClassifier::fork) of the classifier, so
-/// per-flow register RMWs run through the lock-free `&mut` path. Across
-/// [`swap`](FlowShard::swap)s to a state-compatible artifact the per-flow
-/// register file (code windows, timestamps, warm-up counters) is
-/// transplanted into the new classifier slot by slot, on each flow's
-/// first touch under the new artifact (see [`PendingTransplant`]).
+/// Shard-owned execution state for per-flow windowed pipelines (CNN-L): a
+/// [`fork`](FlowClassifier::fork) of the classifier — the artifact's
+/// program shared by `Arc`, plus the one register file this shard owns.
+/// A [`swap`](FlowShard::swap) to a state-compatible artifact moves the
+/// program pointer and leaves that file (code windows, timestamps, warm-up
+/// counters) in place, as a table rewrite leaves register SRAM on the
+/// switch.
 ///
 /// Occupancy is accounted by a [`FlowTable`] in alias mode sized exactly
 /// like the classifier's register files (one slot per hash index): it
@@ -362,113 +342,27 @@ struct PendingTransplant {
 /// without bound under churn.
 pub(crate) struct FlowShard {
     fc: FlowClassifier,
-    arity: usize,
     codes: Vec<f32>,
     slots: FlowTable<()>,
-    transplant: Option<PendingTransplant>,
-    adopted_slots: u64,
-    transplants_completed: u64,
-    transplants_expired: u64,
 }
 
 impl FlowShard {
     pub(crate) fn new(fc: FlowClassifier) -> Self {
-        let arity = fc.pipeline().extractor_fields.len();
         let slots = FlowTable::new(FlowTableConfig::aliased(fc.flow_slots()));
-        FlowShard {
-            fc,
-            arity,
-            codes: Vec::with_capacity(arity),
-            slots,
-            transplant: None,
-            adopted_slots: 0,
-            transplants_completed: 0,
-            transplants_expired: 0,
-        }
+        FlowShard { fc, codes: Vec::new(), slots }
     }
 
-    /// Swaps in a fork of `source`. When the pipelines are
-    /// state-compatible the old register file is *detached* and adopted
-    /// slot by slot as flows are touched (see [`PendingTransplant`]) —
-    /// the swap itself never walks the register file, so the apply is
-    /// O(1) regardless of flow count. Returns whether state was retained
-    /// (`false` means flows re-warm under the new artifact — the
-    /// slot-occupancy metric resets with them, matching a from-scratch
-    /// rebuild).
-    ///
-    /// `grace_packets` bounds how many packets the detached file may
-    /// outlive the swap (0 = until drained). At most one transplant is
-    /// pending at a time: a chained swap first completes the previous
-    /// one eagerly (O(slots), and only on back-to-back swaps), so the
-    /// memory bound stays ≤ 2× register SRAM.
-    pub(crate) fn swap(&mut self, source: &FlowClassifier, grace_packets: u64) -> bool {
-        let fresh = source.fork();
-        let retained = fresh.state_compatible(&self.fc);
-        self.arity = fresh.pipeline().extractor_fields.len();
+    /// Re-points the shard at `source`'s program — O(1) in flows. Returns
+    /// whether per-flow state was retained: a state-compatible artifact
+    /// keeps the register file and the slot-occupancy mirror untouched;
+    /// otherwise both start over and flows re-warm, matching a
+    /// from-scratch rebuild.
+    pub(crate) fn swap(&mut self, source: &FlowClassifier) -> bool {
+        let retained = self.fc.retarget(source);
         if !retained {
-            self.slots = FlowTable::new(FlowTableConfig::aliased(fresh.flow_slots()));
-            self.transplant = None;
-            self.fc = fresh;
-            return false;
+            self.slots = FlowTable::new(FlowTableConfig::aliased(self.fc.flow_slots()));
         }
-        self.complete_transplant();
-        let old = self.fc.take_registers();
-        let slots = self.fc.flow_slots();
-        self.fc = fresh;
-        self.transplant = Some(PendingTransplant {
-            old,
-            migrated: vec![false; slots],
-            remaining: slots,
-            grace_left: (grace_packets > 0).then_some(grace_packets),
-        });
         retained
-    }
-
-    /// Eagerly migrates every not-yet-adopted slot of the pending
-    /// transplant into the current classifier, then drops the old file.
-    fn complete_transplant(&mut self) {
-        if let Some(t) = self.transplant.take() {
-            for slot in 0..t.migrated.len() {
-                if !t.migrated[slot] {
-                    self.fc.adopt_slot(&t.old, slot);
-                    self.adopted_slots += 1;
-                }
-            }
-            self.transplants_completed += 1;
-        }
-    }
-
-    /// The adopt-on-first-touch step, run before each packet while a
-    /// transplant is pending: migrate this flow's slot if it still holds
-    /// pre-swap state, then retire the transplant once drained or once
-    /// the grace window expires.
-    fn adopt_on_touch(&mut self, flow_hash: u32) {
-        let Some(t) = self.transplant.as_mut() else { return };
-        let slot = self.fc.flow_slot(flow_hash);
-        if !t.migrated[slot] {
-            t.migrated[slot] = true;
-            t.remaining -= 1;
-            self.fc.adopt_slot(&t.old, slot);
-            self.adopted_slots += 1;
-        }
-        let t = self.transplant.as_mut().expect("transplant checked above");
-        if t.remaining == 0 {
-            self.transplants_completed += 1;
-            self.transplant = None;
-        } else if let Some(g) = t.grace_left.as_mut() {
-            *g -= 1;
-            if *g == 0 {
-                self.transplants_expired += 1;
-                self.transplant = None;
-            }
-        }
-    }
-
-    pub(crate) fn swap_counters(&self, swap: &mut SwapCounters) {
-        swap.adopted_slots = self.adopted_slots;
-        swap.pending_slots = self.transplant.as_ref().map_or(0, |t| t.remaining as u64);
-        swap.transplants_completed = self.transplants_completed;
-        swap.transplants_expired = self.transplants_expired;
     }
 
     /// The shard's one packet entry point: serves frames `run` of `batch`
@@ -485,6 +379,7 @@ impl FlowShard {
         verdicts: &mut Vec<Option<usize>>,
     ) -> Result<(), PegasusError> {
         verdicts.clear();
+        let arity = self.fc.pipeline().extractor_fields.len();
         let flows = batch.flows();
         let ts = batch.ts_micros();
         let wires = batch.wire_lens();
@@ -496,14 +391,11 @@ impl FlowShard {
                     .iter()
                     .map(|&b| f32::from(b))
                     .chain(std::iter::repeat(0.0))
-                    .take(self.arity),
+                    .take(arity),
             );
-            let hash = flows[i].dataplane_hash();
-            if self.transplant.is_some() {
-                self.adopt_on_touch(hash);
-            }
             self.slots.admit(flows[i], || ());
-            let verdict = self.fc.on_packet_mut(hash, ts[i], wires[i], &self.codes)?;
+            let verdict =
+                self.fc.on_packet_mut(flows[i].dataplane_hash(), ts[i], wires[i], &self.codes)?;
             verdicts.push(verdict.predicted);
         }
         Ok(())

@@ -24,8 +24,8 @@ pub struct SwapReport {
     pub epoch: u64,
     /// Whether per-flow state (feature windows / register files) carries
     /// into the new artifact: `true` when the pipelines are
-    /// state-compatible, in which case each shard migrates register slots
-    /// adopt-on-first-touch under the new epoch. `false` means flows
+    /// state-compatible, in which case each shard's register file stays
+    /// exactly where it is under the new program. `false` means flows
     /// re-warm.
     pub state_retained: bool,
     /// Wall-clock microseconds of the dataplane-visible apply: the
@@ -92,7 +92,6 @@ impl ControlHandle {
                 predicate: cfg.route,
                 record: cfg.record_predictions,
                 table: cfg.flow_table,
-                grace: cfg.swap_grace_packets,
                 routed_packets: AtomicU64::new(0),
                 failed: AtomicBool::new(false),
                 epoch: AtomicU64::new(0),
@@ -163,9 +162,9 @@ impl ControlHandle {
     /// returns classify under the new artifact; packets already queued
     /// may land on either side of the boundary. Per-flow state (feature
     /// windows, register files) survives when the artifacts are
-    /// state-compatible (same pipeline shape — e.g. a retrained model),
-    /// migrated slot by slot as flows are touched under the new epoch;
-    /// otherwise the tenant's flows re-warm, reported via
+    /// state-compatible (same pipeline shape — e.g. a retrained model):
+    /// each shard keeps its state in place and only the program it runs
+    /// changes; otherwise the tenant's flows re-warm, reported via
     /// [`SwapReport::state_retained`].
     ///
     /// ```no_run

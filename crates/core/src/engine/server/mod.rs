@@ -60,11 +60,12 @@
 //! equivalence tests in `tests/stream_engine.rs`) quiesce first: flush,
 //! wait for the packet counters to settle, then swap.
 //!
-//! Per-flow register state survives a state-compatible swap without a
-//! stop-the-world transplant: the outgoing register file is detached and
-//! each flow's slot is copied into the new fork the first time that flow
-//! is touched under the new epoch (see `SwapCounters` for the progress
-//! counters and the grace-window memory bound).
+//! Per-flow register state survives a state-compatible swap by not
+//! moving: tables are program, registers are state. Each shard owns one
+//! register file per tenant and the apply only re-points the shard at the
+//! published program (an `Arc` clone), exactly as a control plane rewrites
+//! match-action entries while register SRAM keeps its contents. A swap to
+//! a different register shape zeroes the file and its flows re-warm.
 //!
 //! The legacy one-shot [`Deployment::stream`](crate::pipeline::Deployment::stream) /
 //! [`stream_with`](crate::pipeline::Deployment::stream_with) calls are thin

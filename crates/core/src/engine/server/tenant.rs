@@ -5,7 +5,7 @@ use super::artifact::{ArtifactPlane, EngineArtifact};
 use super::lock;
 use super::report::{merge_report, TenantReport, TenantStats};
 use super::worker::TenantShardOut;
-use crate::engine::stats::{ShardStats, SwapCounters};
+use crate::engine::stats::ShardStats;
 use crate::engine::{FlowShard, StatelessShard};
 use crate::error::PegasusError;
 use pegasus_net::{FiveTuple, FlowTableConfig, FrameBatch, RoutePredicate};
@@ -37,7 +37,6 @@ pub struct TenantConfig {
     pub(super) route: RoutePredicate,
     pub(super) record_predictions: bool,
     pub(super) flow_table: FlowTableConfig,
-    pub(super) swap_grace_packets: u64,
 }
 
 impl Default for TenantConfig {
@@ -47,7 +46,6 @@ impl Default for TenantConfig {
             route: RoutePredicate::Any,
             record_predictions: false,
             flow_table: FlowTableConfig::default(),
-            swap_grace_packets: 0,
         }
     }
 }
@@ -107,19 +105,6 @@ impl TenantConfig {
         self.flow_table.idle_timeout_packets = packets;
         self
     }
-
-    /// Bounds, per shard, how many packets the *old* register file may
-    /// outlive a state-compatible swap while its slots migrate
-    /// adopt-on-first-touch into the new artifact. `0` (the default)
-    /// keeps it until every slot has been adopted — memory stays bounded
-    /// at ≤ 2× register SRAM either way, since at most one transplant is
-    /// pending per shard — while a positive count trades completeness
-    /// for promptness: slots not touched within the window are dropped
-    /// and those flows re-warm from zeroed registers.
-    pub fn swap_grace_packets(mut self, packets: u64) -> Self {
-        self.swap_grace_packets = packets;
-        self
-    }
 }
 
 /// One attached tenant — the software mirror of one entry of the
@@ -141,9 +126,6 @@ pub(super) struct Tenant {
     /// artifact's state cost against it, and a kind-changing swap rebuilds
     /// the exec with the same bounds.
     pub(super) table: FlowTableConfig,
-    /// Attach-time transplant grace window (see
-    /// [`TenantConfig::swap_grace_packets`]).
-    pub(super) grace: u64,
     /// Packets the dispatcher routed here (written under its lock; the
     /// atomic is for the stats readers — relaxed everywhere).
     pub(super) routed_packets: AtomicU64,
@@ -252,15 +234,9 @@ impl TenantExec {
     }
 
     /// Applies a hot swap; returns whether per-flow state was retained.
-    /// For per-flow pipelines the apply is O(1): register state migrates
-    /// adopt-on-first-touch afterwards, with `grace_packets` bounding how
-    /// long the detached old file may live (0 = until drained).
-    pub(super) fn swap(
-        &mut self,
-        artifact: &EngineArtifact,
-        table: FlowTableConfig,
-        grace: u64,
-    ) -> bool {
+    /// O(1) in flows either way: a per-flow pipeline's register file stays
+    /// where it is and only the program pointer moves.
+    pub(super) fn swap(&mut self, artifact: &EngineArtifact, table: FlowTableConfig) -> bool {
         match (&mut *self, &artifact.plane) {
             (TenantExec::Stateless(shard), ArtifactPlane::Stateless(dp)) => {
                 // Host feature windows are keyed by five-tuple alone:
@@ -268,7 +244,7 @@ impl TenantExec {
                 shard.swap(dp.clone(), artifact.features);
                 true
             }
-            (TenantExec::Flow(shard), ArtifactPlane::Flow(fc)) => shard.swap(fc, grace),
+            (TenantExec::Flow(shard), ArtifactPlane::Flow(fc)) => shard.swap(fc),
             // Kind change: rebuild from scratch, state cannot carry over.
             (slot, _) => {
                 *slot = TenantExec::new(artifact, table);
@@ -295,15 +271,6 @@ impl TenantExec {
         match self {
             TenantExec::Stateless(s) => s.table_counters(),
             TenantExec::Flow(s) => s.table_counters(),
-        }
-    }
-
-    /// Refreshes the transplant-progress gauges (apply-side counters are
-    /// maintained by the worker that performed the apply).
-    pub(super) fn swap_counters(&self, swap: &mut SwapCounters) {
-        match self {
-            TenantExec::Stateless(_) => {}
-            TenantExec::Flow(s) => s.swap_counters(swap),
         }
     }
 }

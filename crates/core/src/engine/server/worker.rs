@@ -76,8 +76,8 @@ impl WorkerTenant {
 
     /// The run-boundary RCU check: one `Acquire` load against the
     /// locally applied epoch; on mismatch, adopt the published artifact.
-    /// The apply is O(1) in flows — per-flow register state migrates
-    /// adopt-on-first-touch afterwards.
+    /// The apply is O(1) in flows — a state-compatible per-flow pipeline
+    /// keeps its register file in place.
     fn maybe_apply_swap(&mut self) {
         if self.tenant.epoch.load(Ordering::Acquire) == self.applied_epoch {
             return;
@@ -87,7 +87,7 @@ impl WorkerTenant {
             return;
         }
         let t0 = Instant::now();
-        self.exec.swap(&artifact, self.tenant.table, self.tenant.grace);
+        self.exec.swap(&artifact, self.tenant.table);
         self.applied_epoch = epoch;
         self.stats.swap.applied_epoch = epoch;
         self.stats.swap.swaps_applied += 1;
@@ -126,13 +126,12 @@ impl WorkerTenant {
         Ok(())
     }
 
-    /// The counters as of now, table and transplant gauges refreshed.
+    /// The counters as of now, table gauges refreshed.
     fn current_stats(&self) -> ShardStats {
         let mut stats = self.stats.clone();
         stats.table = self.exec.table_counters();
         // The flows metric IS the table's occupancy — one source of truth.
         stats.flows = stats.table.occupancy;
-        self.exec.swap_counters(&mut stats.swap);
         stats
     }
 

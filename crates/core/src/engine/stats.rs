@@ -220,15 +220,15 @@ impl FlowTableCounters {
     }
 }
 
-/// Hot-swap application and adopt-on-first-touch transplant progress for
-/// one shard (or, merged, a whole tenant).
+/// Hot-swap application progress for one shard (or, merged, a whole
+/// tenant).
 ///
 /// Swaps are published epoch/RCU-style: the control plane stores the new
-/// artifact in the tenant entry and each shard picks it up at its next
-/// packet/batch boundary, so these counters are how an operator watches an
-/// apply land — `applied_epoch` catching up to the control plane's epoch,
-/// then `pending_slots` draining to zero as flows are touched under the
-/// new artifact.
+/// artifact in the tenant record and each shard picks it up at its next
+/// run boundary, so these counters are how an operator watches an apply
+/// land — `applied_epoch` catching up to the control plane's epoch. There
+/// is nothing to watch after that: a state-compatible swap leaves each
+/// shard's flow state in place, so the apply *is* the whole swap.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwapCounters {
     /// Artifact epoch this shard last applied. In a merged report this is
@@ -237,23 +237,11 @@ pub struct SwapCounters {
     pub applied_epoch: u64,
     /// Swap publications this shard picked up at a packet/batch boundary.
     pub swaps_applied: u64,
-    /// Nanoseconds the most recent apply took on this shard: the fork and
-    /// register detach only — the transplant itself is amortized over
-    /// subsequent packets. Merged reports keep the max across shards.
+    /// Nanoseconds the most recent apply took on this shard: re-pointing
+    /// the executor at the published artifact (an `Arc` clone; a
+    /// state-incompatible per-flow swap also zeroes a register file).
+    /// Merged reports keep the max across shards.
     pub last_apply_nanos: u64,
-    /// Flow slots whose register state was migrated old→new, either on a
-    /// flow's first touch under the new epoch or by the eager completion
-    /// a chained swap forces.
-    pub adopted_slots: u64,
-    /// Slots still awaiting adoption (gauge). The outgoing register file
-    /// stays alive — bounding swap memory at ≤ 2× register SRAM — exactly
-    /// while this is non-zero.
-    pub pending_slots: u64,
-    /// Transplants that completed by draining every slot.
-    pub transplants_completed: u64,
-    /// Transplants cut short by the packet-count grace window; their
-    /// remaining flows re-warm from zeroed registers.
-    pub transplants_expired: u64,
 }
 
 impl SwapCounters {
@@ -265,10 +253,6 @@ impl SwapCounters {
         self.applied_epoch = self.applied_epoch.min(other.applied_epoch);
         self.swaps_applied += other.swaps_applied;
         self.last_apply_nanos = self.last_apply_nanos.max(other.last_apply_nanos);
-        self.adopted_slots += other.adopted_slots;
-        self.pending_slots += other.pending_slots;
-        self.transplants_completed += other.transplants_completed;
-        self.transplants_expired += other.transplants_expired;
     }
 }
 
@@ -295,7 +279,7 @@ pub struct ShardStats {
     pub latency: LatencyHistogram,
     /// Occupancy/eviction/collision counters of this shard's flow table.
     pub table: FlowTableCounters,
-    /// Hot-swap apply and transplant-progress counters.
+    /// Hot-swap apply counters.
     pub swap: SwapCounters,
 }
 
@@ -346,7 +330,7 @@ pub struct StreamReport {
     /// Merged flow-table counters across shards (capacity sums: each
     /// shard owns a full table, the forked register-file model).
     pub table: FlowTableCounters,
-    /// Merged hot-swap apply/transplant counters (`applied_epoch` is the
+    /// Merged hot-swap apply counters (`applied_epoch` is the
     /// minimum across shards, counts sum, `last_apply_nanos` is the max).
     pub swap: SwapCounters,
     /// Frames the dispatcher rejected at parse time, for reports produced
@@ -424,15 +408,7 @@ serde::impl_serde_struct!(FlowTableCounters {
     alias_collisions,
     state_bytes,
 });
-serde::impl_serde_struct!(SwapCounters {
-    applied_epoch,
-    swaps_applied,
-    last_apply_nanos,
-    adopted_slots,
-    pending_slots,
-    transplants_completed,
-    transplants_expired,
-});
+serde::impl_serde_struct!(SwapCounters { applied_epoch, swaps_applied, last_apply_nanos });
 serde::impl_serde_struct!(ShardStats {
     shard,
     packets,

@@ -63,9 +63,10 @@ pub enum PegasusError {
         /// The model asking for it.
         model: &'static str,
     },
-    /// The requested operation needs the per-flow (stateful) runtime — use
-    /// [`Deployment::flow_mut`](crate::pipeline::Deployment::flow_mut) and
-    /// feed packets, not feature rows.
+    /// The requested operation needs the per-flow (stateful) runtime —
+    /// [`fork`](crate::flowpipe::FlowClassifier::fork) the classifier behind
+    /// [`Deployment::flow`](crate::pipeline::Deployment::flow) and feed it
+    /// packets, not feature rows.
     FlowStateRequired {
         /// The per-flow pipeline's name.
         pipeline: String,
@@ -163,7 +164,7 @@ impl fmt::Display for PegasusError {
             PegasusError::FlowStateRequired { pipeline } => {
                 write!(
                     f,
-                    "pipeline '{pipeline}' keeps per-flow state; drive it packet-by-packet via flow_mut()"
+                    "pipeline '{pipeline}' keeps per-flow state; drive it packet-by-packet via flow().fork()"
                 )
             }
             PegasusError::Unsupported { model, what } => {

@@ -31,6 +31,7 @@ use pegasus_switch::{
     RegisterArray, ResourceReport, SwitchConfig, SwitchProgram, Table, TableEntry, TernaryKey,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-packet code source for the window.
 pub enum PacketCodes {
@@ -504,11 +505,22 @@ fn emit_index_table(
     tables.push(t);
 }
 
-/// A deployed flow pipeline processing packets one at a time.
-pub struct FlowClassifier {
+/// The *program* half of a deployed flow pipeline — everything the control
+/// plane installs and a swap replaces: the pipeline description, its loaded
+/// tables and the flow-hash mask. Immutable once deployed, shared by `Arc`
+/// between every [`fork`](FlowClassifier::fork).
+struct FlowProgram {
     pipeline: FlowPipeline,
     loaded: LoadedProgram,
     hash_mask: u32,
+}
+
+/// A deployed flow pipeline processing packets one at a time: a shared
+/// program plus this classifier's own per-flow register file — the split
+/// the switch makes between match-action entries and register SRAM.
+pub struct FlowClassifier {
+    program: Arc<FlowProgram>,
+    regs: RegFile,
 }
 
 /// One packet's classification outcome.
@@ -535,24 +547,26 @@ impl FlowClassifier {
         }
         let loaded = pipeline.program.clone().deploy(cfg)?;
         let hash_bits = pipeline.program.layout.def(pipeline.hash_field).bits;
-        Ok(FlowClassifier { pipeline, loaded, hash_mask: ((1u64 << hash_bits) - 1) as u32 })
+        let regs = loaded.zeroed_registers();
+        let hash_mask = ((1u64 << hash_bits) - 1) as u32;
+        Ok(FlowClassifier { program: Arc::new(FlowProgram { pipeline, loaded, hash_mask }), regs })
     }
 
     /// The underlying pipeline description.
     pub fn pipeline(&self) -> &FlowPipeline {
-        &self.pipeline
+        &self.program.pipeline
     }
 
     /// Switch resource utilization.
     pub fn resource_report(&self) -> ResourceReport {
-        self.loaded.resource_report()
+        self.program.loaded.resource_report()
     }
 
     /// Per-flow register slots (the hash table size, `2^flow_slots_log2`).
     /// Flows whose truncated hashes collide share one slot — and share
     /// their register state with it.
     pub fn flow_slots(&self) -> usize {
-        self.hash_mask as usize + 1
+        self.program.hash_mask as usize + 1
     }
 
     /// SRAM bits every register slot consumes (the sum of the element
@@ -560,38 +574,39 @@ impl FlowClassifier {
     /// warm-up counter). `flow_slots × state_bits_per_slot` is this
     /// classifier's total stateful SRAM.
     pub fn state_bits_per_slot(&self) -> u64 {
-        self.loaded.with_registers(|r| r.iter().map(|a| u64::from(a.width_bits)).sum())
+        self.regs.iter().map(|a| u64::from(a.width_bits)).sum()
     }
 
     /// Total stateful register SRAM of this classifier, in bits — what
     /// per-tenant state budgets are checked against.
     pub fn register_state_bits(&self) -> u64 {
-        self.loaded.with_registers(|r| r.total_bits())
+        self.regs.total_bits()
     }
 
     /// The switch configuration this classifier was deployed against
     /// (its SRAM model bounds per-tenant state budgets).
     pub fn switch_config(&self) -> &SwitchConfig {
-        self.loaded.config()
+        self.program.loaded.config()
     }
 
     /// Clears all per-flow state (fresh trace).
     pub fn reset(&mut self) {
-        self.loaded.reset_state();
+        self.regs.clear();
     }
 
-    /// A fresh-state replica of this classifier: same tables, empty
-    /// registers.
+    /// A fresh-state replica of this classifier: the *same* program (an
+    /// `Arc` clone — no table is copied) over a zeroed register file of
+    /// its own.
     ///
     /// The sharded streaming engine forks one replica per shard. Flows are
     /// partitioned across shards by five-tuple hash, so each flow's
-    /// register state lives in exactly one replica and every replica can
-    /// serve through the lock-free [`on_packet_mut`](FlowClassifier::on_packet_mut)
-    /// path.
+    /// register state lives in exactly one replica, owned by the one
+    /// thread that serves it.
     pub fn fork(&self) -> FlowClassifier {
-        let mut loaded = self.loaded.clone();
-        loaded.reset_state();
-        FlowClassifier { pipeline: self.pipeline.clone(), loaded, hash_mask: self.hash_mask }
+        FlowClassifier {
+            program: Arc::clone(&self.program),
+            regs: self.program.loaded.zeroed_registers(),
+        }
     }
 
     /// True when `other`'s per-flow register files have the same shape as
@@ -601,86 +616,51 @@ impl FlowClassifier {
     /// family — e.g. a retrained model) are state-compatible; a different
     /// shape is not, and its flows must re-warm after a swap.
     pub fn state_compatible(&self, other: &FlowClassifier) -> bool {
-        let shape = |fc: &FlowClassifier| {
-            fc.loaded
-                .with_registers(|r| r.iter().map(|a| (a.width_bits, a.size)).collect::<Vec<_>>())
-        };
-        self.hash_mask == other.hash_mask
-            && self.pipeline.extractor_fields.len() == other.pipeline.extractor_fields.len()
-            && shape(self) == shape(other)
+        fn shape(fc: &FlowClassifier) -> impl Iterator<Item = (u8, usize)> + '_ {
+            fc.regs.iter().map(|a| (a.width_bits, a.size))
+        }
+        self.program.hash_mask == other.program.hash_mask
+            && self.pipeline().extractor_fields.len() == other.pipeline().extractor_fields.len()
+            && shape(self).eq(shape(other))
     }
 
-    /// Transplants `prev`'s per-flow register state (code windows,
-    /// timestamps, warm-up counters) into this classifier — the hot-swap
-    /// path: a control plane retargets the running pipeline to a retrained
-    /// model by rewriting its table entries while the per-flow registers
-    /// keep their contents, so established flows classify under the new
-    /// model without re-warming. Returns `false` (leaving this
-    /// classifier's state untouched) when the layouts are not
+    /// Copies `prev`'s whole per-flow register file (code windows,
+    /// timestamps, warm-up counters) into this classifier — the reference
+    /// the differential tests hold the engine's hot swap against: a
+    /// control plane retargets the running pipeline to a retrained model
+    /// by rewriting its table entries while the per-flow registers keep
+    /// their contents, so established flows classify under the new model
+    /// without re-warming. Returns `false` (leaving this classifier's
+    /// state untouched) when the layouts are not
     /// [`state_compatible`](FlowClassifier::state_compatible).
     pub fn adopt_state(&mut self, prev: &FlowClassifier) -> bool {
         if !self.state_compatible(prev) {
             return false;
         }
-        *self.loaded.registers_mut() = prev.loaded.with_registers(|r| r.clone());
+        self.regs.clone_from(&prev.regs);
         true
     }
 
-    /// Detaches this classifier's register file, leaving zeroed registers
-    /// of the same shape behind. The incremental hot-swap transplant calls
-    /// this on the *outgoing* classifier: the detached file is kept beside
-    /// the fresh fork and drained slot by slot via
-    /// [`adopt_slot`](FlowClassifier::adopt_slot) as flows are touched
-    /// under the new epoch.
-    pub fn take_registers(&mut self) -> RegFile {
-        std::mem::take(self.loaded.registers_mut())
-    }
-
-    /// Copies one flow slot's state (every register array's element at
-    /// `slot`) from a previously [taken](FlowClassifier::take_registers)
-    /// register file into this classifier — the adopt-on-first-touch unit
-    /// of work. `old` must come from a
-    /// [`state_compatible`](FlowClassifier::state_compatible) classifier;
-    /// with matching shapes the per-array width truncation in
-    /// `RegFile::write` is the identity, so the copy is bit-exact.
-    pub fn adopt_slot(&mut self, old: &RegFile, slot: usize) {
-        let regs = self.loaded.registers_mut();
-        for i in 0..old.len() {
-            regs.write(RegId(i), slot, old.read(RegId(i), slot));
+    /// The hot swap itself, as the hardware does it: re-points this
+    /// classifier at `source`'s program and, when the two are
+    /// [`state_compatible`](FlowClassifier::state_compatible), leaves the
+    /// register file exactly where it is — O(1), nothing copied. An
+    /// incompatible shape gets a zeroed file of the new shape instead.
+    /// Returns whether state was retained.
+    pub(crate) fn retarget(&mut self, source: &FlowClassifier) -> bool {
+        let retained = self.state_compatible(source);
+        self.program = Arc::clone(&source.program);
+        if !retained {
+            self.regs = self.program.loaded.zeroed_registers();
         }
+        retained
     }
 
-    /// The per-flow register slot a flow hash indexes — shared by every
-    /// register array (all are sized `flow_slots`), so one slot index
-    /// addresses the same flow's state across the whole file.
-    pub fn flow_slot(&self, flow_hash: u32) -> usize {
-        (flow_hash & self.hash_mask) as usize
-    }
-
-    /// Processes one packet of a flow.
+    /// Processes one packet of a flow — the one packet entry point (the
+    /// `_mut` suffix outlives the shared twin it used to distinguish).
     ///
     /// `extractor_codes` must match the spec's extractor input arity (empty
     /// for `LenIpd` pipelines). Timestamps are absolute microseconds.
-    ///
-    /// Takes `&self`: the per-flow registers live behind the loaded
-    /// program's per-packet lock, so concurrent callers keep each packet's
-    /// read-modify-writes atomic.
-    pub fn on_packet(
-        &self,
-        flow_hash: u32,
-        ts_micros: u64,
-        wire_len: u16,
-        extractor_codes: &[f32],
-    ) -> Result<FlowVerdict, PegasusError> {
-        let inputs = self.inputs_for(flow_hash, ts_micros, wire_len, extractor_codes)?;
-        Ok(self.decode(&self.loaded.process(&inputs)))
-    }
-
-    /// Lock-free variant of [`on_packet`](FlowClassifier::on_packet) for an
-    /// exclusively owned classifier (e.g. a per-shard
-    /// [`fork`](FlowClassifier::fork)): `&mut self` proves single ownership,
-    /// so the per-flow registers are updated without taking the per-packet
-    /// lock. Semantics are identical.
     pub fn on_packet_mut(
         &mut self,
         flow_hash: u32,
@@ -689,7 +669,7 @@ impl FlowClassifier {
         extractor_codes: &[f32],
     ) -> Result<FlowVerdict, PegasusError> {
         let inputs = self.inputs_for(flow_hash, ts_micros, wire_len, extractor_codes)?;
-        let phv = self.loaded.process_mut(&inputs);
+        let phv = self.program.loaded.process(&inputs, &mut self.regs);
         Ok(self.decode(&phv))
     }
 
@@ -700,32 +680,33 @@ impl FlowClassifier {
         wire_len: u16,
         extractor_codes: &[f32],
     ) -> Result<Vec<(FieldId, i64)>, PegasusError> {
-        if extractor_codes.len() != self.pipeline.extractor_fields.len() {
+        let pipeline = self.pipeline();
+        if extractor_codes.len() != pipeline.extractor_fields.len() {
             return Err(PegasusError::FeatureCount {
-                expected: self.pipeline.extractor_fields.len(),
+                expected: pipeline.extractor_fields.len(),
                 got: extractor_codes.len(),
             });
         }
         let mut inputs: Vec<(FieldId, i64)> = vec![
-            (self.pipeline.len_field, wire_len as i64),
-            (self.pipeline.ts_field, (ts_micros >> 6) as i64), // 64 µs units
-            (self.pipeline.hash_field, (flow_hash & self.hash_mask) as i64),
+            (pipeline.len_field, wire_len as i64),
+            (pipeline.ts_field, (ts_micros >> 6) as i64), // 64 µs units
+            (pipeline.hash_field, (flow_hash & self.program.hash_mask) as i64),
         ];
-        for (&f, &c) in self.pipeline.extractor_fields.iter().zip(extractor_codes.iter()) {
+        for (&f, &c) in pipeline.extractor_fields.iter().zip(extractor_codes.iter()) {
             inputs.push((f, c.round().clamp(0.0, 255.0) as i64));
         }
         Ok(inputs)
     }
 
     fn decode(&self, phv: &pegasus_switch::Phv) -> FlowVerdict {
-        let window_full = phv.get(self.pipeline.valid_field) == 1;
-        let scores: Vec<f32> = self
-            .pipeline
+        let pipeline = self.pipeline();
+        let window_full = phv.get(pipeline.valid_field) == 1;
+        let scores: Vec<f32> = pipeline
             .score_fields
             .iter()
-            .map(|&f| self.pipeline.score_format.to_real(phv.get(f)))
+            .map(|&f| pipeline.score_format.to_real(phv.get(f)))
             .collect();
-        let predicted = match self.pipeline.predicted_field {
+        let predicted = match pipeline.predicted_field {
             Some(f) if window_full => Some(phv.get(f) as usize),
             _ => None,
         };
@@ -811,14 +792,14 @@ mod tests {
     #[test]
     fn window_warms_up_then_classifies() {
         let p = build_flow_pipeline(&spec()).expect("builds");
-        let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         // First W-1 packets: not valid. From packet W on: valid.
         for i in 0..3 {
-            let v = c.on_packet(7, i * 100_000, 100, &[]).expect("packet");
+            let v = c.on_packet_mut(7, i * 100_000, 100, &[]).expect("packet");
             assert!(!v.window_full, "packet {i} should not complete a window");
             assert_eq!(v.predicted, None);
         }
-        let v = c.on_packet(7, 300_000, 100, &[]).expect("packet");
+        let v = c.on_packet_mut(7, 300_000, 100, &[]).expect("packet");
         assert!(v.window_full);
         assert!(v.predicted.is_some());
     }
@@ -826,16 +807,16 @@ mod tests {
     #[test]
     fn classification_tracks_packet_sizes() {
         let p = build_flow_pipeline(&spec()).expect("builds");
-        let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         // Small packets & tiny IPDs -> small codes -> class 0.
         let mut last = FlowVerdict { predicted: None, scores: vec![], window_full: false };
         for i in 0..6 {
-            last = c.on_packet(1, i * 1000, 64, &[]).expect("packet");
+            last = c.on_packet_mut(1, i * 1000, 64, &[]).expect("packet");
         }
         assert_eq!(last.predicted, Some(0), "{last:?}");
         // Large packets & long IPDs -> large codes -> class 1.
         for i in 0..6 {
-            last = c.on_packet(2, i * 60_000_000, 1500, &[]).expect("packet");
+            last = c.on_packet_mut(2, i * 60_000_000, 1500, &[]).expect("packet");
         }
         assert_eq!(last.predicted, Some(1), "{last:?}");
     }
@@ -843,43 +824,51 @@ mod tests {
     #[test]
     fn flows_do_not_interfere() {
         let p = build_flow_pipeline(&spec()).expect("builds");
-        let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         // Interleave two flows; each still needs W packets of its own.
         for i in 0..3 {
-            c.on_packet(100, i * 1000, 100, &[]).expect("packet");
-            c.on_packet(200, i * 1000 + 7, 1500, &[]).expect("packet");
+            c.on_packet_mut(100, i * 1000, 100, &[]).expect("packet");
+            c.on_packet_mut(200, i * 1000 + 7, 1500, &[]).expect("packet");
         }
-        let va = c.on_packet(100, 3000, 100, &[]).expect("packet");
-        let vb = c.on_packet(200, 3007, 1500, &[]).expect("packet");
+        let va = c.on_packet_mut(100, 3000, 100, &[]).expect("packet");
+        let vb = c.on_packet_mut(200, 3007, 1500, &[]).expect("packet");
         assert!(va.window_full && vb.window_full);
         assert_ne!(va.predicted, vb.predicted);
     }
 
     #[test]
-    fn fork_matches_shared_path_packet_for_packet() {
-        let p = build_flow_pipeline(&spec()).expect("builds");
-        let shared = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
-        let mut owned = shared.fork();
-        // Interleaved flows; the lock-free owned path must agree on every
-        // packet, including warm-up.
-        for i in 0..20u64 {
-            let (hash, len) = (7 + (i % 3) as u32, 100 + (i * 37 % 1400) as u16);
-            let a = shared.on_packet(hash, i * 50_000, len, &[]).expect("packet");
-            let b = owned.on_packet_mut(hash, i * 50_000, len, &[]).expect("packet");
-            assert_eq!(a, b, "packet {i}");
-        }
-    }
-
-    #[test]
     fn fork_starts_with_fresh_state() {
         let p = build_flow_pipeline(&spec()).expect("builds");
-        let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         for i in 0..6 {
-            c.on_packet(9, i * 1000, 100, &[]).expect("packet");
+            c.on_packet_mut(9, i * 1000, 100, &[]).expect("packet");
         }
         let mut f = c.fork();
         let v = f.on_packet_mut(9, 99_000, 100, &[]).expect("packet");
         assert!(!v.window_full, "fork must not inherit flow state");
+    }
+
+    fn registers_all_zero(fc: &FlowClassifier) -> bool {
+        fc.regs.iter().all(|a| (0..a.size).all(|i| a.read(i) == 0))
+    }
+
+    #[test]
+    fn forks_share_one_program_and_own_their_registers() {
+        let p = build_flow_pipeline(&spec()).expect("builds");
+        let source = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut busy = source.fork();
+        let mut last = None;
+        for i in 0..4 {
+            last = Some(busy.on_packet_mut(5, i * 1000, 100, &[]).expect("packet"));
+        }
+        assert!(last.is_some_and(|v| v.window_full), "the driven fork keeps its own window");
+        // Forked from the *driven* classifier: same program, none of its state.
+        let idle = busy.fork();
+        for fork in [&busy, &idle] {
+            assert!(Arc::ptr_eq(&fork.program, &source.program), "fork must not copy tables");
+        }
+        assert!(!registers_all_zero(&busy));
+        assert!(registers_all_zero(&idle) && registers_all_zero(&source), "state is per fork");
     }
 
     #[test]
@@ -903,7 +892,7 @@ mod tests {
         // The adopted flow completes its window on the very next packet.
         let v = new.on_packet_mut(11, 3000, 100, &[]).expect("packet");
         assert!(v.window_full, "adopted state must carry the warm-up counter");
-        // An incompatible shape (different hash size) refuses the transplant.
+        // An incompatible shape (different hash size) refuses the state.
         let mut small = spec();
         small.flow_slots_log2 = 8;
         let mut other =
@@ -919,10 +908,10 @@ mod tests {
         let p = build_flow_pipeline(&spec()).expect("builds");
         let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         for i in 0..5 {
-            c.on_packet(3, i * 1000, 100, &[]).expect("packet");
+            c.on_packet_mut(3, i * 1000, 100, &[]).expect("packet");
         }
         c.reset();
-        let v = c.on_packet(3, 99_000, 100, &[]).expect("packet");
+        let v = c.on_packet_mut(3, 99_000, 100, &[]).expect("packet");
         assert!(!v.window_full, "reset must clear the warm-up counter");
     }
 
@@ -974,10 +963,10 @@ mod tests {
         // 3 history codes x 4 bits, no timestamp.
         assert_eq!(p.stateful_bits_per_flow, 12);
         assert_eq!(p.extractor_fields.len(), 4);
-        let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
+        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
         let mut v = FlowVerdict { predicted: None, scores: vec![], window_full: false };
         for i in 0..5 {
-            v = c.on_packet(1, i * 1000, 100, &[10.0, 20.0, 30.0, 40.0]).expect("packet");
+            v = c.on_packet_mut(1, i * 1000, 100, &[10.0, 20.0, 30.0, 40.0]).expect("packet");
         }
         assert!(v.window_full);
         assert_eq!(v.scores.len(), 1);

@@ -499,12 +499,15 @@ impl CnnL {
     }
 
     /// Replays a labeled trace through a deployed classifier, scoring every
-    /// full-window packet (the paper's packet-level evaluation).
+    /// full-window packet (the paper's packet-level evaluation). The replay
+    /// runs on a fresh-state [`fork`](FlowClassifier::fork) of its own, so
+    /// it neither disturbs nor needs exclusive access to `classifier` — a
+    /// serving engine may share it.
     pub fn evaluate_on_trace(
-        classifier: &mut FlowClassifier,
+        classifier: &FlowClassifier,
         trace: &Trace,
     ) -> Result<PrRcF1, PegasusError> {
-        classifier.reset();
+        let mut classifier = classifier.fork();
         let mut truth = Vec::new();
         let mut preds = Vec::new();
         let mut classes = 0;
@@ -519,8 +522,12 @@ impl CnnL {
                 .chain(std::iter::repeat(0.0))
                 .take(BYTES)
                 .collect();
-            let v =
-                classifier.on_packet(flow_hash(&pkt.flow), pkt.ts_micros, pkt.wire_len, &codes)?;
+            let v = classifier.on_packet_mut(
+                flow_hash(&pkt.flow),
+                pkt.ts_micros,
+                pkt.wire_len,
+                &codes,
+            )?;
             if let Some(p) = v.predicted {
                 truth.push(label);
                 preds.push(p.min(classes.saturating_sub(1)));
@@ -606,7 +613,7 @@ mod tests {
 
         let data = ModelData::new().with_raw(&tv.raw).with_seq(&tv.seq);
         let opts = CompileOptions { clustering_depth: 5, ..Default::default() };
-        let mut dp = Pegasus::new(m)
+        let dp = Pegasus::new(m)
             .options(opts)
             .compile(&data)
             .expect("compiles")
@@ -616,7 +623,7 @@ mod tests {
         assert!(report.stages_used <= 20, "stages {}", report.stages_used);
 
         let dp_f1 =
-            CnnL::evaluate_on_trace(dp.flow_mut().expect("per-flow"), &test).expect("replays").f1;
+            CnnL::evaluate_on_trace(dp.flow().expect("per-flow"), &test).expect("replays").f1;
         assert!(dp_f1 > 0.4, "dataplane F1 {dp_f1} (float {float_f1})");
     }
 }

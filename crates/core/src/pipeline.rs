@@ -270,9 +270,9 @@ enum Plane {
 /// Stage 3: a model loaded onto the switch simulator and serving.
 ///
 /// Inference goes through the shared [`DataplaneModel`] runtime (stateless
-/// pipelines) or, for per-flow pipelines, through
-/// [`flow_mut`](Deployment::flow_mut) packet-by-packet. The trained float
-/// model stays accessible for side-by-side evaluation.
+/// pipelines) or, for per-flow pipelines, packet-by-packet through a
+/// [`fork`](FlowClassifier::fork) of [`flow`](Deployment::flow). The
+/// trained float model stays accessible for side-by-side evaluation.
 pub struct Deployment<M: DataplaneNet> {
     model: M,
     plane: Plane,
@@ -550,34 +550,15 @@ impl<M: DataplaneNet> Deployment<M> {
         })
     }
 
-    /// Read-only access to the per-flow classifier of windowed pipelines
-    /// (`None` for stateless deployments) — slot counts, per-slot state
-    /// bits, resource accounting. Unlike [`flow_mut`](Deployment::flow_mut)
-    /// it works while a serving engine shares the plane.
+    /// The per-flow classifier of windowed pipelines (`None` for stateless
+    /// deployments) — slot counts, per-slot state bits, resource
+    /// accounting. To drive packets, [`fork`](FlowClassifier::fork) it: the
+    /// fork shares the deployed program and owns a fresh register file, so
+    /// it works whether or not a serving engine shares the plane.
     pub fn flow(&self) -> Option<&FlowClassifier> {
         match &self.plane {
             Plane::Flow(fc) => Some(fc),
             Plane::Single(_) => None,
-        }
-    }
-
-    /// The per-flow classifier for windowed pipelines (packet-by-packet
-    /// serving and trace replay).
-    ///
-    /// Needs exclusive ownership of the classifier's register state:
-    /// fails with [`PegasusError::Unsupported`] while an
-    /// [`engine_artifact`](Deployment::engine_artifact) taken from this
-    /// deployment is still alive (the serving engine shares the plane).
-    pub fn flow_mut(&mut self) -> Result<&mut FlowClassifier, PegasusError> {
-        match &mut self.plane {
-            Plane::Flow(fc) => Arc::get_mut(fc).ok_or(PegasusError::Unsupported {
-                model: "flow classifiers shared with a serving engine",
-                what: "exclusive per-flow packet processing",
-            }),
-            Plane::Single(_) => Err(PegasusError::Unsupported {
-                model: "stateless pipelines",
-                what: "per-flow packet processing",
-            }),
         }
     }
 }

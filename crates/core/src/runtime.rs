@@ -1,12 +1,10 @@
 //! Deployed-model runtime: feeding feature codes through the switch.
 //!
-//! [`DataplaneModel`] is concurrency-ready: every inference method takes
-//! `&self` (lookup accounting is atomic, register state lives behind a
-//! per-packet lock inside the loaded program), so one deployed model can be
-//! shared across threads — [`classify_batch`](DataplaneModel::classify_batch)
-//! fans a batch out over std threads and is the hook future sharded or
-//! replicated serving builds on. Misuse returns [`PegasusError`] instead of
-//! panicking.
+//! [`DataplaneModel`] is immutable once deployed: every inference method
+//! takes `&self` and each sample is independent of every other, so one
+//! deployed model can be shared across threads —
+//! [`classify_batch`](DataplaneModel::classify_batch) fans a batch out over
+//! std threads. Misuse returns [`PegasusError`] instead of panicking.
 
 use crate::compile::CompiledPipeline;
 use crate::engine::{FlatProgram, FlattenSkip};
@@ -161,7 +159,9 @@ impl DataplaneModel {
             .zip(codes.iter())
             .map(|(&f, &v)| (f, v.round().clamp(0.0, 255.0) as i64))
             .collect();
-        Ok(self.loaded.process(&inputs))
+        // Samples are independent: each starts from zeroed registers — an
+        // empty, allocation-free file for every register-free pipeline.
+        Ok(self.loaded.process(&inputs, &mut self.loaded.zeroed_registers()))
     }
 
     /// Evaluates classification quality over a dataset of code rows.
@@ -193,11 +193,6 @@ impl DataplaneModel {
             })?
         };
         Ok(pr_rc_f1(&data.y, &preds, data.classes()))
-    }
-
-    /// Total table lookups performed so far (memory-bandwidth proxy).
-    pub fn lookup_count(&self) -> u64 {
-        self.loaded.lookup_count()
     }
 }
 
@@ -258,7 +253,6 @@ mod tests {
         assert_eq!(pred, 1);
         let pred = m.classify(&[250.0, 250.0, 10.0, 10.0]).expect("classifies");
         assert_eq!(pred, 0);
-        assert!(m.lookup_count() > 0);
     }
 
     #[test]

@@ -172,11 +172,7 @@ fn print_response(response: &Response) {
         Response::Swapped { tenant, epoch, state_retained, apply_micros } => {
             println!(
                 "swapped {tenant} to epoch {epoch} in {apply_micros} us ({})",
-                if *state_retained {
-                    "flow state retained, adopted on first touch"
-                } else {
-                    "flows re-warm"
-                }
+                if *state_retained { "flow state retained in place" } else { "flows re-warm" }
             );
         }
         Response::Detached(report) => match (&report.report, &report.error) {

@@ -582,7 +582,7 @@ pub enum Response {
         /// Published epoch after the swap.
         epoch: u64,
         /// Whether per-flow state carries into the new artifact
-        /// (migrated adopt-on-first-touch).
+        /// (kept in place on every shard).
         state_retained: bool,
         /// Dataplane-visible apply latency in microseconds: the
         /// dispatcher-lock commit window (budget gates + epoch/RCU

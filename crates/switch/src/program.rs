@@ -15,8 +15,6 @@ use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::register::{RegFile, RegisterArray};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A deployable dataplane program.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -360,35 +358,20 @@ pub struct ResourceReport {
 
 /// A validated, runnable program instance.
 ///
-/// Processing takes `&self`: the lookup counter is atomic and the stateful
-/// registers sit behind a lock (taken once per packet, so register
-/// read-modify-writes stay atomic per packet — the same guarantee the
-/// hardware gives a packet traversing the pipeline). A loaded program can
-/// therefore be shared across threads and serve concurrently.
+/// This is the *program* half of the switch — tables, stage assignment,
+/// resource accounting — and it is immutable: every packet entry point
+/// takes `&self` plus the caller's [`RegFile`], the *state* half, exactly
+/// as match-action entries and register SRAM are separate memories on the
+/// hardware. One loaded program can therefore be shared (by reference or
+/// `Arc`) between any number of register files, each owned by whoever
+/// serves its flows.
 pub struct LoadedProgram {
     program: SwitchProgram,
     config: SwitchConfig,
     /// `stage_of[i]` = last stage occupied by table `i`.
     stage_of: Vec<usize>,
     stages_used: usize,
-    regs: Mutex<RegFile>,
     usages: Vec<TableUsage>,
-    /// Cumulative table lookups executed (for bandwidth accounting).
-    lookups: AtomicU64,
-}
-
-impl Clone for LoadedProgram {
-    fn clone(&self) -> Self {
-        LoadedProgram {
-            program: self.program.clone(),
-            config: self.config.clone(),
-            stage_of: self.stage_of.clone(),
-            stages_used: self.stages_used,
-            regs: Mutex::new(self.regs.lock().expect("register lock poisoned").clone()),
-            usages: self.usages.clone(),
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -478,19 +461,16 @@ impl SwitchProgram {
     pub fn deploy(mut self, config: &SwitchConfig) -> Result<LoadedProgram, DeployError> {
         let (stage_of, total_stages) = self.check_resources(config)?;
         let usages: Vec<TableUsage> = self.tables.iter().map(|t| t.usage(&self.layout)).collect();
-        // Build lookup indexes and runtime state.
+        // Build lookup indexes.
         for t in &mut self.tables {
             t.build_index();
         }
-        let regs = RegFile::new(self.registers.clone());
         Ok(LoadedProgram {
             program: self,
             config: config.clone(),
             stage_of,
             stages_used: total_stages,
-            regs: Mutex::new(regs),
             usages,
-            lookups: AtomicU64::new(0),
         })
     }
 }
@@ -583,91 +563,37 @@ impl LoadedProgram {
         &self.stage_of
     }
 
+    /// A zeroed register file of this program's shape — the state a caller
+    /// owns and hands back to [`process`](LoadedProgram::process) packet
+    /// after packet. Empty (and allocation-free) for register-free
+    /// programs.
+    pub fn zeroed_registers(&self) -> RegFile {
+        let arrays = &self.program.registers;
+        RegFile::new(
+            arrays.iter().map(|r| RegisterArray::new(&r.name, r.width_bits, r.size)).collect(),
+        )
+    }
+
     /// Processes one packet: sets the given input fields on a fresh PHV,
-    /// runs every table in order, and returns the final PHV.
-    ///
-    /// Takes `&self` — safe for concurrent callers; each packet's register
-    /// read-modify-writes happen atomically under the register lock.
-    pub fn process(&self, inputs: &[(FieldId, i64)]) -> Phv {
+    /// runs every table in order against `regs`, and returns the final PHV.
+    pub fn process(&self, inputs: &[(FieldId, i64)], regs: &mut RegFile) -> Phv {
         let mut phv = self.program.layout.instantiate();
         for &(f, v) in inputs {
             phv.set(f, v);
         }
-        self.run_on(&mut phv);
+        self.run_on(&mut phv, regs);
         phv
     }
 
     /// Runs the pipeline over an existing PHV (for multi-pass scenarios).
-    ///
-    /// Stateless programs (no register arrays — every classifier pipeline)
-    /// skip the register lock entirely, so concurrent callers proceed fully
-    /// in parallel; stateful programs serialize per packet, matching the
-    /// per-packet atomicity of hardware register RMWs.
-    pub fn run_on(&self, phv: &mut Phv) {
-        self.lookups.fetch_add(self.program.tables.len() as u64, Ordering::Relaxed);
-        if self.program.registers.is_empty() {
-            // No register ops can reference a non-existent array; a local
-            // scratch RegFile keeps the hot path lock-free.
-            let mut regs = RegFile::default();
-            Self::exec_tables(&self.program.tables, phv, &mut regs);
-        } else {
-            let mut regs = self.regs.lock().expect("register lock poisoned");
-            Self::exec_tables(&self.program.tables, phv, &mut regs);
-        }
-    }
-
-    /// Processes one packet through an *exclusively owned* program.
-    ///
-    /// Identical semantics to [`process`](LoadedProgram::process), but
-    /// `&mut self` proves single ownership so the stateful registers are
-    /// reached through [`Mutex::get_mut`] — no per-packet lock at all. This
-    /// is the hot path of the sharded streaming engine: each shard owns its
-    /// own program instance (flows are partitioned by shard), so register
-    /// read-modify-writes need no synchronization.
-    pub fn process_mut(&mut self, inputs: &[(FieldId, i64)]) -> Phv {
-        let mut phv = self.program.layout.instantiate();
-        for &(f, v) in inputs {
-            phv.set(f, v);
-        }
-        self.run_on_mut(&mut phv);
-        phv
-    }
-
-    /// Lock-free variant of [`run_on`](LoadedProgram::run_on) for owned
-    /// programs (see [`process_mut`](LoadedProgram::process_mut)).
-    pub fn run_on_mut(&mut self, phv: &mut Phv) {
-        *self.lookups.get_mut() += self.program.tables.len() as u64;
-        let regs = self.regs.get_mut().expect("register lock poisoned");
-        Self::exec_tables(&self.program.tables, phv, regs);
-    }
-
-    fn exec_tables(tables: &[crate::mat::Table], phv: &mut Phv, regs: &mut RegFile) {
-        for t in tables {
+    /// `regs` must have this program's register shape (see
+    /// [`zeroed_registers`](LoadedProgram::zeroed_registers)).
+    pub fn run_on(&self, phv: &mut Phv, regs: &mut RegFile) {
+        for t in &self.program.tables {
             if let Some((action, data)) = t.lookup(phv) {
                 action.execute(phv, data, regs);
             }
         }
-    }
-
-    /// Total table lookups performed so far.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Mutable access to the stateful registers (trace replay setup).
-    pub fn registers_mut(&mut self) -> &mut RegFile {
-        self.regs.get_mut().expect("register lock poisoned")
-    }
-
-    /// Runs a closure over the stateful registers (read access).
-    pub fn with_registers<T>(&self, f: impl FnOnce(&RegFile) -> T) -> T {
-        f(&self.regs.lock().expect("register lock poisoned"))
-    }
-
-    /// Resets stateful registers and counters.
-    pub fn reset_state(&mut self) {
-        self.regs.get_mut().expect("register lock poisoned").clear();
-        self.lookups.store(0, Ordering::Relaxed);
     }
 
     /// The Table 6 resource row for this program.
@@ -817,7 +743,7 @@ mod tests {
     fn deploy_and_process() {
         let (p, x, acc) = chain_program();
         let loaded = p.deploy(&SwitchConfig::tofino2()).expect("deploys");
-        let phv = loaded.process(&[(x, 7)]);
+        let phv = loaded.process(&[(x, 7)], &mut loaded.zeroed_registers());
         assert_eq!(phv.get(acc), 49);
     }
 
@@ -928,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn process_mut_matches_locked_process() {
+    fn one_program_serves_independent_register_files() {
         // A stateful program: counter register incremented per packet.
         let mut layout = PhvLayout::new();
         let x = layout.add_field("x", 8);
@@ -946,23 +872,14 @@ mod tests {
         p.registers.push(RegisterArray::new("cnt", 16, 16));
         p.tables.push(t);
 
-        let shared = p.clone().deploy(&SwitchConfig::tofino2()).unwrap();
-        let mut owned = p.deploy(&SwitchConfig::tofino2()).unwrap();
+        // The program is shared; each caller's state is its own file.
+        let loaded = p.deploy(&SwitchConfig::tofino2()).unwrap();
+        let (mut busy, mut idle) = (loaded.zeroed_registers(), loaded.zeroed_registers());
         for i in 0..20 {
-            let a = shared.process(&[(x, i % 4)]);
-            let b = owned.process_mut(&[(x, i % 4)]);
-            assert_eq!(a.get(old), b.get(old), "packet {i}");
+            let phv = loaded.process(&[(x, i % 4)], &mut busy);
+            assert_eq!(phv.get(old), i / 4, "packet {i} reads its slot's previous count");
         }
-        assert_eq!(shared.lookup_count(), owned.lookup_count());
-    }
-
-    #[test]
-    fn state_reset_clears_registers_and_counters() {
-        let (p, x, _) = chain_program();
-        let mut loaded = p.deploy(&SwitchConfig::tofino2()).unwrap();
-        let _ = loaded.process(&[(x, 1)]);
-        assert!(loaded.lookup_count() > 0);
-        loaded.reset_state();
-        assert_eq!(loaded.lookup_count(), 0);
+        assert_eq!(loaded.process(&[(x, 0)], &mut idle).get(old), 0, "untouched file stays zero");
+        assert_eq!(loaded.process(&[(x, 0)], &mut busy).get(old), 5);
     }
 }

@@ -33,13 +33,16 @@ impl RegisterArray {
         self.width_bits as u64 * self.size as u64
     }
 
-    /// Reads element `idx` (panics when out of bounds — dataplane index
-    /// computations are masked to the array size by the compiler).
+    /// Reads element `idx`, wrapping modulo the array size (dataplane index
+    /// computations are masked to the array size by the compiler, so the
+    /// wrap is the identity for compiled programs).
     pub fn read(&self, idx: usize) -> i64 {
         self.values[idx % self.size]
     }
 
-    /// Writes element `idx`, truncating to the register width.
+    /// Writes element `idx` (wrapping modulo the array size, as
+    /// [`read`](RegisterArray::read) does), truncating to the register
+    /// width.
     pub fn write(&mut self, idx: usize, value: i64) {
         let i = idx % self.size;
         self.values[i] = truncate(value, self.width_bits, false);
@@ -51,7 +54,10 @@ impl RegisterArray {
     }
 }
 
-/// The set of register arrays owned by one loaded program.
+/// One set of register arrays — the per-flow *state* a loaded program
+/// reads and writes. Owned by whoever serves the flows (one file per engine
+/// shard), never by the program: see
+/// [`LoadedProgram::zeroed_registers`](crate::program::LoadedProgram::zeroed_registers).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RegFile {
     arrays: Vec<RegisterArray>,

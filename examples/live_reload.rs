@@ -13,8 +13,9 @@
 //! recompile, no traffic drain. The apply is an epoch/RCU publication
 //! each shard adopts at its next packet boundary, the other tenant's
 //! packets keep flowing (none dropped), and the swapped tenant's
-//! per-flow register files migrate into the new artifact on first touch,
-//! so its established flows keep classifying without re-warming.
+//! per-flow register files stay exactly where they are — only the program
+//! each shard runs changes — so its established flows keep classifying
+//! without re-warming.
 //!
 //! Run: `cargo run --example live_reload --release`
 

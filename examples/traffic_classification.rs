@@ -4,8 +4,8 @@
 //!
 //! Packets stream through the sharded packet engine exactly as a testbed
 //! server would feed a switch: flows are hashed RSS-style across worker
-//! shards, each shard owns a fork of the per-flow register pipeline (no
-//! per-packet lock), and every full window yields a classification.
+//! shards, each shard owns its own register file under the one shared
+//! per-flow program, and every full window yields a classification.
 //!
 //! Run: `cargo run --example traffic_classification --release`
 

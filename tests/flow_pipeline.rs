@@ -31,17 +31,17 @@ fn trained_cnn_l() -> (Deployment<CnnL>, pegasus::net::Trace) {
 
 #[test]
 fn replay_classifies_above_chance() {
-    let (mut dp, test) = trained_cnn_l();
-    let f1 = CnnL::evaluate_on_trace(dp.flow_mut().expect("per-flow"), &test).expect("replays").f1;
+    let (dp, test) = trained_cnn_l();
+    let f1 = CnnL::evaluate_on_trace(dp.flow().expect("per-flow"), &test).expect("replays").f1;
     assert!(f1 > 1.0 / 3.0, "CNN-L replay F1 {f1}");
 }
 
 #[test]
 fn replay_is_deterministic_after_reset() {
-    let (mut dp, test) = trained_cnn_l();
-    let fc = dp.flow_mut().expect("per-flow");
+    let (dp, test) = trained_cnn_l();
+    let fc = dp.flow().expect("per-flow");
     let a = CnnL::evaluate_on_trace(fc, &test).expect("replays").f1;
-    let b = CnnL::evaluate_on_trace(fc, &test).expect("replays").f1; // evaluate resets state
+    let b = CnnL::evaluate_on_trace(fc, &test).expect("replays").f1; // each replay forks fresh state
     assert_eq!(a, b);
 }
 
@@ -58,9 +58,8 @@ fn row_inference_is_rejected_on_flow_pipelines() {
 fn survives_packet_loss() {
     // Fault injection: with 10% drops the pipeline must still produce
     // verdicts (windows just take longer to fill) and stay above chance.
-    let (mut dp, test) = trained_cnn_l();
-    let fc = dp.flow_mut().expect("per-flow");
-    fc.reset();
+    let (dp, test) = trained_cnn_l();
+    let mut fc = dp.flow().expect("per-flow").fork();
     let mut verdicts = 0u64;
     let mut correct = 0u64;
     let mut sink = |pkt: &TracePacket| {
@@ -73,7 +72,7 @@ fn survives_packet_loss() {
             .take(BYTES)
             .collect();
         let v = fc
-            .on_packet(flow_hash(&pkt.flow), pkt.ts_micros, pkt.wire_len, &codes)
+            .on_packet_mut(flow_hash(&pkt.flow), pkt.ts_micros, pkt.wire_len, &codes)
             .expect("arity matches");
         if let (Some(pred), Some(label)) = (v.predicted, test.label_of(&pkt.flow)) {
             verdicts += 1;

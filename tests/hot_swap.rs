@@ -12,9 +12,10 @@
 //! * repeated swaps under a sustained stream neither stall the engine
 //!   nor diverge its verdicts from a segmented sequential reference,
 //!   and every shard converges to the last published epoch;
-//! * the adopt-on-first-touch transplant's grace window bounds the old
-//!   register file's lifetime (1-shard engine, quiesced around every
-//!   boundary).
+//! * a same-shape per-flow swap — chained ones included — leaves each
+//!   shard's register file in place, so warm flows classify on their very
+//!   next packet, while a different-shape swap zeroes it and they re-warm
+//!   (1-shard engine, quiesced around every boundary).
 
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
@@ -49,10 +50,10 @@ fn train_mlp(data: &ModelData, depth: usize) -> Deployment<MlpB> {
         .expect("deploys")
 }
 
-fn train_cnn(trace: &Trace) -> Deployment<CnnL> {
+fn train_cnn(trace: &Trace, variant: CnnLVariant) -> Deployment<CnnL> {
     let views = extract_views(trace);
     let data = ModelData::new().with_raw(&views.raw).with_seq(&views.seq);
-    Pegasus::new(CnnL::fit(&views.raw, &views.seq, CnnLVariant::v44(), &TrainSettings::quick()))
+    Pegasus::new(CnnL::fit(&views.raw, &views.seq, variant, &TrainSettings::quick()))
         .options(CompileOptions { clustering_depth: 5, ..Default::default() })
         .compile(&data)
         .expect("compiles")
@@ -198,7 +199,10 @@ fn rejected_swap_is_free_and_does_not_drain_queues() {
     let views = extract_views(&trace);
     let data = ModelData::new().with_stat(&views.stat);
     let mlp = train_mlp(&data, 5);
-    let cnn = train_cnn(&generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 }));
+    let cnn = train_cnn(
+        &generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 }),
+        CnnLVariant::v44(),
+    );
 
     // Fleet budget sized to exactly the stateless tenant's host-window
     // mirror — the per-flow CNN-L artifact's register slab cannot fit.
@@ -343,32 +347,33 @@ fn repeated_swaps_under_sustained_load_match_segmented_reference() {
 }
 
 #[test]
-fn raw_swap_grace_window_bounds_transplant_lifetime() {
-    // The adopt-on-first-touch transplant through the served frame door,
-    // every boundary made exact by quiescing a 1-shard engine around it:
-    // grace 0 keeps the old register file until a chained swap completes
-    // it eagerly; a finite grace drops it (flows re-warm) once the window
-    // is spent.
-    let cnn = train_cnn(&generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 }));
+fn raw_swap_keeps_registers_in_place_and_rezeroes_on_a_shape_change() {
+    // Tables are program, registers are state — through the served frame
+    // door, every boundary made exact by quiescing a 1-shard engine around
+    // it. Flows one packet short of a full window must classify on their
+    // very next packet after two back-to-back same-shape swaps (nothing
+    // was moved, so nothing can be lost), and must warm up all over again
+    // after a swap to a different register shape.
+    let trace = generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 });
+    let cnn = train_cnn(&trace, CnnLVariant::v44());
     let artifact = || cnn.engine_artifact().expect("artifact");
-    let slots = artifact().flow_slots().expect("flow pipeline") as u64;
     let server = EngineBuilder::new().shards(1).build().expect("builds");
     let (control, ingress) = (server.control(), server.ingress());
-    // `patient` keeps the default grace 0; `prompt` gets a 2-packet window.
-    // A packet for either wakes the idle worker, which adopts every
+    // A packet for `waker` wakes the idle worker, which adopts every
     // tenant's pending publication before it sleeps again — that is how a
-    // swap's effect is observable before the swapped tenant's next packet.
-    let patient = control
+    // swap is applied without a packet of the swapped tenant.
+    let waker = control
         .attach(artifact(), TenantConfig::new().route(RoutePredicate::DstPort(8888)))
         .expect("attaches");
-    let prompt =
-        control.attach(artifact(), TenantConfig::new().swap_grace_packets(2)).expect("attaches");
+    let tenant = control.attach(artifact(), TenantConfig::new()).expect("attaches");
 
-    let f1 = build_frame(&FrameSpec::v4_udp(0x0a00_0001, 0x0a00_0002, 1111, 2222, vec![7; 24]));
-    let f2 = build_frame(&FrameSpec::v4_udp(0x0a00_0003, 0x0a00_0004, 3333, 4444, vec![9; 24]));
-    let f3 = build_frame(&FrameSpec::v4_udp(0x0a00_0005, 0x0a00_0006, 5555, 6666, vec![3; 24]));
-    let f4 = build_frame(&FrameSpec::v4_udp(0x0a00_0007, 0x0a00_0008, 7777, 8888, vec![5; 24]));
-    let swap_of = |token| control.tenant_stats(token).expect("stats").report.swap;
+    let flows = [
+        build_frame(&FrameSpec::v4_udp(0x0a00_0001, 0x0a00_0002, 1111, 2222, vec![7; 24])),
+        build_frame(&FrameSpec::v4_udp(0x0a00_0003, 0x0a00_0004, 3333, 4444, vec![9; 24])),
+        build_frame(&FrameSpec::v4_udp(0x0a00_0005, 0x0a00_0006, 5555, 6666, vec![3; 24])),
+    ];
+    let wake = build_frame(&FrameSpec::v4_udp(0x0a00_0007, 0x0a00_0008, 7777, 8888, vec![5; 24]));
+    let report_of = |token| control.tenant_stats(token).expect("stats").report;
     let mut sent = HashMap::new();
     let mut feed = |token: TenantToken, frame: &[u8]| {
         let n = sent.entry(token).or_insert(0u64);
@@ -377,56 +382,37 @@ fn raw_swap_grace_window_bounds_transplant_lifetime() {
         quiesce(&ingress, &control, token, *n);
     };
 
-    // Warm some pre-swap state; no transplant exists yet.
-    for frame in [&f1, &f2, &f3, &f1, &f2, &f3] {
-        feed(prompt, frame);
+    // Warm three flows to one packet short of a full window.
+    for _ in 0..WINDOW - 1 {
+        flows.iter().for_each(|frame| feed(tenant, frame));
     }
-    feed(patient, &f4);
-    assert_eq!(swap_of(prompt).adopted_slots, 0);
+    let warm = report_of(tenant);
+    assert_eq!((warm.classified, warm.warmup), (0, 3 * (WINDOW as u64 - 1)));
+    assert_eq!(warm.flows, 3, "the three flows must own three distinct register slots");
 
-    // Swap both: the whole register file goes pending, kept until drained
-    // (or a chained swap, or a spent grace window).
-    assert!(control.swap(prompt, artifact()).expect("swaps").state_retained);
-    assert!(control.swap(patient, artifact()).expect("swaps").state_retained);
-    feed(patient, &f4);
-    let s = swap_of(prompt);
-    assert_eq!((s.applied_epoch, s.swaps_applied), (1, 1));
-    assert_eq!(s.pending_slots, slots, "nothing adopted yet");
+    // Two same-shape swaps, no packet of this tenant in between.
+    for epoch in 1..=2 {
+        assert!(control.swap(tenant, artifact()).expect("swaps").state_retained);
+        feed(waker, &wake);
+        let r = report_of(tenant);
+        assert_eq!((r.swap.applied_epoch, r.swap.swaps_applied), (epoch, epoch));
+        assert_eq!(r.table.state_bytes, warm.table.state_bytes, "one register file, unchanged");
+    }
+    // The registers never moved: every flow completes its window at once.
+    flows.iter().for_each(|frame| feed(tenant, frame));
+    let r = report_of(tenant);
+    assert_eq!((r.classified, r.warmup), (3, warm.warmup), "a same-shape swap must not re-warm");
 
-    // First touch migrates exactly that flow's slot.
-    feed(prompt, &f1);
-    let s = swap_of(prompt);
-    assert_eq!(s.adopted_slots, 1);
-    assert_eq!(s.pending_slots, slots - 1);
-    assert_eq!((s.transplants_completed, s.transplants_expired), (0, 0));
-
-    // A chained swap completes the pending transplant eagerly (the
-    // memory bound: at most one old register file alive at a time),
-    // then opens a new one.
-    assert!(control.swap(prompt, artifact()).expect("swaps").state_retained);
-    feed(patient, &f4);
-    let s = swap_of(prompt);
-    assert_eq!(s.transplants_completed, 1, "chained swap must finish the pending transplant");
-    assert_eq!(s.adopted_slots, slots, "completion migrates every remaining slot");
-    assert_eq!(s.pending_slots, slots, "and the new transplant starts full");
-    // Grace 0 outlives any number of packets: two since the swap and the
-    // patient tenant's old file is still there, minus the one touched slot.
-    let p = swap_of(patient);
-    assert_eq!((p.adopted_slots, p.pending_slots), (1, slots - 1));
-    assert_eq!((p.transplants_completed, p.transplants_expired), (0, 0));
-
-    // Two packets spend the grace window: the touched slots migrate,
-    // everything else is dropped — those flows re-warm.
-    feed(prompt, &f2);
-    feed(prompt, &f3);
-    let s = swap_of(prompt);
-    assert_eq!(s.transplants_expired, 1, "grace exhausted must drop the old file");
-    assert_eq!(s.pending_slots, 0, "expired transplant holds no slots");
-    assert!(s.adopted_slots > slots, "grace-window touches still migrated their slots");
-    assert_eq!((s.applied_epoch, s.swaps_applied), (2, 2));
-
-    // Post-expiry traffic runs plain: counters are frozen.
-    feed(prompt, &f1);
-    assert_eq!(swap_of(prompt), s);
+    // A different register shape (v28 keeps no timestamp array) cannot
+    // keep the file: it is zeroed and the same flows warm up again.
+    let other = train_cnn(&trace, CnnLVariant::v28());
+    let swap = control.swap(tenant, other.engine_artifact().expect("artifact")).expect("swaps");
+    assert!(!swap.state_retained, "a different register shape must not claim retention");
+    feed(waker, &wake);
+    flows.iter().for_each(|frame| feed(tenant, frame));
+    let r = report_of(tenant);
+    assert_eq!((r.swap.applied_epoch, r.swap.swaps_applied), (3, 3));
+    assert_eq!((r.classified, r.warmup), (3, warm.warmup + 3), "zeroed registers must re-warm");
+    assert!(r.table.state_bytes < warm.table.state_bytes, "v28 slots are narrower than v44's");
     server.shutdown().expect("shuts down");
 }

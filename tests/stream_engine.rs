@@ -164,37 +164,42 @@ fn quiesce(
     }
 }
 
-/// Streams `trace` through an [`EngineServer`], hot-swapping the tenant
-/// from `old` to `new` exactly at packet index `split` (quiescing first,
-/// so the epoch boundary is exact despite the stall-free apply).
-fn stream_with_midrun_swap<M: DataplaneNet>(
-    old: &Deployment<M>,
-    new: &Deployment<M>,
+/// Streams `trace` through an [`EngineServer`] that starts on `first`,
+/// hot-swapping the tenant to each `(split, deployment)` of `swaps`
+/// exactly at packet index `split` (ascending; quiescing first, so every
+/// epoch boundary is exact despite the stall-free apply).
+fn stream_with_midrun_swaps<M: DataplaneNet>(
+    first: &Deployment<M>,
+    swaps: &[(usize, &Deployment<M>)],
     trace: &Trace,
-    split: usize,
     shards: usize,
-) -> (StreamReport, SwapReport) {
+) -> (StreamReport, Vec<SwapReport>) {
     let server = EngineBuilder::new().shards(shards).build().expect("builds");
     let control = server.control();
     let ingress = server.ingress();
     let token = control
         .attach(
-            old.engine_artifact().expect("artifact"),
+            first.engine_artifact().expect("artifact"),
             TenantConfig::new().record_predictions(true),
         )
         .expect("attaches");
-    for pkt in &trace.packets[..split] {
-        ingress.push(pkt.clone()).expect("pushes");
+    let (mut pushed, mut reports) = (0, Vec::new());
+    for &(split, next) in swaps {
+        for pkt in &trace.packets[pushed..split] {
+            ingress.push(pkt.clone()).expect("pushes");
+        }
+        pushed = split;
+        quiesce(&ingress, &control, token, split as u64);
+        reports
+            .push(control.swap(token, next.engine_artifact().expect("artifact")).expect("swaps"));
     }
-    quiesce(&ingress, &control, token, split as u64);
-    let swap = control.swap(token, new.engine_artifact().expect("artifact")).expect("swaps");
-    for pkt in &trace.packets[split..] {
+    for pkt in &trace.packets[pushed..] {
         ingress.push(pkt.clone()).expect("pushes");
     }
     let mut report = server.shutdown().expect("shuts down");
     let tenant = report.take_tenant(token).expect("tenant report");
     assert_eq!(tenant.routed_packets, trace.packets.len() as u64);
-    (tenant.result.expect("tenant served cleanly"), swap)
+    (tenant.result.expect("tenant served cleanly"), reports)
 }
 
 #[test]
@@ -239,7 +244,8 @@ fn hot_swap_matches_sequential_classify_around_the_epoch() {
     assert_ne!(reference, old_only, "retrained model never disagreed; swap test is vacuous");
 
     for shards in [1usize, 2, 4] {
-        let (report, swap) = stream_with_midrun_swap(&old, &new, &trace, split, shards);
+        let (report, swaps) = stream_with_midrun_swaps(&old, &[(split, &new)], &trace, shards);
+        let swap = swaps[0];
         assert_eq!(swap.epoch, 1, "{shards} shards");
         assert!(swap.state_retained, "{shards} shards: same-shape swap must retain flow state");
         assert_eq!(report.packets, trace.packets.len() as u64, "{shards} shards");
@@ -257,14 +263,17 @@ fn hot_swap_matches_sequential_classify_around_the_epoch() {
 
 #[test]
 fn flow_pipeline_hot_swap_transplants_registers_matching_sequential_forks() {
-    // The per-flow register transplant is the headline swap mechanism:
-    // CNN-L's code windows, timestamps and warm-up counters move into the
-    // retrained classifier. The sequential reference mirrors the engine
-    // exactly — one fresh fork per shard, packets routed by the same
-    // bidirectional shard hash, and at the split index every fork is
-    // replaced by a fork of the new classifier that adopts its register
-    // state. Any transplant misalignment (wrong array, wrong order,
-    // dropped counter) diverges the verdict stream.
+    // Register state surviving a swap is the headline mechanism: CNN-L's
+    // code windows, timestamps and warm-up counters carry over to the
+    // retrained classifier — and, at a second, chained split point, back
+    // to the original one. The engine keeps each shard's register file in
+    // place and moves the program; the sequential reference does it the
+    // long way round — one fresh fork per shard, packets routed by the
+    // same bidirectional shard hash, and at each split index every fork is
+    // replaced by a fork of the incoming classifier that adopts its whole
+    // register file. Any state lost or misaligned across either boundary
+    // (wrong array, dropped counter, re-zeroed file) diverges the verdict
+    // stream.
     use pegasus::core::flowpipe::FlowClassifier;
     use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 
@@ -273,7 +282,7 @@ fn flow_pipeline_hot_swap_transplants_registers_matching_sequential_forks() {
     let settings = TrainSettings::quick();
     let opts = CompileOptions { clustering_depth: 5, ..Default::default() };
     let data = ModelData::new().with_raw(&views.raw).with_seq(&views.seq);
-    let mut old = Pegasus::new(CnnL::fit(&views.raw, &views.seq, CnnLVariant::v44(), &settings))
+    let old = Pegasus::new(CnnL::fit(&views.raw, &views.seq, CnnLVariant::v44(), &settings))
         .options(opts.clone())
         .compile(&data)
         .expect("compiles")
@@ -287,30 +296,29 @@ fn flow_pipeline_hot_swap_transplants_registers_matching_sequential_forks() {
     };
     let (raw_rot, seq_rot) = (rot(&views.raw), rot(&views.seq));
     let data_rot = ModelData::new().with_raw(&raw_rot).with_seq(&seq_rot);
-    let mut new = Pegasus::new(CnnL::fit(&raw_rot, &seq_rot, CnnLVariant::v44(), &settings))
+    let new = Pegasus::new(CnnL::fit(&raw_rot, &seq_rot, CnnLVariant::v44(), &settings))
         .options(opts)
         .compile(&data_rot)
         .expect("compiles")
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys");
 
-    // Grab fresh-state classifier replicas for the reference before the
-    // engine shares the deployed planes (flow_mut needs exclusivity).
-    let old_fc = old.flow_mut().expect("flow plane").fork();
-    let new_fc = new.flow_mut().expect("flow plane").fork();
-    assert!(new_fc.state_compatible(&old_fc), "same-shape CNN-L must be state-compatible");
+    let (old_fc, new_fc) = (old.flow().expect("flow plane"), new.flow().expect("flow plane"));
+    assert!(new_fc.state_compatible(old_fc), "same-shape CNN-L must be state-compatible");
     let arity = old_fc.pipeline().extractor_fields.len();
-    let split = trace.packets.len() / 2;
+    // old → new a third of the way in, new → old at two thirds.
+    let n = trace.packets.len();
+    let swaps = [(n / 3, &new), (2 * n / 3, &old)];
 
     for shards in [1usize, 2, 4] {
         // Sequential reference with per-shard forks and adopt-at-split.
         let mut forks: Vec<FlowClassifier> = (0..shards).map(|_| old_fc.fork()).collect();
         let mut reference: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
         for (i, pkt) in trace.packets.iter().enumerate() {
-            if i == split {
+            if let Some((_, next)) = swaps.iter().find(|(split, _)| *split == i) {
                 for fork in forks.iter_mut() {
-                    let mut fresh = new_fc.fork();
-                    assert!(fresh.adopt_state(fork), "transplant must apply");
+                    let mut fresh = next.flow().expect("flow plane").fork();
+                    assert!(fresh.adopt_state(fork), "state must carry over");
                     *fork = fresh;
                 }
             }
@@ -331,9 +339,11 @@ fn flow_pipeline_hot_swap_transplants_registers_matching_sequential_forks() {
         }
         assert!(!reference.is_empty(), "reference classified nothing");
 
-        let (report, swap) = stream_with_midrun_swap(&old, &new, &trace, split, shards);
-        assert_eq!(swap.epoch, 1, "{shards} shards");
-        assert!(swap.state_retained, "{shards} shards: register files must transplant");
+        let (report, applied) = stream_with_midrun_swaps(&old, &swaps, &trace, shards);
+        for (i, swap) in applied.iter().enumerate() {
+            assert_eq!(swap.epoch, i as u64 + 1, "{shards} shards");
+            assert!(swap.state_retained, "{shards} shards: register files must stay in place");
+        }
         let preds = report.predictions.expect("recording was requested");
         assert_eq!(preds.len(), reference.len(), "{shards} shards: flow sets differ");
         for (flow, seq) in &reference {
