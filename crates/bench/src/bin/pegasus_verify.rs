@@ -12,15 +12,19 @@
 //!   Every net except N3IC must fit; N3IC must *fail* with `V204`
 //!   (the paper's §2 stage-wall result as a falsifiable check).
 //!
-//! * **flat vs simulator** — every stateless net that deploys on the
-//!   Tofino-2 model and flattens must produce, through
-//!   `FlatProgram::classify`/`scores`, exactly what the switch simulator
-//!   (`DataplaneModel::classify`/`scores`) produces on its training rows
-//!   (at least 500). The column also carries the matcher census —
-//!   `dense/indexed` table counts; there is no scan fallback to count, a
-//!   table with a key too wide to index makes the net not flatten — and
-//!   the longest fused action run. Nets that do not flatten print the
-//!   reason instead.
+//! * **flat vs simulator** — every net that deploys on the Tofino-2
+//!   model must flatten and agree with the switch simulator on at least
+//!   500 rows: a stateless net through `FlatProgram::classify`/`scores`
+//!   against `DataplaneModel::classify`/`scores` on its training rows, a
+//!   per-flow net (CNN-L) through `FlowClassifier::process_batch` — runs
+//!   of 64 training-trace packets swept against one register file —
+//!   against `on_packet_mut` on a second fork, packet by packet. The
+//!   column also carries the matcher census — `dense/indexed` table
+//!   counts and the keys split into limbs; there is no scan fallback to
+//!   count — and the longest fused action run. A net that deploys but does
+//!   not flatten prints the typed reason instead, and fails the run unless
+//!   that reason is a `WideKey` (an exact/range key too wide to index: the
+//!   one shape the simulator path is kept for).
 //!
 //! Exit status is non-zero on any deviation, so CI can gate on it.
 //! Standard flags apply (`--quick`, `--seed N`, `--flows N`).
@@ -29,6 +33,8 @@ use pegasus_baselines::{Bos, Leo, N3ic};
 use pegasus_bench::harness::prepare;
 use pegasus_bench::parse_args;
 use pegasus_core::compile::CompileOptions;
+use pegasus_core::engine::{FlatProgram, FlattenSkip};
+use pegasus_core::flowpipe::FlowClassifier;
 use pegasus_core::models::autoencoder::AutoEncoder;
 use pegasus_core::models::cnn_b::CnnB;
 use pegasus_core::models::cnn_l::CnnL;
@@ -40,6 +46,7 @@ use pegasus_core::pipeline::{Artifact, Pegasus};
 use pegasus_core::runtime::DataplaneModel;
 use pegasus_core::verify::VerifyReport;
 use pegasus_datasets::peerrush;
+use pegasus_net::{FrameBatch, Trace};
 use pegasus_switch::SwitchConfig;
 
 /// Verification outcome for one net.
@@ -52,36 +59,65 @@ struct NetResult {
 
 /// The flat-vs-simulator differential of one net.
 enum FlatCheck {
-    /// The net never reaches a `FlatProgram` (why).
-    Skipped(String),
+    /// The net does not deploy on the switch model (why).
+    Undeployable(String),
+    /// The net deploys but serves through the simulator (why).
+    Skipped(FlattenSkip),
     /// Rows compared, rows that differed, and the program's shape.
-    Compared { rows: usize, mismatches: usize, dense: usize, indexed: usize, longest_run: usize },
+    Compared {
+        rows: usize,
+        mismatches: usize,
+        dense: usize,
+        indexed: usize,
+        limb_keys: usize,
+        longest_run: usize,
+    },
+}
+
+impl FlatCheck {
+    fn skipped(why: Option<&FlattenSkip>) -> FlatCheck {
+        FlatCheck::Skipped(why.expect("a deployed net without a flat program has a reason").clone())
+    }
+
+    fn compared(flat: &FlatProgram, rows: usize, mismatches: usize) -> FlatCheck {
+        FlatCheck::Compared {
+            rows,
+            mismatches,
+            dense: flat.dense_tables(),
+            indexed: flat.indexed_tables(),
+            limb_keys: flat.limb_keys(),
+            longest_run: flat.longest_run(),
+        }
+    }
 }
 
 /// Rows the differential must cover for a net that flattens.
 const MIN_DIFF_ROWS: usize = 500;
 /// Rows it stops at (the simulator side costs tens of µs per row).
 const MAX_DIFF_ROWS: usize = 4000;
+/// Packets per served run of the per-flow differential.
+const RUN: usize = 64;
 
-/// Holds `FlatProgram` to the simulator on the training rows of the
-/// feature family the net is served with.
+/// Holds the flattened program to the simulator: on the training rows of
+/// the feature family a stateless net is served with, on the training
+/// trace's packets for a per-flow one.
 fn differential<M: DataplaneNet>(
     name: &'static str,
     model: &M,
     artifact: &Artifact,
     data: &ModelData<'_>,
+    trace: &Trace,
     switch: &SwitchConfig,
 ) -> FlatCheck {
-    let Artifact::Single(pipeline) = artifact else {
-        return FlatCheck::Skipped("per-flow registers".into());
+    let pipeline = match artifact {
+        Artifact::Single(pipeline) => pipeline,
+        Artifact::Flow(pipeline) => return flow_differential(pipeline, trace, switch),
     };
     let dp = match DataplaneModel::deploy((**pipeline).clone(), switch) {
         Ok(dp) => dp,
-        Err(e) => return FlatCheck::Skipped(format!("does not deploy: {e}")),
+        Err(e) => return FlatCheck::Undeployable(e.to_string()),
     };
-    let Some(flat) = dp.flat() else {
-        return FlatCheck::Skipped(dp.flatten_skip().map(ToString::to_string).unwrap_or_default());
-    };
+    let Some(flat) = dp.flat() else { return FlatCheck::skipped(dp.flatten_skip()) };
     let view = match model.stream_features() {
         StreamFeatures::Stat => data.stat(name),
         StreamFeatures::Seq => data.seq(name),
@@ -98,18 +134,50 @@ fn differential<M: DataplaneNet>(
                 || flat.scores(row, &mut scratch) != dp.scores(row)
         })
         .count();
-    FlatCheck::Compared {
-        rows,
-        mismatches,
-        dense: flat.dense_tables(),
-        indexed: flat.indexed_tables(),
-        longest_run: flat.longest_run(),
+    FlatCheck::compared(flat, rows, mismatches)
+}
+
+/// The per-flow differential: two forks of one deployed classifier, each
+/// with its own register file — one served runs of [`RUN`] packets through
+/// the flattened program, the other the same packets one at a time through
+/// the simulator — must hand every packet the same verdict.
+fn flow_differential(
+    pipeline: &pegasus_core::flowpipe::FlowPipeline,
+    trace: &Trace,
+    switch: &SwitchConfig,
+) -> FlatCheck {
+    let fc = match FlowClassifier::deploy(pipeline.clone(), switch) {
+        Ok(fc) => fc,
+        Err(e) => return FlatCheck::Undeployable(e.to_string()),
+    };
+    let Some(flat) = fc.flat() else { return FlatCheck::skipped(fc.flatten_skip()) };
+    let (mut served, mut oracle) = (fc.fork(), fc.fork());
+    let packets = &trace.packets[..trace.packets.len().min(MAX_DIFF_ROWS)];
+    let mut batch = FrameBatch::with_capacity(RUN);
+    let (mut verdicts, mut codes) = (Vec::new(), vec![0.0f32; pipeline.extractor_fields.len()]);
+    let mut mismatches = 0;
+    for run in packets.chunks(RUN) {
+        batch.clear();
+        for p in run {
+            batch.append(p.flow, p.ts_micros, p.wire_len, p.tcp_flags, p.ttl, &p.payload_head);
+        }
+        served.process_batch(&batch, 0..run.len(), &mut verdicts).expect("a run is served");
+        for (p, got) in run.iter().zip(&verdicts) {
+            codes.fill(0.0);
+            codes.iter_mut().zip(&p.payload_head).for_each(|(c, &b)| *c = f32::from(b));
+            let want = oracle
+                .on_packet_mut(p.flow.dataplane_hash(), p.ts_micros, p.wire_len, &codes)
+                .expect("arity matches");
+            mismatches += usize::from(*got != want.predicted);
+        }
     }
+    FlatCheck::compared(flat, packets.len(), mismatches)
 }
 
 fn check<M: DataplaneNet>(
     name: &'static str,
     data: &ModelData<'_>,
+    trace: &Trace,
     opts: &CompileOptions,
     epochs: usize,
     seed: u64,
@@ -125,7 +193,7 @@ fn check<M: DataplaneNet>(
         name,
         compile_time: compiled.artifact().verify(None),
         on_switch: compiled.artifact().verify(Some(switch)),
-        flat: differential(name, compiled.model(), compiled.artifact(), data, switch),
+        flat: differential(name, compiled.model(), compiled.artifact(), data, trace, switch),
     }
 }
 
@@ -159,29 +227,32 @@ fn main() -> std::process::ExitCode {
     let seed = cfg.seed;
 
     let results = [
-        check::<MlpB>("MLP-B", &bundle, &opts, epochs, seed, &switch),
-        check::<RnnB>("RNN-B", &bundle, &opts, epochs, seed, &switch),
-        check::<CnnB>("CNN-B", &bundle, &opts, epochs, seed, &switch),
-        check::<CnnM>("CNN-M", &bundle, &opts, epochs, seed, &switch),
-        check::<CnnL>("CNN-L", &bundle, &opts, epochs, seed, &switch),
-        check::<AutoEncoder>("AutoEncoder", &bundle, &opts, epochs, seed, &switch),
-        check::<Leo>("Leo", &bundle, &opts, epochs, seed, &switch),
-        check::<Bos>("BoS", &bundle, &opts, epochs, seed, &switch),
-        check::<N3ic>("N3IC", &bundle, &opts, epochs, seed, &switch),
+        check::<MlpB>("MLP-B", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<RnnB>("RNN-B", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<CnnB>("CNN-B", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<CnnM>("CNN-M", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<CnnL>("CNN-L", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<AutoEncoder>("AutoEncoder", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<Leo>("Leo", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<Bos>("BoS", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
+        check::<N3ic>("N3IC", &bundle, &p.train_trace, &opts, epochs, seed, &switch),
     ];
 
     println!(
-        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables)",
+        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables, limb-split keys)",
         "net", "compile-time", "tofino2"
     );
     let mut failed = false;
     for r in &results {
         let flat = match &r.flat {
+            FlatCheck::Undeployable(why) => format!("- (does not deploy: {why})"),
             FlatCheck::Skipped(why) => format!("- ({why})"),
-            FlatCheck::Compared { rows, mismatches, dense, indexed, longest_run } => format!(
-                "{mismatches} mismatch(es) on {rows} rows; {dense}/{indexed} tables, \
-                 longest run {longest_run}"
-            ),
+            FlatCheck::Compared { rows, mismatches, dense, indexed, limb_keys, longest_run } => {
+                format!(
+                    "{mismatches} mismatch(es) on {rows} rows; {dense}/{indexed} tables, \
+                     {limb_keys} limb key(s), longest run {longest_run}"
+                )
+            }
         };
         println!(
             "{:<12} {:<40} {:<40} {flat}",
@@ -189,8 +260,10 @@ fn main() -> std::process::ExitCode {
             summarize(&r.compile_time),
             summarize(&r.on_switch)
         );
-        if let FlatCheck::Compared { rows, mismatches, .. } = r.flat {
-            if mismatches > 0 || rows < MIN_DIFF_ROWS {
+        match &r.flat {
+            FlatCheck::Compared { rows, mismatches, .. }
+                if *mismatches > 0 || *rows < MIN_DIFF_ROWS =>
+            {
                 eprintln!(
                     "FAIL: {} flat vs simulator: {mismatches} mismatch(es) on {rows} rows \
                      (need 0 on at least {MIN_DIFF_ROWS})",
@@ -198,6 +271,11 @@ fn main() -> std::process::ExitCode {
                 );
                 failed = true;
             }
+            FlatCheck::Skipped(why) if !matches!(why, FlattenSkip::WideKey { .. }) => {
+                eprintln!("FAIL: {} deploys but serves through the simulator: {why}", r.name);
+                failed = true;
+            }
+            _ => {}
         }
         if r.compile_time.has_errors() {
             eprintln!("FAIL: {} has compile-time verifier errors:\n{}", r.name, r.compile_time);

@@ -14,19 +14,25 @@
 //!   per-packet allocation;
 //! * **match**: every keyed table gets a per-key *bit-vector index*.
 //!   Entries are sorted by (priority desc, index asc); per key, the
-//!   entries' `Exact`/`Range` bounds cut the key's domain into elementary
-//!   intervals (a ternary part cuts at every value), a `raw → interval`
-//!   array of 2^bits `u16`s names the interval a value falls in, and each
-//!   interval carries one `⌈entries/64⌉`-word bitset of the entries that
-//!   match there. A lookup is one load pair per key, an AND, and
-//!   `trailing_zeros` of the first non-zero word mapped back through the
-//!   order array — the simulator's highest-priority-earliest-entry rule,
-//!   the way a TCAM tests every range at once, at a cost independent of
-//!   the entry count. Memory is `Σ_keys (2^bits × 2 B + intervals ×
-//!   ⌈entries/64⌉ × 8 B)`. A table whose whole key domain is small
-//!   (≤ 2¹⁶ points — the input-segment and index tables fuzzy matching
-//!   produces) is materialised through its index into a **dense LUT**: one
-//!   `Vec<u32>` indexed by the packed key codes, one load per lookup;
+//!   entries' parts cut the key's domain into *intervals* — sets of values
+//!   no part tells apart: contiguous spans between the `Exact`/`Range`
+//!   bounds, or, once a ternary part is involved, the classes left by
+//!   refining the domain part by part — a `raw → interval` array of 2^bits
+//!   `u16`s names the interval a value falls in, and each interval carries
+//!   one `⌈entries/64⌉`-word bitset of the entries that match there. A
+//!   lookup is one load pair per key, an AND, and `trailing_zeros` of the
+//!   first non-zero word mapped back through the order array — the
+//!   simulator's highest-priority-earliest-entry rule, the way a TCAM tests
+//!   every range at once, at a cost independent of the entry count. Memory
+//!   is `Σ_keys (2^bits × 2 B + intervals × ⌈entries/64⌉ × 8 B)`. A
+//!   **ternary key wider than 16 bits** is indexed as 16-bit *limbs*: a
+//!   ternary part is a conjunction of bit tests, hence of its limbs' bit
+//!   tests, so each limb gets a key index of its own and ANDs into the same
+//!   bitset (CNN-L's 32-bit leading-bit IPD quantizer is two limbs of 17
+//!   intervals each). A table whose whole key domain is small (≤ 2¹⁶
+//!   points — the input-segment and index tables fuzzy matching produces)
+//!   is materialised through its index into a **dense LUT**: one `Vec<u32>`
+//!   indexed by the packed key codes, one load per lookup;
 //! * **act**: each action's micro-ops are regrouped into *runs* — `n` ops
 //!   of one shape whose dst/field/param indices step by one and whose dst
 //!   fields share a width — by a greedy scheduler that hoists an op into
@@ -35,32 +41,62 @@
 //!   precomputed shift pair; its shape is matched once and its body is a
 //!   slice loop executed in index order (a SumReduce row of adds is one
 //!   run, as the action bus does it in one stage). A lone op is a run of
-//!   one.
+//!   one;
+//! * **state**: the five register ops (`RegRead`, `RegWrite`,
+//!   `RegReadWrite`, `RegIncrSat`, `RegShiftInsert`) flatten into `RegOp`s
+//!   executed against a caller-owned [`RegFile`] — the file is *state* and
+//!   belongs to whoever serves the flows, never to the program. A register
+//!   op is a barrier to the scheduler: runs are formed on either side of
+//!   it, none across. The executor is generic over the file (`Regs`): a
+//!   register-free program is swept with `()`, and that instantiation
+//!   contains no register code.
+//!
+//! # The ordering rule
+//!
+//! The executor is table-major: each table matches and acts on every lane
+//! of a batch before the next table is touched, walking the lanes in
+//! arrival order. Packet-at-a-time execution orders two register accesses
+//! by (packet, table); the sweep orders them by (table, packet). The two
+//! agree on the accesses *to one array* exactly when a single table makes
+//! all of them — then both orders are "by packet" — and an access only
+//! observes earlier accesses to its own array, so **a sweep is
+//! bit-identical to packet-at-a-time execution iff every register array
+//! is touched by exactly one table**. That is the PISA constraint anyway
+//! (an array lives in one stage's stateful ALU) and holds for everything
+//! `build_flow_pipeline` emits; the flattener checks it and reports
+//! [`FlattenSkip::SharedRegister`] otherwise.
 //!
 //! The flattening is **semantics-preserving by construction**: entries,
-//! match order, priority resolution, ALU wrapping and field truncation are
-//! reproduced bit for bit; property tests hold the index to
-//! [`Table::lookup`] and the scheduler to in-order interpretation, and the
+//! match order, priority resolution, ALU wrapping, field truncation and
+//! register index wrapping are reproduced bit for bit; property tests hold
+//! the index to [`Table::lookup`], the scheduler to in-order
+//! interpretation and random register programs — scratch rows and final
+//! register file — to the simulator under heavy slot aliasing, and the
 //! engine's determinism tests and `pegasus-verify`'s zoo differential
-//! assert equality against the simulator over whole traces. Programs with
-//! stateful registers do not flatten (their per-flow state lives in the
-//! register file), nor does a table matching a key wider than 16 bits (the
-//! index's `raw → interval` array would not be cache-sized; no shipped net
-//! has one); [`FlatProgram::from_pipeline`] returns a typed
+//! assert equality against the simulator over whole traces. What does not
+//! flatten: a table matching an `Exact`/`Range` key wider than 16 bits
+//! (the `raw → interval` array would not be cache-sized and a range does
+//! not decompose into limbs; no shipped net has one), an array shared by
+//! two tables, and a *stateless* pipeline that declares registers (its
+//! samples each start from a zeroed file). The constructors return a typed
 //! [`FlattenSkip`] reason and the engine falls back to the simulator path.
 
 use crate::compile::CompiledPipeline;
 use crate::error::PegasusError;
 use crate::numformat::NumFormat;
-use pegasus_switch::{mask_of, AluOp, KeyPart, Operand, Table};
+use pegasus_switch::{
+    mask_of, AluOp, FieldId, KeyPart, MatchKind, Operand, RegFile, RegId, SwitchProgram, Table,
+};
 use std::fmt;
 
 /// Largest key domain (in points) enumerated into a dense LUT. 2¹⁶ `u32`
 /// slots = 256 KiB per table, comfortably cache-resident.
 const DENSE_MAX_POINTS: u64 = 1 << 16;
 
-/// Widest key the bit-vector index covers: its `raw → interval` array has
-/// 2^bits `u16` slots (128 KiB at 16 bits), and interval ids fit a `u16`.
+/// Widest key slice one `raw → interval` array covers: 2^bits `u16` slots
+/// (128 KiB at 16 bits), interval ids fitting a `u16`. A ternary key wider
+/// than this is matched limb by limb; a wider `Exact`/`Range` key does not
+/// flatten.
 const INDEX_MAX_KEY_BITS: u8 = 16;
 
 /// Why a compiled pipeline could not be flattened into a [`FlatProgram`].
@@ -72,18 +108,25 @@ const INDEX_MAX_KEY_BITS: u8 = 16;
 /// so an operator can see *why* a tenant is on the slow path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FlattenSkip {
-    /// The program declares stateful register arrays; per-flow state
-    /// cannot be baked into a stateless LUT.
-    StatefulRegisters {
-        /// Number of register arrays the program keeps.
+    /// A *stateless* pipeline declares register arrays. Its samples are
+    /// independent — each starts from a zeroed file — which the lanes of
+    /// one sweep, sharing a file, cannot reproduce. (Per-flow pipelines
+    /// own one file and flatten.)
+    PerSampleRegisters {
+        /// Number of register arrays the program declares.
         registers: usize,
     },
-    /// An action of the named table performs a stateful (register) op.
-    StatefulOp {
-        /// The table whose action touches registers.
-        table: String,
+    /// A register array is touched by more than one table: a table-major
+    /// sweep would reorder its accesses against packet-at-a-time
+    /// execution (see the module docs' ordering rule).
+    SharedRegister {
+        /// The shared array.
+        register: String,
+        /// Every table with an action touching it, in program order.
+        tables: Vec<String>,
     },
-    /// The named table matches a key too wide for the bit-vector index.
+    /// The named table matches an `Exact`/`Range` key too wide for the
+    /// bit-vector index.
     WideKey {
         /// The table with the wide key.
         table: String,
@@ -95,16 +138,19 @@ pub enum FlattenSkip {
 impl fmt::Display for FlattenSkip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlattenSkip::StatefulRegisters { registers } => {
-                write!(f, "{registers} stateful register array(s) keep per-flow state")
-            }
-            FlattenSkip::StatefulOp { table } => {
-                write!(f, "table '{table}' has an action with a stateful register op")
-            }
+            FlattenSkip::PerSampleRegisters { registers } => write!(
+                f,
+                "stateless pipeline declares {registers} register array(s), zeroed per sample"
+            ),
+            FlattenSkip::SharedRegister { register, tables } => write!(
+                f,
+                "register array '{register}' is shared by tables {tables:?} (a sweep keeps \
+                 packet order only within one table)"
+            ),
             FlattenSkip::WideKey { table, bits } => write!(
                 f,
-                "table '{table}' matches a {bits}-bit key (the index covers up to \
-                 {INDEX_MAX_KEY_BITS})"
+                "table '{table}' matches a {bits}-bit exact/range key (the index covers up to \
+                 {INDEX_MAX_KEY_BITS}; only ternary keys split into limbs)"
             ),
         }
     }
@@ -135,7 +181,7 @@ impl Trunc {
     }
 
     #[inline]
-    fn apply(self, v: i64) -> i64 {
+    pub(crate) fn apply(self, v: i64) -> i64 {
         ((v << self.shift) >> self.shift) & self.mask
     }
 
@@ -237,6 +283,11 @@ pub(crate) struct Run {
 }
 
 impl Run {
+    // `inline(always)`, here and on `match_entry`: the executor is
+    // instantiated once per register-file kind, and a function with two
+    // callers is no longer inlined on size alone — the stateless sweep
+    // would pay two calls per table and lane it never paid.
+    #[inline(always)]
     fn exec(&self, params: &[i64], vals: &mut [i64]) {
         let Run { first: FlatOp { kind, dst, a, b }, len, trunc } = *self;
         // Verifier invariants, once per run — V001: every scratch index in
@@ -313,6 +364,138 @@ fn schedule(ops: &[FlatOp], fields: &[FieldMeta]) -> Vec<Run> {
     runs
 }
 
+/// What a flattened register op does to `reg[index]` after reading it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RegKind {
+    /// Nothing (`RegRead`).
+    Read,
+    /// `reg[index] ← a`, the old value going nowhere (`RegWrite`).
+    Write,
+    /// `reg[index] ← a` (`RegReadWrite`).
+    ReadWrite,
+    /// `reg[index] ← min(old + by, max)` (`RegIncrSat`).
+    IncrSat { by: i64, max: i64 },
+    /// `reg[index] ← ((old << shift) | a) & mask` (`RegShiftInsert`).
+    ShiftInsert { shift: u8, mask: u64 },
+}
+
+/// A flattened stateful op over scratch indices: `dst ← reg[index]`
+/// (truncated to `dst`'s width), then `kind`'s update of the slot. The
+/// array wraps the index modulo its size and truncates what it stores,
+/// exactly as under the simulator — both go through [`RegFile`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RegOp {
+    pub(crate) kind: RegKind,
+    pub(crate) reg: usize,
+    pub(crate) index: Src,
+    /// The inserted value (`Src::Const(0)` for kinds that take none).
+    pub(crate) a: Src,
+    /// `None` for `Write`, the one kind that reads nothing back.
+    pub(crate) dst: Option<(usize, Trunc)>,
+}
+
+/// The register file a sweep executes against: `()` for a register-free
+/// program — whose instantiation of the executor contains no register code
+/// at all — and the caller's [`RegFile`] for a per-flow one.
+pub(crate) trait Regs {
+    /// Whether actions can carry [`RegOp`]s under this file.
+    const STATEFUL: bool;
+    /// Executes one register op for the lane whose scratch row is `vals`.
+    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64]);
+}
+
+impl Regs for () {
+    const STATEFUL: bool = false;
+    fn apply(&mut self, _: &RegOp, _: &[i64], _: &mut [i64]) {}
+}
+
+impl Regs for RegFile {
+    const STATEFUL: bool = true;
+    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64]) {
+        let read = |s: Src| match s {
+            Src::Field(f) => vals[f],
+            Src::Const(c) => c,
+            Src::Param(p) => params[p],
+        };
+        let (reg, idx, a) = (RegId(op.reg), read(op.index) as usize, read(op.a));
+        let old = self.read(reg, idx);
+        match op.kind {
+            RegKind::Read => {}
+            RegKind::Write | RegKind::ReadWrite => self.write(reg, idx, a),
+            RegKind::IncrSat { by, max } => self.write(reg, idx, old.wrapping_add(by).min(max)),
+            RegKind::ShiftInsert { shift, mask } => {
+                self.write(reg, idx, (((old << shift) | a) as u64 & mask) as i64)
+            }
+        }
+        if let Some((dst, trunc)) = op.dst {
+            vals[dst] = trunc.apply(old);
+        }
+    }
+}
+
+/// One flattened action: its ALU ops as scheduled runs, and its register
+/// ops, each a barrier pinned before run `at`. Runs are scheduled
+/// separately on either side of a register op, so none is ever hoisted
+/// over one and register ops keep their program order.
+#[derive(Debug, Default)]
+pub(crate) struct FlatAction {
+    pub(crate) runs: Vec<Run>,
+    /// `(at, op)`: `op` executes after `runs[..at]`, in list order.
+    pub(crate) regs: Vec<(usize, RegOp)>,
+}
+
+/// One step of an action in execution order.
+pub(crate) enum Step<'a> {
+    Run(&'a Run),
+    Reg(&'a RegOp),
+}
+
+impl FlatAction {
+    /// The action's runs and register ops merged back into program order.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = Step<'_>> {
+        let mut regs = self.regs.iter().peekable();
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if let Some((_, op)) = regs.next_if(|(before, _)| *before == at) {
+                return Some(Step::Reg(op));
+            }
+            at += 1;
+            self.runs.get(at - 1).map(Step::Run)
+        })
+    }
+}
+
+/// One ≤ [`INDEX_MAX_KEY_BITS`]-bit slice of a key: bits
+/// `shift..shift + width` of table key `key`, which lives in scratch
+/// field `field`.
+pub(crate) struct Limb {
+    pub(crate) key: usize,
+    pub(crate) field: usize,
+    pub(crate) shift: u8,
+    pub(crate) width: u8,
+}
+
+/// The slices `keys` (`(scratch index, bits)` each) are indexed by,
+/// key-major, low bits first: a key itself when it is narrow enough,
+/// 16-bit limbs otherwise.
+pub(crate) fn limbs(keys: &[(usize, u8)]) -> impl Iterator<Item = Limb> + '_ {
+    keys.iter().enumerate().flat_map(|(key, &(field, bits))| {
+        (0..bits).step_by(usize::from(INDEX_MAX_KEY_BITS)).map(move |shift| Limb {
+            key,
+            field,
+            shift,
+            width: (bits - shift).min(INDEX_MAX_KEY_BITS),
+        })
+    })
+}
+
+/// What [`BitIndex::limbs`] holds for `keys`: every limb's
+/// `(scratch field, shift)` when some key is split, nothing otherwise.
+pub(crate) fn split_limbs(keys: &[(usize, u8)]) -> Vec<(usize, u32)> {
+    let split = keys.iter().any(|k| k.1 > INDEX_MAX_KEY_BITS);
+    limbs(keys).filter(|_| split).map(|l| (l.field, l.shift.into())).collect()
+}
+
 /// The bit-vector index of one keyed table (see the module docs).
 pub(crate) struct BitIndex {
     /// Entry indices by (priority desc, index asc): bit `b` of a bitset is
@@ -320,76 +503,153 @@ pub(crate) struct BitIndex {
     pub(crate) order: Vec<u32>,
     /// Bitset words per interval, `⌈entries/64⌉`.
     pub(crate) words: usize,
+    /// One index per key limb, key-major (see [`limbs`]): an entry matches
+    /// a key iff it matches every limb of it, so limbs AND into the lookup
+    /// like keys do.
     pub(crate) keys: Vec<KeyIndex>,
+    /// `(scratch field, shift)` of each limb — filled only when some key
+    /// is split ([`split_limbs`]). Left empty, limb `i` is the table's key
+    /// `i`, whole, and a lookup is the loop it was before limbs existed.
+    pub(crate) limbs: Vec<(usize, u32)>,
 }
 
-/// One key's share of a [`BitIndex`].
+/// One key limb's share of a [`BitIndex`].
 pub(crate) struct KeyIndex {
-    /// Raw key value → elementary interval id (2^bits slots).
+    /// Raw limb value → interval id (2^width slots).
     pub(crate) interval_of: Vec<u16>,
     /// Interval-major bitsets (`intervals × words`) of the entries whose
-    /// part on this key matches anywhere in — hence everywhere in — the
+    /// part on this limb matches anywhere in — hence everywhere in — the
     /// interval.
     pub(crate) bitsets: Vec<u64>,
 }
 
+/// What one entry's part asks of one limb's value `v`.
+#[derive(Clone, Copy, PartialEq)]
+enum LimbTest {
+    /// `v & mask == value`: a ternary part (an exact one is all care
+    /// bits) is a conjunction of bit tests, hence of its limbs' tests.
+    Masked { mask: u64, value: u64 },
+    /// `lo <= v <= hi` — only ever on a one-limb key, whose limb value is
+    /// the key.
+    Range { lo: u64, hi: u64 },
+}
+
+impl LimbTest {
+    /// The test `part`, declared over a `bits`-wide key, puts to `limb`.
+    fn of(part: &KeyPart, bits: u8, limb: &Limb) -> LimbTest {
+        let (value, mask) = match *part {
+            KeyPart::Range { lo, hi } => return LimbTest::Range { lo, hi },
+            KeyPart::Exact(x) => (x, u64::MAX),
+            KeyPart::Ternary(k) => (k.value, k.mask),
+        };
+        let lmask = mask_of(limb.width);
+        match value & !mask_of(bits) {
+            0 => LimbTest::Masked {
+                mask: (mask >> limb.shift) & lmask,
+                value: (value >> limb.shift) & lmask,
+            },
+            // A value with bits past the key's width matches nothing (V005).
+            _ => LimbTest::Masked { mask: 0, value: 1 },
+        }
+    }
+
+    #[inline]
+    fn hit(self, v: usize) -> bool {
+        match self {
+            LimbTest::Masked { mask, value } => v as u64 & mask == value,
+            LimbTest::Range { lo, hi } => (lo..=hi).contains(&(v as u64)),
+        }
+    }
+}
+
 impl BitIndex {
-    /// Builds the index of `t` over keys of the given widths (each at
-    /// most [`INDEX_MAX_KEY_BITS`]).
-    fn build(t: &Table, key_bits: impl Iterator<Item = u8>) -> BitIndex {
+    /// Builds the index of `t` over `keys` (`(scratch index, bits)` each);
+    /// a key wider than [`INDEX_MAX_KEY_BITS`] carries only ternary/exact
+    /// parts (`flatten_table` checked).
+    fn build(t: &Table, keys: &[(usize, u8)]) -> BitIndex {
         let mut order: Vec<u32> = (0..t.entries.len() as u32).collect();
         // Stable: entries of equal priority stay in index order.
         order.sort_by_key(|&e| std::cmp::Reverse(t.entries[e as usize].priority));
         let words = t.entries.len().div_ceil(64);
-        let keys = key_bits
-            .enumerate()
-            .map(|(j, bits)| {
-                let domain = 1usize << bits;
-                // The inclusive `[lo, hi]` an Exact/Range part matches,
-                // clipped to the domain; `None` for a part that matches
-                // nothing (inverted or out-of-width — the verifier's V004/
-                // V005) and for a ternary part (enumerated below).
-                let span = |p: &KeyPart| {
-                    match *p {
-                        KeyPart::Exact(v) => Some((v, v)),
-                        KeyPart::Range { lo, hi } => Some((lo, hi.min(domain as u64 - 1))),
-                        KeyPart::Ternary(_) => None,
+        let index = limbs(keys)
+            .map(|limb| {
+                let (j, bits, domain) = (limb.key, keys[limb.key].1, 1usize << limb.width);
+                let parts = || t.entries.iter().map(|e| &e.keys[j]);
+                // Intervals are sets of limb values no part tells apart;
+                // bit `b` of an interval's row says entry `order[b]` matches
+                // there.
+                let mut interval_of = Vec::with_capacity(domain);
+                let mut bitsets;
+                if bits > limb.width || parts().any(|p| matches!(p, KeyPart::Ternary(_))) {
+                    // A ternary part (or a limb's slice of any part)
+                    // matches scattered values: refine one class of all
+                    // values test by test, so values with equal rows share
+                    // an interval — what keeps a 16-bit limb at a handful
+                    // of rows instead of 2¹⁶. A test already refined by, or
+                    // one every value answers alike, splits nothing.
+                    interval_of.resize(domain, 0u16);
+                    let mut classes = 1usize;
+                    let (mut split, mut done) = (Vec::new(), Vec::new());
+                    for test in parts().map(|p| LimbTest::of(p, bits, &limb)) {
+                        let uniform = matches!(test, LimbTest::Masked { mask: 0, .. });
+                        if uniform || done.contains(&test) {
+                            continue;
+                        }
+                        done.push(test);
+                        // (class, hit) → class after this test.
+                        split.clear();
+                        split.resize(2 * classes, u32::MAX);
+                        classes = 0;
+                        for (v, iv) in interval_of.iter_mut().enumerate() {
+                            let slot = &mut split[2 * usize::from(*iv) + usize::from(test.hit(v))];
+                            if *slot == u32::MAX {
+                                *slot = classes as u32;
+                                classes += 1;
+                            }
+                            *iv = *slot as u16;
+                        }
                     }
-                    .filter(|&(lo, hi)| lo <= hi && hi < domain as u64)
-                    .map(|(lo, hi)| (lo as usize, hi as usize))
-                };
-                // Every value is its own interval under a ternary part;
-                // otherwise intervals start at 0 and at each span's `lo`
-                // and `hi + 1`.
-                let interval_of: Vec<u16> =
-                    if t.entries.iter().any(|e| matches!(e.keys[j], KeyPart::Ternary(_))) {
-                        (0..domain).map(|v| v as u16).collect()
-                    } else {
-                        let mut cuts = Vec::with_capacity(2 + 2 * t.entries.len());
-                        cuts.extend([0, domain]);
-                        for (lo, hi) in t.entries.iter().filter_map(|e| span(&e.keys[j])) {
-                            cuts.extend([lo, hi + 1]);
+                    // Any one value of a class decides its row.
+                    let mut rep = vec![0usize; classes];
+                    for (v, &iv) in interval_of.iter().enumerate() {
+                        rep[usize::from(iv)] = v;
+                    }
+                    bitsets = vec![0u64; classes * words];
+                    for (b, &e) in order.iter().enumerate() {
+                        let test = LimbTest::of(&t.entries[e as usize].keys[j], bits, &limb);
+                        for iv in (0..classes).filter(|&iv| test.hit(rep[iv])) {
+                            bitsets[iv * words + b / 64] |= 1 << (b % 64);
                         }
-                        cuts.sort_unstable();
-                        cuts.dedup();
-                        let mut interval_of = Vec::with_capacity(domain);
-                        for (iv, w) in cuts.windows(2).enumerate() {
-                            interval_of.resize(w[1], iv as u16);
+                    }
+                } else {
+                    // Whole exact/range parts match contiguous spans: intervals
+                    // start at 0 and at each span's `lo` and `hi + 1`. An
+                    // inverted or out-of-width part matches nothing (the
+                    // verifier's V004/V005) and cuts nothing.
+                    let span = |p: &KeyPart| {
+                        match *p {
+                            KeyPart::Exact(v) => Some((v, v)),
+                            KeyPart::Range { lo, hi } => Some((lo, hi.min(domain as u64 - 1))),
+                            KeyPart::Ternary(_) => None,
                         }
-                        interval_of
+                        .filter(|&(lo, hi)| lo <= hi && hi < domain as u64)
+                        .map(|(lo, hi)| (lo as usize, hi as usize))
                     };
-                let intervals = usize::from(interval_of[domain - 1]) + 1;
-                let mut bitsets = vec![0u64; intervals * words];
-                for (b, &e) in order.iter().enumerate() {
-                    let mut set = |iv: usize| bitsets[iv * words + b / 64] |= 1 << (b % 64);
-                    match &t.entries[e as usize].keys[j] {
-                        KeyPart::Ternary(k) => {
-                            (0..domain).filter(|&v| k.matches(v as u64)).for_each(&mut set)
-                        }
-                        part => {
-                            if let Some((lo, hi)) = span(part) {
-                                (usize::from(interval_of[lo])..=usize::from(interval_of[hi]))
-                                    .for_each(&mut set)
+                    let mut cuts = Vec::with_capacity(2 + 2 * t.entries.len());
+                    cuts.extend([0, domain]);
+                    for (lo, hi) in parts().filter_map(span) {
+                        cuts.extend([lo, hi + 1]);
+                    }
+                    cuts.sort_unstable();
+                    cuts.dedup();
+                    for (iv, w) in cuts.windows(2).enumerate() {
+                        interval_of.resize(w[1], iv as u16);
+                    }
+                    bitsets = vec![0u64; (cuts.len() - 1) * words];
+                    for (b, &e) in order.iter().enumerate() {
+                        if let Some((lo, hi)) = span(&t.entries[e as usize].keys[j]) {
+                            for iv in usize::from(interval_of[lo])..=usize::from(interval_of[hi]) {
+                                bitsets[iv * words + b / 64] |= 1 << (b % 64);
                             }
                         }
                     }
@@ -397,17 +657,17 @@ impl BitIndex {
                 KeyIndex { interval_of, bitsets }
             })
             .collect();
-        BitIndex { order, words, keys }
+        BitIndex { order, words, keys: index, limbs: split_limbs(keys) }
     }
 
-    /// The winning entry for the key whose `j`-th raw value is `raw(j)`
-    /// (masked to the key's width here).
+    /// The winning entry for the key whose `i`-th limb has the raw value
+    /// `raw(i)` (masked to the limb's width here).
     #[inline]
     fn lookup(&self, raw: impl Fn(usize) -> usize) -> Option<usize> {
         for w in 0..self.words {
             let mut acc = u64::MAX;
-            for (j, k) in self.keys.iter().enumerate() {
-                let iv = k.interval_of[raw(j) & (k.interval_of.len() - 1)];
+            for (i, k) in self.keys.iter().enumerate() {
+                let iv = k.interval_of[raw(i) & (k.interval_of.len() - 1)];
                 acc &= k.bitsets[usize::from(iv) * self.words + w];
             }
             if acc != 0 {
@@ -439,13 +699,12 @@ pub(crate) struct FlatTable {
     /// Contiguous action-data pool (entries first, then the default's).
     pub(crate) data: Vec<i64>,
     pub(crate) default_entry: Option<(u32, (u32, u32))>,
-    /// Scheduled runs per action.
-    pub(crate) actions: Vec<Vec<Run>>,
+    pub(crate) actions: Vec<FlatAction>,
 }
 
 impl FlatTable {
     /// Resolves the winning entry over one scratch row.
-    #[inline]
+    #[inline(always)]
     fn match_entry(&self, vals: &[i64]) -> Option<usize> {
         // Verifier invariant V001: every key scratch index in bounds.
         debug_assert!(self.keys.iter().all(|&(f, _)| f < vals.len()), "V001: key out of bounds");
@@ -461,13 +720,16 @@ impl FlatTable {
                 // Slot encoding is entry index + 1.
                 (lut[idx] as usize).checked_sub(1)
             }
-            Matcher::Indexed(ix) => ix.lookup(|j| vals[self.keys[j].0] as usize),
+            Matcher::Indexed(ix) if ix.limbs.is_empty() => {
+                ix.lookup(|j| vals[self.keys[j].0] as usize)
+            }
+            Matcher::Indexed(ix) => ix.lookup(|i| vals[ix.limbs[i].0] as usize >> ix.limbs[i].1),
         }
     }
 
     /// Matches one scratch row and runs the winning (or default) entry's
-    /// action over it.
-    fn exec(&self, vals: &mut [i64]) {
+    /// action over it, register ops against `regs`.
+    fn exec<R: Regs>(&self, vals: &mut [i64], regs: &mut R) {
         let hit = self.match_entry(vals);
         // Verifier invariant V002: a hit names a real entry.
         debug_assert!(hit.is_none_or(|e| e < self.entry_action.len()), "V002: dangling {hit:?}");
@@ -489,8 +751,18 @@ impl FlatTable {
             self.data.len()
         );
         let params = &self.data[off as usize..(off + len) as usize];
-        for run in &self.actions[action as usize] {
-            run.exec(params, vals);
+        let action = &self.actions[action as usize];
+        if !R::STATEFUL || action.regs.is_empty() {
+            for run in &action.runs {
+                run.exec(params, vals);
+            }
+        } else {
+            for step in action.steps() {
+                match step {
+                    Step::Run(run) => run.exec(params, vals),
+                    Step::Reg(op) => regs.apply(op, params, vals),
+                }
+            }
         }
     }
 }
@@ -505,24 +777,31 @@ pub struct FlatScratch(FlatBatchScratch);
 /// row lives in one contiguous lane-major matrix. Grows to the largest
 /// batch ever executed and is reused thereafter — the steady-state hot
 /// loop performs no allocation.
+#[derive(Default)]
 pub struct FlatBatchScratch {
     /// Lane-major scratch rows (`lanes × fields`).
     vals: Vec<i64>,
 }
 
-/// A stateless compiled pipeline flattened for the streaming hot path.
+/// A compiled pipeline flattened for the streaming hot path.
 ///
-/// Built by [`FlatProgram::from_pipeline`] (the runtime does this at deploy
-/// time); executed via [`classify_batch`](FlatProgram::classify_batch), or
-/// one sample at a time via [`classify`](FlatProgram::classify) /
-/// [`scores`](FlatProgram::scores) with a caller-owned [`FlatScratch`].
+/// Built at deploy time by [`FlatProgram::from_pipeline`] (stateless
+/// pipelines) or from a per-flow pipeline's program
+/// ([`FlowClassifier`](crate::flowpipe::FlowClassifier) does this); a
+/// stateless one is executed via
+/// [`classify_batch`](FlatProgram::classify_batch), or one sample at a time
+/// via [`classify`](FlatProgram::classify) / [`scores`](FlatProgram::scores)
+/// with a caller-owned [`FlatScratch`], a per-flow one by the classifier
+/// that owns its register file.
 pub struct FlatProgram {
     name: String,
     /// Scratch fields per lane.
     nfields: usize,
     tables: Vec<FlatTable>,
-    /// Scratch index and truncation of each input feature code.
+    /// Scratch index and truncation of each input.
     inputs: Vec<(usize, Trunc)>,
+    /// `(element bits, slots)` of each register array the ops address.
+    registers: Vec<(u8, usize)>,
     predicted_field: Option<usize>,
     score_fields: Vec<usize>,
     score_format: NumFormat,
@@ -530,40 +809,68 @@ pub struct FlatProgram {
 
 #[cfg(test)]
 thread_local! {
-    /// [`FlatProgram::from_pipeline`] calls made on this thread (tests
-    /// hold deploy to one and attach/swap to none).
+    /// Programs flattened on this thread (tests hold deploy to one and
+    /// attach/swap to none).
     pub(crate) static FLATTENS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl FlatProgram {
-    /// Flattens a compiled pipeline that passed the verifier's structural
-    /// layer (field indices are trusted). Returns a typed [`FlattenSkip`]
-    /// reason when the program keeps stateful registers (per-flow state
-    /// cannot be baked into a LUT) or matches a key too wide to index —
-    /// callers fall back to the simulator runtime and surface the reason
-    /// in stats and verify reports.
+    /// Flattens a stateless compiled pipeline that passed the verifier's
+    /// structural layer (field indices are trusted). Returns a typed
+    /// [`FlattenSkip`] reason when it does not flatten — callers fall back
+    /// to the simulator runtime and surface the reason in stats and verify
+    /// reports.
     pub fn from_pipeline(p: &CompiledPipeline) -> Result<FlatProgram, FlattenSkip> {
+        if !p.program.registers.is_empty() {
+            return Err(FlattenSkip::PerSampleRegisters { registers: p.program.registers.len() });
+        }
+        FlatProgram::from_program(
+            &p.program,
+            &p.input_fields,
+            p.predicted_field,
+            &p.score_fields,
+            p.score_format,
+        )
+    }
+
+    /// Flattens `prog` with the given input and output fields. Register
+    /// ops flatten too, provided every array is touched by one table only:
+    /// the executor sweeps table-major, walking lanes in arrival order
+    /// inside each table, so an array's accesses keep their
+    /// packet-at-a-time order exactly when one table makes all of them.
+    pub(crate) fn from_program(
+        prog: &SwitchProgram,
+        inputs: &[FieldId],
+        predicted_field: Option<FieldId>,
+        score_fields: &[FieldId],
+        score_format: NumFormat,
+    ) -> Result<FlatProgram, FlattenSkip> {
         #[cfg(test)]
         FLATTENS.with(|n| n.set(n.get() + 1));
-        if !p.program.registers.is_empty() {
-            return Err(FlattenSkip::StatefulRegisters { registers: p.program.registers.len() });
+        let fields: Vec<FieldMeta> =
+            prog.layout.iter().map(|(_, d)| FieldMeta { bits: d.bits, signed: d.signed }).collect();
+        let tables: Vec<FlatTable> =
+            prog.tables.iter().map(|t| flatten_table(t, &fields)).collect::<Result<_, _>>()?;
+        for (r, array) in prog.registers.iter().enumerate() {
+            let touches =
+                |t: &FlatTable| t.actions.iter().flat_map(|a| &a.regs).any(|(_, op)| op.reg == r);
+            let users = || prog.tables.iter().zip(&tables).filter(|(_, ft)| touches(ft));
+            if users().count() > 1 {
+                return Err(FlattenSkip::SharedRegister {
+                    register: array.name.clone(),
+                    tables: users().map(|(t, _)| t.name.clone()).collect(),
+                });
+            }
         }
-        let fields: Vec<FieldMeta> = p
-            .program
-            .layout
-            .iter()
-            .map(|(_, d)| FieldMeta { bits: d.bits, signed: d.signed })
-            .collect();
-        let tables =
-            p.program.tables.iter().map(|t| flatten_table(t, &fields)).collect::<Result<_, _>>()?;
         Ok(FlatProgram {
-            name: p.program.name.clone(),
+            name: prog.name.clone(),
             nfields: fields.len(),
             tables,
-            inputs: p.input_fields.iter().map(|f| (f.0, Trunc::of(fields[f.0]))).collect(),
-            predicted_field: p.predicted_field.map(|f| f.0),
-            score_fields: p.score_fields.iter().map(|f| f.0).collect(),
-            score_format: p.score_format,
+            inputs: inputs.iter().map(|f| (f.0, Trunc::of(fields[f.0]))).collect(),
+            registers: prog.registers.iter().map(|a| (a.width_bits, a.size)).collect(),
+            predicted_field: predicted_field.map(|f| f.0),
+            score_fields: score_fields.iter().map(|f| f.0).collect(),
+            score_format,
         })
     }
 
@@ -592,9 +899,16 @@ impl FlatProgram {
         self.count_tables(|m| matches!(m, Matcher::Indexed(_)))
     }
 
+    /// Indexed keys too wide for one `raw → interval` array, matched limb
+    /// by limb.
+    pub fn limb_keys(&self) -> usize {
+        let indexed = self.tables.iter().filter(|t| matches!(t.matcher, Matcher::Indexed(_)));
+        indexed.flat_map(|t| &t.keys).filter(|k| k.1 > INDEX_MAX_KEY_BITS).count()
+    }
+
     /// Ops in the longest scheduled run of any action.
     pub fn longest_run(&self) -> usize {
-        let runs = self.tables.iter().flat_map(|t| t.actions.iter().flatten());
+        let runs = self.tables.iter().flat_map(|t| t.actions.iter().flat_map(|a| &a.runs));
         runs.map(|r| r.len).max().unwrap_or(0)
     }
 
@@ -608,10 +922,17 @@ impl FlatProgram {
         &self.tables
     }
 
-    /// Scratch index and truncation of each input feature code (verifier
-    /// introspection: these seed the `[0, 255]` input intervals).
+    /// Scratch index and truncation of each input, in the order the
+    /// program was flattened with (these seed the verifier's input
+    /// intervals, and the lanes of a [`sweep`](FlatProgram::sweep)).
     pub(crate) fn inputs(&self) -> &[(usize, Trunc)] {
         &self.inputs
+    }
+
+    /// `(element bits, slots)` of each register array (verifier
+    /// introspection).
+    pub(crate) fn registers(&self) -> &[(u8, usize)] {
+        &self.registers
     }
 
     /// Classifies one sample of feature codes (each in `[0, 255]`),
@@ -644,9 +965,7 @@ impl FlatProgram {
             .ok_or_else(|| PegasusError::NotAClassifier { pipeline: self.name.clone() })?;
         self.run_batch(codes, lanes, s)?;
         out.clear();
-        out.extend(
-            s.vals.chunks_exact(self.nfields.max(1)).take(lanes).map(|row| row[pf] as usize),
-        );
+        out.extend(self.rows(s, lanes).map(|row| row[pf] as usize));
         Ok(())
     }
 
@@ -659,8 +978,8 @@ impl FlatProgram {
         Ok(self.score_fields.iter().map(|&f| self.score_format.to_real(s.0.vals[f])).collect())
     }
 
-    /// The one executor: stores every lane's input codes, then sweeps the
-    /// tables over the lanes.
+    /// The stateless entry to the executor: every lane's input fields are
+    /// its feature codes, rounded and clamped to `[0, 255]`.
     fn run_batch(
         &self,
         codes: &[f32],
@@ -671,26 +990,51 @@ impl FlatProgram {
         if codes.len() != lanes * arity {
             return Err(PegasusError::FeatureCount { expected: lanes * arity, got: codes.len() });
         }
-        // `max(1)`: a field- or input-less program has no rows to chunk.
+        self.sweep(lanes, s, &mut (), |rows| {
+            for (row, lane) in rows.zip(codes.chunks_exact(arity.max(1))) {
+                for (&(f, trunc), &v) in self.inputs.iter().zip(lane) {
+                    // Verifier invariant V001: input scratch index in bounds.
+                    debug_assert!(f < row.len(), "V001: input scratch index {f} out of bounds");
+                    row[f] = trunc.apply(round_code(v));
+                }
+            }
+        });
+        Ok(())
+    }
+
+    /// The one executor: zeroes `lanes` scratch rows, hands them to `seed`
+    /// to store each lane's [`inputs`](FlatProgram::inputs), then sweeps
+    /// the tables over the lanes — table-major, lanes in order within a
+    /// table, register ops against `regs`.
+    pub(crate) fn sweep<R: Regs>(
+        &self,
+        lanes: usize,
+        s: &mut FlatBatchScratch,
+        regs: &mut R,
+        seed: impl FnOnce(std::slice::ChunksExactMut<'_, i64>),
+    ) {
+        // `max(1)`: a field-less program has no rows to chunk.
         let nf = self.nfields.max(1);
         if s.vals.len() < lanes * nf {
             s.vals.resize(lanes * nf, 0);
         }
         let vals = &mut s.vals[..lanes * self.nfields];
         vals.fill(0);
-        for (row, lane) in vals.chunks_exact_mut(nf).zip(codes.chunks_exact(arity.max(1))) {
-            for (&(f, trunc), &v) in self.inputs.iter().zip(lane) {
-                // Verifier invariant V001: input scratch index in bounds.
-                debug_assert!(f < row.len(), "V001: input scratch index {f} out of bounds");
-                row[f] = trunc.apply(round_code(v));
-            }
-        }
+        seed(vals.chunks_exact_mut(nf));
         for t in &self.tables {
             for row in vals.chunks_exact_mut(nf) {
-                t.exec(row);
+                t.exec(row, regs);
             }
         }
-        Ok(())
+    }
+
+    /// The scratch rows the last `lanes`-lane sweep over `s` left behind.
+    pub(crate) fn rows<'s>(
+        &self,
+        s: &'s FlatBatchScratch,
+        lanes: usize,
+    ) -> impl Iterator<Item = &'s [i64]> {
+        s.vals.chunks_exact(self.nfields.max(1)).take(lanes)
     }
 }
 
@@ -714,10 +1058,13 @@ fn flatten_src(op: &Operand) -> Src {
     }
 }
 
-/// Flattens one action; `None` when it touches registers (stateful).
-fn flatten_action(ops: &[AluOp]) -> Option<Vec<FlatOp>> {
+/// Flattens one action: ALU ops are scheduled into runs segment by
+/// segment, each register op closing a segment — a barrier no run is
+/// hoisted over.
+fn flatten_action(ops: &[AluOp], fields: &[FieldMeta]) -> FlatAction {
     let unary = Operand::Const(0);
-    let mut out = Vec::with_capacity(ops.len());
+    let mut action = FlatAction::default();
+    let mut segment: Vec<FlatOp> = Vec::new();
     for op in ops {
         let (kind, dst, a, b) = match op {
             AluOp::Set { dst, a } => (OpKind::Set, dst, a, &unary),
@@ -731,25 +1078,49 @@ fn flatten_action(ops: &[AluOp]) -> Option<Vec<FlatOp>> {
             AluOp::Or { dst, a, b } => (OpKind::Or, dst, a, b),
             AluOp::Xor { dst, a, b } => (OpKind::Xor, dst, a, b),
             AluOp::Popcnt { dst, a } => (OpKind::Popcnt, dst, a, &unary),
-            AluOp::RegRead { .. }
-            | AluOp::RegWrite { .. }
-            | AluOp::RegReadWrite { .. }
-            | AluOp::RegIncrSat { .. }
-            | AluOp::RegShiftInsert { .. } => return None,
+            stateful => {
+                let (kind, reg, index, a, dst) = match stateful {
+                    AluOp::RegRead { dst, reg, index } => {
+                        (RegKind::Read, reg, index, &unary, Some(dst))
+                    }
+                    AluOp::RegWrite { reg, index, a } => (RegKind::Write, reg, index, a, None),
+                    AluOp::RegReadWrite { dst, reg, index, a } => {
+                        (RegKind::ReadWrite, reg, index, a, Some(dst))
+                    }
+                    AluOp::RegIncrSat { dst, reg, index, by, max } => {
+                        (RegKind::IncrSat { by: *by, max: *max }, reg, index, &unary, Some(dst))
+                    }
+                    AluOp::RegShiftInsert { dst, reg, index, a, shift, mask } => (
+                        RegKind::ShiftInsert { shift: *shift, mask: *mask },
+                        reg,
+                        index,
+                        a,
+                        Some(dst),
+                    ),
+                    _ => unreachable!("every ALU op is matched above"),
+                };
+                action.runs.extend(schedule(&segment, fields));
+                segment.clear();
+                let op = RegOp {
+                    kind,
+                    reg: reg.0,
+                    index: flatten_src(index),
+                    a: flatten_src(a),
+                    dst: dst.map(|f| (f.0, Trunc::of(fields[f.0]))),
+                };
+                action.regs.push((action.runs.len(), op));
+                continue;
+            }
         };
-        out.push(FlatOp { kind, dst: dst.0, a: flatten_src(a), b: flatten_src(b) });
+        segment.push(FlatOp { kind, dst: dst.0, a: flatten_src(a), b: flatten_src(b) });
     }
-    Some(out)
+    action.runs.extend(schedule(&segment, fields));
+    action
 }
 
 fn flatten_table(t: &Table, fields: &[FieldMeta]) -> Result<FlatTable, FlattenSkip> {
     let keys: Vec<(usize, u8)> = t.keys.iter().map(|&(f, _)| (f.0, fields[f.0].bits)).collect();
-    let actions: Vec<Vec<Run>> = t
-        .actions
-        .iter()
-        .map(|a| flatten_action(&a.ops).map(|ops| schedule(&ops, fields)))
-        .collect::<Option<_>>()
-        .ok_or_else(|| FlattenSkip::StatefulOp { table: t.name.clone() })?;
+    let actions = t.actions.iter().map(|a| flatten_action(&a.ops, fields)).collect();
 
     let mut data: Vec<i64> = Vec::new();
     let mut entry_action = Vec::with_capacity(t.entries.len());
@@ -765,16 +1136,24 @@ fn flatten_table(t: &Table, fields: &[FieldMeta]) -> Result<FlatTable, FlattenSk
         (*idx as u32, (off, d.len() as u32))
     });
 
+    // A wide key splits into limbs only as a conjunction of bit tests: a
+    // ternary column, no range part smuggled into it.
+    let unsplittable = |&(j, &(_, bits)): &(usize, &(usize, u8))| {
+        bits > INDEX_MAX_KEY_BITS
+            && (t.keys[j].1 != MatchKind::Ternary
+                || t.entries.iter().any(|e| matches!(e.keys[j], KeyPart::Range { .. })))
+    };
     let matcher = if keys.is_empty() || t.entries.is_empty() {
         Matcher::Always
-    } else if let Some(&(_, bits)) = keys.iter().find(|k| k.1 > INDEX_MAX_KEY_BITS) {
+    } else if let Some((_, &(_, bits))) = keys.iter().enumerate().find(unsplittable) {
         return Err(FlattenSkip::WideKey { table: t.name.clone(), bits });
     } else {
-        let index = BitIndex::build(t, keys.iter().map(|k| k.1));
+        let index = BitIndex::build(t, &keys);
         let domain_bits: u32 = keys.iter().map(|k| u32::from(k.1)).sum();
         if 1u64 << domain_bits.min(63) <= DENSE_MAX_POINTS {
-            // Materialise the whole key domain through the index: slot
-            // `s` packs the keys first-key-highest, as `match_entry` does.
+            // Materialise the whole key domain through the index (one limb
+            // per key at these widths): slot `s` packs the keys
+            // first-key-highest, as `match_entry` does.
             let mut shift = domain_bits;
             let shifts: Vec<u32> = keys
                 .iter()
@@ -975,17 +1354,22 @@ mod tests {
 
     // ---- property tests: index vs simulator lookup, runs vs in-order ----
 
-    /// A seeded random table over `nkeys` key fields (1–16 bits, mixed
-    /// Exact/Ternary/Range columns, overlapping entries, tied and distinct
-    /// priorities). Entry `e` carries `[e]` as action data and the default
-    /// `[-1]`, so the oracle's answer names its winner.
+    /// A seeded random table over `nkeys` key fields (1–16 bits, one in
+    /// four widened to 17–32; mixed Exact/Ternary/Range columns, overlapping
+    /// entries, tied and distinct priorities). Entry `e` carries `[e]` as
+    /// action data and the default `[-1]`, so the oracle's answer names its
+    /// winner.
     fn random_table(
         rng: &mut rand::rngs::StdRng,
         entries: usize,
         nkeys: usize,
     ) -> (PhvLayout, Table, Vec<u8>) {
         let mut layout = PhvLayout::new();
-        let widths: Vec<u8> = (0..nkeys).map(|_| rng.gen_range(1..=16)).collect();
+        let widths: Vec<u8> = (0..nkeys)
+            .map(
+                |_| if rng.gen_bool(0.25) { rng.gen_range(17..=32) } else { rng.gen_range(1..=16) },
+            )
+            .collect();
         let keys: Vec<(FieldId, MatchKind)> = widths
             .iter()
             .enumerate()
@@ -1043,8 +1427,8 @@ mod tests {
 
     #[test]
     fn indexed_winner_matches_simulator_lookup() {
-        let (mut indexed, mut dense, mut missed) = (0, 0, 0);
-        for (entries, seeds) in [(1, 8), (63, 6), (64, 6), (65, 6), (448, 2)] {
+        let (mut indexed, mut dense, mut limbed, mut wide_skips, mut missed) = (0, 0, 0, 0, 0);
+        for (entries, seeds) in [(1, 12), (63, 8), (64, 8), (65, 8), (448, 3)] {
             for seed in 0..seeds {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(1000 * entries as u64 + seed);
                 let nkeys = rng.gen_range(1..=6);
@@ -1053,15 +1437,29 @@ mod tests {
                     .iter()
                     .map(|(_, d)| FieldMeta { bits: d.bits, signed: d.signed })
                     .collect();
-                let flat = flatten_table(&t, &fields).expect("keys are at most 16 bits");
+                // Only a ternary column splits into limbs: the first wide
+                // exact or range column is the typed skip.
+                let unsplittable = t.keys.iter().zip(&widths).find_map(|(&(_, kind), &bits)| {
+                    (bits > INDEX_MAX_KEY_BITS && kind != MatchKind::Ternary).then_some(bits)
+                });
+                let flat = match (flatten_table(&t, &fields), unsplittable) {
+                    (Ok(flat), None) => flat,
+                    (Err(skip), Some(bits)) => {
+                        assert_eq!(skip, FlattenSkip::WideKey { table: "prop".into(), bits });
+                        wide_skips += 1;
+                        continue;
+                    }
+                    (got, want) => panic!("{:?} for wide column {want:?}", got.err()),
+                };
+                limbed += usize::from(widths.iter().any(|&b| b > INDEX_MAX_KEY_BITS));
                 match flat.matcher {
                     Matcher::Indexed(_) => indexed += 1,
                     Matcher::Dense(_) => dense += 1,
                     Matcher::Always => unreachable!("keyed table with entries"),
                 }
-                // Probes: random points, and for (up to 64) entries every
-                // part bound ± 1 on one key with the other keys held
-                // inside that entry's box.
+                // Probes: random points, and for (up to 64) entries a random
+                // point inside the entry's box plus every part bound ± 1 on
+                // one key with the other keys held inside the box.
                 let mut probes: Vec<Vec<u64>> = (0..300)
                     .map(|_| widths.iter().map(|&b| rng.gen_range(0..=mask_of(b))).collect())
                     .collect();
@@ -1076,6 +1474,13 @@ mod tests {
                         })
                         .collect();
                     let inside: Vec<u64> = bounds.iter().map(|b| b.0).collect();
+                    let within = e.keys.iter().zip(&widths).map(|(p, &bits)| match p {
+                        KeyPart::Exact(v) => *v,
+                        // Any setting of the don't-care bits matches.
+                        KeyPart::Ternary(k) => k.value | rng.gen::<u64>() & !k.mask & mask_of(bits),
+                        KeyPart::Range { lo, hi } => rng.gen_range(*lo..=*hi),
+                    });
+                    probes.push(within.collect());
                     for (j, &(lo, hi)) in bounds.iter().enumerate() {
                         for cut in [lo.wrapping_sub(1), lo, lo + 1, hi.wrapping_sub(1), hi, hi + 1]
                         {
@@ -1105,8 +1510,12 @@ mod tests {
                 }
             }
         }
-        // The sweep exercised both matchers and keys that match no entry.
-        assert!(indexed >= 8 && dense >= 2 && missed >= 100, "{indexed} {dense} {missed}");
+        // The sweep exercised both matchers, limb-split keys, the wide-key
+        // skip and keys that match no entry.
+        assert!(
+            indexed >= 8 && dense >= 2 && limbed >= 5 && wide_skips >= 5 && missed >= 100,
+            "{indexed} {dense} {limbed} {wide_skips} {missed}"
+        );
     }
 
     #[test]
@@ -1218,6 +1627,228 @@ mod tests {
         let chained: Vec<FlatOp> =
             (0..4).flat_map(|i| [add(12 + i, i, 4 + i), add(i + 1, 12 + i, 12 + i)]).collect();
         assert_eq!(schedule(&chained, &fields).len(), chained.len());
+    }
+
+    // ---- property test: register programs vs the simulator ----
+
+    /// A seeded random stateful program: three register arrays (8/16/32
+    /// bits, 1–16 slots), three to six tables — keyed or default-only —
+    /// whose actions mix ALU ops with all five register ops, each array
+    /// touched by `owners[array]` alone. Inputs are field 0 (the slot
+    /// index most register ops use) and fields 1–4.
+    fn random_register_program(
+        rng: &mut rand::rngs::StdRng,
+        owners: [usize; 3],
+    ) -> pegasus_switch::SwitchProgram {
+        use pegasus_switch::{RegId, RegisterArray, SwitchProgram};
+        let mut layout = PhvLayout::new();
+        let slot = layout.add_field("slot", 4);
+        let widths = [1u8, 4, 8, 13, 16, 32, 33, 64];
+        let fields: Vec<FieldId> = (0..11)
+            .map(|i| {
+                let bits = widths[rng.gen_range(0..widths.len())];
+                if rng.gen_bool(0.3) {
+                    layout.add_signed_field(&format!("f{i}"), bits)
+                } else {
+                    layout.add_field(&format!("f{i}"), bits)
+                }
+            })
+            .collect();
+        let key = layout.add_field("key", 6);
+        let mut prog = SwitchProgram::new("regs", layout);
+        for (i, bits) in [8u8, 16, 32].into_iter().enumerate() {
+            prog.registers.push(RegisterArray::new(&format!("r{i}"), bits, rng.gen_range(1..=16)));
+        }
+        let ntables = rng.gen_range(3..=6).max(owners.iter().max().unwrap() + 1);
+        for ti in 0..ntables {
+            let keyed = rng.gen_bool(0.5);
+            let mut t = Table::new(
+                &format!("t{ti}"),
+                if keyed { vec![(key, MatchKind::Range)] } else { vec![] },
+            );
+            let mine: Vec<usize> = (0..3).filter(|&r| owners[r] == ti).collect();
+            for ai in 0..rng.gen_range(1..=3) {
+                let mut act = Action::new(&format!("a{ai}"));
+                for _ in 0..rng.gen_range(1..=8) {
+                    let field =
+                        |rng: &mut rand::rngs::StdRng| fields[rng.gen_range(0..fields.len())];
+                    let src = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4) {
+                        0 => Operand::Const(rng.gen_range(-300..300)),
+                        1 => Operand::Param(rng.gen_range(0..3)),
+                        _ => Operand::Field(field(rng)),
+                    };
+                    let (dst, a, b) = (field(rng), src(rng), src(rng));
+                    // Mostly the slot field; sometimes any operand at all,
+                    // which the array wraps modulo its size.
+                    let index = if rng.gen_bool(0.8) { Operand::Field(slot) } else { src(rng) };
+                    act.ops.push(match (mine.is_empty(), rng.gen_range(0..12)) {
+                        (false, 0) | (false, 1) => AluOp::RegShiftInsert {
+                            dst,
+                            reg: RegId(mine[rng.gen_range(0..mine.len())]),
+                            index,
+                            a,
+                            shift: rng.gen_range(0..=8),
+                            mask: rng.gen::<u64>() >> rng.gen_range(0..64),
+                        },
+                        (false, 2) => AluOp::RegIncrSat {
+                            dst,
+                            reg: RegId(mine[rng.gen_range(0..mine.len())]),
+                            index,
+                            by: rng.gen_range(1..5),
+                            max: rng.gen_range(0..300),
+                        },
+                        (false, 3) => AluOp::RegReadWrite {
+                            dst,
+                            reg: RegId(mine[rng.gen_range(0..mine.len())]),
+                            index,
+                            a,
+                        },
+                        (false, 4) => AluOp::RegRead {
+                            dst,
+                            reg: RegId(mine[rng.gen_range(0..mine.len())]),
+                            index,
+                        },
+                        (false, 5) => AluOp::RegWrite {
+                            reg: RegId(mine[rng.gen_range(0..mine.len())]),
+                            index,
+                            a,
+                        },
+                        (_, 6) => AluOp::Set { dst, a },
+                        (_, 7) => AluOp::Sub { dst, a, b },
+                        (_, 8) => AluOp::Shr { dst, a, amount: rng.gen_range(0..40) },
+                        (_, 9) => AluOp::And { dst, a, b },
+                        (_, 10) => AluOp::Max { dst, a, b },
+                        _ => AluOp::Add { dst, a, b },
+                    });
+                }
+                t.add_action(act);
+            }
+            let data =
+                |rng: &mut rand::rngs::StdRng| (0..3).map(|_| rng.gen_range(-99..99)).collect();
+            if keyed {
+                for _ in 0..rng.gen_range(1..=5) {
+                    let lo = rng.gen_range(0..64);
+                    t.add_entry(TableEntry {
+                        keys: vec![KeyPart::Range { lo, hi: rng.gen_range(lo..64) }],
+                        priority: rng.gen_range(0..3),
+                        action_idx: rng.gen_range(0..t.actions.len()),
+                        action_data: data(rng),
+                    });
+                }
+            }
+            if !keyed || rng.gen_bool(0.7) {
+                t.default_action = Some((rng.gen_range(0..t.actions.len()), data(rng)));
+            }
+            prog.tables.push(t);
+        }
+        prog
+    }
+
+    #[test]
+    fn register_sweeps_match_the_simulator_packet_by_packet() {
+        const PACKETS: usize = 150;
+        let (mut reg_ops, mut aliased) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let owners = [0, 1, 2].map(|_| rng.gen_range(0..3));
+            let prog = random_register_program(&mut rng, owners);
+            let inputs: Vec<FieldId> = (0..5).map(FieldId).chain([FieldId(12)]).collect();
+            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8())
+                .expect("each array has one owner table");
+            reg_ops +=
+                flat.tables.iter().flat_map(|t| &t.actions).map(|a| a.regs.len()).sum::<usize>();
+            // Heavy aliasing: every lane on one slot, on two, or anywhere.
+            let slots = [1, 2, 16][rng.gen_range(0..3)];
+            aliased += usize::from(slots < 16);
+            let packets: Vec<Vec<i64>> = (0..PACKETS)
+                .map(|_| {
+                    let mut p = vec![rng.gen_range(0..slots)];
+                    p.extend((0..4).map(|_| rng.gen::<u64>() as i64));
+                    p.push(rng.gen_range(0..64));
+                    p
+                })
+                .collect();
+            // The oracle: the simulator, one packet at a time, one file.
+            let loaded = prog.clone().deploy(&SwitchConfig::tofino2()).expect("deploys");
+            let mut want_regs = loaded.zeroed_registers();
+            let want: Vec<Vec<i64>> = packets
+                .iter()
+                .map(|p| {
+                    let fed: Vec<(FieldId, i64)> =
+                        inputs.iter().copied().zip(p.iter().copied()).collect();
+                    let phv = loaded.process(&fed, &mut want_regs);
+                    (0..flat.nfields).map(|f| phv.get(FieldId(f))).collect()
+                })
+                .collect();
+            for lanes in [1usize, 7, 64] {
+                let mut regs = loaded.zeroed_registers();
+                let mut scratch = FlatBatchScratch::default();
+                for (chunk, rows) in packets.chunks(lanes).zip(want.chunks(lanes)) {
+                    flat.sweep(chunk.len(), &mut scratch, &mut regs, |lanes| {
+                        for (row, p) in lanes.zip(chunk) {
+                            for (&(f, trunc), &v) in flat.inputs.iter().zip(p) {
+                                row[f] = trunc.apply(v);
+                            }
+                        }
+                    });
+                    let got: Vec<&[i64]> = flat.rows(&scratch, chunk.len()).collect();
+                    assert_eq!(got, rows, "seed {seed}, runs of {lanes}");
+                }
+                for (got, want) in regs.iter().zip(want_regs.iter()) {
+                    let cells = |a: &pegasus_switch::RegisterArray| -> Vec<i64> {
+                        (0..a.size).map(|i| a.read(i)).collect()
+                    };
+                    assert_eq!(
+                        cells(got),
+                        cells(want),
+                        "seed {seed}, runs of {lanes}: {}",
+                        want.name
+                    );
+                }
+            }
+        }
+        // The programs did carry state, and most packet streams shared slots.
+        assert!(reg_ops >= 200 && aliased >= 20, "{reg_ops} register ops, {aliased} aliased");
+    }
+
+    #[test]
+    fn array_shared_by_two_tables_is_a_typed_skip() {
+        use pegasus_switch::{RegId, RegisterArray, SwitchProgram};
+        let mut layout = PhvLayout::new();
+        let x = layout.add_field("x", 8);
+        let mut prog = SwitchProgram::new("shared", layout);
+        prog.registers.push(RegisterArray::new("own", 8, 4));
+        prog.registers.push(RegisterArray::new("both", 8, 4));
+        for (name, regs) in [("first", vec![0, 1]), ("idle", vec![]), ("second", vec![1])] {
+            let mut t = Table::new(name, vec![]);
+            let mut act = Action::new("touch");
+            for reg in regs {
+                act.ops.push(AluOp::RegRead { dst: x, reg: RegId(reg), index: Operand::Const(0) });
+            }
+            t.default_action = Some((t.add_action(act), vec![]));
+            prog.tables.push(t);
+        }
+        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8());
+        assert_eq!(
+            flat.err(),
+            Some(FlattenSkip::SharedRegister {
+                register: "both".into(),
+                tables: vec!["first".into(), "second".into()],
+            })
+        );
+        // The same program with registers is no stateless pipeline either.
+        let p = CompiledPipeline {
+            program: prog,
+            input_fields: vec![x],
+            score_fields: vec![],
+            score_format: NumFormat::code8(),
+            predicted_field: Some(x),
+            report: Default::default(),
+        };
+        assert_eq!(
+            FlatProgram::from_pipeline(&p).err(),
+            Some(FlattenSkip::PerSampleRegisters { registers: 2 })
+        );
     }
 
     #[test]

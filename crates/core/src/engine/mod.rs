@@ -66,8 +66,13 @@
 //!
 //! Inference itself runs through the [`flat`] module's flattened-LUT
 //! representation of the compiled pipeline — contiguous arrays baked at
-//! deploy time — instead of the allocation-heavy switch simulator; see
-//! [`FlatProgram`] for the exact guarantees.
+//! deploy time — instead of the allocation-heavy switch simulator, for
+//! both shard kinds: a stateless run's full-window rows and a per-flow
+//! pipeline's whole run (register ops included, against the shard's file)
+//! are each one table-major sweep; see [`FlatProgram`] for the exact
+//! guarantees. The simulator stays the oracle the differential suites hold
+//! that path against, and the fallback for an artifact that reports a
+//! [`FlattenSkip`].
 
 pub mod flat;
 pub mod server;
@@ -342,14 +347,13 @@ impl StatelessShard {
 /// without bound under churn.
 pub(crate) struct FlowShard {
     fc: FlowClassifier,
-    codes: Vec<f32>,
     slots: FlowTable<()>,
 }
 
 impl FlowShard {
     pub(crate) fn new(fc: FlowClassifier) -> Self {
         let slots = FlowTable::new(FlowTableConfig::aliased(fc.flow_slots()));
-        FlowShard { fc, codes: Vec::new(), slots }
+        FlowShard { fc, slots }
     }
 
     /// Re-points the shard at `source`'s program — O(1) in flows. Returns
@@ -367,38 +371,25 @@ impl FlowShard {
 
     /// The shard's one packet entry point: serves frames `run` of `batch`
     /// (one tenant's run); `verdicts[j]` is the verdict for frame
-    /// `run.start + j`. Per-flow register pipelines are RMW-sequential by
-    /// construction (each packet's verdict depends on the register file
-    /// the previous packet of the same flow left behind), so the loop
-    /// stays packet-at-a-time; what a run amortizes is the tenant lookup,
-    /// swap check and timing around it.
+    /// `run.start + j`. Slot ownership is accounted frame by frame, then
+    /// the run goes through [`FlowClassifier::process_batch`] — one
+    /// table-major sweep of the flattened program against the shard's
+    /// register file. Each packet's verdict depends on the registers the
+    /// previous packet of its slot left behind, and the sweep keeps exactly
+    /// that order (every array belongs to one table, which walks the lanes
+    /// in arrival order), so it is bit-identical to packet-at-a-time
+    /// execution — `tests/flow_pipeline.rs` holds runs of 1 and 64 to the
+    /// simulator, hash-slot aliasing and a mid-run swap included.
     pub(crate) fn process_batch(
         &mut self,
         batch: &FrameBatch,
         run: Range<usize>,
         verdicts: &mut Vec<Option<usize>>,
     ) -> Result<(), PegasusError> {
-        verdicts.clear();
-        let arity = self.fc.pipeline().extractor_fields.len();
-        let flows = batch.flows();
-        let ts = batch.ts_micros();
-        let wires = batch.wire_lens();
-        for i in run {
-            self.codes.clear();
-            self.codes.extend(
-                batch
-                    .payload_head(i)
-                    .iter()
-                    .map(|&b| f32::from(b))
-                    .chain(std::iter::repeat(0.0))
-                    .take(arity),
-            );
-            self.slots.admit(flows[i], || ());
-            let verdict =
-                self.fc.on_packet_mut(flows[i].dataplane_hash(), ts[i], wires[i], &self.codes)?;
-            verdicts.push(verdict.predicted);
+        for &flow in &batch.flows()[run.clone()] {
+            self.slots.admit(flow, || ());
         }
-        Ok(())
+        self.fc.process_batch(batch, run, verdicts)
     }
 
     pub(crate) fn table_counters(&self) -> FlowTableCounters {

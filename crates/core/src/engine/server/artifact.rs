@@ -1,7 +1,7 @@
 //! The servable artifact and its cross-tenant dedup.
 
 use super::{lock, EngineShared};
-use crate::engine::{FlattenSkip, HOST_WINDOW_STATE_BITS};
+use crate::engine::HOST_WINDOW_STATE_BITS;
 use crate::error::PegasusError;
 use crate::flowpipe::FlowClassifier;
 use crate::models::StreamFeatures;
@@ -153,31 +153,27 @@ impl EngineArtifact {
     }
 
     /// Re-runs the static verifier over the artifact against the switch
-    /// configuration it was deployed on — for a stateless artifact, over
-    /// the very `FlatProgram` its shards execute. Attach and swap call
-    /// this so a corrupt artifact — however it was produced — never
-    /// reaches a serving shard.
+    /// configuration it was deployed on, over the very `FlatProgram` its
+    /// shards execute. Attach and swap call this so a corrupt artifact —
+    /// however it was produced — never reaches a serving shard.
     pub fn verify_report(&self) -> crate::verify::VerifyReport {
         match &self.plane {
             ArtifactPlane::Stateless(dp) => dp.verify_report(),
-            ArtifactPlane::Flow(fc) => {
-                crate::verify::verify_flow(fc.pipeline(), Some(fc.switch_config()))
-            }
+            ArtifactPlane::Flow(fc) => fc.verify_report(),
         }
     }
 
-    /// Why this artifact does not run on the flattened-LUT hot path, if it
-    /// doesn't: per-flow pipelines keep register state by design, and a
-    /// stateless pipeline can carry stateful ops that force the simulator
-    /// fallback. `None` means the tenant streams through flattened LUTs.
+    /// Why this artifact does not run on the flattened hot path, if it
+    /// doesn't (the typed [`FlattenSkip`](crate::engine::FlattenSkip)
+    /// reason, rendered): its tenant serves through the switch simulator.
+    /// `None` means the tenant streams through the flattened program —
+    /// per-flow register pipelines included.
     pub fn flatten_skip(&self) -> Option<String> {
         match &self.plane {
-            ArtifactPlane::Stateless(dp) => dp.flatten_skip().map(ToString::to_string),
-            ArtifactPlane::Flow(fc) => Some(
-                FlattenSkip::StatefulRegisters { registers: fc.pipeline().program.registers.len() }
-                    .to_string(),
-            ),
+            ArtifactPlane::Stateless(dp) => dp.flatten_skip(),
+            ArtifactPlane::Flow(fc) => fc.flatten_skip(),
         }
+        .map(ToString::to_string)
     }
 
     /// The artifact's content identity for cross-tenant dedup: the

@@ -28,7 +28,8 @@ pub struct TenantStats {
     /// snapshots; detach or shutdown returns them).
     pub report: StreamReport,
     /// Why this tenant's artifact runs on the simulator fallback instead
-    /// of the flattened-LUT hot path (`None` when it flattened). See
+    /// of the flattened hot path (`None` when it flattened — stateless and
+    /// per-flow register pipelines alike). See
     /// [`FlattenSkip`](crate::engine::FlattenSkip).
     pub flatten_skip: Option<String>,
 }

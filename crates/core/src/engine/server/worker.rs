@@ -95,9 +95,10 @@ impl WorkerTenant {
     }
 
     /// Serves one run — consecutive frames of one batch, all routed to this
-    /// tenant — through the tenant's executor: one swap-epoch check and one
-    /// clock pair per run, the run's wall time attributed evenly across its
-    /// frames. A pipeline error counts nothing for the run.
+    /// tenant — through the tenant's executor: one swap-epoch check, one
+    /// clock pair and one histogram update per run, the run's wall time
+    /// attributed evenly across its frames. A pipeline error counts nothing
+    /// for the run.
     fn serve_run(
         &mut self,
         frames: &FrameBatch,
@@ -109,9 +110,8 @@ impl WorkerTenant {
         self.exec.process_batch(frames, run.clone(), verdicts)?;
         let nanos = t0.elapsed().as_nanos() as u64;
         self.stats.busy_nanos += nanos;
-        let per_frame = nanos / run.len() as u64;
+        self.stats.latency.record_n(nanos / run.len() as u64, run.len() as u64);
         for (flow, verdict) in frames.flows()[run].iter().zip(verdicts.iter()) {
-            self.stats.latency.record(per_frame);
             self.stats.packets += 1;
             match verdict {
                 Some(class) => {

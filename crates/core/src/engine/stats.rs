@@ -123,10 +123,20 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&mut self, nanos: u64) {
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` samples of one value — what `n` calls to
+    /// [`record`](LatencyHistogram::record) leave behind, in one update
+    /// (a run's service time, shared evenly by its frames).
+    pub fn record_n(&mut self, nanos: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let bucket = 63 - (nanos | 1).leading_zeros() as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum_nanos += nanos;
+        self.buckets[bucket] += n;
+        self.count += n;
+        self.sum_nanos += nanos * n;
         self.max_nanos = self.max_nanos.max(nanos);
     }
 
@@ -490,6 +500,21 @@ mod tests {
         let mut tiny = LatencyHistogram::default();
         tiny.record(520); // midpoint 724 exceeds the max sample -> clamp
         assert_eq!(tiny.quantile_nanos(0.99), 520);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (mut weighted, mut looped) = (LatencyHistogram::default(), LatencyHistogram::default());
+        for (nanos, n) in [(0u64, 3u64), (1, 1), (777, 64), (1 << 40, 2), (5, 0)] {
+            weighted.record_n(nanos, n);
+            (0..n).for_each(|_| looped.record(nanos));
+        }
+        assert_eq!(weighted.buckets, looped.buckets);
+        assert_eq!(
+            (weighted.count, weighted.sum_nanos, weighted.max_nanos),
+            (looped.count, looped.sum_nanos, looped.max_nanos)
+        );
+        assert_eq!((weighted.count(), weighted.max_nanos()), (70, 1 << 40));
     }
 
     #[test]

@@ -22,15 +22,19 @@
 //! 6. the compiled window model over the `W * streams` unpacked codes.
 
 use crate::compile::{emit_into, CompileOptions, CompileReport, CompileTarget, EmittedProgram};
+use crate::engine::{FlatBatchScratch, FlatProgram, FlattenSkip};
 use crate::error::PegasusError;
 use crate::fuzzy::ClusterTree;
 use crate::numformat::NumFormat;
 use crate::primitives::PrimitiveProgram;
+use crate::verify::{verify_flow_with, VerifyReport};
+use pegasus_net::FrameBatch;
 use pegasus_switch::{
     Action, AluOp, FieldId, KeyPart, LoadedProgram, MatchKind, Operand, PhvLayout, RegFile, RegId,
     RegisterArray, ResourceReport, SwitchConfig, SwitchProgram, Table, TableEntry, TernaryKey,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-packet code source for the window.
@@ -505,22 +509,50 @@ fn emit_index_table(
     tables.push(t);
 }
 
+impl FlowPipeline {
+    /// Flattens the pipeline's program for the batched hot path. Its
+    /// inputs, in order: wire length, timestamp, flow hash, then the
+    /// extractor bytes — the order [`FlowClassifier::process_batch`] seeds
+    /// them in.
+    pub(crate) fn flatten(&self) -> Result<FlatProgram, FlattenSkip> {
+        let mut inputs = vec![self.len_field, self.ts_field, self.hash_field];
+        inputs.extend(&self.extractor_fields);
+        FlatProgram::from_program(
+            &self.program,
+            &inputs,
+            self.predicted_field,
+            &self.score_fields,
+            self.score_format,
+        )
+    }
+}
+
 /// The *program* half of a deployed flow pipeline — everything the control
 /// plane installs and a swap replaces: the pipeline description, its loaded
-/// tables and the flow-hash mask. Immutable once deployed, shared by `Arc`
-/// between every [`fork`](FlowClassifier::fork).
+/// tables, their flattened replica and the flow-hash mask. Immutable once
+/// deployed, shared by `Arc` between every [`fork`](FlowClassifier::fork).
 struct FlowProgram {
     pipeline: FlowPipeline,
     loaded: LoadedProgram,
+    /// What [`process_batch`](FlowClassifier::process_batch) sweeps, baked
+    /// once at deploy time — or the typed reason it serves through
+    /// `loaded` instead.
+    flat: Result<FlatProgram, FlattenSkip>,
     hash_mask: u32,
 }
 
-/// A deployed flow pipeline processing packets one at a time: a shared
-/// program plus this classifier's own per-flow register file — the split
-/// the switch makes between match-action entries and register SRAM.
+/// A deployed flow pipeline: a shared program plus this classifier's own
+/// per-flow register file — the split the switch makes between
+/// match-action entries and register SRAM. Packets go through it a run at
+/// a time ([`process_batch`](FlowClassifier::process_batch), the served
+/// path) or one at a time through the switch simulator
+/// ([`on_packet_mut`](FlowClassifier::on_packet_mut), the oracle the
+/// served path is held against); both read and write the same file.
 pub struct FlowClassifier {
     program: Arc<FlowProgram>,
     regs: RegFile,
+    /// Lane rows of the last `process_batch` sweep, reused across runs.
+    scratch: FlatBatchScratch,
 }
 
 /// One packet's classification outcome.
@@ -539,17 +571,42 @@ impl FlowClassifier {
     /// verifier runs first: an artifact with `Error`-severity diagnostics
     /// is rejected with [`PegasusError::Verify`] before the resource model
     /// ever sees it. Resource fit stays with the switch model's own typed
-    /// [`DeployError`](pegasus_switch::DeployError).
+    /// [`DeployError`](pegasus_switch::DeployError). The program is
+    /// flattened once, inside the verifier run, so the [`FlatProgram`]
+    /// proved in-bounds is the one kept.
     pub fn deploy(pipeline: FlowPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
-        let report = crate::verify::verify_flow(&pipeline, None);
-        if report.has_errors() {
+        let (report, flat) = verify_flow_with(&pipeline, None, || pipeline.flatten());
+        let Some(flat) = flat.filter(|_| !report.has_errors()) else {
             return Err(PegasusError::Verify { report: Box::new(report) });
-        }
+        };
         let loaded = pipeline.program.clone().deploy(cfg)?;
         let hash_bits = pipeline.program.layout.def(pipeline.hash_field).bits;
         let regs = loaded.zeroed_registers();
         let hash_mask = ((1u64 << hash_bits) - 1) as u32;
-        Ok(FlowClassifier { program: Arc::new(FlowProgram { pipeline, loaded, hash_mask }), regs })
+        Ok(FlowClassifier {
+            program: Arc::new(FlowProgram { pipeline, loaded, flat, hash_mask }),
+            regs,
+            scratch: FlatBatchScratch::default(),
+        })
+    }
+
+    /// Re-runs the static verifier against the switch configuration this
+    /// classifier was deployed on, over the [`FlatProgram`] it serves with
+    /// — nothing is flattened again.
+    pub(crate) fn verify_report(&self) -> VerifyReport {
+        verify_flow_with(self.pipeline(), Some(self.switch_config()), || &self.program.flat).0
+    }
+
+    /// The flattened replica [`process_batch`](FlowClassifier::process_batch)
+    /// sweeps (`None` when the program did not flatten).
+    pub fn flat(&self) -> Option<&FlatProgram> {
+        self.program.flat.as_ref().ok()
+    }
+
+    /// Why `process_batch` serves through the simulator instead (`None`
+    /// when [`flat`](FlowClassifier::flat) is available).
+    pub fn flatten_skip(&self) -> Option<&FlattenSkip> {
+        self.program.flat.as_ref().err()
     }
 
     /// The underlying pipeline description.
@@ -606,6 +663,7 @@ impl FlowClassifier {
         FlowClassifier {
             program: Arc::clone(&self.program),
             regs: self.program.loaded.zeroed_registers(),
+            scratch: FlatBatchScratch::default(),
         }
     }
 
@@ -656,7 +714,64 @@ impl FlowClassifier {
         retained
     }
 
-    /// Processes one packet of a flow — the one packet entry point (the
+    /// Serves frames `run` of `batch`, leaving the verdict of frame
+    /// `run.start + j` — the predicted class once the flow's window is
+    /// full — in `verdicts[j]`: bit-identical, register file included, to
+    /// [`on_packet_mut`](FlowClassifier::on_packet_mut) on each frame in
+    /// order (flow hash, capture timestamp, wire length, payload head
+    /// zero-padded to the extractor arity).
+    ///
+    /// A flattened program takes the whole run in one table-major sweep:
+    /// every lane's row is seeded straight from the batch columns — as
+    /// integers, each through its field's truncation — and each table
+    /// walks the lanes in arrival order, so a register array (touched by
+    /// one table only, the flattener checked) sees its packets' accesses in
+    /// that order. Nothing is allocated per packet. Only a program that
+    /// reports a [`FlattenSkip`] goes through the simulator instead.
+    pub fn process_batch(
+        &mut self,
+        batch: &FrameBatch,
+        run: Range<usize>,
+        verdicts: &mut Vec<Option<usize>>,
+    ) -> Result<(), PegasusError> {
+        verdicts.clear();
+        let (flows, ts, wires) = (batch.flows(), batch.ts_micros(), batch.wire_lens());
+        let Ok(flat) = &self.program.flat else {
+            let mut codes = vec![0.0; self.pipeline().extractor_fields.len()];
+            for i in run {
+                codes.fill(0.0);
+                codes.iter_mut().zip(batch.payload_head(i)).for_each(|(c, &b)| *c = f32::from(b));
+                let hash = flows[i].dataplane_hash();
+                verdicts.push(self.on_packet_mut(hash, ts[i], wires[i], &codes)?.predicted);
+            }
+            return Ok(());
+        };
+        let (lanes, inputs, hash_mask) = (run.len(), flat.inputs(), self.program.hash_mask);
+        flat.sweep(lanes, &mut self.scratch, &mut self.regs, |rows| {
+            for (row, i) in rows.zip(run) {
+                let header = [
+                    i64::from(wires[i]),
+                    (ts[i] >> 6) as i64, // 64 µs units
+                    i64::from(flows[i].dataplane_hash() & hash_mask),
+                ];
+                for (&(f, trunc), v) in inputs.iter().zip(header) {
+                    row[f] = trunc.apply(v);
+                }
+                // Bytes past the captured head stay the row's zeros.
+                for (&(f, trunc), &b) in inputs[3..].iter().zip(batch.payload_head(i)) {
+                    row[f] = trunc.apply(i64::from(b));
+                }
+            }
+        });
+        let FlowPipeline { valid_field, predicted_field, .. } = self.program.pipeline;
+        verdicts.extend(flat.rows(&self.scratch, lanes).map(|row| match predicted_field {
+            Some(p) if row[valid_field.0] == 1 => Some(row[p.0] as usize),
+            _ => None,
+        }));
+        Ok(())
+    }
+
+    /// Processes one packet of a flow through the switch simulator (the
     /// `_mut` suffix outlives the shared twin it used to distinguish).
     ///
     /// `extractor_codes` must match the spec's extractor input arity (empty
@@ -869,6 +984,62 @@ mod tests {
         }
         assert!(!registers_all_zero(&busy));
         assert!(registers_all_zero(&idle) && registers_all_zero(&source), "state is per fork");
+    }
+
+    #[test]
+    fn deploy_flattens_once_and_runs_match_the_simulator_under_aliasing() {
+        use pegasus_net::FiveTuple;
+        let flattens = || crate::engine::flat::FLATTENS.with(|n| n.get());
+        // Four register slots for forty flows: every slot is shared.
+        let mut small = spec();
+        small.flow_slots_log2 = 2;
+        let before = flattens();
+        let fc =
+            FlowClassifier::deploy(build_flow_pipeline(&small).unwrap(), &SwitchConfig::tofino2())
+                .expect("deploys");
+        assert_eq!(flattens() - before, 1, "deploy verifies the FlatProgram it keeps");
+        assert!(fc.flat().is_some_and(|flat| flat.limb_keys() == 1), "{:?}", fc.flatten_skip());
+        // What attach and swap run, and what every shard does: over the
+        // resident program.
+        let report = fc.verify_report();
+        assert!(
+            report.is_clean() && !report.has_code("V301") && !report.has_code("V103"),
+            "{report}"
+        );
+        let mut oracle = fc.fork();
+        assert_eq!(flattens() - before, 1, "verify_report/fork re-flattened");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut batch = FrameBatch::with_capacity(300);
+        let mut ts = 0u64;
+        for _ in 0..300 {
+            // IPDs from sub-unit to minutes: every exponent of the quantizer.
+            ts += 1u64 << rng.gen_range(0..30);
+            let flow = FiveTuple::new(rng.gen_range(0..40), 9, 1000, 443, 6);
+            batch.append(flow, ts, rng.gen_range(40..1500), 0, 64, &[]);
+        }
+        let want: Vec<Option<usize>> = (0..batch.len())
+            .map(|i| {
+                let hash = batch.flows()[i].dataplane_hash();
+                let v = oracle.on_packet_mut(hash, batch.ts_micros()[i], batch.wire_lens()[i], &[]);
+                v.expect("packet").predicted
+            })
+            .collect();
+        assert!(want.iter().filter(|v| v.is_some()).count() > 250, "windows fill");
+        let cells = |fc: &FlowClassifier| -> Vec<Vec<i64>> {
+            fc.regs.iter().map(|a| (0..a.size).map(|i| a.read(i)).collect()).collect()
+        };
+        for run in [1usize, 7, 64] {
+            let mut served = fc.fork();
+            let (mut got, mut verdicts) = (Vec::new(), Vec::new());
+            for start in (0..batch.len()).step_by(run) {
+                let end = (start + run).min(batch.len());
+                served.process_batch(&batch, start..end, &mut verdicts).expect("serves");
+                got.extend_from_slice(&verdicts);
+            }
+            assert_eq!(got, want, "runs of {run}");
+            assert_eq!(cells(&served), cells(&oracle), "runs of {run}: register files");
+        }
     }
 
     #[test]

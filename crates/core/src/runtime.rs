@@ -30,9 +30,9 @@ pub const BATCH_PARALLEL_THRESHOLD: usize = 256;
 pub struct DataplaneModel {
     pipeline: CompiledPipeline,
     loaded: LoadedProgram,
-    /// The flattened-LUT replica of register-free pipelines, baked once at
-    /// deploy time for the streaming engine's hot loop — or the typed
-    /// reason flattening was skipped.
+    /// The flattened-LUT replica of the pipeline, baked once at deploy time
+    /// for the streaming engine's hot loop — or the typed reason
+    /// flattening was skipped.
     flat: Result<FlatProgram, FlattenSkip>,
 }
 
@@ -46,8 +46,8 @@ impl DataplaneModel {
     /// Resource fit is deliberately left to the switch model's own typed
     /// [`DeployError`](pegasus_switch::DeployError) (richer than a `V204`
     /// diagnostic); the verifier's resource layer covers the same
-    /// accounting when invoked with a config. Register-free pipelines are
-    /// baked into a [`FlatProgram`] — the specialised replica the streaming
+    /// accounting when invoked with a config. The pipeline is baked into a
+    /// [`FlatProgram`] — the specialised replica the streaming
     /// engine executes (see [`flat`](DataplaneModel::flat)) — once, inside
     /// the verifier run, so the program proved in-bounds is the one kept.
     pub fn deploy(pipeline: CompiledPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
@@ -72,8 +72,9 @@ impl DataplaneModel {
         &self.pipeline
     }
 
-    /// The flattened-LUT replica of this pipeline (`None` when the program
-    /// keeps stateful registers). Bit-identical to
+    /// The flattened-LUT replica of this pipeline (`None` when it did not
+    /// flatten — see [`flatten_skip`](DataplaneModel::flatten_skip)).
+    /// Bit-identical to
     /// [`classify`](DataplaneModel::classify) — asserted over whole traces
     /// by the engine's determinism tests.
     pub fn flat(&self) -> Option<&FlatProgram> {

@@ -19,13 +19,18 @@
 //! 1. **Structural checks** (`V0xx`) — every ALU operand and scratch index
 //!    in bounds, dense-LUT slots naming real entries, entry action/data
 //!    offsets inside their pools, range parts ordered and inside the key
-//!    field's declared bit width, shift amounts below 64.
+//!    field's declared bit width, shift amounts below 64, register ops
+//!    naming real arrays.
 //! 2. **Interval abstract interpretation** (`V1xx`) — `[lo, hi]` value
 //!    ranges propagated per PHV/scratch field through every micro-op
 //!    sequence and across table stages (respecting `mask_of`/`truncate`
 //!    wrapping semantics), proving every packed dense-LUT key code lands
-//!    in bounds and flagging value ranges that silently wrap past their
-//!    field's declared width.
+//!    in bounds, flagging value ranges that silently wrap past their
+//!    field's declared width and register indices that are not provably
+//!    inside their array. Inputs range over what their source can deliver
+//!    (`[0, 255]` feature codes for a stateless pipeline, the input
+//!    field's whole width for a per-flow one) and a register read over the
+//!    array's element width.
 //! 3. **Semantic lints** (`V2xx`) — unreachable/shadowed entries, tables
 //!    with no default action and a provable match gap, same-priority
 //!    overlapping entries (hardware match nondeterminism), and the full
@@ -44,11 +49,13 @@
 //! | `V003` | Error | entry action/data reference out of bounds |
 //! | `V004` | Error | range key with `lo > hi` |
 //! | `V005` | Error | key value/range outside the field's declared width |
-//! | `V006` | Error | shift amount ≥ 64 |
+//! | `V006` | Error | shift amount ≥ 64 (shift-insert included) |
 //! | `V007` | Error | entry key arity differs from the table declaration |
 //! | `V008` | Warn  | ternary entry can never match (`value & !mask != 0`) |
+//! | `V009` | Error | flattened register op names a nonexistent array |
 //! | `V101` | Error | a packed dense-LUT key is not provably in bounds |
 //! | `V102` | Warn  | a value range provably wraps past its field width |
+//! | `V103` | Warn  | a register index is not provably inside its array (it wraps modulo the size) |
 //! | `V201` | Error | entry shadowed by a dominating entry |
 //! | `V202` | Warn  | no default action and a provable match gap |
 //! | `V203` | Warn  | same-priority overlapping entries |
@@ -56,7 +63,9 @@
 //! | `V301` | Info  | pipeline does not flatten (reason attached) |
 
 use crate::compile::CompiledPipeline;
-use crate::engine::flat::{FlatProgram, FlatTable, Matcher, OpKind, Run, Src, Trunc};
+use crate::engine::flat::{
+    limbs, split_limbs, FlatAction, FlatProgram, FlatTable, Matcher, OpKind, Src, Step, Trunc,
+};
 use crate::engine::FlattenSkip;
 use crate::flowpipe::FlowPipeline;
 use pegasus_switch::{
@@ -213,33 +222,25 @@ pub(crate) fn verify_pipeline_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
     if let Some(f) = p.predicted_field {
         check_pipeline_fields(&mut r, "predicted field", &[f], nfields);
     }
-    // Flatten only artifacts that passed the structural layer: the
-    // flattener (like the resource model) trusts the invariants above.
-    if r.has_errors() {
-        return (r, None);
-    }
-    let flat = flatten();
-    match flat.borrow() {
-        Ok(flat) => {
-            let table_names: Vec<&str> = p.program.tables.iter().map(|t| t.name.as_str()).collect();
-            verify_flat(&mut r, flat, &table_names);
-        }
-        Err(skip) => {
-            r.push(
-                "V301",
-                Severity::Info,
-                None,
-                format!("pipeline does not flatten: {skip} (simulator fallback)"),
-            );
-        }
-    }
-    (r, Some(flat))
+    // Input feature codes are clamped to [0, 255] before the store.
+    verify_flattened(r, &p.program, 255, flatten)
 }
 
-/// Verifies a per-flow windowed pipeline (program-level layers only —
-/// flow pipelines keep registers and never flatten; the register file is
-/// their hot path).
+/// Verifies a per-flow windowed pipeline: the program-level layers, then —
+/// like [`verify_pipeline`] — its flattened representation (register ops
+/// included: array ids in bounds, indices provably inside their arrays) or
+/// the typed flatten-skip reason as a `V301` info.
 pub fn verify_flow(p: &FlowPipeline, cfg: Option<&SwitchConfig>) -> VerifyReport {
+    verify_flow_with(p, cfg, || p.flatten()).0
+}
+
+/// [`verify_flow`] over the flattened representation `flatten` hands over
+/// (see [`verify_pipeline_with`]).
+pub(crate) fn verify_flow_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+    p: &FlowPipeline,
+    cfg: Option<&SwitchConfig>,
+    flatten: impl FnOnce() -> F,
+) -> (VerifyReport, Option<F>) {
     let mut r = verify_program(&p.program, cfg);
     let nfields = p.program.layout.len();
     check_pipeline_fields(&mut r, "extractor field", &p.extractor_fields, nfields);
@@ -256,7 +257,41 @@ pub fn verify_flow(p: &FlowPipeline, cfg: Option<&SwitchConfig>) -> VerifyReport
     if let Some(f) = p.predicted_field {
         check_pipeline_fields(&mut r, "predicted field", &[f], nfields);
     }
-    r
+    // Header fields and payload bytes arrive as parsed: any value of the
+    // input field's width.
+    verify_flattened(r, &p.program, i64::MAX, flatten)
+}
+
+/// The shared tail of both entry points: flattens only an artifact that
+/// passed the structural layer (the flattener, like the resource model,
+/// trusts those invariants), then verifies the flat program — its inputs
+/// ranging over `[0, input_hi]`, cut to each input field's width — or
+/// records why there is none.
+fn verify_flattened<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+    mut r: VerifyReport,
+    prog: &SwitchProgram,
+    input_hi: i64,
+    flatten: impl FnOnce() -> F,
+) -> (VerifyReport, Option<F>) {
+    if r.has_errors() {
+        return (r, None);
+    }
+    let flat = flatten();
+    match flat.borrow() {
+        Ok(flat) => {
+            let table_names: Vec<&str> = prog.tables.iter().map(|t| t.name.as_str()).collect();
+            verify_flat(&mut r, flat, &table_names, input_hi);
+        }
+        Err(skip) => {
+            r.push(
+                "V301",
+                Severity::Info,
+                None,
+                format!("pipeline does not flatten: {skip} (simulator fallback)"),
+            );
+        }
+    }
+    (r, Some(flat))
 }
 
 /// Verifies a bare switch program: structural checks over every table,
@@ -339,7 +374,10 @@ fn check_table_structure(r: &mut VerifyReport, prog: &SwitchProgram, t: &Table) 
                     );
                 }
             }
-            if let AluOp::Shl { amount, .. } | AluOp::Shr { amount, .. } = op {
+            if let AluOp::Shl { amount, .. }
+            | AluOp::Shr { amount, .. }
+            | AluOp::RegShiftInsert { shift: amount, .. } = op
+            {
                 if *amount >= 64 {
                     r.push(
                         "V006",
@@ -744,22 +782,28 @@ fn part_overlaps(a: &KeyPart, b: &KeyPart, bits: u8) -> bool {
 // Layer 1b + 2: flat-program structural checks and interval analysis.
 // ---------------------------------------------------------------------------
 
-fn verify_flat(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str]) {
+fn verify_flat(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str], input_hi: i64) {
     let before = r.diagnostics.len();
-    let nfields = flat.scratch_len();
+    let (nfields, nregs) = (flat.scratch_len(), flat.registers().len());
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
         let name = table_names.get(ti).copied().unwrap_or("?");
-        check_flat_table(r, ft, name, nfields);
+        check_flat_table(r, ft, name, nfields, nregs);
     }
     // The interval layer indexes by the structures the checks above just
     // validated; run it only on a structurally sound flat program.
     let structurally_sound = !r.diagnostics[before..].iter().any(|d| d.severity == Severity::Error);
     if structurally_sound {
-        interval_analysis(r, flat, table_names);
+        interval_analysis(r, flat, table_names, input_hi);
     }
 }
 
-fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: usize) {
+fn check_flat_table(
+    r: &mut VerifyReport,
+    ft: &FlatTable,
+    name: &str,
+    nfields: usize,
+    nregs: usize,
+) {
     for &(f, _) in &ft.keys {
         if f >= nfields {
             r.push(
@@ -782,69 +826,77 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
             ),
         );
     }
-    // Param slots each action's runs read: one past the last.
-    let param_end = |runs: &[Run]| {
-        let ends = runs.iter().flat_map(|run| {
-            [run.first.a, run.first.b].map(|s| if let Src::Param(p) = s { p + run.len } else { 0 })
+    // Param slots each action's steps read: one past the last.
+    let param_end = |action: &FlatAction| {
+        let ends = action.steps().flat_map(|step| {
+            let (srcs, len) = match step {
+                Step::Run(run) => ([run.first.a, run.first.b], run.len),
+                Step::Reg(op) => ([op.index, op.a], 1),
+            };
+            srcs.map(|s| if let Src::Param(p) = s { p + len } else { 0 })
         });
         ends.max().unwrap_or(0)
     };
-    let check_ref = |r: &mut VerifyReport, what: &str, action: u32, off: u32, len: u32| {
-        match ft.actions.get(action as usize) {
-            None => r.push(
-                "V003",
-                Severity::Error,
-                Some(name),
-                format!("{what} invokes flat action #{action}, table has {}", ft.actions.len()),
-            ),
-            Some(runs) if param_end(runs) > len as usize => r.push(
-                "V003",
-                Severity::Error,
-                Some(name),
-                format!(
-                    "{what}: flat action #{action} reads param slot {}, entry carries {len}",
-                    param_end(runs) - 1
+    let param_ends: Vec<usize> = ft.actions.iter().map(param_end).collect();
+    // (`what` is formatted only into a finding: this runs once per entry.)
+    let check_ref =
+        |r: &mut VerifyReport, what: fmt::Arguments, action: u32, off: u32, len: u32| {
+            match param_ends.get(action as usize) {
+                None => r.push(
+                    "V003",
+                    Severity::Error,
+                    Some(name),
+                    format!("{what} invokes flat action #{action}, table has {}", ft.actions.len()),
                 ),
-            ),
-            Some(_) => {}
-        }
-        if off as usize + len as usize > ft.data.len() {
-            r.push(
-                "V003",
-                Severity::Error,
-                Some(name),
-                format!(
-                    "{what} data slice [{off}, +{len}) outside the {}-word pool",
-                    ft.data.len()
+                Some(&end) if end > len as usize => r.push(
+                    "V003",
+                    Severity::Error,
+                    Some(name),
+                    format!(
+                        "{what}: flat action #{action} reads param slot {}, entry carries {len}",
+                        end - 1
+                    ),
                 ),
-            );
-        }
-    };
+                Some(_) => {}
+            }
+            if off as usize + len as usize > ft.data.len() {
+                r.push(
+                    "V003",
+                    Severity::Error,
+                    Some(name),
+                    format!(
+                        "{what} data slice [{off}, +{len}) outside the {}-word pool",
+                        ft.data.len()
+                    ),
+                );
+            }
+        };
     for (ei, (&action, &(off, len))) in ft.entry_action.iter().zip(ft.entry_data.iter()).enumerate()
     {
-        check_ref(r, &format!("flat entry #{ei}"), action, off, len);
+        check_ref(r, format_args!("flat entry #{ei}"), action, off, len);
     }
     if let Some((action, (off, len))) = ft.default_entry {
-        check_ref(r, "flat default", action, off, len);
+        check_ref(r, format_args!("flat default"), action, off, len);
     }
 
     match &ft.matcher {
         Matcher::Always => {}
         Matcher::Dense(lut) => {
             let entries = ft.entry_action.len() as u32;
-            for (slot, &v) in lut.iter().enumerate() {
-                if v > entries {
-                    r.push(
-                        "V002",
-                        Severity::Error,
-                        Some(name),
-                        format!(
-                            "dense-LUT slot {slot} holds {v}, table has {entries} entry(ies) \
-                             (slot encoding is entry index + 1)"
-                        ),
-                    );
-                    break; // one witness per table keeps reports readable
-                }
+            // (A branch-free maximum first: this scans up to 2¹⁶ slots per
+            // table on every attach and swap. One witness per table keeps
+            // reports readable.)
+            if lut.iter().fold(0, |top, &v| top.max(v)) > entries {
+                let (slot, v) = lut.iter().enumerate().find(|(_, &v)| v > entries).expect("max");
+                r.push(
+                    "V002",
+                    Severity::Error,
+                    Some(name),
+                    format!(
+                        "dense-LUT slot {slot} holds {v}, table has {entries} entry(ies) \
+                         (slot encoding is entry index + 1)"
+                    ),
+                );
             }
         }
         Matcher::Indexed(ix) => {
@@ -857,16 +909,20 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
                     format!("index order names entry {e}, table has {entries} entry(ies)"),
                 );
             }
-            // Every raw key value must land on an interval whose bitset
-            // row exists, and every bit of a row on an `order` slot.
+            // The limbs must tile every key (and be named one by one when
+            // a key is split), every raw limb value land on an interval
+            // whose bitset row exists, and every bit of a row on an `order`
+            // slot.
+            let domains = limbs(&ft.keys).map(|limb| 1usize << limb.width);
             let shaped = ix.order.len() == entries
                 && ix.words == entries.div_ceil(64)
-                && ix.keys.len() == ft.keys.len()
-                && ix.keys.iter().zip(&ft.keys).all(|(k, &(_, bits))| {
+                && ix.keys.iter().map(|k| k.interval_of.len()).eq(domains)
+                && ix.limbs == split_limbs(&ft.keys)
+                && ix.keys.iter().all(|k| {
                     let rows = k.bitsets.len() / ix.words.max(1);
-                    bits <= 16
-                        && k.interval_of.len() == 1 << bits
-                        && k.interval_of.iter().all(|&iv| usize::from(iv) < rows)
+                    // (A branch-free maximum: a limb has 2¹⁶ slots.)
+                    let top = k.interval_of.iter().fold(0, |top, &iv| top.max(iv));
+                    !k.interval_of.is_empty() && usize::from(top) < rows
                 });
             if !shaped {
                 r.push(
@@ -879,22 +935,25 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
         }
     }
 
-    for (ai, runs) in ft.actions.iter().enumerate() {
-        for run in runs {
-            let Run { first: op, len, .. } = *run;
-            if op.dst + len > nfields {
+    for (ai, action) in ft.actions.iter().enumerate() {
+        // A register op reads and writes like a run of one.
+        let touched = action.steps().map(|step| match step {
+            Step::Run(run) => (Some(run.first.dst), [run.first.a, run.first.b], run.len),
+            Step::Reg(op) => (op.dst.map(|(dst, _)| dst), [op.index, op.a], 1),
+        });
+        for (dst, srcs, len) in touched {
+            if let Some(dst) = dst.filter(|dst| dst + len > nfields) {
                 r.push(
                     "V001",
                     Severity::Error,
                     Some(name),
                     format!(
-                        "flat action #{ai} writes scratch indices {}..{} (scratch has {nfields})",
-                        op.dst,
-                        op.dst + len
+                        "flat action #{ai} writes scratch indices {dst}..{} (scratch has {nfields})",
+                        dst + len
                     ),
                 );
             }
-            for s in [op.a, op.b] {
+            for s in srcs {
                 if let Src::Field(f) = s {
                     if f + len > nfields {
                         r.push(
@@ -910,7 +969,9 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
                     }
                 }
             }
-            if let OpKind::Shl(amount) | OpKind::Shr(amount) = op.kind {
+        }
+        for run in &action.runs {
+            if let OpKind::Shl(amount) | OpKind::Shr(amount) = run.first.kind {
                 if amount >= 64 {
                     r.push(
                         "V006",
@@ -919,6 +980,19 @@ fn check_flat_table(r: &mut VerifyReport, ft: &FlatTable, name: &str, nfields: u
                         format!("flat action #{ai} shifts by {amount} (must be < 64)"),
                     );
                 }
+            }
+        }
+        for (_, op) in &action.regs {
+            if op.reg >= nregs {
+                r.push(
+                    "V009",
+                    Severity::Error,
+                    Some(name),
+                    format!(
+                        "flat action #{ai} touches register array #{}, program has {nregs}",
+                        op.reg
+                    ),
+                );
             }
         }
     }
@@ -968,12 +1042,20 @@ fn clamp128(v: i128) -> i64 {
     v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
-fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str]) {
+fn interval_analysis(
+    r: &mut VerifyReport,
+    flat: &FlatProgram,
+    table_names: &[&str],
+    input_hi: i64,
+) {
     let mut state: Vec<Interval> = vec![Interval::point(0); flat.scratch_len()];
-    // Input feature codes are clamped to [0, 255] before the store.
     for &(f, trunc) in flat.inputs() {
-        state[f] = truncate_abs(Interval { lo: 0, hi: 255 }, trunc).0;
+        state[f] = truncate_abs(Interval { lo: 0, hi: input_hi }, trunc).0;
     }
+    // Per-table join scratch: the join so far and the number of outcomes
+    // writing each field, the fields with either, one outcome's writes.
+    let (mut joined, mut writers) = (state.clone(), vec![0usize; state.len()]);
+    let (mut touched, mut written) = (Vec::new(), Vec::new());
 
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
         let name = table_names.get(ti).copied().unwrap_or("?");
@@ -1030,110 +1112,157 @@ fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&s
             Matcher::Indexed(_) => true, // an indexed key can always fall through
         };
 
-        let mut outcomes: Vec<Vec<Interval>> = Vec::new();
-        for e in reachable {
-            let action = ft.entry_action[e] as usize;
-            let (off, len) = ft.entry_data[e];
+        // Each outcome is the fields one (action, data) pair writes; the
+        // table's effect on a field is the join over the outcomes that
+        // write it — and of its incoming interval, when some outcome
+        // leaves it alone. Linear in entries × action size, whatever the
+        // scratch width: this runs on every attach and swap.
+        let hit = reachable.into_iter().map(|e| (ft.entry_action[e], ft.entry_data[e]));
+        // No default: a miss leaves the scratch untouched.
+        let miss = can_miss.then_some(ft.default_entry);
+        let mut outcomes = 0;
+        for outcome in hit.map(Some).chain(miss) {
+            outcomes += 1;
+            let Some((action, (off, len))) = outcome else { continue };
             let params = &ft.data[off as usize..(off + len) as usize];
-            outcomes.push(apply_action(r, &state, &ft.actions[action], params, name));
-        }
-        if can_miss {
-            match ft.default_entry {
-                Some((action, (off, len))) => {
-                    let params = &ft.data[off as usize..(off + len) as usize];
-                    outcomes.push(apply_action(
-                        r,
-                        &state,
-                        &ft.actions[action as usize],
-                        params,
-                        name,
-                    ));
+            let action = &ft.actions[action as usize];
+            apply_action(r, &state, action, params, flat.registers(), name, &mut written);
+            for &(f, iv) in &written {
+                if writers[f] == 0 {
+                    touched.push(f);
+                    joined[f] = iv;
+                } else {
+                    joined[f] = joined[f].join(iv);
                 }
-                // No default: a miss leaves the scratch untouched.
-                None => outcomes.push(state.clone()),
+                writers[f] += 1;
             }
         }
-        if let Some(first) = outcomes.first() {
-            let mut joined = first.clone();
-            for o in &outcomes[1..] {
-                for (j, iv) in o.iter().enumerate() {
-                    joined[j] = joined[j].join(*iv);
-                }
-            }
-            state = joined;
+        for f in touched.drain(..) {
+            state[f] = if writers[f] < outcomes { joined[f].join(state[f]) } else { joined[f] };
+            writers[f] = 0;
         }
     }
 }
 
-/// Runs one action's runs over a copy of the abstract state — each run's
-/// ops in index order, as the executor does — reporting provable
-/// wrap-arounds as `V102` (once per table).
+/// Pushes a table-scoped warning unless the table already carries one of
+/// this code (one witness per table keeps reports readable).
+fn warn_once(
+    r: &mut VerifyReport,
+    table: &str,
+    code: &'static str,
+    message: impl FnOnce() -> String,
+) {
+    if !r.diagnostics.iter().any(|d| d.code == code && d.table.as_deref() == Some(table)) {
+        r.push(code, Severity::Warn, Some(table), message());
+    }
+}
+
+/// The abstract result of one ALU op, before truncation.
+fn alu_interval(kind: OpKind, x: Interval, y: Interval) -> Interval {
+    match kind {
+        OpKind::Set => x,
+        OpKind::Add => Interval {
+            lo: clamp128(x.lo as i128 + y.lo as i128),
+            hi: clamp128(x.hi as i128 + y.hi as i128),
+        },
+        OpKind::Sub => Interval {
+            lo: clamp128(x.lo as i128 - y.hi as i128),
+            hi: clamp128(x.hi as i128 - y.lo as i128),
+        },
+        OpKind::Shl(amount) => Interval {
+            lo: clamp128((x.lo as i128) << amount),
+            hi: clamp128((x.hi as i128) << amount),
+        },
+        OpKind::Shr(amount) => Interval { lo: x.lo >> amount, hi: x.hi >> amount },
+        OpKind::Min => Interval { lo: x.lo.min(y.lo), hi: x.hi.min(y.hi) },
+        OpKind::Max => Interval { lo: x.lo.max(y.lo), hi: x.hi.max(y.hi) },
+        OpKind::And if x.lo >= 0 && y.lo >= 0 => Interval { lo: 0, hi: x.hi.min(y.hi) },
+        OpKind::Or | OpKind::Xor if x.lo >= 0 && y.lo >= 0 => {
+            // Results stay within the combined bit hull.
+            let top_bits = 64 - (x.hi.max(y.hi) as u64).leading_zeros();
+            let hi = if top_bits >= 63 { i64::MAX } else { (1i64 << top_bits) - 1 };
+            let lo = if kind == OpKind::Or { x.lo.max(y.lo) } else { 0 };
+            Interval { lo, hi }
+        }
+        OpKind::And | OpKind::Or | OpKind::Xor => Interval::TOP,
+        OpKind::Popcnt => Interval { lo: 0, hi: 64 },
+    }
+}
+
+/// Runs one action's steps over the abstract state — each run's ops in
+/// index order and each register op in its place, as the executor does —
+/// leaving the fields it writes, once each with their final interval, in
+/// `written`. Reports provable wrap-arounds as `V102` and register indices
+/// not proved inside their array as `V103` (each once per table). A
+/// register read yields any value of the array's element width: what other
+/// packets left in the slot is not tracked.
 fn apply_action(
     r: &mut VerifyReport,
     state: &[Interval],
-    runs: &[Run],
+    action: &FlatAction,
     params: &[i64],
+    registers: &[(u8, usize)],
     table: &str,
-) -> Vec<Interval> {
-    let mut s = state.to_vec();
-    let read = |s: &[Interval], src: Src| -> Interval {
+    written: &mut Vec<(usize, Interval)>,
+) {
+    written.clear();
+    let read = |written: &[(usize, Interval)], src: Src| -> Interval {
         match src {
-            Src::Field(f) => s[f],
+            Src::Field(f) => written.iter().find(|w| w.0 == f).map_or(state[f], |w| w.1),
             Src::Const(c) => Interval::point(c),
             Src::Param(i) => Interval::point(params[i]),
         }
     };
-    let ops = runs.iter().flat_map(|run| (0..run.len).map(|i| (run.first.step(i), run.trunc)));
-    for (op, trunc) in ops {
-        let (x, y) = (read(&s, op.a), read(&s, op.b));
-        let raw = match op.kind {
-            OpKind::Set => x,
-            OpKind::Add => Interval {
-                lo: clamp128(x.lo as i128 + y.lo as i128),
-                hi: clamp128(x.hi as i128 + y.hi as i128),
-            },
-            OpKind::Sub => Interval {
-                lo: clamp128(x.lo as i128 - y.hi as i128),
-                hi: clamp128(x.hi as i128 - y.lo as i128),
-            },
-            OpKind::Shl(amount) => Interval {
-                lo: clamp128((x.lo as i128) << amount),
-                hi: clamp128((x.hi as i128) << amount),
-            },
-            OpKind::Shr(amount) => Interval { lo: x.lo >> amount, hi: x.hi >> amount },
-            OpKind::Min => Interval { lo: x.lo.min(y.lo), hi: x.hi.min(y.hi) },
-            OpKind::Max => Interval { lo: x.lo.max(y.lo), hi: x.hi.max(y.hi) },
-            OpKind::And if x.lo >= 0 && y.lo >= 0 => Interval { lo: 0, hi: x.hi.min(y.hi) },
-            OpKind::Or | OpKind::Xor if x.lo >= 0 && y.lo >= 0 => {
-                // Results stay within the combined bit hull.
-                let top_bits = 64 - (x.hi.max(y.hi) as u64).leading_zeros();
-                let hi = if top_bits >= 63 { i64::MAX } else { (1i64 << top_bits) - 1 };
-                let lo = if op.kind == OpKind::Or { x.lo.max(y.lo) } else { 0 };
-                Interval { lo, hi }
-            }
-            OpKind::And | OpKind::Or | OpKind::Xor => Interval::TOP,
-            OpKind::Popcnt => Interval { lo: 0, hi: 64 },
-        };
+    // Abstract store: truncates `raw` to the field.
+    type Written = Vec<(usize, Interval)>;
+    let store = |r: &mut VerifyReport, written: &mut Written, dst, raw: Interval, trunc: Trunc| {
         let (iv, wrapped) = truncate_abs(raw, trunc);
-        if wrapped
-            && !r.diagnostics.iter().any(|d| d.code == "V102" && d.table.as_deref() == Some(table))
-        {
-            r.push(
-                "V102",
-                Severity::Warn,
-                Some(table),
+        if wrapped {
+            warn_once(r, table, "V102", || {
                 format!(
-                    "value range [{}, {}] wraps past scratch field #{}'s {}-bit width",
+                    "value range [{}, {}] wraps past scratch field #{dst}'s {}-bit width",
                     raw.lo,
                     raw.hi,
-                    op.dst,
                     trunc.bits()
-                ),
-            );
+                )
+            });
         }
-        s[op.dst] = iv;
+        match written.iter_mut().find(|w| w.0 == dst) {
+            Some(w) => w.1 = iv,
+            None => written.push((dst, iv)),
+        }
+    };
+    for step in action.steps() {
+        match step {
+            Step::Run(run) => {
+                for op in (0..run.len).map(|i| run.first.step(i)) {
+                    let raw = alu_interval(op.kind, read(written, op.a), read(written, op.b));
+                    store(r, written, op.dst, raw, run.trunc);
+                }
+            }
+            Step::Reg(op) => {
+                let (bits, slots) = registers[op.reg];
+                let idx = read(written, op.index);
+                let stored = if bits < 63 {
+                    Interval { lo: 0, hi: (1i64 << bits) - 1 }
+                } else {
+                    Interval::TOP
+                };
+                if let Some((dst, trunc)) = op.dst {
+                    store(r, written, dst, stored, trunc);
+                }
+                if idx.lo < 0 || idx.hi as u64 >= slots as u64 {
+                    warn_once(r, table, "V103", || {
+                        format!(
+                            "register #{} index proven only to [{}, {}], the array has {slots} \
+                             slot(s) — out-of-range indices wrap onto other flows' slots",
+                            op.reg, idx.lo, idx.hi
+                        )
+                    });
+                }
+            }
+        }
     }
-    s
 }
 
 #[cfg(test)]
@@ -1194,7 +1323,7 @@ mod tests {
         let flat = FlatProgram::from_pipeline(&c).expect("flattens");
         let names: Vec<&str> = c.program.tables.iter().map(|t| t.name.as_str()).collect();
         let mut r = VerifyReport::default();
-        verify_flat(&mut r, &flat, &names);
+        verify_flat(&mut r, &flat, &names, 255);
         assert!(!r.has_errors(), "{r}");
         assert!(flat.dense_tables() >= 2);
     }
@@ -1212,10 +1341,10 @@ mod tests {
             entry_data: vec![(0, 0)],
             data: vec![],
             default_entry: None,
-            actions: vec![vec![]],
+            actions: vec![FlatAction::default()],
         };
         let mut r = VerifyReport::default();
-        check_flat_table(&mut r, &ft, "t", 1);
+        check_flat_table(&mut r, &ft, "t", 1, 0);
         assert!(r.has_code("V002"), "{r}");
         assert!(r.has_errors());
     }
@@ -1230,7 +1359,7 @@ mod tests {
         let mut run = *flat
             .flat_tables()
             .iter()
-            .flat_map(|t| t.actions.iter().flatten())
+            .flat_map(|t| t.actions.iter().flat_map(|a| &a.runs))
             .next()
             .expect("the scorer has actions");
         run.len = nfields + 1;
@@ -1238,6 +1367,7 @@ mod tests {
             order: vec![7],
             words: 1,
             keys: vec![KeyIndex { interval_of: vec![0, 3], bitsets: vec![1] }],
+            limbs: vec![],
         };
         let ft = FlatTable {
             keys: vec![(0, 1)],
@@ -1246,16 +1376,77 @@ mod tests {
             entry_data: vec![(0, 0)],
             data: vec![],
             default_entry: None,
-            actions: vec![vec![run]],
+            actions: vec![FlatAction { runs: vec![run], regs: vec![] }],
         };
         let mut r = VerifyReport::default();
-        check_flat_table(&mut r, &ft, "t", nfields);
+        check_flat_table(&mut r, &ft, "t", nfields, 0);
         let messages = |code: &str| -> Vec<&str> {
             r.diagnostics.iter().filter(|d| d.code == code).map(|d| d.message.as_str()).collect()
         };
         assert!(messages("V002").iter().any(|m| m.contains("names entry 7")), "{r}");
         assert!(messages("V003").iter().any(|m| m.contains("index shape")), "{r}");
         assert!(messages("V001").iter().any(|m| m.contains("writes scratch indices")), "{r}");
+    }
+
+    #[test]
+    fn register_ops_are_held_to_their_arrays() {
+        use crate::engine::flat::{RegKind, RegOp};
+        use pegasus_switch::{RegId, RegisterArray};
+        // A 16-slot array indexed by a field of `bits` bits, any value of
+        // its width on input.
+        let indexed_by = |bits: u8| {
+            let mut layout = PhvLayout::new();
+            let idx = layout.add_field("idx", bits);
+            let old = layout.add_field("old", 8);
+            let mut prog = SwitchProgram::new("regs", layout);
+            prog.registers.push(RegisterArray::new("count", 8, 16));
+            let mut t = pegasus_switch::Table::new("bump", vec![]);
+            let a = t.add_action(Action::new("bump").with(AluOp::RegIncrSat {
+                dst: old,
+                reg: RegId(0),
+                index: Operand::Field(idx),
+                by: 1,
+                max: 255,
+            }));
+            t.default_action = Some((a, vec![]));
+            prog.tables.push(t);
+            let flat = FlatProgram::from_program(
+                &prog,
+                &[idx],
+                None,
+                &[],
+                crate::numformat::NumFormat::code8(),
+            )
+            .expect("one table per array");
+            let mut r = VerifyReport::default();
+            verify_flat(&mut r, &flat, &["bump"], i64::MAX);
+            r
+        };
+        let exact = indexed_by(4);
+        assert!(exact.diagnostics.is_empty(), "a 4-bit index is inside 16 slots: {exact}");
+        let wide = indexed_by(8);
+        assert!(wide.has_code("V103") && wide.is_clean(), "an 8-bit index wraps: {wide}");
+
+        // A register op naming array #3 of a one-array program.
+        let op = RegOp {
+            kind: RegKind::Read,
+            reg: 3,
+            index: Src::Const(0),
+            a: Src::Const(0),
+            dst: None,
+        };
+        let ft = FlatTable {
+            keys: vec![],
+            matcher: Matcher::Always,
+            entry_action: vec![],
+            entry_data: vec![],
+            data: vec![],
+            default_entry: Some((0, (0, 0))),
+            actions: vec![FlatAction { runs: vec![], regs: vec![(0, op)] }],
+        };
+        let mut r = VerifyReport::default();
+        check_flat_table(&mut r, &ft, "t", 1, 1);
+        assert!(r.has_code("V009") && r.has_errors(), "{r}");
     }
 
     #[test]

@@ -91,3 +91,109 @@ fn survives_packet_loss() {
         "accuracy under loss {correct}/{verdicts}"
     );
 }
+
+#[test]
+fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
+    // The served path — one table-major sweep of the flattened program per
+    // run — against the switch simulator, one packet at a time, on a CNN-L
+    // whose register arrays are cut to 16 slots: every flow shares its
+    // code window, timestamp and warm-up counter with the other flows the
+    // hash wraps onto its slot, so one packet's verdict depends on what
+    // another flow's packet, earlier in the same run, left in the
+    // registers. Runs of 1 and of 64 cover warm-up and full windows, and a
+    // mid-trace swap to a retrained artifact of the same shape must leave
+    // the register file where it is.
+    use pegasus::core::flowpipe::{FlowClassifier, FlowPipeline};
+    use pegasus::core::pipeline::Artifact;
+    use pegasus::core::{EngineArtifact, EngineBuilder, TenantConfig};
+    use pegasus::datasets::iscxvpn;
+    use pegasus::switch::RegisterArray;
+    use std::collections::HashMap;
+
+    let trace = generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 });
+    let views = extract_views(&trace);
+    let switch = SwitchConfig::tofino2();
+    let aliasing_cnn_l = |raw: &pegasus::nn::Dataset, seq: &pegasus::nn::Dataset| -> FlowPipeline {
+        let data = ModelData::new().with_raw(raw).with_seq(seq);
+        let compiled =
+            Pegasus::new(CnnL::fit(raw, seq, CnnLVariant::v44(), &TrainSettings::quick()))
+                .options(CompileOptions { clustering_depth: 5, ..Default::default() })
+                .compile(&data)
+                .expect("compiles");
+        let Artifact::Flow(pipeline) = compiled.artifact() else { panic!("CNN-L is per-flow") };
+        let mut pipeline = (**pipeline).clone();
+        for array in &mut pipeline.program.registers {
+            *array = RegisterArray::new(&array.name, array.width_bits, 16);
+        }
+        pipeline
+    };
+    let old = aliasing_cnn_l(&views.raw, &views.seq);
+    // Retrained on rotated labels: same shape, different verdicts.
+    let rot = |d: &pegasus::nn::Dataset| {
+        let y: Vec<usize> = d.y.iter().map(|&y| (y + 1) % d.classes()).collect();
+        pegasus::nn::Dataset::new(d.x.clone(), y)
+    };
+    let new = aliasing_cnn_l(&rot(&views.raw), &rot(&views.seq));
+    let deploy = |p: &FlowPipeline| FlowClassifier::deploy(p.clone(), &switch).expect("deploys");
+    let (old_fc, new_fc) = (deploy(&old), deploy(&new));
+    assert_eq!(old_fc.flatten_skip(), None, "CNN-L serves through the flattened program");
+    assert!(old_fc.flat().is_some_and(|flat| flat.limb_keys() == 1), "ipd_quant's 32-bit key");
+    assert!(new_fc.state_compatible(&old_fc));
+    let split = trace.packets.len() / 2;
+
+    // The oracle: the simulator, packet by packet, adopting state at the split.
+    let mut fork = old_fc.fork();
+    let mut reference: HashMap<pegasus::net::FiveTuple, Vec<usize>> = HashMap::new();
+    let (mut warmup, mut classified) = (0, 0);
+    for (i, pkt) in trace.packets.iter().enumerate() {
+        if i == split {
+            let mut fresh = new_fc.fork();
+            assert!(fresh.adopt_state(&fork));
+            fork = fresh;
+        }
+        let mut codes = [0.0f32; BYTES];
+        codes.iter_mut().zip(&pkt.payload_head).for_each(|(c, &b)| *c = f32::from(b));
+        let v = fork
+            .on_packet_mut(flow_hash(&pkt.flow), pkt.ts_micros, pkt.wire_len, &codes)
+            .expect("arity matches");
+        match v.predicted {
+            Some(class) => {
+                classified += 1;
+                reference.entry(pkt.flow).or_default().push(class);
+            }
+            None => warmup += 1,
+        }
+    }
+    assert!(warmup > 0 && classified > warmup, "{warmup} warm-up, {classified} classified");
+    assert!(reference.len() > 16, "more flows than slots: {}", reference.len());
+
+    for batch in [1usize, 64] {
+        let server = EngineBuilder::new().shards(1).batch(batch).build().expect("builds");
+        let (control, ingress) = (server.control(), server.ingress());
+        let artifact = |p: &FlowPipeline| {
+            EngineArtifact::from_flow_pipeline(p.clone(), &switch).expect("deploys")
+        };
+        let token = control
+            .attach(artifact(&old), TenantConfig::new().record_predictions(true))
+            .expect("attaches");
+        assert_eq!(control.tenant_stats(token).expect("stats").flatten_skip, None);
+        for pkt in &trace.packets[..split] {
+            ingress.push(pkt.clone()).expect("pushes");
+        }
+        // Quiesce, so the swap lands exactly at the split.
+        ingress.flush().expect("flushes");
+        while control.tenant_stats(token).expect("stats").report.packets < split as u64 {
+            std::thread::yield_now();
+        }
+        let swap = control.swap(token, artifact(&new)).expect("swaps");
+        assert!(swap.state_retained, "runs of {batch}: the register file stays in place");
+        for pkt in &trace.packets[split..] {
+            ingress.push(pkt.clone()).expect("pushes");
+        }
+        let mut report = server.shutdown().expect("shuts down");
+        let tenant = report.take_tenant(token).expect("tenant report");
+        let served = tenant.result.expect("served cleanly");
+        assert_eq!((served.warmup, served.classified), (warmup, classified), "runs of {batch}");
+        assert_eq!(served.predictions.expect("recorded"), reference, "runs of {batch}");
+    }
+}
