@@ -387,7 +387,7 @@ impl Bos {
         let pred_field = remap.get(pred_field);
         let report = report_for(&program);
         CompiledPipeline {
-            program,
+            program: program.into(),
             input_fields,
             score_fields: vec![],
             score_format: NumFormat::code8(),

@@ -208,7 +208,7 @@ impl DataplaneNet for N3ic {
         program.extra_stages = popcnt_stage_cost * layer_count;
         program.stateful_bits_per_flow = 80;
         Ok(Lowered::Pipeline(Box::new(CompiledPipeline {
-            program,
+            program: program.into(),
             input_fields: vec![],
             score_fields: vec![],
             score_format: NumFormat::code8(),

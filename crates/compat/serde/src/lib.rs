@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -70,6 +71,13 @@ pub enum DecodeError {
         /// Bytes left in the buffer.
         remaining: usize,
     },
+    /// A well-formed scalar its owner refuses to act on (a declared size).
+    OutOfRange {
+        /// The quantity being decoded.
+        what: &'static str,
+        /// The refused value.
+        value: u64,
+    },
     /// String bytes are not valid UTF-8.
     Utf8,
     /// [`from_bytes`] decoded a complete value but bytes were left over.
@@ -93,6 +101,9 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BadLength { what, len, remaining } => {
                 write!(f, "length prefix {len} for {what} exceeds the {remaining} bytes remaining")
+            }
+            DecodeError::OutOfRange { what, value } => {
+                write!(f, "{what} {value} is outside the supported range")
             }
             DecodeError::Utf8 => write!(f, "string bytes are not valid UTF-8"),
             DecodeError::TrailingBytes { remaining } => {
@@ -411,17 +422,26 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self, w: &mut Writer) {
-        self.as_ref().serialize(w);
-    }
+// A pointer travels as its pointee: ownership and sharing are properties
+// of the process that decoded the value, not of the bytes.
+macro_rules! impl_pointer {
+    ($($ptr:ident),+) => {
+        $(
+            impl<T: Serialize> Serialize for $ptr<T> {
+                fn serialize(&self, w: &mut Writer) {
+                    self.as_ref().serialize(w);
+                }
+            }
+            impl<'de, T: Deserialize<'de>> Deserialize<'de> for $ptr<T> {
+                fn deserialize(r: &mut Reader<'de>) -> Result<Self, DecodeError> {
+                    Ok($ptr::new(T::deserialize(r)?))
+                }
+            }
+        )+
+    };
 }
 
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
-    fn deserialize(r: &mut Reader<'de>) -> Result<Self, DecodeError> {
-        Ok(Box::new(T::deserialize(r)?))
-    }
-}
+impl_pointer!(Box, Arc);
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self, w: &mut Writer) {
@@ -530,11 +550,13 @@ impl_tuple! {
 /// ```
 ///
 /// Fields encode in the order listed; list every field (the decoder
-/// builds the struct with exactly these). Enums and structs that need to
-/// skip or reconstruct fields write their impls by hand.
+/// builds the struct with exactly these). A trailing `where check` names a
+/// `fn(&Self) -> Result<(), DecodeError>` every decoded value must pass.
+/// Enums and structs that need to skip or reconstruct fields write their
+/// impls by hand.
 #[macro_export]
 macro_rules! impl_serde_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $($field:ident),+ $(,)? } $(where $check:expr)?) => {
         impl $crate::Serialize for $ty {
             fn serialize(&self, w: &mut $crate::Writer) {
                 $( $crate::Serialize::serialize(&self.$field, w); )+
@@ -545,7 +567,9 @@ macro_rules! impl_serde_struct {
                 r: &mut $crate::Reader<'de>,
             ) -> Result<Self, $crate::DecodeError> {
                 $( let $field = $crate::Deserialize::deserialize(r)?; )+
-                Ok(Self { $($field),+ })
+                let value = Self { $($field),+ };
+                $( $check(&value)?; )?
+                Ok(value)
             }
         }
     };
@@ -595,6 +619,12 @@ mod tests {
         round_trip(Vec::<u32>::new());
         round_trip(Some(7i64));
         round_trip(Option::<String>::None);
+        round_trip(Arc::new(vec![String::from("shared")]));
+        assert_eq!(
+            to_bytes(&Arc::new(7u32)),
+            to_bytes(&Box::new(7u32)),
+            "pointers are transparent"
+        );
         round_trip([5u64; 64]);
         round_trip((1u32, String::from("x"), -9i64));
         let mut map = HashMap::new();

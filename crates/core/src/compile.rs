@@ -23,6 +23,7 @@ use pegasus_switch::{
     TableEntry, TernaryKey,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Compiler knobs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -100,8 +101,9 @@ pub struct CompileReport {
 /// A compiled (not yet deployed) classifier pipeline.
 #[derive(Clone, Debug)]
 pub struct CompiledPipeline {
-    /// The deployable switch program.
-    pub program: SwitchProgram,
+    /// The deployable switch program — one copy, shared with every clone
+    /// of this pipeline and with what it deploys into.
+    pub program: Arc<SwitchProgram>,
     /// Where input feature codes go, in feature order.
     pub input_fields: Vec<FieldId>,
     /// The final vector's fields.
@@ -196,7 +198,7 @@ pub fn compile_with_trees(
     }
     let (_, remap) = program.compact_phv(&input_fields);
     Ok(CompiledPipeline {
-        program,
+        program: Arc::new(program),
         input_fields: input_fields.iter().map(|&f| remap.get(f)).collect(),
         score_fields: emitted.score_fields.iter().map(|&f| remap.get(f)).collect(),
         score_format: emitted.score_format,

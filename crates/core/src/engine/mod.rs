@@ -89,7 +89,7 @@ pub use stats::{
 };
 
 use crate::error::PegasusError;
-use crate::flowpipe::FlowClassifier;
+use crate::flowpipe::{FlowClassifier, FlowProgram};
 use crate::models::StreamFeatures;
 use crate::runtime::DataplaneModel;
 use pegasus_net::{
@@ -356,12 +356,12 @@ impl FlowShard {
         FlowShard { fc, slots }
     }
 
-    /// Re-points the shard at `source`'s program — O(1) in flows. Returns
+    /// Re-points the shard at the `source` program — O(1) in flows. Returns
     /// whether per-flow state was retained: a state-compatible artifact
     /// keeps the register file and the slot-occupancy mirror untouched;
     /// otherwise both start over and flows re-warm, matching a
     /// from-scratch rebuild.
-    pub(crate) fn swap(&mut self, source: &FlowClassifier) -> bool {
+    pub(crate) fn swap(&mut self, source: &Arc<FlowProgram>) -> bool {
         let retained = self.fc.retarget(source);
         if !retained {
             self.slots = FlowTable::new(FlowTableConfig::aliased(self.fc.flow_slots()));

@@ -3,7 +3,7 @@
 use super::{lock, EngineShared};
 use crate::engine::HOST_WINDOW_STATE_BITS;
 use crate::error::PegasusError;
-use crate::flowpipe::FlowClassifier;
+use crate::flowpipe::{FlowPipeline, FlowProgram};
 use crate::models::StreamFeatures;
 use crate::runtime::DataplaneModel;
 use pegasus_net::FlowTableConfig;
@@ -37,37 +37,37 @@ pub struct EngineArtifact {
     pub(super) content_len: u64,
 }
 
+/// What an artifact executes — program only on both planes: one
+/// `SwitchProgram`, its `FlatProgram`, no register file, no scratch.
 pub(crate) enum ArtifactPlane {
     Stateless(Arc<DataplaneModel>),
-    Flow(Arc<FlowClassifier>),
+    Flow(Arc<FlowProgram>),
 }
 
 impl EngineArtifact {
-    pub(crate) fn stateless(dp: Arc<DataplaneModel>, features: StreamFeatures, name: &str) -> Self {
-        let budget = dp.switch_config().register_bits_total;
+    fn new(plane: ArtifactPlane, features: StreamFeatures, name: &str) -> Self {
+        let (state_bits_per_flow, switch) = match &plane {
+            ArtifactPlane::Stateless(dp) => (HOST_WINDOW_STATE_BITS, dp.switch_config()),
+            ArtifactPlane::Flow(p) => (p.state_bits_per_slot(), p.loaded.config()),
+        };
         EngineArtifact {
-            plane: ArtifactPlane::Stateless(dp),
+            state_bits_per_flow,
+            state_budget_bits: switch.register_bits_total,
+            plane,
             features,
             name: name.to_string(),
-            state_bits_per_flow: HOST_WINDOW_STATE_BITS,
-            state_budget_bits: budget,
             content_hash: 0,
             content_len: 0,
         }
     }
 
-    pub(crate) fn flow(fc: Arc<FlowClassifier>, name: &str) -> Self {
-        let (bits, budget) = (fc.state_bits_per_slot(), fc.switch_config().register_bits_total);
+    pub(crate) fn stateless(dp: Arc<DataplaneModel>, features: StreamFeatures, name: &str) -> Self {
+        Self::new(ArtifactPlane::Stateless(dp), features, name)
+    }
+
+    pub(crate) fn flow(program: Arc<FlowProgram>, name: &str) -> Self {
         // Flow pipelines consume raw packets; the feature tag is unused.
-        EngineArtifact {
-            plane: ArtifactPlane::Flow(fc),
-            features: StreamFeatures::Seq,
-            name: name.to_string(),
-            state_bits_per_flow: bits,
-            state_budget_bits: budget,
-            content_hash: 0,
-            content_len: 0,
-        }
+        Self::new(ArtifactPlane::Flow(program), StreamFeatures::Seq, name)
     }
 
     /// Builds a servable artifact straight from a compiled stateless
@@ -83,10 +83,10 @@ impl EngineArtifact {
         features: StreamFeatures,
         switch: &pegasus_switch::SwitchConfig,
     ) -> Result<Self, PegasusError> {
-        if pipeline.predicted_field.is_none() {
-            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
-        }
         let name = pipeline.program.name.clone();
+        if pipeline.predicted_field.is_none() {
+            return Err(PegasusError::NotAClassifier { pipeline: name });
+        }
         let dp = DataplaneModel::deploy(pipeline, switch)?;
         Ok(EngineArtifact::stateless(Arc::new(dp), features, &name))
     }
@@ -95,15 +95,14 @@ impl EngineArtifact {
     /// deploying it against `switch` — the flow-plane counterpart of
     /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline).
     pub fn from_flow_pipeline(
-        pipeline: crate::flowpipe::FlowPipeline,
+        pipeline: FlowPipeline,
         switch: &pegasus_switch::SwitchConfig,
     ) -> Result<Self, PegasusError> {
-        if pipeline.predicted_field.is_none() {
-            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
-        }
         let name = pipeline.program.name.clone();
-        let fc = FlowClassifier::deploy(pipeline, switch)?;
-        Ok(EngineArtifact::flow(Arc::new(fc), &name))
+        if pipeline.predicted_field.is_none() {
+            return Err(PegasusError::NotAClassifier { pipeline: name });
+        }
+        Ok(EngineArtifact::flow(FlowProgram::deploy(pipeline, switch)?, &name))
     }
 
     /// The compiled program's name (diagnostics, default tenant name).
@@ -123,7 +122,7 @@ impl EngineArtifact {
     /// flow-table choice instead).
     pub fn flow_slots(&self) -> Option<usize> {
         match &self.plane {
-            ArtifactPlane::Flow(fc) => Some(fc.flow_slots()),
+            ArtifactPlane::Flow(program) => Some(program.flow_slots()),
             ArtifactPlane::Stateless(_) => None,
         }
     }
@@ -159,7 +158,7 @@ impl EngineArtifact {
     pub fn verify_report(&self) -> crate::verify::VerifyReport {
         match &self.plane {
             ArtifactPlane::Stateless(dp) => dp.verify_report(),
-            ArtifactPlane::Flow(fc) => fc.verify_report(),
+            ArtifactPlane::Flow(program) => program.verify_report(),
         }
     }
 
@@ -171,7 +170,7 @@ impl EngineArtifact {
     pub fn flatten_skip(&self) -> Option<String> {
         match &self.plane {
             ArtifactPlane::Stateless(dp) => dp.flatten_skip(),
-            ArtifactPlane::Flow(fc) => fc.flatten_skip(),
+            ArtifactPlane::Flow(program) => program.flat.as_ref().err(),
         }
         .map(ToString::to_string)
     }
@@ -192,10 +191,10 @@ impl EngineArtifact {
                 serde::Serialize::serialize(dp.switch_config(), &mut w);
                 serde::Serialize::serialize(&self.features, &mut w);
             }
-            ArtifactPlane::Flow(fc) => {
+            ArtifactPlane::Flow(program) => {
                 w.write_u8(1);
-                serde::Serialize::serialize(fc.pipeline(), &mut w);
-                serde::Serialize::serialize(fc.switch_config(), &mut w);
+                serde::Serialize::serialize(&program.pipeline, &mut w);
+                serde::Serialize::serialize(program.loaded.config(), &mut w);
             }
         }
         w.into_bytes()
@@ -232,13 +231,11 @@ fn content_hash(bytes: &[u8]) -> u64 {
 /// (every shard applies the same deterministic check), and a kind change
 /// rebuilds from scratch.
 ///
-/// [`state_compatible`]: FlowClassifier::state_compatible
+/// [`state_compatible`]: crate::flowpipe::FlowClassifier::state_compatible
 pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> bool {
     match (&old.plane, &new.plane) {
         (ArtifactPlane::Stateless(_), ArtifactPlane::Stateless(_)) => true,
-        (ArtifactPlane::Flow(old_fc), ArtifactPlane::Flow(new_fc)) => {
-            new_fc.state_compatible(old_fc)
-        }
+        (ArtifactPlane::Flow(old), ArtifactPlane::Flow(new)) => new.state_compatible(old),
         _ => false,
     }
 }
@@ -256,8 +253,12 @@ impl EngineShared {
         let mut cache = lock(&self.artifact_cache, "artifact cache");
         cache.retain(|cached| cached.strong_count() > 0);
         for existing in cache.iter().filter_map(Weak::upgrade) {
-            // Hash match is a hint; equality is decided on the bytes.
-            if existing.content_hash == artifact.content_hash && existing.content_bytes() == bytes {
+            // Hash and length are hints; equality is decided on the bytes,
+            // re-encoded only for a candidate both hints agree on.
+            if existing.content_hash == artifact.content_hash
+                && existing.content_len == artifact.content_len
+                && existing.content_bytes() == bytes
+            {
                 return existing;
             }
         }

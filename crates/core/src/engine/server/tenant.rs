@@ -229,7 +229,7 @@ impl TenantExec {
                 artifact.features,
                 table,
             ))),
-            ArtifactPlane::Flow(fc) => TenantExec::Flow(Box::new(FlowShard::new(fc.fork()))),
+            ArtifactPlane::Flow(p) => TenantExec::Flow(Box::new(FlowShard::new(p.fork()))),
         }
     }
 
@@ -244,7 +244,7 @@ impl TenantExec {
                 shard.swap(dp.clone(), artifact.features);
                 true
             }
-            (TenantExec::Flow(shard), ArtifactPlane::Flow(fc)) => shard.swap(fc),
+            (TenantExec::Flow(shard), ArtifactPlane::Flow(p)) => shard.swap(p),
             // Kind change: rebuild from scratch, state cannot carry over.
             (slot, _) => {
                 *slot = TenantExec::new(artifact, table);

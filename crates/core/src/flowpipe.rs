@@ -20,6 +20,11 @@
 //! 5. unpacking shifts, a saturating per-flow packet counter and the
 //!    window-full validity check;
 //! 6. the compiled window model over the `W * streams` unpacked codes.
+//!
+//! Deployed, the tables and register *declarations* are one
+//! `Arc<SwitchProgram>` shared by the pipeline, its loaded program, the
+//! engine's artifact and every shard; only a [`FlowClassifier`] fork owns
+//! register cells.
 
 use crate::compile::{emit_into, CompileOptions, CompileReport, CompileTarget, EmittedProgram};
 use crate::engine::{FlatBatchScratch, FlatProgram, FlattenSkip};
@@ -93,8 +98,9 @@ pub struct FlowPipelineSpec {
 /// A built flow pipeline: program + field handles + accounting.
 #[derive(Clone)]
 pub struct FlowPipeline {
-    /// The deployable program.
-    pub program: SwitchProgram,
+    /// The deployable program — one copy, shared with every clone of this
+    /// pipeline and with the [`LoadedProgram`] it deploys into.
+    pub program: Arc<SwitchProgram>,
     /// Packet wire length input (16 bits).
     pub len_field: FieldId,
     /// Packet timestamp input, in 64 µs units (truncated).
@@ -394,7 +400,7 @@ pub fn build_flow_pipeline(spec: &FlowPipelineSpec) -> Result<FlowPipeline, Pega
     let (_, remap) = program.compact_phv(&inputs);
 
     Ok(FlowPipeline {
-        program,
+        program: Arc::new(program),
         len_field: remap.get(len_field),
         ts_field: remap.get(ts_field),
         hash_field: remap.get(hash_field),
@@ -529,16 +535,74 @@ impl FlowPipeline {
 
 /// The *program* half of a deployed flow pipeline — everything the control
 /// plane installs and a swap replaces: the pipeline description, its loaded
-/// tables, their flattened replica and the flow-hash mask. Immutable once
-/// deployed, shared by `Arc` between every [`fork`](FlowClassifier::fork).
-struct FlowProgram {
-    pipeline: FlowPipeline,
-    loaded: LoadedProgram,
+/// tables (the pipeline's own `Arc<SwitchProgram>`, not a copy), their
+/// flattened replica and the flow-hash mask. Immutable once deployed and
+/// free of per-flow state: it is what the engine's artifact holds, shared
+/// by `Arc` with every [`fork`](FlowClassifier::fork), and every question
+/// about state *shape* is answered from its register declarations.
+pub(crate) struct FlowProgram {
+    pub(crate) pipeline: FlowPipeline,
+    pub(crate) loaded: LoadedProgram,
     /// What [`process_batch`](FlowClassifier::process_batch) sweeps, baked
     /// once at deploy time — or the typed reason it serves through
     /// `loaded` instead.
-    flat: Result<FlatProgram, FlattenSkip>,
+    pub(crate) flat: Result<FlatProgram, FlattenSkip>,
     hash_mask: u32,
+}
+
+impl FlowProgram {
+    /// [`FlowClassifier::deploy`] minus the register file. Flattens once,
+    /// inside the verifier run: the [`FlatProgram`] proved is the one kept.
+    pub(crate) fn deploy(
+        pipeline: FlowPipeline,
+        cfg: &SwitchConfig,
+    ) -> Result<Arc<Self>, PegasusError> {
+        let (report, flat) = verify_flow_with(&pipeline, None, || pipeline.flatten());
+        let Some(flat) = flat.filter(|_| !report.has_errors()) else {
+            return Err(PegasusError::Verify { report: Box::new(report) });
+        };
+        let loaded = Arc::clone(&pipeline.program).deploy(cfg)?;
+        let hash_bits = pipeline.program.layout.def(pipeline.hash_field).bits;
+        let hash_mask = ((1u64 << hash_bits) - 1) as u32;
+        Ok(Arc::new(FlowProgram { pipeline, loaded, flat, hash_mask }))
+    }
+
+    /// Re-runs the static verifier against the switch configuration this
+    /// program was deployed on, over the [`FlatProgram`] it serves with —
+    /// nothing is flattened again.
+    pub(crate) fn verify_report(&self) -> VerifyReport {
+        verify_flow_with(&self.pipeline, Some(self.loaded.config()), || &self.flat).0
+    }
+
+    fn registers(&self) -> &[RegisterArray] {
+        &self.pipeline.program.registers
+    }
+
+    pub(crate) fn flow_slots(&self) -> usize {
+        self.hash_mask as usize + 1
+    }
+
+    /// SRAM bits one register slot consumes: the summed element widths of
+    /// the per-flow arrays (code history, timestamp, warm-up counter).
+    pub(crate) fn state_bits_per_slot(&self) -> u64 {
+        self.registers().iter().map(|a| u64::from(a.width_bits)).sum()
+    }
+
+    pub(crate) fn state_compatible(&self, other: &FlowProgram) -> bool {
+        let shape = |a: &RegisterArray| (a.width_bits, a.size);
+        self.hash_mask == other.hash_mask
+            && self.pipeline.extractor_fields.len() == other.pipeline.extractor_fields.len()
+            && self.registers().iter().map(shape).eq(other.registers().iter().map(shape))
+    }
+
+    /// The one place a served register file is allocated.
+    pub(crate) fn fork(self: &Arc<Self>) -> FlowClassifier {
+        FlowClassifier {
+            program: Arc::clone(self),
+            regs: RegFile::new(self.registers()),
+            scratch: FlatBatchScratch::default(),
+        }
+    }
 }
 
 /// A deployed flow pipeline: a shared program plus this classifier's own
@@ -549,7 +613,7 @@ struct FlowProgram {
 /// ([`on_packet_mut`](FlowClassifier::on_packet_mut), the oracle the
 /// served path is held against); both read and write the same file.
 pub struct FlowClassifier {
-    program: Arc<FlowProgram>,
+    pub(crate) program: Arc<FlowProgram>,
     regs: RegFile,
     /// Lane rows of the last `process_batch` sweep, reused across runs.
     scratch: FlatBatchScratch,
@@ -571,30 +635,10 @@ impl FlowClassifier {
     /// verifier runs first: an artifact with `Error`-severity diagnostics
     /// is rejected with [`PegasusError::Verify`] before the resource model
     /// ever sees it. Resource fit stays with the switch model's own typed
-    /// [`DeployError`](pegasus_switch::DeployError). The program is
-    /// flattened once, inside the verifier run, so the [`FlatProgram`]
-    /// proved in-bounds is the one kept.
+    /// [`DeployError`](pegasus_switch::DeployError). Returns the deployed
+    /// program's first [`fork`](FlowClassifier::fork).
     pub fn deploy(pipeline: FlowPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
-        let (report, flat) = verify_flow_with(&pipeline, None, || pipeline.flatten());
-        let Some(flat) = flat.filter(|_| !report.has_errors()) else {
-            return Err(PegasusError::Verify { report: Box::new(report) });
-        };
-        let loaded = pipeline.program.clone().deploy(cfg)?;
-        let hash_bits = pipeline.program.layout.def(pipeline.hash_field).bits;
-        let regs = loaded.zeroed_registers();
-        let hash_mask = ((1u64 << hash_bits) - 1) as u32;
-        Ok(FlowClassifier {
-            program: Arc::new(FlowProgram { pipeline, loaded, flat, hash_mask }),
-            regs,
-            scratch: FlatBatchScratch::default(),
-        })
-    }
-
-    /// Re-runs the static verifier against the switch configuration this
-    /// classifier was deployed on, over the [`FlatProgram`] it serves with
-    /// — nothing is flattened again.
-    pub(crate) fn verify_report(&self) -> VerifyReport {
-        verify_flow_with(self.pipeline(), Some(self.switch_config()), || &self.program.flat).0
+        Ok(FlowProgram::deploy(pipeline, cfg)?.fork())
     }
 
     /// The flattened replica [`process_batch`](FlowClassifier::process_batch)
@@ -623,27 +667,13 @@ impl FlowClassifier {
     /// Flows whose truncated hashes collide share one slot — and share
     /// their register state with it.
     pub fn flow_slots(&self) -> usize {
-        self.program.hash_mask as usize + 1
-    }
-
-    /// SRAM bits every register slot consumes (the sum of the element
-    /// widths of all per-flow register arrays: code history, timestamp,
-    /// warm-up counter). `flow_slots × state_bits_per_slot` is this
-    /// classifier's total stateful SRAM.
-    pub fn state_bits_per_slot(&self) -> u64 {
-        self.regs.iter().map(|a| u64::from(a.width_bits)).sum()
+        self.program.flow_slots()
     }
 
     /// Total stateful register SRAM of this classifier, in bits — what
     /// per-tenant state budgets are checked against.
     pub fn register_state_bits(&self) -> u64 {
-        self.regs.total_bits()
-    }
-
-    /// The switch configuration this classifier was deployed against
-    /// (its SRAM model bounds per-tenant state budgets).
-    pub fn switch_config(&self) -> &SwitchConfig {
-        self.program.loaded.config()
+        self.program.registers().iter().map(|a| a.total_bits()).sum()
     }
 
     /// Clears all per-flow state (fresh trace).
@@ -660,26 +690,18 @@ impl FlowClassifier {
     /// register state lives in exactly one replica, owned by the one
     /// thread that serves it.
     pub fn fork(&self) -> FlowClassifier {
-        FlowClassifier {
-            program: Arc::clone(&self.program),
-            regs: self.program.loaded.zeroed_registers(),
-            scratch: FlatBatchScratch::default(),
-        }
+        self.program.fork()
     }
 
     /// True when `other`'s per-flow register files have the same shape as
     /// this classifier's — same array count and, array by array, the same
-    /// element width and slot count. Two compilations of the *same
-    /// pipeline shape* (same window, code width, hash size and feature
-    /// family — e.g. a retrained model) are state-compatible; a different
-    /// shape is not, and its flows must re-warm after a swap.
+    /// element width and slot count, read off the programs' declarations.
+    /// Two compilations of the *same pipeline shape* (same window, code
+    /// width, hash size and feature family — e.g. a retrained model) are
+    /// state-compatible; a different shape is not, and its flows must
+    /// re-warm after a swap.
     pub fn state_compatible(&self, other: &FlowClassifier) -> bool {
-        fn shape(fc: &FlowClassifier) -> impl Iterator<Item = (u8, usize)> + '_ {
-            fc.regs.iter().map(|a| (a.width_bits, a.size))
-        }
-        self.program.hash_mask == other.program.hash_mask
-            && self.pipeline().extractor_fields.len() == other.pipeline().extractor_fields.len()
-            && shape(self).eq(shape(other))
+        self.program.state_compatible(&other.program)
     }
 
     /// Copies `prev`'s whole per-flow register file (code windows,
@@ -700,16 +722,17 @@ impl FlowClassifier {
     }
 
     /// The hot swap itself, as the hardware does it: re-points this
-    /// classifier at `source`'s program and, when the two are
+    /// classifier at `source` and, when the two programs are
     /// [`state_compatible`](FlowClassifier::state_compatible), leaves the
     /// register file exactly where it is — O(1), nothing copied. An
     /// incompatible shape gets a zeroed file of the new shape instead.
     /// Returns whether state was retained.
-    pub(crate) fn retarget(&mut self, source: &FlowClassifier) -> bool {
-        let retained = self.state_compatible(source);
-        self.program = Arc::clone(&source.program);
-        if !retained {
-            self.regs = self.program.loaded.zeroed_registers();
+    pub(crate) fn retarget(&mut self, source: &Arc<FlowProgram>) -> bool {
+        let retained = self.program.state_compatible(source);
+        if retained {
+            self.program = Arc::clone(source);
+        } else {
+            *self = source.fork();
         }
         retained
     }
@@ -899,6 +922,12 @@ mod tests {
         assert!(p.stateful_bits_per_flow > 0);
         // (W-1) * 8 bits * 2 streams + 16 ts = 3*16+16 = 64.
         assert_eq!(p.stateful_bits_per_flow, 64);
+        // Declarations, not cells: 4 slots or 1024, the encoding is as long.
+        let small = FlowPipelineSpec { flow_slots_log2: 2, ..spec() };
+        let small = build_flow_pipeline(&small).expect("builds");
+        assert_eq!(small.program.registers[0].size, 4);
+        assert_eq!(p.program.registers[0].size, 1024);
+        assert_eq!(serde::to_bytes(&small).len(), serde::to_bytes(&p).len());
         let c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).expect("deploys");
         let r = c.resource_report();
         assert!(r.stages_used <= 20, "stages {}", r.stages_used);
@@ -964,7 +993,7 @@ mod tests {
     }
 
     fn registers_all_zero(fc: &FlowClassifier) -> bool {
-        fc.regs.iter().all(|a| (0..a.size).all(|i| a.read(i) == 0))
+        fc.regs == RegFile::new(&fc.pipeline().program.registers)
     }
 
     #[test]
@@ -981,6 +1010,11 @@ mod tests {
         let idle = busy.fork();
         for fork in [&busy, &idle] {
             assert!(Arc::ptr_eq(&fork.program, &source.program), "fork must not copy tables");
+            // One copy of the tables from the pipeline down to the simulator.
+            let (pipeline, loaded) = (&fork.pipeline().program, fork.program.loaded.program());
+            assert!(
+                Arc::ptr_eq(pipeline, loaded) && Arc::ptr_eq(pipeline, &source.pipeline().program)
+            );
         }
         assert!(!registers_all_zero(&busy));
         assert!(registers_all_zero(&idle) && registers_all_zero(&source), "state is per fork");
@@ -1001,7 +1035,7 @@ mod tests {
         assert!(fc.flat().is_some_and(|flat| flat.limb_keys() == 1), "{:?}", fc.flatten_skip());
         // What attach and swap run, and what every shard does: over the
         // resident program.
-        let report = fc.verify_report();
+        let report = fc.program.verify_report();
         assert!(
             report.is_clean() && !report.has_code("V301") && !report.has_code("V103"),
             "{report}"
@@ -1026,9 +1060,6 @@ mod tests {
             })
             .collect();
         assert!(want.iter().filter(|v| v.is_some()).count() > 250, "windows fill");
-        let cells = |fc: &FlowClassifier| -> Vec<Vec<i64>> {
-            fc.regs.iter().map(|a| (0..a.size).map(|i| a.read(i)).collect()).collect()
-        };
         for run in [1usize, 7, 64] {
             let mut served = fc.fork();
             let (mut got, mut verdicts) = (Vec::new(), Vec::new());
@@ -1038,7 +1069,7 @@ mod tests {
                 got.extend_from_slice(&verdicts);
             }
             assert_eq!(got, want, "runs of {run}");
-            assert_eq!(cells(&served), cells(&oracle), "runs of {run}: register files");
+            assert!(served.regs == oracle.regs, "runs of {run}: register files");
         }
     }
 

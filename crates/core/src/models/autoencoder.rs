@@ -188,7 +188,7 @@ impl AutoEncoder {
         let mae_field = remap.get(mae_field);
 
         Ok(CompiledPipeline {
-            program,
+            program: program.into(),
             input_fields,
             score_fields: vec![mae_field],
             // Decoded score = stored * step / INPUT_DIM = the MAE.

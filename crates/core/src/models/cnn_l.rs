@@ -30,6 +30,7 @@ use pegasus_nn::metrics::{pr_rc_f1, PrRcF1};
 use pegasus_nn::optim::{Adam, Optimizer};
 use pegasus_nn::{Dataset, Sequential, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Raw bytes per packet.
 pub const BYTES: usize = 60;
@@ -493,7 +494,7 @@ impl CnnL {
             ts_bits: if self.variant.with_ipd { 16 } else { 0 },
         };
         let mut pipeline = build_flow_pipeline(&spec)?;
-        pipeline.program.stateful_bits_per_flow = self.variant.stateful_bits();
+        Arc::make_mut(&mut pipeline.program).stateful_bits_per_flow = self.variant.stateful_bits();
         pipeline.stateful_bits_per_flow = self.variant.stateful_bits();
         Ok(pipeline)
     }

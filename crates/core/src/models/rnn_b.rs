@@ -312,7 +312,7 @@ impl RnnB {
         let (_, remap) = program.compact_phv(&input_fields);
 
         CompiledPipeline {
-            program,
+            program: program.into(),
             input_fields: input_fields.iter().map(|&x| remap.get(x)).collect(),
             score_fields: score_fields.iter().map(|&x| remap.get(x)).collect(),
             score_format,

@@ -113,7 +113,8 @@ impl<M: DataplaneNet> Pegasus<M> {
                 let name = table_prefix(self.model.name());
                 let mut pipeline =
                     compile_with_trees(&program, &rows, &opts, target, &name, &tree_overrides)?;
-                pipeline.program.stateful_bits_per_flow = stateful_bits_per_flow;
+                Arc::make_mut(&mut pipeline.program).stateful_bits_per_flow =
+                    stateful_bits_per_flow;
                 Artifact::Single(Box::new(pipeline))
             }
             Lowered::Pipeline(pipeline) => Artifact::Single(pipeline),
@@ -253,18 +254,20 @@ impl<M: DataplaneNet> Compiled<M> {
             Artifact::Single(pipeline) => {
                 Plane::Single(Arc::new(DataplaneModel::deploy(*pipeline, cfg)?))
             }
-            Artifact::Flow(flow) => Plane::Flow(Arc::new(FlowClassifier::deploy(*flow, cfg)?)),
+            Artifact::Flow(flow) => Plane::Flow(FlowClassifier::deploy(*flow, cfg)?),
         };
         Ok(Deployment { model: self.model, plane })
     }
 }
 
-/// The deployed plane sits behind `Arc`s so a serving engine can hold the
-/// artifact (and keep serving it) independently of this deployment's
-/// lifetime — [`Deployment::engine_artifact`] just clones the handle.
+/// The deployed program sits behind an `Arc` on both planes (a
+/// [`FlowClassifier`] is the shared program plus this deployment's own
+/// register file) so a serving engine can hold the artifact (and keep
+/// serving it) independently of this deployment's lifetime —
+/// [`Deployment::engine_artifact`] just clones the handle.
 enum Plane {
     Single(Arc<DataplaneModel>),
-    Flow(Arc<FlowClassifier>),
+    Flow(FlowClassifier),
 }
 
 /// Stage 3: a model loaded onto the switch simulator and serving.
@@ -297,47 +300,43 @@ impl<M: DataplaneNet> Deployment<M> {
         }
     }
 
+    /// The stateless runtime, or the error every stateless entry point
+    /// returns for per-flow pipelines.
+    fn stateless(&self) -> Result<&DataplaneModel, PegasusError> {
+        match &self.plane {
+            Plane::Single(dp) => Ok(dp),
+            Plane::Flow(fc) => Err(PegasusError::FlowStateRequired {
+                pipeline: fc.pipeline().program.name.clone(),
+            }),
+        }
+    }
+
     /// Classifies one sample of feature codes (stateless pipelines).
     pub fn classify(&self, codes: &[f32]) -> Result<usize, PegasusError> {
-        match &self.plane {
-            Plane::Single(dp) => dp.classify(codes),
-            Plane::Flow(fc) => Err(flow_state_err(fc)),
-        }
+        self.stateless()?.classify(codes)
     }
 
     /// Classifies a batch of samples (see [`DataplaneModel::classify_batch`]).
     pub fn classify_batch(&self, rows: &[Vec<f32>]) -> Vec<Result<usize, PegasusError>> {
-        match &self.plane {
-            Plane::Single(dp) => dp.classify_batch(rows),
-            Plane::Flow(fc) => {
-                let err = flow_state_err(fc);
-                rows.iter().map(|_| Err(err.clone())).collect()
-            }
+        match self.stateless() {
+            Ok(dp) => dp.classify_batch(rows),
+            Err(err) => rows.iter().map(|_| Err(err.clone())).collect(),
         }
     }
 
     /// Decoded output scores of one sample (stateless pipelines).
     pub fn scores(&self, codes: &[f32]) -> Result<Vec<f32>, PegasusError> {
-        match &self.plane {
-            Plane::Single(dp) => dp.scores(codes),
-            Plane::Flow(fc) => Err(flow_state_err(fc)),
-        }
+        self.stateless()?.scores(codes)
     }
 
     /// Evaluates classification quality over a dataset of code rows.
     pub fn evaluate(&self, data: &Dataset) -> Result<PrRcF1, PegasusError> {
-        match &self.plane {
-            Plane::Single(dp) => dp.evaluate(data),
-            Plane::Flow(fc) => Err(flow_state_err(fc)),
-        }
+        self.stateless()?.evaluate(data)
     }
 
     /// The shared stateless runtime, when this deployment has one.
     pub fn dataplane(&self) -> Option<&DataplaneModel> {
-        match &self.plane {
-            Plane::Single(dp) => Some(dp),
-            Plane::Flow(_) => None,
-        }
+        self.stateless().ok()
     }
 
     /// Unwraps the deployment, returning the trained model (e.g. to
@@ -363,28 +362,21 @@ impl<M: DataplaneNet> Deployment<M> {
     /// Fails with [`PegasusError::NotAClassifier`] for score-only
     /// pipelines — the packet engine serves class verdicts.
     pub fn engine_artifact(&self) -> Result<EngineArtifact, PegasusError> {
-        match &self.plane {
-            Plane::Single(dp) => {
-                if dp.pipeline().predicted_field.is_none() {
-                    return Err(PegasusError::NotAClassifier {
-                        pipeline: dp.pipeline().program.name.clone(),
-                    });
-                }
-                Ok(EngineArtifact::stateless(
-                    Arc::clone(dp),
-                    self.model.stream_features(),
-                    &dp.pipeline().program.name,
-                ))
-            }
-            Plane::Flow(fc) => {
-                if fc.pipeline().predicted_field.is_none() {
-                    return Err(PegasusError::NotAClassifier {
-                        pipeline: fc.pipeline().program.name.clone(),
-                    });
-                }
-                Ok(EngineArtifact::flow(Arc::clone(fc), &fc.pipeline().program.name))
-            }
+        let (program, predicted) = match &self.plane {
+            Plane::Single(dp) => (&dp.pipeline().program, dp.pipeline().predicted_field),
+            Plane::Flow(fc) => (&fc.pipeline().program, fc.pipeline().predicted_field),
+        };
+        if predicted.is_none() {
+            return Err(PegasusError::NotAClassifier { pipeline: program.name.clone() });
         }
+        Ok(match &self.plane {
+            Plane::Single(dp) => EngineArtifact::stateless(
+                Arc::clone(dp),
+                self.model.stream_features(),
+                &program.name,
+            ),
+            Plane::Flow(fc) => EngineArtifact::flow(Arc::clone(&fc.program), &program.name),
+        })
     }
 
     /// Streams a packet source through the sharded packet engine.
@@ -561,11 +553,6 @@ impl<M: DataplaneNet> Deployment<M> {
             Plane::Single(_) => None,
         }
     }
-}
-
-/// The error every stateless entry point returns for per-flow pipelines.
-fn flow_state_err(fc: &FlowClassifier) -> PegasusError {
-    PegasusError::FlowStateRequired { pipeline: fc.pipeline().program.name.clone() }
 }
 
 #[cfg(test)]

@@ -1,5 +1,9 @@
 //! Deployed-model runtime: feeding feature codes through the switch.
 //!
+//! It holds one copy of the tables (the pipeline's `Arc<SwitchProgram>`,
+//! which its [`LoadedProgram`] shares), the [`FlatProgram`] baked from
+//! them and no per-flow state; the engine shares it whole by `Arc`.
+//!
 //! [`DataplaneModel`] is immutable once deployed: every inference method
 //! takes `&self` and each sample is independent of every other, so one
 //! deployed model can be shared across threads —
@@ -13,7 +17,8 @@ use crate::primitives::{Primitive, PrimitiveProgram};
 use crate::verify::{verify_pipeline_with, VerifyReport};
 use pegasus_nn::metrics::{pr_rc_f1, PrRcF1};
 use pegasus_nn::Dataset;
-use pegasus_switch::{FieldId, LoadedProgram, ResourceReport, SwitchConfig};
+use pegasus_switch::{FieldId, LoadedProgram, RegFile, ResourceReport, SwitchConfig};
+use std::sync::Arc;
 
 /// Rows below this count are classified sequentially on the calling
 /// thread; batches of at least this many rows fan out across available
@@ -56,7 +61,7 @@ impl DataplaneModel {
         let Some(flat) = flat.filter(|_| !report.has_errors()) else {
             return Err(PegasusError::Verify { report: Box::new(report) });
         };
-        let loaded = pipeline.program.clone().deploy(cfg)?;
+        let loaded = Arc::clone(&pipeline.program).deploy(cfg)?;
         Ok(DataplaneModel { pipeline, loaded, flat })
     }
 
@@ -162,7 +167,7 @@ impl DataplaneModel {
             .collect();
         // Samples are independent: each starts from zeroed registers — an
         // empty, allocation-free file for every register-free pipeline.
-        Ok(self.loaded.process(&inputs, &mut self.loaded.zeroed_registers()))
+        Ok(self.loaded.process(&inputs, &mut RegFile::new(&self.pipeline.program.registers)))
     }
 
     /// Evaluates classification quality over a dataset of code rows.
@@ -249,6 +254,7 @@ mod tests {
         )
         .expect("compiles");
         let m = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
+        assert!(Arc::ptr_eq(&m.pipeline().program, m.loaded.program()), "deploy copied the tables");
         // Clearly separated sample: class 1 (x2+x3 dominates).
         let pred = m.classify(&[10.0, 10.0, 250.0, 250.0]).expect("classifies");
         assert_eq!(pred, 1);
@@ -387,7 +393,6 @@ mod tests {
         use crate::engine::server::{EngineArtifact, EngineBuilder, TenantConfig};
         use crate::error::PegasusError;
         use crate::models::StreamFeatures;
-        use std::sync::Arc;
 
         let build = || {
             let mut prog = scorer();
@@ -405,9 +410,7 @@ mod tests {
         // Corrupt the pipeline description after deploy: an entry naming a
         // nonexistent action, as a bit-rotted artifact would.
         let mut dm = build();
-        let t = dm
-            .pipeline
-            .program
+        let t = Arc::make_mut(&mut dm.pipeline.program)
             .tables
             .iter_mut()
             .find(|t| !t.entries.is_empty())
@@ -429,9 +432,7 @@ mod tests {
         let clean = EngineArtifact::stateless(Arc::new(build()), StreamFeatures::Stat, "clean");
         let token = control.attach(clean, TenantConfig::new()).expect("clean attaches");
         let mut dm = build();
-        let t = dm
-            .pipeline
-            .program
+        let t = Arc::make_mut(&mut dm.pipeline.program)
             .tables
             .iter_mut()
             .find(|t| !t.entries.is_empty())

@@ -1275,6 +1275,7 @@ mod tests {
     use pegasus_switch::{Action, AluOp, MatchKind, Operand, PhvLayout, SwitchConfig, TableEntry};
     use rand::Rng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn scorer() -> PrimitiveProgram {
         let mut p = PrimitiveProgram::new(4);
@@ -1465,7 +1466,7 @@ mod tests {
         t.default_action = Some((a, vec![]));
         prog.tables.push(t);
         let p = CompiledPipeline {
-            program: prog,
+            program: Arc::new(prog),
             input_fields: vec![x],
             score_fields: vec![x],
             score_format: crate::numformat::NumFormat::code8(),

@@ -3,6 +3,7 @@
 //! An artifact file is everything `pegasusd` needs to re-deploy a tenant
 //! after a crash: the compiled pipeline itself, the stream-feature kind
 //! it consumes, and the switch resource model it was verified against.
+//! Program only: registers travel as declarations, never as cells.
 //! The body is [`serde`]-encoded and prefixed with a 4-byte magic plus a
 //! `u32` format version, so a daemon pointed at a stale or foreign state
 //! directory rejects the file with a typed error instead of
@@ -10,7 +11,8 @@
 
 use pegasus_core::compile::CompiledPipeline;
 use pegasus_core::flowpipe::FlowPipeline;
-use pegasus_core::{Artifact, EngineArtifact, PegasusError, StreamFeatures};
+use pegasus_core::verify::{verify_flow, verify_pipeline};
+use pegasus_core::{EngineArtifact, PegasusError, StreamFeatures};
 use pegasus_switch::SwitchConfig;
 use std::fmt;
 
@@ -19,7 +21,8 @@ pub const ARTIFACT_MAGIC: [u8; 4] = *b"PEGA";
 
 /// Current format version. Bump on any encoding change; old daemons
 /// reject newer files (and vice versa) instead of misreading them.
-pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
+/// (v1 shipped every register array's zeroed cells.)
+pub const ARTIFACT_FORMAT_VERSION: u32 = 2;
 
 /// Why a byte blob is not an artifact file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,17 +190,16 @@ impl ArtifactFile {
     /// Runs static verification against the embedded switch model and
     /// returns the number of error-severity diagnostics (0 = clean).
     pub fn verify_errors(&self) -> u64 {
-        let artifact = match &self.payload {
+        let report = match &self.payload {
             ArtifactPayload::Stateless { pipeline, .. } => {
-                Artifact::Single(Box::new(pipeline.clone()))
+                verify_pipeline(pipeline, Some(&self.switch))
             }
-            ArtifactPayload::Flow { pipeline } => Artifact::Flow(Box::new(pipeline.clone())),
+            ArtifactPayload::Flow { pipeline } => verify_flow(pipeline, Some(&self.switch)),
         };
-        let report = artifact.verify(Some(&self.switch));
         report.errors().count() as u64
     }
 
-    /// Deploys the payload into an engine-servable artifact.
+    /// Deploys the payload into an engine-servable artifact (tables shared).
     pub fn deploy(&self) -> Result<EngineArtifact, PegasusError> {
         match &self.payload {
             ArtifactPayload::Stateless { features, pipeline } => {

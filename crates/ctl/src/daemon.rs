@@ -15,9 +15,9 @@
 //! acknowledged, so the registry always describes what the operator was
 //! last told. On start the daemon replays it: for each tenant record (in
 //! attach order) it re-reads the artifact file, re-checks the `PEGA`
-//! header, re-runs static verification against the embedded switch
-//! model, re-deploys, and re-attaches under the recorded route and
-//! flow-table config. A tenant whose artifact fails any of those steps
+//! header, re-deploys against the embedded switch model — which re-runs
+//! static verification over the program it is about to serve — and
+//! re-attaches under the recorded route and flow-table config. A tenant whose artifact fails any of those steps
 //! comes back [`Degraded`](TenantRuntime::Degraded) with a typed
 //! [`DegradedReason`] — visible in `list`, refusing `swap`, and
 //! clearable with `detach` — instead of silently disappearing from the
@@ -253,12 +253,13 @@ impl Daemon {
             .map_err(|e| DegradedReason::Io { message: format!("{}: {e}", path.display()) })?;
         let file = ArtifactFile::from_bytes(&bytes)
             .map_err(|e| DegradedReason::Format { message: e.to_string() })?;
-        let errors = file.verify_errors();
-        if errors > 0 {
-            return Err(DegradedReason::Verify { errors });
-        }
-        let artifact =
-            file.deploy().map_err(|e| DegradedReason::Attach { message: e.to_string() })?;
+        // `deploy` verifies what it flattens; its typed refusal is the reason.
+        let artifact = file.deploy().map_err(|e| match e {
+            PegasusError::Verify { report } => {
+                DegradedReason::Verify { errors: report.errors().count() as u64 }
+            }
+            e => DegradedReason::Attach { message: e.to_string() },
+        })?;
         self.control
             .attach(artifact, tenant_config(record))
             .map_err(|e| DegradedReason::Attach { message: e.to_string() })
@@ -566,4 +567,52 @@ impl Daemon {
 
 fn frame_error_message(e: &FrameError) -> String {
     format!("unreadable frame: {e}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::artifact::ArtifactPayload;
+    use std::sync::Arc;
+
+    /// Recovery deploys each recorded artifact exactly once, and a file that
+    /// decodes but no longer verifies degrades its tenant with the typed
+    /// `Verify` reason `deploy` itself reports — no separate verifier pass.
+    #[test]
+    fn corrupt_artifact_file_recovers_degraded_with_the_verify_reason() {
+        let dir = std::env::temp_dir().join(format!("pegasus-recover-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let config = DaemonConfig {
+            state_dir: dir.join("state"),
+            socket: dir.join("ctl.sock"),
+            shards: 1,
+            batch: 16,
+        };
+        let mut file = crate::build::compile_mlp_b(7).expect("compiles");
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        assert!(matches!(daemon.load("mlp", &file.to_bytes()), Response::Loaded(_)));
+        let attached = daemon.attach("t0", "mlp", WireTenantConfig::default());
+        assert!(matches!(attached, Response::Attached { .. }), "{attached:?}");
+        let record = daemon.registry.find_artifact("mlp").expect("recorded");
+        let path = daemon.registry.artifact_path(record);
+        daemon.server.take().expect("running").shutdown().expect("drains");
+
+        // Bit rot that still decodes: an entry naming a nonexistent action.
+        let ArtifactPayload::Stateless { pipeline, .. } = &mut file.payload else {
+            panic!("MLP-B is stateless")
+        };
+        let tables = &mut Arc::make_mut(&mut pipeline.program).tables;
+        tables.iter_mut().find(|t| !t.entries.is_empty()).expect("entries").entries[0].action_idx =
+            999;
+        let errors = file.verify_errors();
+        assert!(errors > 0);
+        fs::write(&path, file.to_bytes()).expect("overwrite artifact");
+
+        let (mut daemon, summary) = Daemon::start(&config).expect("daemon restarts");
+        assert!(summary.serving.is_empty());
+        assert_eq!(summary.degraded, [("t0".to_string(), DegradedReason::Verify { errors })]);
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

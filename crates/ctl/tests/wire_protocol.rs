@@ -261,12 +261,58 @@ fn artifact_header_mismatches_are_typed() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+    // A format-1 file (register cells on disk) is refused by its header,
+    // never decoded as if it were program-only.
+    let v1 = [&ARTIFACT_MAGIC[..], &1u32.to_le_bytes()].concat();
+    assert_eq!(
+        ArtifactFile::from_bytes(&v1).unwrap_err(),
+        ArtifactError::UnsupportedVersion { found: 1, supported: 2 }
+    );
     // Right header, garbage body: the serde layer's typed rejection.
     let mut garbage = Vec::new();
     garbage.extend_from_slice(&ARTIFACT_MAGIC);
     garbage.extend_from_slice(&ARTIFACT_FORMAT_VERSION.to_le_bytes());
     garbage.extend_from_slice(&[0xFF; 32]);
     assert!(matches!(ArtifactFile::from_bytes(&garbage), Err(ArtifactError::Decode(_))));
+}
+
+/// A program-only file declares its registers instead of shipping them,
+/// and supplies the `SwitchConfig` budget they are checked against — so a
+/// tiny file could ask for a terabyte-scale register file. The declaration
+/// is refused at decode, long before `deploy` could size a `RegFile`.
+#[test]
+fn hostile_register_declaration_is_a_typed_decode_error() {
+    use pegasus_core::compile::{CompileReport, CompiledPipeline};
+    use pegasus_core::numformat::NumFormat;
+    use pegasus_ctl::artifact::ArtifactPayload;
+    use pegasus_switch::{PhvLayout, RegisterArray, SwitchConfig, SwitchProgram};
+
+    let mut program = SwitchProgram::new("", PhvLayout::new());
+    program.registers.push(RegisterArray { name: String::new(), width_bits: 32, size: 1 << 40 });
+    let switch = SwitchConfig {
+        name: String::new(),
+        register_bits_total: u64::MAX,
+        ..SwitchConfig::tofino2()
+    };
+    let pipeline = CompiledPipeline {
+        program: program.into(),
+        input_fields: vec![],
+        score_fields: vec![],
+        score_format: NumFormat::code8(),
+        predicted_field: None,
+        report: CompileReport::default(),
+    };
+    let payload =
+        ArtifactPayload::Stateless { features: pegasus_core::StreamFeatures::Stat, pipeline };
+    let bytes = ArtifactFile { switch, payload }.to_bytes();
+    assert!(bytes.len() < 200, "{} bytes declare 2^40 32-bit slots", bytes.len());
+    assert_eq!(
+        ArtifactFile::from_bytes(&bytes).unwrap_err(),
+        ArtifactError::Decode(serde::DecodeError::OutOfRange {
+            what: "declared register bits",
+            value: 32 << 40
+        })
+    );
 }
 
 // ---------------------------------------------------------------------------

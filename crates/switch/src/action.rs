@@ -583,7 +583,7 @@ mod tests {
             a: Operand::Field(a),
             b: Operand::Field(b),
         });
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, &[], &mut regs);
         assert_eq!(phv.get(c), 4);
     }
@@ -593,7 +593,7 @@ mod tests {
         let (l, a, _b, _c) = setup();
         let mut phv = l.instantiate();
         let act = Action::new("t").with(AluOp::Set { dst: a, a: Operand::Param(1) });
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, &[10, 42], &mut regs);
         assert_eq!(phv.get(a), 42);
     }
@@ -616,7 +616,7 @@ mod tests {
         let act = Action::new("t")
             .with(AluOp::Min { dst: c, a: Operand::Field(a), b: Operand::Field(b) })
             .with(AluOp::Shl { dst: c, a: Operand::Field(c), amount: 2 });
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, &[], &mut regs);
         assert_eq!(phv.get(c), 20);
     }
@@ -627,7 +627,7 @@ mod tests {
         let mut phv = l.instantiate();
         phv.set(a, 0b1011);
         let act = Action::new("t").with(AluOp::Popcnt { dst: b, a: Operand::Field(a) });
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, &[], &mut regs);
         assert_eq!(phv.get(b), 3);
     }
@@ -637,7 +637,7 @@ mod tests {
         let (l, a, b, _) = setup();
         let mut phv = l.instantiate();
         phv.set(a, 99);
-        let mut regs = RegFile::new(vec![RegisterArray::new("r", 16, 4)]);
+        let mut regs = RegFile::new(&[RegisterArray::new("r", 16, 4)]);
         let r = RegId(0);
         let act = Action::new("t").with(AluOp::RegReadWrite {
             dst: b,
@@ -654,7 +654,7 @@ mod tests {
     fn reg_incr_saturates() {
         let (l, _a, b, _) = setup();
         let mut phv = l.instantiate();
-        let mut regs = RegFile::new(vec![RegisterArray::new("cnt", 8, 2)]);
+        let mut regs = RegFile::new(&[RegisterArray::new("cnt", 8, 2)]);
         let r = RegId(0);
         let act = Action::new("t").with(AluOp::RegIncrSat {
             dst: b,
@@ -674,7 +674,7 @@ mod tests {
     fn reg_shift_insert_packs_codes() {
         let (l, a, b, _) = setup();
         let mut phv = l.instantiate();
-        let mut regs = RegFile::new(vec![RegisterArray::new("win", 32, 2)]);
+        let mut regs = RegFile::new(&[RegisterArray::new("win", 32, 2)]);
         let r = RegId(0);
         let act = Action::new("t").with(AluOp::RegShiftInsert {
             dst: b,
@@ -705,7 +705,7 @@ mod tests {
             a: Operand::Field(a),
             b: Operand::Const(100),
         });
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, &[], &mut regs);
         assert_eq!(phv.get(a), 44); // 300 mod 256
     }

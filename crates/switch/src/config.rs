@@ -6,6 +6,7 @@
 //! The simulator refuses to deploy programs that exceed them, which is what
 //! makes the Table 6 resource-utilization experiment meaningful.
 
+use crate::register::{MAX_REGISTER_BITS, REGISTER_WIDTHS};
 use serde::{Deserialize, Serialize};
 
 /// Static resource description of a PISA pipeline.
@@ -48,8 +49,8 @@ impl SwitchConfig {
             tcam_bits_per_stage: 512 * 1024,
             action_bus_bits_per_stage: 1024,
             phv_bits: 4096,
-            register_bits_total: 100 * 1024 * 1024,
-            register_widths: vec![8, 16, 32],
+            register_bits_total: MAX_REGISTER_BITS,
+            register_widths: REGISTER_WIDTHS.to_vec(),
             line_rate_bps: 12.8e12,
             pipeline_latency_ns: 400.0,
         }
@@ -66,7 +67,7 @@ impl SwitchConfig {
             action_bus_bits_per_stage: 256,
             phv_bits: 512,
             register_bits_total: 64 * 1024,
-            register_widths: vec![8, 16, 32],
+            register_widths: REGISTER_WIDTHS.to_vec(),
             line_rate_bps: 1.0e9,
             pipeline_latency_ns: 400.0,
         }

@@ -9,11 +9,10 @@
 use crate::action::Action;
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::ternary::{mask_of, range_to_ternary, TernaryKey};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How one key field is matched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatchKind {
     /// Exact equality (SRAM).
     Exact,
@@ -24,7 +23,7 @@ pub enum MatchKind {
 }
 
 /// One field's pattern within an entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum KeyPart {
     /// Matches when the field equals the value exactly.
     Exact(u64),
@@ -60,7 +59,7 @@ impl KeyPart {
 }
 
 /// One table entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableEntry {
     /// One pattern per declared key field, in declaration order.
     pub keys: Vec<KeyPart>,
@@ -72,8 +71,9 @@ pub struct TableEntry {
     pub action_data: Vec<i64>,
 }
 
-/// A match-action table declaration plus its entries.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A match-action table declaration plus its entries — plain data; lookup
+/// indexes are derived state of whoever runs the table.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     /// Diagnostic name (unique within a program).
     pub name: String,
@@ -87,12 +87,13 @@ pub struct Table {
     pub entries: Vec<TableEntry>,
     /// Bit width of each action-data word (drives bus accounting).
     pub param_widths: Vec<u8>,
-    #[serde(skip)]
-    exact_index: Option<HashMap<Vec<u64>, usize>>,
 }
 
+/// Hash index over an all-exact table: key values → first entry with them.
+pub(crate) type ExactIndex = HashMap<Vec<u64>, usize>;
+
 /// Resource demand of one table, computed against a PHV layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableUsage {
     /// SRAM bits (exact keys + action data storage).
     pub sram_bits: u64,
@@ -112,7 +113,6 @@ impl Table {
             default_action: None,
             entries: Vec::new(),
             param_widths: Vec::new(),
-            exact_index: None,
         }
     }
 
@@ -138,7 +138,6 @@ impl Table {
             );
             assert!(ok, "key part {part:?} incompatible with match kind {kind:?}");
         }
-        self.exact_index = None;
         self.entries.push(entry);
     }
 
@@ -147,10 +146,10 @@ impl Table {
         self.keys.iter().all(|(_, k)| *k == MatchKind::Exact)
     }
 
-    /// Builds the hash index for exact tables (idempotent).
-    pub fn build_index(&mut self) {
-        if !self.is_exact() || self.exact_index.is_some() {
-            return;
+    /// The hash index of an exact table (`None` for any other).
+    pub(crate) fn exact_index(&self) -> Option<ExactIndex> {
+        if !self.is_exact() {
+            return None;
         }
         let mut idx = HashMap::with_capacity(self.entries.len());
         for (i, e) in self.entries.iter().enumerate() {
@@ -164,7 +163,7 @@ impl Table {
                 .collect();
             idx.entry(key).or_insert(i);
         }
-        self.exact_index = Some(idx);
+        Some(idx)
     }
 
     /// Raw unsigned value of a PHV field (what the match hardware sees).
@@ -173,11 +172,21 @@ impl Table {
         (phv.get(field) as u64) & mask_of(bits)
     }
 
-    /// Looks up the PHV, returning `(action, action_data)` of the winning
-    /// entry, or the default action.
+    /// Looks up the PHV by scanning the entries, returning `(action,
+    /// action_data)` of the winning entry, or the default action.
     pub fn lookup(&self, phv: &Phv) -> Option<(&Action, &[i64])> {
+        self.lookup_with(phv, None)
+    }
+
+    /// [`lookup`](Table::lookup) through this table's
+    /// [`exact_index`](Table::exact_index) when the caller holds one.
+    pub(crate) fn lookup_with(
+        &self,
+        phv: &Phv,
+        index: Option<&ExactIndex>,
+    ) -> Option<(&Action, &[i64])> {
         let raws: Vec<u64> = self.keys.iter().map(|(f, _)| Self::raw(phv, *f)).collect();
-        let hit = if let Some(index) = &self.exact_index {
+        let hit = if let Some(index) = index {
             index.get(&raws).copied()
         } else {
             self.entries
@@ -253,10 +262,6 @@ impl Table {
 }
 
 // --- serde (control-daemon artifact format) ----------------------------
-//
-// `exact_index` is a derived cache (`#[serde(skip)]` above): it is not
-// encoded, and decoding leaves it `None` exactly like `Table::new` —
-// `build_index` reconstructs it at deploy time.
 
 impl serde::Serialize for MatchKind {
     fn serialize(&self, w: &mut serde::Writer) {
@@ -315,30 +320,7 @@ impl<'de> serde::Deserialize<'de> for KeyPart {
 
 serde::impl_serde_struct!(TableEntry { keys, priority, action_idx, action_data });
 
-impl serde::Serialize for Table {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.name.serialize(w);
-        self.keys.serialize(w);
-        self.actions.serialize(w);
-        self.default_action.serialize(w);
-        self.entries.serialize(w);
-        self.param_widths.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Table {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(Table {
-            name: serde::Deserialize::deserialize(r)?,
-            keys: serde::Deserialize::deserialize(r)?,
-            actions: serde::Deserialize::deserialize(r)?,
-            default_action: serde::Deserialize::deserialize(r)?,
-            entries: serde::Deserialize::deserialize(r)?,
-            param_widths: serde::Deserialize::deserialize(r)?,
-            exact_index: None,
-        })
-    }
-}
+serde::impl_serde_struct!(Table { name, keys, actions, default_action, entries, param_widths });
 
 #[cfg(test)]
 mod tests {
@@ -371,12 +353,11 @@ mod tests {
             action_data: vec![111],
         });
         t.default_action = Some((a, vec![-1]));
-        t.build_index();
 
         let mut phv = l.instantiate();
         phv.set(x, 7);
         let (act, data) = t.lookup(&phv).unwrap();
-        let mut regs = RegFile::new(vec![]);
+        let mut regs = RegFile::default();
         act.execute(&mut phv, data, &mut regs);
         assert_eq!(phv.get(out), 111);
 
@@ -468,13 +449,13 @@ mod tests {
                 action_data: vec![v as i64 * 3],
             });
         }
-        let mut indexed = t.clone();
-        indexed.build_index();
+        let index = t.exact_index();
+        assert!(index.is_some(), "an all-exact table has an index");
         let mut phv = l.instantiate();
         for v in 0..60 {
             phv.set(x, v);
             let lin = t.lookup(&phv).map(|(_, d)| d.to_vec());
-            let idx = indexed.lookup(&phv).map(|(_, d)| d.to_vec());
+            let idx = t.lookup_with(&phv, index.as_ref()).map(|(_, d)| d.to_vec());
             assert_eq!(lin, idx, "mismatch at {v}");
         }
     }

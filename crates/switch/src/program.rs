@@ -8,22 +8,28 @@
 //! [`SwitchConfig`], and either produces a
 //! runnable [`LoadedProgram`] or a precise [`DeployError`]. The paper's
 //! Table 6 columns are exactly the fields of [`ResourceReport`].
+//!
+//! A program is description only — layout, tables, register
+//! *declarations* — and deploying one copies none of it: the
+//! [`LoadedProgram`] keeps the `Arc` it was deployed from, so the compiled
+//! pipeline, the simulator and every shard share one copy of the tables.
+//! Per-flow state is the caller's [`RegFile`] ([`RegFile::new`]).
 
 use crate::config::SwitchConfig;
-use crate::mat::{Table, TableUsage};
+use crate::mat::{ExactIndex, Table, TableUsage};
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::register::{RegFile, RegisterArray};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A deployable dataplane program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SwitchProgram {
     /// Program name (for reports).
     pub name: String,
     /// PHV field declarations.
     pub layout: PhvLayout,
-    /// Stateful register arrays.
+    /// Stateful register arrays, declared (cells live in a [`RegFile`]).
     pub registers: Vec<RegisterArray>,
     /// Tables in logical (dependency) order.
     pub tables: Vec<Table>,
@@ -333,7 +339,7 @@ impl fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 /// Per-program resource utilization — the Table 6 row for one model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceReport {
     /// Stateful register bits per tracked flow.
     pub stateful_bits_per_flow: u64,
@@ -364,14 +370,17 @@ pub struct ResourceReport {
 /// as match-action entries and register SRAM are separate memories on the
 /// hardware. One loaded program can therefore be shared (by reference or
 /// `Arc`) between any number of register files, each owned by whoever
-/// serves its flows.
+/// serves its flows; the tables are the deployer's `Arc`, not a copy.
 pub struct LoadedProgram {
-    program: SwitchProgram,
+    program: Arc<SwitchProgram>,
     config: SwitchConfig,
     /// `stage_of[i]` = last stage occupied by table `i`.
     stage_of: Vec<usize>,
     stages_used: usize,
     usages: Vec<TableUsage>,
+    /// Hash index per exact table, built on the simulator's first lookup
+    /// (a program served through its flattened replica never pays for it).
+    exact: OnceLock<Vec<Option<ExactIndex>>>,
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -458,19 +467,17 @@ impl SwitchProgram {
     }
 
     /// Validates the program against a switch configuration and loads it.
-    pub fn deploy(mut self, config: &SwitchConfig) -> Result<LoadedProgram, DeployError> {
+    /// The loaded program keeps `self` — nothing is copied.
+    pub fn deploy(self: Arc<Self>, config: &SwitchConfig) -> Result<LoadedProgram, DeployError> {
         let (stage_of, total_stages) = self.check_resources(config)?;
         let usages: Vec<TableUsage> = self.tables.iter().map(|t| t.usage(&self.layout)).collect();
-        // Build lookup indexes.
-        for t in &mut self.tables {
-            t.build_index();
-        }
         Ok(LoadedProgram {
             program: self,
             config: config.clone(),
             stage_of,
             stages_used: total_stages,
             usages,
+            exact: OnceLock::new(),
         })
     }
 }
@@ -548,8 +555,8 @@ fn allocate_stages(
 }
 
 impl LoadedProgram {
-    /// The underlying program.
-    pub fn program(&self) -> &SwitchProgram {
+    /// The underlying program — the `Arc` it was deployed from.
+    pub fn program(&self) -> &Arc<SwitchProgram> {
         &self.program
     }
 
@@ -563,37 +570,23 @@ impl LoadedProgram {
         &self.stage_of
     }
 
-    /// A zeroed register file of this program's shape — the state a caller
-    /// owns and hands back to [`process`](LoadedProgram::process) packet
-    /// after packet. Empty (and allocation-free) for register-free
-    /// programs.
-    pub fn zeroed_registers(&self) -> RegFile {
-        let arrays = &self.program.registers;
-        RegFile::new(
-            arrays.iter().map(|r| RegisterArray::new(&r.name, r.width_bits, r.size)).collect(),
-        )
-    }
-
     /// Processes one packet: sets the given input fields on a fresh PHV,
-    /// runs every table in order against `regs`, and returns the final PHV.
+    /// runs every table in order against `regs` — which must have this
+    /// program's register shape (`RegFile::new(&program.registers)`) — and
+    /// returns the final PHV.
     pub fn process(&self, inputs: &[(FieldId, i64)], regs: &mut RegFile) -> Phv {
         let mut phv = self.program.layout.instantiate();
         for &(f, v) in inputs {
             phv.set(f, v);
         }
-        self.run_on(&mut phv, regs);
-        phv
-    }
-
-    /// Runs the pipeline over an existing PHV (for multi-pass scenarios).
-    /// `regs` must have this program's register shape (see
-    /// [`zeroed_registers`](LoadedProgram::zeroed_registers)).
-    pub fn run_on(&self, phv: &mut Phv, regs: &mut RegFile) {
-        for t in &self.program.tables {
-            if let Some((action, data)) = t.lookup(phv) {
-                action.execute(phv, data, regs);
+        let tables = &self.program.tables;
+        let exact = self.exact.get_or_init(|| tables.iter().map(Table::exact_index).collect());
+        for (t, index) in tables.iter().zip(exact) {
+            if let Some((action, data)) = t.lookup_with(&phv, index.as_ref()) {
+                action.execute(&mut phv, data, regs);
             }
         }
+        phv
     }
 
     /// The Table 6 resource row for this program.
@@ -617,6 +610,9 @@ impl LoadedProgram {
 }
 
 // --- serde (control-daemon artifact format) ----------------------------
+//
+// A decoded program's register declarations are bounded before anything
+// can be sized from them (`RegisterArray::check_decoded`).
 
 serde::impl_serde_struct!(SwitchProgram {
     name,
@@ -626,7 +622,7 @@ serde::impl_serde_struct!(SwitchProgram {
     extra_stages,
     stateful_bits_per_flow,
     keep_alive,
-});
+} where |p: &SwitchProgram| RegisterArray::check_decoded(&p.registers));
 
 #[cfg(test)]
 mod serde_tests {
@@ -676,15 +672,25 @@ mod serde_tests {
         let prog = sample_program();
         let bytes = serde::to_bytes(&prog);
         let back: SwitchProgram = serde::from_bytes(&bytes).expect("program decodes");
-        assert_eq!(back.name, prog.name);
-        assert_eq!(back.layout, prog.layout);
-        assert_eq!(back.tables.len(), 1);
-        assert_eq!(back.tables[0].entries, prog.tables[0].entries);
-        assert_eq!(back.tables[0].actions, prog.tables[0].actions);
-        assert_eq!(back.registers[0].total_bits(), prog.registers[0].total_bits());
-        assert_eq!(back.extra_stages, 1);
-        assert_eq!(back.stateful_bits_per_flow, 44);
-        assert_eq!(back.keep_alive, prog.keep_alive);
+        assert_eq!(back, prog);
+        assert_eq!((back.extra_stages, back.stateful_bits_per_flow), (1, 44));
+    }
+
+    #[test]
+    fn hostile_register_declarations_fail_at_decode() {
+        // Declarations are all a file carries, so nothing but this gate
+        // stands between a declared size and an allocation.
+        let mut prog = sample_program();
+        prog.registers[0].size = 1 << 40;
+        assert_eq!(
+            serde::from_bytes::<SwitchProgram>(&serde::to_bytes(&prog)).unwrap_err(),
+            serde::DecodeError::OutOfRange { what: "declared register bits", value: 16 << 40 }
+        );
+        prog.registers[0] = RegisterArray { name: "r4".into(), width_bits: 4, size: 8 };
+        assert_eq!(
+            serde::from_bytes::<SwitchProgram>(&serde::to_bytes(&prog)).unwrap_err(),
+            serde::DecodeError::OutOfRange { what: "register width", value: 4 }
+        );
     }
 
     #[test]
@@ -742,15 +748,15 @@ mod tests {
     #[test]
     fn deploy_and_process() {
         let (p, x, acc) = chain_program();
-        let loaded = p.deploy(&SwitchConfig::tofino2()).expect("deploys");
-        let phv = loaded.process(&[(x, 7)], &mut loaded.zeroed_registers());
+        let loaded = Arc::new(p).deploy(&SwitchConfig::tofino2()).expect("deploys");
+        let phv = loaded.process(&[(x, 7)], &mut RegFile::default());
         assert_eq!(phv.get(acc), 49);
     }
 
     #[test]
     fn dependent_tables_get_distinct_stages() {
         let (p, _, _) = chain_program();
-        let loaded = p.deploy(&SwitchConfig::tofino2()).unwrap();
+        let loaded = Arc::new(p).deploy(&SwitchConfig::tofino2()).unwrap();
         let stages = loaded.stage_assignment();
         // t1 reads tmp written by t0 -> strictly later stage.
         assert!(stages[1] > stages[0], "{stages:?}");
@@ -763,7 +769,7 @@ mod tests {
             layout.add_field(&format!("f{i}"), 64);
         }
         let p = SwitchProgram::new("fat", layout);
-        let err = p.deploy(&SwitchConfig::tofino2()).unwrap_err();
+        let err = Arc::new(p).deploy(&SwitchConfig::tofino2()).unwrap_err();
         assert!(matches!(err, DeployError::PhvOverflow { .. }));
     }
 
@@ -772,7 +778,7 @@ mod tests {
         let layout = PhvLayout::new();
         let mut p = SwitchProgram::new("regs", layout);
         p.registers.push(RegisterArray::new("r4", 4, 16));
-        let err = p.deploy(&SwitchConfig::tofino2()).unwrap_err();
+        let err = Arc::new(p).deploy(&SwitchConfig::tofino2()).unwrap_err();
         assert_eq!(err, DeployError::BadRegisterWidth { register: "r4".to_string(), width: 4 });
     }
 
@@ -781,7 +787,7 @@ mod tests {
         let layout = PhvLayout::new();
         let mut p = SwitchProgram::new("regs", layout);
         p.registers.push(RegisterArray::new("big", 32, 10_000_000));
-        let err = p.deploy(&SwitchConfig::tiny_test()).unwrap_err();
+        let err = Arc::new(p).deploy(&SwitchConfig::tiny_test()).unwrap_err();
         assert!(matches!(err, DeployError::RegisterOverflow { .. }));
     }
 
@@ -805,7 +811,7 @@ mod tests {
         });
         let mut p = SwitchProgram::new("wide", layout);
         p.tables.push(t);
-        let err = p.deploy(&SwitchConfig::tiny_test()).unwrap_err();
+        let err = Arc::new(p).deploy(&SwitchConfig::tiny_test()).unwrap_err();
         assert!(matches!(err, DeployError::BusOverflow { .. }), "{err:?}");
     }
 
@@ -813,14 +819,14 @@ mod tests {
     fn extra_stages_count_against_pipeline() {
         let (mut p, _, _) = chain_program();
         p.extra_stages = 19; // chain already needs 2 -> 21 > 20
-        let err = p.deploy(&SwitchConfig::tofino2()).unwrap_err();
+        let err = Arc::new(p).deploy(&SwitchConfig::tofino2()).unwrap_err();
         assert!(matches!(err, DeployError::OutOfStages { .. }));
     }
 
     #[test]
     fn resource_report_sums_tables() {
         let (p, _, _) = chain_program();
-        let loaded = p.deploy(&SwitchConfig::tofino2()).unwrap();
+        let loaded = Arc::new(p).deploy(&SwitchConfig::tofino2()).unwrap();
         let r = loaded.resource_report();
         assert_eq!(r.entries, 10);
         assert!(r.sram_frac > 0.0 && r.sram_frac < 1.0);
@@ -849,7 +855,7 @@ mod tests {
         }
         let mut p = SwitchProgram::new("big", layout);
         p.tables.push(t);
-        let loaded = p.deploy(&SwitchConfig::tiny_test()).expect("spills but fits");
+        let loaded = Arc::new(p).deploy(&SwitchConfig::tiny_test()).expect("spills but fits");
         assert!(loaded.stage_assignment()[0] >= 1, "should occupy later stage");
     }
 
@@ -873,8 +879,10 @@ mod tests {
         p.tables.push(t);
 
         // The program is shared; each caller's state is its own file.
-        let loaded = p.deploy(&SwitchConfig::tofino2()).unwrap();
-        let (mut busy, mut idle) = (loaded.zeroed_registers(), loaded.zeroed_registers());
+        let p = Arc::new(p);
+        let loaded = Arc::clone(&p).deploy(&SwitchConfig::tofino2()).unwrap();
+        assert!(Arc::ptr_eq(&p, loaded.program()), "deploy keeps the caller's tables");
+        let (mut busy, mut idle) = (RegFile::new(&p.registers), RegFile::new(&p.registers));
         for i in 0..20 {
             let phv = loaded.process(&[(x, i % 4)], &mut busy);
             assert_eq!(phv.get(old), i / 4, "packet {i} reads its slot's previous count");

@@ -109,6 +109,7 @@ fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
     use pegasus::datasets::iscxvpn;
     use pegasus::switch::RegisterArray;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     let trace = generate_trace(&iscxvpn(), &GenConfig { flows_per_class: 4, seed: 41 });
     let views = extract_views(&trace);
@@ -122,7 +123,7 @@ fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
                 .expect("compiles");
         let Artifact::Flow(pipeline) = compiled.artifact() else { panic!("CNN-L is per-flow") };
         let mut pipeline = (**pipeline).clone();
-        for array in &mut pipeline.program.registers {
+        for array in &mut Arc::make_mut(&mut pipeline.program).registers {
             *array = RegisterArray::new(&array.name, array.width_bits, 16);
         }
         pipeline

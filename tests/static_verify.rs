@@ -18,6 +18,7 @@ use pegasus::core::PegasusError;
 use pegasus::nn::Tensor;
 use pegasus::switch::{AluOp, FieldId, KeyPart, Operand, SwitchConfig};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A small two-segment scorer compiled the normal way — the clean
 /// baseline every mutation starts from.
@@ -74,7 +75,11 @@ fn clean_artifact_deploys_and_verifies() {
 fn oob_scratch_index_is_caught_v001() {
     let mut p = clean_pipeline();
     // A compiler bug that writes to a PHV field that does not exist.
-    let t = p.program.tables.iter_mut().find(|t| !t.actions.is_empty()).expect("has actions");
+    let t = Arc::make_mut(&mut p.program)
+        .tables
+        .iter_mut()
+        .find(|t| !t.actions.is_empty())
+        .expect("has actions");
     for op in &mut t.actions[0].ops {
         if let AluOp::Set { dst, .. } = op {
             *dst = FieldId(9999);
@@ -87,8 +92,7 @@ fn oob_scratch_index_is_caught_v001() {
 #[test]
 fn inverted_range_is_caught_v004() {
     let mut p = clean_pipeline();
-    let t = p
-        .program
+    let t = Arc::make_mut(&mut p.program)
         .tables
         .iter_mut()
         .find(|t| {
@@ -115,8 +119,7 @@ fn inverted_range_is_caught_v004() {
 #[test]
 fn range_past_field_width_is_caught_v005() {
     let mut p = clean_pipeline();
-    let t = p
-        .program
+    let t = Arc::make_mut(&mut p.program)
         .tables
         .iter_mut()
         .find(|t| {
@@ -138,7 +141,11 @@ fn range_past_field_width_is_caught_v005() {
 #[test]
 fn dangling_action_reference_is_caught_v003() {
     let mut p = clean_pipeline();
-    let t = p.program.tables.iter_mut().find(|t| !t.entries.is_empty()).expect("has entries");
+    let t = Arc::make_mut(&mut p.program)
+        .tables
+        .iter_mut()
+        .find(|t| !t.entries.is_empty())
+        .expect("has entries");
     t.entries[0].action_idx = 999;
     assert_rejected(p, "V003");
 }
@@ -146,7 +153,11 @@ fn dangling_action_reference_is_caught_v003() {
 #[test]
 fn oversized_shift_is_caught_v006() {
     let mut p = clean_pipeline();
-    let t = p.program.tables.iter_mut().find(|t| !t.actions.is_empty()).expect("has actions");
+    let t = Arc::make_mut(&mut p.program)
+        .tables
+        .iter_mut()
+        .find(|t| !t.actions.is_empty())
+        .expect("has actions");
     let dst = p.input_fields.first().copied().unwrap_or(FieldId(0));
     t.actions[0].ops.push(AluOp::Shl { dst, a: Operand::Const(1), amount: 64 });
     assert_rejected(p, "V006");
@@ -158,8 +169,7 @@ fn shadowed_entry_is_caught_v201() {
     // Duplicate an existing entry with a different outcome: the copy can
     // never win (first match wins at equal priority), so a compiler
     // emitting it has mis-enumerated its rule set.
-    let t = p
-        .program
+    let t = Arc::make_mut(&mut p.program)
         .tables
         .iter_mut()
         .find(|t| !t.is_exact() && !t.keys.is_empty() && !t.entries.is_empty())
