@@ -2,6 +2,12 @@
 //! rate vs full-precision CPU (1 thread) and the multi-core batched stand-in
 //! for the paper's GPU rig.
 //!
+//! This reproduces the paper's CPU-vs-line-rate comparison and nothing
+//! else: the "Switch" column is `SwitchConfig::line_rate_pps` arithmetic
+//! and the CPU columns time bare `Sequential::forward` calls. It says
+//! nothing about how fast this repo's engine serves packets — those
+//! numbers come from `servebench` only (see `pegasus_bench::throughput`).
+//!
 //! Run: `cargo run -p pegasus-bench --bin fig9_throughput --release [-- --quick]`
 
 use pegasus_bench::harness::prepare;

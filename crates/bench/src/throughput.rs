@@ -14,6 +14,13 @@
 //!
 //! The simulator's own packets/s is also reported for transparency; it is a
 //! *simulator* number, never a claim about hardware.
+//!
+//! None of these is a serving number. The figure compares model inference
+//! in a tight loop over pre-loaded tensors against an analytic line rate:
+//! no frame is parsed, routed, admitted to a flow table or handed to a
+//! shard. What this repo's engine serves — wire bytes → verdict through
+//! `EngineServer`, in kpps — is measured by `servebench` (`benchmark/`,
+//! `BENCHMARK.json`) and nowhere else.
 
 use pegasus_nn::{Sequential, Tensor};
 use pegasus_switch::SwitchConfig;

@@ -1,13 +1,9 @@
-//! Minimal stand-in for the `serde` facade, vendored for offline builds —
-//! now with a real wire format.
-//!
-//! Earlier revisions of this crate were pure markers: the derive macros
-//! (re-exported from the sibling `serde_derive` stub) expand to nothing
-//! and the traits had no methods, so `#[derive(Serialize, Deserialize)]`
-//! annotations compiled without pulling the real `serde` into an offline
-//! build. The control daemon (`crates/ctl`) needs actual bytes on a
-//! socket and on disk, so the traits now carry one method each over a
-//! tiny, self-describing-free binary encoding:
+//! The workspace's one serialisation layer: a small binary codec that
+//! carries the `.pa` artifact file, `registry.bin` and the
+//! `pegasusctl` ↔ `pegasusd` frames. It is named `serde` for the familiar
+//! `Serialize` / `Deserialize` vocabulary but shares no code or wire
+//! format with the crates.io crate, and there are no derives: a type's
+//! codec is one macro line beside its definition.
 //!
 //! * integers are fixed-width **little-endian** (`usize` travels as
 //!   `u64`), floats as their IEEE-754 bit patterns (bit-exact round
@@ -18,19 +14,19 @@
 //!   elements — the count is bounds-checked against the bytes actually
 //!   remaining, so a hostile length prefix cannot drive a huge
 //!   allocation;
-//! * enums are a `u8` discriminant written by hand-rolled impls in the
-//!   crates that own them.
+//! * structs are their fields in the order [`impl_serde_struct!`] lists
+//!   them, nothing else;
+//! * enums are a `u8` tag declared beside the variant in
+//!   [`impl_serde_enum!`], then the variant's fields in the listed order.
+//!   Every recursive wire type recurses through an enum, so enum decoding
+//!   is what is bounded: more than [`MAX_DECODE_DEPTH`] enums inside one
+//!   another is [`DecodeError::TooDeep`], never a stack overflow.
 //!
-//! The derive macros still expand to nothing: every serializable type
-//! writes its impl by hand (private fields mean the impl must live in
-//! the defining module anyway), most via [`impl_serde_struct!`]. Because
-//! the derives emit no code, manual impls never conflict with the
-//! existing `#[derive(Serialize, Deserialize)]` annotations.
+//! The bytes are a contract (`ARTIFACT_FORMAT_VERSION`,
+//! `REGISTRY_FORMAT_VERSION`): tags and field order never change without
+//! a version bump, and golden-byte tests in the owning crates pin them.
 //! Deserialization never panics: malformed input surfaces as a
 //! [`DecodeError`].
-//!
-//! Swapping in the real `serde` remains a workspace-manifest change plus
-//! replacing the hand impls with the derives that are already in place.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +35,9 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-pub use serde_derive::{Deserialize, Serialize};
+/// How many enums may nest inside one another in one decoded value. Real
+/// route predicates and switch programs nest fewer than 8 deep.
+pub const MAX_DECODE_DEPTH: usize = 64;
 
 /// Why a byte buffer failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,6 +76,14 @@ pub enum DecodeError {
         /// The refused value.
         value: u64,
     },
+    /// Enums nest deeper than [`MAX_DECODE_DEPTH`] (a hostile recursive
+    /// value; decoding it further would overflow the stack).
+    TooDeep {
+        /// The enum whose decoder hit the limit.
+        what: &'static str,
+        /// The limit.
+        limit: usize,
+    },
     /// String bytes are not valid UTF-8.
     Utf8,
     /// [`from_bytes`] decoded a complete value but bytes were left over.
@@ -104,6 +110,9 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::OutOfRange { what, value } => {
                 write!(f, "{what} {value} is outside the supported range")
+            }
+            DecodeError::TooDeep { what, limit } => {
+                write!(f, "{what} nests more than {limit} enums deep")
             }
             DecodeError::Utf8 => write!(f, "string bytes are not valid UTF-8"),
             DecodeError::TrailingBytes { remaining } => {
@@ -175,12 +184,13 @@ impl Writer {
 pub struct Reader<'de> {
     buf: &'de [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'de> Reader<'de> {
     /// A reader over the whole buffer.
     pub fn new(buf: &'de [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { buf, pos: 0, depth: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -223,6 +233,23 @@ impl<'de> Reader<'de> {
     /// Read `n` raw bytes.
     pub fn read_bytes(&mut self, n: usize, what: &'static str) -> Result<&'de [u8], DecodeError> {
         self.take(n, what)
+    }
+
+    /// Runs `decode` one nesting level down — [`impl_serde_enum!`] wraps
+    /// every enum decoder in this — refusing to go deeper than
+    /// [`MAX_DECODE_DEPTH`]. The level is released on success and on error.
+    pub fn nested<T>(
+        &mut self,
+        what: &'static str,
+        decode: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if self.depth == MAX_DECODE_DEPTH {
+            return Err(DecodeError::TooDeep { what, limit: MAX_DECODE_DEPTH });
+        }
+        self.depth += 1;
+        let value = decode(self);
+        self.depth -= 1;
+        value
     }
 
     /// Read a `u32` element count and sanity-check it against the bytes
@@ -552,10 +579,26 @@ impl_tuple! {
 /// Fields encode in the order listed; list every field (the decoder
 /// builds the struct with exactly these). A trailing `where check` names a
 /// `fn(&Self) -> Result<(), DecodeError>` every decoded value must pass.
-/// Enums and structs that need to skip or reconstruct fields write their
-/// impls by hand.
+/// A tuple struct lists a binding per field — `impl_serde_struct!(Id(raw))`
+/// makes a newtype travel as its content. Enums take [`impl_serde_enum!`].
 #[macro_export]
 macro_rules! impl_serde_struct {
+    ($ty:ident ( $($field:ident),+ $(,)? )) => {
+        impl $crate::Serialize for $ty {
+            fn serialize(&self, w: &mut $crate::Writer) {
+                let Self($($field),+) = self;
+                $( $crate::Serialize::serialize($field, w); )+
+            }
+        }
+        impl<'de> $crate::Deserialize<'de> for $ty {
+            fn deserialize(
+                r: &mut $crate::Reader<'de>,
+            ) -> Result<Self, $crate::DecodeError> {
+                $( let $field = $crate::Deserialize::deserialize(r)?; )+
+                Ok(Self($($field),+))
+            }
+        }
+    };
     ($ty:ty { $($field:ident),+ $(,)? } $(where $check:expr)?) => {
         impl $crate::Serialize for $ty {
             fn serialize(&self, w: &mut $crate::Writer) {
@@ -570,6 +613,75 @@ macro_rules! impl_serde_struct {
                 let value = Self { $($field),+ };
                 $( $check(&value)?; )?
                 Ok(value)
+            }
+        }
+    };
+}
+
+/// Generate [`Serialize`]/[`Deserialize`] impls for an enum: one explicit
+/// `u8` tag per variant, declared beside it, then the variant's fields in
+/// the order listed (unit, tuple and struct variants alike):
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Empty,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+///     Not(Box<Shape>),
+/// }
+/// serde::impl_serde_enum!(Shape {
+///     0 => Empty,
+///     1 => Circle(radius),
+///     2 => Rect { w, h },
+///     3 => Not(inner),
+/// });
+///
+/// let shape = Shape::Not(Box::new(Shape::Rect { w: 3, h: 4 }));
+/// let bytes = serde::to_bytes(&shape);
+/// assert_eq!(bytes, [3, 2, 3, 0, 0, 0, 4, 0, 0, 0]);
+/// assert_eq!(serde::from_bytes::<Shape>(&bytes), Ok(shape));
+/// assert_eq!(
+///     serde::from_bytes::<Shape>(&[9]),
+///     Err(serde::DecodeError::BadTag { what: "Shape", tag: 9 })
+/// );
+/// ```
+///
+/// The tags are the wire contract: list every variant, never renumber. An
+/// unknown tag is [`DecodeError::BadTag`]; the decoder runs inside
+/// [`Reader::nested`], so a recursive enum cannot be nested past
+/// [`MAX_DECODE_DEPTH`].
+#[macro_export]
+macro_rules! impl_serde_enum {
+    ($ty:ty { $(
+        $tag:literal => $variant:ident
+            $( ( $($elem:ident),+ $(,)? ) )?
+            $( { $($field:ident),+ $(,)? } )?
+    ),+ $(,)? }) => {
+        impl $crate::Serialize for $ty {
+            fn serialize(&self, w: &mut $crate::Writer) {
+                match self {
+                    $( Self::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )? => {
+                        w.write_u8($tag);
+                        $( $( $crate::Serialize::serialize($elem, w); )+ )?
+                        $( $( $crate::Serialize::serialize($field, w); )+ )?
+                    } )+
+                }
+            }
+        }
+        impl<'de> $crate::Deserialize<'de> for $ty {
+            fn deserialize(
+                r: &mut $crate::Reader<'de>,
+            ) -> Result<Self, $crate::DecodeError> {
+                const WHAT: &str = stringify!($ty);
+                r.nested(WHAT, |r| match r.read_u8(WHAT)? {
+                    $( $tag => {
+                        $( $( let $elem = $crate::Deserialize::deserialize(r)?; )+ )?
+                        $( $( let $field = $crate::Deserialize::deserialize(r)?; )+ )?
+                        Ok(Self::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )?)
+                    } )+
+                    tag => Err($crate::DecodeError::BadTag { what: WHAT, tag }),
+                })
             }
         }
     };
@@ -645,6 +757,76 @@ mod tests {
         let s = Sample { id: 9, name: "t".into(), weights: vec![-1, 0, 7] };
         let bytes = to_bytes(&s);
         assert_eq!(from_bytes::<Sample>(&bytes).unwrap(), s);
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Tree {
+        Leaf,
+        Pair(u8, u16),
+        Named { id: u32, name: String },
+        Not(Box<Tree>),
+        All(Vec<Tree>),
+    }
+    impl_serde_enum!(Tree {
+        0 => Leaf,
+        1 => Pair(a, b),
+        2 => Named { id, name },
+        7 => Not(inner),
+        8 => All(children),
+    });
+
+    #[test]
+    fn enum_macro_writes_the_declared_tag_then_the_fields_in_order() {
+        assert_eq!(to_bytes(&Tree::Leaf), [0]);
+        assert_eq!(to_bytes(&Tree::Pair(5, 0x0201)), [1, 5, 1, 2]);
+        assert_eq!(
+            to_bytes(&Tree::Named { id: 9, name: "t".into() }),
+            [2, 9, 0, 0, 0, 1, 0, 0, 0, b't']
+        );
+        round_trip(Tree::All(vec![Tree::Not(Box::new(Tree::Pair(1, 2))), Tree::Leaf]));
+        assert_eq!(to_bytes(&Tree::Not(Box::new(Tree::Leaf))), [7, 0]);
+        assert_eq!(from_bytes::<Tree>(&[3]), Err(DecodeError::BadTag { what: "Tree", tag: 3 }));
+    }
+
+    #[test]
+    fn tuple_struct_arm_is_transparent() {
+        #[derive(Debug, PartialEq)]
+        struct Id(u32);
+        impl_serde_struct!(Id(raw));
+        assert_eq!(to_bytes(&Id(7)), to_bytes(&7u32));
+        round_trip(Id(u32::MAX));
+    }
+
+    /// `levels` enums inside one another: `levels - 1` `Not`s around a leaf.
+    fn not_chain(levels: usize) -> Vec<u8> {
+        let mut bytes = vec![7u8; levels - 1];
+        bytes.push(0);
+        bytes
+    }
+
+    #[test]
+    fn enum_nesting_is_bounded_and_the_counter_unwinds() {
+        for levels in [MAX_DECODE_DEPTH - 1, MAX_DECODE_DEPTH] {
+            let mut tree = &from_bytes::<Tree>(&not_chain(levels)).expect("within the limit");
+            let mut seen = 1;
+            while let Tree::Not(inner) = tree {
+                tree = inner;
+                seen += 1;
+            }
+            assert_eq!(seen, levels);
+        }
+        let too_deep = DecodeError::TooDeep { what: "Tree", limit: MAX_DECODE_DEPTH };
+        let bytes = not_chain(MAX_DECODE_DEPTH + 1);
+        assert_eq!(from_bytes::<Tree>(&bytes), Err(too_deep.clone()));
+        // The hostile shapes: neither reaches the stack's end.
+        assert_eq!(from_bytes::<Tree>(&not_chain(10_001)), Err(too_deep.clone()));
+        let all_of_one: Vec<u8> = [8u8, 1, 0, 0, 0].repeat(10_000);
+        assert_eq!(from_bytes::<Tree>(&all_of_one), Err(too_deep.clone()));
+
+        // The level is released on the error path as on success.
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Tree::deserialize(&mut r), Err(too_deep));
+        assert_eq!(r.depth, 0);
     }
 
     #[test]

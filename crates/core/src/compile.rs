@@ -22,11 +22,10 @@ use pegasus_switch::{
     Action, AluOp, FieldId, KeyPart, MatchKind, Operand, PhvLayout, SwitchProgram, Table,
     TableEntry, TernaryKey,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Compiler knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Clustering-tree depth per fuzzy Map (Figure 6 `clustering_depth`).
     pub clustering_depth: usize,
@@ -84,7 +83,7 @@ pub enum CompileTarget {
 }
 
 /// Compilation metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CompileReport {
     /// Total MATs emitted.
     pub tables: usize,

@@ -103,6 +103,11 @@ impl IngressHandle {
     /// shutdown. At most the first
     /// [`RAW_BYTES_PER_PACKET`](pegasus_net::RAW_BYTES_PER_PACKET) bytes of
     /// `payload_head` are consumed, exactly as for a frame off the wire.
+    ///
+    /// This structured door stays beside [`push_frame`](Self::push_frame)
+    /// on purpose: `encode_trace_packet` canonicalises (PR 17), so a
+    /// `TracePacket` is not its frame bit for bit, and synthetic traces
+    /// could not be served unchanged by encoding them into frames first.
     pub fn push(&self, pkt: TracePacket) -> Result<bool, PegasusError> {
         self.enqueue(
             pkt.flow,

@@ -445,17 +445,7 @@ serde::impl_serde_struct!(StreamReport {
     predictions,
 });
 
-impl serde::Serialize for TenantToken {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.0.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for TenantToken {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(TenantToken(serde::Deserialize::deserialize(r)?))
-    }
-}
+serde::impl_serde_struct!(TenantToken(id));
 
 serde::impl_serde_struct!(TenantStats {
     token,

@@ -20,10 +20,9 @@
 use crate::fuzzy::ClusterTree;
 use pegasus_nn::loss::softmax_cross_entropy;
 use pegasus_nn::{Dataset, Sequential, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A clustered view of one input segment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SegmentTree {
     /// Segment start within the input vector.
     pub offset: usize,

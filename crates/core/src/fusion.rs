@@ -21,10 +21,9 @@
 //! [`is_nam_form`] recognizes it.
 
 use crate::primitives::{MapFn, Primitive, PrimitiveProgram, ReduceKind, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// Before/after metrics of a fusion run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// Map ops (table lookups) before fusion.
     pub maps_before: usize,

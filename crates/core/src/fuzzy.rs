@@ -14,10 +14,8 @@
 //! leaf is a hyper-rectangle — which is exactly what range-match TCAM rules
 //! can encode ([`ClusterTree::leaf_boxes`]).
 
-use serde::{Deserialize, Serialize};
-
 /// One tree node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum Node {
     /// `x[feature] <= threshold` goes left, else right.
     Internal { feature: usize, threshold: f32, left: usize, right: usize },
@@ -26,7 +24,7 @@ enum Node {
 }
 
 /// A fitted clustering tree over `dim`-dimensional inputs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterTree {
     nodes: Vec<Node>,
     root: usize,
@@ -36,7 +34,7 @@ pub struct ClusterTree {
 }
 
 /// An axis-aligned integer box covering one leaf's input region.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LeafBox {
     /// The leaf's fuzzy index.
     pub index: usize,

@@ -250,24 +250,7 @@ pub trait DataplaneNet {
 
 // --- serde (control-daemon artifact format) ----------------------------
 
-impl serde::Serialize for StreamFeatures {
-    fn serialize(&self, w: &mut serde::Writer) {
-        w.write_u8(match self {
-            StreamFeatures::Stat => 0,
-            StreamFeatures::Seq => 1,
-        });
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for StreamFeatures {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(match r.read_u8("StreamFeatures")? {
-            0 => StreamFeatures::Stat,
-            1 => StreamFeatures::Seq,
-            tag => return Err(serde::DecodeError::BadTag { what: "StreamFeatures", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(StreamFeatures { 0 => Stat, 1 => Seq });
 
 #[cfg(test)]
 mod tests {

@@ -7,10 +7,8 @@
 //! correctly as raw bits. Addition stays exact across the encoding:
 //! `Σ stored_i - (k-1)*bias` encodes `Σ real_i` at the shared `step`.
 
-use serde::{Deserialize, Serialize};
-
 /// An affine integer encoding of real values.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NumFormat {
     /// Real value of one integer step.
     pub step: f32,

@@ -17,16 +17,13 @@
 //! compiler lowers to mapping tables.
 
 use pegasus_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a value (vector) in a program.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub usize);
 
 /// A function applied by a Map primitive.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum MapFn {
     /// Element-wise affine transform `y_i = scale_i * x_i + shift_i`
     /// (batch norm at inference, bias addition, fixed-point rescaling).
@@ -179,7 +176,7 @@ impl MapFn {
 }
 
 /// Element-wise reduction kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceKind {
     /// Element-wise sum — the paper's SumReduce.
     Sum,
@@ -188,7 +185,7 @@ pub enum ReduceKind {
 }
 
 /// One IR node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Primitive {
     /// Splits `input` into segments; segment `i` is
     /// `input[offsets[i] .. offsets[i] + lens[i]]` (segments may overlap).
@@ -231,7 +228,7 @@ pub enum Primitive {
 }
 
 /// A straight-line primitive program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PrimitiveProgram {
     /// Dimension of each value; index = `ValueId`.
     pub dims: Vec<usize>,

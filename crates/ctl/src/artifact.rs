@@ -84,35 +84,10 @@ pub enum ArtifactPayload {
     },
 }
 
-impl serde::Serialize for ArtifactPayload {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            ArtifactPayload::Stateless { features, pipeline } => {
-                w.write_u8(0);
-                features.serialize(w);
-                pipeline.serialize(w);
-            }
-            ArtifactPayload::Flow { pipeline } => {
-                w.write_u8(1);
-                pipeline.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for ArtifactPayload {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("ArtifactPayload")? {
-            0 => ArtifactPayload::Stateless {
-                features: D::deserialize(r)?,
-                pipeline: D::deserialize(r)?,
-            },
-            1 => ArtifactPayload::Flow { pipeline: D::deserialize(r)? },
-            tag => return Err(serde::DecodeError::BadTag { what: "ArtifactPayload", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(ArtifactPayload {
+    0 => Stateless { features, pipeline },
+    1 => Flow { pipeline },
+});
 
 /// A complete artifact file: the pipeline plus the switch model it must
 /// verify against.

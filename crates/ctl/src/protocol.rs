@@ -196,62 +196,17 @@ pub enum Request {
     Shutdown,
 }
 
-impl serde::Serialize for Request {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            Request::Ping => w.write_u8(0),
-            Request::Load { name, artifact } => {
-                w.write_u8(1);
-                name.serialize(w);
-                artifact.serialize(w);
-            }
-            Request::Attach { tenant, artifact, config } => {
-                w.write_u8(2);
-                tenant.serialize(w);
-                artifact.serialize(w);
-                config.serialize(w);
-            }
-            Request::Swap { tenant, artifact } => {
-                w.write_u8(3);
-                tenant.serialize(w);
-                artifact.serialize(w);
-            }
-            Request::Detach { tenant } => {
-                w.write_u8(4);
-                tenant.serialize(w);
-            }
-            Request::List => w.write_u8(5),
-            Request::Stats => w.write_u8(6),
-            Request::IngestPcap { path } => {
-                w.write_u8(7);
-                path.serialize(w);
-            }
-            Request::Shutdown => w.write_u8(8),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Request {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("Request")? {
-            0 => Request::Ping,
-            1 => Request::Load { name: D::deserialize(r)?, artifact: D::deserialize(r)? },
-            2 => Request::Attach {
-                tenant: D::deserialize(r)?,
-                artifact: D::deserialize(r)?,
-                config: D::deserialize(r)?,
-            },
-            3 => Request::Swap { tenant: D::deserialize(r)?, artifact: D::deserialize(r)? },
-            4 => Request::Detach { tenant: D::deserialize(r)? },
-            5 => Request::List,
-            6 => Request::Stats,
-            7 => Request::IngestPcap { path: D::deserialize(r)? },
-            8 => Request::Shutdown,
-            tag => return Err(serde::DecodeError::BadTag { what: "Request", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(Request {
+    0 => Ping,
+    1 => Load { name, artifact },
+    2 => Attach { tenant, artifact, config },
+    3 => Swap { tenant, artifact },
+    4 => Detach { tenant },
+    5 => List,
+    6 => Stats,
+    7 => IngestPcap { path },
+    8 => Shutdown,
+});
 
 /// Classifies an [`ErrorReply`] so clients can react without parsing the
 /// message text.
@@ -286,22 +241,6 @@ pub enum ErrorKind {
     Io,
 }
 
-impl ErrorKind {
-    const ALL: [ErrorKind; 11] = [
-        ErrorKind::BadRequest,
-        ErrorKind::UnknownTenant,
-        ErrorKind::UnknownArtifact,
-        ErrorKind::DuplicateTenant,
-        ErrorKind::ArtifactFormat,
-        ErrorKind::Verify,
-        ErrorKind::StateBudget,
-        ErrorKind::NotAClassifier,
-        ErrorKind::Degraded,
-        ErrorKind::Engine,
-        ErrorKind::Io,
-    ];
-}
-
 impl fmt::Display for ErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -321,22 +260,19 @@ impl fmt::Display for ErrorKind {
     }
 }
 
-impl serde::Serialize for ErrorKind {
-    fn serialize(&self, w: &mut serde::Writer) {
-        let tag = ErrorKind::ALL.iter().position(|k| k == self).unwrap_or(0) as u8;
-        w.write_u8(tag);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for ErrorKind {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        let tag = r.read_u8("ErrorKind")?;
-        ErrorKind::ALL
-            .get(tag as usize)
-            .copied()
-            .ok_or(serde::DecodeError::BadTag { what: "ErrorKind", tag })
-    }
-}
+serde::impl_serde_enum!(ErrorKind {
+    0 => BadRequest,
+    1 => UnknownTenant,
+    2 => UnknownArtifact,
+    3 => DuplicateTenant,
+    4 => ArtifactFormat,
+    5 => Verify,
+    6 => StateBudget,
+    7 => NotAClassifier,
+    8 => Degraded,
+    9 => Engine,
+    10 => Io,
+});
 
 /// A typed error reply: every failed verb answers with one of these
 /// rather than closing the connection or inventing per-verb shapes.
@@ -421,46 +357,13 @@ impl fmt::Display for DegradedReason {
     }
 }
 
-impl serde::Serialize for DegradedReason {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            DegradedReason::MissingArtifact { artifact } => {
-                w.write_u8(0);
-                artifact.serialize(w);
-            }
-            DegradedReason::Io { message } => {
-                w.write_u8(1);
-                message.serialize(w);
-            }
-            DegradedReason::Format { message } => {
-                w.write_u8(2);
-                message.serialize(w);
-            }
-            DegradedReason::Verify { errors } => {
-                w.write_u8(3);
-                errors.serialize(w);
-            }
-            DegradedReason::Attach { message } => {
-                w.write_u8(4);
-                message.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for DegradedReason {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("DegradedReason")? {
-            0 => DegradedReason::MissingArtifact { artifact: D::deserialize(r)? },
-            1 => DegradedReason::Io { message: D::deserialize(r)? },
-            2 => DegradedReason::Format { message: D::deserialize(r)? },
-            3 => DegradedReason::Verify { errors: D::deserialize(r)? },
-            4 => DegradedReason::Attach { message: D::deserialize(r)? },
-            tag => return Err(serde::DecodeError::BadTag { what: "DegradedReason", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(DegradedReason {
+    0 => MissingArtifact { artifact },
+    1 => Io { message },
+    2 => Format { message },
+    3 => Verify { errors },
+    4 => Attach { message },
+});
 
 /// A tenant's lifecycle state as `list` reports it.
 #[derive(Clone, Debug, PartialEq)]
@@ -480,32 +383,7 @@ pub enum TenantState {
     },
 }
 
-impl serde::Serialize for TenantState {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            TenantState::Serving { token, epoch } => {
-                w.write_u8(0);
-                token.serialize(w);
-                epoch.serialize(w);
-            }
-            TenantState::Degraded { reason } => {
-                w.write_u8(1);
-                reason.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for TenantState {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("TenantState")? {
-            0 => TenantState::Serving { token: D::deserialize(r)?, epoch: D::deserialize(r)? },
-            1 => TenantState::Degraded { reason: D::deserialize(r)? },
-            tag => return Err(serde::DecodeError::BadTag { what: "TenantState", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(TenantState { 0 => Serving { token, epoch }, 1 => Degraded { reason } });
 
 /// One tenant in a `list` reply.
 #[derive(Clone, Debug, PartialEq)]
@@ -607,76 +485,15 @@ pub enum Response {
     ShuttingDown,
 }
 
-impl serde::Serialize for Response {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            Response::Pong => w.write_u8(0),
-            Response::Error(e) => {
-                w.write_u8(1);
-                e.serialize(w);
-            }
-            Response::Loaded(info) => {
-                w.write_u8(2);
-                info.serialize(w);
-            }
-            Response::Attached { tenant, token, epoch } => {
-                w.write_u8(3);
-                tenant.serialize(w);
-                token.serialize(w);
-                epoch.serialize(w);
-            }
-            Response::Swapped { tenant, epoch, state_retained, apply_micros } => {
-                w.write_u8(4);
-                tenant.serialize(w);
-                epoch.serialize(w);
-                state_retained.serialize(w);
-                apply_micros.serialize(w);
-            }
-            Response::Detached(report) => {
-                w.write_u8(5);
-                report.serialize(w);
-            }
-            Response::Listing(listing) => {
-                w.write_u8(6);
-                listing.serialize(w);
-            }
-            Response::Stats(stats) => {
-                w.write_u8(7);
-                stats.serialize(w);
-            }
-            Response::Ingested { frames } => {
-                w.write_u8(8);
-                frames.serialize(w);
-            }
-            Response::ShuttingDown => w.write_u8(9),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Response {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("Response")? {
-            0 => Response::Pong,
-            1 => Response::Error(D::deserialize(r)?),
-            2 => Response::Loaded(D::deserialize(r)?),
-            3 => Response::Attached {
-                tenant: D::deserialize(r)?,
-                token: D::deserialize(r)?,
-                epoch: D::deserialize(r)?,
-            },
-            4 => Response::Swapped {
-                tenant: D::deserialize(r)?,
-                epoch: D::deserialize(r)?,
-                state_retained: D::deserialize(r)?,
-                apply_micros: D::deserialize(r)?,
-            },
-            5 => Response::Detached(D::deserialize(r)?),
-            6 => Response::Listing(D::deserialize(r)?),
-            7 => Response::Stats(D::deserialize(r)?),
-            8 => Response::Ingested { frames: D::deserialize(r)? },
-            9 => Response::ShuttingDown,
-            tag => return Err(serde::DecodeError::BadTag { what: "Response", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(Response {
+    0 => Pong,
+    1 => Error(reply),
+    2 => Loaded(info),
+    3 => Attached { tenant, token, epoch },
+    4 => Swapped { tenant, epoch, state_retained, apply_micros },
+    5 => Detached(report),
+    6 => Listing(listing),
+    7 => Stats(stats),
+    8 => Ingested { frames },
+    9 => ShuttingDown,
+});

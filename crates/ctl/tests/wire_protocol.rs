@@ -6,6 +6,7 @@
 //! non-event for a live daemon (it answers the next well-formed request;
 //! it never panics).
 
+use pegasus_core::{EngineStats, TenantToken};
 use pegasus_ctl::artifact::{ArtifactError, ArtifactFile, ARTIFACT_FORMAT_VERSION, ARTIFACT_MAGIC};
 use pegasus_ctl::daemon::{Daemon, DaemonConfig};
 use pegasus_ctl::protocol::{
@@ -89,8 +90,17 @@ fn connection_dropped_mid_body_is_typed() {
 // Every verb and reply round-trips bit-exactly.
 // ---------------------------------------------------------------------------
 
-fn roundtrip_request(req: &Request) {
+/// Holds a value's encoding against a golden literal captured from the
+/// pre-`impl_serde_enum!` encoders (spaces mark field boundaries): a round
+/// trip cannot see a swapped tag or field order, the bytes can.
+fn assert_wire(bytes: &[u8], expected: &str) {
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, expected.replace(' ', ""));
+}
+
+fn roundtrip_request(req: &Request, expected: &str) {
     let bytes = serde::to_bytes(req);
+    assert_wire(&bytes, expected);
     let back: Request = serde::from_bytes(&bytes).expect("request decodes");
     assert_eq!(&back, req);
     // And the re-encoding is bit-identical (canonical form).
@@ -100,30 +110,44 @@ fn roundtrip_request(req: &Request) {
 #[test]
 fn every_request_verb_round_trips() {
     let requests = [
-        Request::Ping,
-        Request::Load { name: "mlp".into(), artifact: vec![0xDE, 0xAD, 0xBE, 0xEF] },
-        Request::Attach {
-            tenant: "t0".into(),
-            artifact: "mlp".into(),
-            config: WireTenantConfig {
-                route: RoutePredicate::AllOf(vec![
-                    RoutePredicate::DstPortRange { lo: 440, hi: 450 },
-                    RoutePredicate::Not(Box::new(RoutePredicate::Protocol(17))),
-                ]),
-                record_predictions: true,
-                flow_capacity: Some(4096),
-                idle_timeout_packets: Some(10_000),
+        (Request::Ping, "00"),
+        (
+            Request::Load { name: "mlp".into(), artifact: vec![0xDE, 0xAD, 0xBE, 0xEF] },
+            "01 03000000 6d6c70 04000000 deadbeef",
+        ),
+        (
+            Request::Attach {
+                tenant: "t0".into(),
+                artifact: "mlp".into(),
+                config: WireTenantConfig {
+                    route: RoutePredicate::AllOf(vec![
+                        RoutePredicate::DstPortRange { lo: 440, hi: 450 },
+                        RoutePredicate::Not(Box::new(RoutePredicate::Protocol(17))),
+                    ]),
+                    record_predictions: true,
+                    flow_capacity: Some(4096),
+                    idle_timeout_packets: Some(10_000),
+                },
             },
-        },
-        Request::Swap { tenant: "t0".into(), artifact: "mlp-v2".into() },
-        Request::Detach { tenant: "t0".into() },
-        Request::List,
-        Request::Stats,
-        Request::IngestPcap { path: "/tmp/golden.pcap".into() },
-        Request::Shutdown,
+            "02 02000000 7430 03000000 6d6c70 \
+             07 02000000 02 b801 c201 09 06 11 \
+             01 01 0010000000000000 01 1027000000000000",
+        ),
+        (
+            Request::Swap { tenant: "t0".into(), artifact: "mlp-v2".into() },
+            "03 02000000 7430 06000000 6d6c702d7632",
+        ),
+        (Request::Detach { tenant: "t0".into() }, "04 02000000 7430"),
+        (Request::List, "05"),
+        (Request::Stats, "06"),
+        (
+            Request::IngestPcap { path: "/tmp/golden.pcap".into() },
+            "07 10000000 2f746d702f676f6c64656e2e70636170",
+        ),
+        (Request::Shutdown, "08"),
     ];
-    for req in &requests {
-        roundtrip_request(req);
+    for (req, expected) in &requests {
+        roundtrip_request(req, expected);
     }
 }
 
@@ -138,6 +162,11 @@ fn responses_round_trip() {
         kind: "stateless".into(),
         bytes: 123_456,
     });
+    assert_wire(
+        &serde::to_bytes(&loaded),
+        "02 03000000 6d6c70 03000000 05000000 6d6c705f62 09000000 73746174656c657373 \
+         40e2010000000000",
+    );
     match serde::from_bytes::<Response>(&serde::to_bytes(&loaded)).expect("decodes") {
         Response::Loaded(a) => {
             assert_eq!((a.name.as_str(), a.version, a.bytes), ("mlp", 3, 123_456));
@@ -149,6 +178,7 @@ fn responses_round_trip() {
         kind: ErrorKind::UnknownTenant,
         message: "no tenant named 't9'".into(),
     });
+    assert_wire(&serde::to_bytes(&err), "01 01 14000000 6e6f2074656e616e74206e616d65642027743927");
     match serde::from_bytes::<Response>(&serde::to_bytes(&err)).expect("decodes") {
         Response::Error(e) => {
             assert_eq!(e.kind, ErrorKind::UnknownTenant);
@@ -163,6 +193,10 @@ fn responses_round_trip() {
         state_retained: true,
         apply_micros: 87,
     };
+    assert_wire(
+        &serde::to_bytes(&swapped),
+        "04 03000000 76706e 0400000000000000 01 5700000000000000",
+    );
     match serde::from_bytes::<Response>(&serde::to_bytes(&swapped)).expect("decodes") {
         Response::Swapped { tenant, epoch, state_retained, apply_micros } => {
             assert_eq!(
@@ -185,6 +219,11 @@ fn responses_round_trip() {
             ])),
         }],
     });
+    assert_wire(
+        &serde::to_bytes(&listing),
+        "06 00000000 01000000 02000000 7430 03000000 6d6c70 01 03 0200000000000000 \
+         03000000 00000000 00000000 00 00000000",
+    );
     match serde::from_bytes::<Response>(&serde::to_bytes(&listing)).expect("decodes") {
         Response::Listing(l) => {
             match &l.tenants[0].state {
@@ -204,6 +243,11 @@ fn responses_round_trip() {
         report: None,
         error: Some("flow state overflow".into()),
     }));
+    assert_wire(
+        &serde::to_bytes(&detached),
+        "05 04000000 02000000 7430 0200000000000000 5201000000000000 00 \
+         01 13000000 666c6f77207374617465206f766572666c6f77",
+    );
     match serde::from_bytes::<Response>(&serde::to_bytes(&detached)).expect("decodes") {
         Response::Detached(r) => {
             assert_eq!((r.token, r.epoch, r.routed_packets), (4, 2, 338));
@@ -211,6 +255,86 @@ fn responses_round_trip() {
         }
         other => panic!("expected Detached, got {other:?}"),
     }
+
+    // The variants with nothing to inspect but their bytes. `Stats` is an
+    // empty snapshot: no tenants, `unrouted`, then 4 + 9 + 4 zero counters.
+    let stats = EngineStats {
+        tenants: vec![],
+        unrouted: 1,
+        parse_errors: Default::default(),
+        routing: Default::default(),
+        artifacts: Default::default(),
+    };
+    for (response, expected) in [
+        (Response::Pong, "00".to_string()),
+        (
+            Response::Attached { tenant: "t0".into(), token: 5, epoch: 6 },
+            "03 02000000 7430 05000000 0600000000000000".to_string(),
+        ),
+        (Response::Stats(stats), format!("07 00000000 0100000000000000 {}", "00".repeat(17 * 8))),
+        (Response::Ingested { frames: 7 }, "08 0700000000000000".to_string()),
+        (Response::ShuttingDown, "09".to_string()),
+    ] {
+        let bytes = serde::to_bytes(&response);
+        assert_wire(&bytes, &expected);
+        let back: Response = serde::from_bytes(&bytes).expect("decodes");
+        assert_eq!(serde::to_bytes(&back), bytes, "{response:?}");
+    }
+
+    // The enums inside replies: every tag, in the order the wire has them.
+    let kinds = [
+        ErrorKind::BadRequest,
+        ErrorKind::UnknownTenant,
+        ErrorKind::UnknownArtifact,
+        ErrorKind::DuplicateTenant,
+        ErrorKind::ArtifactFormat,
+        ErrorKind::Verify,
+        ErrorKind::StateBudget,
+        ErrorKind::NotAClassifier,
+        ErrorKind::Degraded,
+        ErrorKind::Engine,
+        ErrorKind::Io,
+    ];
+    for (tag, kind) in kinds.into_iter().enumerate() {
+        assert_eq!(serde::to_bytes(&kind), [tag as u8]);
+        assert_eq!(serde::from_bytes::<ErrorKind>(&[tag as u8]), Ok(kind));
+    }
+    assert_eq!(
+        serde::from_bytes::<ErrorKind>(&[11]),
+        Err(serde::DecodeError::BadTag { what: "ErrorKind", tag: 11 })
+    );
+    for (state, expected) in [
+        (TenantState::Serving { token: 3, epoch: 4 }, "00 03000000 0400000000000000"),
+        (
+            TenantState::Degraded {
+                reason: DegradedReason::MissingArtifact { artifact: "a".into() },
+            },
+            "01 00 01000000 61",
+        ),
+        (
+            TenantState::Degraded { reason: DegradedReason::Io { message: "b".into() } },
+            "01 01 01000000 62",
+        ),
+        (
+            TenantState::Degraded { reason: DegradedReason::Format { message: "c".into() } },
+            "01 02 01000000 63",
+        ),
+        (
+            TenantState::Degraded { reason: DegradedReason::Verify { errors: 2 } },
+            "01 03 0200000000000000",
+        ),
+        (
+            TenantState::Degraded { reason: DegradedReason::Attach { message: "d".into() } },
+            "01 04 01000000 64",
+        ),
+    ] {
+        assert_wire(&serde::to_bytes(&state), expected);
+        assert_eq!(serde::from_bytes::<TenantState>(&serde::to_bytes(&state)), Ok(state));
+    }
+
+    // A tenant token travels as its bare id.
+    let token: TenantToken = serde::from_bytes(&[7, 0, 0, 0]).expect("decodes");
+    assert_eq!((token.id(), serde::to_bytes(&token)), (7, vec![7, 0, 0, 0]));
 }
 
 #[test]
@@ -274,6 +398,114 @@ fn artifact_header_mismatches_are_typed() {
     garbage.extend_from_slice(&ARTIFACT_FORMAT_VERSION.to_le_bytes());
     garbage.extend_from_slice(&[0xFF; 32]);
     assert!(matches!(ArtifactFile::from_bytes(&garbage), Err(ArtifactError::Decode(_))));
+}
+
+/// One hand-built file of each payload kind, byte for byte: header, switch
+/// model, payload tag, `StreamFeatures` tag, program, pipeline fields.
+#[test]
+fn artifact_file_bytes_are_pinned() {
+    use pegasus_core::compile::{CompileReport, CompiledPipeline};
+    use pegasus_core::flowpipe::FlowPipeline;
+    use pegasus_core::numformat::NumFormat;
+    use pegasus_core::StreamFeatures;
+    use pegasus_ctl::artifact::ArtifactPayload;
+    use pegasus_switch::{FieldId, PhvLayout, RegisterArray, SwitchConfig, SwitchProgram};
+
+    let switch = SwitchConfig {
+        name: "s".into(),
+        stages: 1,
+        sram_bits_per_stage: 2,
+        tcam_bits_per_stage: 3,
+        action_bus_bits_per_stage: 4,
+        phv_bits: 5,
+        register_bits_total: 6,
+        register_widths: vec![7],
+        line_rate_bps: 1.0,
+        pipeline_latency_ns: 2.0,
+    };
+    let mut layout = PhvLayout::new();
+    layout.add_signed_field("f", 8);
+    let mut program = SwitchProgram::new("p", layout);
+    program.registers.push(RegisterArray { name: "r".into(), width_bits: 16, size: 9 });
+    program.extra_stages = 10;
+    program.stateful_bits_per_flow = 11;
+    program.keep_alive = vec![FieldId(12)];
+    let program = std::sync::Arc::new(program);
+    let report = CompileReport {
+        tables: 13,
+        fuzzy_tables: 14,
+        exact_tables: 15,
+        entries: 16,
+        lookups_per_input: 17,
+    };
+    let score_format = NumFormat { step: 0.5, bias: -18, bits: 19 };
+
+    let header_and_switch = "50454741 02000000 \
+         01000000 73 0100000000000000 0200000000000000 0300000000000000 0400000000000000 \
+         0500000000000000 0600000000000000 01000000 07 000000000000f03f 0000000000000040";
+    // name, one field (name, bits, signed), one register declaration (name,
+    // width, size), no tables, extra stages, stateful bits, keep-alive.
+    let program_bytes = "01000000 70 01000000 01000000 66 08 01 01000000 01000000 72 10 \
+         0900000000000000 00000000 0a00000000000000 0b00000000000000 \
+         01000000 0c00000000000000";
+    let format_bytes = "0000003f eeffffffffffffff 13";
+    let report_bytes = "0d00000000000000 0e00000000000000 0f00000000000000 \
+         1000000000000000 1100000000000000";
+
+    let stateless = ArtifactFile {
+        switch: switch.clone(),
+        payload: ArtifactPayload::Stateless {
+            features: StreamFeatures::Seq,
+            pipeline: CompiledPipeline {
+                program: program.clone(),
+                input_fields: vec![FieldId(20)],
+                score_fields: vec![FieldId(21)],
+                score_format,
+                predicted_field: Some(FieldId(22)),
+                report,
+            },
+        },
+    };
+    assert_wire(
+        &stateless.to_bytes(),
+        &format!(
+            "{header_and_switch} 00 01 {program_bytes} 01000000 1400000000000000 \
+             01000000 1500000000000000 {format_bytes} 01 1600000000000000 {report_bytes}"
+        ),
+    );
+    assert_eq!(serde::to_bytes(&StreamFeatures::Stat), [0]);
+
+    let flow = ArtifactFile {
+        switch,
+        payload: ArtifactPayload::Flow {
+            pipeline: FlowPipeline {
+                program,
+                len_field: FieldId(20),
+                ts_field: FieldId(21),
+                hash_field: FieldId(22),
+                extractor_fields: vec![FieldId(23)],
+                predicted_field: None,
+                score_fields: vec![FieldId(24)],
+                score_format,
+                valid_field: FieldId(25),
+                stateful_bits_per_flow: 26,
+                report,
+            },
+        },
+    };
+    assert_wire(
+        &flow.to_bytes(),
+        &format!(
+            "{header_and_switch} 01 {program_bytes} 1400000000000000 1500000000000000 \
+             1600000000000000 01000000 1700000000000000 00 01000000 1800000000000000 \
+             {format_bytes} 1900000000000000 1a00000000000000 {report_bytes}"
+        ),
+    );
+
+    for file in [stateless, flow] {
+        let back = ArtifactFile::from_bytes(&file.to_bytes()).expect("decodes");
+        assert_eq!(back.to_bytes(), file.to_bytes());
+    }
 }
 
 /// A program-only file declares its registers instead of shipping them,
@@ -391,6 +623,29 @@ fn daemon_survives_hostile_connections() {
     // After all of that the daemon still serves a fresh connection.
     let mut fresh = UnixStream::connect(&socket).expect("daemon still accepting");
     fresh.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    assert!(matches!(call(&mut fresh, &Request::Ping), Response::Pong));
+
+    // 5. A well-formed `attach` whose route is 10 000 `Not`s deep — 10 KB,
+    //    far under the frame cap. Decoding it used to overflow the stack
+    //    and abort the whole daemon; now it is a typed bad-request and the
+    //    same connection keeps answering.
+    let mut deep = serde::to_bytes(&Request::Attach {
+        tenant: "t".into(),
+        artifact: "a".into(),
+        config: WireTenantConfig::default(),
+    });
+    let route_at = 1 + (4 + 1) + (4 + 1); // verb tag, "t", "a"
+    assert_eq!(deep[route_at], 0, "the default route is `Any`");
+    deep.splice(route_at..route_at, [9u8; 10_000]);
+    write_frame(&mut fresh, &deep).expect("send deep attach");
+    let body = read_frame(&mut fresh).expect("reply").expect("present");
+    match serde::from_bytes::<Response>(&body).expect("decodes") {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert!(e.message.contains("deep"), "{}", e.message);
+        }
+        other => panic!("expected BadRequest error, got {other:?}"),
+    }
     assert!(matches!(call(&mut fresh, &Request::Ping), Response::Pong));
     match call(&mut fresh, &Request::List) {
         Response::Listing(l) => {

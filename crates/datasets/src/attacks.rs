@@ -14,10 +14,9 @@ use crate::profile::{ClassProfile, LenState};
 use pegasus_net::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The six attack families of Figure 8.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// Banking trojan C2: small beacons on a slow regular timer.
     Cridex,

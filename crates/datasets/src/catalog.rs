@@ -17,10 +17,9 @@
 //!   models (CNN-L) excel — the paper's headline result.
 
 use crate::profile::{ClassProfile, LenState};
-use serde::{Deserialize, Serialize};
 
 /// A named dataset: an ordered list of class profiles.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetSpec {
     /// Dataset name ("PeerRush", "CICIOT", "ISCXVPN").
     pub name: String,

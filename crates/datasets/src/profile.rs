@@ -11,10 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One state of the packet-length chain: lengths near `mean` with `std`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LenState {
     /// Mean wire length in bytes.
     pub mean: f64,
@@ -23,7 +22,7 @@ pub struct LenState {
 }
 
 /// Generative description of one traffic class.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClassProfile {
     /// Class name (e.g. "uTorrent", "Idle", "VoIP", "Cridex").
     pub name: String,

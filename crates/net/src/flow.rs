@@ -16,10 +16,8 @@
 //! the flow count by construction: the slab is preallocated at the
 //! configured capacity and never grows.
 
-use serde::{Deserialize, Serialize};
-
 /// A flow's five-tuple identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: u32,
@@ -89,7 +87,7 @@ impl FiveTuple {
 }
 
 /// One packet observation within a flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketObs {
     /// Wire length in bytes.
     pub wire_len: u16,
@@ -101,7 +99,7 @@ pub struct PacketObs {
 }
 
 /// Running per-flow statistics and the recent-packet window.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowState {
     /// Packets seen.
     pub packets: u64,
@@ -176,7 +174,7 @@ pub const DEFAULT_FLOW_SLOTS: usize = 4096;
 const EVICT_WINDOW: usize = 8;
 
 /// Configuration of a [`FlowTable`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowTableConfig {
     /// Slot count — the hard capacity. The slab is preallocated at this
     /// size and never grows. Must be ≥ 1.

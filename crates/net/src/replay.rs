@@ -15,10 +15,9 @@
 use crate::flow::FiveTuple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One packet in a trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TracePacket {
     /// Arrival timestamp in microseconds.
     pub ts_micros: u64,
@@ -35,7 +34,7 @@ pub struct TracePacket {
 }
 
 /// A labeled packet trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Packets sorted by timestamp.
     pub packets: Vec<TracePacket>,

@@ -106,74 +106,23 @@ impl RoutePredicate {
 // --- serde (control-daemon wire format) --------------------------------
 //
 // Recursive enum: one tag byte per node, children as length-prefixed
-// vectors. Depth is naturally bounded by the frame-size cap the daemon
-// enforces before decoding.
+// vectors. Nesting is bounded by the decoder `impl_serde_enum!` generates,
+// not by the 64 MiB frame cap: a predicate more than
+// `serde::MAX_DECODE_DEPTH` nodes deep — off the socket or out of a rotted
+// `registry.bin` — is `DecodeError::TooDeep`, not a stack overflow.
 
-impl serde::Serialize for RoutePredicate {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            RoutePredicate::Any => w.write_u8(0),
-            RoutePredicate::DstPort(p) => {
-                w.write_u8(1);
-                p.serialize(w);
-            }
-            RoutePredicate::DstPortRange { lo, hi } => {
-                w.write_u8(2);
-                lo.serialize(w);
-                hi.serialize(w);
-            }
-            RoutePredicate::SrcPort(p) => {
-                w.write_u8(3);
-                p.serialize(w);
-            }
-            RoutePredicate::DstSubnet { addr, prefix } => {
-                w.write_u8(4);
-                addr.serialize(w);
-                prefix.serialize(w);
-            }
-            RoutePredicate::SrcSubnet { addr, prefix } => {
-                w.write_u8(5);
-                addr.serialize(w);
-                prefix.serialize(w);
-            }
-            RoutePredicate::Protocol(p) => {
-                w.write_u8(6);
-                p.serialize(w);
-            }
-            RoutePredicate::AllOf(children) => {
-                w.write_u8(7);
-                children.serialize(w);
-            }
-            RoutePredicate::AnyOf(children) => {
-                w.write_u8(8);
-                children.serialize(w);
-            }
-            RoutePredicate::Not(inner) => {
-                w.write_u8(9);
-                inner.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for RoutePredicate {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("RoutePredicate")? {
-            0 => RoutePredicate::Any,
-            1 => RoutePredicate::DstPort(D::deserialize(r)?),
-            2 => RoutePredicate::DstPortRange { lo: D::deserialize(r)?, hi: D::deserialize(r)? },
-            3 => RoutePredicate::SrcPort(D::deserialize(r)?),
-            4 => RoutePredicate::DstSubnet { addr: D::deserialize(r)?, prefix: D::deserialize(r)? },
-            5 => RoutePredicate::SrcSubnet { addr: D::deserialize(r)?, prefix: D::deserialize(r)? },
-            6 => RoutePredicate::Protocol(D::deserialize(r)?),
-            7 => RoutePredicate::AllOf(D::deserialize(r)?),
-            8 => RoutePredicate::AnyOf(D::deserialize(r)?),
-            9 => RoutePredicate::Not(D::deserialize(r)?),
-            tag => return Err(serde::DecodeError::BadTag { what: "RoutePredicate", tag }),
-        })
-    }
-}
+serde::impl_serde_enum!(RoutePredicate {
+    0 => Any,
+    1 => DstPort(port),
+    2 => DstPortRange { lo, hi },
+    3 => SrcPort(port),
+    4 => DstSubnet { addr, prefix },
+    5 => SrcSubnet { addr, prefix },
+    6 => Protocol(proto),
+    7 => AllOf(children),
+    8 => AnyOf(children),
+    9 => Not(inner),
+});
 
 // --- compiled routing plane ---------------------------------------------
 //
@@ -778,5 +727,58 @@ mod tests {
         // Summary round-trips through the daemon wire format.
         let bytes = serde::to_bytes(&s);
         assert_eq!(serde::from_bytes::<RouteSummary>(&bytes).unwrap(), s);
+    }
+
+    /// Pins the wire bytes of a predicate tree using all ten variants
+    /// (tags and field order), which a round trip cannot see.
+    #[test]
+    fn predicate_wire_bytes_are_pinned() {
+        let tree = RoutePredicate::AllOf(vec![
+            RoutePredicate::Any,
+            RoutePredicate::DstPort(0x0102),
+            RoutePredicate::DstPortRange { lo: 0x0304, hi: 0x0506 },
+            RoutePredicate::SrcPort(0x0708),
+            RoutePredicate::DstSubnet { addr: 0x090a_0b0c, prefix: 13 },
+            RoutePredicate::SrcSubnet { addr: 0x0e0f_1011, prefix: 18 },
+            RoutePredicate::AnyOf(vec![RoutePredicate::Not(Box::new(RoutePredicate::Protocol(
+                19,
+            )))]),
+        ]);
+        let hex: String = serde::to_bytes(&tree).iter().map(|b| format!("{b:02x}")).collect();
+        let expected = concat!(
+            "07 07000000",    // AllOf, seven children
+            "00",             // Any
+            "01 0201",        // DstPort
+            "02 0403 0605",   // DstPortRange { lo, hi }
+            "03 0807",        // SrcPort
+            "04 0c0b0a09 0d", // DstSubnet { addr, prefix }
+            "05 11100f0e 12", // SrcSubnet { addr, prefix }
+            "08 01000000",    // AnyOf, one child
+            "09 06 13",       // Not(Protocol(19))
+        );
+        assert_eq!(hex, expected.replace(' ', ""));
+        assert_eq!(
+            serde::from_bytes::<RoutePredicate>(&serde::to_bytes(&tree)).expect("decodes"),
+            tree
+        );
+    }
+
+    /// Depth is bounded by the decoder, not by the 64 MiB frame cap: either
+    /// 10 000-deep chain overflowed the stack and aborted the process
+    /// before `impl_serde_enum!` counted nesting.
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let too_deep =
+            serde::DecodeError::TooDeep { what: "RoutePredicate", limit: serde::MAX_DECODE_DEPTH };
+        let mut nots = vec![9u8; 10_000];
+        nots.push(0);
+        assert_eq!(serde::from_bytes::<RoutePredicate>(&nots), Err(too_deep.clone()));
+        let mut all_of_one = [7u8, 1, 0, 0, 0].repeat(10_000);
+        all_of_one.push(0);
+        assert_eq!(serde::from_bytes::<RoutePredicate>(&all_of_one), Err(too_deep));
+        // What real predicates look like is nowhere near the limit.
+        let mut nested = vec![9u8; 7];
+        nested.push(0);
+        assert!(serde::from_bytes::<RoutePredicate>(&nested).is_ok());
     }
 }

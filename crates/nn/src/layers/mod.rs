@@ -33,11 +33,10 @@ pub use pool::{AvgPool1d, GlobalMaxPool1d, MaxPool1d};
 pub use rnn::Rnn;
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: its value and the gradient accumulated by the most
 /// recent backward pass.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,
@@ -98,7 +97,7 @@ pub trait Layer: Send {
 ///
 /// This is the contract between the training substrate and the Pegasus
 /// compiler: `pegasus-core` never touches live layers, only specs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 #[allow(missing_docs)] // variant fields are self-describing (weight/bias/...)
 pub enum LayerSpec {
     /// Fully connected: `y = x W + b`, weight is `[in, out]`.

@@ -3,10 +3,9 @@
 
 use super::{Layer, LayerSpec, Param};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Which axis batch statistics are computed over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NormMode {
     /// Normalize each feature of a `[batch, feat]` tensor.
     Feature,

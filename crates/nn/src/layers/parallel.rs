@@ -4,7 +4,7 @@ use super::{build_layer, Layer, LayerSpec, Param};
 use crate::tensor::Tensor;
 
 /// How [`Parallel`] combines branch outputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
     /// Concatenate along columns (the textcnn multi-kernel head).
     Concat,

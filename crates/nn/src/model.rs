@@ -2,7 +2,6 @@
 
 use crate::layers::{build_layer, Layer, LayerSpec, Param};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// An ordered chain of layers.
 ///
@@ -16,7 +15,7 @@ pub struct Sequential {
 /// Serializable model description: an ordered list of [`LayerSpec`]s.
 ///
 /// This is the artifact handed to the Pegasus compiler and to disk.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelSpec {
     /// Human-readable model name (e.g. "MLP-B").
     pub name: String,

@@ -7,11 +7,9 @@
 //! the observed numerical range — exactly what [`FixedPointFormat::calibrate`]
 //! does.
 
-use serde::{Deserialize, Serialize};
-
 /// A signed fixed-point format: `total_bits` two's-complement bits with
 /// `frac_bits` of them after the binary point (Q notation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FixedPointFormat {
     /// Total storage width in bits (including sign), 2..=32.
     pub total_bits: u8,

@@ -7,7 +7,6 @@
 //! reproduction are small (tens of thousands of flows), so clarity wins
 //! over SIMD tricks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
@@ -16,7 +15,7 @@ use std::fmt;
 /// at the cost of run-time shape checks. All checks panic on violation:
 /// shape errors in this codebase are programming errors, not recoverable
 /// conditions.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

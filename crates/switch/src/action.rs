@@ -8,15 +8,14 @@
 
 use crate::phv::{FieldId, Phv};
 use crate::register::RegFile;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a register array within a program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RegId(pub usize);
 
 /// An ALU operand: a PHV field, an immediate constant, or a slot of the
 /// matched entry's action data.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Operand {
     /// Read a PHV field.
     Field(FieldId),
@@ -30,7 +29,7 @@ pub enum Operand {
 }
 
 /// One ALU operation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // operand fields follow one dst/a/b convention
 pub enum AluOp {
     /// `dst = a`
@@ -210,7 +209,7 @@ impl AluOp {
 }
 
 /// An action: an ordered list of ALU ops executed on match.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Action {
     /// Diagnostic name.
     pub name: String,
@@ -331,231 +330,29 @@ impl Action {
 
 // --- serde (control-daemon artifact format) ----------------------------
 //
-// Enums carry a one-byte discriminant in declaration order; unknown tags
-// surface as typed decode errors, never panics.
+// The tags are the `.pa` wire contract (declaration order, never
+// renumbered); `action_wire_bytes_are_pinned` holds the bytes.
 
-impl serde::Serialize for RegId {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.0.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for RegId {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(RegId(serde::Deserialize::deserialize(r)?))
-    }
-}
-
-impl serde::Serialize for Operand {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            Operand::Field(f) => {
-                w.write_u8(0);
-                f.serialize(w);
-            }
-            Operand::Const(c) => {
-                w.write_u8(1);
-                c.serialize(w);
-            }
-            Operand::Param(i) => {
-                w.write_u8(2);
-                i.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Operand {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(match r.read_u8("Operand")? {
-            0 => Operand::Field(serde::Deserialize::deserialize(r)?),
-            1 => Operand::Const(serde::Deserialize::deserialize(r)?),
-            2 => Operand::Param(serde::Deserialize::deserialize(r)?),
-            tag => return Err(serde::DecodeError::BadTag { what: "Operand", tag }),
-        })
-    }
-}
-
-impl serde::Serialize for AluOp {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            AluOp::Set { dst, a } => {
-                w.write_u8(0);
-                dst.serialize(w);
-                a.serialize(w);
-            }
-            AluOp::Add { dst, a, b } => {
-                w.write_u8(1);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Sub { dst, a, b } => {
-                w.write_u8(2);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Shl { dst, a, amount } => {
-                w.write_u8(3);
-                dst.serialize(w);
-                a.serialize(w);
-                amount.serialize(w);
-            }
-            AluOp::Shr { dst, a, amount } => {
-                w.write_u8(4);
-                dst.serialize(w);
-                a.serialize(w);
-                amount.serialize(w);
-            }
-            AluOp::Min { dst, a, b } => {
-                w.write_u8(5);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Max { dst, a, b } => {
-                w.write_u8(6);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::And { dst, a, b } => {
-                w.write_u8(7);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Or { dst, a, b } => {
-                w.write_u8(8);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Xor { dst, a, b } => {
-                w.write_u8(9);
-                dst.serialize(w);
-                a.serialize(w);
-                b.serialize(w);
-            }
-            AluOp::Popcnt { dst, a } => {
-                w.write_u8(10);
-                dst.serialize(w);
-                a.serialize(w);
-            }
-            AluOp::RegRead { dst, reg, index } => {
-                w.write_u8(11);
-                dst.serialize(w);
-                reg.serialize(w);
-                index.serialize(w);
-            }
-            AluOp::RegWrite { reg, index, a } => {
-                w.write_u8(12);
-                reg.serialize(w);
-                index.serialize(w);
-                a.serialize(w);
-            }
-            AluOp::RegReadWrite { dst, reg, index, a } => {
-                w.write_u8(13);
-                dst.serialize(w);
-                reg.serialize(w);
-                index.serialize(w);
-                a.serialize(w);
-            }
-            AluOp::RegIncrSat { dst, reg, index, by, max } => {
-                w.write_u8(14);
-                dst.serialize(w);
-                reg.serialize(w);
-                index.serialize(w);
-                by.serialize(w);
-                max.serialize(w);
-            }
-            AluOp::RegShiftInsert { dst, reg, index, a, shift, mask } => {
-                w.write_u8(15);
-                dst.serialize(w);
-                reg.serialize(w);
-                index.serialize(w);
-                a.serialize(w);
-                shift.serialize(w);
-                mask.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for AluOp {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        use serde::Deserialize as D;
-        Ok(match r.read_u8("AluOp")? {
-            0 => AluOp::Set { dst: D::deserialize(r)?, a: D::deserialize(r)? },
-            1 => {
-                AluOp::Add { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            2 => {
-                AluOp::Sub { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            3 => AluOp::Shl {
-                dst: D::deserialize(r)?,
-                a: D::deserialize(r)?,
-                amount: D::deserialize(r)?,
-            },
-            4 => AluOp::Shr {
-                dst: D::deserialize(r)?,
-                a: D::deserialize(r)?,
-                amount: D::deserialize(r)?,
-            },
-            5 => {
-                AluOp::Min { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            6 => {
-                AluOp::Max { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            7 => {
-                AluOp::And { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            8 => {
-                AluOp::Or { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            9 => {
-                AluOp::Xor { dst: D::deserialize(r)?, a: D::deserialize(r)?, b: D::deserialize(r)? }
-            }
-            10 => AluOp::Popcnt { dst: D::deserialize(r)?, a: D::deserialize(r)? },
-            11 => AluOp::RegRead {
-                dst: D::deserialize(r)?,
-                reg: D::deserialize(r)?,
-                index: D::deserialize(r)?,
-            },
-            12 => AluOp::RegWrite {
-                reg: D::deserialize(r)?,
-                index: D::deserialize(r)?,
-                a: D::deserialize(r)?,
-            },
-            13 => AluOp::RegReadWrite {
-                dst: D::deserialize(r)?,
-                reg: D::deserialize(r)?,
-                index: D::deserialize(r)?,
-                a: D::deserialize(r)?,
-            },
-            14 => AluOp::RegIncrSat {
-                dst: D::deserialize(r)?,
-                reg: D::deserialize(r)?,
-                index: D::deserialize(r)?,
-                by: D::deserialize(r)?,
-                max: D::deserialize(r)?,
-            },
-            15 => AluOp::RegShiftInsert {
-                dst: D::deserialize(r)?,
-                reg: D::deserialize(r)?,
-                index: D::deserialize(r)?,
-                a: D::deserialize(r)?,
-                shift: D::deserialize(r)?,
-                mask: D::deserialize(r)?,
-            },
-            tag => return Err(serde::DecodeError::BadTag { what: "AluOp", tag }),
-        })
-    }
-}
-
+serde::impl_serde_struct!(RegId(index));
+serde::impl_serde_enum!(Operand { 0 => Field(f), 1 => Const(c), 2 => Param(i) });
+serde::impl_serde_enum!(AluOp {
+    0 => Set { dst, a },
+    1 => Add { dst, a, b },
+    2 => Sub { dst, a, b },
+    3 => Shl { dst, a, amount },
+    4 => Shr { dst, a, amount },
+    5 => Min { dst, a, b },
+    6 => Max { dst, a, b },
+    7 => And { dst, a, b },
+    8 => Or { dst, a, b },
+    9 => Xor { dst, a, b },
+    10 => Popcnt { dst, a },
+    11 => RegRead { dst, reg, index },
+    12 => RegWrite { reg, index, a },
+    13 => RegReadWrite { dst, reg, index, a },
+    14 => RegIncrSat { dst, reg, index, by, max },
+    15 => RegShiftInsert { dst, reg, index, a, shift, mask },
+});
 serde::impl_serde_struct!(Action { name, ops });
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! makes the Table 6 resource-utilization experiment meaningful.
 
 use crate::register::{MAX_REGISTER_BITS, REGISTER_WIDTHS};
-use serde::{Deserialize, Serialize};
 
 /// Static resource description of a PISA pipeline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SwitchConfig {
     /// Human-readable target name.
     pub name: String,

@@ -263,61 +263,8 @@ impl Table {
 
 // --- serde (control-daemon artifact format) ----------------------------
 
-impl serde::Serialize for MatchKind {
-    fn serialize(&self, w: &mut serde::Writer) {
-        w.write_u8(match self {
-            MatchKind::Exact => 0,
-            MatchKind::Ternary => 1,
-            MatchKind::Range => 2,
-        });
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for MatchKind {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(match r.read_u8("MatchKind")? {
-            0 => MatchKind::Exact,
-            1 => MatchKind::Ternary,
-            2 => MatchKind::Range,
-            tag => return Err(serde::DecodeError::BadTag { what: "MatchKind", tag }),
-        })
-    }
-}
-
-impl serde::Serialize for KeyPart {
-    fn serialize(&self, w: &mut serde::Writer) {
-        match self {
-            KeyPart::Exact(v) => {
-                w.write_u8(0);
-                v.serialize(w);
-            }
-            KeyPart::Ternary(t) => {
-                w.write_u8(1);
-                t.serialize(w);
-            }
-            KeyPart::Range { lo, hi } => {
-                w.write_u8(2);
-                lo.serialize(w);
-                hi.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for KeyPart {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(match r.read_u8("KeyPart")? {
-            0 => KeyPart::Exact(serde::Deserialize::deserialize(r)?),
-            1 => KeyPart::Ternary(serde::Deserialize::deserialize(r)?),
-            2 => KeyPart::Range {
-                lo: serde::Deserialize::deserialize(r)?,
-                hi: serde::Deserialize::deserialize(r)?,
-            },
-            tag => return Err(serde::DecodeError::BadTag { what: "KeyPart", tag }),
-        })
-    }
-}
-
+serde::impl_serde_enum!(MatchKind { 0 => Exact, 1 => Ternary, 2 => Range });
+serde::impl_serde_enum!(KeyPart { 0 => Exact(v), 1 => Ternary(key), 2 => Range { lo, hi } });
 serde::impl_serde_struct!(TableEntry { keys, priority, action_idx, action_data });
 
 serde::impl_serde_struct!(Table { name, keys, actions, default_action, entries, param_widths });

@@ -6,15 +6,14 @@
 //! with explicit bit widths; the simulator enforces the total-capacity limit
 //! at deploy time and value/width invariants at run time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a field within a [`PhvLayout`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub usize);
 
 /// Declaration of one PHV field.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FieldDef {
     /// Diagnostic name (e.g. "pkt_len", "seg0_fuzzy_idx").
     pub name: String,
@@ -26,7 +25,7 @@ pub struct FieldDef {
 }
 
 /// The set of fields a program carries per packet.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhvLayout {
     fields: Vec<FieldDef>,
 }
@@ -151,22 +150,8 @@ pub fn truncate(value: i64, bits: u8, signed: bool) -> i64 {
 }
 
 // --- serde (control-daemon artifact format) ----------------------------
-//
-// The derives above are the no-op compat stubs; the real impls are spelled
-// out here (the layout's field list is private to this module).
 
-impl serde::Serialize for FieldId {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.0.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for FieldId {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::DecodeError> {
-        Ok(FieldId(serde::Deserialize::deserialize(r)?))
-    }
-}
-
+serde::impl_serde_struct!(FieldId(index));
 serde::impl_serde_struct!(FieldDef { name, bits, signed });
 serde::impl_serde_struct!(PhvLayout { fields });
 

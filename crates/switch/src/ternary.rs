@@ -8,12 +8,10 @@
 //! implemented here decomposes `[lo, hi]` into maximal aligned power-of-two
 //! blocks, which is optimal for prefix-style expansions.
 
-use serde::{Deserialize, Serialize};
-
 /// A single ternary match: `x` matches when `x & mask == value`.
 ///
 /// Invariant: `value & !mask == 0` (don't-care bits are zeroed in `value`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TernaryKey {
     /// Care-bit pattern.
     pub value: u64,
