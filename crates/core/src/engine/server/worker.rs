@@ -55,6 +55,9 @@ struct WorkerTenant {
     applied_epoch: u64,
     preds: HashMap<FiveTuple, Vec<usize>>,
     err: Option<PegasusError>,
+    /// The counters moved since the last publish (a served run, an applied
+    /// swap, the attach itself): only dirty tenants are republished.
+    dirty: bool,
 }
 
 impl WorkerTenant {
@@ -71,6 +74,7 @@ impl WorkerTenant {
             applied_epoch: epoch,
             preds: HashMap::new(),
             err: None,
+            dirty: true,
         }
     }
 
@@ -92,6 +96,7 @@ impl WorkerTenant {
         self.stats.swap.applied_epoch = epoch;
         self.stats.swap.swaps_applied += 1;
         self.stats.swap.last_apply_nanos = t0.elapsed().as_nanos() as u64;
+        self.dirty = true;
     }
 
     /// Serves one run — consecutive frames of one batch, all routed to this
@@ -106,6 +111,7 @@ impl WorkerTenant {
         verdicts: &mut Vec<Option<usize>>,
     ) -> Result<(), PegasusError> {
         self.maybe_apply_swap();
+        self.dirty = true;
         let t0 = Instant::now();
         self.exec.process_batch(frames, run.clone(), verdicts)?;
         let nanos = t0.elapsed().as_nanos() as u64;
@@ -135,9 +141,12 @@ impl WorkerTenant {
         stats
     }
 
-    /// Publishes the live counters into this shard's cell of the record.
-    fn publish(&self) {
-        *lock(&self.tenant.shards[self.stats.shard], "shard stats cell") = self.current_stats();
+    /// Publishes the live counters into this shard's cell of the record,
+    /// if they moved since the last publish.
+    fn publish(&mut self) {
+        if std::mem::take(&mut self.dirty) {
+            *lock(&self.tenant.shards[self.stats.shard], "shard stats cell") = self.current_stats();
+        }
     }
 
     fn finalize(self) -> TenantShardOut {
@@ -145,8 +154,8 @@ impl WorkerTenant {
     }
 }
 
-fn publish(tenants: &HashMap<u32, WorkerTenant>) {
-    tenants.values().for_each(WorkerTenant::publish);
+fn publish(tenants: &mut HashMap<u32, WorkerTenant>) {
+    tenants.values_mut().for_each(WorkerTenant::publish);
 }
 
 pub(super) fn worker_loop(
@@ -172,7 +181,7 @@ pub(super) fn worker_loop(
                         wt.maybe_apply_swap();
                     }
                 }
-                publish(&tenants);
+                publish(&mut tenants);
                 since_publish = 0;
                 match rx.recv() {
                     Ok(m) => m,
@@ -199,14 +208,14 @@ pub(super) fn worker_loop(
                     }
                     since_publish += len as u64;
                     if since_publish >= cadence {
-                        publish(&tenants);
+                        publish(&mut tenants);
                         since_publish = 0;
                     }
                 }
             }
             ShardMsg::Attach(tenant) => {
                 tenants.insert(tenant.token.0, WorkerTenant::new(tenant, shard));
-                publish(&tenants);
+                publish(&mut tenants);
             }
             ShardMsg::Detach { tenant, ack } => {
                 let out = match tenants.remove(&tenant) {
@@ -217,7 +226,7 @@ pub(super) fn worker_loop(
                         err: None,
                     },
                 };
-                publish(&tenants);
+                publish(&mut tenants);
                 let _ = ack.send(out);
             }
         }

@@ -167,10 +167,12 @@ impl FlowState {
 /// unbounded map.
 pub const DEFAULT_FLOW_SLOTS: usize = 4096;
 
-/// When the table is completely full, the eviction victim is chosen among
-/// the first this-many probe positions of the new flow's chain (the
-/// least-recently-seen of them) — the bounded-candidate approximation of
-/// LRU that real flow tables (conntrack-style) use.
+/// The victim window: a non-resident flow looks for an entry to reclaim
+/// only among the first this-many positions of its probe chain (the first
+/// idle-expired one; on a full table, else the least-recently-seen) — the
+/// fixed handful of candidates a pipeline stage compares per lookup, and
+/// the bounded-candidate approximation of LRU that real flow tables
+/// (conntrack-style) use.
 const EVICT_WINDOW: usize = 8;
 
 /// Configuration of a [`FlowTable`].
@@ -182,8 +184,9 @@ pub struct FlowTableConfig {
     /// Idle-timeout aging on the table's packet-count clock (the clock
     /// ticks once per [`admit`](FlowTable::admit)): an entry not touched
     /// for more than this many table packets is considered dead — it is
-    /// reclaimed when a new flow's probe path crosses it, and re-warms
-    /// from scratch if its own flow returns. `0` disables aging.
+    /// reclaimed by a new flow that finds it within its first 8 probe
+    /// positions, and re-warms from scratch if its own flow returns. `0`
+    /// disables aging.
     /// Ignored in alias mode (hash-indexed registers never age).
     pub idle_timeout_packets: u64,
     /// Hardware-faithful aliasing: no probing, no eviction — a flow's slot
@@ -220,10 +223,12 @@ pub enum Admission {
     /// The flow was resident but idle past the timeout: its state was
     /// reset in place and it re-warms from scratch.
     Rewarmed,
-    /// A new flow reclaimed the slot of an idle-expired flow (aging).
+    /// A new flow reclaimed the first idle-expired entry among its first 8
+    /// probe positions (aging).
     EvictedIdle,
-    /// The table was full with no idle entries: a new flow replaced the
-    /// least-recently-seen entry in its probe window (capacity pressure).
+    /// The table was full and none of the new flow's first 8 probe
+    /// positions was idle: it replaced the least-recently-seen of them
+    /// (capacity pressure).
     EvictedCapacity,
     /// Alias mode: the flow's slot was owned by a different flow; the slot
     /// changed owners and the *state carried over*, exactly like colliding
@@ -271,30 +276,33 @@ struct Slot<V> {
 enum Probe {
     /// Key found at index; flag says it sat idle past the timeout.
     Hit(usize, bool),
-    /// Key absent; an empty slot at index ends the chain. The option is an
-    /// idle-expired slot seen earlier on the path, preferred for reuse.
-    Empty(usize, Option<usize>),
-    /// Key absent and the table is full: idle candidate (if any) and the
-    /// least-recently-seen slot of the first [`EVICT_WINDOW`] positions.
-    Full(Option<usize>, usize),
+    /// Key absent, nothing idle in the window: the chain's first empty slot.
+    Empty(usize),
+    /// Key absent: the first idle-expired slot of the window.
+    Idle(usize),
+    /// Key absent, table full, nothing idle in the window: the
+    /// least-recently-seen slot of the window.
+    Lru(usize),
 }
 
 /// A fixed-capacity, hash-indexed flow table — the bounded replacement for
 /// `HashMap<FiveTuple, V>` in every serving layer.
 ///
 /// Lookup and insertion probe linearly from `hash % capacity`. Occupied
-/// slots are never emptied (entries are only ever *replaced*), so a
-/// resident key is always found before the first empty slot of its chain —
-/// at load factors below ~0.9 the expected probe length is a small
-/// constant, and memory is exactly `capacity` slots forever. Misses are
-/// bounded even with no empty slot in sight: an entry's displacement from
-/// its home slot is fixed at insert time (replacement never moves
-/// entries), so scanning past the longest displacement ever inserted
-/// proves a key absent — a full table's miss costs that bound, not a
-/// sweep of every slot. When a new flow's probe path finds no room, the
-/// table evicts: an idle-expired entry on the path if aging is
-/// configured, else (only once the table is completely full) the
-/// least-recently-seen entry among the flow's first 8 probe positions.
+/// slots are never emptied (entries are only ever *replaced*, in place),
+/// so a resident key is always found before the first empty slot of its
+/// chain — at load factors below ~0.9 the expected probe length is a small
+/// constant, and memory is exactly `capacity` slots forever. A miss is
+/// bounded per home slot, not by the table's fill history: each home
+/// records its *reach* (the largest displacement of a resident hashed
+/// there), so a key not found within its home's reach is absent. A
+/// non-resident flow then reclaims only inside its first 8 probe positions
+/// — the first idle-expired entry there if aging is configured, else (only
+/// once the table is completely full) the least-recently-seen entry there;
+/// while the table still has room and the window holds nothing idle, it
+/// takes the first empty slot of its chain instead. Every entry placed by
+/// reclaim therefore sits within 8 of its home: once the fill-phase
+/// stragglers are churned out, a full table's miss examines 8 slots.
 ///
 /// With `capacity ≥` the number of distinct live flows and aging disabled,
 /// no eviction ever fires and the table is observationally identical to an
@@ -311,12 +319,13 @@ pub struct FlowTable<V> {
     clock: u64,
     cfg: FlowTableConfig,
     stats: FlowTableStats,
-    /// Longest home→slot displacement any entry was ever inserted at.
-    /// Displacements are fixed at insert time (replacement never moves
-    /// entries), so this is an exact miss bound: a key not found within
-    /// `longest_probe` slots of its home is not resident. Keeps full-table
-    /// misses O(bound) instead of O(capacity).
-    longest_probe: usize,
+    /// Per home slot, the largest home→slot displacement of any resident
+    /// hashed there (0 when none) — the exact miss bound: a key not found
+    /// within `reach[home]` slots of its home is not resident. Raised on
+    /// placement, re-tightened when a home's farthest entry is replaced.
+    /// `u32` cannot truncate (capacity ≤ 2³²); empty in alias mode.
+    reach: Vec<u32>,
+    probe_steps: u64,
 }
 
 impl<V> FlowTable<V> {
@@ -324,48 +333,81 @@ impl<V> FlowTable<V> {
     /// that earlier with a proper error where user input reaches this).
     pub fn new(cfg: FlowTableConfig) -> Self {
         assert!(cfg.capacity >= 1, "flow table needs at least one slot");
+        assert!(cfg.capacity as u64 <= 1 << 32, "homes are 32-bit hashes: at most 2^32 slots");
         let mut slots = Vec::new();
         slots.resize_with(cfg.capacity, || None);
-        FlowTable {
-            slots,
-            occupied: 0,
-            clock: 0,
-            cfg,
-            stats: FlowTableStats::default(),
-            longest_probe: 0,
-        }
+        let reach = if cfg.alias { Vec::new() } else { vec![0; cfg.capacity] };
+        let stats = FlowTableStats::default();
+        FlowTable { slots, occupied: 0, clock: 0, cfg, stats, reach, probe_steps: 0 }
     }
 
-    fn probe(&self, key: &FiveTuple, home: usize) -> Probe {
+    fn home(&self, key: &FiveTuple) -> usize {
+        key.dataplane_hash() as usize % self.slots.len()
+    }
+
+    fn probe(&mut self, key: &FiveTuple, home: usize) -> Probe {
         let cap = self.slots.len();
-        let timeout = self.cfg.idle_timeout_packets;
-        let is_idle = |s: &Slot<V>| timeout > 0 && self.clock - s.last_seen > timeout;
+        let (timeout, clock) = (self.cfg.idle_timeout_packets, self.clock);
+        let is_idle = |s: &Slot<V>| timeout > 0 && clock - s.last_seen > timeout;
         let mut first_idle: Option<usize> = None;
         let mut lru = (home, u64::MAX);
-        // A completely full table has no empty terminator, but every
-        // resident entry sits within `longest_probe` of its home — scan
-        // that far (and at least the eviction window) and stop.
-        let limit = if self.occupied == cap {
-            cap.min((self.longest_probe + 1).max(EVICT_WINDOW))
-        } else {
-            cap
-        };
-        for d in 0..limit {
-            let i = (home + d) % cap;
+        let mut limit = EVICT_WINDOW.min(cap);
+        // `d` slots examined so far; `next` is the slot after them.
+        let (mut d, mut next) = (0, home);
+        let found = loop {
+            if d == limit {
+                // The window has settled the victim. Past it, a reclaiming
+                // miss only proves the key absent (its home's reach); with
+                // room and nothing idle it walks on to the first empty slot.
+                let reclaims = first_idle.is_some() || self.occupied == cap;
+                limit = if reclaims { self.reach[home] as usize + 1 } else { cap };
+                if d >= limit {
+                    break first_idle.map_or(Probe::Lru(lru.0), Probe::Idle);
+                }
+            }
+            let i = next;
+            next = if i + 1 == cap { 0 } else { i + 1 };
+            d += 1;
             match &self.slots[i] {
-                None => return Probe::Empty(i, first_idle),
-                Some(s) if s.key == *key => return Probe::Hit(i, is_idle(s)),
-                Some(s) => {
+                None => break first_idle.map_or(Probe::Empty(i), Probe::Idle),
+                Some(s) if s.key == *key => break Probe::Hit(i, is_idle(s)),
+                Some(s) if d <= EVICT_WINDOW => {
                     if first_idle.is_none() && is_idle(s) {
                         first_idle = Some(i);
                     }
-                    if d < EVICT_WINDOW && s.last_seen < lru.1 {
+                    if s.last_seen < lru.1 {
                         lru = (i, s.last_seen);
                     }
                 }
+                Some(_) => {}
+            }
+        };
+        self.probe_steps += d as u64;
+        found
+    }
+
+    /// Hands the occupied slot `idx` to `key`. When the victim was its own
+    /// home's farthest entry, that home's reach drops to its farthest
+    /// survivor — a rescan bounded by the old reach.
+    fn reclaim(&mut self, idx: usize, key: FiveTuple, value: V) {
+        let cap = self.slots.len();
+        let s = self.slots[idx].as_mut().expect("victim slot occupied");
+        let old = std::mem::replace(&mut s.key, key);
+        s.value = value;
+        let old_home = self.home(&old);
+        let mut d = (idx + cap - old_home) % cap;
+        if d < self.reach[old_home] as usize {
+            return;
+        }
+        while d > 0 {
+            d -= 1;
+            self.probe_steps += 1;
+            if matches!(&self.slots[(old_home + d) % cap], Some(s) if self.home(&s.key) == old_home)
+            {
+                break;
             }
         }
-        Probe::Full(first_idle, lru.0)
+        self.reach[old_home] = d as u32;
     }
 
     /// Admits one packet of `key`'s flow: finds (or creates, via `new`) its
@@ -386,7 +428,7 @@ impl<V> FlowTable<V> {
     ) -> (Admission, usize, &mut V) {
         self.clock += 1;
         let cap = self.slots.len();
-        let home = key.dataplane_hash() as usize % cap;
+        let home = self.home(&key);
 
         let (idx, admission) = if self.cfg.alias {
             let admission = match &mut self.slots[home] {
@@ -406,7 +448,7 @@ impl<V> FlowTable<V> {
             };
             (home, admission)
         } else {
-            match self.probe(&key, home) {
+            let (idx, admission) = match self.probe(&key, home) {
                 Probe::Hit(i, false) => (i, Admission::Existing),
                 Probe::Hit(i, true) => {
                     // The flow's own entry aged out: re-warm from scratch.
@@ -414,34 +456,31 @@ impl<V> FlowTable<V> {
                     self.slots[i].as_mut().expect("hit slot occupied").value = new();
                     (i, Admission::Rewarmed)
                 }
-                Probe::Empty(empty, None) => {
+                Probe::Empty(empty) => {
                     self.slots[empty] = Some(Slot { key, last_seen: self.clock, value: new() });
                     self.occupied += 1;
                     (empty, Admission::Fresh)
                 }
-                Probe::Empty(_, Some(idle)) | Probe::Full(Some(idle), _) => {
+                Probe::Idle(idle) => {
                     self.stats.evicted_idle += 1;
-                    let s = self.slots[idle].as_mut().expect("idle slot occupied");
-                    s.key = key;
-                    s.value = new();
+                    self.reclaim(idle, key, new());
                     (idle, Admission::EvictedIdle)
                 }
-                Probe::Full(None, lru) => {
+                Probe::Lru(lru) => {
                     self.stats.evicted_capacity += 1;
-                    let s = self.slots[lru].as_mut().expect("lru slot occupied");
-                    s.key = key;
-                    s.value = new();
+                    self.reclaim(lru, key, new());
                     (lru, Admission::EvictedCapacity)
                 }
+            };
+            if matches!(
+                admission,
+                Admission::Fresh | Admission::EvictedIdle | Admission::EvictedCapacity
+            ) {
+                let d = (idx + cap - home) % cap;
+                self.reach[home] = self.reach[home].max(d as u32);
             }
+            (idx, admission)
         };
-        if matches!(
-            admission,
-            Admission::Fresh | Admission::EvictedIdle | Admission::EvictedCapacity
-        ) {
-            let d = (idx + cap - home) % cap;
-            self.longest_probe = self.longest_probe.max(d);
-        }
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupied as u64);
         let slot = self.slots[idx].as_mut().expect("admitted slot occupied");
         slot.last_seen = self.clock;
@@ -488,13 +527,12 @@ impl<V> FlowTable<V> {
     /// Looks up a resident flow's state (aging applies at
     /// [`admit`](FlowTable::admit) time only; an idle entry still reads).
     pub fn get(&self, key: &FiveTuple) -> Option<&V> {
-        let cap = self.slots.len();
-        let home = key.dataplane_hash() as usize % cap;
+        let home = self.home(key);
         if self.cfg.alias {
             return self.slots[home].as_ref().filter(|s| s.key == *key).map(|s| &s.value);
         }
-        for d in 0..cap.min(self.longest_probe + 1) {
-            match &self.slots[(home + d) % cap] {
+        for d in 0..=self.reach[home] as usize {
+            match &self.slots[(home + d) % self.slots.len()] {
                 None => return None,
                 Some(s) if s.key == *key => return Some(&s.value),
                 Some(_) => {}
@@ -529,11 +567,20 @@ impl<V> FlowTable<V> {
         self.clock
     }
 
-    /// Bytes of the preallocated slab — flat in the flow count by
-    /// construction (per-value heap, e.g. window `Vec`s, is extra and
-    /// bounded by `capacity × per-flow window`).
+    /// Slots examined by admission over the table's lifetime: probe walks
+    /// plus reach rescans (a hinted hit and alias mode examine none here).
+    /// The exact, deterministic witness of admission cost — a count, not a
+    /// duration.
+    pub fn probe_steps(&self) -> u64 {
+        self.probe_steps
+    }
+
+    /// Bytes of the preallocated slab and its reach side array — flat in
+    /// the flow count by construction (per-value heap, e.g. window `Vec`s,
+    /// is extra and bounded by `capacity × per-flow window`).
     pub fn slab_bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<Option<Slot<V>>>()) as u64
+        (self.slots.len() * std::mem::size_of::<Option<Slot<V>>>()
+            + self.reach.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Empties every slot (counters and the clock keep running — a
@@ -541,7 +588,7 @@ impl<V> FlowTable<V> {
     pub fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
         self.occupied = 0;
-        self.longest_probe = 0;
+        self.reach.fill(0);
     }
 
     /// Iterates resident flows **sorted by five-tuple**, so downstream
@@ -959,6 +1006,221 @@ mod tests {
             assert_eq!(adm, Admission::Existing, "flow {n} re-admit must hit its slot");
         }
         assert_eq!(t.len(), 32, "churn saturates the table");
+    }
+
+    /// Flow `n` with well-mixed address bits: `ft(n)`'s hash is a bijection
+    /// on `n`'s low bits, so sequential `ft`s never collide in a
+    /// power-of-two table — these cluster like real traffic.
+    fn scattered(n: u32) -> FiveTuple {
+        let z = u64::from(n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        FiveTuple::new((z >> 32) as u32, (z >> 16) as u32, 1000, 80, 6)
+    }
+
+    /// The seeded generator the churn tests draw from.
+    fn lcg(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        }
+    }
+
+    /// The stated admission policy, deliberately naive: a plain `Vec` of
+    /// `(key, last_seen)` scanned end to end — no reach, no early exit.
+    struct Model {
+        slots: Vec<Option<(FiveTuple, u64)>>,
+        clock: u64,
+        timeout: u64,
+        stats: FlowTableStats,
+    }
+
+    impl Model {
+        fn admit(&mut self, key: FiveTuple) -> (Admission, usize) {
+            self.clock += 1;
+            let cap = self.slots.len();
+            let (clock, timeout) = (self.clock, self.timeout);
+            let idle = |seen: u64| timeout > 0 && clock - seen > timeout;
+            let resident = self.slots.iter().position(|s| matches!(s, Some((k, _)) if *k == key));
+            let (adm, idx) = if let Some(i) = resident {
+                let (_, seen) = self.slots[i].expect("resident");
+                (if idle(seen) { Admission::Rewarmed } else { Admission::Existing }, i)
+            } else {
+                let home = key.dataplane_hash() as usize % cap;
+                let chain: Vec<usize> = (0..cap).map(|d| (home + d) % cap).collect();
+                let first_empty = chain.iter().copied().find(|&i| self.slots[i].is_none());
+                // The window: the chain's first EVICT_WINDOW positions, cut
+                // at its first empty slot.
+                let window: Vec<(usize, u64)> = chain
+                    .iter()
+                    .take(EVICT_WINDOW)
+                    .map_while(|&i| self.slots[i].map(|(_, seen)| (i, seen)))
+                    .collect();
+                if let Some(&(i, _)) = window.iter().find(|(_, seen)| idle(*seen)) {
+                    (Admission::EvictedIdle, i)
+                } else if let Some(i) = first_empty {
+                    (Admission::Fresh, i)
+                } else {
+                    let &(i, _) = window.iter().min_by_key(|(_, seen)| *seen).expect("full");
+                    (Admission::EvictedCapacity, i)
+                }
+            };
+            match adm {
+                Admission::Rewarmed | Admission::EvictedIdle => self.stats.evicted_idle += 1,
+                Admission::EvictedCapacity => self.stats.evicted_capacity += 1,
+                _ => {}
+            }
+            self.slots[idx] = Some((key, clock));
+            let occupied = self.slots.iter().flatten().count() as u64;
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(occupied);
+            (adm, idx)
+        }
+    }
+
+    /// Window-bounded reclaim and the per-home reach are held, step by
+    /// step, against the naive model: same admission, same slot, same
+    /// counters, every resident findable after every admit, and the reach
+    /// array exact at the end.
+    #[test]
+    fn admission_matches_the_naive_reference_model() {
+        let mut next = lcg(0x9e37_79b9);
+        for capacity in [1usize, 2, 8, 32, 1024] {
+            for idle_timeout_packets in [0u64, 6, 5000] {
+                for flows in [24u64, 400, 4000] {
+                    let cfg = FlowTableConfig { capacity, idle_timeout_packets, alias: false };
+                    let mut table = FlowTable::<u64>::new(cfg);
+                    let mut model = Model {
+                        slots: vec![None; capacity],
+                        clock: 0,
+                        timeout: idle_timeout_packets,
+                        stats: FlowTableStats::default(),
+                    };
+                    let mut flow = scattered(0);
+                    for step in 0..3000u64 {
+                        // One packet in four repeats the previous flow.
+                        if step == 0 || next() & 3 != 0 {
+                            flow = scattered((next() % flows) as u32);
+                        }
+                        let (adm, idx, _) = table.admit_indexed(flow, || step);
+                        let at = (capacity, idle_timeout_packets, flows, step);
+                        assert_eq!((adm, idx), model.admit(flow), "{at:?}");
+                        assert_eq!(table.stats(), model.stats, "{at:?}");
+                        assert_eq!(table.len(), model.slots.iter().flatten().count(), "{at:?}");
+                        for (key, _) in model.slots.iter().flatten() {
+                            assert!(table.get(key).is_some(), "{at:?}: resident {key:?} lost");
+                        }
+                    }
+                    let mut reach = vec![0u32; capacity];
+                    for (i, slot) in model.slots.iter().enumerate() {
+                        let Some((key, _)) = slot else { continue };
+                        let home = key.dataplane_hash() as usize % capacity;
+                        reach[home] = reach[home].max(((i + capacity - home) % capacity) as u32);
+                    }
+                    assert_eq!(table.reach, reach, "cap {capacity}: reach must stay exact");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tight_table_never_evicts_however_far_late_inserts_land() {
+        // Capacity = distinct flows, aging off: the last inserts of a
+        // filling table sit far from home (beyond the window), yet nothing
+        // is evicted and every flow stays resident.
+        for capacity in 1..=64usize {
+            let mut t = FlowTable::<u32>::new(FlowTableConfig::with_capacity(capacity));
+            for round in 0..3 {
+                for n in 0..capacity as u32 {
+                    let (adm, _) = t.admit(scattered(n), || n);
+                    let want = if round == 0 { Admission::Fresh } else { Admission::Existing };
+                    assert_eq!(adm, want, "capacity {capacity} round {round} flow {n}");
+                }
+            }
+            assert_eq!(t.len(), capacity);
+            assert_eq!(
+                t.stats(),
+                FlowTableStats { peak_occupancy: capacity as u64, ..Default::default() }
+            );
+            assert!((0..capacity as u32).all(|n| t.get(&scattered(n)) == Some(&n)));
+        }
+    }
+
+    /// The `nth` test flow whose home slot in a `cap`-slot table is `home`.
+    fn homed(cap: usize, home: usize, nth: usize) -> FiveTuple {
+        let at_home = |f: &FiveTuple| f.dataplane_hash() as usize % cap == home % cap;
+        (0..).map(ft).filter(at_home).nth(nth).expect("unbounded search")
+    }
+
+    #[test]
+    fn replacing_a_homes_farthest_entry_brings_its_misses_back_inside_the_window() {
+        const CAP: usize = 64;
+        let h = 5;
+        let mut t = FlowTable::<&str>::new(FlowTableConfig::with_capacity(CAP));
+        let steps_of = |t: &mut FlowTable<&str>, key, tag| {
+            let before = t.probe_steps();
+            let (adm, idx, _) = t.admit_indexed(key, || tag);
+            (adm, idx, t.probe_steps() - before)
+        };
+        // Slots h+1..h+39 taken by flows homed there; A homed at h sits at
+        // h; B, also homed at h, lands 40 away; the rest fills up.
+        for d in 1..40 {
+            t.admit(homed(CAP, h + d, 0), || "filler");
+        }
+        let (a, b) = (homed(CAP, h, 0), homed(CAP, h, 1));
+        t.admit(a, || "a");
+        assert_eq!(steps_of(&mut t, b, "b"), (Admission::Fresh, h + 40, 41));
+        for d in 41..CAP {
+            t.admit(homed(CAP, h + d, 0), || "filler");
+        }
+        assert_eq!(t.len(), CAP);
+        // A miss homed at h walks B's whole reach before it may evict (the
+        // window's least-recently-seen: the filler at h+1).
+        let c = homed(CAP, h, 2);
+        assert_eq!(steps_of(&mut t, c, "c"), (Admission::EvictedCapacity, h + 1, 41));
+        // B is the oldest entry of the window that starts at its slot: a
+        // newcomer homed there replaces it, and home h's reach drops to C.
+        let (adm, idx, _) = steps_of(&mut t, homed(CAP, h + 40, 1), "d");
+        assert_eq!((adm, idx), (Admission::EvictedCapacity, h + 40));
+        assert_eq!(t.reach[h], 1);
+        assert!(t.get(&b).is_none());
+        assert_eq!((t.get(&a), t.get(&c)), (Some(&"a"), Some(&"c")));
+        // The next miss homed at h examines the window and nothing more.
+        let (adm, _, steps) = steps_of(&mut t, homed(CAP, h, 3), "e");
+        assert_eq!((adm, steps), (Admission::EvictedCapacity, EVICT_WINDOW as u64));
+    }
+
+    /// Admission cost is held by a count: on a full, churning table a miss
+    /// examines a window's worth of slots, not the table's fill history.
+    /// (The scan this replaced, bounded by a global displacement high-water
+    /// mark, read 915 steps per miss on this input — CHANGES.md, PR 24.)
+    #[test]
+    fn a_full_tables_miss_examines_a_window_not_its_fill_history() {
+        let cfg = FlowTableConfig { capacity: 1024, idle_timeout_packets: 5000, alias: false };
+        let mut t = FlowTable::<u32>::new(cfg);
+        let mut next = lcg(0x2545_f491);
+        const ADMITS: u32 = 24_000;
+        let (mut born, mut misses, mut miss_steps) = (0u32, 0u64, 0u64);
+        for step in 0..ADMITS {
+            // Mice churn: ~30 % of packets open a new flow, the rest
+            // revisit one of the 64 most recently born.
+            let flow = if born == 0 || next() % 10 < 3 {
+                born += 1;
+                scattered(born)
+            } else {
+                scattered(born - (next() % 64).min(u64::from(born) - 1) as u32)
+            };
+            let before = t.probe_steps();
+            let (adm, _) = t.admit(flow, || step);
+            if step >= ADMITS / 2 && (adm == Admission::Fresh || adm.evicted_other()) {
+                misses += 1;
+                miss_steps += t.probe_steps() - before;
+            }
+        }
+        assert_eq!(t.len(), 1024, "the churn keeps the table full");
+        assert!(misses > 3000, "~30 % of the second half must be new flows, got {misses}");
+        assert!(
+            miss_steps <= 16 * misses,
+            "{miss_steps} slots examined over {misses} misses ({:.1} per miss)",
+            miss_steps as f64 / misses as f64
+        );
     }
 
     #[test]
