@@ -14,14 +14,18 @@
 //!
 //! * **flat vs simulator** — every net that deploys on the Tofino-2
 //!   model must flatten and agree with the switch simulator on at least
-//!   500 rows: a stateless net through `FlatProgram::classify`/`scores`
-//!   against `DataplaneModel::classify`/`scores` on its training rows, a
+//!   500 rows: a stateless net on its training rows, once through the
+//!   one-lane `FlatProgram::classify`/`scores` and once — the path a
+//!   stateless shard serves — through `classify_batch` in runs of 64 lanes
+//!   and a ragged tail, against `DataplaneModel::classify`/`scores`; a
 //!   per-flow net (CNN-L) through `FlowClassifier::process_batch` — runs
 //!   of 64 training-trace packets swept against one register file —
 //!   against `on_packet_mut` on a second fork, packet by packet. The
 //!   column also carries the matcher census — `dense/indexed` table
 //!   counts and the keys split into limbs; there is no scan fallback to
-//!   count — and the longest fused action run. A net that deploys but does
+//!   count — the column census — tables a multi-lane sweep runs by
+//!   columns / register tables it walks lane by lane — and the longest
+//!   fused action run. A net that deploys but does
 //!   not flatten prints the typed reason instead, and fails the run unless
 //!   that reason is a `WideKey` (an exact/range key too wide to index: the
 //!   one shape the simulator path is kept for).
@@ -69,6 +73,8 @@ enum FlatCheck {
         mismatches: usize,
         dense: usize,
         indexed: usize,
+        columns: usize,
+        walked: usize,
         limb_keys: usize,
         longest_run: usize,
     },
@@ -85,6 +91,8 @@ impl FlatCheck {
             mismatches,
             dense: flat.dense_tables(),
             indexed: flat.indexed_tables(),
+            columns: flat.column_tables(),
+            walked: flat.register_tables(),
             limb_keys: flat.limb_keys(),
             longest_run: flat.longest_run(),
         }
@@ -95,7 +103,8 @@ impl FlatCheck {
 const MIN_DIFF_ROWS: usize = 500;
 /// Rows it stops at (the simulator side costs tens of µs per row).
 const MAX_DIFF_ROWS: usize = 4000;
-/// Packets per served run of the per-flow differential.
+/// Lanes per served run: a stateless net's rows per `classify_batch`, a
+/// per-flow net's packets per `process_batch`.
 const RUN: usize = 64;
 
 /// Holds the flattened program to the simulator: on the training rows of
@@ -127,13 +136,25 @@ fn differential<M: DataplaneNet>(
     let mut scratch = flat.scratch();
     // A net is a classifier, a scorer, or both; each side must agree,
     // errors included.
-    let mismatches = (0..rows)
+    let mut mismatches = (0..rows)
         .filter(|&r| {
             let row = view.x.row(r);
             flat.classify(row, &mut scratch) != dp.classify(row)
                 || flat.scores(row, &mut scratch) != dp.scores(row)
         })
         .count();
+    // The served path: the same rows through `classify_batch`, `RUN` lanes
+    // at a time and a ragged tail (a scorer's typed error must agree too).
+    let (mut batch, mut classes) = (flat.batch_scratch(RUN), Vec::new());
+    for start in (0..rows).step_by(RUN) {
+        let run = start..rows.min(start + RUN);
+        let codes: Vec<f32> = run.clone().flat_map(|r| view.x.row(r).iter().copied()).collect();
+        let got = flat.classify_batch(&codes, run.len(), &mut batch, &mut classes);
+        mismatches += run
+            .enumerate()
+            .filter(|&(j, r)| got.clone().map(|()| classes[j]) != dp.classify(view.x.row(r)))
+            .count();
+    }
     FlatCheck::compared(flat, rows, mismatches)
 }
 
@@ -239,7 +260,8 @@ fn main() -> std::process::ExitCode {
     ];
 
     println!(
-        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables, limb-split keys)",
+        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables, column/lane-walked \
+         tables, limb-split keys)",
         "net", "compile-time", "tofino2"
     );
     let mut failed = false;
@@ -247,12 +269,20 @@ fn main() -> std::process::ExitCode {
         let flat = match &r.flat {
             FlatCheck::Undeployable(why) => format!("- (does not deploy: {why})"),
             FlatCheck::Skipped(why) => format!("- ({why})"),
-            FlatCheck::Compared { rows, mismatches, dense, indexed, limb_keys, longest_run } => {
-                format!(
-                    "{mismatches} mismatch(es) on {rows} rows; {dense}/{indexed} tables, \
-                     {limb_keys} limb key(s), longest run {longest_run}"
-                )
-            }
+            FlatCheck::Compared {
+                rows,
+                mismatches,
+                dense,
+                indexed,
+                columns,
+                walked,
+                limb_keys,
+                longest_run,
+            } => format!(
+                "{mismatches} mismatch(es) on {rows} rows; {dense}/{indexed} tables, \
+                 {columns}/{walked} column/walked, {limb_keys} limb key(s), longest run \
+                 {longest_run}"
+            ),
         };
         println!(
             "{:<12} {:<40} {:<40} {flat}",

@@ -10,8 +10,9 @@
 //! [`FlatProgram`] is the same pipeline specialised once, when it is
 //! deployed:
 //!
-//! * the PHV becomes a plain `i64` scratch row per sample — no names, no
-//!   per-packet allocation;
+//! * the PHV becomes a plain `i64` field per sample — no names, no
+//!   per-packet allocation — laid out field-major across a batch's lanes,
+//!   so one field of every lane is one contiguous column;
 //! * **match**: every keyed table gets a per-key *bit-vector index*.
 //!   Entries are sorted by (priority desc, index asc); per key, the
 //!   entries' parts cut the key's domain into *intervals* — sets of values
@@ -38,10 +39,9 @@
 //!   fields share a width — by a greedy scheduler that hoists an op into
 //!   the current run only when it has no RAW/WAR/WAW hazard on a scratch
 //!   field with any op it jumps over. A run carries its truncation as a
-//!   precomputed shift pair; its shape is matched once and its body is a
-//!   slice loop executed in index order (a SumReduce row of adds is one
-//!   run, as the action bus does it in one stage). A lone op is a run of
-//!   one;
+//!   precomputed shift pair; its shape is matched once and its ops execute
+//!   in index order (a SumReduce row of adds is one run, as the action bus
+//!   does it in one stage). A lone op is a run of one;
 //! * **state**: the five register ops (`RegRead`, `RegWrite`,
 //!   `RegReadWrite`, `RegIncrSat`, `RegShiftInsert`) flatten into `RegOp`s
 //!   executed against a caller-owned [`RegFile`] — the file is *state* and
@@ -51,15 +51,29 @@
 //!   register-free program is swept with `()`, and that instantiation
 //!   contains no register code.
 //!
+//! # The executor
+//!
+//! One sweep serves both shard kinds, table-major: each table is done with
+//! every lane of a batch before the next is touched. A register-free table
+//! — Pegasus's Map conquering many vectors in parallel — runs in two
+//! phases: **match** every lane first (a one-word index ANDs one bitset
+//! column per key into every lane's word; other matchers resolve lane by
+//! lane), then **act**: when every lane picked the same action, each run
+//! executes op by op down the lanes' columns (a Set from params gathers
+//! from the data pool by each lane's offset); otherwise the table runs
+//! lane by lane. A table carrying register ops walks the lanes in arrival
+//! order, each lane's whole action before the next. A one-lane sweep walks
+//! every table, since its column is its row.
+//!
 //! # The ordering rule
 //!
-//! The executor is table-major: each table matches and acts on every lane
-//! of a batch before the next table is touched, walking the lanes in
-//! arrival order. Packet-at-a-time execution orders two register accesses
-//! by (packet, table); the sweep orders them by (table, packet). The two
-//! agree on the accesses *to one array* exactly when a single table makes
-//! all of them — then both orders are "by packet" — and an access only
-//! observes earlier accesses to its own array, so **a sweep is
+//! Register tables are lane-walked in arrival order; register-free tables
+//! run op-major across lanes, legal because lanes share nothing outside
+//! register arrays. Packet-at-a-time execution orders two register
+//! accesses by (packet, table); the sweep orders them by (table, packet).
+//! The two agree on the accesses *to one array* exactly when a single
+//! table makes all of them — then both orders are "by packet" — and an
+//! access only observes earlier accesses to its own array, so **a sweep is
 //! bit-identical to packet-at-a-time execution iff every register array
 //! is touched by exactly one table**. That is the PISA constraint anyway
 //! (an array lives in one stage's stateful ALU) and holds for everything
@@ -70,10 +84,12 @@
 //! match order, priority resolution, ALU wrapping, field truncation and
 //! register index wrapping are reproduced bit for bit; property tests hold
 //! the index to [`Table::lookup`], the scheduler to in-order
-//! interpretation and random register programs — scratch rows and final
-//! register file — to the simulator under heavy slot aliasing, and the
-//! engine's determinism tests and `pegasus-verify`'s zoo differential
-//! assert equality against the simulator over whole traces. What does not
+//! interpretation, random register-free programs swept by columns to the
+//! one-lane walk lane by lane, and random register programs — every
+//! lane's fields and the final register file — to the simulator under
+//! heavy slot aliasing, and the engine's determinism tests and
+//! `pegasus-verify`'s zoo differential (one-lane and batched) assert
+//! equality against the simulator over whole traces. What does not
 //! flatten: a table matching an `Exact`/`Range` key wider than 16 bits
 //! (the `raw → interval` array would not be cache-sized and a range does
 //! not decompose into limbs; no shipped net has one), an array shared by
@@ -283,41 +299,96 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    // `inline(always)`, here and on `match_entry`: the executor is
-    // instantiated once per register-file kind, and a function with two
-    // callers is no longer inlined on size alone — the stateless sweep
-    // would pay two calls per table and lane it never paid.
+    // `inline(always)`, here and on `FlatTable::{match_entry, pick, act,
+    // exec}`: the executor is instantiated once per register-file kind and
+    // calls these from the one-lane walk, the register walk and the column
+    // sweep — and a one-lane walk addresses its row as cheaply as before
+    // columns existed only when `Lane::ONE` is folded into every index.
     #[inline(always)]
-    fn exec(&self, params: &[i64], vals: &mut [i64]) {
+    fn exec(&self, params: &[i64], vals: &mut [i64], lane: Lane) {
         let Run { first: FlatOp { kind, dst, a, b }, len, trunc } = *self;
+        let at = |f: usize| lane.at(f);
         // Verifier invariants, once per run — V001: every scratch index in
         // bounds; V003: every param slot inside the entry data.
         let fits = |s: Src| match s {
-            Src::Field(f) => f + len <= vals.len(),
+            Src::Field(f) => at(f + len - 1) < vals.len(),
             Src::Param(p) => p + len <= params.len(),
             Src::Const(_) => true,
         };
-        debug_assert!(dst + len <= vals.len(), "V001: dst scratch run {dst}+{len} out of bounds");
+        debug_assert!(fits(Src::Field(dst)), "V001: dst scratch run {dst}+{len} out of bounds");
         debug_assert!(fits(a) && fits(b), "V001/V003: run source {a:?}/{b:?}+{len} out of bounds");
         match (kind, a, b) {
             (OpKind::Set, Src::Param(p), _) => {
-                for (v, &x) in vals[dst..dst + len].iter_mut().zip(&params[p..p + len]) {
-                    *v = trunc.apply(x);
+                let out = vals[at(dst)..=at(dst + len - 1)].chunks_mut(lane.lanes);
+                for (v, &x) in out.zip(&params[p..p + len]) {
+                    v[0] = trunc.apply(x);
                 }
             }
             (OpKind::Add, Src::Field(x), Src::Field(y)) => {
                 for i in 0..len {
-                    vals[dst + i] = trunc.apply(vals[x + i].wrapping_add(vals[y + i]));
+                    vals[at(dst + i)] = trunc.apply(vals[at(x + i)].wrapping_add(vals[at(y + i)]));
                 }
             }
             _ => {
                 for i in 0..len {
                     let read = |s: Src| match s.step(i) {
-                        Src::Field(f) => vals[f],
+                        Src::Field(f) => vals[at(f)],
                         Src::Const(c) => c,
                         Src::Param(p) => params[p],
                     };
-                    vals[dst + i] = trunc.apply(kind.eval(read(a), read(b)));
+                    vals[at(dst + i)] = trunc.apply(kind.eval(read(a), read(b)));
+                }
+            }
+        }
+    }
+
+    /// Runs the ops op by op, each down every lane's column, for `lanes`
+    /// lanes that all picked this run's action; `picks` holds each lane's
+    /// slice of `data`, the shortest of which is `shortest` long.
+    fn exec_columns(
+        &self,
+        vals: &mut [i64],
+        lanes: usize,
+        data: &[i64],
+        picks: &[Pick],
+        shortest: usize,
+    ) {
+        let Run { first: FlatOp { kind, dst, a, b }, len, trunc } = *self;
+        // V003, for real: a gather indexes the whole pool, so a run reading
+        // past the shortest selected slice would read the next entry's data
+        // where a lane walk's slice panics.
+        let fits = |s: Src| !matches!(s, Src::Param(p) if p + len > shortest);
+        assert!(fits(a) && fits(b), "V003: run params {a:?}/{b:?}+{len} past entry data");
+        // Cells: a column op may read the column it writes, lane for lane.
+        let cells = std::cell::Cell::from_mut(vals).as_slice_of_cells();
+        let col = |f: usize| &cells[f * lanes..][..lanes];
+        for i in 0..len {
+            let out = col(dst + i);
+            match (kind, a.step(i), b.step(i)) {
+                (OpKind::Set, Src::Param(p), _) => {
+                    for (v, pick) in out.iter().zip(picks) {
+                        v.set(trunc.apply(data[pick.off as usize + p]));
+                    }
+                }
+                (OpKind::Add, Src::Field(x), Src::Field(y)) => {
+                    for ((v, x), y) in out.iter().zip(col(x)).zip(col(y)) {
+                        v.set(trunc.apply(x.get().wrapping_add(y.get())));
+                    }
+                }
+                (kind, Src::Field(x), Src::Const(c)) => {
+                    for (v, x) in out.iter().zip(col(x)) {
+                        v.set(trunc.apply(kind.eval(x.get(), c)));
+                    }
+                }
+                (kind, a, b) => {
+                    for (l, (v, pick)) in out.iter().zip(picks).enumerate() {
+                        let read = |s: Src| match s {
+                            Src::Field(f) => col(f)[l].get(),
+                            Src::Const(c) => c,
+                            Src::Param(p) => data[pick.off as usize + p],
+                        };
+                        v.set(trunc.apply(kind.eval(read(a), read(b))));
+                    }
                 }
             }
         }
@@ -394,26 +465,44 @@ pub(crate) struct RegOp {
     pub(crate) dst: Option<(usize, Trunc)>,
 }
 
+/// One lane of field-major scratch columns: field `f` of lane `l` is
+/// `vals[f * lanes + l]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane {
+    lanes: usize,
+    l: usize,
+}
+
+impl Lane {
+    /// The only lane of a one-lane sweep, whose column is its row.
+    const ONE: Lane = Lane { lanes: 1, l: 0 };
+
+    #[inline(always)]
+    fn at(self, f: usize) -> usize {
+        f * self.lanes + self.l
+    }
+}
+
 /// The register file a sweep executes against: `()` for a register-free
 /// program — whose instantiation of the executor contains no register code
 /// at all — and the caller's [`RegFile`] for a per-flow one.
 pub(crate) trait Regs {
     /// Whether actions can carry [`RegOp`]s under this file.
     const STATEFUL: bool;
-    /// Executes one register op for the lane whose scratch row is `vals`.
-    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64]);
+    /// Executes one register op for `lane` of the scratch columns `vals`.
+    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64], lane: Lane);
 }
 
 impl Regs for () {
     const STATEFUL: bool = false;
-    fn apply(&mut self, _: &RegOp, _: &[i64], _: &mut [i64]) {}
+    fn apply(&mut self, _: &RegOp, _: &[i64], _: &mut [i64], _: Lane) {}
 }
 
 impl Regs for RegFile {
     const STATEFUL: bool = true;
-    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64]) {
+    fn apply(&mut self, op: &RegOp, params: &[i64], vals: &mut [i64], lane: Lane) {
         let read = |s: Src| match s {
-            Src::Field(f) => vals[f],
+            Src::Field(f) => vals[lane.at(f)],
             Src::Const(c) => c,
             Src::Param(p) => params[p],
         };
@@ -428,7 +517,7 @@ impl Regs for RegFile {
             }
         }
         if let Some((dst, trunc)) = op.dst {
-            vals[dst] = trunc.apply(old);
+            vals[lane.at(dst)] = trunc.apply(old);
         }
     }
 }
@@ -702,17 +791,35 @@ pub(crate) struct FlatTable {
     pub(crate) actions: Vec<FlatAction>,
 }
 
+/// What one lane picked in the table being swept: the action it runs
+/// ([`Pick::NONE`] when no entry matched and there is no default) and the
+/// slice of the table's data it runs with.
+#[derive(Clone, Copy)]
+pub(crate) struct Pick {
+    action: u32,
+    off: u32,
+    len: u32,
+}
+
+impl Pick {
+    const NONE: Pick = Pick { action: u32::MAX, off: 0, len: 0 };
+}
+
 impl FlatTable {
-    /// Resolves the winning entry over one scratch row.
+    /// Resolves the winning entry for one lane.
     #[inline(always)]
-    fn match_entry(&self, vals: &[i64]) -> Option<usize> {
+    fn match_entry(&self, vals: &[i64], lane: Lane) -> Option<usize> {
         // Verifier invariant V001: every key scratch index in bounds.
-        debug_assert!(self.keys.iter().all(|&(f, _)| f < vals.len()), "V001: key out of bounds");
+        debug_assert!(
+            self.keys.iter().all(|&(f, _)| lane.at(f) < vals.len()),
+            "V001: key out of bounds"
+        );
+        let val = |f: usize| vals[lane.at(f)];
         match &self.matcher {
             Matcher::Always => None,
             Matcher::Dense(lut) => {
                 let idx = self.keys.iter().fold(0usize, |idx, &(f, bits)| {
-                    (idx << bits) | (vals[f] as u64 & mask_of(bits)) as usize
+                    (idx << bits) | (val(f) as u64 & mask_of(bits)) as usize
                 });
                 // Verifier invariant V101: the packed key code lands inside
                 // the LUT (proved statically by interval analysis).
@@ -721,23 +828,22 @@ impl FlatTable {
                 (lut[idx] as usize).checked_sub(1)
             }
             Matcher::Indexed(ix) if ix.limbs.is_empty() => {
-                ix.lookup(|j| vals[self.keys[j].0] as usize)
+                ix.lookup(|j| val(self.keys[j].0) as usize)
             }
-            Matcher::Indexed(ix) => ix.lookup(|i| vals[ix.limbs[i].0] as usize >> ix.limbs[i].1),
+            Matcher::Indexed(ix) => ix.lookup(|i| val(ix.limbs[i].0) as usize >> ix.limbs[i].1),
         }
     }
 
-    /// Matches one scratch row and runs the winning (or default) entry's
-    /// action over it, register ops against `regs`.
-    fn exec<R: Regs>(&self, vals: &mut [i64], regs: &mut R) {
-        let hit = self.match_entry(vals);
+    /// The action and data slice a lane whose winning entry is `hit` runs.
+    #[inline(always)]
+    fn pick(&self, hit: Option<usize>) -> Pick {
         // Verifier invariant V002: a hit names a real entry.
         debug_assert!(hit.is_none_or(|e| e < self.entry_action.len()), "V002: dangling {hit:?}");
         let (action, (off, len)) = match hit {
             Some(e) => (self.entry_action[e], self.entry_data[e]),
             None => match self.default_entry {
                 Some(d) => d,
-                None => return,
+                None => return Pick::NONE,
             },
         };
         // Verifier invariant V003: action index and data slice in bounds.
@@ -750,18 +856,88 @@ impl FlatTable {
             "V003: entry data [{off}, +{len}) outside pool of {}",
             self.data.len()
         );
-        let params = &self.data[off as usize..(off + len) as usize];
-        let action = &self.actions[action as usize];
+        Pick { action, off, len }
+    }
+
+    /// Runs `pick`'s action over one lane, register ops against `regs`.
+    #[inline(always)]
+    fn act<R: Regs>(&self, pick: Pick, vals: &mut [i64], lane: Lane, regs: &mut R) {
+        if pick.action == Pick::NONE.action {
+            return;
+        }
+        let action = &self.actions[pick.action as usize];
+        let params = &self.data[pick.off as usize..(pick.off + pick.len) as usize];
         if !R::STATEFUL || action.regs.is_empty() {
             for run in &action.runs {
-                run.exec(params, vals);
+                run.exec(params, vals, lane);
             }
         } else {
             for step in action.steps() {
                 match step {
-                    Step::Run(run) => run.exec(params, vals),
-                    Step::Reg(op) => regs.apply(op, params, vals),
+                    Step::Run(run) => run.exec(params, vals, lane),
+                    Step::Reg(op) => regs.apply(op, params, vals, lane),
                 }
+            }
+        }
+    }
+
+    /// Matches one lane and runs the winning (or default) entry's action
+    /// over it.
+    #[inline(always)]
+    fn exec<R: Regs>(&self, vals: &mut [i64], lane: Lane, regs: &mut R) {
+        self.act(self.pick(self.match_entry(vals, lane)), vals, lane, regs);
+    }
+
+    /// Whether some action carries register ops — a table a sweep walks
+    /// lane by lane instead of by columns.
+    fn has_regs(&self) -> bool {
+        self.actions.iter().any(|a| !a.regs.is_empty())
+    }
+
+    /// Sweeps a register-free table over `lanes` columns: matches every
+    /// lane into `picks`, then runs the action op-major across the lanes
+    /// when they all picked the same one, lane by lane otherwise.
+    fn exec_columns(
+        &self,
+        vals: &mut [i64],
+        lanes: usize,
+        picks: &mut Vec<Pick>,
+        acc: &mut Vec<u64>,
+    ) {
+        picks.clear();
+        match &self.matcher {
+            // One bitset word: AND one column per limb into every lane's
+            // word, limb-major.
+            Matcher::Indexed(ix) if ix.words == 1 => {
+                acc.clear();
+                acc.resize(lanes, u64::MAX);
+                for (i, k) in ix.keys.iter().enumerate() {
+                    let (f, shift) =
+                        ix.limbs.get(i).copied().unwrap_or_else(|| (self.keys[i].0, 0));
+                    let mask = k.interval_of.len() - 1;
+                    for (w, &v) in acc.iter_mut().zip(&vals[f * lanes..][..lanes]) {
+                        *w &= k.bitsets[usize::from(k.interval_of[(v as usize >> shift) & mask])];
+                    }
+                }
+                let winner =
+                    |w: u64| (w != 0).then(|| ix.order[w.trailing_zeros() as usize] as usize);
+                picks.extend(acc.iter().map(|&w| self.pick(winner(w))));
+            }
+            Matcher::Always => picks.resize(lanes, self.pick(None)),
+            _ => picks
+                .extend((0..lanes).map(|l| self.pick(self.match_entry(vals, Lane { lanes, l })))),
+        }
+        let action = picks[0].action;
+        if picks.iter().all(|p| p.action == action) {
+            if action != Pick::NONE.action {
+                let shortest = picks.iter().map(|p| p.len as usize).min().unwrap_or(0);
+                for run in &self.actions[action as usize].runs {
+                    run.exec_columns(vals, lanes, &self.data, picks, shortest);
+                }
+            }
+        } else {
+            for (l, &pick) in picks.iter().enumerate() {
+                self.act(pick, vals, Lane { lanes, l }, &mut ());
             }
         }
     }
@@ -773,14 +949,27 @@ impl FlatTable {
 pub struct FlatScratch(FlatBatchScratch);
 
 /// Reusable scratch for [`FlatProgram`] execution
-/// ([`classify_batch`](FlatProgram::classify_batch)): every lane's field
-/// row lives in one contiguous lane-major matrix. Grows to the largest
-/// batch ever executed and is reused thereafter — the steady-state hot
-/// loop performs no allocation.
+/// ([`classify_batch`](FlatProgram::classify_batch)): the lanes' fields as
+/// field-major columns — one field of every lane side by side, so an op
+/// runs down a column — and the per-lane match results of the table being
+/// swept. Grows to the largest batch ever executed and is reused
+/// thereafter — the steady-state hot loop performs no allocation.
 #[derive(Default)]
 pub struct FlatBatchScratch {
-    /// Lane-major scratch rows (`lanes × fields`).
+    /// Field-major columns: field `f` of lane `l` is `vals[f * lanes + l]`.
     vals: Vec<i64>,
+    /// Each lane's [`Pick`] in the table being swept.
+    picks: Vec<Pick>,
+    /// Each lane's bitset word while a one-word index is matched.
+    acc: Vec<u64>,
+}
+
+impl FlatBatchScratch {
+    /// Field `f` of every lane, as the last `lanes`-lane sweep over this
+    /// scratch left it.
+    pub(crate) fn column(&self, lanes: usize, f: usize) -> &[i64] {
+        &self.vals[f * lanes..][..lanes]
+    }
 }
 
 /// A compiled pipeline flattened for the streaming hot path.
@@ -835,8 +1024,8 @@ impl FlatProgram {
 
     /// Flattens `prog` with the given input and output fields. Register
     /// ops flatten too, provided every array is touched by one table only:
-    /// the executor sweeps table-major, walking lanes in arrival order
-    /// inside each table, so an array's accesses keep their
+    /// the executor sweeps table-major, walking a register table's lanes in
+    /// arrival order, so an array's accesses keep their
     /// packet-at-a-time order exactly when one table makes all of them.
     pub(crate) fn from_program(
         prog: &SwitchProgram,
@@ -882,21 +1071,33 @@ impl FlatProgram {
     /// A zeroed batch scratch pre-sized for `lanes` samples (it grows on
     /// demand if a larger batch is ever executed).
     pub fn batch_scratch(&self, lanes: usize) -> FlatBatchScratch {
-        FlatBatchScratch { vals: vec![0; lanes * self.nfields] }
+        FlatBatchScratch { vals: vec![0; lanes * self.nfields], ..Default::default() }
     }
 
-    fn count_tables(&self, is: impl Fn(&Matcher) -> bool) -> usize {
-        self.tables.iter().filter(|t| is(&t.matcher)).count()
+    fn count_tables(&self, is: impl Fn(&FlatTable) -> bool) -> usize {
+        self.tables.iter().filter(|t| is(t)).count()
     }
 
     /// Tables enumerated into dense LUTs.
     pub fn dense_tables(&self) -> usize {
-        self.count_tables(|m| matches!(m, Matcher::Dense(_)))
+        self.count_tables(|t| matches!(t.matcher, Matcher::Dense(_)))
     }
 
     /// Tables matched through a bit-vector index.
     pub fn indexed_tables(&self) -> usize {
-        self.count_tables(|m| matches!(m, Matcher::Indexed(_)))
+        self.count_tables(|t| matches!(t.matcher, Matcher::Indexed(_)))
+    }
+
+    /// Tables a sweep of more than one lane runs by columns: every table
+    /// without register ops.
+    pub fn column_tables(&self) -> usize {
+        self.count_tables(|t| !t.has_regs())
+    }
+
+    /// Tables carrying register ops, which every sweep walks lane by lane
+    /// in arrival order.
+    pub fn register_tables(&self) -> usize {
+        self.count_tables(FlatTable::has_regs)
     }
 
     /// Indexed keys too wide for one `raw → interval` array, matched limb
@@ -950,9 +1151,10 @@ impl FlatProgram {
     /// `codes` (row-major, `lanes × arity`) in order — `classify` *is*
     /// this sweep over one lane.
     ///
-    /// Each table matches and acts on every lane before the next table is
-    /// touched, so one table's index or LUT and its action data stay
-    /// cache-hot while they are swept `lanes` times.
+    /// Each table matches every lane, then acts on every lane, before the
+    /// next table is touched: its index is read once per key column, and
+    /// when all lanes picked one action each fused run executes op by op
+    /// down the lanes' columns (see the module docs' executor section).
     pub fn classify_batch(
         &self,
         codes: &[f32],
@@ -965,7 +1167,7 @@ impl FlatProgram {
             .ok_or_else(|| PegasusError::NotAClassifier { pipeline: self.name.clone() })?;
         self.run_batch(codes, lanes, s)?;
         out.clear();
-        out.extend(self.rows(s, lanes).map(|row| row[pf] as usize));
+        out.extend(s.column(lanes, pf).iter().map(|&v| v as usize));
         Ok(())
     }
 
@@ -990,51 +1192,52 @@ impl FlatProgram {
         if codes.len() != lanes * arity {
             return Err(PegasusError::FeatureCount { expected: lanes * arity, got: codes.len() });
         }
-        self.sweep(lanes, s, &mut (), |rows| {
-            for (row, lane) in rows.zip(codes.chunks_exact(arity.max(1))) {
+        self.sweep(lanes, s, &mut (), |vals| {
+            for (l, lane) in codes.chunks_exact(arity.max(1)).enumerate() {
                 for (&(f, trunc), &v) in self.inputs.iter().zip(lane) {
                     // Verifier invariant V001: input scratch index in bounds.
-                    debug_assert!(f < row.len(), "V001: input scratch index {f} out of bounds");
-                    row[f] = trunc.apply(round_code(v));
+                    debug_assert!(f < self.nfields, "V001: input scratch index {f} out of bounds");
+                    vals[f * lanes + l] = trunc.apply(round_code(v));
                 }
             }
         });
         Ok(())
     }
 
-    /// The one executor: zeroes `lanes` scratch rows, hands them to `seed`
-    /// to store each lane's [`inputs`](FlatProgram::inputs), then sweeps
-    /// the tables over the lanes — table-major, lanes in order within a
-    /// table, register ops against `regs`.
+    /// The one executor: zeroes `lanes` lanes of field-major scratch
+    /// columns (field `f` of lane `l` at `vals[f * lanes + l]`), hands them
+    /// to `seed` to store each lane's [`inputs`](FlatProgram::inputs), then
+    /// sweeps the tables over the lanes, table-major. A table carrying
+    /// register ops walks the lanes in arrival order, each lane's whole
+    /// action before the next, against `regs`; any other table matches
+    /// every lane, then runs its action op-major across the lanes
+    /// ([`FlatTable::exec_columns`]). A one-lane sweep walks every table:
+    /// its column is its row.
     pub(crate) fn sweep<R: Regs>(
         &self,
         lanes: usize,
         s: &mut FlatBatchScratch,
         regs: &mut R,
-        seed: impl FnOnce(std::slice::ChunksExactMut<'_, i64>),
+        seed: impl FnOnce(&mut [i64]),
     ) {
-        // `max(1)`: a field-less program has no rows to chunk.
-        let nf = self.nfields.max(1);
-        if s.vals.len() < lanes * nf {
-            s.vals.resize(lanes * nf, 0);
+        let n = lanes * self.nfields;
+        if s.vals.len() < n {
+            s.vals.resize(n, 0);
         }
-        let vals = &mut s.vals[..lanes * self.nfields];
+        let vals = &mut s.vals[..n];
         vals.fill(0);
-        seed(vals.chunks_exact_mut(nf));
+        seed(vals);
         for t in &self.tables {
-            for row in vals.chunks_exact_mut(nf) {
-                t.exec(row, regs);
+            if lanes == 1 {
+                t.exec(vals, Lane::ONE, regs);
+            } else if R::STATEFUL && t.has_regs() {
+                for l in 0..lanes {
+                    t.exec(vals, Lane { lanes, l }, regs);
+                }
+            } else if lanes > 1 {
+                t.exec_columns(vals, lanes, &mut s.picks, &mut s.acc);
             }
         }
-    }
-
-    /// The scratch rows the last `lanes`-lane sweep over `s` left behind.
-    pub(crate) fn rows<'s>(
-        &self,
-        s: &'s FlatBatchScratch,
-        lanes: usize,
-    ) -> impl Iterator<Item = &'s [i64]> {
-        s.vals.chunks_exact(self.nfields.max(1)).take(lanes)
     }
 }
 
@@ -1501,7 +1704,7 @@ mod tests {
                         row[j] = phv.get(FieldId(j));
                     }
                     let want = t.lookup(&phv).map(|(_, data)| data[0]);
-                    let got = flat.match_entry(&row);
+                    let got = flat.match_entry(&row, Lane::ONE);
                     let got = match got {
                         Some(e) => Some(e as i64),
                         None => flat.default_entry.map(|(_, (off, _))| flat.data[off as usize]),
@@ -1598,7 +1801,7 @@ mod tests {
             let runs = schedule(&ops, &fields);
             let mut got = start;
             for run in &runs {
-                run.exec(&params, &mut got);
+                run.exec(&params, &mut got, Lane::ONE);
             }
             assert_eq!(got, want, "seed {seed}: {ops:?} scheduled as {runs:?}");
             assert_eq!(runs.iter().map(|r| r.len).sum::<usize>(), ops.len());
@@ -1786,14 +1989,7 @@ mod tests {
                 let mut regs = RegFile::new(&prog.registers);
                 let mut scratch = FlatBatchScratch::default();
                 for (chunk, rows) in packets.chunks(lanes).zip(want.chunks(lanes)) {
-                    flat.sweep(chunk.len(), &mut scratch, &mut regs, |lanes| {
-                        for (row, p) in lanes.zip(chunk) {
-                            for (&(f, trunc), &v) in flat.inputs.iter().zip(p) {
-                                row[f] = trunc.apply(v);
-                            }
-                        }
-                    });
-                    let got: Vec<&[i64]> = flat.rows(&scratch, chunk.len()).collect();
+                    let got = sweep_lanes(&flat, chunk, &mut scratch, &mut regs);
                     assert_eq!(got, rows, "seed {seed}, runs of {lanes}");
                 }
                 assert!(regs == want_regs, "seed {seed}, runs of {lanes}: register files");
@@ -1801,6 +1997,281 @@ mod tests {
         }
         // The programs did carry state, and most packet streams shared slots.
         assert!(reg_ops >= 200 && aliased >= 20, "{reg_ops} register ops, {aliased} aliased");
+    }
+
+    /// Sweeps one lane per entry of `lanes` (its inputs' values, in
+    /// [`FlatProgram::inputs`] order) and returns every lane's fields.
+    fn sweep_lanes<R: Regs>(
+        flat: &FlatProgram,
+        lanes: &[Vec<i64>],
+        scratch: &mut FlatBatchScratch,
+        regs: &mut R,
+    ) -> Vec<Vec<i64>> {
+        let n = lanes.len();
+        flat.sweep(n, scratch, regs, |vals| {
+            for (l, p) in lanes.iter().enumerate() {
+                for (&(f, trunc), &v) in flat.inputs.iter().zip(p) {
+                    vals[f * n + l] = trunc.apply(v);
+                }
+            }
+        });
+        (0..n).map(|l| (0..flat.nfields).map(|f| scratch.column(n, f)[l]).collect()).collect()
+    }
+
+    /// A seeded random register-free program over five key fields — `f0`
+    /// (4 bits), `f1`/`f2` (12), `f3` (24), `f4` (8), inputs no action
+    /// writes — and 24 value fields in blocks of one width. Two to six
+    /// tables, each of one matcher shape: default-only, a dense `f0` LUT,
+    /// a one-word or a multi-word index over `f1`/`f2`, or `f3` as a
+    /// ternary key split into limbs. One to four actions of stepped ALU
+    /// fragments with Param, Const and Field operands, some of which read
+    /// the field the op before them wrote; every entry carries four params,
+    /// and half the tables have no default.
+    fn random_stateless_program(rng: &mut rand::rngs::StdRng) -> pegasus_switch::SwitchProgram {
+        let mut layout = PhvLayout::new();
+        let keys: Vec<FieldId> = [4u8, 12, 12, 24, 8]
+            .iter()
+            .enumerate()
+            .map(|(i, &bits)| layout.add_field(&format!("f{i}"), bits))
+            .collect();
+        while layout.len() < 29 {
+            let bits = [1u8, 4, 8, 13, 16, 32, 33, 64][rng.gen_range(0..8)];
+            let signed = rng.gen_bool(0.4);
+            for _ in 0..rng.gen_range(1..=6) {
+                let name = format!("f{}", layout.len());
+                if signed {
+                    layout.add_signed_field(&name, bits);
+                } else {
+                    layout.add_field(&name, bits);
+                }
+            }
+        }
+        let nf = layout.len();
+        let mut prog = pegasus_switch::SwitchProgram::new("columns", layout);
+        let kinds = [MatchKind::Exact, MatchKind::Range];
+        for ti in 0..rng.gen_range(2..=6) {
+            let shape = rng.gen_range(0..5);
+            let key =
+                |k: usize, rng: &mut rand::rngs::StdRng| (keys[k], kinds[rng.gen_range(0..2)]);
+            let (table_keys, entries) = match shape {
+                0 => (vec![], 0),
+                1 => (vec![key(0, rng)], rng.gen_range(1..=8)),
+                2 => (vec![key(1, rng), key(2, rng)], rng.gen_range(2..=40)),
+                3 => (vec![key(1, rng), key(2, rng)], rng.gen_range(65..=130)),
+                _ => (vec![(keys[3], MatchKind::Ternary), (keys[4], MatchKind::Range)], 40),
+            };
+            let mut t = Table::new(&format!("t{ti}"), table_keys.clone());
+            for ai in 0..rng.gen_range(1..=4) {
+                let operand = |len: usize, rng: &mut rand::rngs::StdRng| match rng.gen_range(0..5) {
+                    0 => Src::Const(rng.gen_range(-300..300)),
+                    1 => Src::Param(rng.gen_range(0..=4 - len)),
+                    2 => Src::Field(rng.gen_range(0..5)),
+                    _ => Src::Field(rng.gen_range(5..=nf - len)),
+                };
+                let mut fragments: Vec<std::collections::VecDeque<FlatOp>> = (0..rng
+                    .gen_range(1..=3))
+                    .map(|_| {
+                        let len = rng.gen_range(1..=4);
+                        let dst = rng.gen_range(6..=nf - len);
+                        let kind = [
+                            OpKind::Set,
+                            OpKind::Add,
+                            OpKind::Sub,
+                            OpKind::Shr(3),
+                            OpKind::Max,
+                            OpKind::Xor,
+                        ][rng.gen_range(0..6)];
+                        // One in four reads the field the op before wrote.
+                        let a = if rng.gen_bool(0.25) {
+                            Src::Field(dst - 1)
+                        } else {
+                            operand(len, rng)
+                        };
+                        let first = FlatOp { kind, dst, a, b: operand(len, rng) };
+                        (0..len).map(|i| first.step(i)).collect()
+                    })
+                    .collect();
+                let mut act = Action::new(&format!("a{ai}"));
+                while !fragments.is_empty() {
+                    let pick = rng.gen_range(0..fragments.len());
+                    let op = fragments[pick].pop_front().expect("non-empty");
+                    if fragments[pick].is_empty() {
+                        fragments.swap_remove(pick);
+                    }
+                    let src = |s: Src| match s {
+                        Src::Field(f) => Operand::Field(FieldId(f)),
+                        Src::Const(c) => Operand::Const(c),
+                        Src::Param(p) => Operand::Param(p),
+                    };
+                    let (dst, a, b) = (FieldId(op.dst), src(op.a), src(op.b));
+                    act.ops.push(match op.kind {
+                        OpKind::Set => AluOp::Set { dst, a },
+                        OpKind::Add => AluOp::Add { dst, a, b },
+                        OpKind::Sub => AluOp::Sub { dst, a, b },
+                        OpKind::Shr(amount) => AluOp::Shr { dst, a, amount },
+                        OpKind::Max => AluOp::Max { dst, a, b },
+                        _ => AluOp::Xor { dst, a, b },
+                    });
+                }
+                t.add_action(act);
+            }
+            let data =
+                |rng: &mut rand::rngs::StdRng| (0..4).map(|_| rng.gen_range(-300..300)).collect();
+            for _ in 0..entries {
+                // Small key values, so lanes hit entries often.
+                let parts = table_keys
+                    .iter()
+                    .map(|&(f, kind)| match kind {
+                        MatchKind::Ternary => {
+                            let mask = rng.gen::<u64>()
+                                & rng.gen::<u64>()
+                                & rng.gen::<u64>()
+                                & mask_of(24);
+                            KeyPart::Ternary(TernaryKey { value: rng.gen::<u64>() & mask, mask })
+                        }
+                        MatchKind::Exact => KeyPart::Exact(rng.gen_range(0..16)),
+                        _ if f == keys[4] => KeyPart::Range {
+                            lo: rng.gen_range(0..128),
+                            hi: rng.gen_range(128..256),
+                        },
+                        _ => {
+                            let lo = rng.gen_range(0..16);
+                            KeyPart::Range { lo, hi: rng.gen_range(lo..16) }
+                        }
+                    })
+                    .collect();
+                t.add_entry(TableEntry {
+                    keys: parts,
+                    priority: rng.gen_range(0..3),
+                    action_idx: rng.gen_range(0..t.actions.len()),
+                    action_data: data(rng),
+                });
+            }
+            if rng.gen_bool(0.5) {
+                t.default_action = Some((rng.gen_range(0..t.actions.len()), data(rng)));
+            }
+            prog.tables.push(t);
+        }
+        prog
+    }
+
+    #[test]
+    fn column_sweeps_match_the_one_lane_walk_lane_by_lane() {
+        const LANES: usize = 130;
+        // Matcher shapes swept: always, dense, one-word, multi-word, limbs.
+        let mut shapes = [0usize; 5];
+        let (mut mixed, mut keyed_uniform, mut idle, mut chained) = (0, 0, 0, 0);
+        for seed in 0..60u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let prog = random_stateless_program(&mut rng);
+            let inputs: Vec<FieldId> = (0..prog.layout.len()).map(FieldId).collect();
+            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8())
+                .expect("register-free programs flatten");
+            for t in &flat.tables {
+                shapes[match &t.matcher {
+                    Matcher::Always => 0,
+                    Matcher::Dense(_) => 1,
+                    Matcher::Indexed(ix) if !ix.limbs.is_empty() => 4,
+                    Matcher::Indexed(ix) => 2 + usize::from(ix.words > 1),
+                }] += 1;
+                let runs = t.actions.iter().flat_map(|a| &a.runs);
+                chained += runs
+                    .filter(|r| {
+                        r.len > 1 && r.first.dst > 0 && r.first.a == Src::Field(r.first.dst - 1)
+                    })
+                    .count();
+            }
+            // Key fields hold small values; value fields anything.
+            let lanes: Vec<Vec<i64>> = (0..LANES)
+                .map(|_| {
+                    let keys = [rng.gen_range(0..16), rng.gen_range(0..16), rng.gen_range(0..16)];
+                    let keys =
+                        keys.into_iter().chain([rng.gen::<u64>() as i64, rng.gen_range(0..256)]);
+                    keys.chain((5..inputs.len()).map(|_| rng.gen::<u64>() as i64)).collect()
+                })
+                .collect();
+            let mut one = FlatBatchScratch::default();
+            let want: Vec<Vec<i64>> = lanes
+                .iter()
+                .map(|lane| {
+                    sweep_lanes(&flat, std::slice::from_ref(lane), &mut one, &mut ()).remove(0)
+                })
+                .collect();
+            let mut scratch = FlatBatchScratch::default();
+            for n in [1usize, 2, 7, 64, 65] {
+                for (chunk, rows) in lanes.chunks(n).zip(want.chunks(n)) {
+                    let got = sweep_lanes(&flat, chunk, &mut scratch, &mut ());
+                    assert_eq!(got, rows, "seed {seed}, {n} lanes");
+                    // Keys are never written, so a lane's picks follow from
+                    // its inputs alone.
+                    for t in flat.tables.iter().filter(|_| chunk.len() > 1) {
+                        let picks: Vec<u32> = chunk
+                            .iter()
+                            .map(|lane| {
+                                let mut row = vec![0; flat.nfields];
+                                for (&(f, trunc), &v) in flat.inputs.iter().zip(lane) {
+                                    row[f] = trunc.apply(v);
+                                }
+                                t.pick(t.match_entry(&row, Lane::ONE)).action
+                            })
+                            .collect();
+                        let uniform = picks.iter().all(|&a| a == picks[0]);
+                        mixed += usize::from(!uniform);
+                        keyed_uniform += usize::from(
+                            uniform && picks[0] != Pick::NONE.action && !t.keys.is_empty(),
+                        );
+                        idle += picks.iter().filter(|&&a| a == Pick::NONE.action).count();
+                    }
+                }
+            }
+        }
+        // Every matcher shape was swept; lanes split between actions, all
+        // took one action of a keyed table, ran nothing, and ran runs whose
+        // ops read what the op before wrote.
+        assert!(
+            shapes.iter().all(|&n| n >= 20)
+                && mixed >= 1000
+                && keyed_uniform >= 100
+                && idle >= 5000
+                && chained >= 50,
+            "{shapes:?} {mixed} {keyed_uniform} {idle} {chained}"
+        );
+    }
+
+    #[test]
+    fn a_run_past_its_entry_data_panics_at_one_lane_and_many() {
+        // `o0..o3 ← params[0..4]` as one run, over entries carrying three
+        // params: the second entry's data follows the first's in the pool,
+        // where a gather would read it.
+        let mut layout = PhvLayout::new();
+        let x = layout.add_field("x", 8);
+        let outs: Vec<FieldId> = (0..4).map(|i| layout.add_field(&format!("o{i}"), 8)).collect();
+        let mut prog = pegasus_switch::SwitchProgram::new("short", layout);
+        let mut t = Table::new("set4", vec![(x, MatchKind::Range)]);
+        let mut set = Action::new("set4");
+        for (i, &dst) in outs.iter().enumerate() {
+            set.ops.push(AluOp::Set { dst, a: Operand::Param(i) });
+        }
+        let set = t.add_action(set);
+        for lo in [0, 128] {
+            t.add_entry(TableEntry {
+                keys: vec![KeyPart::Range { lo, hi: lo + 127 }],
+                priority: 0,
+                action_idx: set,
+                action_data: vec![1, 2, 3],
+            });
+        }
+        prog.tables.push(t);
+        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8())
+            .expect("the executor, not the verifier, is under test");
+        assert_eq!(flat.longest_run(), 4);
+        for lanes in [1usize, 64] {
+            let swept = std::panic::catch_unwind(|| {
+                let lanes: Vec<Vec<i64>> = (0..lanes as i64).map(|l| vec![l]).collect();
+                sweep_lanes(&flat, &lanes, &mut FlatBatchScratch::default(), &mut ())
+            });
+            assert!(swept.is_err(), "{lanes} lane(s) read past the entry's data");
+        }
     }
 
     #[test]

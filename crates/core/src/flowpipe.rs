@@ -615,7 +615,7 @@ impl FlowProgram {
 pub struct FlowClassifier {
     pub(crate) program: Arc<FlowProgram>,
     regs: RegFile,
-    /// Lane rows of the last `process_batch` sweep, reused across runs.
+    /// Field columns of the last `process_batch` sweep, reused across runs.
     scratch: FlatBatchScratch,
 }
 
@@ -745,12 +745,14 @@ impl FlowClassifier {
     /// zero-padded to the extractor arity).
     ///
     /// A flattened program takes the whole run in one table-major sweep:
-    /// every lane's row is seeded straight from the batch columns — as
-    /// integers, each through its field's truncation — and each table
-    /// walks the lanes in arrival order, so a register array (touched by
-    /// one table only, the flattener checked) sees its packets' accesses in
-    /// that order. Nothing is allocated per packet. Only a program that
-    /// reports a [`FlattenSkip`] goes through the simulator instead.
+    /// every lane's input fields are seeded straight from the batch columns
+    /// — as integers, each through its field's truncation — into the
+    /// sweep's field-major columns. A table carrying register ops walks the
+    /// lanes in arrival order, so a register array (touched by one table
+    /// only, the flattener checked) sees its packets' accesses in that
+    /// order; every other table runs by columns, op-major across the lanes.
+    /// Nothing is allocated per packet. Only a program that reports a
+    /// [`FlattenSkip`] goes through the simulator instead.
     pub fn process_batch(
         &mut self,
         batch: &FrameBatch,
@@ -770,25 +772,25 @@ impl FlowClassifier {
             return Ok(());
         };
         let (lanes, inputs, hash_mask) = (run.len(), flat.inputs(), self.program.hash_mask);
-        flat.sweep(lanes, &mut self.scratch, &mut self.regs, |rows| {
-            for (row, i) in rows.zip(run) {
+        flat.sweep(lanes, &mut self.scratch, &mut self.regs, |vals| {
+            for (l, i) in run.enumerate() {
                 let header = [
                     i64::from(wires[i]),
                     (ts[i] >> 6) as i64, // 64 µs units
                     i64::from(flows[i].dataplane_hash() & hash_mask),
                 ];
-                for (&(f, trunc), v) in inputs.iter().zip(header) {
-                    row[f] = trunc.apply(v);
-                }
-                // Bytes past the captured head stay the row's zeros.
-                for (&(f, trunc), &b) in inputs[3..].iter().zip(batch.payload_head(i)) {
-                    row[f] = trunc.apply(i64::from(b));
+                let head = batch.payload_head(i).iter().map(|&b| i64::from(b));
+                // Bytes past the captured head stay the lane's zeros.
+                for (&(f, trunc), v) in inputs.iter().zip(header.into_iter().chain(head)) {
+                    vals[f * lanes + l] = trunc.apply(v);
                 }
             }
         });
         let FlowPipeline { valid_field, predicted_field, .. } = self.program.pipeline;
-        verdicts.extend(flat.rows(&self.scratch, lanes).map(|row| match predicted_field {
-            Some(p) if row[valid_field.0] == 1 => Some(row[p.0] as usize),
+        let valid = self.scratch.column(lanes, valid_field.0);
+        let predicted = predicted_field.map(|p| self.scratch.column(lanes, p.0));
+        verdicts.extend(valid.iter().enumerate().map(|(l, &v)| match predicted {
+            Some(p) if v == 1 => Some(p[l] as usize),
             _ => None,
         }));
         Ok(())
