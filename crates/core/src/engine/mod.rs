@@ -35,7 +35,7 @@
 //! parallel column of tenant ids — no owned packet is materialised in
 //! between. A worker walks each batch as maximal runs of equal tenant id
 //! and serves every run with one tenant lookup, one swap-epoch check, one
-//! clock pair and one `process_batch` call on that tenant's shard state
+//! clock read and one `process_batch` call on that tenant's shard state
 //! (`StatelessShard` or `FlowShard`), which is the *only* packet entry
 //! point either has. A single-tenant batch is one run, a many-tenant
 //! interleave degenerates to runs of one, and scalar processing is a batch

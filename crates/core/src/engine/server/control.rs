@@ -3,7 +3,7 @@
 use super::artifact::{swap_retains_state, EngineArtifact};
 use super::ingress::Routing;
 use super::report::{EngineStats, TenantReport, TenantStats};
-use super::tenant::{Tenant, TenantConfig, TenantToken};
+use super::tenant::{OwnLine, Tenant, TenantConfig, TenantToken};
 use super::worker::{broadcast_all_or_nothing, ShardMsg, TenantShardOut};
 use super::{lock, EngineShared};
 use crate::engine::stats::{ArtifactCounters, ShardStats};
@@ -92,7 +92,7 @@ impl ControlHandle {
                 predicate: cfg.route,
                 record: cfg.record_predictions,
                 table: cfg.flow_table,
-                routed_packets: AtomicU64::new(0),
+                routed_packets: OwnLine(AtomicU64::new(0)),
                 failed: AtomicBool::new(false),
                 epoch: AtomicU64::new(0),
                 published: Mutex::new((0, artifact)),

@@ -127,8 +127,10 @@ pub(super) struct Tenant {
     /// the exec with the same bounds.
     pub(super) table: FlowTableConfig,
     /// Packets the dispatcher routed here (written under its lock; the
-    /// atomic is for the stats readers — relaxed everywhere).
-    pub(super) routed_packets: AtomicU64,
+    /// atomic is for the stats readers — relaxed everywhere). On its own
+    /// cache line: the ingress bumps it per packet, and must not keep
+    /// stealing the line of `epoch`, which the worker loads per run.
+    pub(super) routed_packets: OwnLine<AtomicU64>,
     /// Set by the first shard that hits a fatal per-packet error (the
     /// error itself comes back on detach or shutdown).
     pub(super) failed: AtomicBool,
@@ -151,6 +153,19 @@ pub(super) struct Tenant {
     /// `stats_cadence` packets and whenever the shard idles, merged by
     /// `stats()` without signalling anyone.
     pub(super) shards: Vec<Mutex<ShardStats>>,
+}
+
+/// A value alone on its cache line — 128 B, since adjacent-line
+/// prefetchers move 64 B lines in pairs.
+#[repr(align(128))]
+pub(super) struct OwnLine<T>(pub(super) T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 impl Tenant {

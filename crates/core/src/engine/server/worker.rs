@@ -101,20 +101,25 @@ impl WorkerTenant {
 
     /// Serves one run — consecutive frames of one batch, all routed to this
     /// tenant — through the tenant's executor: one swap-epoch check, one
-    /// clock pair and one histogram update per run, the run's wall time
-    /// attributed evenly across its frames. A pipeline error counts nothing
-    /// for the run.
+    /// clock read and one histogram update per run. The read follows
+    /// `process_batch`; the run is charged the time since `clock` (the
+    /// previous read in this batch, or the batch's start), which then moves
+    /// to now — so the charge covers the tenant lookup and swap check too,
+    /// never a queue wait. It is attributed evenly across the run's frames.
+    /// A pipeline error counts nothing for the run.
     fn serve_run(
         &mut self,
         frames: &FrameBatch,
         run: Range<usize>,
         verdicts: &mut Vec<Option<usize>>,
+        clock: &mut Instant,
     ) -> Result<(), PegasusError> {
         self.maybe_apply_swap();
         self.dirty = true;
-        let t0 = Instant::now();
         self.exec.process_batch(frames, run.clone(), verdicts)?;
-        let nanos = t0.elapsed().as_nanos() as u64;
+        let now = Instant::now();
+        let nanos = now.duration_since(*clock).as_nanos() as u64;
+        *clock = now;
         self.stats.busy_nanos += nanos;
         self.stats.latency.record_n(nanos / run.len() as u64, run.len() as u64);
         for (flow, verdict) in frames.flows()[run].iter().zip(verdicts.iter()) {
@@ -192,6 +197,9 @@ pub(super) fn worker_loop(
         };
         match msg {
             ShardMsg::Batch(batch) => {
+                // The batch's one extra clock read; each served run reads
+                // once more and carries it forward (`serve_run`).
+                let mut clock = Instant::now();
                 let mut start = 0;
                 for same_tenant in batch.tenants.chunk_by(|a, b| a == b) {
                     let len = same_tenant.len();
@@ -201,7 +209,7 @@ pub(super) fn worker_loop(
                     if wt.err.is_some() {
                         continue;
                     }
-                    if let Err(e) = wt.serve_run(&batch.frames, run, &mut verdicts) {
+                    if let Err(e) = wt.serve_run(&batch.frames, run, &mut verdicts, &mut clock) {
                         wt.err = Some(e);
                         wt.tenant.failed.store(true, Ordering::Relaxed);
                         shared.tenant_failed.store(true, Ordering::Relaxed);
@@ -210,6 +218,8 @@ pub(super) fn worker_loop(
                     if since_publish >= cadence {
                         publish(&mut tenants);
                         since_publish = 0;
+                        // Publishing is not packet processing.
+                        clock = Instant::now();
                     }
                 }
             }

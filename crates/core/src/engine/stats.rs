@@ -208,9 +208,9 @@ pub struct FlowTableCounters {
     /// Alias-mode slot-ownership changes — packets of a flow whose
     /// register slot was owned by a different flow (hash collisions).
     pub alias_collisions: u64,
-    /// Flow-state bytes in use: the flat preallocated slab plus bounded
-    /// per-flow window heap (host tables), or the register SRAM the slots
-    /// model (alias views). Flat in the flow count by construction.
+    /// Flow-state bytes: the preallocated slab, windows inline (host
+    /// tables), or the register SRAM the slots model (alias views). Flat
+    /// in the flow count by construction.
     pub state_bytes: u64,
 }
 
@@ -282,8 +282,9 @@ pub struct ShardStats {
     /// per-flow register pipelines this is the hardware-faithful count
     /// (hash-colliding flows share a slot and count once).
     pub flows: u64,
-    /// Nanoseconds spent inside packet processing (excludes queue waits):
-    /// the wall time of every tenant run this shard served.
+    /// Nanoseconds spent serving packets (excludes queue waits): per served
+    /// run, the time since the worker's previous clock read in that batch
+    /// — the run's tenant lookup, swap check and `process_batch`.
     pub busy_nanos: u64,
     /// Per-packet processing latency — each run's wall time attributed
     /// evenly across its packets.

@@ -248,7 +248,8 @@ mod tests {
     fn stat_features_encode_ports() {
         let t = tracked_flow(3);
         let s = t.get(&FiveTuple::new(1, 2, 3, 4, 6)).unwrap();
-        let obs = *s.window.last().unwrap();
+        let last = *s.window.last().unwrap();
+        let obs = PacketObs { wire_len: last.wire_len, ipd_micros: last.ipd_micros, ts_micros: 0 };
         let f = StatFeatures::extract(s, &obs, 6, 0x10, 0x1234, 443, 64, 50);
         assert_eq!(f.0[8], 0x12);
         assert_eq!(f.0[9], 0x34);

@@ -14,7 +14,12 @@
 //! hardware-faithful *alias* mode in which colliding flows share one slot
 //! exactly like the switch's hash-indexed register files. Memory is flat in
 //! the flow count by construction: the slab is preallocated at the
-//! configured capacity and never grows.
+//! configured capacity and never grows, and a flow's window is a
+//! fixed-width [`FlowWindow`] held inside its slot — the host form of the
+//! switch's `WINDOW × 16`-bit register row — so admitting, re-warming or
+//! evicting a flow never touches the allocator.
+
+use crate::features::WINDOW;
 
 /// A flow's five-tuple identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,7 +91,8 @@ impl FiveTuple {
     }
 }
 
-/// One packet observation within a flow.
+/// One packet observation within a flow, as [`FlowTracker::observe`]
+/// returns it (the window keeps only its [`WindowObs`] part).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketObs {
     /// Wire length in bytes.
@@ -98,8 +104,58 @@ pub struct PacketObs {
     pub ts_micros: u64,
 }
 
-/// Running per-flow statistics and the recent-packet window.
-#[derive(Clone, Debug)]
+/// One windowed packet: the two quantities a feature window reads (16 B).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WindowObs {
+    /// Wire length in bytes.
+    pub wire_len: u16,
+    /// Inter-packet delay from the previous packet of this flow, in
+    /// microseconds (0 for the first packet).
+    pub ipd_micros: u64,
+}
+
+/// A flow's most recent observations, oldest first — a fixed
+/// `[WindowObs; WINDOW]` row plus its fill, held inline in the flow's slot
+/// (no heap). Derefs to the filled prefix, so it reads like a slice:
+/// `window.len()`, `window[a..]`, `window.last()`.
+#[derive(Clone, Copy, Debug)]
+pub struct FlowWindow {
+    obs: [WindowObs; WINDOW],
+    len: u8,
+    cap: u8,
+}
+
+impl FlowWindow {
+    /// An empty window of `cap` packets (`1..=WINDOW`, checked by
+    /// [`FlowTracker::bounded`]).
+    fn new(cap: usize) -> Self {
+        FlowWindow { obs: [WindowObs::default(); WINDOW], len: 0, cap: cap as u8 }
+    }
+
+    /// Appends `obs`; a full window drops its oldest entry first.
+    fn push(&mut self, obs: WindowObs) {
+        let len = usize::from(self.len);
+        if len == usize::from(self.cap) {
+            self.obs.copy_within(1..len, 0);
+            self.obs[len - 1] = obs;
+        } else {
+            self.obs[len] = obs;
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for FlowWindow {
+    type Target = [WindowObs];
+
+    fn deref(&self) -> &[WindowObs] {
+        &self.obs[..usize::from(self.len)]
+    }
+}
+
+/// Running per-flow statistics and the recent-packet window — plain data
+/// (`Copy`, so it owns no heap), stored in place in its table slot.
+#[derive(Clone, Copy, Debug)]
 pub struct FlowState {
     /// Packets seen.
     pub packets: u64,
@@ -115,9 +171,8 @@ pub struct FlowState {
     pub min_ipd: u64,
     /// Maximum IPD seen (packets ≥ 2), microseconds.
     pub max_ipd: u64,
-    /// Most recent observations, newest last, bounded by the window size.
-    pub window: Vec<PacketObs>,
-    window_cap: usize,
+    /// Most recent observations, oldest first, bounded by the window size.
+    pub window: FlowWindow,
 }
 
 impl FlowState {
@@ -130,8 +185,7 @@ impl FlowState {
             max_len: 0,
             min_ipd: u64::MAX,
             max_ipd: 0,
-            window: Vec::new(),
-            window_cap,
+            window: FlowWindow::new(window_cap),
         }
     }
 
@@ -146,17 +200,13 @@ impl FlowState {
             self.min_ipd = self.min_ipd.min(ipd);
             self.max_ipd = self.max_ipd.max(ipd);
         }
-        let obs = PacketObs { wire_len, ipd_micros: ipd, ts_micros };
-        if self.window.len() == self.window_cap {
-            self.window.remove(0);
-        }
-        self.window.push(obs);
-        obs
+        self.window.push(WindowObs { wire_len, ipd_micros: ipd });
+        PacketObs { wire_len, ipd_micros: ipd, ts_micros }
     }
 
     /// True once the window holds `window_cap` packets.
     pub fn window_full(&self) -> bool {
-        self.window.len() == self.window_cap
+        self.window.len == self.window.cap
     }
 }
 
@@ -576,8 +626,8 @@ impl<V> FlowTable<V> {
     }
 
     /// Bytes of the preallocated slab and its reach side array — flat in
-    /// the flow count by construction (per-value heap, e.g. window `Vec`s,
-    /// is extra and bounded by `capacity × per-flow window`).
+    /// the flow count by construction. Heap a value `V` owns is not
+    /// counted; [`FlowState`] owns none.
     pub fn slab_bytes(&self) -> u64 {
         (self.slots.len() * std::mem::size_of::<Option<Slot<V>>>()
             + self.reach.len() * std::mem::size_of::<u32>()) as u64
@@ -620,8 +670,12 @@ impl FlowTracker {
     }
 
     /// Creates a tracker over an explicitly configured [`FlowTable`].
+    /// Panics unless `1 ≤ window_cap ≤ WINDOW` (the inline window's width).
     pub fn bounded(window_cap: usize, table: FlowTableConfig) -> Self {
-        assert!(window_cap >= 1);
+        assert!(
+            (1..=WINDOW).contains(&window_cap),
+            "window of {window_cap} packets: must be 1..={WINDOW}"
+        );
         FlowTracker { table: FlowTable::new(table), window_cap }
     }
 
@@ -697,12 +751,11 @@ impl FlowTracker {
         self.table.stats()
     }
 
-    /// Flow-state bytes in use: the flat preallocated slab plus the
-    /// bounded per-flow window heap — never grows past the capacity's
-    /// worth of flows, unlike a `HashMap` under churn.
+    /// Flow-state bytes: exactly the table's slab — every window lives
+    /// inline in its slot, so this is fixed at construction and never
+    /// grows, unlike a `HashMap` under churn.
     pub fn state_bytes(&self) -> u64 {
         self.table.slab_bytes()
-            + (self.table.len() * self.window_cap * std::mem::size_of::<PacketObs>()) as u64
     }
 
     /// Iterates tracked flows, sorted by five-tuple (reproducible order).
@@ -1245,12 +1298,85 @@ mod tests {
         for n in 0..10_000u32 {
             t.observe(ft(n), u64::from(n), 100);
         }
-        let after = t.state_bytes();
-        assert!(t.len() <= 64);
-        // Slab is constant; only the ≤ capacity window heap was added.
-        assert!(
-            after <= before + 64 * 4 * std::mem::size_of::<PacketObs>() as u64,
-            "state bytes grew past the capacity bound: {before} -> {after}"
-        );
+        assert_eq!(t.len(), 64);
+        // Windows live in the slots: the state is the slab, before and after.
+        assert_eq!(t.state_bytes(), before);
+        assert_eq!(before, t.table.slab_bytes());
+    }
+
+    /// The inline window against a `VecDeque` reference at every packet:
+    /// the last `window_cap` (wire_len, IPD) pairs of the slot's current
+    /// life, oldest first. It restarts empty on every fresh-state admission
+    /// (new, re-warmed, idle- or capacity-evicted) and carries over on an
+    /// alias takeover, IPD included.
+    #[test]
+    fn inline_window_is_the_tail_of_a_vecdeque_model() {
+        use std::collections::VecDeque;
+        let mut next = lcg(0x5eed_f10e);
+        let configs = [
+            FlowTableConfig { capacity: 8, idle_timeout_packets: 6, alias: false },
+            FlowTableConfig::with_capacity(4),
+            FlowTableConfig::aliased(4),
+        ];
+        let mut kinds: Vec<Admission> = Vec::new();
+        for window_cap in [1usize, 2, 4, 8] {
+            let mut shifted = false;
+            for cfg in configs {
+                let mut t = FlowTracker::bounded(window_cap, cfg);
+                // Per slot: the expected window and the previous timestamp
+                // of the slot's current life (`None`: no packet yet).
+                let mut model: Vec<(VecDeque<WindowObs>, Option<u64>)> =
+                    vec![(VecDeque::new(), None); cfg.capacity];
+                let mut ts = 0u64;
+                for step in 0..3000 {
+                    ts += next() % 5000;
+                    // Three hot flows (long-lived, they fill windows) and
+                    // thirteen mice (they churn the table).
+                    let n = if next() & 3 != 0 { next() % 3 } else { 3 + next() % 13 };
+                    let wire_len = 40 + (next() % 1460) as u16;
+                    let (obs, adm, idx, state) =
+                        t.observe_admit_hinted(scattered(n as u32), ts, wire_len, None);
+                    let (want, prev) = &mut model[idx];
+                    if adm.fresh_state() {
+                        want.clear();
+                        *prev = None;
+                    }
+                    let ipd_micros = prev.map_or(0, |p| ts - p);
+                    *prev = Some(ts);
+                    want.push_back(WindowObs { wire_len, ipd_micros });
+                    if want.len() > window_cap {
+                        want.pop_front();
+                    }
+                    let at = (window_cap, cfg, step, adm);
+                    assert_eq!(obs, PacketObs { wire_len, ipd_micros, ts_micros: ts }, "{at:?}");
+                    assert!(state.window.iter().eq(want.iter()), "{at:?}: {:?}", &state.window[..]);
+                    assert_eq!(state.window_full(), want.len() == window_cap, "{at:?}");
+                    shifted |= state.packets > window_cap as u64;
+                    if !kinds.contains(&adm) {
+                        kinds.push(adm);
+                    }
+                }
+            }
+            assert!(shifted, "window {window_cap} never dropped its oldest entry");
+        }
+        kinds.sort_by_key(|k| format!("{k:?}"));
+        use Admission::*;
+        assert_eq!(kinds, [Aliased, EvictedCapacity, EvictedIdle, Existing, Fresh, Rewarmed]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be 1..=8")]
+    fn a_window_wider_than_the_inline_row_is_refused() {
+        FlowTracker::bounded(WINDOW + 1, FlowTableConfig::default());
+    }
+
+    /// `FlowState` is `Copy`, and a `Copy` type cannot own heap memory: no
+    /// admission, re-warm or eviction calls the allocator. (A counting
+    /// allocator would need `unsafe`, which the crate forbids.)
+    #[test]
+    fn flow_state_is_plain_data() {
+        fn copy<T: Copy>() {}
+        copy::<FlowState>();
+        assert!(std::mem::size_of::<WindowObs>() <= 16);
     }
 }

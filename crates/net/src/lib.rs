@@ -37,7 +37,7 @@ pub use features::{
 };
 pub use flow::{
     Admission, FiveTuple, FlowState, FlowTable, FlowTableConfig, FlowTableStats, FlowTracker,
-    PacketObs, DEFAULT_FLOW_SLOTS,
+    FlowWindow, PacketObs, WindowObs, DEFAULT_FLOW_SLOTS,
 };
 pub use packet::{ParseError, ParseErrorKind};
 pub use pcap::{PcapError, PcapReader, PcapRecord, PcapSource, PcapWriter, DEFAULT_SNAPLEN};

@@ -278,7 +278,7 @@ fn churn_keeps_state_flat_while_evicting() {
         "churn past the capacity must evict: {:?}",
         report.table
     );
-    // Flat slab + at most `capacity` windows of heap.
+    // Windows live in the slots: the state is exactly an empty table's slab.
     let slab_only = FlowTracker::bounded(WINDOW, FlowTableConfig::with_capacity(capacity));
-    assert!(report.table.state_bytes <= slab_only.state_bytes() + (capacity * WINDOW * 24) as u64);
+    assert_eq!(report.table.state_bytes, slab_only.state_bytes());
 }
