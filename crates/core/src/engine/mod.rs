@@ -5,9 +5,11 @@
 //! in the paper's testbed (§7.1). It is a *long-lived service*: the
 //! [`server`] module hosts the [`EngineServer`], whose worker shards run
 //! persistently, serve multiple tenants concurrently, and hot-swap
-//! artifacts without draining traffic —
-//! [`Deployment::stream`](crate::pipeline::Deployment::stream) is a thin
-//! one-tenant wrapper over it.
+//! artifacts without draining traffic. It is the one way to serve: build
+//! it ([`EngineBuilder`]), [`attach`](ControlHandle::attach) a deployment's
+//! [`engine_artifact`](crate::pipeline::Deployment::engine_artifact), push
+//! packets or frames, and [`shutdown`](EngineServer::shutdown) for the
+//! terminal reports.
 //!
 //! # One packet, one path
 //!
@@ -107,43 +109,6 @@ use std::sync::Arc;
 /// priced in (per-flow *register* pipelines use their real per-slot SRAM
 /// instead).
 pub const HOST_WINDOW_STATE_BITS: u64 = (WINDOW as u64) * 16 + 32 + 8;
-
-/// Streaming-run configuration of the legacy one-shot wrappers
-/// ([`Deployment::stream_with`](crate::pipeline::Deployment::stream_with)).
-/// Zero `shards`, `batch` or `queue_batches` are rejected with
-/// [`PegasusError::InvalidConfig`] by the [`EngineBuilder`] underneath.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamConfig {
-    /// Worker shards.
-    pub shards: usize,
-    /// Record every per-flow classification in the report (costs one
-    /// `Vec<usize>` per flow; used by determinism tests and accuracy
-    /// evaluation, off for pure throughput runs).
-    pub record_predictions: bool,
-    /// Packets per dispatch batch. Batching amortizes channel overhead;
-    /// per-flow ordering is unaffected.
-    pub batch: usize,
-    /// Bounded per-shard queue depth, in batches (backpressure).
-    pub queue_batches: usize,
-    /// Per-shard flow-table shape for host flow state (capacity, aging,
-    /// alias mode). Every shard owns a full table of this capacity, the
-    /// same way every shard forks a full register file. The default
-    /// (4096 slots, no aging) matches the pre-bounded behavior for any
-    /// workload under that many concurrent flows per shard.
-    pub flow_table: FlowTableConfig,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            shards: 1,
-            record_predictions: false,
-            batch: 256,
-            queue_batches: 8,
-            flow_table: FlowTableConfig::default(),
-        }
-    }
-}
 
 /// Shard-owned execution state for stateless compiled pipelines (MLP-B,
 /// RNN-B, the baselines): a shard-local [`FlowTracker`] mirrors the

@@ -271,13 +271,12 @@ impl ControlHandle {
     }
 
     /// Snapshots live per-tenant/per-shard counters without stopping or
-    /// signalling the workers: shards publish their counters every
-    /// [`stats_cadence`](super::EngineBuilder::stats_cadence) packets and when
-    /// idle, and this call merges the latest publications — it never
-    /// enqueues behind packet batches, and it never takes the dispatcher
-    /// lock. Reads come from the tenant records (cloned out of the tenant
-    /// set) and the shared atomic counters, so `stats` returns promptly
-    /// even while a `push` is blocked on a full shard queue
+    /// signalling the workers: shards publish their counters every 1024
+    /// packets and when idle, and this call merges the latest publications
+    /// — it never enqueues behind packet batches, and it never takes the
+    /// dispatcher lock. Reads come from the tenant records (cloned out of
+    /// the tenant set) and the shared atomic counters, so `stats` returns
+    /// promptly even while a `push` is blocked on a full shard queue
     /// (backpressure) with the dispatcher lock held.
     pub fn stats(&self) -> Result<EngineStats, PegasusError> {
         if self.shared.stopped.load(Ordering::Acquire) {

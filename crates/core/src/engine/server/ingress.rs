@@ -202,6 +202,16 @@ impl IngressHandle {
     /// Pushes a whole frame source to exhaustion; returns how many frames
     /// a tenant accepted (parse rejections and unrouted frames are
     /// counted in the engine's statistics, not here).
+    ///
+    /// ```no_run
+    /// # fn run(server: pegasus_core::EngineServer) -> Result<(), pegasus_core::PegasusError> {
+    /// let mut capture = pegasus_net::PcapSource::open("trace.pcap").expect("readable capture");
+    /// server.ingress().push_frame_source(&mut capture)?;
+    /// let report = server.shutdown()?;
+    /// println!("{} frames rejected", report.parse_errors.total());
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn push_frame_source(&self, source: &mut dyn FrameSource) -> Result<u64, PegasusError> {
         let mut routed = 0u64;
         while let Some(frame) = source.next_frame() {

@@ -67,10 +67,10 @@
 //! match-action entries while register SRAM keeps its contents. A swap to
 //! a different register shape zeroes the file and its flows re-warm.
 //!
-//! The legacy one-shot [`Deployment::stream`](crate::pipeline::Deployment::stream) /
-//! [`stream_with`](crate::pipeline::Deployment::stream_with) calls are thin
-//! wrappers over this server: build, attach one catch-all tenant, feed the
-//! source, shut down.
+//! A single-stream run is the same lifecycle with one catch-all tenant:
+//! build, attach, push the source, shut down. Frames the wire parser
+//! rejected are read from [`EngineReport::parse_errors`], since no tenant
+//! ever saw them.
 
 mod artifact;
 mod control;
@@ -188,11 +188,6 @@ struct EngineShared {
     /// accounting) report [`PegasusError::EngineStopped`] without
     /// consulting the dispatcher.
     stopped: AtomicBool,
-    /// Set by a worker the moment any tenant hits a fatal per-packet
-    /// error. Feeders that have nothing to gain from pushing into a dead
-    /// tenant (the one-shot `stream_with` wrapper) poll it to abort early;
-    /// the error itself still surfaces through detach/shutdown.
-    tenant_failed: AtomicBool,
 }
 
 impl EngineShared {
@@ -269,7 +264,6 @@ pub struct EngineBuilder {
     shards: usize,
     batch: usize,
     queue_batches: usize,
-    stats_cadence: usize,
     fleet_state_budget_bits: Option<u64>,
 }
 
@@ -281,16 +275,9 @@ impl Default for EngineBuilder {
 
 impl EngineBuilder {
     /// Engine defaults: 1 shard, 256-packet batches, 8-batch queues,
-    /// 1024-packet stats cadence, compiled predicate routing, no aggregate
-    /// state budget.
+    /// compiled predicate routing, no aggregate state budget.
     pub fn new() -> Self {
-        EngineBuilder {
-            shards: 1,
-            batch: 256,
-            queue_batches: 8,
-            stats_cadence: 1024,
-            fleet_state_budget_bits: None,
-        }
+        EngineBuilder { shards: 1, batch: 256, queue_batches: 8, fleet_state_budget_bits: None }
     }
 
     /// Worker shards (must be ≥ 1).
@@ -312,16 +299,6 @@ impl EngineBuilder {
         self
     }
 
-    /// How many packets a shard processes between publications of its live
-    /// counters (must be ≥ 1). Workers additionally publish whenever they
-    /// go idle and after every control message, so [`ControlHandle::stats`]
-    /// is at most `stats_cadence` packets stale on a busy shard and exact
-    /// on an idle one.
-    pub fn stats_cadence(mut self, packets: usize) -> Self {
-        self.stats_cadence = packets;
-        self
-    }
-
     /// Caps the *aggregate* stateful-SRAM bits reserved across all
     /// tenants — the fleet-level companion of the per-tenant
     /// `capacity × bits-per-flow` check. An attach (or a swap to a
@@ -337,12 +314,9 @@ impl EngineBuilder {
     /// Validates the configuration, spawns the shard workers, and returns
     /// the running (initially tenant-less) server.
     pub fn build(self) -> Result<EngineServer, PegasusError> {
-        for (field, value) in [
-            ("shards", self.shards),
-            ("batch", self.batch),
-            ("queue_batches", self.queue_batches),
-            ("stats_cadence", self.stats_cadence),
-        ] {
+        for (field, value) in
+            [("shards", self.shards), ("batch", self.batch), ("queue_batches", self.queue_batches)]
+        {
             if value == 0 {
                 return Err(PegasusError::InvalidConfig { field, reason: "must be at least 1" });
             }
@@ -363,16 +337,11 @@ impl EngineBuilder {
             artifact_cache: Mutex::new(Vec::new()),
             fleet_budget_bits: self.fleet_state_budget_bits,
             stopped: AtomicBool::new(false),
-            tenant_failed: AtomicBool::new(false),
         });
-        let cadence = self.stats_cadence as u64;
         let workers = rxs
             .into_iter()
             .enumerate()
-            .map(|(shard, rx)| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shard, rx, &shared, cadence))
-            })
+            .map(|(shard, rx)| std::thread::spawn(move || worker_loop(shard, rx)))
             .collect();
         Ok(EngineServer { shared, workers })
     }
@@ -402,13 +371,6 @@ impl EngineServer {
     /// Worker shards this engine runs.
     pub fn shards(&self) -> usize {
         self.shared.shards
-    }
-
-    /// True once any tenant has hit a fatal per-packet error (the error
-    /// itself surfaces through detach/shutdown). The one-shot wrappers
-    /// poll this to stop feeding a stream whose only tenant is dead.
-    pub(crate) fn tenant_failed(&self) -> bool {
-        self.shared.tenant_failed.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Drains every queue, joins the workers, and returns terminal reports
@@ -539,7 +501,6 @@ mod tests {
             (EngineBuilder::new().shards(0).build(), "shards"),
             (EngineBuilder::new().batch(0).build(), "batch"),
             (EngineBuilder::new().queue_batches(0).build(), "queue_batches"),
-            (EngineBuilder::new().stats_cadence(0).build(), "stats_cadence"),
         ] {
             match build {
                 Err(PegasusError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),

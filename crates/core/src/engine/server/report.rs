@@ -133,9 +133,6 @@ pub(super) fn merge_report(
         latency,
         table,
         swap,
-        // Frames are parsed (and rejected) at the dispatcher, before any
-        // tenant is chosen; the frame wrappers fold those counters in.
-        parse: ParseErrorCounters::default(),
         predictions,
     }
 }

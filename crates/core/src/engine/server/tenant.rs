@@ -149,9 +149,9 @@ pub(super) struct Tenant {
     /// stores the hint with `Release`: a worker whose `Acquire` load sees
     /// the new epoch finds (at least) that publication.
     pub(super) published: Mutex<(u64, Arc<EngineArtifact>)>,
-    /// Worker-published counters, one cell per shard: written every
-    /// `stats_cadence` packets and whenever the shard idles, merged by
-    /// `stats()` without signalling anyone.
+    /// Worker-published counters, one cell per shard: written every 1024
+    /// packets (the worker's `STATS_CADENCE`) and whenever the shard idles,
+    /// merged by `stats()` without signalling anyone.
     pub(super) shards: Vec<Mutex<ShardStats>>,
 }
 

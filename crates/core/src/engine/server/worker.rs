@@ -1,8 +1,8 @@
 //! The shard worker: what travels to it, its per-tenant serving state,
 //! and its loop.
 
+use super::lock;
 use super::tenant::{Tenant, TenantExec};
-use super::{lock, EngineShared};
 use crate::engine::stats::ShardStats;
 use crate::error::PegasusError;
 use pegasus_net::{FiveTuple, FrameBatch};
@@ -12,6 +12,12 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Packets a busy shard serves between publications of its live counters.
+/// Workers also publish whenever their queue runs dry and after every
+/// control message, so `stats()` is at most this many packets stale on a
+/// busy shard and exact on an idle one.
+const STATS_CADENCE: u64 = 1024;
 
 /// The one shape a packet takes between the dispatcher and a shard: a row
 /// of `frames`' columns plus the id of the tenant it was routed to. Both
@@ -163,18 +169,13 @@ fn publish(tenants: &mut HashMap<u32, WorkerTenant>) {
     tenants.values_mut().for_each(WorkerTenant::publish);
 }
 
-pub(super) fn worker_loop(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    shared: &EngineShared,
-    cadence: u64,
-) -> Vec<(u32, TenantShardOut)> {
+pub(super) fn worker_loop(shard: usize, rx: Receiver<ShardMsg>) -> Vec<(u32, TenantShardOut)> {
     let mut tenants: HashMap<u32, WorkerTenant> = HashMap::new();
     let mut verdicts: Vec<Option<usize>> = Vec::new();
     let mut since_publish = 0u64;
     loop {
         // Publish live counters whenever the queue runs dry, so an idle
-        // engine's stats() is exact; under load, every `cadence` packets.
+        // engine's stats() is exact; under load, every `STATS_CADENCE` packets.
         let msg = match rx.try_recv() {
             Ok(m) => m,
             Err(TryRecvError::Empty) => {
@@ -212,10 +213,9 @@ pub(super) fn worker_loop(
                     if let Err(e) = wt.serve_run(&batch.frames, run, &mut verdicts, &mut clock) {
                         wt.err = Some(e);
                         wt.tenant.failed.store(true, Ordering::Relaxed);
-                        shared.tenant_failed.store(true, Ordering::Relaxed);
                     }
                     since_publish += len as u64;
-                    if since_publish >= cadence {
+                    if since_publish >= STATS_CADENCE {
                         publish(&mut tenants);
                         since_publish = 0;
                         // Publishing is not packet processing.

@@ -309,25 +309,15 @@ impl ShardStats {
             swap: SwapCounters::default(),
         }
     }
-
-    /// This shard's busy-time throughput in packets/s (its serving
-    /// capacity, independent of how evenly the dispatcher fed it).
-    pub fn busy_pps(&self) -> f64 {
-        if self.busy_nanos == 0 {
-            0.0
-        } else {
-            self.packets as f64 * 1e9 / self.busy_nanos as f64
-        }
-    }
 }
 
-/// What one streaming run produced: aggregate counters, per-shard stats,
-/// and (when requested) every per-flow classification.
+/// What one tenant served, merged across shards: aggregate counters,
+/// per-shard stats, and (when requested) every per-flow classification.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Packets consumed from the source.
+    /// Packets the tenant's shards served.
     pub packets: u64,
     /// Packets that produced a classification.
     pub classified: u64,
@@ -335,7 +325,8 @@ pub struct StreamReport {
     pub warmup: u64,
     /// Distinct flows across shards.
     pub flows: u64,
-    /// Wall-clock duration of the run in nanoseconds (dispatch + drain).
+    /// Wall-clock nanoseconds since the tenant was attached, as of the
+    /// snapshot, detach or shutdown that produced this report.
     pub elapsed_nanos: u64,
     /// Merged per-packet latency across shards.
     pub latency: LatencyHistogram,
@@ -345,13 +336,12 @@ pub struct StreamReport {
     /// Merged hot-swap apply counters (`applied_epoch` is the
     /// minimum across shards, counts sum, `last_apply_nanos` is the max).
     pub swap: SwapCounters,
-    /// Frames the dispatcher rejected at parse time, for reports produced
-    /// by the frame wrappers (`Deployment::stream_frames*`). Zero
-    /// everywhere else: frames are parsed before a tenant is chosen, so
-    /// engine-wide rejections live in `EngineStats::parse_errors`.
-    pub parse: ParseErrorCounters,
-    /// Per-flow classification sequences, in per-flow packet order
-    /// (`Some` only when `StreamConfig::record_predictions` was set).
+    /// Per-flow classification sequences, in per-flow packet order (`Some`
+    /// only in terminal reports of a tenant attached with
+    /// [`TenantConfig::record_predictions`](crate::engine::TenantConfig::record_predictions)).
+    /// Frames rejected at parse time never reach a tenant, so they are not
+    /// here: they are the engine's
+    /// [`EngineReport::parse_errors`](crate::engine::EngineReport::parse_errors).
     pub predictions: Option<HashMap<FiveTuple, Vec<usize>>>,
 }
 
@@ -442,7 +432,6 @@ serde::impl_serde_struct!(StreamReport {
     latency,
     table,
     swap,
-    parse,
     predictions,
 });
 
@@ -536,7 +525,6 @@ mod tests {
             latency: LatencyHistogram::default(),
             table: FlowTableCounters::default(),
             swap: SwapCounters::default(),
-            parse: ParseErrorCounters::default(),
             predictions: Some(preds),
         };
         assert_eq!(report.flow_verdicts().unwrap()[&flow], 1);

@@ -676,11 +676,6 @@ impl FlowClassifier {
         self.program.registers().iter().map(|a| a.total_bits()).sum()
     }
 
-    /// Clears all per-flow state (fresh trace).
-    pub fn reset(&mut self) {
-        self.regs.clear();
-    }
-
     /// A fresh-state replica of this classifier: the *same* program (an
     /// `Arc` clone — no table is copied) over a zeroed register file of
     /// its own.
@@ -1105,18 +1100,6 @@ mod tests {
                 .fork();
         assert!(!other.state_compatible(&old));
         assert!(!other.adopt_state(&old));
-    }
-
-    #[test]
-    fn reset_clears_windows() {
-        let p = build_flow_pipeline(&spec()).expect("builds");
-        let mut c = FlowClassifier::deploy(p, &SwitchConfig::tofino2()).unwrap();
-        for i in 0..5 {
-            c.on_packet_mut(3, i * 1000, 100, &[]).expect("packet");
-        }
-        c.reset();
-        let v = c.on_packet_mut(3, 99_000, 100, &[]).expect("packet");
-        assert!(!v.window_full, "reset must clear the warm-up counter");
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use engine::server::{
 };
 pub use engine::{
     ArtifactCounters, FlattenSkip, FlowTableCounters, ParseErrorCounters, RoutingCounters,
-    StreamConfig, StreamReport, SwapCounters, HOST_WINDOW_STATE_BITS,
+    StreamReport, SwapCounters, HOST_WINDOW_STATE_BITS,
 };
 pub use error::PegasusError;
 pub use models::{DataplaneNet, Lowered, ModelData, StreamFeatures, TrainSettings};

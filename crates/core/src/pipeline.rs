@@ -16,17 +16,20 @@
 //! [`lower`](DataplaneNet::lower)s to — a primitive program, a bespoke
 //! table pipeline, or a per-flow windowed pipeline — compiles and deploys
 //! through the same two calls.
+//!
+//! A [`Deployment`] classifies one sample at a time. Packets are served by
+//! the long-lived [`EngineServer`](crate::engine::EngineServer): hand
+//! [`Deployment::engine_artifact`] to its
+//! [`attach`](crate::engine::ControlHandle::attach), push, then shut down.
 
 use crate::compile::{
     compile_with_trees, CompileOptions, CompileReport, CompileTarget, CompiledPipeline,
 };
-use crate::engine::server::{EngineArtifact, EngineBuilder, IngressHandle, TenantConfig};
-use crate::engine::{StreamConfig, StreamReport};
+use crate::engine::server::EngineArtifact;
 use crate::error::PegasusError;
 use crate::flowpipe::{FlowClassifier, FlowPipeline};
 use crate::models::{DataplaneNet, Lowered, ModelData, TrainSettings};
 use crate::runtime::DataplaneModel;
-use pegasus_net::{FrameSource, PacketSource};
 use pegasus_nn::metrics::PrRcF1;
 use pegasus_nn::Dataset;
 use pegasus_switch::{ResourceReport, SwitchConfig};
@@ -359,6 +362,25 @@ impl<M: DataplaneNet> Deployment<M> {
     /// remains usable for [`classify`](Deployment::classify) /
     /// [`evaluate`](Deployment::evaluate) side-by-side.
     ///
+    /// ```no_run
+    /// use pegasus_core::{EngineBuilder, TenantConfig};
+    ///
+    /// # fn run(
+    /// #     deployment: pegasus_core::Deployment<pegasus_core::models::mlp_b::MlpB>,
+    /// #     trace: pegasus_net::Trace,
+    /// # ) -> Result<(), pegasus_core::PegasusError> {
+    /// let server = EngineBuilder::new().shards(4).build()?;
+    /// let tenant = server.control().attach(deployment.engine_artifact()?, TenantConfig::new())?;
+    /// let ingress = server.ingress();
+    /// for pkt in trace.packets {
+    ///     ingress.push(pkt)?;
+    /// }
+    /// let report = server.shutdown()?.take_tenant(tenant).expect("attached").result?;
+    /// println!("{:.0} pps, p99 {} ns", report.pps(), report.latency.quantile_nanos(0.99));
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
     /// Fails with [`PegasusError::NotAClassifier`] for score-only
     /// pipelines — the packet engine serves class verdicts.
     pub fn engine_artifact(&self) -> Result<EngineArtifact, PegasusError> {
@@ -376,169 +398,6 @@ impl<M: DataplaneNet> Deployment<M> {
                 &program.name,
             ),
             Plane::Flow(fc) => EngineArtifact::flow(Arc::clone(&fc.program), &program.name),
-        })
-    }
-
-    /// Streams a packet source through the sharded packet engine.
-    ///
-    /// Flows are hashed to `shards` worker threads RSS-style (by
-    /// bidirectional five-tuple), each shard owning its flow state — host
-    /// windows for stateless pipelines, a forked register file for
-    /// per-flow pipelines — so the hot loop takes no locks. Stateless
-    /// pipelines execute through the flattened-LUT representation baked at
-    /// deploy time (see [`crate::engine`]); their per-flow results are
-    /// bit-identical at any shard count, because host flow state is keyed
-    /// exactly by five-tuple. Per-flow *register* pipelines index their
-    /// on-switch state by a truncated flow hash, so unrelated flows can
-    /// collide in a register slot — exactly as on the hardware — and the
-    /// collision set depends on which flows share a register file:
-    /// verdicts for hash-colliding flows may therefore differ across
-    /// shard counts (forking shrinks each file's population, so more
-    /// shards means *fewer* collisions than one shared file).
-    ///
-    /// Returns per-shard and aggregate packets/s and latency statistics.
-    /// Fails with [`PegasusError::NotAClassifier`] for score-only
-    /// pipelines (stream their scores via [`classify`](Self::classify)
-    /// alternatives instead).
-    ///
-    /// ```no_run
-    /// use pegasus_core::models::mlp_b::MlpB;
-    /// use pegasus_core::models::{ModelData, TrainSettings};
-    /// use pegasus_core::pipeline::Pegasus;
-    /// use pegasus_switch::SwitchConfig;
-    ///
-    /// # fn run(
-    /// #     train: pegasus_nn::Dataset,
-    /// #     trace: pegasus_net::Trace,
-    /// # ) -> Result<(), pegasus_core::error::PegasusError> {
-    /// let data = ModelData::new().with_stat(&train);
-    /// let deployment = Pegasus::<MlpB>::train(&data, &TrainSettings::default())?
-    ///     .compile(&data)?
-    ///     .deploy(&SwitchConfig::tofino2())?;
-    /// let report = deployment.stream(&mut trace.source(), 4)?;
-    /// println!(
-    ///     "{:.0} pps over {} flows, p99 {} ns",
-    ///     report.pps(),
-    ///     report.flows,
-    ///     report.latency.quantile_nanos(0.99),
-    /// );
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn stream(
-        &self,
-        source: &mut dyn PacketSource,
-        shards: usize,
-    ) -> Result<StreamReport, PegasusError> {
-        self.stream_with(source, &StreamConfig { shards, ..StreamConfig::default() })
-    }
-
-    /// [`stream`](Self::stream) with full engine configuration (prediction
-    /// recording, batch and queue sizing).
-    ///
-    /// This is the legacy one-shot entry point, kept as a thin
-    /// compatibility wrapper over the long-lived
-    /// [`EngineServer`](crate::engine::server::EngineServer): it builds a
-    /// server, attaches this deployment as a single catch-all tenant,
-    /// feeds the source to exhaustion, shuts the server down, and returns
-    /// that tenant's report. Out-of-domain `cfg` values (zero
-    /// `shards`/`batch`/`queue_batches`) are rejected with
-    /// [`PegasusError::InvalidConfig`], as [`EngineBuilder`] rejects them
-    /// for every caller.
-    pub fn stream_with(
-        &self,
-        source: &mut dyn PacketSource,
-        cfg: &StreamConfig,
-    ) -> Result<StreamReport, PegasusError> {
-        self.stream_one_tenant(cfg, |ingress| match source.next_packet() {
-            Some(pkt) => ingress.push(pkt).map(|_| true),
-            None => Ok(false),
-        })
-    }
-
-    /// The one body behind every `stream*` wrapper: build a server from
-    /// `cfg`, attach this deployment as the single
-    /// catch-all tenant, call `feed_one` until it reports the source dry
-    /// (`Ok(false)`), shut down, and return the tenant's report with the
-    /// dispatcher's parse rejections folded in (frames are parsed before a
-    /// tenant is chosen, so the engine counts them, not the tenant).
-    fn stream_one_tenant(
-        &self,
-        cfg: &StreamConfig,
-        mut feed_one: impl FnMut(&IngressHandle) -> Result<bool, PegasusError>,
-    ) -> Result<StreamReport, PegasusError> {
-        let artifact = self.engine_artifact()?;
-        let server = EngineBuilder::new()
-            .shards(cfg.shards)
-            .batch(cfg.batch)
-            .queue_batches(cfg.queue_batches)
-            .build()?;
-        let tenant = server.control().attach(
-            artifact,
-            TenantConfig::new()
-                .record_predictions(cfg.record_predictions)
-                .flow_table(cfg.flow_table),
-        )?;
-        let ingress = server.ingress();
-        // The run is doomed once its only tenant errored; stop feeding
-        // instead of pushing the rest of the source into a dead shard.
-        while !server.tenant_failed() && feed_one(&ingress)? {}
-        let mut report = server.shutdown()?;
-        let mut stream = report
-            .take_tenant(tenant)
-            .ok_or(PegasusError::UnknownTenant { tenant: tenant.id() })?
-            .result?;
-        stream.parse = report.parse_errors;
-        Ok(stream)
-    }
-
-    /// Streams raw wire frames through the sharded packet engine — the
-    /// bytes-to-verdict dual of [`stream`](Self::stream).
-    ///
-    /// Every frame is parsed in-line by the zero-copy wire frontend
-    /// (`pegasus_net::wire::parse_frame`); parse rejections are counted in
-    /// the returned report's [`parse`](crate::engine::StreamReport::parse)
-    /// buckets and dropped, and everything that parses is served exactly
-    /// like a structured packet (bit-identical verdicts — see
-    /// `tests/raw_path.rs`). Point it at a
-    /// [`PcapSource`](pegasus_net::PcapSource) to classify a capture file:
-    ///
-    /// ```no_run
-    /// use pegasus_core::models::mlp_b::MlpB;
-    /// use pegasus_core::models::{ModelData, TrainSettings};
-    /// use pegasus_core::pipeline::Pegasus;
-    /// use pegasus_net::PcapSource;
-    /// use pegasus_switch::SwitchConfig;
-    ///
-    /// # fn run(train: pegasus_nn::Dataset) -> Result<(), pegasus_core::error::PegasusError> {
-    /// let data = ModelData::new().with_stat(&train);
-    /// let deployment = Pegasus::<MlpB>::train(&data, &TrainSettings::default())?
-    ///     .compile(&data)?
-    ///     .deploy(&SwitchConfig::tofino2())?;
-    /// let mut capture = PcapSource::open("trace.pcap").expect("readable capture");
-    /// let report = deployment.stream_frames(&mut capture, 1)?;
-    /// println!("{:.0} pps, {} frames rejected", report.pps(), report.parse.total());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn stream_frames(
-        &self,
-        source: &mut dyn FrameSource,
-        shards: usize,
-    ) -> Result<StreamReport, PegasusError> {
-        self.stream_frames_with(source, &StreamConfig { shards, ..StreamConfig::default() })
-    }
-
-    /// [`stream_frames`](Self::stream_frames) with full engine
-    /// configuration, validated like [`stream_with`](Self::stream_with)'s.
-    pub fn stream_frames_with(
-        &self,
-        source: &mut dyn FrameSource,
-        cfg: &StreamConfig,
-    ) -> Result<StreamReport, PegasusError> {
-        self.stream_one_tenant(cfg, |ingress| match source.next_frame() {
-            Some(frame) => ingress.push_frame(frame).map(|_| true),
-            None => Ok(false),
         })
     }
 

@@ -6,7 +6,8 @@
 //! non-event for a live daemon (it answers the next well-formed request;
 //! it never panics).
 
-use pegasus_core::{EngineStats, TenantToken};
+use pegasus_core::engine::{LatencyHistogram, ShardStats};
+use pegasus_core::{EngineStats, FlowTableCounters, StreamReport, SwapCounters, TenantToken};
 use pegasus_ctl::artifact::{ArtifactError, ArtifactFile, ARTIFACT_FORMAT_VERSION, ARTIFACT_MAGIC};
 use pegasus_ctl::daemon::{Daemon, DaemonConfig};
 use pegasus_ctl::protocol::{
@@ -252,6 +253,86 @@ fn responses_round_trip() {
         Response::Detached(r) => {
             assert_eq!((r.token, r.epoch, r.routed_packets), (4, 2, 338));
             assert_eq!(r.error.as_deref(), Some("flow state overflow"));
+        }
+        other => panic!("expected Detached, got {other:?}"),
+    }
+
+    // A served tenant's report: one shard whose counters are the merged
+    // ones, a two-sample latency histogram (700 ns in bucket 9, 1 500 ns in
+    // bucket 10), no recorded predictions.
+    let mut latency = LatencyHistogram::default();
+    latency.record(700);
+    latency.record(1500);
+    let table = FlowTableCounters {
+        occupancy: 1,
+        capacity: 4096,
+        evictions_idle: 0,
+        evictions_capacity: 0,
+        alias_collisions: 0,
+        state_bytes: 884_736,
+    };
+    let swap = SwapCounters { applied_epoch: 2, swaps_applied: 2, last_apply_nanos: 900 };
+    let shard = ShardStats {
+        shard: 0,
+        packets: 3,
+        classified: 2,
+        warmup: 1,
+        flows: 1,
+        busy_nanos: 2200,
+        latency: latency.clone(),
+        table,
+        swap: swap.clone(),
+    };
+    let served = Response::Detached(Box::new(WireTenantReport {
+        token: 4,
+        name: "t0".into(),
+        epoch: 2,
+        routed_packets: 3,
+        report: Some(StreamReport {
+            shards: vec![shard],
+            packets: 3,
+            classified: 2,
+            warmup: 1,
+            flows: 1,
+            elapsed_nanos: 5000,
+            latency,
+            table,
+            swap,
+            predictions: None,
+        }),
+        error: None,
+    }));
+    let hist = format!(
+        "{} 0100000000000000 0100000000000000 {} \
+         0200000000000000 9808000000000000 dc05000000000000",
+        "00".repeat(9 * 8),
+        "00".repeat(53 * 8),
+    );
+    let table = "0100000000000000 0010000000000000 0000000000000000 0000000000000000 \
+                 0000000000000000 00800d0000000000";
+    let swap = "0200000000000000 0200000000000000 8403000000000000";
+    let counters = "0300000000000000 0200000000000000 0100000000000000 0100000000000000";
+    let bytes = serde::to_bytes(&served);
+    assert_wire(
+        &bytes,
+        &format!(
+            "05 04000000 02000000 7430 0200000000000000 0300000000000000 01 \
+             01000000 0000000000000000 {counters} 9808000000000000 {hist} {table} {swap} \
+             {counters} 8813000000000000 {hist} {table} {swap} 00 \
+             00"
+        ),
+    );
+    let back: Response = serde::from_bytes(&bytes).expect("decodes");
+    assert_eq!(serde::to_bytes(&back), bytes);
+    match back {
+        Response::Detached(r) => {
+            let report = r.report.expect("served tenant carries its report");
+            assert_eq!((report.packets, report.classified, report.elapsed_nanos), (3, 2, 5000));
+            assert_eq!(report.shards[0].busy_nanos, 2200);
+            assert_eq!((report.latency.count(), report.latency.max_nanos()), (2, 1500));
+            assert_eq!(report.table, report.shards[0].table);
+            assert_eq!(report.swap.last_apply_nanos, 900);
+            assert!(report.predictions.is_none() && r.error.is_none());
         }
         other => panic!("expected Detached, got {other:?}"),
     }

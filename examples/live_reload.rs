@@ -113,7 +113,7 @@ fn main() -> Result<(), PegasusError> {
     .deploy(&SwitchConfig::tofino2())?;
 
     // --- Build the long-lived engine and attach both tenants. ---------
-    let server = EngineBuilder::new().shards(2).batch(128).stats_cadence(256).build()?;
+    let server = EngineBuilder::new().shards(2).batch(128).build()?;
     let control = server.control();
     let ingress = server.ingress();
     let vpn_tenant = control.attach(
@@ -145,9 +145,9 @@ fn main() -> Result<(), PegasusError> {
         ingress.push(pkt.clone())?;
     }
     ingress.flush()?;
-    // Stats are worker-published (every `stats_cadence` packets and on
-    // idle), not polled from the workers — give the shards a beat to
-    // drain the queue so the snapshot reflects the first half.
+    // Stats are worker-published (every 1024 packets and on idle), not
+    // polled from the workers — give the shards a beat to drain the queue
+    // so the snapshot reflects the first half.
     let mut stats = control.stats()?;
     for _ in 0..100 {
         if stats.tenants.iter().all(|t| t.report.packets > 0) {

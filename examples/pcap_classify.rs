@@ -5,20 +5,21 @@
 //! Reads the checked-in golden trace (`tests/fixtures/golden.pcap`, a
 //! snaplen-96 capture of the PeerRush-like workload), trains MLP-B on an
 //! independently generated trace of the same profiles, and streams the
-//! capture's raw frames through the engine's zero-copy wire frontend:
-//! every frame is parsed in-line (Ethernet/IPv4/TCP/UDP, checksums
-//! verified), unparseable frames land in typed parse-error counters, and
-//! every parsed packet flows through per-flow state into a verdict.
+//! capture's raw frames through an `EngineServer`'s zero-copy wire
+//! frontend: every frame is parsed in-line (Ethernet/IPv4/TCP/UDP,
+//! checksums verified), unparseable frames land in the engine's typed
+//! parse-error counters, and every parsed packet flows through per-flow
+//! state into a verdict.
 //!
 //! Run: `cargo run --example pcap_classify --release`
 
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
-use pegasus::core::{Pegasus, PegasusError, StreamConfig};
+use pegasus::core::{EngineBuilder, Pegasus, PegasusError, TenantConfig};
 use pegasus::datasets::SyntheticSource;
 use pegasus::datasets::{extract_views, generate_trace, peerrush, GenConfig, SyntheticConfig};
-use pegasus::net::{FrameSource, PcapSource};
+use pegasus::net::PcapSource;
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
 
@@ -43,8 +44,15 @@ fn main() -> Result<(), PegasusError> {
         .deploy(&SwitchConfig::tofino2())?;
 
     // Bytes to verdicts: raw frames in, per-flow classifications out.
-    let cfg = StreamConfig { shards: 1, record_predictions: true, ..Default::default() };
-    let report = deployment.stream_frames_with(&mut capture as &mut dyn FrameSource, &cfg)?;
+    let server = EngineBuilder::new().build()?;
+    let tenant = server
+        .control()
+        .attach(deployment.engine_artifact()?, TenantConfig::new().record_predictions(true))?;
+    server.ingress().push_frame_source(&mut capture)?;
+    let mut engine = server.shutdown()?;
+    // A rejected frame names no flow, so the engine counts it, not a tenant.
+    let rejected = engine.parse_errors.total();
+    let report = engine.take_tenant(tenant).expect("attached until shutdown").result?;
     println!(
         "streamed {} frames at {:.0} pps: {} classified, {} warm-up, {} flows, \
          {} parse rejections",
@@ -53,9 +61,9 @@ fn main() -> Result<(), PegasusError> {
         report.classified,
         report.warmup,
         report.flows,
-        report.parse.total(),
+        rejected,
     );
-    assert_eq!(report.parse.total(), 0, "the golden capture contains only parseable frames");
+    assert_eq!(rejected, 0, "the golden capture contains only parseable frames");
 
     // Score the per-flow majority verdicts against the generator's
     // ground-truth labels (reconstructable from the fixture config).

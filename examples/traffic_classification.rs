@@ -2,7 +2,7 @@
 //! the paper's headline experiment: 3840-bit raw-byte inputs classified
 //! per packet with 44 stateful bits per flow.
 //!
-//! Packets stream through the sharded packet engine exactly as a testbed
+//! Packets stream through the sharded `EngineServer` exactly as a testbed
 //! server would feed a switch: flows are hashed RSS-style across worker
 //! shards, each shard owns its own register file under the one shared
 //! per-flow program, and every full window yields a classification.
@@ -12,7 +12,7 @@
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::{ModelData, TrainSettings};
-use pegasus::core::{Pegasus, PegasusError, StreamConfig};
+use pegasus::core::{EngineBuilder, Pegasus, PegasusError, TenantConfig};
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, split_by_flow, GenConfig};
 use pegasus::switch::SwitchConfig;
 
@@ -51,8 +51,15 @@ fn main() -> Result<(), PegasusError> {
 
     // Stream the test trace through the sharded engine: four workers, each
     // owning a fresh fork of the register pipeline for its share of flows.
-    let cfg = StreamConfig { shards: 4, record_predictions: true, ..Default::default() };
-    let stream = deployment.stream_with(&mut test.source(), &cfg)?;
+    let server = EngineBuilder::new().shards(4).build()?;
+    let tenant = server
+        .control()
+        .attach(deployment.engine_artifact()?, TenantConfig::new().record_predictions(true))?;
+    let ingress = server.ingress();
+    for pkt in &test.packets {
+        ingress.push(pkt.clone())?;
+    }
+    let stream = server.shutdown()?.take_tenant(tenant).expect("attached until shutdown").result?;
     let mut correct = 0u64;
     let mut scored = 0u64;
     for (flow, preds) in stream.predictions.as_ref().expect("recording enabled") {

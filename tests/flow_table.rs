@@ -19,12 +19,14 @@
 //! against the switch model's stateful SRAM and over-budget attaches are
 //! rejected.
 
+mod common;
+
+use common::{serve_one, Feed};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, EngineBuilder, Pegasus, PegasusError, StreamConfig, TenantConfig,
-    HOST_WINDOW_STATE_BITS,
+    Deployment, EngineBuilder, Pegasus, PegasusError, TenantConfig, HOST_WINDOW_STATE_BITS,
 };
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::{
@@ -90,13 +92,12 @@ fn bounded_streaming_matches_unbounded_when_capacity_suffices() {
     // (each shard owns a full table and holds at most that many flows).
     let tight = FlowTableConfig::with_capacity(trace.flow_count());
     for shards in [1usize, 2, 4] {
-        let cfg = StreamConfig {
-            shards,
-            record_predictions: true,
-            flow_table: tight,
-            ..StreamConfig::default()
-        };
-        let report = deployment.stream_with(&mut trace.source(), &cfg).expect("streams");
+        let (report, _) = serve_one(
+            &deployment,
+            EngineBuilder::new().shards(shards),
+            TenantConfig::new().record_predictions(true).flow_table(tight),
+            Feed::Packets(&mut trace.source()),
+        );
         assert_eq!(report.table.evictions(), 0, "{shards} shards: nothing may be evicted");
         assert_eq!(report.table.occupancy, report.flows, "{shards} shards");
         assert_eq!(report.table.capacity, (trace.flow_count() * shards) as u64);
@@ -200,8 +201,12 @@ fn flow_pipeline_occupancy_matches_register_file_aliasing() {
         let expect_occupancy: u64 = tables.iter().map(|t| t.len() as u64).sum();
         let expect_collisions: u64 = tables.iter().map(|t| t.stats().alias_collisions).sum();
 
-        let cfg = StreamConfig { shards, ..StreamConfig::default() };
-        let report = deployment.stream_with(&mut trace.source(), &cfg).expect("streams");
+        let (report, _) = serve_one(
+            &deployment,
+            EngineBuilder::new().shards(shards),
+            TenantConfig::new(),
+            Feed::Packets(&mut trace.source()),
+        );
         assert_eq!(report.flows, expect_occupancy, "{shards} shards: occupied register slots");
         assert_eq!(report.table.occupancy, expect_occupancy, "{shards} shards");
         assert_eq!(
@@ -265,12 +270,12 @@ fn churn_keeps_state_flat_while_evicting() {
     let capacity = 8usize;
     assert!(trace.flow_count() > 4 * capacity, "trace must overwhelm the table");
 
-    let cfg = StreamConfig {
-        shards: 1,
-        flow_table: FlowTableConfig::with_capacity(capacity),
-        ..StreamConfig::default()
-    };
-    let report = deployment.stream_with(&mut trace.source(), &cfg).expect("streams");
+    let (report, _) = serve_one(
+        &deployment,
+        EngineBuilder::new(),
+        TenantConfig::new().flow_table(FlowTableConfig::with_capacity(capacity)),
+        Feed::Packets(&mut trace.source()),
+    );
     assert_eq!(report.table.capacity, capacity as u64);
     assert!(report.table.occupancy <= capacity as u64);
     assert!(

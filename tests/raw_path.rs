@@ -12,20 +12,22 @@
 
 mod common;
 
+use common::{serve_one, Feed};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{DataplaneNet, ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, EngineArtifact, EngineBuilder, Pegasus, StreamConfig, StreamReport, TenantConfig,
+    Deployment, EngineArtifact, EngineBuilder, ParseErrorCounters, Pegasus, StreamReport,
+    TenantConfig,
 };
 use pegasus::datasets::{
     extract_views, generate_trace, iscxvpn, peerrush, synthesize_pcap, GenConfig, SyntheticConfig,
 };
 use pegasus::net::wire::{build_frame, encode_trace_packet, parse_frame};
 use pegasus::net::{
-    FiveTuple, FlowTableConfig, FrameSource, FrameSpec, PacketSource, PcapReader, PcapSource,
-    PcapWriter, RoutePredicate, Trace, TracePacket, DEFAULT_SNAPLEN,
+    FiveTuple, FlowTableConfig, FrameSpec, PacketSource, PcapReader, PcapSource, PcapWriter,
+    RoutePredicate, Trace, TracePacket, DEFAULT_SNAPLEN,
 };
 use pegasus::switch::SwitchConfig;
 
@@ -61,7 +63,7 @@ fn train_cnn(trace: &pegasus::net::Trace) -> Deployment<CnnL> {
 /// Streams the capture through a `shards`-shard [`EngineServer`] handing
 /// `batch_frames` frames to a shard at a time, with `tenants` attached in
 /// order, and returns each tenant's terminal report — per-flow verdict
-/// sequences recorded, the engine's parse rejections folded into `parse`.
+/// sequences recorded — and the engine's parse rejections.
 ///
 /// [`EngineServer`]: pegasus::core::EngineServer
 fn run_batched(
@@ -69,7 +71,7 @@ fn run_batched(
     pcap: &[u8],
     shards: usize,
     batch_frames: usize,
-) -> Vec<StreamReport> {
+) -> (Vec<StreamReport>, ParseErrorCounters) {
     let server = EngineBuilder::new().shards(shards).batch(batch_frames).build().expect("builds");
     let control = server.control();
     let tokens: Vec<_> = tenants
@@ -81,52 +83,55 @@ fn run_batched(
     let mut src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
     server.ingress().push_frame_source(&mut src).expect("pushes");
     let mut report = server.shutdown().expect("shuts down");
-    tokens
+    let runs = tokens
         .into_iter()
-        .map(|token| {
-            let tenant = report.take_tenant(token).expect("tenant report");
-            let mut run = tenant.result.expect("tenant served cleanly");
-            run.parse = report.parse_errors;
-            run
-        })
-        .collect()
+        .map(|token| report.take_tenant(token).expect("tenant report"))
+        .map(|tenant| tenant.result.expect("tenant served cleanly"))
+        .collect();
+    (runs, report.parse_errors)
 }
 
-/// [`run_batched`] with `deployment` as the one catch-all tenant.
+/// The capture's frames through a `shards`-shard engine in `batch_frames`
+/// batches, `deployment` its one tenant under `tenant` (predictions
+/// recorded).
 fn run_one<M: DataplaneNet>(
     deployment: &Deployment<M>,
+    tenant: TenantConfig,
     pcap: &[u8],
     shards: usize,
     batch_frames: usize,
-) -> StreamReport {
-    let tenant = (deployment.engine_artifact().expect("artifact"), TenantConfig::new());
-    run_batched(vec![tenant], pcap, shards, batch_frames).remove(0)
+) -> (StreamReport, ParseErrorCounters) {
+    let mut src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
+    serve_one(
+        deployment,
+        EngineBuilder::new().shards(shards).batch(batch_frames),
+        tenant.record_predictions(true),
+        Feed::Frames(&mut src),
+    )
 }
 
 /// Streams the same capture through both front doors at every shard count
 /// and asserts the reports are indistinguishable.
 fn assert_raw_matches_structured<M: DataplaneNet>(deployment: &Deployment<M>, pcap: &[u8]) {
     for shards in [1usize, 2, 4] {
-        let cfg = StreamConfig { shards, record_predictions: true, ..StreamConfig::default() };
-
         let mut structured_src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
-        let structured = deployment
-            .stream_with(&mut structured_src as &mut dyn PacketSource, &cfg)
-            .expect("structured path streams");
+        let (structured, structured_rejected) = serve_one(
+            deployment,
+            EngineBuilder::new().shards(shards),
+            TenantConfig::new().record_predictions(true),
+            Feed::Packets(&mut structured_src),
+        );
         assert_eq!(structured_src.parse_errors(), 0, "fixture frames all parse");
 
-        let mut raw_src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
-        let raw = deployment
-            .stream_frames_with(&mut raw_src as &mut dyn FrameSource, &cfg)
-            .expect("raw path streams");
+        let (raw, raw_rejected) = run_one(deployment, TenantConfig::new(), pcap, shards, 256);
 
         assert_eq!(raw.packets, structured.packets, "{shards} shards: packet counts");
         assert_eq!(raw.classified, structured.classified, "{shards} shards: classified");
         assert_eq!(raw.warmup, structured.warmup, "{shards} shards: warmup");
         assert_eq!(raw.flows, structured.flows, "{shards} shards: flows");
         assert_eq!(raw.table, structured.table, "{shards} shards: flow-table counters");
-        assert_eq!(raw.parse.total(), 0, "{shards} shards: nothing rejected");
-        assert_eq!(structured.parse.total(), 0);
+        assert_eq!(raw_rejected.total(), 0, "{shards} shards: nothing rejected");
+        assert_eq!(structured_rejected.total(), 0);
 
         let raw_preds = raw.predictions.expect("recording requested");
         let structured_preds = structured.predictions.expect("recording requested");
@@ -153,14 +158,15 @@ fn assert_raw_matches_structured<M: DataplaneNet>(deployment: &Deployment<M>, pc
         let n = structured.packets as usize;
         let exact = (2..=n.min(96)).rev().find(|d| n.is_multiple_of(*d)).unwrap_or(1);
         for batch_frames in [1usize, 7, exact, 64] {
-            let b = run_one(deployment, pcap, shards, batch_frames);
+            let (b, rejected) =
+                run_one(deployment, TenantConfig::new(), pcap, shards, batch_frames);
             let tag = format!("{shards} shards, batch {batch_frames}");
             assert_eq!(b.packets, structured.packets, "{tag}: packets");
             assert_eq!(b.classified, structured.classified, "{tag}: classified");
             assert_eq!(b.warmup, structured.warmup, "{tag}: warmup");
             assert_eq!(b.flows, structured.flows, "{tag}: flows");
             assert_eq!(b.table, structured.table, "{tag}: flow-table counters");
-            assert_eq!(b.parse.total(), 0, "{tag}: nothing rejected");
+            assert_eq!(rejected.total(), 0, "{tag}: nothing rejected");
             let preds = b.predictions.expect("recording requested");
             assert_eq!(preds.len(), structured_preds.len(), "{tag}: flow sets differ");
             for (flow, seq) in &structured_preds {
@@ -270,7 +276,7 @@ fn interleaved_tenants_split_into_runs_without_moving_a_verdict() {
                     TenantConfig::new().route(RoutePredicate::DstPort(8443)),
                 ),
             ];
-            let runs = run_batched(tenants, &pcap, shards, batch_frames);
+            let (runs, rejected) = run_batched(tenants, &pcap, shards, batch_frames);
             assert_eq!(runs[0].packets, golden.len() as u64, "{tag}: MLP-B packets");
             assert_eq!(runs[1].packets, vpn.len() as u64, "{tag}: CNN-L packets");
             assert_eq!(runs[0].predictions.as_ref(), Some(&reference), "{tag}: MLP-B vs replay");
@@ -285,7 +291,7 @@ fn interleaved_tenants_split_into_runs_without_moving_a_verdict() {
                     "{tag}: {name} counters moved with the batch size"
                 );
                 assert_eq!(run.table, one.table, "{tag}: {name} flow-table counters");
-                assert_eq!(run.parse.total(), 0, "{tag}: nothing rejected");
+                assert_eq!(rejected.total(), 0, "{tag}: nothing rejected");
                 assert_eq!(run.predictions, one.predictions, "{tag}: {name} verdict sequences");
             }
         }
@@ -368,15 +374,9 @@ fn golden_fixture_round_trips_and_pins_verdicts() {
     // Verdict census under the deterministic quick-trained model.
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 12, seed: 21 });
     let deployment = train_mlp(&trace);
-    let mut src = PcapSource::from_bytes(bytes).expect("capture");
-    let report: StreamReport = deployment
-        .stream_frames_with(
-            &mut src as &mut dyn FrameSource,
-            &StreamConfig { shards: 1, record_predictions: true, ..StreamConfig::default() },
-        )
-        .expect("classifies the fixture");
+    let (report, rejected) = run_one(&deployment, TenantConfig::new(), &bytes, 1, 256);
     assert_eq!(report.packets, PINNED_PACKETS);
-    assert_eq!(report.parse.total(), 0);
+    assert_eq!(rejected.total(), 0);
     let verdicts = report.flow_verdicts().expect("recording requested");
     let mut census = [0u64; 3];
     for class in verdicts.values() {
@@ -396,9 +396,9 @@ fn golden_fixture_census_survives_the_fused_batched_path() {
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 12, seed: 21 });
     let deployment = train_mlp(&trace);
 
-    let run = run_one(&deployment, &bytes, 1, 32);
+    let (run, rejected) = run_one(&deployment, TenantConfig::new(), &bytes, 1, 32);
     assert_eq!(run.packets, PINNED_PACKETS, "fixture packet count through batches");
-    assert_eq!(run.parse.total(), 0, "every fixture frame parses");
+    assert_eq!(rejected.total(), 0, "every fixture frame parses");
     assert_eq!(run.flows, PINNED_FLOWS, "fixture flow count through batches");
 
     let mut census = [0u64; 3];
@@ -436,11 +436,7 @@ fn repeated_new_flow_in_one_batch_admits_a_slot_once() {
     }
     let pcap = writer.into_bytes();
     let serve = |batch_frames| {
-        let tenant = (
-            deployment.engine_artifact().expect("artifact"),
-            TenantConfig::new().flow_table(table),
-        );
-        run_batched(vec![tenant], &pcap, 1, batch_frames).remove(0)
+        run_one(&deployment, TenantConfig::new().flow_table(table), &pcap, 1, batch_frames).0
     };
 
     let b = serve(64);

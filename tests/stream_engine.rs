@@ -13,14 +13,12 @@
 
 mod common;
 
-use common::sequential_reference;
+use common::{sequential_reference, serve_one, Feed};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::rnn_b::RnnB;
 use pegasus::core::models::{DataplaneNet, ModelData, StreamFeatures, TrainSettings};
-use pegasus::core::{
-    Deployment, EngineBuilder, Pegasus, StreamConfig, StreamReport, SwapReport, TenantConfig,
-};
+use pegasus::core::{Deployment, EngineBuilder, Pegasus, StreamReport, SwapReport, TenantConfig};
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::{
     FiveTuple, FlowTracker, RoutePredicate, SeqFeatures, StatFeatures, Trace, WINDOW,
@@ -34,8 +32,12 @@ fn assert_stream_matches_sequential<M: DataplaneNet>(deployment: &Deployment<M>,
     assert!(total_classified > 0, "test trace too small to classify anything");
 
     for shards in [1usize, 2, 4] {
-        let cfg = StreamConfig { shards, record_predictions: true, ..StreamConfig::default() };
-        let report = deployment.stream_with(&mut trace.source(), &cfg).expect("stream runs");
+        let (report, _) = serve_one(
+            deployment,
+            EngineBuilder::new().shards(shards),
+            TenantConfig::new().record_predictions(true),
+            Feed::Packets(&mut trace.source()),
+        );
         assert_eq!(report.shards.len(), shards);
         assert_eq!(report.packets, trace.packets.len() as u64, "{shards} shards");
         assert_eq!(report.classified, total_classified, "{shards} shards");
@@ -455,7 +457,12 @@ fn stream_reports_shard_partition_consistency() {
         .expect("compiles")
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys");
-    let report = deployment.stream(&mut trace.source(), 4).expect("streams");
+    let (report, _) = serve_one(
+        &deployment,
+        EngineBuilder::new().shards(4),
+        TenantConfig::new(),
+        Feed::Packets(&mut trace.source()),
+    );
     assert_eq!(report.packets, report.shards.iter().map(|s| s.packets).sum::<u64>());
     assert_eq!(report.flows, report.shards.iter().map(|s| s.flows).sum::<u64>());
     let mut expected = [0u64; 4];
@@ -467,32 +474,6 @@ fn stream_reports_shard_partition_consistency() {
     }
     assert!(report.latency.count() == report.packets);
     assert!(report.pps() > 0.0);
-}
-
-#[test]
-fn stream_config_zeros_are_rejected_like_any_engine_build() {
-    // The one-shot wrappers hand `cfg` to `EngineBuilder::build` as given:
-    // a zero gets the builder's typed rejection, never a silent clamp.
-    use pegasus::core::PegasusError;
-    let trace = test_trace();
-    let views = extract_views(&trace);
-    let data = ModelData::new().with_stat(&views.stat);
-    let deployment = Pegasus::<MlpB>::train(&data, &TrainSettings::quick())
-        .expect("trains")
-        .compile(&data)
-        .expect("compiles")
-        .deploy(&SwitchConfig::tofino2())
-        .expect("deploys");
-    for (cfg, field) in [
-        (StreamConfig { shards: 0, ..StreamConfig::default() }, "shards"),
-        (StreamConfig { batch: 0, ..StreamConfig::default() }, "batch"),
-        (StreamConfig { queue_batches: 0, ..StreamConfig::default() }, "queue_batches"),
-    ] {
-        match deployment.stream_with(&mut trace.source(), &cfg) {
-            Err(PegasusError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
-            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
-        }
-    }
 }
 
 /// Satellite regression for the control daemon's error mapping: every
