@@ -11,6 +11,11 @@
 //! * **tofino2** — the same plus the resource-accounting layer (`V204`).
 //!   Every net except N3IC must fit; N3IC must *fail* with `V204`
 //!   (the paper's §2 stage-wall result as a falsifiable check).
+//! * **verify µs** — the wall time of that tofino2 verification, the
+//!   median of five calls, flattening included: what deploying the net
+//!   costs the verifier (attach and swap re-verify the resident flat
+//!   program, so they pay all of it but the flattening). Printed for
+//!   reading, never asserted.
 //!
 //! * **flat vs simulator** — every net that deploys on the Tofino-2
 //!   model must flatten and agree with the switch simulator on at least
@@ -52,12 +57,15 @@ use pegasus_core::verify::VerifyReport;
 use pegasus_datasets::peerrush;
 use pegasus_net::{FrameBatch, Trace};
 use pegasus_switch::SwitchConfig;
+use std::time::Instant;
 
 /// Verification outcome for one net.
 struct NetResult {
     name: &'static str,
     compile_time: VerifyReport,
     on_switch: VerifyReport,
+    /// Median wall time of the tofino2 verification, µs.
+    verify_us: u128,
     flat: FlatCheck,
 }
 
@@ -210,10 +218,19 @@ fn check<M: DataplaneNet>(
         .options(opts.clone())
         .compile(data)
         .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
+    let mut verify_us: Vec<u128> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(compiled.artifact().verify(Some(switch)));
+            t.elapsed().as_micros()
+        })
+        .collect();
+    verify_us.sort_unstable();
     NetResult {
         name,
         compile_time: compiled.artifact().verify(None),
         on_switch: compiled.artifact().verify(Some(switch)),
+        verify_us: verify_us[2],
         flat: differential(name, compiled.model(), compiled.artifact(), data, trace, switch),
     }
 }
@@ -260,9 +277,9 @@ fn main() -> std::process::ExitCode {
     ];
 
     println!(
-        "{:<12} {:<40} {:<40} flat vs simulator (dense/indexed tables, column/lane-walked \
+        "{:<12} {:<40} {:<40} {:>9} flat vs simulator (dense/indexed tables, column/lane-walked \
          tables, limb-split keys)",
-        "net", "compile-time", "tofino2"
+        "net", "compile-time", "tofino2", "verify µs"
     );
     let mut failed = false;
     for r in &results {
@@ -285,10 +302,11 @@ fn main() -> std::process::ExitCode {
             ),
         };
         println!(
-            "{:<12} {:<40} {:<40} {flat}",
+            "{:<12} {:<40} {:<40} {:>9} {flat}",
             r.name,
             summarize(&r.compile_time),
-            summarize(&r.on_switch)
+            summarize(&r.on_switch),
+            r.verify_us
         );
         match &r.flat {
             FlatCheck::Compared { rows, mismatches, .. }

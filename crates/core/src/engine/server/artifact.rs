@@ -29,7 +29,7 @@ pub struct EngineArtifact {
     /// deployed against (`register_bits_total`) — the ceiling per-tenant
     /// state budgets are validated under.
     pub(crate) state_budget_bits: u64,
-    /// FNV-1a hash and byte length of [`content_bytes`](Self::content_bytes),
+    /// Word-folded hash and byte length of [`content_bytes`](Self::content_bytes),
     /// stamped once by the engine's dedup pass on the way in (zero until
     /// then): the cache's probe key, and what `ArtifactCounters` sizes
     /// the artifact at.
@@ -211,16 +211,24 @@ impl EngineArtifact {
     }
 }
 
-/// FNV-1a over an artifact's content bytes — the dedup cache key. Hash
-/// collisions are survivable (the cache confirms hits by comparing the
-/// full content bytes), so a small fast non-cryptographic hash is enough.
+/// An FNV-style fold over an artifact's content bytes, eight at a time —
+/// the dedup cache key. Each step XORs in one little-endian word (the tail
+/// zero-padded), multiplies by an odd constant and rotates: a bijection of
+/// the running hash for any fixed word, so a change confined to one word —
+/// any one-byte change — always changes the hash; the length is mixed in
+/// last, so a zero tail cannot pass for padding. Collisions are survivable
+/// (the cache confirms hits by comparing the full content bytes), so a
+/// fast non-cryptographic hash is enough.
 fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = words.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("exact chunks are 8 bytes")))
+    });
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(tail));
+    step(h, bytes.len() as u64)
 }
 
 /// Whether swapping `old` for `new` carries per-flow state across, decided
@@ -265,5 +273,29 @@ impl EngineShared {
         let arc = Arc::new(artifact);
         cache.push(Arc::downgrade(&arc));
         arc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::content_hash;
+
+    #[test]
+    fn any_one_byte_change_changes_the_content_hash() {
+        // 37 bytes: four whole words and a five-byte tail.
+        let base: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(73)).collect();
+        let h = content_hash(&base);
+        for at in 0..base.len() {
+            for delta in [1u8, 0x80, 0xff] {
+                let mut changed = base.clone();
+                changed[at] ^= delta;
+                assert_ne!(content_hash(&changed), h, "byte {at} ^ {delta:#x}");
+            }
+        }
+        // Zero padding does not pass for content: the length is mixed in.
+        let mut padded = base.clone();
+        padded.push(0);
+        assert_ne!(content_hash(&padded), h);
+        assert_ne!(content_hash(&[]), content_hash(&[0]));
     }
 }

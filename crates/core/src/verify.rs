@@ -40,6 +40,29 @@
 //! `V301` (`Info`) records why a pipeline did not flatten into the
 //! streaming hot path (see [`FlattenSkip`]).
 //!
+//! # Cost
+//!
+//! Every check runs on every deploy, attach and swap (a restarted daemon
+//! re-verifies every artifact it revives), so each is kept near-linear in
+//! the artifact's entries `n`:
+//!
+//! * structural checks and interval analysis — one pass over entries,
+//!   actions and LUT slots;
+//! * `V201` on an all-exact table — one sort of the key tuples;
+//! * `V201`/`V203` on any other table of at most 4 096 entries
+//!   (`SEMANTIC_LINT_MAX_ENTRIES`) — each entry against the entries
+//!   sharing its values on every all-`Exact` key column, `n ×` that bucket
+//!   (RNN-B's step tables: 448 × 14, not 448²); quadratic only without such
+//!   a column, i.e. in the fuzzy-tree leaf tables of a few dozen entries;
+//! * `V202` over a domain of at most 2¹⁶ points (`COVERAGE_MAX_POINTS`) —
+//!   one word AND per point for each 64 entries, into an 8 KiB bitmap;
+//! * `V204` — per-table usage with range expansions counted, not
+//!   collected, and a stage allocation whose dependency test is a few word
+//!   ANDs per table pair.
+//!
+//! Flattening is paid once, at deploy: attach and swap verify the resident
+//! flat program.
+//!
 //! # Diagnostic codes
 //!
 //! | Code | Severity | Meaning |
@@ -182,15 +205,19 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Entries above this count skip the quadratic semantic lints (shadowing
-/// and overlap) on non-exact tables; exact tables use a hash-based
-/// duplicate check at any size, so the compiler's enumerated maps are
-/// always covered.
+/// Non-exact tables above this many entries skip the shadowing and overlap
+/// lints (`V201`/`V203`). Below it the lint holds each entry only against
+/// the entries sharing its values on every all-`Exact` key column, so it is
+/// quadratic only in a table without one. Exact tables find duplicate keys
+/// by a sort at any size, so the compiler's enumerated maps are always
+/// covered. (Raising the cap would add findings, not only cost.)
 const SEMANTIC_LINT_MAX_ENTRIES: usize = 4096;
 
 /// Key domains up to this many points are enumerated exhaustively for the
-/// no-default coverage lint (`V202`); larger domains are skipped rather
-/// than guessed at (the verifier never reports what it cannot prove).
+/// no-default coverage lint (`V202`) — a one-bit-per-point bitmap of 8 KiB
+/// at the cap, one word AND per point for each 64 entries; larger domains
+/// are skipped rather than guessed at (the verifier never reports what it
+/// cannot prove).
 const COVERAGE_MAX_POINTS: u64 = 1 << 16;
 
 // ---------------------------------------------------------------------------
@@ -584,112 +611,242 @@ fn check_table_semantics(r: &mut VerifyReport, prog: &SwitchProgram, t: &Table) 
     let Some(widths) = widths else { return };
 
     if t.is_exact() {
-        // Exact tables: shadowing == duplicate key tuple (hash check, any
-        // size — this is the compiler's enumerated-map shape).
-        let mut seen: std::collections::HashMap<Vec<u64>, usize> = std::collections::HashMap::new();
-        for (ei, e) in t.entries.iter().enumerate() {
-            if !sound(e) {
-                continue;
-            }
-            let key: Option<Vec<u64>> = e
-                .keys
-                .iter()
-                .map(|p| if let KeyPart::Exact(v) = p { Some(*v) } else { None })
-                .collect();
-            let Some(key) = key else { continue };
-            match seen.get(&key) {
-                Some(&first) => r.push(
-                    "V201",
-                    Severity::Error,
-                    Some(name),
-                    format!("entry #{ei} duplicates entry #{first}'s exact key — unreachable"),
-                ),
-                None => {
-                    seen.insert(key, ei);
-                }
-            }
+        // Exact tables: shadowing == duplicate key tuple. Each run of equal
+        // keys starts at its first entry and every later member duplicates
+        // it (a sort, any size — this is the compiler's enumerated-map
+        // shape); findings come out in entry order.
+        let exact: Vec<usize> = (0..t.entries.len())
+            .filter(|&i| {
+                let e = &t.entries[i];
+                sound(e) && e.keys.iter().all(|p| exact_value(p).is_some())
+            })
+            .collect();
+        let columns: Vec<usize> = (0..t.keys.len()).collect();
+        let (order, runs) = exact_runs(t, &columns, exact);
+        let mut duplicates: Vec<(usize, usize)> = runs
+            .into_iter()
+            .flat_map(|run| {
+                let first = order[run.start];
+                order[run.start + 1..run.end].iter().map(move |&ei| (ei, first))
+            })
+            .collect();
+        duplicates.sort_unstable();
+        for (ei, first) in duplicates {
+            r.push(
+                "V201",
+                Severity::Error,
+                Some(name),
+                format!("entry #{ei} duplicates entry #{first}'s exact key — unreachable"),
+            );
         }
     } else if t.entries.len() <= SEMANTIC_LINT_MAX_ENTRIES {
-        for j in 0..t.entries.len() {
-            if !sound(&t.entries[j]) {
-                continue;
-            }
-            for i in 0..t.entries.len() {
-                if i == j || !sound(&t.entries[i]) {
-                    continue;
-                }
-                let (a, b) = (&t.entries[i], &t.entries[j]);
-                // Entry j can never win when a dominating entry i covers
-                // its whole match set: strictly higher priority anywhere,
-                // or same priority earlier in the table (first match wins
-                // among equals).
-                let dominates = a.priority > b.priority || (a.priority == b.priority && i < j);
-                if dominates && covers_all(a, b, &widths) {
-                    r.push(
-                        "V201",
-                        Severity::Error,
-                        Some(name),
-                        format!(
-                            "entry #{j} is shadowed by entry #{i} \
-                             (priority {} vs {}) — unreachable",
-                            a.priority, b.priority
-                        ),
-                    );
-                    break;
-                }
-                // Same-priority partial overlap: resolution falls back to
-                // entry order, which real match hardware does not
-                // guarantee.
-                if i < j
-                    && a.priority == b.priority
-                    && !covers_all(a, b, &widths)
-                    && !covers_all(b, a, &widths)
-                    && overlaps_all(a, b, &widths)
-                    && (a.action_idx != b.action_idx || a.action_data != b.action_data)
-                {
-                    r.push(
-                        "V203",
-                        Severity::Warn,
-                        Some(name),
-                        format!(
-                            "entries #{i} and #{j} overlap at equal priority {} with \
-                             different outcomes — match order decides",
-                            a.priority
-                        ),
-                    );
-                }
-            }
-        }
+        lint_pairs(r, t, &widths);
     }
 
     // Coverage: no default action and a provable gap in the key space.
     if t.default_action.is_none() && !t.keys.is_empty() && !t.entries.is_empty() {
         let domain = widths.iter().fold(1u64, |acc, &b| acc.saturating_mul(1u64 << b.min(63)));
         if domain <= COVERAGE_MAX_POINTS {
-            let k = widths.len();
-            let mut raws = vec![0u64; k];
-            'points: for point in 0..domain {
-                let mut rem = point;
-                for (j, &b) in widths.iter().enumerate().rev() {
-                    raws[j] = rem & mask_of(b);
-                    rem >>= b;
-                }
-                let hit = t
-                    .entries
-                    .iter()
-                    .filter(|e| sound(e))
-                    .any(|e| e.keys.iter().zip(raws.iter()).all(|(p, &raw)| p.matches(raw)));
-                if !hit {
-                    r.push(
-                        "V202",
-                        Severity::Warn,
-                        Some(name),
-                        format!(
-                            "no default action and key point {raws:?} matches no entry — \
-                             packets there pass through unmodified"
-                        ),
-                    );
-                    break 'points;
+            lint_coverage(r, t, &widths, domain as usize);
+        }
+    }
+}
+
+/// The value of an `Exact` part.
+fn exact_value(p: &KeyPart) -> Option<u64> {
+    if let KeyPart::Exact(v) = p {
+        Some(*v)
+    } else {
+        None
+    }
+}
+
+/// `members` sorted by their values on `columns` — each member's part is
+/// `Exact` there — and cut into runs of equal values: spans of the order
+/// returned beside them. The sort is stable, so a run lists its entries in
+/// index order.
+fn exact_runs(
+    t: &Table,
+    columns: &[usize],
+    mut members: Vec<usize>,
+) -> (Vec<usize>, Vec<std::ops::Range<usize>>) {
+    let width = columns.len();
+    let mut keys = vec![0u64; t.entries.len() * width];
+    for &i in &members {
+        let parts = columns.iter().map(|&c| exact_value(&t.entries[i].keys[c]).unwrap_or(0));
+        keys[i * width..(i + 1) * width].iter_mut().zip(parts).for_each(|(k, v)| *k = v);
+    }
+    let key = |i: usize| &keys[i * width..(i + 1) * width];
+    members.sort_by(|&a, &b| key(a).cmp(key(b)));
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for run in members.chunk_by(|&a, &b| key(a) == key(b)) {
+        runs.push(start..start + run.len());
+        start += run.len();
+    }
+    (members, runs)
+}
+
+/// `V201` shadowing and `V203` same-priority overlap over a non-exact
+/// table's sound entries.
+///
+/// On a column where every sound entry's part is `Exact`, two different
+/// values can neither cover nor overlap (both relations are equality
+/// there), so an entry is held only against the entries that share its
+/// values on every such column — its bucket, kept in ascending index
+/// order, so the first shadower (where the scan stops) and every finding
+/// come out as a scan over all entries finds them. Without such a column
+/// the bucket is the whole table.
+fn lint_pairs(r: &mut VerifyReport, t: &Table, widths: &[u8]) {
+    let name = t.name.as_str();
+    let sound: Vec<usize> =
+        (0..t.entries.len()).filter(|&i| t.entries[i].keys.len() == t.keys.len()).collect();
+    let exact_columns: Vec<usize> = (0..t.keys.len())
+        .filter(|&c| sound.iter().all(|&i| exact_value(&t.entries[i].keys[c]).is_some()))
+        .collect();
+    // `bucket[j]` is entry j's span of `order` (empty for an unsound one).
+    let (order, runs) = exact_runs(t, &exact_columns, sound);
+    let mut bucket = vec![0..0; t.entries.len()];
+    for run in runs {
+        for &i in &order[run.clone()] {
+            bucket[i] = run.clone();
+        }
+    }
+
+    for (j, b) in t.entries.iter().enumerate() {
+        for &i in &order[bucket[j].clone()] {
+            if i == j {
+                continue;
+            }
+            #[cfg(test)]
+            LINT_PAIRS.with(|n| n.set(n.get() + 1));
+            let a = &t.entries[i];
+            // Entry j can never win when a dominating entry i covers its
+            // whole match set: strictly higher priority anywhere, or same
+            // priority earlier in the table (first match wins among
+            // equals).
+            let dominates = a.priority > b.priority || (a.priority == b.priority && i < j);
+            if dominates && covers_all(a, b, widths) {
+                r.push(
+                    "V201",
+                    Severity::Error,
+                    Some(name),
+                    format!(
+                        "entry #{j} is shadowed by entry #{i} \
+                         (priority {} vs {}) — unreachable",
+                        a.priority, b.priority
+                    ),
+                );
+                break;
+            }
+            // Same-priority partial overlap: resolution falls back to entry
+            // order, which real match hardware does not guarantee. (Such an
+            // i dominates j, so it gets here only when it does not cover j.)
+            if i < j
+                && a.priority == b.priority
+                && !covers_all(b, a, widths)
+                && overlaps_all(a, b, widths)
+                && (a.action_idx != b.action_idx || a.action_data != b.action_data)
+            {
+                r.push(
+                    "V203",
+                    Severity::Warn,
+                    Some(name),
+                    format!(
+                        "entries #{i} and #{j} overlap at equal priority {} with \
+                         different outcomes — match order decides",
+                        a.priority
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// `V202`: the first point of the key domain, in packed order (the last
+/// key in the low bits), that no sound entry matches.
+///
+/// Entries are taken 64 at a time, one bit each: every key column maps
+/// each raw value to the word of the entries whose part matches it, a
+/// point is hit when the AND of its columns' words is non-zero, and hits
+/// accumulate in a one-bit-per-point bitmap (8 KiB at
+/// [`COVERAGE_MAX_POINTS`]). The domain is walked a row at a time — the
+/// leading keys' AND once, then one AND per value of the last key — so no
+/// entry is re-matched at every point, and memory stays bounded whatever
+/// the entry count.
+fn lint_coverage(r: &mut VerifyReport, t: &Table, widths: &[u8], domain: usize) {
+    let sound: Vec<&pegasus_switch::TableEntry> =
+        t.entries.iter().filter(|e| e.keys.len() == t.keys.len()).collect();
+    // (A domain of at most 2¹⁶ points has no column wider than 16 bits.)
+    let mut columns: Vec<Vec<u64>> = widths.iter().map(|&b| vec![0; 1 << b]).collect();
+    let (lead, last) = widths.split_at(widths.len() - 1);
+    let row_len = 1usize << last[0];
+    let mut covered = vec![0u64; domain.div_ceil(64)];
+    for chunk in sound.chunks(64) {
+        for (c, column) in columns.iter_mut().enumerate() {
+            column.fill(0);
+            for (bit, e) in chunk.iter().enumerate() {
+                mark_matches(column, &e.keys[c], 1 << bit);
+            }
+        }
+        let (lead_columns, last_column) = columns.split_at(lead.len());
+        for row in 0..domain / row_len {
+            let (mut rem, mut prefix) = (row, u64::MAX);
+            for (column, &b) in lead_columns.iter().zip(lead).rev() {
+                prefix &= column[rem & ((1 << b) - 1)];
+                rem >>= b;
+            }
+            if prefix == 0 {
+                continue;
+            }
+            #[cfg(test)]
+            COVERAGE_WORD_TESTS.with(|n| n.set(n.get() + row_len));
+            for (v, &word) in last_column[0].iter().enumerate() {
+                let point = row * row_len + v;
+                covered[point / 64] |= u64::from(word & prefix != 0) << (point % 64);
+            }
+        }
+        if covered.iter().map(|w| w.count_ones() as usize).sum::<usize>() == domain {
+            break;
+        }
+    }
+    let gap = (0..domain).find(|&point| covered[point / 64] & (1 << (point % 64)) == 0);
+    if let Some(point) = gap {
+        let mut raws = vec![0u64; widths.len()];
+        let mut rem = point as u64;
+        for (j, &b) in widths.iter().enumerate().rev() {
+            raws[j] = rem & mask_of(b);
+            rem >>= b;
+        }
+        r.push(
+            "V202",
+            Severity::Warn,
+            Some(t.name.as_str()),
+            format!(
+                "no default action and key point {raws:?} matches no entry — \
+                 packets there pass through unmodified"
+            ),
+        );
+    }
+}
+
+/// ORs `bit` into `column[v]` for every raw value `v` the part matches
+/// (`column` spans the key's whole width).
+fn mark_matches(column: &mut [u64], part: &KeyPart, bit: u64) {
+    let top = column.len() as u64 - 1;
+    match *part {
+        KeyPart::Exact(v) if v <= top => column[v as usize] |= bit,
+        KeyPart::Exact(_) => {}
+        KeyPart::Range { lo, hi } if lo <= hi && lo <= top => {
+            for word in &mut column[lo as usize..=hi.min(top) as usize] {
+                *word |= bit;
+            }
+        }
+        KeyPart::Range { .. } => {}
+        KeyPart::Ternary(key) => {
+            for (v, word) in column.iter_mut().enumerate() {
+                if key.matches(v as u64) {
+                    *word |= bit;
                 }
             }
         }
@@ -1266,6 +1423,15 @@ fn apply_action(
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Ordered entry pairs the `V201`/`V203` lint held against each other
+    /// on this thread (tests pin the lint's cost as this count).
+    static LINT_PAIRS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// (Key point, 64-entry word) tests the `V202` scan made on this thread.
+    static COVERAGE_WORD_TESTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, CompileTarget};
@@ -1569,6 +1735,341 @@ mod tests {
                 assert!(o_claimed || !o_truth, "overlap false negative: {a:?} vs {b:?}");
             }
         }
+    }
+
+    /// The semantic lints as first written: every ordered entry pair for
+    /// `V201`/`V203`, every entry re-matched at every key point for `V202`.
+    fn reference_table_semantics(r: &mut VerifyReport, prog: &SwitchProgram, t: &Table) {
+        let name = t.name.as_str();
+        let sound = |e: &pegasus_switch::TableEntry| e.keys.len() == t.keys.len();
+        let widths: Option<Vec<u8>> = t
+            .keys
+            .iter()
+            .map(|(f, _)| (f.0 < prog.layout.len()).then(|| prog.layout.def(*f).bits))
+            .collect();
+        let Some(widths) = widths else { return };
+
+        if t.is_exact() {
+            let mut seen: std::collections::HashMap<Vec<u64>, usize> =
+                std::collections::HashMap::new();
+            for (ei, e) in t.entries.iter().enumerate() {
+                if !sound(e) {
+                    continue;
+                }
+                let key: Option<Vec<u64>> = e
+                    .keys
+                    .iter()
+                    .map(|p| if let KeyPart::Exact(v) = p { Some(*v) } else { None })
+                    .collect();
+                let Some(key) = key else { continue };
+                match seen.get(&key) {
+                    Some(&first) => r.push(
+                        "V201",
+                        Severity::Error,
+                        Some(name),
+                        format!("entry #{ei} duplicates entry #{first}'s exact key — unreachable"),
+                    ),
+                    None => {
+                        seen.insert(key, ei);
+                    }
+                }
+            }
+        } else if t.entries.len() <= SEMANTIC_LINT_MAX_ENTRIES {
+            for j in 0..t.entries.len() {
+                if !sound(&t.entries[j]) {
+                    continue;
+                }
+                for i in 0..t.entries.len() {
+                    if i == j || !sound(&t.entries[i]) {
+                        continue;
+                    }
+                    let (a, b) = (&t.entries[i], &t.entries[j]);
+                    let dominates = a.priority > b.priority || (a.priority == b.priority && i < j);
+                    if dominates && covers_all(a, b, &widths) {
+                        r.push(
+                            "V201",
+                            Severity::Error,
+                            Some(name),
+                            format!(
+                                "entry #{j} is shadowed by entry #{i} \
+                                 (priority {} vs {}) — unreachable",
+                                a.priority, b.priority
+                            ),
+                        );
+                        break;
+                    }
+                    if i < j
+                        && a.priority == b.priority
+                        && !covers_all(a, b, &widths)
+                        && !covers_all(b, a, &widths)
+                        && overlaps_all(a, b, &widths)
+                        && (a.action_idx != b.action_idx || a.action_data != b.action_data)
+                    {
+                        r.push(
+                            "V203",
+                            Severity::Warn,
+                            Some(name),
+                            format!(
+                                "entries #{i} and #{j} overlap at equal priority {} with \
+                                 different outcomes — match order decides",
+                                a.priority
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+
+        if t.default_action.is_none() && !t.keys.is_empty() && !t.entries.is_empty() {
+            let domain = widths.iter().fold(1u64, |acc, &b| acc.saturating_mul(1u64 << b.min(63)));
+            if domain <= COVERAGE_MAX_POINTS {
+                let k = widths.len();
+                let mut raws = vec![0u64; k];
+                'points: for point in 0..domain {
+                    let mut rem = point;
+                    for (j, &b) in widths.iter().enumerate().rev() {
+                        raws[j] = rem & mask_of(b);
+                        rem >>= b;
+                    }
+                    let hit =
+                        t.entries.iter().filter(|e| sound(e)).any(|e| {
+                            e.keys.iter().zip(raws.iter()).all(|(p, &raw)| p.matches(raw))
+                        });
+                    if !hit {
+                        r.push(
+                            "V202",
+                            Severity::Warn,
+                            Some(name),
+                            format!(
+                                "no default action and key point {raws:?} matches no entry — \
+                                 packets there pass through unmodified"
+                            ),
+                        );
+                        break 'points;
+                    }
+                }
+            }
+        }
+    }
+
+    /// How a generated key column is filled.
+    #[derive(Clone, Copy, Debug)]
+    enum Column {
+        /// Every part `Exact` (the lint buckets on it).
+        AllExact,
+        /// Ranges and ternaries only.
+        NoExact,
+        /// Mostly `Exact`, with the odd range or ternary.
+        Mixed,
+    }
+
+    /// A seeded table over 1–4 keys of 1–16 bits, malformed parts and
+    /// wrong-arity entries included, in a program whose layout holds the
+    /// keys.
+    fn random_table(rng: &mut rand::rngs::StdRng) -> (SwitchProgram, Vec<Column>) {
+        let nkeys = rng.gen_range(1..=4usize);
+        let mut layout = PhvLayout::new();
+        let widths: Vec<u8> = (0..nkeys)
+            .map(|_| {
+                if rng.gen_range(0..2) == 0 {
+                    rng.gen_range(1..=4)
+                } else {
+                    rng.gen_range(1..=16)
+                }
+            })
+            .collect();
+        let fields: Vec<FieldId> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| layout.add_field(&format!("k{i}"), b))
+            .collect();
+        let columns: Vec<Column> = (0..nkeys)
+            .map(|_| [Column::AllExact, Column::NoExact, Column::Mixed][rng.gen_range(0..3)])
+            .collect();
+        let kinds = [MatchKind::Exact, MatchKind::Ternary, MatchKind::Range];
+        let keys = fields.iter().map(|&f| (f, kinds[rng.gen_range(0..3)])).collect();
+        let mut t = pegasus_switch::Table::new("random", keys);
+        t.add_action(Action::new("a"));
+        t.add_action(Action::new("b"));
+        if rng.gen_range(0..2) == 0 {
+            t.default_action = Some((0, vec![]));
+        }
+        // Small value spaces so that entries collide, plus the odd value
+        // past the field's width.
+        let value = |rng: &mut rand::rngs::StdRng, bits: u8| -> u64 {
+            match rng.gen_range(0..12) {
+                0 => mask_of(bits) + rng.gen_range(1..4),
+                1..=3 => rng.gen_range(0..=mask_of(bits)),
+                _ => rng.gen_range(0..=mask_of(bits).min(3)),
+            }
+        };
+        let part = |rng: &mut rand::rngs::StdRng, column: Column, bits: u8| -> KeyPart {
+            let exact = match column {
+                Column::AllExact => true,
+                Column::NoExact => false,
+                Column::Mixed => rng.gen_range(0..4) != 0,
+            };
+            if exact {
+                return KeyPart::Exact(value(rng, bits));
+            }
+            if rng.gen_range(0..2) == 0 {
+                // Inverted now and then (V004).
+                let (lo, hi) = (value(rng, bits), value(rng, bits));
+                let inverted = rng.gen_range(0..8) == 0;
+                if inverted == (lo <= hi) {
+                    KeyPart::Range { lo: hi, hi: lo }
+                } else {
+                    KeyPart::Range { lo, hi }
+                }
+            } else {
+                let mask = rng.gen_range(0..=mask_of(bits));
+                // Don't-care bits set in the value now and then (V008).
+                let stray = if rng.gen_range(0..8) == 0 { !mask & mask_of(bits + 1) } else { 0 };
+                KeyPart::Ternary(TernaryKey { value: value(rng, bits) & mask | stray, mask })
+            }
+        };
+        for _ in 0..rng.gen_range(0..=24) {
+            let entry = if !t.entries.is_empty() && rng.gen_range(0..5) == 0 {
+                // A duplicate, its outcome sometimes changed.
+                let mut e = t.entries[rng.gen_range(0..t.entries.len())].clone();
+                e.action_data = vec![rng.gen_range(0..2)];
+                e
+            } else {
+                let mut keys: Vec<KeyPart> =
+                    columns.iter().zip(&widths).map(|(&c, &b)| part(rng, c, b)).collect();
+                match rng.gen_range(0..16) {
+                    0 => {
+                        keys.pop();
+                    }
+                    1 => keys.push(KeyPart::Exact(0)),
+                    _ => {}
+                }
+                TableEntry {
+                    keys,
+                    priority: rng.gen_range(0..3),
+                    action_idx: rng.gen_range(0..2),
+                    action_data: vec![rng.gen_range(0..2)],
+                }
+            };
+            t.entries.push(entry);
+        }
+        let mut prog = SwitchProgram::new("random", layout);
+        prog.tables.push(t);
+        (prog, columns)
+    }
+
+    #[test]
+    fn semantic_lints_equal_the_all_pairs_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut findings = std::collections::BTreeMap::new();
+        let mut shapes = std::collections::BTreeSet::new();
+        for case in 0..600 {
+            let (prog, columns) = random_table(&mut rng);
+            let t = &prog.tables[0];
+            let (mut got, mut want) = (VerifyReport::default(), VerifyReport::default());
+            check_table_semantics(&mut got, &prog, t);
+            reference_table_semantics(&mut want, &prog, t);
+            assert_eq!(got.diagnostics, want.diagnostics, "case {case}: {columns:?} {t:?}");
+            for d in &want.diagnostics {
+                let kind = if d.message.contains("duplicates") { "V201 exact" } else { d.code };
+                *findings.entry(kind).or_insert(0) += 1;
+            }
+            shapes.extend(columns.iter().map(|c| format!("{c:?}")));
+        }
+        // The cases reach every finding and every column shape.
+        for code in ["V201", "V201 exact", "V202", "V203"] {
+            assert!(findings.get(code).copied().unwrap_or(0) >= 10, "{code}: {findings:?}");
+        }
+        assert_eq!(shapes.len(), 3, "{shapes:?}");
+    }
+
+    /// An RNN-B step table: a 5-bit `Exact` state crossed with 7 × 2
+    /// range cells of two 8-bit inputs, all at priority 0.
+    fn rnn_step_table() -> SwitchProgram {
+        let mut layout = PhvLayout::new();
+        let state = layout.add_field("state", 5);
+        let (x, h) = (layout.add_field("x", 8), layout.add_field("h", 8));
+        let out = layout.add_field("out", 8);
+        let keys = vec![(state, MatchKind::Exact), (x, MatchKind::Range), (h, MatchKind::Range)];
+        let mut t = pegasus_switch::Table::new("rnn_step1", keys);
+        let a =
+            t.add_action(Action::new("set").with(AluOp::Set { dst: out, a: Operand::Param(0) }));
+        t.param_widths = vec![8];
+        for s in 0..32u64 {
+            for cx in 0..7u64 {
+                for ch in 0..2u64 {
+                    let (xlo, xhi) = (cx * 37, if cx == 6 { 255 } else { cx * 37 + 36 });
+                    t.add_entry(TableEntry {
+                        keys: vec![
+                            KeyPart::Exact(s),
+                            KeyPart::Range { lo: xlo, hi: xhi },
+                            KeyPart::Range { lo: ch * 128, hi: ch * 128 + 127 },
+                        ],
+                        priority: 0,
+                        action_idx: a,
+                        action_data: vec![(s + cx + ch) as i64],
+                    });
+                }
+            }
+        }
+        let mut prog = SwitchProgram::new("rnn", layout);
+        prog.tables.push(t);
+        prog
+    }
+
+    #[test]
+    fn lint_cost_is_pinned_as_a_count() {
+        let pairs = || LINT_PAIRS.with(|n| n.get());
+        let words = || COVERAGE_WORD_TESTS.with(|n| n.get());
+        let prog = rnn_step_table();
+        let t = &prog.tables[0];
+        assert_eq!(t.entries.len(), 448);
+        let (mut got, mut want) = (VerifyReport::default(), VerifyReport::default());
+        let before = pairs();
+        check_table_semantics(&mut got, &prog, t);
+        // Each entry meets only its own state's 14 cells, not all 448.
+        assert!(pairs() - before <= 448 * 14, "{} pairs", pairs() - before);
+        reference_table_semantics(&mut want, &prog, t);
+        assert_eq!(got.diagnostics, want.diagnostics);
+        assert!(got.diagnostics.is_empty(), "{got}");
+
+        // Coverage over a step-0 shape: 16 cells of two 8-bit inputs, no
+        // default. One 64-entry word covers them, so each of the 2¹⁶ points
+        // is tested once; a 105-entry table takes at most two words a point.
+        let mut layout = PhvLayout::new();
+        let (x, h) = (layout.add_field("x", 8), layout.add_field("h", 8));
+        let mut t = pegasus_switch::Table::new(
+            "rnn_step0",
+            vec![(x, MatchKind::Range), (h, MatchKind::Range)],
+        );
+        t.add_action(Action::new("a"));
+        let cell = |lo: u64, hi: u64| KeyPart::Range { lo, hi };
+        for (i, j) in (0..4u64).flat_map(|i| (0..4u64).map(move |j| (i, j))) {
+            t.entries.push(TableEntry {
+                keys: vec![cell(i * 64, i * 64 + 63), cell(j * 64, j * 64 + 63)],
+                priority: 0,
+                action_idx: 0,
+                action_data: vec![],
+            });
+        }
+        let mut prog = SwitchProgram::new("rnn0", layout);
+        prog.tables.push(t);
+        let before = words();
+        let mut r = VerifyReport::default();
+        check_table_semantics(&mut r, &prog, &prog.tables[0]);
+        assert_eq!(words() - before, 1 << 16);
+        assert!(!r.has_code("V202"), "{r}");
+        // 15 cells seven times over: the last cell is a gap.
+        let t = &mut prog.tables[0];
+        t.entries = (0..7).flat_map(|_| t.entries[..15].to_vec()).collect();
+        let t = &prog.tables[0];
+        let before = words();
+        let (mut got, mut want) = (VerifyReport::default(), VerifyReport::default());
+        check_table_semantics(&mut got, &prog, t);
+        assert!(words() - before <= 2 << 16, "{} word tests", words() - before);
+        reference_table_semantics(&mut want, &prog, t);
+        assert_eq!(got.diagnostics, want.diagnostics);
+        assert!(got.has_code("V202"), "{got}");
     }
 
     #[test]

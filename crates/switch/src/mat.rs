@@ -8,7 +8,7 @@
 
 use crate::action::Action;
 use crate::phv::{FieldId, Phv, PhvLayout};
-use crate::ternary::{mask_of, range_to_ternary, TernaryKey};
+use crate::ternary::{mask_of, range_prefixes, TernaryKey};
 use std::collections::HashMap;
 
 /// How one key field is matched.
@@ -53,7 +53,7 @@ impl KeyPart {
         match self {
             KeyPart::Exact(_) => 1,
             KeyPart::Ternary(_) => 1,
-            KeyPart::Range { lo, hi } => range_to_ternary(*lo, *hi, bits).len() as u64,
+            KeyPart::Range { lo, hi } => range_prefixes(*lo, *hi, bits).count() as u64,
         }
     }
 }
@@ -270,6 +270,22 @@ serde::impl_serde_struct!(TableEntry { keys, priority, action_idx, action_data }
 serde::impl_serde_struct!(Table { name, keys, actions, default_action, entries, param_widths });
 
 #[cfg(test)]
+impl KeyPart {
+    /// [`tcam_expansion`](KeyPart::tcam_expansion) as it was first
+    /// written — the length of the allocated cover — for the equivalence
+    /// tests.
+    pub(crate) fn tcam_expansion_reference(&self, bits: u8) -> u64 {
+        match self {
+            KeyPart::Exact(_) => 1,
+            KeyPart::Ternary(_) => 1,
+            KeyPart::Range { lo, hi } => {
+                crate::ternary::range_to_ternary(*lo, *hi, bits).len() as u64
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::{AluOp, Operand};
@@ -437,6 +453,34 @@ mod tests {
         assert!(u.tcam_bits > 0);
         // [1,254] on 8 bits expands to 14 rules x 2 x 8 bits.
         assert_eq!(u.tcam_bits, 14 * 16);
+    }
+
+    #[test]
+    fn tcam_expansion_counts_the_allocated_cover() {
+        // Every range of an 8-bit field, then seeded ranges up to 48 bits.
+        for lo in 0..256u64 {
+            for hi in lo..256 {
+                let part = KeyPart::Range { lo, hi };
+                assert_eq!(part.tcam_expansion(8), part.tcam_expansion_reference(8));
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4096 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let bits = (state >> 58) as u8 % 48 + 1;
+            let (a, b) = (state & mask_of(bits), (state >> 7).rotate_left(19) & mask_of(bits));
+            let part = KeyPart::Range { lo: a.min(b), hi: a.max(b) };
+            assert_eq!(part.tcam_expansion(bits), part.tcam_expansion_reference(bits), "{part:?}");
+        }
+        for part in [KeyPart::Exact(3), KeyPart::Ternary(TernaryKey::any())] {
+            assert_eq!(part.tcam_expansion(8), part.tcam_expansion_reference(8));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range [9, 3]")]
+    fn tcam_expansion_of_an_inverted_range_panics_as_before() {
+        KeyPart::Range { lo: 9, hi: 3 }.tcam_expansion(8);
     }
 
     #[test]

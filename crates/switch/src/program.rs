@@ -408,6 +408,15 @@ impl SwitchProgram {
         &self,
         config: &SwitchConfig,
     ) -> Result<(Vec<usize>, usize), DeployError> {
+        self.fit(config).map(|(stage_of, stages, _)| (stage_of, stages))
+    }
+
+    /// [`check_resources`](SwitchProgram::check_resources), also handing
+    /// back the per-table usages it accounted (`deploy` keeps them).
+    fn fit(
+        &self,
+        config: &SwitchConfig,
+    ) -> Result<(Vec<usize>, usize, Vec<TableUsage>), DeployError> {
         // 1. PHV capacity.
         let phv_used = self.layout.total_bits();
         if phv_used > config.phv_bits {
@@ -463,14 +472,13 @@ impl SwitchProgram {
                 available: config.stages,
             });
         }
-        Ok((stage_of, total_stages))
+        Ok((stage_of, total_stages, usages))
     }
 
     /// Validates the program against a switch configuration and loads it.
     /// The loaded program keeps `self` — nothing is copied.
     pub fn deploy(self: Arc<Self>, config: &SwitchConfig) -> Result<LoadedProgram, DeployError> {
-        let (stage_of, total_stages) = self.check_resources(config)?;
-        let usages: Vec<TableUsage> = self.tables.iter().map(|t| t.usage(&self.layout)).collect();
+        let (stage_of, total_stages, usages) = self.fit(config)?;
         Ok(LoadedProgram {
             program: self,
             config: config.clone(),
@@ -510,16 +518,35 @@ fn allocate_stages(
             }
         };
 
+    // Each table's read and write sets as rows of field bitsets, so a
+    // conflict test is a few word ANDs.
     let reads: Vec<Vec<FieldId>> = tables.iter().map(|t| t.reads()).collect();
     let writes: Vec<Vec<FieldId>> = tables.iter().map(|t| t.writes()).collect();
+    let fields = reads.iter().chain(&writes).flatten().map(|f| f.0 + 1).max().unwrap_or(0);
+    let words = fields.div_ceil(64).max(1);
+    let rows = |sets: &[Vec<FieldId>]| {
+        let mut rows = vec![0u64; sets.len() * words];
+        for (set, row) in sets.iter().zip(rows.chunks_exact_mut(words)) {
+            for f in set {
+                row[f.0 / 64] |= 1 << (f.0 % 64);
+            }
+        }
+        rows
+    };
+    let (read_bits, write_bits) = (rows(&reads), rows(&writes));
+    let reads: Vec<&[u64]> = read_bits.chunks_exact(words).collect();
+    let writes: Vec<&[u64]> = write_bits.chunks_exact(words).collect();
 
     for i in 0..n {
         // Earliest stage after all conflicting predecessors.
         let mut earliest = 0usize;
+        let (reads_i, writes_i) = (reads[i], writes[i]);
         for j in 0..i {
-            let conflict = writes[j].iter().any(|f| reads[i].contains(f))
-                || reads[j].iter().any(|f| writes[i].contains(f))
-                || writes[j].iter().any(|f| writes[i].contains(f));
+            let (reads_j, writes_j) = (reads[j], writes[j]);
+            // Read-after-write, write-after-read or write-after-write.
+            let conflict = (0..words).any(|w| {
+                (writes_j[w] & (reads_i[w] | writes_i[w])) | (reads_j[w] & writes_i[w]) != 0
+            });
             if conflict {
                 earliest = earliest.max(stage_of[j] + 1);
             }
@@ -710,6 +737,7 @@ mod tests {
     use super::*;
     use crate::action::{Action, AluOp, Operand};
     use crate::mat::{KeyPart, MatchKind, TableEntry};
+    use crate::ternary::{mask_of, TernaryKey};
 
     /// A two-table program: t0 maps x -> tmp (exact), t1 adds tmp to acc.
     fn chain_program() -> (SwitchProgram, FieldId, FieldId) {
@@ -857,6 +885,280 @@ mod tests {
         p.tables.push(t);
         let loaded = Arc::new(p).deploy(&SwitchConfig::tiny_test()).expect("spills but fits");
         assert!(loaded.stage_assignment()[0] >= 1, "should occupy later stage");
+    }
+
+    /// `Table::usage` as it was, over the allocating range expansion.
+    fn usage_reference(t: &Table, layout: &PhvLayout) -> TableUsage {
+        let key_bits: u64 = t.keys.iter().map(|(f, _)| layout.def(*f).bits as u64).sum();
+        let data_bits: u64 = t.param_widths.iter().map(|&w| w as u64).sum();
+        const ACTION_ID_BITS: u64 = 8;
+        if t.is_exact() {
+            let sram = t.entries.len() as u64 * (key_bits + ACTION_ID_BITS + data_bits);
+            TableUsage { sram_bits: sram, tcam_bits: 0, bus_bits: data_bits }
+        } else {
+            let mut rules: u64 = 0;
+            for e in &t.entries {
+                let mut per_entry: u64 = 1;
+                for (part, (f, _)) in e.keys.iter().zip(t.keys.iter()) {
+                    per_entry = per_entry
+                        .saturating_mul(part.tcam_expansion_reference(layout.def(*f).bits));
+                }
+                rules = rules.saturating_add(per_entry);
+            }
+            let tcam = rules.saturating_mul(2 * key_bits);
+            let sram = t.entries.len() as u64 * (ACTION_ID_BITS + data_bits);
+            TableUsage { sram_bits: sram, tcam_bits: tcam, bus_bits: data_bits }
+        }
+    }
+
+    /// `allocate_stages` as it was: conflicts found by nested `contains`.
+    fn allocate_stages_reference(
+        tables: &[Table],
+        usages: &[TableUsage],
+        config: &SwitchConfig,
+    ) -> Result<(Vec<usize>, usize), DeployError> {
+        let n = tables.len();
+        let mut stage_of = vec![0usize; n];
+        let mut free_sram: Vec<u64> = Vec::new();
+        let mut free_tcam: Vec<u64> = Vec::new();
+        let mut free_bus: Vec<u64> = Vec::new();
+        let ensure_stage = |s: usize,
+                            free_sram: &mut Vec<u64>,
+                            free_tcam: &mut Vec<u64>,
+                            free_bus: &mut Vec<u64>| {
+            while free_sram.len() <= s {
+                free_sram.push(config.sram_bits_per_stage);
+                free_tcam.push(config.tcam_bits_per_stage);
+                free_bus.push(config.action_bus_bits_per_stage);
+            }
+        };
+
+        let reads: Vec<Vec<FieldId>> = tables.iter().map(|t| t.reads()).collect();
+        let writes: Vec<Vec<FieldId>> = tables.iter().map(|t| t.writes()).collect();
+
+        for i in 0..n {
+            let mut earliest = 0usize;
+            for j in 0..i {
+                let conflict = writes[j].iter().any(|f| reads[i].contains(f))
+                    || reads[j].iter().any(|f| writes[i].contains(f))
+                    || writes[j].iter().any(|f| writes[i].contains(f));
+                if conflict {
+                    earliest = earliest.max(stage_of[j] + 1);
+                }
+            }
+            let mut s = earliest;
+            let (mut need_sram, mut need_tcam) = (usages[i].sram_bits, usages[i].tcam_bits);
+            loop {
+                ensure_stage(s, &mut free_sram, &mut free_tcam, &mut free_bus);
+                let take_sram = need_sram.min(free_sram[s]);
+                let take_tcam = need_tcam.min(free_tcam[s]);
+                free_sram[s] -= take_sram;
+                free_tcam[s] -= take_tcam;
+                need_sram -= take_sram;
+                need_tcam -= take_tcam;
+                if need_sram == 0 && need_tcam == 0 {
+                    // Bus must fit in the final stage; spill once more if not.
+                    if usages[i].bus_bits <= free_bus[s] {
+                        free_bus[s] -= usages[i].bus_bits;
+                        break;
+                    }
+                }
+                s += 1;
+                if s > 4 * config.stages {
+                    return Err(DeployError::OutOfStages { needed: s, available: config.stages });
+                }
+            }
+            stage_of[i] = s;
+        }
+        let stages_used = stage_of.iter().map(|&s| s + 1).max().unwrap_or(0);
+        Ok((stage_of, stages_used))
+    }
+
+    /// `check_resources` as it was, over the two references above.
+    fn check_resources_reference(
+        p: &SwitchProgram,
+        config: &SwitchConfig,
+    ) -> Result<(Vec<usize>, usize), DeployError> {
+        let phv_used = p.layout.total_bits();
+        if phv_used > config.phv_bits {
+            return Err(DeployError::PhvOverflow { used: phv_used, capacity: config.phv_bits });
+        }
+        for r in &p.registers {
+            if !config.supports_register_width(r.width_bits) {
+                return Err(DeployError::BadRegisterWidth {
+                    register: r.name.clone(),
+                    width: r.width_bits,
+                });
+            }
+        }
+        let reg_bits: u64 = p.registers.iter().map(|r| r.total_bits()).sum();
+        if reg_bits > config.register_bits_total {
+            return Err(DeployError::RegisterOverflow {
+                used: reg_bits,
+                capacity: config.register_bits_total,
+            });
+        }
+        let usages: Vec<TableUsage> =
+            p.tables.iter().map(|t| usage_reference(t, &p.layout)).collect();
+        for (t, u) in p.tables.iter().zip(usages.iter()) {
+            if u.bus_bits > config.action_bus_bits_per_stage {
+                return Err(DeployError::BusOverflow {
+                    table: t.name.clone(),
+                    used: u.bus_bits,
+                    capacity: config.action_bus_bits_per_stage,
+                });
+            }
+        }
+        let sram_total: u64 = usages.iter().map(|u| u.sram_bits).sum();
+        let tcam_total: u64 = usages.iter().map(|u| u.tcam_bits).sum();
+        if sram_total > config.total_sram_bits() {
+            return Err(DeployError::SramOverflow {
+                used: sram_total,
+                capacity: config.total_sram_bits(),
+            });
+        }
+        if tcam_total > config.total_tcam_bits() {
+            return Err(DeployError::TcamOverflow {
+                used: tcam_total,
+                capacity: config.total_tcam_bits(),
+            });
+        }
+        let (stage_of, stages_used) = allocate_stages_reference(&p.tables, &usages, config)?;
+        let total_stages = stages_used + p.extra_stages;
+        if total_stages > config.stages {
+            return Err(DeployError::OutOfStages {
+                needed: total_stages,
+                available: config.stages,
+            });
+        }
+        Ok((stage_of, total_stages))
+    }
+
+    /// A seeded, structurally sound program: up to 150 fields (so field
+    /// bitsets span several words), up to 12 tables of mixed key kinds
+    /// whose actions read and write random fields, entries inside their
+    /// fields' widths.
+    fn random_program(seed: u64) -> SwitchProgram {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n.max(1)
+        };
+        let mut layout = PhvLayout::new();
+        let nfields = 1 + next(150) as usize;
+        let fields: Vec<FieldId> =
+            (0..nfields).map(|i| layout.add_field(&format!("f{i}"), 1 + next(32) as u8)).collect();
+        let bits: Vec<u8> = fields.iter().map(|&f| layout.def(f).bits).collect();
+        let mut p = SwitchProgram::new("random", layout);
+        p.extra_stages = next(3) as usize;
+        for ti in 0..1 + next(12) {
+            let keys: Vec<(FieldId, MatchKind)> = (0..next(4))
+                .map(|_| {
+                    let kind =
+                        [MatchKind::Exact, MatchKind::Ternary, MatchKind::Range][next(3) as usize];
+                    (fields[next(nfields as u64) as usize], kind)
+                })
+                .collect();
+            let mut t = Table::new(&format!("t{ti}"), keys.clone());
+            t.param_widths = (0..next(5)).map(|_| 1 + next(32) as u8).collect();
+            for _ in 0..1 + next(3) {
+                let mut a = Action::new("a");
+                for _ in 0..1 + next(4) {
+                    let mut operand = || match next(3) {
+                        0 => Operand::Field(fields[next(nfields as u64) as usize]),
+                        1 => Operand::Const(next(100) as i64),
+                        _ => Operand::Param(0),
+                    };
+                    let (x, y) = (operand(), operand());
+                    let dst = fields[next(nfields as u64) as usize];
+                    a.ops.push(if next(2) == 0 {
+                        AluOp::Set { dst, a: x }
+                    } else {
+                        AluOp::Add { dst, a: x, b: y }
+                    });
+                }
+                t.add_action(a);
+            }
+            for _ in 0..next(40) {
+                let parts = keys
+                    .iter()
+                    .map(|&(f, kind)| {
+                        let mask = mask_of(bits[f.0]);
+                        let (x, y) = (next(1 << 32) & mask, next(1 << 32) & mask);
+                        match kind {
+                            MatchKind::Exact => KeyPart::Exact(x),
+                            MatchKind::Ternary => {
+                                KeyPart::Ternary(TernaryKey { value: x & y, mask: y })
+                            }
+                            MatchKind::Range => KeyPart::Range { lo: x.min(y), hi: x.max(y) },
+                        }
+                    })
+                    .collect();
+                t.entries.push(TableEntry {
+                    keys: parts,
+                    priority: 0,
+                    action_idx: 0,
+                    action_data: vec![],
+                });
+            }
+            p.tables.push(t);
+        }
+        p
+    }
+
+    #[test]
+    fn resource_accounting_matches_the_reference() {
+        let mut outcomes = std::collections::BTreeMap::new();
+        for seed in 0..400 {
+            let p = random_program(seed);
+            let usages: Vec<TableUsage> = p.tables.iter().map(|t| t.usage(&p.layout)).collect();
+            let reference: Vec<TableUsage> =
+                p.tables.iter().map(|t| usage_reference(t, &p.layout)).collect();
+            assert_eq!(usages, reference, "seed {seed}");
+            let tiny = |stages: usize, shift: u32| SwitchConfig {
+                stages,
+                sram_bits_per_stage: 64 << shift,
+                tcam_bits_per_stage: 64 << shift,
+                action_bus_bits_per_stage: 32 << shift,
+                phv_bits: 256 << shift,
+                ..SwitchConfig::tiny_test()
+            };
+            let narrow_bus =
+                SwitchConfig { action_bus_bits_per_stage: 48, ..SwitchConfig::tofino2() };
+            let configs = [
+                SwitchConfig::tofino2(),
+                SwitchConfig::tiny_test(),
+                tiny(2, 4),
+                tiny(8, 8),
+                narrow_bus,
+            ];
+            for cfg in &configs {
+                assert_eq!(
+                    allocate_stages(&p.tables, &usages, cfg),
+                    allocate_stages_reference(&p.tables, &usages, cfg),
+                    "seed {seed} on {}",
+                    cfg.name
+                );
+                let want = check_resources_reference(&p, cfg);
+                assert_eq!(p.check_resources(cfg), want, "seed {seed} on {}", cfg.name);
+                let fit = p.fit(cfg).map(|(stage_of, stages, used)| {
+                    assert_eq!(used, usages, "deploy keeps the accounted usages");
+                    (stage_of, stages)
+                });
+                assert_eq!(fit, want);
+                let outcome = match want {
+                    Ok(_) => "fits".to_string(),
+                    Err(e) => format!("{e:?}").split([' ', '{']).next().unwrap_or("").to_string(),
+                };
+                *outcomes.entry(outcome).or_insert(0) += 1;
+            }
+        }
+        // The seeds reach a fit and every failure the allocation shapes.
+        for kind in
+            ["fits", "PhvOverflow", "OutOfStages", "SramOverflow", "TcamOverflow", "BusOverflow"]
+        {
+            assert!(outcomes.contains_key(kind), "no seed reached {kind}: {outcomes:?}");
+        }
     }
 
     #[test]

@@ -59,33 +59,50 @@ pub fn mask_of(bits: u8) -> u64 {
 /// the largest aligned power-of-two block that still fits — the standard
 /// optimal prefix cover, worst case `2*bits - 2` keys.
 pub fn range_to_ternary(lo: u64, hi: u64, bits: u8) -> Vec<TernaryKey> {
+    range_prefixes(lo, hi, bits).collect()
+}
+
+/// The keys of [`range_to_ternary`], yielded one block at a time: resource
+/// accounting counts them without allocating.
+pub(crate) fn range_prefixes(lo: u64, hi: u64, bits: u8) -> RangePrefixes {
     assert!(lo <= hi, "empty range [{lo}, {hi}]");
     assert!(bits <= 48, "range coding supports fields up to 48 bits");
     let field_mask = mask_of(bits);
     assert!(hi <= field_mask, "range end {hi} exceeds {bits}-bit field");
+    RangePrefixes { next: Some(lo), hi, bits, field_mask }
+}
 
-    let mut keys = Vec::new();
-    let mut cur = lo;
-    loop {
+/// Iterator behind [`range_prefixes`]: `next` is the first value not yet
+/// covered, `None` once `hi` is.
+pub(crate) struct RangePrefixes {
+    next: Option<u64>,
+    hi: u64,
+    bits: u8,
+    field_mask: u64,
+}
+
+impl Iterator for RangePrefixes {
+    type Item = TernaryKey;
+
+    fn next(&mut self) -> Option<TernaryKey> {
+        let cur = self.next?;
         // Largest block size aligned at `cur`:
         let align_block =
-            if cur == 0 { 1u64 << bits.min(63) } else { 1u64 << cur.trailing_zeros() };
+            if cur == 0 { 1u64 << self.bits.min(63) } else { 1u64 << cur.trailing_zeros() };
         // Largest block that does not overshoot hi:
-        let remaining = hi - cur + 1;
+        let remaining = self.hi - cur + 1;
         let mut block = align_block.min(prev_power_of_two(remaining));
         // Guard for the bits==64 edge (align_block could be 1<<63 twice).
         if block == 0 {
             block = 1;
         }
         let prefix_bits = block.trailing_zeros() as u8;
-        keys.push(TernaryKey { value: cur & field_mask, mask: field_mask & !mask_of(prefix_bits) });
-        let next = cur.checked_add(block);
-        match next {
-            Some(n) if n <= hi => cur = n,
-            _ => break,
-        }
+        self.next = cur.checked_add(block).filter(|&n| n <= self.hi);
+        Some(TernaryKey {
+            value: cur & self.field_mask,
+            mask: self.field_mask & !mask_of(prefix_bits),
+        })
     }
-    keys
 }
 
 fn prev_power_of_two(x: u64) -> u64 {
