@@ -13,9 +13,10 @@
 //!   (the paper's §2 stage-wall result as a falsifiable check).
 //! * **verify µs** — the wall time of that tofino2 verification, the
 //!   median of five calls, flattening included: what deploying the net
-//!   costs the verifier (attach and swap re-verify the resident flat
-//!   program, so they pay all of it but the flattening). Printed for
-//!   reading, never asserted.
+//!   costs the verifier (an artifact's first admission by attach or swap
+//!   verifies its flat program, so it pays all of it but the flattening;
+//!   a byte-identical copy of a resident artifact pays none of it).
+//!   Printed for reading, never asserted.
 //!
 //! * **flat vs simulator** — every net that deploys on the Tofino-2
 //!   model must flatten and agree with the switch simulator on at least

@@ -1,4 +1,5 @@
-//! The servable artifact and its cross-tenant dedup.
+//! The servable artifact and its admission: verified once, when first
+//! admitted, and deduplicated across tenants.
 
 use super::{lock, EngineShared};
 use crate::engine::HOST_WINDOW_STATE_BITS;
@@ -30,9 +31,9 @@ pub struct EngineArtifact {
     /// state budgets are validated under.
     pub(crate) state_budget_bits: u64,
     /// Word-folded hash and byte length of [`content_bytes`](Self::content_bytes),
-    /// stamped once by the engine's dedup pass on the way in (zero until
-    /// then): the cache's probe key, and what `ArtifactCounters` sizes
-    /// the artifact at.
+    /// stamped once by the engine's admission pass on the way in (zero
+    /// until then): the cache's probe key, and what `ArtifactCounters`
+    /// sizes the artifact at.
     content_hash: u64,
     pub(super) content_len: u64,
 }
@@ -153,8 +154,10 @@ impl EngineArtifact {
 
     /// Re-runs the static verifier over the artifact against the switch
     /// configuration it was deployed on, over the very `FlatProgram` its
-    /// shards execute. Attach and swap call this so a corrupt artifact —
-    /// however it was produced — never reaches a serving shard.
+    /// shards execute. Attach and swap call this on an artifact's first
+    /// admission (a byte-identical copy of a resident one is served by
+    /// the resident), so a corrupt artifact — however it was produced —
+    /// never reaches a serving shard.
     pub fn verify_report(&self) -> crate::verify::VerifyReport {
         match &self.plane {
             ArtifactPlane::Stateless(dp) => dp.verify_report(),
@@ -249,31 +252,62 @@ pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> 
 }
 
 impl EngineShared {
-    /// Deduplicates an incoming artifact against every live one: equal
-    /// content bytes yield the existing `Arc` (tenants then share one
-    /// compiled program; their flow tables and stats stay per-tenant).
-    /// A new artifact is stamped with its content hash and size on the
-    /// way in.
-    pub(super) fn dedup_artifact(&self, mut artifact: EngineArtifact) -> Arc<EngineArtifact> {
+    /// The one admission path attach and swap share: the incoming artifact
+    /// is content-encoded once and probed against every live one. A
+    /// byte-identical resident is returned as is — it was verified against
+    /// its switch model when it was first admitted, and its tenants share
+    /// it (their flow tables and stats stay per-tenant); the incoming copy
+    /// is dropped unserved. Only a miss runs the static verifier, and only
+    /// a clean artifact enters the cache, so a rejected one is re-verified
+    /// (and re-rejected) every time. The cache holds `Weak`s: a verdict is
+    /// remembered exactly as long as some tenant serves the artifact.
+    ///
+    /// Content bytes are everything [`EngineArtifact::verify_report`]
+    /// reads except the `FlatProgram`, which deploy derives from the
+    /// serialized pipeline — so equal bytes mean an equal verdict.
+    pub(super) fn admit_artifact(
+        &self,
+        mut artifact: EngineArtifact,
+    ) -> Result<Arc<EngineArtifact>, PegasusError> {
         let bytes = artifact.content_bytes();
         artifact.content_hash = content_hash(&bytes);
         artifact.content_len = bytes.len() as u64;
-        let mut cache = lock(&self.artifact_cache, "artifact cache");
-        cache.retain(|cached| cached.strong_count() > 0);
-        for existing in cache.iter().filter_map(Weak::upgrade) {
-            // Hash and length are hints; equality is decided on the bytes,
-            // re-encoded only for a candidate both hints agree on.
-            if existing.content_hash == artifact.content_hash
-                && existing.content_len == artifact.content_len
-                && existing.content_bytes() == bytes
-            {
-                return existing;
-            }
+        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), &artifact, &bytes) {
+            return Ok(resident);
+        }
+        // Verification runs outside the cache lock: admissions of other
+        // content never wait on it.
+        let report = artifact.verify_report();
+        if report.has_errors() {
+            return Err(PegasusError::Verify { report: Box::new(report) });
+        }
+        // Re-probe under the lock: of two racing first admissions of one
+        // content, the second finds the first's `Arc` here.
+        let mut cache = lock(&self.artifact_cache);
+        if let Some(resident) = find_resident(&mut cache, &artifact, &bytes) {
+            return Ok(resident);
         }
         let arc = Arc::new(artifact);
         cache.push(Arc::downgrade(&arc));
-        arc
+        Ok(arc)
     }
+}
+
+/// The live cached artifact whose content bytes are `bytes` (`probe`'s,
+/// hash and length already stamped), pruning dead entries on the way.
+/// Hash and length are hints; equality is decided on the bytes,
+/// re-encoded only for a candidate both hints agree on.
+fn find_resident(
+    cache: &mut Vec<Weak<EngineArtifact>>,
+    probe: &EngineArtifact,
+    bytes: &[u8],
+) -> Option<Arc<EngineArtifact>> {
+    cache.retain(|cached| cached.strong_count() > 0);
+    cache.iter().filter_map(Weak::upgrade).find(|existing| {
+        existing.content_hash == probe.content_hash
+            && existing.content_len == probe.content_len
+            && existing.content_bytes() == bytes
+    })
 }
 
 #[cfg(test)]

@@ -30,9 +30,11 @@ pub struct SwapReport {
     pub state_retained: bool,
     /// Wall-clock microseconds of the dataplane-visible apply: the
     /// dispatcher-lock commit window — budget gates, epoch/RCU
-    /// publication. Artifact verification and dedup run before it,
-    /// outside any lock, and stall nothing. No queue is drained, so this
-    /// is independent of queue depth and flow count.
+    /// publication. Admission runs before it, outside any lock, and
+    /// stalls nothing: the dedup probe, plus verification when the
+    /// artifact is not byte-identical to a resident one (verified once,
+    /// when first admitted). No queue is drained, so this is independent
+    /// of queue depth and flow count.
     pub apply_micros: u64,
 }
 
@@ -64,21 +66,22 @@ impl ControlHandle {
     /// The artifact is content-hashed and deduplicated against every live
     /// tenant's: attaching the same compiled program a thousand times
     /// keeps one copy resident (the tenants share one `Arc`; their flow
-    /// tables, routes, and stats stay separate).
+    /// tables, routes, and stats stay separate) and verifies it once —
+    /// when it is first admitted. A byte-identical copy of a resident
+    /// artifact is served by the resident and never re-verified; any
+    /// other artifact is verified against its switch model and rejected
+    /// with [`PegasusError::Verify`] before the budgets are checked.
     pub fn attach(
         &self,
         artifact: EngineArtifact,
         cfg: TenantConfig,
     ) -> Result<TenantToken, PegasusError> {
-        // The artifact re-verifies against its own switch model before it
-        // reaches any shard: a corrupt pipeline is a control-plane error,
-        // never a dataplane surprise.
-        let report = artifact.verify_report();
-        if report.has_errors() {
-            return Err(PegasusError::Verify { report: Box::new(report) });
-        }
+        // Verified against its own switch model before it reaches any
+        // shard — unless a byte-identical, already verified copy is
+        // resident: a corrupt pipeline is a control-plane error, never a
+        // dataplane surprise.
+        let artifact = self.shared.admit_artifact(artifact)?;
         artifact.validate_state_budget(&cfg.flow_table)?;
-        let artifact = self.shared.dedup_artifact(artifact);
         let token = {
             let mut d = self.shared.lock_dispatch();
             d.txs()?;
@@ -155,7 +158,11 @@ impl ControlHandle {
     ///
     /// Every validation gate (artifact verification, per-tenant state
     /// budget, fleet budget) runs *before* anything is mutated: a
-    /// rejected swap is free — no queue drained, no state touched.
+    /// rejected swap is free — no queue drained, no state touched. As at
+    /// attach, the artifact is verified when first admitted; a
+    /// byte-identical copy of a resident one (a tenant swapped to the
+    /// program another tenant already serves) takes the resident `Arc`
+    /// without re-verifying.
     ///
     /// The ordering guarantee is one-sided (see the [module
     /// docs](super#ordering-guarantees)): packets pushed after this call
@@ -191,16 +198,13 @@ impl ControlHandle {
         // what artifact they were handed: check the token before paying
         // for (or reporting) artifact verification.
         self.shared.tenant(token)?;
-        // Same gate as attach: the replacement artifact must verify clean
+        // Same gate as attach: the replacement is admitted — verified
+        // clean on first admission, or the resident byte-identical copy —
         // before it can be published to any shard. Runs outside the
-        // dispatcher lock — verification cost never stalls ingress, and
-        // is excluded from `apply_micros`, which times only the
+        // dispatcher lock — admission never stalls ingress, and is
+        // excluded from `apply_micros`, which times only the
         // dataplane-visible commit window below.
-        let report = artifact.verify_report();
-        if report.has_errors() {
-            return Err(PegasusError::Verify { report: Box::new(report) });
-        }
-        let artifact = self.shared.dedup_artifact(artifact);
+        let artifact = self.shared.admit_artifact(artifact)?;
         let t0 = Instant::now();
         let d = self.shared.lock_dispatch();
         d.txs()?;
@@ -223,7 +227,7 @@ impl ControlHandle {
         // deterministic shape check every shard applies — so the report
         // never waits on a shard.
         let (epoch, state_retained) = {
-            let mut p = lock(&tenant.published, "tenant publication");
+            let mut p = lock(&tenant.published);
             let retained = swap_retains_state(&p.1, &artifact);
             *p = (p.0 + 1, artifact);
             (p.0, retained)

@@ -91,17 +91,19 @@ use ingress::Dispatch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use tenant::Tenant;
 use worker::{worker_loop, ShardBatch, ShardMsg, TenantShardOut};
 
-/// Locks one of the engine's mutexes. Every guarded value is plain data
-/// that is never left half-written across a panic point, so a poisoned
-/// lock means a thread already died holding it: fail loudly, naming it.
-fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
-    mutex.lock().unwrap_or_else(|_| panic!("{what} poisoned"))
+/// Locks one of the engine's snapshot mutexes — the artifact cache, the
+/// tenant set, a tenant's publication, a shard's stats cell. Each guarded
+/// value is plain data replaced or pushed whole, never left half-written
+/// across a panic point, so a lock poisoned by a thread that died holding
+/// it still guards a consistent value: recover it and carry on serving.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Engine-wide counters read by the lock-free stats path and written from
@@ -178,9 +180,11 @@ struct EngineShared {
     tenants: Mutex<Vec<Arc<Tenant>>>,
     /// Engine-wide routing/parse counters (see [`SharedCounters`]).
     counters: SharedCounters,
-    /// The live artifacts, for cross-tenant dedup at attach and swap time.
-    /// Weak, so a fully detached artifact's memory is reclaimed instead
-    /// of pinned by the cache.
+    /// The live artifacts, each verified clean when first admitted: attach
+    /// and swap probe it before the verifier, so a byte-identical copy is
+    /// served by the resident `Arc` without re-verifying. Weak, so a fully
+    /// detached artifact's memory (and its remembered verdict) is
+    /// reclaimed instead of pinned by the cache.
     artifact_cache: Mutex<Vec<Weak<EngineArtifact>>>,
     /// The aggregate stateful-SRAM ceiling across all tenants, when set.
     fleet_budget_bits: Option<u64>,
@@ -191,12 +195,16 @@ struct EngineShared {
 }
 
 impl EngineShared {
+    /// Locks the dispatcher. Unlike the snapshot mutexes ([`lock`]), it
+    /// does not recover from poison: its pending batches are mid-append
+    /// state, which a thread that died holding it may have left torn — so
+    /// fail loudly instead.
     fn lock_dispatch(&self) -> MutexGuard<'_, Dispatch> {
-        lock(&self.dispatch, "engine dispatcher")
+        self.dispatch.lock().unwrap_or_else(|_| panic!("engine dispatcher poisoned"))
     }
 
     fn lock_tenants(&self) -> MutexGuard<'_, Vec<Arc<Tenant>>> {
-        lock(&self.tenants, "tenant set")
+        lock(&self.tenants)
     }
 
     /// The live tenant `token` names, without touching the dispatcher.
@@ -412,6 +420,7 @@ mod tests {
     use crate::compile::{compile, CompileOptions, CompileTarget};
     use crate::models::StreamFeatures;
     use crate::primitives::{MapFn, PrimitiveProgram};
+    use crate::runtime::DataplaneModel;
     use pegasus_net::{FiveTuple, TracePacket};
     use pegasus_nn::Tensor;
     use std::time::Duration;
@@ -420,6 +429,12 @@ mod tests {
     /// clustering depth (different depths give different content bytes).
     /// Attachable and swappable; it is never fed a packet here.
     fn tiny_artifact(depth: usize) -> EngineArtifact {
+        let dm = tiny_model(depth);
+        EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "tiny")
+    }
+
+    /// [`tiny_artifact`]'s deployed model.
+    fn tiny_model(depth: usize) -> DataplaneModel {
         let mut p = PrimitiveProgram::new(4);
         let segs = p.partition_strided(p.input, 2, 2);
         let w0 = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[2, 2]);
@@ -435,9 +450,12 @@ mod tests {
         let opts = CompileOptions { clustering_depth: depth, ..Default::default() };
         let compiled =
             compile(&p, &inputs, &opts, CompileTarget::Classify, "tiny").expect("compiles");
-        let switch = pegasus_switch::SwitchConfig::tofino2();
-        EngineArtifact::from_compiled_pipeline(compiled, StreamFeatures::Stat, &switch)
-            .expect("deploys")
+        DataplaneModel::deploy(compiled, &pegasus_switch::SwitchConfig::tofino2()).expect("deploys")
+    }
+
+    /// Pipelines verified on this thread so far.
+    fn verifier_runs() -> usize {
+        crate::verify::VERIFIER_RUNS.with(|n| n.get())
     }
 
     fn published_of(shared: &EngineShared) -> Vec<(u64, Arc<EngineArtifact>)> {
@@ -480,7 +498,10 @@ mod tests {
         let held = published_of(&server.shared);
         assert_eq!((held[0].0, held[1].0), (0, 1));
         assert!(Arc::ptr_eq(&held[0].1, &held[1].1));
-        assert!(Arc::ptr_eq(&held[0].1, &server.shared.dedup_artifact(tiny_artifact(5))));
+        assert!(Arc::ptr_eq(
+            &held[0].1,
+            &server.shared.admit_artifact(tiny_artifact(5)).expect("admits")
+        ));
         let counted = control.stats().expect("stats").artifacts;
         assert_eq!((counted.tenants, counted.unique_artifacts), (2, 1));
         assert_eq!(counted.naive_bytes, 2 * counted.resident_bytes);
@@ -492,6 +513,114 @@ mod tests {
         let counted = control.stats().expect("stats").artifacts;
         assert_eq!((counted.tenants, counted.unique_artifacts), (2, 2));
         assert_eq!(counted.naive_bytes, counted.resident_bytes);
+        server.shutdown().expect("shuts down");
+    }
+
+    #[test]
+    fn a_resident_artifact_is_verified_once_while_it_is_resident() {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        // Every artifact is built (deploy verifies it) before its count
+        // starts: only what attach and swap verify is counted.
+        let copies: Vec<EngineArtifact> = (0..4).map(|_| tiny_artifact(5)).collect();
+        let before = verifier_runs();
+        let tokens: Vec<TenantToken> = copies
+            .into_iter()
+            .map(|a| control.attach(a, TenantConfig::new()).expect("attaches"))
+            .collect();
+        assert_eq!(verifier_runs() - before, 1, "four attaches of one content");
+
+        let (same, new) = (tiny_artifact(5), tiny_artifact(4));
+        let before = verifier_runs();
+        control.swap(tokens[0], same).expect("swaps");
+        assert_eq!(verifier_runs() - before, 0, "a same-content swap");
+        control.swap(tokens[0], new).expect("swaps");
+        assert_eq!(verifier_runs() - before, 1, "a new-content swap");
+
+        // The verdict lives exactly as long as the `Arc`: once every holder
+        // of the first content has detached, it is verified afresh.
+        for &token in &tokens[1..] {
+            control.detach(token).expect("detaches");
+        }
+        let again = tiny_artifact(5);
+        let before = verifier_runs();
+        control.attach(again, TenantConfig::new()).expect("re-attaches");
+        assert_eq!(verifier_runs() - before, 1, "a re-attach after the last detach");
+
+        // A rejected artifact is never remembered: the same corrupt content
+        // is verified, and rejected, on every attach.
+        let corrupt: Vec<EngineArtifact> = (0..2)
+            .map(|_| {
+                let mut dm = tiny_model(5);
+                dm.corrupt_first_entry();
+                EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt")
+            })
+            .collect();
+        let before = verifier_runs();
+        for artifact in corrupt {
+            match control.attach(artifact, TenantConfig::new()) {
+                Err(PegasusError::Verify { report }) => {
+                    assert!(report.has_code("V003"), "{report}")
+                }
+                other => panic!("attach must reject with Verify, got {:?}", other.map(|_| ())),
+            }
+            let counted = control.stats().expect("stats").artifacts;
+            assert_eq!((counted.tenants, counted.unique_artifacts), (2, 2));
+        }
+        assert_eq!(verifier_runs() - before, 2, "two attaches of one corrupt content");
+        server.shutdown().expect("shuts down");
+    }
+
+    #[test]
+    fn racing_first_admissions_share_one_arc() {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        let copies: Vec<EngineArtifact> = (0..4).map(|_| tiny_artifact(5)).collect();
+        let start = std::sync::Barrier::new(copies.len());
+        std::thread::scope(|s| {
+            for artifact in copies {
+                let (control, start) = (control.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    control.attach(artifact, TenantConfig::new()).expect("attaches")
+                });
+            }
+        });
+        let held = published_of(&server.shared);
+        assert_eq!(held.len(), 4);
+        assert!(held.iter().all(|(_, artifact)| Arc::ptr_eq(artifact, &held[0].1)));
+        assert_eq!(control.stats().expect("stats").artifacts.unique_artifacts, 1);
+        server.shutdown().expect("shuts down");
+    }
+
+    #[test]
+    fn snapshot_locks_survive_a_thread_that_died_holding_them() {
+        fn poison<T: Send>(mutex: &Mutex<T>) {
+            std::thread::scope(|s| {
+                let died = s.spawn(|| {
+                    let _held = mutex.lock();
+                    panic!("dies holding the lock");
+                });
+                assert!(died.join().is_err());
+            });
+            assert!(mutex.is_poisoned());
+        }
+        let server = EngineBuilder::new().shards(2).build().expect("builds");
+        let control = server.control();
+        let first = control.attach(tiny_artifact(5), TenantConfig::new()).expect("attaches");
+        let tenant = server.shared.tenant(first).expect("attached");
+        poison(&server.shared.artifact_cache);
+        poison(&server.shared.tenants);
+        poison(&tenant.published);
+        poison(&tenant.shards[0]);
+        drop(tenant);
+
+        let second = control.attach(tiny_artifact(4), TenantConfig::new()).expect("attaches");
+        assert_eq!(control.swap(first, tiny_artifact(4)).expect("swaps").epoch, 1);
+        let stats = control.stats().expect("stats");
+        assert_eq!((stats.tenants.len(), stats.artifacts.unique_artifacts), (2, 1));
+        control.detach(first).expect("detaches");
+        control.detach(second).expect("detaches");
         server.shutdown().expect("shuts down");
     }
 

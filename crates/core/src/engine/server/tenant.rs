@@ -171,20 +171,20 @@ impl<T> std::ops::Deref for OwnLine<T> {
 impl Tenant {
     /// The current publication, as one consistent pair.
     pub(super) fn published(&self) -> (u64, Arc<EngineArtifact>) {
-        let p = lock(&self.published, "tenant publication");
+        let p = lock(&self.published);
         (p.0, Arc::clone(&p.1))
     }
 
     /// This tenant's share of the fleet SRAM ledger under the artifact it
     /// currently serves.
     pub(super) fn state_cost_bits(&self) -> u64 {
-        lock(&self.published, "tenant publication").1.state_cost_bits(&self.table)
+        lock(&self.published).1.state_cost_bits(&self.table)
     }
 
     /// The live snapshot, plus the artifact it describes (for the fleet's
     /// dedup accounting).
     pub(super) fn snapshot(&self) -> (TenantStats, Arc<EngineArtifact>) {
-        let shards = self.shards.iter().map(|cell| lock(cell, "shard stats cell").clone());
+        let shards = self.shards.iter().map(|cell| lock(cell).clone());
         let report =
             merge_report(shards.collect(), self.attached.elapsed().as_nanos() as u64, None);
         let (epoch, artifact) = self.published();

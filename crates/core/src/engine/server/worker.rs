@@ -156,7 +156,7 @@ impl WorkerTenant {
     /// if they moved since the last publish.
     fn publish(&mut self) {
         if std::mem::take(&mut self.dirty) {
-            *lock(&self.tenant.shards[self.stats.shard], "shard stats cell") = self.current_stats();
+            *lock(&self.tenant.shards[self.stats.shard]) = self.current_stats();
         }
     }
 

@@ -72,6 +72,19 @@ impl DataplaneModel {
         verify_pipeline_with(&self.pipeline, Some(self.switch_config()), || &self.flat).0
     }
 
+    /// Corrupts the pipeline description after deploy, as a bit-rotted
+    /// artifact would be: the first entry names a nonexistent action
+    /// (`V003`).
+    #[cfg(test)]
+    pub(crate) fn corrupt_first_entry(&mut self) {
+        let t = Arc::make_mut(&mut self.pipeline.program)
+            .tables
+            .iter_mut()
+            .find(|t| !t.entries.is_empty())
+            .expect("has entries");
+        t.entries[0].action_idx = 999;
+    }
+
     /// The compiled artifact.
     pub fn pipeline(&self) -> &CompiledPipeline {
         &self.pipeline
@@ -407,15 +420,8 @@ mod tests {
             .expect("compiles");
             DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap()
         };
-        // Corrupt the pipeline description after deploy: an entry naming a
-        // nonexistent action, as a bit-rotted artifact would.
         let mut dm = build();
-        let t = Arc::make_mut(&mut dm.pipeline.program)
-            .tables
-            .iter_mut()
-            .find(|t| !t.entries.is_empty())
-            .expect("has entries");
-        t.entries[0].action_idx = 999;
+        dm.corrupt_first_entry();
         let corrupt = EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt");
 
         let server = EngineBuilder::new().build().expect("engine starts");
@@ -432,12 +438,7 @@ mod tests {
         let clean = EngineArtifact::stateless(Arc::new(build()), StreamFeatures::Stat, "clean");
         let token = control.attach(clean, TenantConfig::new()).expect("clean attaches");
         let mut dm = build();
-        let t = Arc::make_mut(&mut dm.pipeline.program)
-            .tables
-            .iter_mut()
-            .find(|t| !t.entries.is_empty())
-            .expect("has entries");
-        t.entries[0].action_idx = 999;
+        dm.corrupt_first_entry();
         let corrupt = EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt");
         let err = control.swap(token, corrupt).unwrap_err();
         assert!(

@@ -7,8 +7,10 @@
 //! ([`Pegasus::compile`](crate::pipeline::Pegasus::compile)), at deploy
 //! time ([`DataplaneModel::deploy`](crate::runtime::DataplaneModel::deploy),
 //! [`FlowClassifier::deploy`](crate::flowpipe::FlowClassifier::deploy)) and
-//! at attach/swap time
-//! ([`ControlHandle::attach`](crate::engine::server::ControlHandle::attach)) —
+//! when the serving engine first admits it
+//! ([`ControlHandle::attach`](crate::engine::server::ControlHandle::attach),
+//! [`swap`](crate::engine::server::ControlHandle::swap); a byte-identical
+//! copy of a resident artifact is served by the resident, verified once) —
 //! and produce a typed [`VerifyReport`] of [`Diagnostic`]s. Any
 //! `Error`-severity diagnostic rejects the artifact with
 //! [`PegasusError::Verify`](crate::error::PegasusError::Verify) before a
@@ -42,9 +44,11 @@
 //!
 //! # Cost
 //!
-//! Every check runs on every deploy, attach and swap (a restarted daemon
-//! re-verifies every artifact it revives), so each is kept near-linear in
-//! the artifact's entries `n`:
+//! Every check runs on every deploy and on an artifact's first admission
+//! by attach or swap (a restarted daemon re-verifies every artifact it
+//! revives; a byte-identical copy of a resident artifact is served by the
+//! resident without re-verifying), so each is kept near-linear in the
+//! artifact's entries `n`:
 //!
 //! * structural checks and interval analysis — one pass over entries,
 //!   actions and LUT slots;
@@ -60,8 +64,8 @@
 //!   collected, and a stage allocation whose dependency test is a few word
 //!   ANDs per table pair.
 //!
-//! Flattening is paid once, at deploy: attach and swap verify the resident
-//! flat program.
+//! Flattening is paid once, at deploy: a first admission verifies the
+//! artifact's own flat program.
 //!
 //! # Diagnostic codes
 //!
@@ -242,6 +246,8 @@ pub(crate) fn verify_pipeline_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
     cfg: Option<&SwitchConfig>,
     flatten: impl FnOnce() -> F,
 ) -> (VerifyReport, Option<F>) {
+    #[cfg(test)]
+    VERIFIER_RUNS.with(|n| n.set(n.get() + 1));
     let mut r = verify_program(&p.program, cfg);
     let nfields = p.program.layout.len();
     check_pipeline_fields(&mut r, "input field", &p.input_fields, nfields);
@@ -268,6 +274,8 @@ pub(crate) fn verify_flow_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
     cfg: Option<&SwitchConfig>,
     flatten: impl FnOnce() -> F,
 ) -> (VerifyReport, Option<F>) {
+    #[cfg(test)]
+    VERIFIER_RUNS.with(|n| n.set(n.get() + 1));
     let mut r = verify_program(&p.program, cfg);
     let nfields = p.program.layout.len();
     check_pipeline_fields(&mut r, "extractor field", &p.extractor_fields, nfields);
@@ -1424,6 +1432,9 @@ fn apply_action(
 
 #[cfg(test)]
 thread_local! {
+    /// Pipelines verified on this thread, stateless and per-flow (tests
+    /// hold attach and swap of a resident artifact's copy to none).
+    pub(crate) static VERIFIER_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Ordered entry pairs the `V201`/`V203` lint held against each other
     /// on this thread (tests pin the lint's cost as this count).
     static LINT_PAIRS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
