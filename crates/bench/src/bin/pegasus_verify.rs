@@ -31,10 +31,9 @@
 //!   counts and the keys split into limbs; there is no scan fallback to
 //!   count — the column census — tables a multi-lane sweep runs by
 //!   columns / register tables it walks lane by lane — and the longest
-//!   fused action run. A net that deploys but does
-//!   not flatten prints the typed reason instead, and fails the run unless
-//!   that reason is a `WideKey` (an exact/range key too wide to index: the
-//!   one shape the simulator path is kept for).
+//!   fused action run. Every net that deploys has a flattened program (the
+//!   verifier rejects whatever would not flatten), so every one of them
+//!   is compared.
 //!
 //! Exit status is non-zero on any deviation, so CI can gate on it.
 //! Standard flags apply (`--quick`, `--seed N`, `--flows N`).
@@ -43,7 +42,7 @@ use pegasus_baselines::{Bos, Leo, N3ic};
 use pegasus_bench::harness::prepare;
 use pegasus_bench::parse_args;
 use pegasus_core::compile::CompileOptions;
-use pegasus_core::engine::{FlatProgram, FlattenSkip};
+use pegasus_core::engine::FlatProgram;
 use pegasus_core::flowpipe::FlowClassifier;
 use pegasus_core::models::autoencoder::AutoEncoder;
 use pegasus_core::models::cnn_b::CnnB;
@@ -74,8 +73,6 @@ struct NetResult {
 enum FlatCheck {
     /// The net does not deploy on the switch model (why).
     Undeployable(String),
-    /// The net deploys but serves through the simulator (why).
-    Skipped(FlattenSkip),
     /// Rows compared, rows that differed, and the program's shape.
     Compared {
         rows: usize,
@@ -90,10 +87,6 @@ enum FlatCheck {
 }
 
 impl FlatCheck {
-    fn skipped(why: Option<&FlattenSkip>) -> FlatCheck {
-        FlatCheck::Skipped(why.expect("a deployed net without a flat program has a reason").clone())
-    }
-
     fn compared(flat: &FlatProgram, rows: usize, mismatches: usize) -> FlatCheck {
         FlatCheck::Compared {
             rows,
@@ -135,7 +128,7 @@ fn differential<M: DataplaneNet>(
         Ok(dp) => dp,
         Err(e) => return FlatCheck::Undeployable(e.to_string()),
     };
-    let Some(flat) = dp.flat() else { return FlatCheck::skipped(dp.flatten_skip()) };
+    let flat = dp.flat().expect("a deployed pipeline is flattened");
     let view = match model.stream_features() {
         StreamFeatures::Stat => data.stat(name),
         StreamFeatures::Seq => data.seq(name),
@@ -180,7 +173,7 @@ fn flow_differential(
         Ok(fc) => fc,
         Err(e) => return FlatCheck::Undeployable(e.to_string()),
     };
-    let Some(flat) = fc.flat() else { return FlatCheck::skipped(fc.flatten_skip()) };
+    let flat = fc.flat();
     let (mut served, mut oracle) = (fc.fork(), fc.fork());
     let packets = &trace.packets[..trace.packets.len().min(MAX_DIFF_ROWS)];
     let mut batch = FrameBatch::with_capacity(RUN);
@@ -286,7 +279,6 @@ fn main() -> std::process::ExitCode {
     for r in &results {
         let flat = match &r.flat {
             FlatCheck::Undeployable(why) => format!("- (does not deploy: {why})"),
-            FlatCheck::Skipped(why) => format!("- ({why})"),
             FlatCheck::Compared {
                 rows,
                 mismatches,
@@ -318,10 +310,6 @@ fn main() -> std::process::ExitCode {
                      (need 0 on at least {MIN_DIFF_ROWS})",
                     r.name
                 );
-                failed = true;
-            }
-            FlatCheck::Skipped(why) if !matches!(why, FlattenSkip::WideKey { .. }) => {
-                eprintln!("FAIL: {} deploys but serves through the simulator: {why}", r.name);
                 failed = true;
             }
             _ => {}

@@ -25,12 +25,18 @@
 //!   first non-zero word mapped back through the order array — the
 //!   simulator's highest-priority-earliest-entry rule, the way a TCAM tests
 //!   every range at once, at a cost independent of the entry count. Memory
-//!   is `Σ_keys (2^bits × 2 B + intervals × ⌈entries/64⌉ × 8 B)`. A
-//!   **ternary key wider than 16 bits** is indexed as 16-bit *limbs*: a
-//!   ternary part is a conjunction of bit tests, hence of its limbs' bit
-//!   tests, so each limb gets a key index of its own and ANDs into the same
-//!   bitset (CNN-L's 32-bit leading-bit IPD quantizer is two limbs of 17
-//!   intervals each). A table whose whole key domain is small (≤ 2¹⁶
+//!   is `Σ_keys (2^bits × 2 B + intervals × ⌈rows/64⌉ × 8 B)`, a *row*
+//!   being one entry's bit (see below). A **key wider than 16 bits** is
+//!   indexed as 16-bit *limbs*: an exact or ternary part is a conjunction
+//!   of bit tests, hence of its limbs' bit tests, so each limb gets a key
+//!   index of its own and ANDs into the same bitset (CNN-L's 32-bit
+//!   leading-bit IPD quantizer is two limbs of 17 intervals each). A range
+//!   part on such a key is no conjunction: it becomes up to
+//!   `2 × limbs − 1` *rows* of its entry — a partial lowest top-limb
+//!   value, the whole top-limb values between, a partial highest one —
+//!   each a conjunction of per-limb spans. An entry's rows are adjacent
+//!   in the bitset, so the lowest set bit still names the winner; every
+//!   other entry is one row. A table whose whole key domain is small (≤ 2¹⁶
 //!   points — the input-segment and index tables fuzzy matching produces)
 //!   is materialised through its index into a **dense LUT**: one `Vec<u32>`
 //!   indexed by the packed key codes, one load per lookup;
@@ -77,8 +83,8 @@
 //! bit-identical to packet-at-a-time execution iff every register array
 //! is touched by exactly one table**. That is the PISA constraint anyway
 //! (an array lives in one stage's stateful ALU) and holds for everything
-//! `build_flow_pipeline` emits; the flattener checks it and reports
-//! [`FlattenSkip::SharedRegister`] otherwise.
+//! `build_flow_pipeline` emits; the verifier rejects any other program
+//! (`V010`) before it is flattened.
 //!
 //! The flattening is **semantics-preserving by construction**: entries,
 //! match order, priority resolution, ALU wrapping, field truncation and
@@ -89,88 +95,29 @@
 //! lane's fields and the final register file — to the simulator under
 //! heavy slot aliasing, and the engine's determinism tests and
 //! `pegasus-verify`'s zoo differential (one-lane and batched) assert
-//! equality against the simulator over whole traces. What does not
-//! flatten: a table matching an `Exact`/`Range` key wider than 16 bits
-//! (the `raw → interval` array would not be cache-sized and a range does
-//! not decompose into limbs; no shipped net has one), an array shared by
-//! two tables, and a *stateless* pipeline that declares registers (its
-//! samples each start from a zeroed file). The constructors return a typed
-//! [`FlattenSkip`] reason and the engine falls back to the simulator path.
+//! equality against the simulator over whole traces. Every program the
+//! verifier accepts flattens: the two shapes a sweep could not reproduce —
+//! an array shared by two tables, and a *stateless* pipeline that declares
+//! registers (its samples each start from a zeroed file) — are verifier
+//! errors (`V010`, `V011`), so the engine has one executor and the
+//! simulator serves only as the oracle.
 
 use crate::compile::CompiledPipeline;
 use crate::error::PegasusError;
 use crate::numformat::NumFormat;
 use pegasus_switch::{
-    mask_of, AluOp, FieldId, KeyPart, MatchKind, Operand, RegFile, RegId, SwitchProgram, Table,
+    mask_of, AluOp, FieldId, KeyPart, Operand, RegFile, RegId, SwitchProgram, Table, TableEntry,
 };
-use std::fmt;
+use std::ops::Range;
 
 /// Largest key domain (in points) enumerated into a dense LUT. 2¹⁶ `u32`
 /// slots = 256 KiB per table, comfortably cache-resident.
 const DENSE_MAX_POINTS: u64 = 1 << 16;
 
 /// Widest key slice one `raw → interval` array covers: 2^bits `u16` slots
-/// (128 KiB at 16 bits), interval ids fitting a `u16`. A ternary key wider
-/// than this is matched limb by limb; a wider `Exact`/`Range` key does not
-/// flatten.
+/// (128 KiB at 16 bits), interval ids fitting a `u16`. A wider key is
+/// matched limb by limb.
 const INDEX_MAX_KEY_BITS: u8 = 16;
-
-/// Why a compiled pipeline could not be flattened into a [`FlatProgram`].
-///
-/// Not an error: pipelines that do not flatten serve through the simulator
-/// path instead. The reason is surfaced as a `V301` `Info` diagnostic in
-/// [`VerifyReport`](crate::verify::VerifyReport)s and in per-tenant engine
-/// stats ([`TenantStats::flatten_skip`](crate::engine::server::TenantStats::flatten_skip)),
-/// so an operator can see *why* a tenant is on the slow path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FlattenSkip {
-    /// A *stateless* pipeline declares register arrays. Its samples are
-    /// independent — each starts from a zeroed file — which the lanes of
-    /// one sweep, sharing a file, cannot reproduce. (Per-flow pipelines
-    /// own one file and flatten.)
-    PerSampleRegisters {
-        /// Number of register arrays the program declares.
-        registers: usize,
-    },
-    /// A register array is touched by more than one table: a table-major
-    /// sweep would reorder its accesses against packet-at-a-time
-    /// execution (see the module docs' ordering rule).
-    SharedRegister {
-        /// The shared array.
-        register: String,
-        /// Every table with an action touching it, in program order.
-        tables: Vec<String>,
-    },
-    /// The named table matches an `Exact`/`Range` key too wide for the
-    /// bit-vector index.
-    WideKey {
-        /// The table with the wide key.
-        table: String,
-        /// The key field's width in bits.
-        bits: u8,
-    },
-}
-
-impl fmt::Display for FlattenSkip {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlattenSkip::PerSampleRegisters { registers } => write!(
-                f,
-                "stateless pipeline declares {registers} register array(s), zeroed per sample"
-            ),
-            FlattenSkip::SharedRegister { register, tables } => write!(
-                f,
-                "register array '{register}' is shared by tables {tables:?} (a sweep keeps \
-                 packet order only within one table)"
-            ),
-            FlattenSkip::WideKey { table, bits } => write!(
-                f,
-                "table '{table}' matches a {bits}-bit exact/range key (the index covers up to \
-                 {INDEX_MAX_KEY_BITS}; only ternary keys split into limbs)"
-            ),
-        }
-    }
-}
 
 #[derive(Clone, Copy)]
 struct FieldMeta {
@@ -587,13 +534,14 @@ pub(crate) fn split_limbs(keys: &[(usize, u8)]) -> Vec<(usize, u32)> {
 
 /// The bit-vector index of one keyed table (see the module docs).
 pub(crate) struct BitIndex {
-    /// Entry indices by (priority desc, index asc): bit `b` of a bitset is
-    /// entry `order[b]`, so the lowest set bit is the winner.
+    /// The entry of each row, rows by (priority desc, index asc) and each
+    /// entry's rows adjacent: bit `b` of a bitset is row `b`, of entry
+    /// `order[b]`, so the lowest set bit names the winner.
     pub(crate) order: Vec<u32>,
-    /// Bitset words per interval, `⌈entries/64⌉`.
+    /// Bitset words per interval, `⌈rows/64⌉`.
     pub(crate) words: usize,
-    /// One index per key limb, key-major (see [`limbs`]): an entry matches
-    /// a key iff it matches every limb of it, so limbs AND into the lookup
+    /// One index per key limb, key-major (see [`limbs`]): a row matches a
+    /// key iff it matches every limb of it, so limbs AND into the lookup
     /// like keys do.
     pub(crate) keys: Vec<KeyIndex>,
     /// `(scratch field, shift)` of each limb — filled only when some key
@@ -606,25 +554,29 @@ pub(crate) struct BitIndex {
 pub(crate) struct KeyIndex {
     /// Raw limb value → interval id (2^width slots).
     pub(crate) interval_of: Vec<u16>,
-    /// Interval-major bitsets (`intervals × words`) of the entries whose
-    /// part on this limb matches anywhere in — hence everywhere in — the
+    /// Interval-major bitsets (`intervals × words`) of the rows whose test
+    /// on this limb passes anywhere in — hence everywhere in — the
     /// interval.
     pub(crate) bitsets: Vec<u64>,
 }
 
-/// What one entry's part asks of one limb's value `v`.
+/// What one row asks of one limb's value `v`.
 #[derive(Clone, Copy, PartialEq)]
 enum LimbTest {
     /// `v & mask == value`: a ternary part (an exact one is all care
     /// bits) is a conjunction of bit tests, hence of its limbs' tests.
     Masked { mask: u64, value: u64 },
-    /// `lo <= v <= hi` — only ever on a one-limb key, whose limb value is
-    /// the key.
+    /// `lo <= v <= hi`: a range part on a one-limb key, whose limb value
+    /// is the key, or one limb's span of a [`range_rows`] row.
     Range { lo: u64, hi: u64 },
 }
 
 impl LimbTest {
-    /// The test `part`, declared over a `bits`-wide key, puts to `limb`.
+    /// The test every value passes.
+    const ANY: LimbTest = LimbTest::Masked { mask: 0, value: 0 };
+
+    /// The test `part`, declared over a `bits`-wide key, puts to `limb`
+    /// (the rows of a range part on a split key replace it: [`range_rows`]).
     fn of(part: &KeyPart, bits: u8, limb: &Limb) -> LimbTest {
         let (value, mask) = match *part {
             KeyPart::Range { lo, hi } => return LimbTest::Range { lo, hi },
@@ -651,25 +603,129 @@ impl LimbTest {
     }
 }
 
+/// A range part `lo..=hi` on a key split into `limbs` (that key's, low
+/// first) as rows of per-limb tests whose union is the range: the top limb
+/// at `lo`'s value over the rest from `lo`'s, the top-limb values between
+/// over anything, the top limb at `hi`'s value over the rest up to `hi`'s
+/// (a side whose rest is whole joins the middle) — at most
+/// `2 × limbs − 1` rows, each a conjunction. A bound past the key's width
+/// is cut to it (V005 rejects one); an inverted range has no rows.
+fn range_rows(lo: u64, hi: u64, limbs: &[Limb]) -> Vec<Vec<LimbTest>> {
+    let Some((top, rest)) = limbs.split_last() else { return vec![Vec::new()] };
+    let hi = hi.min(mask_of(top.shift + top.width));
+    if lo > hi {
+        return Vec::new();
+    }
+    let rest_max = mask_of(top.shift);
+    let (lt, ht, lr, hr) = (lo >> top.shift, hi >> top.shift, lo & rest_max, hi & rest_max);
+    let on_top = |rows: Vec<Vec<LimbTest>>, lo, hi| {
+        rows.into_iter().map(move |mut row| {
+            row.push(LimbTest::Range { lo, hi });
+            row
+        })
+    };
+    if lt == ht {
+        return on_top(range_rows(lr, hr, rest), lt, lt).collect();
+    }
+    let mut rows = Vec::new();
+    if lr != 0 {
+        rows.extend(on_top(range_rows(lr, rest_max, rest), lt, lt));
+    }
+    let (first, last) = (lt + u64::from(lr != 0), ht - u64::from(hr != rest_max));
+    if first <= last {
+        rows.extend(on_top(vec![vec![LimbTest::ANY; rest.len()]], first, last));
+    }
+    if hr != rest_max {
+        rows.extend(on_top(range_rows(0, hr, rest), ht, ht));
+    }
+    rows
+}
+
+/// The rows a range `part` on a split `bits`-wide key, whose limbs are
+/// `limbs`, takes in an index ([`range_rows`]); `None` for any other part,
+/// which is one row.
+fn part_rows(part: &KeyPart, bits: u8, limbs: &[Limb]) -> Option<Vec<Vec<LimbTest>>> {
+    match *part {
+        KeyPart::Range { lo, hi } if bits > INDEX_MAX_KEY_BITS => Some(range_rows(lo, hi, limbs)),
+        _ => None,
+    }
+}
+
+/// Where key `j`'s limbs sit among a table's (they are key-major).
+fn key_limbs(limbs: &[Limb], j: usize) -> Range<usize> {
+    limbs.partition_point(|l| l.key < j)..limbs.partition_point(|l| l.key <= j)
+}
+
+/// How many rows a bit-vector index over `keys` gives `entries`, counted
+/// from their parts alone (the verifier's shape check).
+pub(crate) fn index_rows(entries: &[TableEntry], keys: &[(usize, u8)]) -> usize {
+    let limbs: Vec<Limb> = limbs(keys).collect();
+    let rows = |parts: &[KeyPart]| -> usize {
+        let split =
+            parts.iter().zip(keys).enumerate().filter_map(|(j, (part, key))| {
+                part_rows(part, key.1, &limbs[key_limbs(&limbs, j)])
+            });
+        split.map(|rows| rows.len()).product()
+    };
+    entries.iter().map(|e| rows(&e.keys)).sum()
+}
+
 impl BitIndex {
-    /// Builds the index of `t` over `keys` (`(scratch index, bits)` each);
-    /// a key wider than [`INDEX_MAX_KEY_BITS`] carries only ternary/exact
-    /// parts (`flatten_table` checked).
+    /// Builds the index of `t` over `keys` (`(scratch index, bits)` each).
     fn build(t: &Table, keys: &[(usize, u8)]) -> BitIndex {
-        let mut order: Vec<u32> = (0..t.entries.len() as u32).collect();
+        let mut by_rank: Vec<u32> = (0..t.entries.len() as u32).collect();
         // Stable: entries of equal priority stay in index order.
-        order.sort_by_key(|&e| std::cmp::Reverse(t.entries[e as usize].priority));
-        let words = t.entries.len().div_ceil(64);
-        let index = limbs(keys)
-            .map(|limb| {
+        by_rank.sort_by_key(|&e| std::cmp::Reverse(t.entries[e as usize].priority));
+        let limbs: Vec<Limb> = limbs(keys).collect();
+        // `tests[i][b]` is what row `b` asks of limb `i`. An entry starts
+        // as one row; each of its range parts on a split key multiplies its
+        // rows by that part's.
+        let at: Vec<Range<usize>> = (0..keys.len()).map(|j| key_limbs(&limbs, j)).collect();
+        let mut tests: Vec<Vec<LimbTest>> =
+            limbs.iter().map(|_| Vec::with_capacity(t.entries.len())).collect();
+        let mut order = Vec::with_capacity(t.entries.len());
+        for &e in &by_rank {
+            let parts = &t.entries[e as usize].keys;
+            let first = order.len();
+            for (column, l) in tests.iter_mut().zip(&limbs) {
+                column.push(LimbTest::of(&parts[l.key], keys[l.key].1, l));
+            }
+            let mut rows = 1;
+            for (j, part) in parts.iter().enumerate() {
+                let Some(spans) = part_rows(part, keys[j].1, &limbs[at[j].clone()]) else {
+                    continue;
+                };
+                let key = &at[j];
+                for (i, column) in tests.iter_mut().enumerate() {
+                    for test in column.split_off(first) {
+                        // Key `j`'s limbs take each span's test; others keep the row's.
+                        let pick = |span: &Vec<LimbTest>| {
+                            if key.contains(&i) {
+                                span[i - key.start]
+                            } else {
+                                test
+                            }
+                        };
+                        column.extend(spans.iter().map(pick));
+                    }
+                }
+                rows *= spans.len();
+            }
+            order.resize(first + rows, e);
+        }
+        let words = order.len().div_ceil(64);
+        let index = limbs
+            .iter()
+            .enumerate()
+            .map(|(i, limb)| {
                 let (j, bits, domain) = (limb.key, keys[limb.key].1, 1usize << limb.width);
-                let parts = || t.entries.iter().map(|e| &e.keys[j]);
-                // Intervals are sets of limb values no part tells apart;
-                // bit `b` of an interval's row says entry `order[b]` matches
-                // there.
+                let column = || tests[i].iter();
+                // Intervals are sets of limb values no test tells apart;
+                // bit `b` of an interval's row says row `b` passes there.
                 let mut interval_of = Vec::with_capacity(domain);
                 let mut bitsets;
-                if bits > limb.width || parts().any(|p| matches!(p, KeyPart::Ternary(_))) {
+                let ternary = t.entries.iter().any(|e| matches!(e.keys[j], KeyPart::Ternary(_)));
+                if bits > limb.width || ternary {
                     // A ternary part (or a limb's slice of any part)
                     // matches scattered values: refine one class of all
                     // values test by test, so values with equal rows share
@@ -679,7 +735,7 @@ impl BitIndex {
                     interval_of.resize(domain, 0u16);
                     let mut classes = 1usize;
                     let (mut split, mut done) = (Vec::new(), Vec::new());
-                    for test in parts().map(|p| LimbTest::of(p, bits, &limb)) {
+                    for &test in column() {
                         let uniform = matches!(test, LimbTest::Masked { mask: 0, .. });
                         if uniform || done.contains(&test) {
                             continue;
@@ -704,8 +760,7 @@ impl BitIndex {
                         rep[usize::from(iv)] = v;
                     }
                     bitsets = vec![0u64; classes * words];
-                    for (b, &e) in order.iter().enumerate() {
-                        let test = LimbTest::of(&t.entries[e as usize].keys[j], bits, &limb);
+                    for (b, test) in column().enumerate() {
                         for iv in (0..classes).filter(|&iv| test.hit(rep[iv])) {
                             bitsets[iv * words + b / 64] |= 1 << (b % 64);
                         }
@@ -715,18 +770,18 @@ impl BitIndex {
                     // start at 0 and at each span's `lo` and `hi + 1`. An
                     // inverted or out-of-width part matches nothing (the
                     // verifier's V004/V005) and cuts nothing.
-                    let span = |p: &KeyPart| {
-                        match *p {
-                            KeyPart::Exact(v) => Some((v, v)),
-                            KeyPart::Range { lo, hi } => Some((lo, hi.min(domain as u64 - 1))),
-                            KeyPart::Ternary(_) => None,
+                    let span = |test: &LimbTest| {
+                        match *test {
+                            LimbTest::Range { lo, hi } => Some((lo, hi.min(domain as u64 - 1))),
+                            LimbTest::Masked { mask: 0, .. } => None,
+                            LimbTest::Masked { value, .. } => Some((value, value)),
                         }
                         .filter(|&(lo, hi)| lo <= hi && hi < domain as u64)
                         .map(|(lo, hi)| (lo as usize, hi as usize))
                     };
-                    let mut cuts = Vec::with_capacity(2 + 2 * t.entries.len());
+                    let mut cuts = Vec::with_capacity(2 + 2 * order.len());
                     cuts.extend([0, domain]);
-                    for (lo, hi) in parts().filter_map(span) {
+                    for (lo, hi) in column().filter_map(span) {
                         cuts.extend([lo, hi + 1]);
                     }
                     cuts.sort_unstable();
@@ -735,8 +790,8 @@ impl BitIndex {
                         interval_of.resize(w[1], iv as u16);
                     }
                     bitsets = vec![0u64; (cuts.len() - 1) * words];
-                    for (b, &e) in order.iter().enumerate() {
-                        if let Some((lo, hi)) = span(&t.entries[e as usize].keys[j]) {
+                    for (b, test) in column().enumerate() {
+                        if let Some((lo, hi)) = span(test) {
                             for iv in usize::from(interval_of[lo])..=usize::from(interval_of[hi]) {
                                 bitsets[iv * words + b / 64] |= 1 << (b % 64);
                             }
@@ -974,9 +1029,10 @@ impl FlatBatchScratch {
 
 /// A compiled pipeline flattened for the streaming hot path.
 ///
-/// Built at deploy time by [`FlatProgram::from_pipeline`] (stateless
-/// pipelines) or from a per-flow pipeline's program
-/// ([`FlowClassifier`](crate::flowpipe::FlowClassifier) does this); a
+/// Built at deploy time, inside the verifier run, from a stateless
+/// pipeline ([`DataplaneModel`](crate::runtime::DataplaneModel)) or a
+/// per-flow pipeline's program
+/// ([`FlowClassifier`](crate::flowpipe::FlowClassifier)); a
 /// stateless one is executed via
 /// [`classify_batch`](FlatProgram::classify_batch), or one sample at a time
 /// via [`classify`](FlatProgram::classify) / [`scores`](FlatProgram::scores)
@@ -1004,15 +1060,9 @@ thread_local! {
 }
 
 impl FlatProgram {
-    /// Flattens a stateless compiled pipeline that passed the verifier's
-    /// structural layer (field indices are trusted). Returns a typed
-    /// [`FlattenSkip`] reason when it does not flatten — callers fall back
-    /// to the simulator runtime and surface the reason in stats and verify
-    /// reports.
-    pub fn from_pipeline(p: &CompiledPipeline) -> Result<FlatProgram, FlattenSkip> {
-        if !p.program.registers.is_empty() {
-            return Err(FlattenSkip::PerSampleRegisters { registers: p.program.registers.len() });
-        }
+    /// Flattens a stateless compiled pipeline the verifier accepted (field
+    /// indices are trusted, and it declares no registers: `V011`).
+    pub(crate) fn from_pipeline(p: &CompiledPipeline) -> FlatProgram {
         FlatProgram::from_program(
             &p.program,
             &p.input_fields,
@@ -1023,44 +1073,31 @@ impl FlatProgram {
     }
 
     /// Flattens `prog` with the given input and output fields. Register
-    /// ops flatten too, provided every array is touched by one table only:
-    /// the executor sweeps table-major, walking a register table's lanes in
-    /// arrival order, so an array's accesses keep their
-    /// packet-at-a-time order exactly when one table makes all of them.
+    /// ops flatten too: the verifier holds every array to one table
+    /// (`V010`), and the executor sweeps table-major, walking a register
+    /// table's lanes in arrival order, so an array's accesses keep their
+    /// packet-at-a-time order.
     pub(crate) fn from_program(
         prog: &SwitchProgram,
         inputs: &[FieldId],
         predicted_field: Option<FieldId>,
         score_fields: &[FieldId],
         score_format: NumFormat,
-    ) -> Result<FlatProgram, FlattenSkip> {
+    ) -> FlatProgram {
         #[cfg(test)]
         FLATTENS.with(|n| n.set(n.get() + 1));
         let fields: Vec<FieldMeta> =
             prog.layout.iter().map(|(_, d)| FieldMeta { bits: d.bits, signed: d.signed }).collect();
-        let tables: Vec<FlatTable> =
-            prog.tables.iter().map(|t| flatten_table(t, &fields)).collect::<Result<_, _>>()?;
-        for (r, array) in prog.registers.iter().enumerate() {
-            let touches =
-                |t: &FlatTable| t.actions.iter().flat_map(|a| &a.regs).any(|(_, op)| op.reg == r);
-            let users = || prog.tables.iter().zip(&tables).filter(|(_, ft)| touches(ft));
-            if users().count() > 1 {
-                return Err(FlattenSkip::SharedRegister {
-                    register: array.name.clone(),
-                    tables: users().map(|(t, _)| t.name.clone()).collect(),
-                });
-            }
-        }
-        Ok(FlatProgram {
+        FlatProgram {
             name: prog.name.clone(),
             nfields: fields.len(),
-            tables,
+            tables: prog.tables.iter().map(|t| flatten_table(t, &fields)).collect(),
             inputs: inputs.iter().map(|f| (f.0, Trunc::of(fields[f.0]))).collect(),
             registers: prog.registers.iter().map(|a| (a.width_bits, a.size)).collect(),
             predicted_field: predicted_field.map(|f| f.0),
             score_fields: score_fields.iter().map(|f| f.0).collect(),
             score_format,
-        })
+        }
     }
 
     /// A zeroed one-sample scratch sized for this program.
@@ -1321,7 +1358,7 @@ fn flatten_action(ops: &[AluOp], fields: &[FieldMeta]) -> FlatAction {
     action
 }
 
-fn flatten_table(t: &Table, fields: &[FieldMeta]) -> Result<FlatTable, FlattenSkip> {
+fn flatten_table(t: &Table, fields: &[FieldMeta]) -> FlatTable {
     let keys: Vec<(usize, u8)> = t.keys.iter().map(|&(f, _)| (f.0, fields[f.0].bits)).collect();
     let actions = t.actions.iter().map(|a| flatten_action(&a.ops, fields)).collect();
 
@@ -1339,17 +1376,8 @@ fn flatten_table(t: &Table, fields: &[FieldMeta]) -> Result<FlatTable, FlattenSk
         (*idx as u32, (off, d.len() as u32))
     });
 
-    // A wide key splits into limbs only as a conjunction of bit tests: a
-    // ternary column, no range part smuggled into it.
-    let unsplittable = |&(j, &(_, bits)): &(usize, &(usize, u8))| {
-        bits > INDEX_MAX_KEY_BITS
-            && (t.keys[j].1 != MatchKind::Ternary
-                || t.entries.iter().any(|e| matches!(e.keys[j], KeyPart::Range { .. })))
-    };
     let matcher = if keys.is_empty() || t.entries.is_empty() {
         Matcher::Always
-    } else if let Some((_, &(_, bits))) = keys.iter().enumerate().find(unsplittable) {
-        return Err(FlattenSkip::WideKey { table: t.name.clone(), bits });
     } else {
         let index = BitIndex::build(t, &keys);
         let domain_bits: u32 = keys.iter().map(|k| u32::from(k.1)).sum();
@@ -1374,7 +1402,7 @@ fn flatten_table(t: &Table, fields: &[FieldMeta]) -> Result<FlatTable, FlattenSk
         }
     };
 
-    Ok(FlatTable { keys, matcher, entry_action, entry_data, data, default_entry, actions })
+    FlatTable { keys, matcher, entry_action, entry_data, data, default_entry, actions }
 }
 
 #[cfg(test)]
@@ -1422,7 +1450,7 @@ mod tests {
         )
         .expect("compiles");
         let dp = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
-        let flat = FlatProgram::from_pipeline(dp.pipeline()).expect("stateless flattens");
+        let flat = FlatProgram::from_pipeline(dp.pipeline());
         let mut s = flat.scratch();
         for row in inputs(500, 12) {
             assert_eq!(
@@ -1448,7 +1476,7 @@ mod tests {
         )
         .expect("compiles");
         let dp = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
-        let flat = FlatProgram::from_pipeline(dp.pipeline()).expect("flattens");
+        let flat = FlatProgram::from_pipeline(dp.pipeline());
         let mut s = flat.scratch();
         for row in inputs(200, 14) {
             assert_eq!(flat.scores(&row, &mut s).unwrap(), dp.scores(&row).unwrap());
@@ -1473,7 +1501,7 @@ mod tests {
         )
         .expect("compiles");
         let dp = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
-        let flat = FlatProgram::from_pipeline(dp.pipeline()).expect("flattens");
+        let flat = FlatProgram::from_pipeline(dp.pipeline());
         let mut scalar = flat.scratch();
         let mut batch = flat.batch_scratch(8);
         let mut out = Vec::new();
@@ -1548,7 +1576,7 @@ mod tests {
         )
         .expect("compiles");
         let dp = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
-        let flat = FlatProgram::from_pipeline(dp.pipeline()).expect("flattens");
+        let flat = FlatProgram::from_pipeline(dp.pipeline());
         let mut s = flat.scratch();
         assert_eq!(
             flat.classify(&[1.0, 2.0], &mut s).unwrap_err(),
@@ -1631,7 +1659,8 @@ mod tests {
 
     #[test]
     fn indexed_winner_matches_simulator_lookup() {
-        let (mut indexed, mut dense, mut limbed, mut wide_skips, mut missed) = (0, 0, 0, 0, 0);
+        let (mut indexed, mut dense, mut limbed, mut missed) = (0, 0, 0, 0);
+        let (mut wide_exact, mut wide_range) = (0, 0);
         for (entries, seeds) in [(1, 12), (63, 8), (64, 8), (65, 8), (448, 3)] {
             for seed in 0..seeds {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(1000 * entries as u64 + seed);
@@ -1641,20 +1670,13 @@ mod tests {
                     .iter()
                     .map(|(_, d)| FieldMeta { bits: d.bits, signed: d.signed })
                     .collect();
-                // Only a ternary column splits into limbs: the first wide
-                // exact or range column is the typed skip.
-                let unsplittable = t.keys.iter().zip(&widths).find_map(|(&(_, kind), &bits)| {
-                    (bits > INDEX_MAX_KEY_BITS && kind != MatchKind::Ternary).then_some(bits)
-                });
-                let flat = match (flatten_table(&t, &fields), unsplittable) {
-                    (Ok(flat), None) => flat,
-                    (Err(skip), Some(bits)) => {
-                        assert_eq!(skip, FlattenSkip::WideKey { table: "prop".into(), bits });
-                        wide_skips += 1;
-                        continue;
-                    }
-                    (got, want) => panic!("{:?} for wide column {want:?}", got.err()),
+                let flat = flatten_table(&t, &fields);
+                let wide = |kind| {
+                    let mut columns = t.keys.iter().zip(&widths);
+                    usize::from(columns.any(|(k, &bits)| k.1 == kind && bits > INDEX_MAX_KEY_BITS))
                 };
+                wide_exact += wide(MatchKind::Exact);
+                wide_range += wide(MatchKind::Range);
                 limbed += usize::from(widths.iter().any(|&b| b > INDEX_MAX_KEY_BITS));
                 match flat.matcher {
                     Matcher::Indexed(_) => indexed += 1,
@@ -1662,8 +1684,10 @@ mod tests {
                     Matcher::Always => unreachable!("keyed table with entries"),
                 }
                 // Probes: random points, and for (up to 64) entries a random
-                // point inside the entry's box plus every part bound ± 1 on
-                // one key with the other keys held inside the box.
+                // point inside the entry's box plus every part bound ± 1 —
+                // and the edges of the bounds' 16-bit limbs, where a wide
+                // range's rows meet — on one key with the other keys held
+                // inside the box.
                 let mut probes: Vec<Vec<u64>> = (0..300)
                     .map(|_| widths.iter().map(|&b| rng.gen_range(0..=mask_of(b))).collect())
                     .collect();
@@ -1686,7 +1710,10 @@ mod tests {
                     });
                     probes.push(within.collect());
                     for (j, &(lo, hi)) in bounds.iter().enumerate() {
+                        let (lo_top, hi_low) = (lo | 0xffff, hi & !0xffff);
                         for cut in [lo.wrapping_sub(1), lo, lo + 1, hi.wrapping_sub(1), hi, hi + 1]
+                            .into_iter()
+                            .chain([lo_top, lo_top + 1, hi_low.wrapping_sub(1), hi_low])
                         {
                             let mut p = inside.clone();
                             p[j] = cut & mask_of(widths[j]);
@@ -1714,12 +1741,65 @@ mod tests {
                 }
             }
         }
-        // The sweep exercised both matchers, limb-split keys, the wide-key
-        // skip and keys that match no entry.
+        // The sweep exercised both matchers, limb-split keys — wide exact
+        // and wide range columns among them — and keys that match no entry.
         assert!(
-            indexed >= 8 && dense >= 2 && limbed >= 5 && wide_skips >= 5 && missed >= 100,
-            "{indexed} {dense} {limbed} {wide_skips} {missed}"
+            indexed >= 8
+                && dense >= 2
+                && limbed >= 5
+                && wide_exact >= 5
+                && wide_range >= 5
+                && missed >= 100,
+            "{indexed} {dense} {limbed} {wide_exact} {wide_range} {missed}"
         );
+    }
+
+    #[test]
+    fn range_rows_cover_exactly_the_range() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for bits in [17u8, 20, 31, 32, 33, 47, 48] {
+            let key: Vec<Limb> = limbs(&[(0, bits)]).collect();
+            let top = mask_of(bits);
+            for _ in 0..200 {
+                let (a, b) = (rng.gen_range(0..=top), rng.gen_range(0..=top));
+                // Narrow ranges too, and ones that share a top limb.
+                let (lo, hi) = match rng.gen_range(0..3) {
+                    0 => (a.min(b), a.max(b)),
+                    1 => (a, (a + rng.gen_range(0..0x300)).min(top)),
+                    _ => (a & !0xffff, a | 0xffff),
+                };
+                let rows = range_rows(lo, hi, &key);
+                assert!(
+                    rows.len() < 2 * key.len(),
+                    "{bits} bits [{lo:#x}, {hi:#x}]: {}",
+                    rows.len()
+                );
+                let limb_edges =
+                    [lo | 0xffff, (lo | 0xffff) + 1, hi & !0xffff, (hi & !0xffff).wrapping_sub(1)];
+                let probes =
+                    [lo.wrapping_sub(1), lo, lo + 1, hi.wrapping_sub(1), hi, hi + 1, 0, top]
+                        .into_iter()
+                        .chain(limb_edges)
+                        .chain((0..16).map(|_| rng.gen_range(0..=top)))
+                        .map(|v| v & top);
+                for v in probes {
+                    let passes = |row: &Vec<LimbTest>| {
+                        row.iter().zip(&key).all(|(t, l)| {
+                            t.hit((v >> l.shift) as usize & mask_of(l.width) as usize)
+                        })
+                    };
+                    assert_eq!(
+                        rows.iter().any(passes),
+                        (lo..=hi).contains(&v),
+                        "{bits} bits [{lo:#x}, {hi:#x}] at {v:#x}"
+                    );
+                }
+            }
+        }
+        // An inverted range has no rows; a whole one is one row.
+        let key: Vec<Limb> = limbs(&[(0, 32)]).collect();
+        assert!(range_rows(9, 3, &key).is_empty());
+        assert_eq!(range_rows(0, u64::MAX, &key).len(), 1);
     }
 
     #[test]
@@ -1957,8 +2037,7 @@ mod tests {
             let owners = [0, 1, 2].map(|_| rng.gen_range(0..3));
             let prog = random_register_program(&mut rng, owners);
             let inputs: Vec<FieldId> = (0..5).map(FieldId).chain([FieldId(12)]).collect();
-            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8())
-                .expect("each array has one owner table");
+            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8());
             reg_ops +=
                 flat.tables.iter().flat_map(|t| &t.actions).map(|a| a.regs.len()).sum::<usize>();
             // Heavy aliasing: every lane on one slot, on two, or anywhere.
@@ -2165,8 +2244,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let prog = random_stateless_program(&mut rng);
             let inputs: Vec<FieldId> = (0..prog.layout.len()).map(FieldId).collect();
-            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8())
-                .expect("register-free programs flatten");
+            let flat = FlatProgram::from_program(&prog, &inputs, None, &[], NumFormat::code8());
             for t in &flat.tables {
                 shapes[match &t.matcher {
                     Matcher::Always => 0,
@@ -2262,8 +2340,7 @@ mod tests {
             });
         }
         prog.tables.push(t);
-        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8())
-            .expect("the executor, not the verifier, is under test");
+        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8());
         assert_eq!(flat.longest_run(), 4);
         for lanes in [1usize, 64] {
             let swept = std::panic::catch_unwind(|| {
@@ -2275,7 +2352,9 @@ mod tests {
     }
 
     #[test]
-    fn array_shared_by_two_tables_is_a_typed_skip() {
+    fn shared_arrays_and_stateless_registers_are_verifier_errors() {
+        use crate::flowpipe::{FlowClassifier, FlowPipeline};
+        use crate::verify::verify_program;
         use pegasus_switch::{RegId, RegisterArray, SwitchProgram};
         let mut layout = PhvLayout::new();
         let x = layout.add_field("x", 8);
@@ -2291,27 +2370,49 @@ mod tests {
             t.default_action = Some((t.add_action(act), vec![]));
             prog.tables.push(t);
         }
-        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8());
-        assert_eq!(
-            flat.err(),
-            Some(FlattenSkip::SharedRegister {
-                register: "both".into(),
-                tables: vec!["first".into(), "second".into()],
-            })
-        );
-        // The same program with registers is no stateless pipeline either.
+        let v010 = |report: &crate::verify::VerifyReport| {
+            let shared: Vec<_> = report.errors().filter(|d| d.code == "V010").collect();
+            assert_eq!(shared.len(), 1, "{report}");
+            assert!(shared[0]
+                .message
+                .contains(r#"'both' is touched by tables ["first", "second"]"#));
+        };
+        v010(&verify_program(&prog, None));
+        let prog = Arc::new(prog);
+        let cfg = SwitchConfig::tofino2();
+        let rejected = |err: PegasusError| match err {
+            PegasusError::Verify { report } => *report,
+            other => panic!("expected a verifier rejection, got {other:?}"),
+        };
+        // A stateless pipeline: shared, and declaring registers at all.
         let p = CompiledPipeline {
-            program: Arc::new(prog),
+            program: Arc::clone(&prog),
             input_fields: vec![x],
             score_fields: vec![],
             score_format: NumFormat::code8(),
             predicted_field: Some(x),
             report: Default::default(),
         };
-        assert_eq!(
-            FlatProgram::from_pipeline(&p).err(),
-            Some(FlattenSkip::PerSampleRegisters { registers: 2 })
-        );
+        let report = rejected(DataplaneModel::deploy(p, &cfg).err().expect("rejected"));
+        v010(&report);
+        assert!(report.errors().any(|d| d.code == "V011"), "{report}");
+        // A per-flow pipeline owns a register file, but not a shared array.
+        let fp = FlowPipeline {
+            program: prog,
+            len_field: x,
+            ts_field: x,
+            hash_field: x,
+            extractor_fields: vec![],
+            predicted_field: Some(x),
+            score_fields: vec![],
+            score_format: NumFormat::code8(),
+            valid_field: x,
+            stateful_bits_per_flow: 0,
+            report: Default::default(),
+        };
+        let report = rejected(FlowClassifier::deploy(fp, &cfg).err().expect("rejected"));
+        v010(&report);
+        assert!(!report.has_code("V011"), "{report}");
     }
 
     #[test]
@@ -2334,7 +2435,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_key_table_falls_back_to_the_simulator() {
+    fn wide_range_key_flattens_and_matches_the_simulator() {
         let mut layout = PhvLayout::new();
         let x = layout.add_field("x", 8);
         let wide = layout.add_field("wide", 20);
@@ -2357,6 +2458,14 @@ mod tests {
             action_idx: set,
             action_data: vec![1],
         });
+        // Across a top-limb boundary, past every input: one entry, two
+        // index rows — the deploy's V003 holds the index to three rows.
+        t.add_entry(TableEntry {
+            keys: vec![KeyPart::Range { lo: 0xff01, hi: 0x1ffff }],
+            priority: 0,
+            action_idx: set,
+            action_data: vec![3],
+        });
         t.default_action = Some((set, vec![2]));
         prog.tables.push(t);
         let p = CompiledPipeline {
@@ -2367,13 +2476,20 @@ mod tests {
             predicted_field: Some(x),
             report: Default::default(),
         };
-        assert_eq!(
-            FlatProgram::from_pipeline(&p).err(),
-            Some(FlattenSkip::WideKey { table: "match_wide".into(), bits: 20 })
-        );
-        let dp = DataplaneModel::deploy(p, &SwitchConfig::tofino2()).expect("deploys unflattened");
-        assert!(dp.flat().is_none());
-        assert_eq!(dp.classify(&[100.0]).unwrap(), 1);
-        assert_eq!(dp.classify(&[200.0]).unwrap(), 2);
+        let dp = DataplaneModel::deploy(p, &SwitchConfig::tofino2()).expect("deploys");
+        let flat = dp.flat().expect("every verified pipeline flattens");
+        assert_eq!((flat.indexed_tables(), flat.limb_keys()), (1, 1));
+        let Matcher::Indexed(ix) = &flat.tables[1].matcher else { panic!("indexed") };
+        assert_eq!(ix.order, [0, 1, 1]);
+        let mut s = flat.scratch();
+        // 127 → 0x7f00, inside the range; 128 → 0x8000, past it.
+        for (code, want) in [(127.0, 1), (128.0, 2)] {
+            assert_eq!(dp.classify(&[code]).unwrap(), want);
+            assert_eq!(flat.classify(&[code], &mut s).unwrap(), want);
+        }
+        for code in 0..=255 {
+            let code = [f32::from(code as u8)];
+            assert_eq!(flat.classify(&code, &mut s).unwrap(), dp.classify(&code).unwrap());
+        }
     }
 }

@@ -72,15 +72,15 @@
 //! both shard kinds: a stateless run's full-window rows and a per-flow
 //! pipeline's whole run (register ops included, against the shard's file)
 //! are each one table-major sweep; see [`FlatProgram`] for the exact
-//! guarantees. The simulator stays the oracle the differential suites hold
-//! that path against, and the fallback for an artifact that reports a
-//! [`FlattenSkip`].
+//! guarantees. Every artifact the verifier accepts flattens, so this is the
+//! only executor; the simulator stays the oracle the differential suites
+//! hold it against, off every served path.
 
 pub mod flat;
 pub mod server;
 pub mod stats;
 
-pub use flat::{FlatBatchScratch, FlatProgram, FlatScratch, FlattenSkip};
+pub use flat::{FlatBatchScratch, FlatProgram, FlatScratch};
 pub use server::{
     ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer, EngineStats,
     FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
@@ -127,7 +127,7 @@ pub(crate) struct StatelessShard {
     /// produced, the batch execution scratch, and the per-run flow → slot
     /// cache that turns repeat packets of one flow into hinted O(1)
     /// admissions.
-    batch_scratch: Option<FlatBatchScratch>,
+    batch_scratch: FlatBatchScratch,
     batch_codes: Vec<f32>,
     batch_rows: Vec<usize>,
     batch_classes: Vec<usize>,
@@ -141,7 +141,7 @@ impl StatelessShard {
         table: FlowTableConfig,
     ) -> Self {
         StatelessShard {
-            batch_scratch: dp.flat().map(|f| f.batch_scratch(0)),
+            batch_scratch: dp.flat.batch_scratch(0),
             dp,
             features,
             tracker: FlowTracker::bounded(WINDOW, table),
@@ -156,7 +156,7 @@ impl StatelessShard {
     /// host flow state is keyed by five-tuple alone, so it is valid under
     /// any stateless artifact (the paper's table-entry-rewrite story).
     pub(crate) fn swap(&mut self, dp: Arc<DataplaneModel>, features: StreamFeatures) {
-        self.batch_scratch = dp.flat().map(|f| f.batch_scratch(0));
+        self.batch_scratch = dp.flat.batch_scratch(0);
         self.dp = dp;
         self.features = features;
     }
@@ -262,18 +262,12 @@ impl StatelessShard {
         if lanes == 0 {
             return Ok(());
         }
-        match (self.dp.flat(), &mut self.batch_scratch) {
-            (Some(flat), Some(scratch)) => {
-                flat.classify_batch(&self.batch_codes, lanes, scratch, &mut self.batch_classes)?;
-            }
-            _ => {
-                self.batch_classes.clear();
-                let arity = self.batch_codes.len() / lanes;
-                for row in self.batch_codes.chunks_exact(arity) {
-                    self.batch_classes.push(self.dp.classify(row)?);
-                }
-            }
-        }
+        self.dp.flat.classify_batch(
+            &self.batch_codes,
+            lanes,
+            &mut self.batch_scratch,
+            &mut self.batch_classes,
+        )?;
         for (&j, &class) in self.batch_rows.iter().zip(&self.batch_classes) {
             verdicts[j] = Some(class);
         }

@@ -165,19 +165,6 @@ impl EngineArtifact {
         }
     }
 
-    /// Why this artifact does not run on the flattened hot path, if it
-    /// doesn't (the typed [`FlattenSkip`](crate::engine::FlattenSkip)
-    /// reason, rendered): its tenant serves through the switch simulator.
-    /// `None` means the tenant streams through the flattened program —
-    /// per-flow register pipelines included.
-    pub fn flatten_skip(&self) -> Option<String> {
-        match &self.plane {
-            ArtifactPlane::Stateless(dp) => dp.flatten_skip(),
-            ArtifactPlane::Flow(program) => program.flat.as_ref().err(),
-        }
-        .map(ToString::to_string)
-    }
-
     /// The artifact's content identity for cross-tenant dedup: the
     /// serialized compiled pipeline plus the switch model and feature
     /// family it serves under. Two artifacts with equal content bytes are

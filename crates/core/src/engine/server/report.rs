@@ -27,11 +27,6 @@ pub struct TenantStats {
     /// Merged per-shard counters (predictions are never included in live
     /// snapshots; detach or shutdown returns them).
     pub report: StreamReport,
-    /// Why this tenant's artifact runs on the simulator fallback instead
-    /// of the flattened hot path (`None` when it flattened — stateless and
-    /// per-flow register pipelines alike). See
-    /// [`FlattenSkip`](crate::engine::FlattenSkip).
-    pub flatten_skip: Option<String>,
 }
 
 /// A live engine-wide statistics snapshot.

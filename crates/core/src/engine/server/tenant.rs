@@ -195,7 +195,6 @@ impl Tenant {
             routed_packets: self.routed_packets.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             report,
-            flatten_skip: artifact.flatten_skip(),
         };
         (stats, artifact)
     }

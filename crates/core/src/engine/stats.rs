@@ -38,14 +38,6 @@ impl ParseErrorCounters {
         }
     }
 
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &ParseErrorCounters) {
-        self.truncated += other.truncated;
-        self.checksum += other.checksum;
-        self.malformed += other.malformed;
-        self.unsupported += other.unsupported;
-    }
-
     /// All rejected frames.
     pub fn total(&self) -> u64 {
         self.truncated + self.checksum + self.malformed + self.unsupported
@@ -437,15 +429,7 @@ serde::impl_serde_struct!(StreamReport {
 
 serde::impl_serde_struct!(TenantToken(id));
 
-serde::impl_serde_struct!(TenantStats {
-    token,
-    name,
-    epoch,
-    routed_packets,
-    failed,
-    report,
-    flatten_skip,
-});
+serde::impl_serde_struct!(TenantStats { token, name, epoch, routed_packets, failed, report });
 serde::impl_serde_struct!(EngineStats { tenants, unrouted, parse_errors, routing, artifacts });
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! register cells.
 
 use crate::compile::{emit_into, CompileOptions, CompileReport, CompileTarget, EmittedProgram};
-use crate::engine::{FlatBatchScratch, FlatProgram, FlattenSkip};
+use crate::engine::{FlatBatchScratch, FlatProgram};
 use crate::error::PegasusError;
 use crate::fuzzy::ClusterTree;
 use crate::numformat::NumFormat;
@@ -520,7 +520,7 @@ impl FlowPipeline {
     /// inputs, in order: wire length, timestamp, flow hash, then the
     /// extractor bytes — the order [`FlowClassifier::process_batch`] seeds
     /// them in.
-    pub(crate) fn flatten(&self) -> Result<FlatProgram, FlattenSkip> {
+    pub(crate) fn flatten(&self) -> FlatProgram {
         let mut inputs = vec![self.len_field, self.ts_field, self.hash_field];
         inputs.extend(&self.extractor_fields);
         FlatProgram::from_program(
@@ -544,9 +544,8 @@ pub(crate) struct FlowProgram {
     pub(crate) pipeline: FlowPipeline,
     pub(crate) loaded: LoadedProgram,
     /// What [`process_batch`](FlowClassifier::process_batch) sweeps, baked
-    /// once at deploy time — or the typed reason it serves through
-    /// `loaded` instead.
-    pub(crate) flat: Result<FlatProgram, FlattenSkip>,
+    /// once at deploy time.
+    pub(crate) flat: FlatProgram,
     hash_mask: u32,
 }
 
@@ -642,15 +641,9 @@ impl FlowClassifier {
     }
 
     /// The flattened replica [`process_batch`](FlowClassifier::process_batch)
-    /// sweeps (`None` when the program did not flatten).
-    pub fn flat(&self) -> Option<&FlatProgram> {
-        self.program.flat.as_ref().ok()
-    }
-
-    /// Why `process_batch` serves through the simulator instead (`None`
-    /// when [`flat`](FlowClassifier::flat) is available).
-    pub fn flatten_skip(&self) -> Option<&FlattenSkip> {
-        self.program.flat.as_ref().err()
+    /// sweeps.
+    pub fn flat(&self) -> &FlatProgram {
+        &self.program.flat
     }
 
     /// The underlying pipeline description.
@@ -739,15 +732,14 @@ impl FlowClassifier {
     /// order (flow hash, capture timestamp, wire length, payload head
     /// zero-padded to the extractor arity).
     ///
-    /// A flattened program takes the whole run in one table-major sweep:
+    /// The flattened program takes the whole run in one table-major sweep:
     /// every lane's input fields are seeded straight from the batch columns
     /// — as integers, each through its field's truncation — into the
     /// sweep's field-major columns. A table carrying register ops walks the
     /// lanes in arrival order, so a register array (touched by one table
-    /// only, the flattener checked) sees its packets' accesses in that
+    /// only, the verifier checked) sees its packets' accesses in that
     /// order; every other table runs by columns, op-major across the lanes.
-    /// Nothing is allocated per packet. Only a program that reports a
-    /// [`FlattenSkip`] goes through the simulator instead.
+    /// Nothing is allocated per packet.
     pub fn process_batch(
         &mut self,
         batch: &FrameBatch,
@@ -756,16 +748,7 @@ impl FlowClassifier {
     ) -> Result<(), PegasusError> {
         verdicts.clear();
         let (flows, ts, wires) = (batch.flows(), batch.ts_micros(), batch.wire_lens());
-        let Ok(flat) = &self.program.flat else {
-            let mut codes = vec![0.0; self.pipeline().extractor_fields.len()];
-            for i in run {
-                codes.fill(0.0);
-                codes.iter_mut().zip(batch.payload_head(i)).for_each(|(c, &b)| *c = f32::from(b));
-                let hash = flows[i].dataplane_hash();
-                verdicts.push(self.on_packet_mut(hash, ts[i], wires[i], &codes)?.predicted);
-            }
-            return Ok(());
-        };
+        let flat = &self.program.flat;
         let (lanes, inputs, hash_mask) = (run.len(), flat.inputs(), self.program.hash_mask);
         flat.sweep(lanes, &mut self.scratch, &mut self.regs, |vals| {
             for (l, i) in run.enumerate() {
@@ -1029,14 +1012,11 @@ mod tests {
             FlowClassifier::deploy(build_flow_pipeline(&small).unwrap(), &SwitchConfig::tofino2())
                 .expect("deploys");
         assert_eq!(flattens() - before, 1, "deploy verifies the FlatProgram it keeps");
-        assert!(fc.flat().is_some_and(|flat| flat.limb_keys() == 1), "{:?}", fc.flatten_skip());
+        assert_eq!(fc.flat().limb_keys(), 1);
         // What attach and swap run, and what every shard does: over the
         // resident program.
         let report = fc.program.verify_report();
-        assert!(
-            report.is_clean() && !report.has_code("V301") && !report.has_code("V103"),
-            "{report}"
-        );
+        assert!(report.is_clean() && !report.has_code("V103"), "{report}");
         let mut oracle = fc.fork();
         assert_eq!(flattens() - before, 1, "verify_report/fork re-flattened");
 

@@ -76,8 +76,8 @@ pub use engine::server::{
     FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
 };
 pub use engine::{
-    ArtifactCounters, FlattenSkip, FlowTableCounters, ParseErrorCounters, RoutingCounters,
-    StreamReport, SwapCounters, HOST_WINDOW_STATE_BITS,
+    ArtifactCounters, FlowTableCounters, ParseErrorCounters, RoutingCounters, StreamReport,
+    SwapCounters, HOST_WINDOW_STATE_BITS,
 };
 pub use error::PegasusError;
 pub use models::{DataplaneNet, Lowered, ModelData, StreamFeatures, TrainSettings};

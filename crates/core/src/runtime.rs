@@ -11,7 +11,7 @@
 //! std threads. Misuse returns [`PegasusError`] instead of panicking.
 
 use crate::compile::CompiledPipeline;
-use crate::engine::{FlatProgram, FlattenSkip};
+use crate::engine::FlatProgram;
 use crate::error::PegasusError;
 use crate::primitives::{Primitive, PrimitiveProgram};
 use crate::verify::{verify_pipeline_with, VerifyReport};
@@ -36,9 +36,8 @@ pub struct DataplaneModel {
     pipeline: CompiledPipeline,
     loaded: LoadedProgram,
     /// The flattened-LUT replica of the pipeline, baked once at deploy time
-    /// for the streaming engine's hot loop — or the typed reason
-    /// flattening was skipped.
-    flat: Result<FlatProgram, FlattenSkip>,
+    /// for the streaming engine's hot loop.
+    pub(crate) flat: FlatProgram,
 }
 
 impl DataplaneModel {
@@ -90,20 +89,13 @@ impl DataplaneModel {
         &self.pipeline
     }
 
-    /// The flattened-LUT replica of this pipeline (`None` when it did not
-    /// flatten — see [`flatten_skip`](DataplaneModel::flatten_skip)).
-    /// Bit-identical to
+    /// The flattened-LUT replica of this pipeline — always `Some`: every
+    /// pipeline the verifier accepts flattens (the `Option` is kept for
+    /// callers written against the fallible form). Bit-identical to
     /// [`classify`](DataplaneModel::classify) — asserted over whole traces
     /// by the engine's determinism tests.
     pub fn flat(&self) -> Option<&FlatProgram> {
-        self.flat.as_ref().ok()
-    }
-
-    /// Why this pipeline was not flattened (`None` when [`flat`](DataplaneModel::flat)
-    /// is available). Surfaced in engine stats so operators can see which
-    /// tenants serve through the simulator fallback.
-    pub fn flatten_skip(&self) -> Option<&FlattenSkip> {
-        self.flat.as_ref().err()
+        Some(&self.flat)
     }
 
     /// Switch resource utilization (the Table 6 row).
@@ -449,7 +441,6 @@ mod tests {
         let stats = control.stats().expect("stats");
         assert_eq!(stats.tenants.len(), 1);
         assert_eq!(stats.tenants[0].epoch, 0, "failed swap must not bump the epoch");
-        assert!(stats.tenants[0].flatten_skip.is_none(), "stateless scorer flattens");
         server.shutdown().expect("shuts down");
     }
 }

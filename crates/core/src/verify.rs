@@ -22,7 +22,10 @@
 //!    in bounds, dense-LUT slots naming real entries, entry action/data
 //!    offsets inside their pools, range parts ordered and inside the key
 //!    field's declared bit width, shift amounts below 64, register ops
-//!    naming real arrays.
+//!    naming real arrays, each array touched by one table only, and no
+//!    registers in a stateless pipeline — the last two the shapes a
+//!    table-major sweep could not reproduce, so everything that passes
+//!    flattens.
 //! 2. **Interval abstract interpretation** (`V1xx`) — `[lo, hi]` value
 //!    ranges propagated per PHV/scratch field through every micro-op
 //!    sequence and across table stages (respecting `mask_of`/`truncate`
@@ -38,9 +41,6 @@
 //!    overlapping entries (hardware match nondeterminism), and the full
 //!    [`SwitchConfig`] resource accounting (stages, PHV, SRAM/TCAM, action
 //!    bus) as static diagnostics instead of deploy-time surprises.
-//!
-//! `V301` (`Info`) records why a pipeline did not flatten into the
-//! streaming hot path (see [`FlattenSkip`]).
 //!
 //! # Cost
 //!
@@ -80,6 +80,8 @@
 //! | `V007` | Error | entry key arity differs from the table declaration |
 //! | `V008` | Warn  | ternary entry can never match (`value & !mask != 0`) |
 //! | `V009` | Error | flattened register op names a nonexistent array |
+//! | `V010` | Error | a register array is touched by more than one table |
+//! | `V011` | Error | a stateless pipeline declares register arrays |
 //! | `V101` | Error | a packed dense-LUT key is not provably in bounds |
 //! | `V102` | Warn  | a value range provably wraps past its field width |
 //! | `V103` | Warn  | a register index is not provably inside its array (it wraps modulo the size) |
@@ -87,13 +89,12 @@
 //! | `V202` | Warn  | no default action and a provable match gap |
 //! | `V203` | Warn  | same-priority overlapping entries |
 //! | `V204` | Error | switch resource model rejects the program |
-//! | `V301` | Info  | pipeline does not flatten (reason attached) |
 
 use crate::compile::CompiledPipeline;
 use crate::engine::flat::{
-    limbs, split_limbs, FlatAction, FlatProgram, FlatTable, Matcher, OpKind, Src, Step, Trunc,
+    index_rows, limbs, split_limbs, FlatAction, FlatProgram, FlatTable, Matcher, OpKind, Src, Step,
+    Trunc,
 };
-use crate::engine::FlattenSkip;
 use crate::flowpipe::FlowPipeline;
 use pegasus_switch::{
     mask_of, AluOp, FieldId, KeyPart, SwitchConfig, SwitchProgram, Table, TernaryKey,
@@ -104,7 +105,7 @@ use std::fmt;
 /// How bad one diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Informational only (e.g. the flatten-skip reason).
+    /// Informational only.
     Info,
     /// Suspicious but not rejecting (e.g. silent wrap-around).
     Warn,
@@ -230,8 +231,7 @@ const COVERAGE_MAX_POINTS: u64 = 1 << 16;
 
 /// Verifies a stateless compiled pipeline: program-level structural and
 /// semantic layers, resource accounting when `cfg` is given, then the
-/// flattened representation (structural + interval analysis) or the typed
-/// flatten-skip reason as a `V301` info.
+/// flattened representation (structural + interval analysis).
 pub fn verify_pipeline(p: &CompiledPipeline, cfg: Option<&SwitchConfig>) -> VerifyReport {
     verify_pipeline_with(p, cfg, || FlatProgram::from_pipeline(p)).0
 }
@@ -241,7 +241,7 @@ pub fn verify_pipeline(p: &CompiledPipeline, cfg: Option<&SwitchConfig>) -> Veri
 /// `deploy` builds it here and keeps it, attach/swap lend the resident
 /// one. `flatten` runs only once the structural layer is clean (the
 /// flattener trusts it); what it returned comes back beside the report.
-pub(crate) fn verify_pipeline_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+pub(crate) fn verify_pipeline_with<F: Borrow<FlatProgram>>(
     p: &CompiledPipeline,
     cfg: Option<&SwitchConfig>,
     flatten: impl FnOnce() -> F,
@@ -255,21 +255,32 @@ pub(crate) fn verify_pipeline_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
     if let Some(f) = p.predicted_field {
         check_pipeline_fields(&mut r, "predicted field", &[f], nfields);
     }
+    if !p.program.registers.is_empty() {
+        r.push(
+            "V011",
+            Severity::Error,
+            None,
+            format!(
+                "stateless pipeline declares {} register array(s): each sample starts from a \
+                 zeroed file, which the lanes of one sweep, sharing a file, cannot reproduce",
+                p.program.registers.len()
+            ),
+        );
+    }
     // Input feature codes are clamped to [0, 255] before the store.
     verify_flattened(r, &p.program, 255, flatten)
 }
 
 /// Verifies a per-flow windowed pipeline: the program-level layers, then —
 /// like [`verify_pipeline`] — its flattened representation (register ops
-/// included: array ids in bounds, indices provably inside their arrays) or
-/// the typed flatten-skip reason as a `V301` info.
+/// included: array ids in bounds, indices provably inside their arrays).
 pub fn verify_flow(p: &FlowPipeline, cfg: Option<&SwitchConfig>) -> VerifyReport {
     verify_flow_with(p, cfg, || p.flatten()).0
 }
 
 /// [`verify_flow`] over the flattened representation `flatten` hands over
 /// (see [`verify_pipeline_with`]).
-pub(crate) fn verify_flow_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+pub(crate) fn verify_flow_with<F: Borrow<FlatProgram>>(
     p: &FlowPipeline,
     cfg: Option<&SwitchConfig>,
     flatten: impl FnOnce() -> F,
@@ -299,10 +310,10 @@ pub(crate) fn verify_flow_with<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
 
 /// The shared tail of both entry points: flattens only an artifact that
 /// passed the structural layer (the flattener, like the resource model,
-/// trusts those invariants), then verifies the flat program — its inputs
-/// ranging over `[0, input_hi]`, cut to each input field's width — or
-/// records why there is none.
-fn verify_flattened<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
+/// trusts those invariants — so every artifact that gets here flattens),
+/// then verifies the flat program, its inputs ranging over
+/// `[0, input_hi]`, cut to each input field's width.
+fn verify_flattened<F: Borrow<FlatProgram>>(
     mut r: VerifyReport,
     prog: &SwitchProgram,
     input_hi: i64,
@@ -312,20 +323,7 @@ fn verify_flattened<F: Borrow<Result<FlatProgram, FlattenSkip>>>(
         return (r, None);
     }
     let flat = flatten();
-    match flat.borrow() {
-        Ok(flat) => {
-            let table_names: Vec<&str> = prog.tables.iter().map(|t| t.name.as_str()).collect();
-            verify_flat(&mut r, flat, &table_names, input_hi);
-        }
-        Err(skip) => {
-            r.push(
-                "V301",
-                Severity::Info,
-                None,
-                format!("pipeline does not flatten: {skip} (simulator fallback)"),
-            );
-        }
-    }
+    verify_flat(&mut r, flat.borrow(), &prog.tables, input_hi);
     (r, Some(flat))
 }
 
@@ -337,6 +335,7 @@ pub fn verify_program(prog: &SwitchProgram, cfg: Option<&SwitchConfig>) -> Verif
     for t in &prog.tables {
         check_table_structure(&mut r, prog, t);
     }
+    check_register_owners(&mut r, prog);
     for t in &prog.tables {
         check_table_semantics(&mut r, prog, t);
     }
@@ -351,6 +350,36 @@ pub fn verify_program(prog: &SwitchProgram, cfg: Option<&SwitchConfig>) -> Verif
         }
     }
     r
+}
+
+/// `V010`: every register array is touched by at most one table. A sweep
+/// orders accesses by (table, packet) where packet-at-a-time execution
+/// orders them by (packet, table); the two agree on one array exactly when
+/// one table makes all its accesses — the PISA one-stage-per-array rule.
+fn check_register_owners(r: &mut VerifyReport, prog: &SwitchProgram) {
+    let mut users: Vec<Vec<&str>> = vec![Vec::new(); prog.registers.len()];
+    for t in &prog.tables {
+        for reg in t.actions.iter().flat_map(|a| &a.ops).filter_map(reg_of) {
+            // (An undeclared array is V003's.)
+            match users.get_mut(reg) {
+                Some(tables) if tables.last() != Some(&t.name.as_str()) => tables.push(&t.name),
+                _ => {}
+            }
+        }
+    }
+    for (array, tables) in prog.registers.iter().zip(&users) {
+        if tables.len() > 1 {
+            r.push(
+                "V010",
+                Severity::Error,
+                None,
+                format!(
+                    "register array '{}' is touched by tables {tables:?} (one table per array)",
+                    array.name
+                ),
+            );
+        }
+    }
 }
 
 fn check_pipeline_fields(r: &mut VerifyReport, what: &str, fields: &[FieldId], nfields: usize) {
@@ -947,27 +976,34 @@ fn part_overlaps(a: &KeyPart, b: &KeyPart, bits: u8) -> bool {
 // Layer 1b + 2: flat-program structural checks and interval analysis.
 // ---------------------------------------------------------------------------
 
-fn verify_flat(r: &mut VerifyReport, flat: &FlatProgram, table_names: &[&str], input_hi: i64) {
+fn verify_flat(r: &mut VerifyReport, flat: &FlatProgram, tables: &[Table], input_hi: i64) {
     let before = r.diagnostics.len();
     let (nfields, nregs) = (flat.scratch_len(), flat.registers().len());
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
-        let name = table_names.get(ti).copied().unwrap_or("?");
-        check_flat_table(r, ft, name, nfields, nregs);
+        let (name, rows) = match tables.get(ti) {
+            Some(t) => (t.name.as_str(), index_rows(&t.entries, &ft.keys)),
+            None => ("?", ft.entry_action.len()),
+        };
+        check_flat_table(r, ft, name, nfields, nregs, rows);
     }
     // The interval layer indexes by the structures the checks above just
     // validated; run it only on a structurally sound flat program.
     let structurally_sound = !r.diagnostics[before..].iter().any(|d| d.severity == Severity::Error);
     if structurally_sound {
-        interval_analysis(r, flat, table_names, input_hi);
+        interval_analysis(r, flat, tables, input_hi);
     }
 }
 
+/// The structural checks of one flat table, whose bit-vector index (if it
+/// has one) must hold `rows` rows — a count made from the table's entries,
+/// never read back from the index.
 fn check_flat_table(
     r: &mut VerifyReport,
     ft: &FlatTable,
     name: &str,
     nfields: usize,
     nregs: usize,
+    rows: usize,
 ) {
     for &(f, _) in &ft.keys {
         if f >= nfields {
@@ -1079,8 +1115,8 @@ fn check_flat_table(
             // whose bitset row exists, and every bit of a row on an `order`
             // slot.
             let domains = limbs(&ft.keys).map(|limb| 1usize << limb.width);
-            let shaped = ix.order.len() == entries
-                && ix.words == entries.div_ceil(64)
+            let shaped = ix.order.len() == rows
+                && ix.words == rows.div_ceil(64)
                 && ix.keys.iter().map(|k| k.interval_of.len()).eq(domains)
                 && ix.limbs == split_limbs(&ft.keys)
                 && ix.keys.iter().all(|k| {
@@ -1094,7 +1130,7 @@ fn check_flat_table(
                     "V003",
                     Severity::Error,
                     Some(name),
-                    format!("bit-vector index shape disagrees with {entries} entry(ies) × keys"),
+                    format!("bit-vector index shape disagrees with {rows} row(s) × keys"),
                 );
             }
         }
@@ -1207,12 +1243,7 @@ fn clamp128(v: i128) -> i64 {
     v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
-fn interval_analysis(
-    r: &mut VerifyReport,
-    flat: &FlatProgram,
-    table_names: &[&str],
-    input_hi: i64,
-) {
+fn interval_analysis(r: &mut VerifyReport, flat: &FlatProgram, tables: &[Table], input_hi: i64) {
     let mut state: Vec<Interval> = vec![Interval::point(0); flat.scratch_len()];
     for &(f, trunc) in flat.inputs() {
         state[f] = truncate_abs(Interval { lo: 0, hi: input_hi }, trunc).0;
@@ -1223,7 +1254,7 @@ fn interval_analysis(
     let (mut touched, mut written) = (Vec::new(), Vec::new());
 
     for (ti, ft) in flat.flat_tables().iter().enumerate() {
-        let name = table_names.get(ti).copied().unwrap_or("?");
+        let name = tables.get(ti).map_or("?", |t| t.name.as_str());
 
         // Prove the packed dense-LUT key code in bounds from the current
         // key-field intervals (packing is monotone: each field's raw code
@@ -1269,7 +1300,7 @@ fn interval_analysis(
                 }
                 seen.iter().enumerate().filter(|(_, &s)| s).map(|(e, _)| e).collect()
             }
-            Matcher::Indexed(ix) => (0..ix.order.len()).collect(),
+            Matcher::Indexed(_) => (0..ft.entry_action.len()).collect(),
         };
         let can_miss = match &ft.matcher {
             Matcher::Always => true,
@@ -1489,8 +1520,6 @@ mod tests {
         let c = compiled();
         let r = verify_pipeline(&c, Some(&SwitchConfig::tofino2()));
         assert!(r.is_clean(), "{r}");
-        // The flattenable scorer must not carry a flatten-skip info.
-        assert!(!r.has_code("V301"), "{r}");
         // Dense LUTs exist and none of them produced a V101.
         assert!(!r.has_code("V101"), "{r}");
     }
@@ -1498,10 +1527,9 @@ mod tests {
     #[test]
     fn interval_analysis_proves_dense_bounds_and_flags_corruption() {
         let c = compiled();
-        let flat = FlatProgram::from_pipeline(&c).expect("flattens");
-        let names: Vec<&str> = c.program.tables.iter().map(|t| t.name.as_str()).collect();
+        let flat = FlatProgram::from_pipeline(&c);
         let mut r = VerifyReport::default();
-        verify_flat(&mut r, &flat, &names, 255);
+        verify_flat(&mut r, &flat, &c.program.tables, 255);
         assert!(!r.has_errors(), "{r}");
         assert!(flat.dense_tables() >= 2);
     }
@@ -1522,7 +1550,7 @@ mod tests {
             actions: vec![FlatAction::default()],
         };
         let mut r = VerifyReport::default();
-        check_flat_table(&mut r, &ft, "t", 1, 0);
+        check_flat_table(&mut r, &ft, "t", 1, 0, 1);
         assert!(r.has_code("V002"), "{r}");
         assert!(r.has_errors());
     }
@@ -1530,7 +1558,7 @@ mod tests {
     #[test]
     fn corrupt_index_and_overlong_run_are_flagged() {
         use crate::engine::flat::{BitIndex, KeyIndex};
-        let flat = FlatProgram::from_pipeline(&compiled()).expect("flattens");
+        let flat = FlatProgram::from_pipeline(&compiled());
         let nfields = flat.scratch_len();
         // A real run stretched past the scratch, under an index whose order
         // names entry 7 of 1 and whose interval id 3 has no bitset row.
@@ -1557,7 +1585,7 @@ mod tests {
             actions: vec![FlatAction { runs: vec![run], regs: vec![] }],
         };
         let mut r = VerifyReport::default();
-        check_flat_table(&mut r, &ft, "t", nfields, 0);
+        check_flat_table(&mut r, &ft, "t", nfields, 0, 1);
         let messages = |code: &str| -> Vec<&str> {
             r.diagnostics.iter().filter(|d| d.code == code).map(|d| d.message.as_str()).collect()
         };
@@ -1594,10 +1622,9 @@ mod tests {
                 None,
                 &[],
                 crate::numformat::NumFormat::code8(),
-            )
-            .expect("one table per array");
+            );
             let mut r = VerifyReport::default();
-            verify_flat(&mut r, &flat, &["bump"], i64::MAX);
+            verify_flat(&mut r, &flat, &prog.tables, i64::MAX);
             r
         };
         let exact = indexed_by(4);
@@ -1623,7 +1650,7 @@ mod tests {
             actions: vec![FlatAction { runs: vec![], regs: vec![(0, op)] }],
         };
         let mut r = VerifyReport::default();
-        check_flat_table(&mut r, &ft, "t", 1, 1);
+        check_flat_table(&mut r, &ft, "t", 1, 1, 0);
         assert!(r.has_code("V009") && r.has_errors(), "{r}");
     }
 

@@ -243,9 +243,6 @@ fn print_response(response: &Response) {
                     t.report.flows,
                     if t.failed { " FAILED" } else { "" }
                 );
-                if let Some(why) = &t.flatten_skip {
-                    println!("    served through the switch simulator: {why}");
-                }
             }
         }
         Response::Ingested { frames } => println!("ingested {frames} frames"),

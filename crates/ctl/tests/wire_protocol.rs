@@ -7,7 +7,9 @@
 //! it never panics).
 
 use pegasus_core::engine::{LatencyHistogram, ShardStats};
-use pegasus_core::{EngineStats, FlowTableCounters, StreamReport, SwapCounters, TenantToken};
+use pegasus_core::{
+    EngineStats, FlowTableCounters, StreamReport, SwapCounters, TenantStats, TenantToken,
+};
 use pegasus_ctl::artifact::{ArtifactError, ArtifactFile, ARTIFACT_FORMAT_VERSION, ARTIFACT_MAGIC};
 use pegasus_ctl::daemon::{Daemon, DaemonConfig};
 use pegasus_ctl::protocol::{
@@ -411,6 +413,58 @@ fn responses_round_trip() {
     ] {
         assert_wire(&serde::to_bytes(&state), expected);
         assert_eq!(serde::from_bytes::<TenantState>(&serde::to_bytes(&state)), Ok(state));
+    }
+
+    // A one-tenant snapshot: every `TenantStats` field in wire order —
+    // token, name, epoch, routed packets, the failed flag, then the merged
+    // report (no shards; the histogram's 64 buckets, count, sum and max,
+    // then the 6 table and 3 swap counters, all zero; no predictions) —
+    // and the engine-wide counters after it.
+    let tenant = TenantStats {
+        token: serde::from_bytes(&[5, 0, 0, 0]).expect("decodes"),
+        name: "t0".into(),
+        epoch: 2,
+        routed_packets: 9,
+        failed: true,
+        report: StreamReport {
+            shards: vec![],
+            packets: 3,
+            classified: 2,
+            warmup: 1,
+            flows: 1,
+            elapsed_nanos: 5000,
+            latency: LatencyHistogram::default(),
+            table: FlowTableCounters::default(),
+            swap: SwapCounters::default(),
+            predictions: None,
+        },
+    };
+    let stats = Response::Stats(EngineStats {
+        tenants: vec![tenant],
+        unrouted: 1,
+        parse_errors: Default::default(),
+        routing: Default::default(),
+        artifacts: Default::default(),
+    });
+    let bytes = serde::to_bytes(&stats);
+    assert_wire(
+        &bytes,
+        &format!(
+            "07 01000000 05000000 02000000 7430 0200000000000000 0900000000000000 01 \
+             00000000 {counters} 8813000000000000 {} 00 0100000000000000 {}",
+            "00".repeat((67 + 6 + 3) * 8),
+            "00".repeat(17 * 8),
+        ),
+    );
+    match serde::from_bytes::<Response>(&bytes).expect("decodes") {
+        Response::Stats(s) => {
+            let t = &s.tenants[0];
+            assert_eq!((t.token.id(), t.name.as_str(), t.epoch, t.routed_packets), (5, "t0", 2, 9));
+            assert!(t.failed && t.report.predictions.is_none());
+            assert_eq!((t.report.packets, t.report.elapsed_nanos), (3, 5000));
+            assert_eq!(s.unrouted, 1);
+        }
+        other => panic!("expected Stats, got {other:?}"),
     }
 
     // A tenant token travels as its bare id.
