@@ -1406,6 +1406,9 @@ fn flatten_table(t: &Table, fields: &[FieldMeta]) -> FlatTable {
 }
 
 #[cfg(test)]
+pub(crate) use tests::past_entry_data_program;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, CompileTarget};
@@ -2316,16 +2319,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_run_past_its_entry_data_panics_at_one_lane_and_many() {
-        // `o0..o3 ← params[0..4]` as one run, over entries carrying three
-        // params: the second entry's data follows the first's in the pool,
-        // where a gather would read it.
+    /// A classifier over `inputs` 8-bit fields that trips the executor's
+    /// V003 `assert!` on every lane: `o0..o3 ← params[0..4]` as one run,
+    /// over entries carrying three params — the second entry's data follows
+    /// the first's in the pool, where a gather would read it. The first
+    /// input is the key; both entries together cover every 8-bit value.
+    pub(crate) fn past_entry_data_program(inputs: usize) -> FlatProgram {
         let mut layout = PhvLayout::new();
-        let x = layout.add_field("x", 8);
+        let ins: Vec<FieldId> =
+            (0..inputs).map(|i| layout.add_field(&format!("x{i}"), 8)).collect();
         let outs: Vec<FieldId> = (0..4).map(|i| layout.add_field(&format!("o{i}"), 8)).collect();
         let mut prog = pegasus_switch::SwitchProgram::new("short", layout);
-        let mut t = Table::new("set4", vec![(x, MatchKind::Range)]);
+        let mut t = Table::new("set4", vec![(ins[0], MatchKind::Range)]);
         let mut set = Action::new("set4");
         for (i, &dst) in outs.iter().enumerate() {
             set.ops.push(AluOp::Set { dst, a: Operand::Param(i) });
@@ -2340,7 +2345,12 @@ mod tests {
             });
         }
         prog.tables.push(t);
-        let flat = FlatProgram::from_program(&prog, &[x], None, &[], NumFormat::code8());
+        FlatProgram::from_program(&prog, &ins, Some(outs[0]), &[], NumFormat::code8())
+    }
+
+    #[test]
+    fn a_run_past_its_entry_data_panics_at_one_lane_and_many() {
+        let flat = past_entry_data_program(1);
         assert_eq!(flat.longest_run(), 4);
         for lanes in [1usize, 64] {
             let swept = std::panic::catch_unwind(|| {

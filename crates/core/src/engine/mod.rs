@@ -28,18 +28,19 @@
 //! │ shard 0  │ │ shard 1  │ │ shard N-1│   each shard: one exec +
 //! │ T1 T2 …  │ │ T1 T2 …  │ │ T1 T2 …  │   flow state per *tenant*
 //! └──────────┘ └──────────┘ └──────────┘
-//!   per run of equal tenant id: one `process_batch`
+//!   per run of equal tenant slot: one `process_batch`
 //! ```
 //!
 //! Both ingress doors fill the same structure: the header fields and the
 //! bounded payload head of every routed packet are appended straight into
 //! the destination shard's pending [`FrameBatch`] columns, beside a
-//! parallel column of tenant ids — no owned packet is materialised in
-//! between. A worker walks each batch as maximal runs of equal tenant id
-//! and serves every run with one tenant lookup, one swap-epoch check, one
-//! clock read and one `process_batch` call on that tenant's shard state
-//! (`StatelessShard` or `FlowShard`), which is the *only* packet entry
-//! point either has. A single-tenant batch is one run, a many-tenant
+//! parallel column of tenant slots (dense per-engine indices) — no owned
+//! packet is materialised in between. A worker walks each batch as maximal
+//! runs of equal slot and serves every run with one `Vec` index, one
+//! swap-epoch check and one `process_batch` call on that tenant's shard
+//! state (`StatelessShard` or `FlowShard`), which is the *only* packet
+//! entry point either has. The clock is read once per batch, not per run:
+//! the batch's service time is split over its runs by packet count. A single-tenant batch is one run, a many-tenant
 //! interleave degenerates to runs of one, and scalar processing is a batch
 //! of one: there is no second loop to select.
 //!

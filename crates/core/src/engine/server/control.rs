@@ -1,11 +1,11 @@
 //! The control verbs: attach, swap, detach, stats.
 
-use super::artifact::{swap_retains_state, EngineArtifact};
+use super::artifact::EngineArtifact;
 use super::ingress::Routing;
 use super::report::{EngineStats, TenantReport, TenantStats};
 use super::tenant::{OwnLine, Tenant, TenantConfig, TenantToken};
 use super::worker::{broadcast_all_or_nothing, ShardMsg, TenantShardOut};
-use super::{lock, EngineShared};
+use super::EngineShared;
 use crate::engine::stats::{ArtifactCounters, ShardStats};
 use crate::error::PegasusError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,8 +88,11 @@ impl ControlHandle {
             self.shared.check_fleet_budget(0, artifact.state_cost_bits(&cfg.flow_table))?;
             let token = TenantToken(d.next_id);
             d.next_id += 1;
+            // A fresh slot is one past those in use (attached or free).
+            let slot = d.free_slots.pop().unwrap_or(self.shared.lock_tenants().len() as u32);
             let tenant = Arc::new(Tenant {
                 token,
+                slot,
                 name: cfg.name.unwrap_or_else(|| artifact.name.clone()),
                 attached: Instant::now(),
                 predicate: cfg.route,
@@ -103,7 +106,7 @@ impl ControlHandle {
             });
             // All-or-nothing: a partial broadcast is rolled back with
             // best-effort detaches so no shard keeps a tenant the control
-            // plane never committed.
+            // plane never committed — and the slot is free again behind them.
             broadcast_all_or_nothing(
                 d.txs()?,
                 || ShardMsg::Attach(Arc::clone(&tenant)),
@@ -113,7 +116,8 @@ impl ControlHandle {
                     let (ack, _) = sync_channel::<TenantShardOut>(1);
                     ShardMsg::Detach { tenant: token.0, ack }
                 },
-            )?;
+            )
+            .inspect_err(|_| d.free_slots.push(slot))?;
             self.shared.lock_tenants().push(tenant);
             d.route_gen += 1;
             token
@@ -220,19 +224,7 @@ impl ControlHandle {
             tenant.state_cost_bits(),
             artifact.state_cost_bits(&tenant.table),
         )?;
-        // Commit — the RCU publication proper: authoritative pair first,
-        // epoch hint second (Release), so a worker that observes the new
-        // hint is guaranteed to find the new artifact. State retention is
-        // decided here, against the artifact being replaced — the same
-        // deterministic shape check every shard applies — so the report
-        // never waits on a shard.
-        let (epoch, state_retained) = {
-            let mut p = lock(&tenant.published);
-            let retained = swap_retains_state(&p.1, &artifact);
-            *p = (p.0 + 1, artifact);
-            (p.0, retained)
-        };
-        tenant.epoch.store(epoch, Ordering::Release);
+        let (epoch, state_retained) = tenant.commit(artifact);
         drop(d);
         Ok(SwapReport { epoch, state_retained, apply_micros: t0.elapsed().as_micros() as u64 })
     }
@@ -260,6 +252,9 @@ impl ControlHandle {
             let t0 = Instant::now();
             d.routing = Arc::new(Routing::compile(remaining));
             self.shared.counters.record_rebuild(t0);
+            // Freed before the sends, so a send that fails cannot leak it;
+            // nothing can take it before they are all queued: the lock.
+            d.free_slots.push(tenant.slot);
             for tx in d.txs()? {
                 tx.send(ShardMsg::Detach { tenant: token.0, ack: ack_tx.clone() })
                     .map_err(|_| PegasusError::EngineStopped)?;
@@ -275,10 +270,10 @@ impl ControlHandle {
     }
 
     /// Snapshots live per-tenant/per-shard counters without stopping or
-    /// signalling the workers: shards publish their counters every 1024
-    /// packets and when idle, and this call merges the latest publications
-    /// — it never enqueues behind packet batches, and it never takes the
-    /// dispatcher lock. Reads come from the tenant records (cloned out of
+    /// signalling the workers: shards publish at the first batch boundary
+    /// past 1024 packets and when idle, and this call merges the latest
+    /// publications — it never enqueues behind packet batches, and it never
+    /// takes the dispatcher lock. Reads come from the tenant records (cloned out of
     /// the tenant set) and the shared atomic counters, so `stats` returns
     /// promptly even while a `push` is blocked on a full shard queue
     /// (backpressure) with the dispatcher lock held.

@@ -54,6 +54,8 @@ pub(super) struct Dispatch {
     /// generation is stale is discarded and redone.
     pub(super) route_gen: u64,
     pub(super) next_id: u32,
+    /// Tenant slots free to hand out again (see [`Tenant::slot`]).
+    pub(super) free_slots: Vec<u32>,
 }
 
 impl Dispatch {
@@ -66,7 +68,7 @@ impl Dispatch {
     pub(super) fn flush(&mut self) -> Result<(), PegasusError> {
         self.txs()?;
         for shard in 0..self.pending.len() {
-            if !self.pending[shard].tenants.is_empty() {
+            if !self.pending[shard].slots.is_empty() {
                 self.send_pending(shard)?;
             }
         }
@@ -158,7 +160,7 @@ impl IngressHandle {
         let shard = flow.shard_of(self.shared.shards);
         let pending = &mut d.pending[shard];
         pending.frames.append(flow, ts_micros, wire_len, tcp_flags, ttl, payload);
-        pending.tenants.push(tenant.token.0);
+        pending.slots.push(tenant.slot);
         if pending.frames.is_full() {
             d.send_pending(shard)?;
         }

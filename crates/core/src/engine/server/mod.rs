@@ -339,6 +339,7 @@ impl EngineBuilder {
                 routing: Arc::default(),
                 route_gen: 0,
                 next_id: 0,
+                free_slots: Vec::new(),
             }),
             tenants: Mutex::new(Vec::new()),
             counters: SharedCounters::default(),
@@ -428,13 +429,13 @@ mod tests {
     /// A tiny two-class scorer over four inputs, compiled at the given
     /// clustering depth (different depths give different content bytes).
     /// Attachable and swappable; it is never fed a packet here.
-    fn tiny_artifact(depth: usize) -> EngineArtifact {
+    pub(super) fn tiny_artifact(depth: usize) -> EngineArtifact {
         let dm = tiny_model(depth);
         EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "tiny")
     }
 
     /// [`tiny_artifact`]'s deployed model.
-    fn tiny_model(depth: usize) -> DataplaneModel {
+    pub(super) fn tiny_model(depth: usize) -> DataplaneModel {
         let mut p = PrimitiveProgram::new(4);
         let segs = p.partition_strided(p.input, 2, 2);
         let w0 = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[2, 2]);

@@ -1,7 +1,7 @@
 //! The tenant: its token and attach-time config, the one shared record,
 //! and the shard-owned executor behind it.
 
-use super::artifact::{ArtifactPlane, EngineArtifact};
+use super::artifact::{swap_retains_state, ArtifactPlane, EngineArtifact};
 use super::lock;
 use super::report::{merge_report, TenantReport, TenantStats};
 use super::worker::TenantShardOut;
@@ -118,6 +118,9 @@ impl TenantConfig {
 /// under a lock no packet-path code holds across a channel send.
 pub(super) struct Tenant {
     pub(super) token: TenantToken,
+    /// Its index in every shard's tenant `Vec`, and the id batches carry;
+    /// freed in the lock hold that queues its detach on every shard.
+    pub(super) slot: u32,
     pub(super) name: String,
     pub(super) attached: Instant,
     pub(super) predicate: RoutePredicate,
@@ -149,9 +152,9 @@ pub(super) struct Tenant {
     /// stores the hint with `Release`: a worker whose `Acquire` load sees
     /// the new epoch finds (at least) that publication.
     pub(super) published: Mutex<(u64, Arc<EngineArtifact>)>,
-    /// Worker-published counters, one cell per shard: written every 1024
-    /// packets (the worker's `STATS_CADENCE`) and whenever the shard idles,
-    /// merged by `stats()` without signalling anyone.
+    /// Worker-published counters, one cell per shard: written at the first
+    /// batch boundary past `STATS_CADENCE` packets and whenever the shard
+    /// idles, merged by `stats()` without signalling anyone.
     pub(super) shards: Vec<Mutex<ShardStats>>,
 }
 
@@ -169,6 +172,17 @@ impl<T> std::ops::Deref for OwnLine<T> {
 }
 
 impl Tenant {
+    /// Commits a swap: the pair, then the epoch hint (`Release`), so a worker
+    /// that sees the hint finds the artifact. Returns the epoch and whether
+    /// state carries over (every shard's shape check, against the old one).
+    pub(super) fn commit(&self, artifact: Arc<EngineArtifact>) -> (u64, bool) {
+        let mut p = lock(&self.published);
+        let retained = swap_retains_state(&p.1, &artifact);
+        *p = (p.0 + 1, artifact);
+        self.epoch.store(p.0, Ordering::Release);
+        (p.0, retained)
+    }
+
     /// The current publication, as one consistent pair.
     pub(super) fn published(&self) -> (u64, Arc<EngineArtifact>) {
         let p = lock(&self.published);

@@ -240,10 +240,14 @@ pub struct SwapCounters {
     pub applied_epoch: u64,
     /// Swap publications this shard picked up at a packet/batch boundary.
     pub swaps_applied: u64,
-    /// Nanoseconds the most recent apply took on this shard: re-pointing
-    /// the executor at the published artifact (an `Arc` clone; a
-    /// state-incompatible per-flow swap also zeroes a register file).
-    /// Merged reports keep the max across shards.
+    /// An upper bound on the nanoseconds the most recent apply took on
+    /// this shard — re-pointing the executor at the published artifact (an
+    /// `Arc` clone; a state-incompatible per-flow swap also zeroes a
+    /// register file). The shard reads its clock per batch, not per apply,
+    /// so this is the length of the clock interval the apply landed in: the
+    /// batch whose run adopted it, or the last batch and the idle pass
+    /// after it (0 if no interval was open). Merged reports keep the max
+    /// across shards.
     pub last_apply_nanos: u64,
 }
 
@@ -274,12 +278,14 @@ pub struct ShardStats {
     /// per-flow register pipelines this is the hardware-faithful count
     /// (hash-colliding flows share a slot and count once).
     pub flows: u64,
-    /// Nanoseconds spent serving packets (excludes queue waits): per served
-    /// run, the time since the worker's previous clock read in that batch
-    /// — the run's tenant lookup, swap check and `process_batch`.
+    /// Nanoseconds spent serving packets (excludes queue waits and stats
+    /// publication). The worker reads its clock once per batch; each
+    /// batch's service time is split over its packets evenly, and this is
+    /// the sum of this tenant's packets' shares.
     pub busy_nanos: u64,
-    /// Per-packet processing latency — each run's wall time attributed
-    /// evenly across its packets.
+    /// Per-packet processing latency: each packet records its batch's
+    /// service time divided by the batch's served packets, so
+    /// `latency.count() == packets`.
     pub latency: LatencyHistogram,
     /// Occupancy/eviction/collision counters of this shard's flow table.
     pub table: FlowTableCounters,

@@ -124,6 +124,14 @@ pub enum PegasusError {
     },
     /// The engine has shut down; its ingress and control handles are dead.
     EngineStopped,
+    /// Serving one of a tenant's runs panicked. The shard quarantined that
+    /// tenant alone — it serves nothing more — and kept serving the rest.
+    TenantPanicked {
+        /// The tenant's id.
+        tenant: u32,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for PegasusError {
@@ -193,7 +201,21 @@ impl fmt::Display for PegasusError {
             PegasusError::EngineStopped => {
                 write!(f, "the engine has shut down; this handle is no longer usable")
             }
+            PegasusError::TenantPanicked { tenant, message } => {
+                write!(f, "tenant {tenant} was quarantined: serving it panicked: {message}")
+            }
         }
+    }
+}
+
+impl PegasusError {
+    /// The quarantine error for a tenant whose run panicked with `payload`.
+    pub(crate) fn panicked(tenant: u32, payload: Box<dyn std::any::Any + Send>) -> Self {
+        let message = match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().map_or("", |m| m).to_string(),
+        };
+        PegasusError::TenantPanicked { tenant, message }
     }
 }
 
