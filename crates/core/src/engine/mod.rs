@@ -8,14 +8,14 @@
 //! artifacts without draining traffic. It is the one way to serve: build
 //! it ([`EngineBuilder`]), [`attach`](ControlHandle::attach) a deployment's
 //! [`engine_artifact`](crate::pipeline::Deployment::engine_artifact), push
-//! packets or frames, and [`shutdown`](EngineServer::shutdown) for the
-//! terminal reports.
+//! wire frames, and [`shutdown`](EngineServer::shutdown) for the terminal
+//! reports.
 //!
 //! # One packet, one path
 //!
 //! ```text
-//!  IngressHandle.push(pkt) ─┐         ControlHandle
-//!  IngressHandle.push_frame ┤   attach / detach      swap / stats
+//!                                    ControlHandle
+//!  IngressHandle.push_frame ┐   attach / detach      swap / stats
 //!   (parse_frame in-line)   │     │ in-band msgs     (through the tenant
 //!      ┌────────────────────▼┐    │                  record: no message)
 //!      │ dispatcher          │◄───┘
@@ -31,8 +31,8 @@
 //!   per run of equal tenant slot: one `process_batch`
 //! ```
 //!
-//! Both ingress doors fill the same structure: the header fields and the
-//! bounded payload head of every routed packet are appended straight into
+//! Ingress fills one structure: the parsed header fields and the bounded
+//! payload head of every routed frame are appended straight into
 //! the destination shard's pending [`FrameBatch`] columns, beside a
 //! parallel column of tenant slots (dense per-engine indices) — no owned
 //! packet is materialised in between. A worker walks each batch as maximal

@@ -8,7 +8,6 @@ use crate::error::PegasusError;
 use pegasus_net::wire::parse_frame;
 use pegasus_net::{
     CompiledRouter, FiveTuple, FrameSource, ParseError, RawFrame, RouteHit, RoutePredicate,
-    TracePacket,
 };
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::SyncSender;
@@ -84,11 +83,11 @@ impl Dispatch {
     }
 }
 
-/// The push-based packet entry point of a running
+/// The push-based frame entry point of a running
 /// [`EngineServer`](super::EngineServer).
 ///
 /// Cloneable; pushes from any thread. Bounded per-shard queues apply
-/// backpressure: `push` blocks once the destination shard is
+/// backpressure: a push blocks once the destination shard is
 /// `queue_batches` full batches behind — and because ingress and control
 /// share the ordering dispatcher, control-plane calls issued during that
 /// window wait behind the blocked push.
@@ -98,31 +97,9 @@ pub struct IngressHandle {
 }
 
 impl IngressHandle {
-    /// Routes one packet to its tenant and appends it to the pending batch
-    /// of the shard that owns its flow. Returns `Ok(true)` when a tenant
-    /// matched, `Ok(false)` when no tenant did (the packet is dropped and
-    /// counted as unrouted), and [`PegasusError::EngineStopped`] after
-    /// shutdown. At most the first
-    /// [`RAW_BYTES_PER_PACKET`](pegasus_net::RAW_BYTES_PER_PACKET) bytes of
-    /// `payload_head` are consumed, exactly as for a frame off the wire.
-    ///
-    /// This structured door stays beside [`push_frame`](Self::push_frame)
-    /// on purpose: `encode_trace_packet` canonicalises (PR 17), so a
-    /// `TracePacket` is not its frame bit for bit, and synthetic traces
-    /// could not be served unchanged by encoding them into frames first.
-    pub fn push(&self, pkt: TracePacket) -> Result<bool, PegasusError> {
-        self.enqueue(
-            pkt.flow,
-            pkt.ts_micros,
-            pkt.wire_len,
-            pkt.tcp_flags,
-            pkt.ttl,
-            &pkt.payload_head,
-        )
-    }
-
-    /// The one way into the engine, behind both doors: route on the flow,
-    /// then append the packet's columns to its shard's pending batch.
+    /// Routes a parsed frame to its tenant and appends its columns to the
+    /// pending batch of the shard that owns its flow; `Ok(false)` when no
+    /// tenant matched (the packet is dropped and counted as unrouted).
     fn enqueue(
         &self,
         flow: FiveTuple,
@@ -167,10 +144,10 @@ impl IngressHandle {
         Ok(true)
     }
 
-    /// The raw-frame dual of [`push`](IngressHandle::push): parses the
-    /// frame's bytes in-line (zero-copy, panic-free), routes on the parsed
-    /// flow and appends the header fields and payload head straight into
-    /// the same pending batch — no owned packet in between. Frames the
+    /// The one way into the engine: parses the frame's bytes in-line
+    /// (zero-copy, panic-free), routes on the parsed flow and appends the
+    /// header fields and payload head straight into the destination
+    /// shard's pending batch — no owned packet in between. Frames the
     /// wire parser rejects are counted in the engine's parse-error buckets
     /// ([`EngineStats::parse_errors`](super::EngineStats::parse_errors)) and
     /// dropped — returned as [`FramePush::Rejected`] with the typed

@@ -422,7 +422,8 @@ mod tests {
     use crate::models::StreamFeatures;
     use crate::primitives::{MapFn, PrimitiveProgram};
     use crate::runtime::DataplaneModel;
-    use pegasus_net::{FiveTuple, TracePacket};
+    use pegasus_net::wire::{build_frame, FrameSpec};
+    use pegasus_net::RawFrame;
     use pegasus_nn::Tensor;
     use std::time::Duration;
 
@@ -659,15 +660,13 @@ mod tests {
         let server = EngineBuilder::new().build().expect("builds");
         let ingress = server.ingress();
         server.shutdown().expect("shuts down");
-        let pkt = TracePacket {
-            ts_micros: 0,
-            flow: FiveTuple::new(1, 2, 3, 4, 6),
-            wire_len: 64,
-            payload_head: Vec::new(),
-            tcp_flags: 0,
-            ttl: 64,
-        };
-        assert_eq!(ingress.push(pkt), Err(PegasusError::EngineStopped));
+        // A frame that parses fails at the dispatcher; one the parser
+        // rejects names no flow and fails before it is counted.
+        let frame = build_frame(&FrameSpec::v4_tcp(1, 2, 3, 4, Vec::new()));
+        assert_eq!(ingress.push_frame(RawFrame::new(0, &frame)), Err(PegasusError::EngineStopped));
+        let junk = [0xde, 0xad, 0xbe, 0xef];
+        assert_eq!(ingress.push_frame(RawFrame::new(1, &junk)), Err(PegasusError::EngineStopped));
+        assert_eq!(ingress.shared.counters.parse().total(), 0, "a stopped engine counts nothing");
         assert_eq!(ingress.flush().unwrap_err(), PegasusError::EngineStopped);
     }
 

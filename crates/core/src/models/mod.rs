@@ -148,7 +148,7 @@ impl<'a> ModelData<'a> {
 /// Which per-packet feature family the streaming engine extracts for a
 /// model (§7.2's feature taxonomy, from the serving side).
 ///
-/// The [`PacketEngine`](crate::engine) mirrors on the host what the switch
+/// The [engine](crate::engine) mirrors on the host what the switch
 /// maintains per flow, then feeds the deployed pipeline one feature vector
 /// per packet once the flow's window is warm. Models consuming raw payload
 /// bytes (CNN-L) lower to per-flow pipelines that take packets directly and

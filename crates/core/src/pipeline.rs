@@ -371,10 +371,7 @@ impl<M: DataplaneNet> Deployment<M> {
     /// # ) -> Result<(), pegasus_core::PegasusError> {
     /// let server = EngineBuilder::new().shards(4).build()?;
     /// let tenant = server.control().attach(deployment.engine_artifact()?, TenantConfig::new())?;
-    /// let ingress = server.ingress();
-    /// for pkt in trace.packets {
-    ///     ingress.push(pkt)?;
-    /// }
+    /// server.ingress().push_frame_source(&mut trace.frames())?;
     /// let report = server.shutdown()?.take_tenant(tenant).expect("attached").result?;
     /// println!("{:.0} pps, p99 {} ns", report.pps(), report.latency.quantile_nanos(0.99));
     /// # Ok(())

@@ -16,8 +16,8 @@
 //! * [`attacks`]: the six Figure 8 attack families and 1:4 test-set
 //!   injection;
 //! * [`stream`]: pcap-style streaming synthesis — the same generative
-//!   profiles emitting packets on demand through
-//!   [`PacketSource`](pegasus_net::PacketSource), for throughput runs that
+//!   profiles emitting wire frames on demand through
+//!   [`FrameSource`](pegasus_net::FrameSource), for throughput runs that
 //!   should not materialize millions of packets first.
 
 #![forbid(unsafe_code)]
@@ -36,4 +36,4 @@ pub use catalog::{all_datasets, ciciot, iscxvpn, peerrush, DatasetSpec};
 pub use generate::{generate_trace, GenConfig};
 pub use samples::{extract_views, SampleViews};
 pub use split::split_by_flow;
-pub use stream::{synthesize_pcap, FrameSynthSource, SyntheticConfig, SyntheticSource};
+pub use stream::{synthesize_pcap, FrameSynthSource, SyntheticConfig};

@@ -4,11 +4,12 @@
 //! [`generate_trace`](crate::generate_trace) builds the whole labeled
 //! [`Trace`](pegasus_net::Trace) in memory, which is fine for training-set
 //! extraction but wasteful for throughput benchmarking, where the engine
-//! wants millions of packets it will look at exactly once. [`SyntheticSource`]
-//! implements [`PacketSource`] instead: it keeps one small generator per
-//! active flow in a timestamp-ordered heap and samples each packet the
-//! moment the engine asks for it — constant memory in the packet count,
-//! the way a capture file is read or tcpreplay replays a pcap (§7.1).
+//! wants millions of packets it will look at exactly once.
+//! [`FrameSynthSource`] implements [`FrameSource`] instead: it keeps one
+//! small generator per active flow in a timestamp-ordered heap and samples
+//! each packet the moment the engine asks for its frame — constant memory
+//! in the packet count, the way a capture file is read or tcpreplay
+//! replays a pcap (§7.1).
 //!
 //! Generation is seeded and deterministic: the same [`SyntheticConfig`]
 //! always yields the same packet stream.
@@ -16,7 +17,7 @@
 use crate::catalog::DatasetSpec;
 use crate::generate::make_flow_id;
 use pegasus_net::wire::encode_trace_packet;
-use pegasus_net::{FiveTuple, FrameSource, PacketSource, PcapWriter, RawFrame, TracePacket};
+use pegasus_net::{FiveTuple, FrameSource, PcapWriter, RawFrame, TracePacket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -99,27 +100,21 @@ impl Ord for FlowGen {
     }
 }
 
-/// A seeded on-the-fly packet generator implementing [`PacketSource`].
-pub struct SyntheticSource {
+/// The seeded on-the-fly packet generator behind [`FrameSynthSource`].
+struct SyntheticSource {
     spec: DatasetSpec,
     rng: StdRng,
     active: BinaryHeap<FlowGen>,
     labels: Vec<(FiveTuple, usize)>,
-    remaining_packets: u64,
     payload_bytes: usize,
 }
 
 impl SyntheticSource {
-    /// Creates a source over `spec`'s class profiles.
-    ///
-    /// Flow identities, start times and packet counts are drawn up front
-    /// (memory is `O(flows)`); per-packet fields are sampled lazily.
-    pub fn new(spec: &DatasetSpec, cfg: &SyntheticConfig) -> Self {
+    fn new(spec: &DatasetSpec, cfg: &SyntheticConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut next_ip: u32 = 0x0a00_0001;
         let mut active = BinaryHeap::new();
         let mut labels = Vec::new();
-        let mut total: u64 = 0;
         let mut seq = 0usize;
         for (class, profile) in spec.classes.iter().enumerate() {
             for _ in 0..cfg.flows_per_class {
@@ -127,7 +122,6 @@ impl SyntheticSource {
                 let start = rng.gen_range(0..cfg.start_window_micros.max(1));
                 let n = profile.sample_flow_len(&mut rng);
                 let len_state = rng.gen_range(0..profile.len_states.len().max(1));
-                total += n as u64;
                 labels.push((flow, class));
                 active.push(FlowGen { next_ts: start, seq, flow, class, remaining: n, len_state });
                 seq += 1;
@@ -138,23 +132,12 @@ impl SyntheticSource {
             rng,
             active,
             labels,
-            remaining_packets: total,
             payload_bytes: cfg.payload_bytes,
         }
     }
 
-    /// Ground-truth class per flow (same shape as `Trace::labels`).
-    pub fn labels(&self) -> &[(FiveTuple, usize)] {
-        &self.labels
-    }
-
-    /// Ground-truth class of one flow.
-    pub fn class_of(&self, flow: &FiveTuple) -> Option<usize> {
-        self.labels.iter().find(|(f, _)| f == flow).map(|(_, c)| *c)
-    }
-}
-
-impl PacketSource for SyntheticSource {
+    /// The next packet in timestamp order, or `None` when every flow has
+    /// run out.
     fn next_packet(&mut self) -> Option<TracePacket> {
         let mut gen = self.active.pop()?;
         let profile = &self.spec.classes[gen.class];
@@ -177,17 +160,12 @@ impl PacketSource for SyntheticSource {
             gen.next_ts += profile.sample_ipd(&mut self.rng);
             self.active.push(gen);
         }
-        self.remaining_packets -= 1;
         Some(pkt)
-    }
-
-    fn packets_hint(&self) -> Option<u64> {
-        Some(self.remaining_packets)
     }
 }
 
 /// A seeded on-the-fly *wire frame* generator implementing
-/// [`FrameSource`] — the byte-level dual of [`SyntheticSource`].
+/// [`FrameSource`].
 ///
 /// Each synthesized packet is rendered as the Ethernet/IPv4/TCP-or-UDP
 /// frame a capture point would have seen
@@ -200,24 +178,26 @@ impl PacketSource for SyntheticSource {
 ///
 /// Note the canonicalization: parsing a synthesized frame back yields a
 /// [`TracePacket`] whose `payload_head` is the signature zero-extended to
-/// the raw-byte window — both engine ingress paths (raw bytes and
-/// parse-then-push) therefore see *identical* packets, which is what the
-/// differential tests pin.
+/// the raw-byte window, so a reference that checks the engine replays the
+/// parsed frames, not the sampled packets.
 pub struct FrameSynthSource {
     inner: SyntheticSource,
     buf: Vec<u8>,
 }
 
 impl FrameSynthSource {
-    /// Creates a frame source over `spec`'s class profiles (same
-    /// determinism contract as [`SyntheticSource::new`]).
+    /// Creates a frame source over `spec`'s class profiles: the same
+    /// [`SyntheticConfig`] always yields the same frames.
+    ///
+    /// Flow identities, start times and packet counts are drawn up front
+    /// (memory is `O(flows)`); per-packet fields are sampled lazily.
     pub fn new(spec: &DatasetSpec, cfg: &SyntheticConfig) -> Self {
         FrameSynthSource { inner: SyntheticSource::new(spec, cfg), buf: Vec::new() }
     }
 
     /// Ground-truth class per flow (same shape as `Trace::labels`).
     pub fn labels(&self) -> &[(FiveTuple, usize)] {
-        self.inner.labels()
+        &self.inner.labels
     }
 }
 
@@ -226,10 +206,6 @@ impl FrameSource for FrameSynthSource {
         let pkt = self.inner.next_packet()?;
         let wire_len = encode_trace_packet(&pkt, &mut self.buf);
         Some(RawFrame { ts_micros: pkt.ts_micros, wire_len: u32::from(wire_len), bytes: &self.buf })
-    }
-
-    fn frames_hint(&self) -> Option<u64> {
-        self.inner.packets_hint()
     }
 }
 
@@ -267,19 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn hint_counts_down_to_zero() {
-        let cfg = SyntheticConfig { flows_per_class: 3, seed: 1, ..Default::default() };
-        let mut src = SyntheticSource::new(&peerrush(), &cfg);
-        let total = src.packets_hint().unwrap();
-        let mut n = 0u64;
-        while src.next_packet().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, total);
-        assert_eq!(src.packets_hint(), Some(0));
-    }
-
-    #[test]
     fn per_flow_timestamps_are_monotone() {
         use std::collections::HashMap;
         let cfg = SyntheticConfig { flows_per_class: 5, seed: 3, ..Default::default() };
@@ -302,7 +265,7 @@ mod tests {
     #[test]
     fn labels_cover_every_flow_and_class() {
         let cfg = SyntheticConfig { flows_per_class: 2, seed: 5, ..Default::default() };
-        let src = SyntheticSource::new(&peerrush(), &cfg);
+        let src = FrameSynthSource::new(&peerrush(), &cfg);
         assert_eq!(src.labels().len(), 2 * 3);
         let classes: std::collections::BTreeSet<usize> =
             src.labels().iter().map(|(_, c)| *c).collect();
@@ -316,7 +279,6 @@ mod tests {
             SyntheticConfig { flows_per_class: 3, seed: 8, payload_bytes: 6, ..Default::default() };
         let mut frames = FrameSynthSource::new(&peerrush(), &cfg);
         let mut pkts = SyntheticSource::new(&peerrush(), &cfg);
-        assert_eq!(frames.frames_hint(), pkts.packets_hint());
         let mut n = 0u64;
         while let Some(frame) = frames.next_frame() {
             let pkt = pkts.next_packet().expect("streams stay in lockstep");
@@ -356,8 +318,7 @@ mod tests {
             }
             records += 1;
         }
-        let total = SyntheticSource::new(&peerrush(), &cfg).packets_hint().unwrap();
-        assert_eq!(records, total);
+        assert_eq!(records, drain(&cfg).len() as u64);
         assert!(snapped > 0, "fixture should exercise snaplen truncation");
     }
 

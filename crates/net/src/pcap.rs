@@ -17,13 +17,10 @@
 //! * [`PcapWriter`]: append records (with snaplen truncation) into an
 //!   in-memory file, then [`into_bytes`](PcapWriter::into_bytes) or
 //!   [`write_to`](PcapWriter::write_to) disk;
-//! * [`PcapSource`]: an owned capture serving the engine as both a
-//!   [`FrameSource`] (raw bytes, zero-copy) and a [`PacketSource`]
-//!   (frames parsed through [`parse_frame`]
-//!   into [`TracePacket`]s, unparseable records skipped and counted).
+//! * [`PcapSource`]: an owned capture serving the engine as a
+//!   [`FrameSource`] (raw bytes, zero-copy).
 
-use crate::replay::{FrameSource, PacketSource, RawFrame, TracePacket};
-use crate::wire::parse_frame;
+use crate::replay::{FrameSource, RawFrame};
 use std::fmt;
 use std::path::Path;
 
@@ -309,28 +306,25 @@ impl PcapWriter {
     }
 }
 
-/// An owned capture the engine can stream — raw bytes via [`FrameSource`],
-/// parsed [`TracePacket`]s via [`PacketSource`].
+/// An owned capture the engine can stream as raw bytes via
+/// [`FrameSource`].
 ///
-/// In packet mode, records the wire parser rejects are *skipped* and
-/// counted ([`parse_errors`](PcapSource::parse_errors)) — a capture of
-/// real traffic always contains ARP, ICMP and the odd mangled frame. In
-/// frame mode every record is handed to the engine, whose own ingress
-/// counters do the bucketing. A malformed *file structure* (truncated
-/// record) ends the stream; [`error`](PcapSource::error) reports it.
+/// Every record is handed to the engine, whose own ingress counters
+/// bucket the ones the wire parser rejects — a capture of real traffic
+/// always contains ARP, ICMP and the odd mangled frame. A malformed *file
+/// structure* (truncated record) ends the stream;
+/// [`error`](PcapSource::error) reports it.
 pub struct PcapSource {
     data: Vec<u8>,
     offset: usize,
     layout: Layout,
     total_records: u64,
-    read_records: u64,
-    parse_errors: u64,
     error: Option<PcapError>,
 }
 
 impl PcapSource {
     /// Wraps a capture file's bytes (validating the global header and
-    /// pre-counting records for [`frames_hint`](FrameSource::frames_hint)).
+    /// pre-counting its [`records`](PcapSource::records)).
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, PcapError> {
         let layout = parse_global_header(&data)?;
         let mut reader = PcapReader { data: &data, offset: GLOBAL_HEADER_LEN, layout };
@@ -343,8 +337,6 @@ impl PcapSource {
             offset: GLOBAL_HEADER_LEN,
             layout,
             total_records: total,
-            read_records: 0,
-            parse_errors: 0,
             error: None,
         })
     }
@@ -355,17 +347,10 @@ impl PcapSource {
         PcapSource::from_bytes(data)
     }
 
-    /// Rewinds to the first record (counters keep accumulating).
+    /// Rewinds to the first record.
     pub fn rewind(&mut self) {
         self.offset = GLOBAL_HEADER_LEN;
-        self.read_records = 0;
         self.error = None;
-    }
-
-    /// Records skipped by packet mode because the wire parser rejected
-    /// them.
-    pub fn parse_errors(&self) -> u64 {
-        self.parse_errors
     }
 
     /// The file-structure error that ended the stream early, if any.
@@ -382,61 +367,24 @@ impl PcapSource {
     pub fn records(&self) -> u64 {
         self.total_records
     }
+}
 
-    /// Advances past the next record, returning `(ts_micros, orig_len,
-    /// body_start, body_end)` — bounds instead of a borrow, so both source
-    /// impls can re-slice the owned buffer afterwards.
-    fn next_record_bounds(&mut self) -> Option<(u64, u32, usize, usize)> {
+impl FrameSource for PcapSource {
+    fn next_frame(&mut self) -> Option<RawFrame<'_>> {
         if self.error.is_some() || self.offset == self.data.len() {
             return None;
         }
         let mut reader = PcapReader { data: &self.data, offset: self.offset, layout: self.layout };
         match reader.read_record() {
             Ok(rec) => {
-                let end = reader.offset;
-                let start = end - rec.data.len();
-                let (ts, orig) = (rec.ts_micros, rec.orig_len);
-                self.offset = end;
-                self.read_records += 1;
-                Some((ts, orig, start, end))
+                self.offset = reader.offset;
+                Some(RawFrame { ts_micros: rec.ts_micros, wire_len: rec.orig_len, bytes: rec.data })
             }
             Err(e) => {
                 self.error = Some(e);
                 None
             }
         }
-    }
-}
-
-impl FrameSource for PcapSource {
-    fn next_frame(&mut self) -> Option<RawFrame<'_>> {
-        let (ts_micros, wire_len, start, end) = self.next_record_bounds()?;
-        Some(RawFrame { ts_micros, wire_len, bytes: &self.data[start..end] })
-    }
-
-    fn frames_hint(&self) -> Option<u64> {
-        Some(self.total_records - self.read_records.min(self.total_records))
-    }
-}
-
-impl PacketSource for PcapSource {
-    fn next_packet(&mut self) -> Option<TracePacket> {
-        loop {
-            let (ts, orig_len, start, end) = self.next_record_bounds()?;
-            match parse_frame(&self.data[start..end]) {
-                Ok(frame) => {
-                    return Some(
-                        frame.to_trace_packet(ts, orig_len.min(u32::from(u16::MAX)) as u16),
-                    )
-                }
-                Err(_) => self.parse_errors += 1,
-            }
-        }
-    }
-
-    fn packets_hint(&self) -> Option<u64> {
-        // Upper bound: unparseable records are skipped.
-        Some(self.total_records - self.read_records.min(self.total_records))
     }
 }
 
@@ -536,27 +484,25 @@ mod tests {
 
     #[test]
     fn source_serves_frames_and_packets() {
+        use crate::wire::parse_frame;
         let bytes = two_frame_capture(DEFAULT_SNAPLEN, false);
         let mut src = PcapSource::from_bytes(bytes).expect("source");
         assert_eq!(src.records(), 2);
-        assert_eq!(FrameSource::frames_hint(&src), Some(2));
-        let mut n = 0;
-        while src.next_frame().is_some() {
-            n += 1;
+        for _ in 0..2 {
+            let f1 = src.next_frame().expect("frame");
+            assert_eq!(f1.wire_len as usize, 14 + 20 + 8 + 40);
+            assert_eq!(parse_frame(f1.bytes).expect("parses").flow.src_port, 10);
+            let f2 = src.next_frame().expect("frame");
+            assert_eq!(parse_frame(f2.bytes).expect("parses").tcp_flags, 0x10);
+            assert!(src.next_frame().is_none());
+            src.rewind();
         }
-        assert_eq!(n, 2);
-        src.rewind();
-        let p1 = PacketSource::next_packet(&mut src).expect("packet");
-        assert_eq!(p1.flow.src_port, 10);
-        assert_eq!(p1.wire_len as usize, 14 + 20 + 8 + 40);
-        let p2 = PacketSource::next_packet(&mut src).expect("packet");
-        assert_eq!(p2.tcp_flags, 0x10);
-        assert!(PacketSource::next_packet(&mut src).is_none());
-        assert_eq!(src.parse_errors(), 0);
     }
 
     #[test]
-    fn packet_mode_skips_and_counts_unparseable_records() {
+    fn frames_the_parser_rejects_are_still_served() {
+        // Bucketing rejections is the engine's job: the source hands over
+        // every well-formed record, parseable or not.
         let good = build_frame(&FrameSpec::v4_udp(1, 2, 3, 4, vec![7; 8]));
         let mut w = PcapWriter::new();
         w.record(0, &[0xde, 0xad, 0xbe, 0xef]); // far too short for Ethernet
@@ -565,11 +511,11 @@ mod tests {
         arp[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
         w.record(2, &arp);
         let mut src = PcapSource::from_bytes(w.into_bytes()).expect("source");
-        let pkts: Vec<TracePacket> =
-            std::iter::from_fn(|| PacketSource::next_packet(&mut src)).collect();
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].ts_micros, 1);
-        assert_eq!(src.parse_errors(), 2);
+        let mut stamps = Vec::new();
+        while let Some(frame) = src.next_frame() {
+            stamps.push(frame.ts_micros);
+        }
+        assert_eq!(stamps, vec![0, 1, 2]);
         assert!(src.error().is_none());
     }
 }

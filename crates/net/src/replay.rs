@@ -1,20 +1,16 @@
 //! Trace replay — the stand-in for the paper's tcpreplay server (§7.1).
 //!
 //! A [`Trace`] is an ordered sequence of timestamped packets belonging to
-//! labeled flows. [`Replayer`] feeds them to any [`PacketSink`] in timestamp
-//! order, optionally injecting faults (drops, truncation) the way the
-//! smoltcp examples do — useful for robustness tests of the classifiers.
-//!
-//! [`PacketSource`] is the pull-side dual of [`PacketSink`]: anything that
-//! can produce a timestamp-ordered packet stream — a materialized
-//! [`Trace`] (via [`TraceSource`]), a synthetic on-the-fly generator
-//! (`pegasus_datasets::SyntheticSource`), or in principle a live capture.
-//! The streaming `PacketEngine` in `pegasus-core` consumes sources, so the
-//! same deployment code serves replayed and generated traffic.
+//! labeled flows. The engine sees only bytes on the wire, so a trace is
+//! replayed as frames: [`Trace::frames`] (or [`TraceFrames::new`] over any
+//! slice of packets) renders each packet with
+//! [`encode_trace_packet`] and serves it through
+//! [`FrameSource`], the one input the engine's ingress takes — the same
+//! trait a pcap capture (`PcapSource`) and the on-the-fly generator
+//! (`pegasus_datasets::FrameSynthSource`) implement.
 
 use crate::flow::FiveTuple;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::wire::encode_trace_packet;
 
 /// One packet in a trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,36 +88,6 @@ impl Trace {
     }
 }
 
-/// Consumer of replayed packets.
-pub trait PacketSink {
-    /// Called once per delivered packet, in timestamp order.
-    fn on_packet(&mut self, pkt: &TracePacket);
-}
-
-impl<F: FnMut(&TracePacket)> PacketSink for F {
-    fn on_packet(&mut self, pkt: &TracePacket) {
-        self(pkt)
-    }
-}
-
-/// Producer of a timestamp-ordered packet stream.
-///
-/// The streaming engine pulls packets one at a time; `None` ends the
-/// stream. Implementations must emit packets in non-decreasing timestamp
-/// order *per flow* (global order is expected but only per-flow order is
-/// load-bearing: inter-packet delays are computed from consecutive packets
-/// of the same flow).
-pub trait PacketSource {
-    /// The next packet, or `None` when the stream is exhausted.
-    fn next_packet(&mut self) -> Option<TracePacket>;
-
-    /// Total packets this source will emit, when known up front (used for
-    /// progress reporting and queue sizing; `None` for unbounded sources).
-    fn packets_hint(&self) -> Option<u64> {
-        None
-    }
-}
-
 /// One raw frame in flight: capture timestamp, original on-wire length,
 /// and the captured bytes (borrowed — the byte-level dual of
 /// [`TracePacket`]).
@@ -150,140 +116,52 @@ impl<'a> RawFrame<'a> {
     }
 }
 
-/// Producer of a timestamp-ordered *raw frame* stream — the byte-level
-/// dual of [`PacketSource`], feeding the engine's bytes-to-verdict ingress
-/// (`IngressHandle::push_frame`). Yielded frames borrow the
-/// source's internal buffer, so a hot loop reads a pcap or synthesizes
-/// traffic without per-packet allocation.
+/// Producer of a timestamp-ordered *raw frame* stream, feeding the
+/// engine's bytes-to-verdict ingress (`IngressHandle::push_frame_source`).
+/// Yielded frames borrow the source's internal buffer, so a hot loop reads
+/// a pcap or synthesizes traffic without per-packet allocation.
+///
+/// Implementations must emit frames in non-decreasing timestamp order *per
+/// flow* (global order is expected but only per-flow order is
+/// load-bearing: inter-packet delays are computed from consecutive packets
+/// of the same flow).
 pub trait FrameSource {
     /// The next frame, or `None` when the stream is exhausted.
     fn next_frame(&mut self) -> Option<RawFrame<'_>>;
+}
 
-    /// Total frames this source will emit, when known up front.
-    fn frames_hint(&self) -> Option<u64> {
-        None
+/// A [`FrameSource`] over a slice of [`TracePacket`]s, front to back: each
+/// packet is rendered by [`encode_trace_packet`] into one reused buffer.
+///
+/// The frame is what the engine parses, so the packet it serves is the
+/// *canonical* one — `wire_len` clamped up to the headers plus the payload
+/// head, the head zero-extended up to the raw-byte window, and UDP's TCP
+/// flags zeroed (see [`encode_trace_packet`]).
+pub struct TraceFrames<'a> {
+    packets: &'a [TracePacket],
+    buf: Vec<u8>,
+}
+
+impl<'a> TraceFrames<'a> {
+    /// A source over `packets` (which should be sorted; see [`Trace::sort`]).
+    pub fn new(packets: &'a [TracePacket]) -> Self {
+        TraceFrames { packets, buf: Vec::new() }
     }
 }
 
-/// A [`PacketSource`] reading a materialized [`Trace`] front to back.
-pub struct TraceSource<'a> {
-    trace: &'a Trace,
-    next: usize,
-}
-
-impl<'a> TraceSource<'a> {
-    /// A source over `trace` (which should be sorted; see [`Trace::sort`]).
-    pub fn new(trace: &'a Trace) -> Self {
-        TraceSource { trace, next: 0 }
-    }
-}
-
-impl PacketSource for TraceSource<'_> {
-    fn next_packet(&mut self) -> Option<TracePacket> {
-        let pkt = self.trace.packets.get(self.next)?;
-        self.next += 1;
-        Some(pkt.clone())
-    }
-
-    fn packets_hint(&self) -> Option<u64> {
-        Some((self.trace.packets.len() - self.next) as u64)
+impl FrameSource for TraceFrames<'_> {
+    fn next_frame(&mut self) -> Option<RawFrame<'_>> {
+        let (pkt, rest) = self.packets.split_first()?;
+        self.packets = rest;
+        let wire_len = encode_trace_packet(pkt, &mut self.buf);
+        Some(RawFrame { ts_micros: pkt.ts_micros, wire_len: u32::from(wire_len), bytes: &self.buf })
     }
 }
 
 impl Trace {
-    /// A [`PacketSource`] over this trace's packets.
-    pub fn source(&self) -> TraceSource<'_> {
-        TraceSource::new(self)
-    }
-}
-
-/// Fault-injection knobs for replay (mirroring the smoltcp example options).
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayOptions {
-    /// Probability of silently dropping each packet.
-    pub drop_chance: f64,
-    /// Probability of truncating a packet's payload head to half.
-    pub truncate_chance: f64,
-    /// RNG seed for fault injection.
-    pub seed: u64,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions { drop_chance: 0.0, truncate_chance: 0.0, seed: 0 }
-    }
-}
-
-/// Replays traces into sinks.
-pub struct Replayer {
-    options: ReplayOptions,
-}
-
-/// Statistics from one replay run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Packets delivered to the sink.
-    pub delivered: u64,
-    /// Packets dropped by fault injection.
-    pub dropped: u64,
-    /// Packets truncated by fault injection.
-    pub truncated: u64,
-}
-
-impl Replayer {
-    /// A replayer with no fault injection.
-    pub fn new() -> Self {
-        Replayer { options: ReplayOptions::default() }
-    }
-
-    /// A replayer with fault injection.
-    pub fn with_options(options: ReplayOptions) -> Self {
-        assert!((0.0..=1.0).contains(&options.drop_chance));
-        assert!((0.0..=1.0).contains(&options.truncate_chance));
-        Replayer { options }
-    }
-
-    /// Replays `trace` into `sink` in timestamp order.
-    pub fn replay(&self, trace: &Trace, sink: &mut dyn PacketSink) -> ReplayStats {
-        debug_assert!(
-            trace.packets.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros),
-            "trace must be sorted by timestamp"
-        );
-        self.replay_from(&mut trace.source(), sink)
-    }
-
-    /// Replays any [`PacketSource`] into `sink`, applying fault injection.
-    pub fn replay_from(
-        &self,
-        source: &mut dyn PacketSource,
-        sink: &mut dyn PacketSink,
-    ) -> ReplayStats {
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        let mut stats = ReplayStats::default();
-        while let Some(pkt) = source.next_packet() {
-            if self.options.drop_chance > 0.0 && rng.gen::<f64>() < self.options.drop_chance {
-                stats.dropped += 1;
-                continue;
-            }
-            if self.options.truncate_chance > 0.0 && rng.gen::<f64>() < self.options.truncate_chance
-            {
-                let mut cut = pkt;
-                cut.payload_head.truncate(cut.payload_head.len() / 2);
-                sink.on_packet(&cut);
-                stats.truncated += 1;
-                stats.delivered += 1;
-                continue;
-            }
-            sink.on_packet(&pkt);
-            stats.delivered += 1;
-        }
-        stats
-    }
-}
-
-impl Default for Replayer {
-    fn default() -> Self {
-        Replayer::new()
+    /// A [`FrameSource`] over this trace's packets.
+    pub fn frames(&self) -> TraceFrames<'_> {
+        TraceFrames::new(&self.packets)
     }
 }
 
@@ -322,47 +200,13 @@ mod tests {
     #[test]
     fn replay_delivers_in_order() {
         let t = trace3();
+        let mut src = t.frames();
         let mut seen = Vec::new();
-        let mut sink = |p: &TracePacket| seen.push(p.ts_micros);
-        let stats = Replayer::new().replay(&t, &mut sink);
-        assert_eq!(seen, vec![10, 20, 30]);
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn drop_chance_drops_packets() {
-        let mut t = Trace::new();
-        for i in 0..1000 {
-            t.push(pkt(i, 1, 100));
+        while let Some(frame) = src.next_frame() {
+            assert_eq!(frame.wire_len as usize, frame.bytes.len());
+            seen.push((frame.ts_micros, frame.wire_len));
         }
-        let mut count = 0u64;
-        let mut sink = |_: &TracePacket| count += 1;
-        let stats = Replayer::with_options(ReplayOptions {
-            drop_chance: 0.5,
-            truncate_chance: 0.0,
-            seed: 7,
-        })
-        .replay(&t, &mut sink);
-        assert_eq!(stats.delivered + stats.dropped, 1000);
-        assert!(stats.dropped > 350 && stats.dropped < 650, "{stats:?}");
-        assert_eq!(count, stats.delivered);
-    }
-
-    #[test]
-    fn truncation_halves_payload() {
-        let mut t = Trace::new();
-        t.push(pkt(0, 1, 100));
-        let mut got_len = None;
-        let mut sink = |p: &TracePacket| got_len = Some(p.payload_head.len());
-        let stats = Replayer::with_options(ReplayOptions {
-            drop_chance: 0.0,
-            truncate_chance: 1.0,
-            seed: 1,
-        })
-        .replay(&t, &mut sink);
-        assert_eq!(got_len, Some(8));
-        assert_eq!(stats.truncated, 1);
+        assert_eq!(seen, vec![(10, 100), (20, 200), (30, 300)]);
     }
 
     #[test]
@@ -375,26 +219,23 @@ mod tests {
 
     #[test]
     fn trace_source_yields_all_packets_in_order() {
+        use crate::wire::parse_frame;
         let t = trace3();
-        let mut src = t.source();
-        assert_eq!(src.packets_hint(), Some(3));
-        let mut ts = Vec::new();
-        while let Some(p) = src.next_packet() {
-            ts.push(p.ts_micros);
+        // A slice of the trace is a source of its own: how a replay is
+        // split around a mid-stream event.
+        for (from, want) in [(0, vec![10, 20, 30]), (1, vec![20, 30])] {
+            let mut src = TraceFrames::new(&t.packets[from..]);
+            let mut ts = Vec::new();
+            for pkt in &t.packets[from..] {
+                let frame = src.next_frame().expect("one frame per packet");
+                let parsed = parse_frame(frame.bytes).expect("encoded frames parse");
+                assert_eq!(parsed.flow, pkt.flow);
+                assert_eq!(&parsed.payload[..pkt.payload_head.len()], &pkt.payload_head[..]);
+                ts.push(frame.ts_micros);
+            }
+            assert!(src.next_frame().is_none());
+            assert_eq!(ts, want);
         }
-        assert_eq!(ts, vec![10, 20, 30]);
-        assert_eq!(src.packets_hint(), Some(0));
-        assert!(src.next_packet().is_none());
-    }
-
-    #[test]
-    fn replay_from_source_matches_replay() {
-        let t = trace3();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        Replayer::new().replay(&t, &mut |p: &TracePacket| a.push(p.clone()));
-        Replayer::new().replay_from(&mut t.source(), &mut |p: &TracePacket| b.push(p.clone()));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -116,8 +116,9 @@ pub struct ParsedFrame<'a> {
 }
 
 impl ParsedFrame<'_> {
-    /// Materializes the owned [`TracePacket`] the structured engine path
-    /// consumes. `wire_len` is the original on-wire length (pass
+    /// Materializes the owned [`TracePacket`] the engine serves for this
+    /// frame — what a sequential reference replays to check the engine
+    /// against. `wire_len` is the original on-wire length (pass
     /// [`caplen`](ParsedFrame::caplen) when no better figure is known;
     /// pcap records carry the true one). The payload head copies at most
     /// [`RAW_BYTES_PER_PACKET`] bytes — everything raw-byte features can
@@ -133,9 +134,9 @@ impl ParsedFrame<'_> {
         }
     }
 
-    /// The payload length feature the engine extracts, identical on the
-    /// raw and structured paths: captured payload bytes, saturated at the
-    /// raw-byte window width.
+    /// The payload length feature the engine extracts — the length of
+    /// [`to_trace_packet`](Self::to_trace_packet)'s payload head: captured
+    /// payload bytes, saturated at the raw-byte window width.
     pub fn payload_head_len(&self) -> u16 {
         self.payload.len().min(RAW_BYTES_PER_PACKET) as u16
     }
@@ -620,10 +621,10 @@ pub fn build_frame(spec: &FrameSpec) -> Vec<u8> {
 /// The frame length is `pkt.wire_len`, clamped up to the minimum that
 /// fits the headers plus the recorded payload head; the payload is the
 /// head followed by zero fill. Parsing the result back therefore
-/// *canonicalizes* the packet — `wire_len` is clamped and the payload head
-/// is zero-extended up to the raw-byte window — which is exactly how the
-/// raw and structured engine paths are kept bit-identical: both consume
-/// the parsed view.
+/// *canonicalizes* the packet — `wire_len` is clamped, the payload head
+/// is zero-extended up to the raw-byte window and a UDP packet's TCP
+/// flags read 0 — and canonicalizing twice changes nothing. A reference
+/// that replays the canonical packets sees exactly what the engine parses.
 pub fn encode_trace_packet(pkt: &TracePacket, buf: &mut Vec<u8>) -> u16 {
     let header = ETH_LEN + 20 + l4_header_len(pkt.flow.protocol);
     let payload_len = (pkt.wire_len as usize).saturating_sub(header).max(pkt.payload_head.len());
@@ -799,6 +800,37 @@ mod tests {
         assert_eq!(len as usize, 14 + 20 + 8 + 2);
         let p = parse_frame(&buf).expect("parses");
         assert_eq!(p.payload, &[1, 2][..]);
+    }
+
+    #[test]
+    fn canonicalization_is_a_fixed_point() {
+        fn canonical(pkt: &TracePacket) -> TracePacket {
+            let mut buf = Vec::new();
+            let len = encode_trace_packet(pkt, &mut buf);
+            parse_frame(&buf).expect("parses").to_trace_packet(pkt.ts_micros, len)
+        }
+        let pkt = |protocol, wire_len, head: usize| TracePacket {
+            ts_micros: 9,
+            flow: FiveTuple::new(10, 20, 30, 40, protocol),
+            wire_len,
+            payload_head: (0..head).map(|i| i as u8 ^ 0x5a).collect(),
+            tcp_flags: 0x18,
+            ttl: 61,
+        };
+        for protocol in [PROTO_TCP, PROTO_UDP] {
+            for (wire_len, head) in [
+                (300, 16),                        // long frame, short head
+                (10, 2),                          // wire_len below the headers
+                (120, RAW_BYTES_PER_PACKET + 40), // head past the raw-byte window
+                (0, 0),
+            ] {
+                let original = pkt(protocol, wire_len, head);
+                let once = canonical(&original);
+                assert_eq!(canonical(&once), once, "proto {protocol}, len {wire_len}, head {head}");
+                assert_eq!(once.flow, original.flow);
+                assert!(once.payload_head.len() <= RAW_BYTES_PER_PACKET);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{EngineBuilder, EngineStats, Pegasus, PegasusError, TenantConfig};
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
-use pegasus::net::RoutePredicate;
+use pegasus::net::{RoutePredicate, TraceFrames};
 use pegasus::switch::SwitchConfig;
 
 fn print_stats(label: &str, stats: &EngineStats) {
@@ -141,9 +141,7 @@ fn main() -> Result<(), PegasusError> {
 
     // --- Serve: first half, swap, second half. -------------------------
     let split = wire.len() / 2;
-    for pkt in &wire.packets[..split] {
-        ingress.push(pkt.clone())?;
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&wire.packets[..split]))?;
     ingress.flush()?;
     // Stats are worker-published (every 1024 packets and on idle), not
     // polled from the workers — give the shards a beat to drain the queue
@@ -166,9 +164,7 @@ fn main() -> Result<(), PegasusError> {
     );
     assert!(swap.state_retained, "same-shape CNN-L swap must keep register files");
 
-    for pkt in &wire.packets[split..] {
-        ingress.push(pkt.clone())?;
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&wire.packets[split..]))?;
     ingress.flush()?;
     print_stats("post-swap", &control.stats()?);
 

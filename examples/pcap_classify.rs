@@ -17,8 +17,9 @@ use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{EngineBuilder, Pegasus, PegasusError, TenantConfig};
-use pegasus::datasets::SyntheticSource;
-use pegasus::datasets::{extract_views, generate_trace, peerrush, GenConfig, SyntheticConfig};
+use pegasus::datasets::{
+    extract_views, generate_trace, peerrush, FrameSynthSource, GenConfig, SyntheticConfig,
+};
 use pegasus::net::PcapSource;
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
@@ -67,8 +68,11 @@ fn main() -> Result<(), PegasusError> {
 
     // Score the per-flow majority verdicts against the generator's
     // ground-truth labels (reconstructable from the fixture config).
-    let labels: HashMap<_, _> =
-        SyntheticSource::new(&spec, &SyntheticConfig::fixture()).labels().iter().copied().collect();
+    let labels: HashMap<_, _> = FrameSynthSource::new(&spec, &SyntheticConfig::fixture())
+        .labels()
+        .iter()
+        .copied()
+        .collect();
     let verdicts = report.flow_verdicts().expect("recording enabled");
     let mut per_class: HashMap<usize, u64> = HashMap::new();
     let mut correct = 0u64;

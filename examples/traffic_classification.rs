@@ -2,10 +2,11 @@
 //! the paper's headline experiment: 3840-bit raw-byte inputs classified
 //! per packet with 44 stateful bits per flow.
 //!
-//! Packets stream through the sharded `EngineServer` exactly as a testbed
-//! server would feed a switch: flows are hashed RSS-style across worker
-//! shards, each shard owns its own register file under the one shared
-//! per-flow program, and every full window yields a classification.
+//! Packets stream through the sharded `EngineServer` as wire frames,
+//! exactly as a testbed server would feed a switch: flows are hashed
+//! RSS-style across worker shards, each shard owns its own register file
+//! under the one shared per-flow program, and every full window yields a
+//! classification.
 //!
 //! Run: `cargo run --example traffic_classification --release`
 
@@ -55,11 +56,12 @@ fn main() -> Result<(), PegasusError> {
     let tenant = server
         .control()
         .attach(deployment.engine_artifact()?, TenantConfig::new().record_predictions(true))?;
-    let ingress = server.ingress();
-    for pkt in &test.packets {
-        ingress.push(pkt.clone())?;
-    }
-    let stream = server.shutdown()?.take_tenant(tenant).expect("attached until shutdown").result?;
+    server.ingress().push_frame_source(&mut test.frames())?;
+    let mut engine = server.shutdown()?;
+    assert_eq!(engine.parse_errors.total(), 0, "every encoded test packet parses");
+    let served = engine.take_tenant(tenant).expect("attached until shutdown");
+    assert_eq!(served.routed_packets, test.len() as u64, "the catch-all tenant routes every frame");
+    let stream = served.result?;
     let mut correct = 0u64;
     let mut scored = 0u64;
     for (flow, preds) in stream.predictions.as_ref().expect("recording enabled") {

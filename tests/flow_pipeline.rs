@@ -1,13 +1,18 @@
 //! Integration tests of the per-flow windowed pipeline (CNN-L) driven by
 //! real trace replay, including fault injection.
 
+mod common;
+
+use common::canonical;
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{flow_hash, CnnL, CnnLVariant, BYTES};
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{Deployment, Pegasus};
 use pegasus::datasets::{extract_views, generate_trace, peerrush, split_by_flow, GenConfig};
-use pegasus::net::{ReplayOptions, Replayer, TracePacket};
+use pegasus::net::TraceFrames;
 use pegasus::switch::SwitchConfig;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn trained_cnn_l() -> (Deployment<CnnL>, pegasus::net::Trace) {
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 18, seed: 51 });
@@ -62,7 +67,13 @@ fn survives_packet_loss() {
     let mut fc = dp.flow().expect("per-flow").fork();
     let mut verdicts = 0u64;
     let mut correct = 0u64;
-    let mut sink = |pkt: &TracePacket| {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut dropped = 0u64;
+    for pkt in &test.packets {
+        if rng.gen::<f64>() < 0.10 {
+            dropped += 1;
+            continue;
+        }
         let codes: Vec<f32> = pkt
             .payload_head
             .iter()
@@ -80,11 +91,8 @@ fn survives_packet_loss() {
                 correct += 1;
             }
         }
-    };
-    let stats =
-        Replayer::with_options(ReplayOptions { drop_chance: 0.10, truncate_chance: 0.0, seed: 5 })
-            .replay(&test, &mut sink);
-    assert!(stats.dropped > 0, "fault injection should drop packets");
+    }
+    assert!(dropped > 0, "fault injection should drop packets");
     assert!(verdicts > 0, "windows should still fill under loss");
     assert!(
         correct as f64 / verdicts as f64 > 1.0 / 3.0,
@@ -139,6 +147,7 @@ fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
     let (old_fc, new_fc) = (deploy(&old), deploy(&new));
     assert_eq!(old_fc.flat().limb_keys(), 1, "ipd_quant's 32-bit key");
     assert!(new_fc.state_compatible(&old_fc));
+    let trace = canonical(&trace);
     let split = trace.packets.len() / 2;
 
     // The oracle: the simulator, packet by packet, adopting state at the split.
@@ -176,9 +185,7 @@ fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
         let token = control
             .attach(artifact(&old), TenantConfig::new().record_predictions(true))
             .expect("attaches");
-        for pkt in &trace.packets[..split] {
-            ingress.push(pkt.clone()).expect("pushes");
-        }
+        ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[..split])).expect("pushes");
         // Quiesce, so the swap lands exactly at the split.
         ingress.flush().expect("flushes");
         while control.tenant_stats(token).expect("stats").report.packets < split as u64 {
@@ -186,9 +193,7 @@ fn served_runs_match_the_simulator_under_aliasing_and_a_swap() {
         }
         let swap = control.swap(token, artifact(&new)).expect("swaps");
         assert!(swap.state_retained, "runs of {batch}: the register file stays in place");
-        for pkt in &trace.packets[split..] {
-            ingress.push(pkt.clone()).expect("pushes");
-        }
+        ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[split..])).expect("pushes");
         let mut report = server.shutdown().expect("shuts down");
         let tenant = report.take_tenant(token).expect("tenant report");
         let served = tenant.result.expect("served cleanly");

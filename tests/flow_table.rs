@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{serve_one, Feed};
+use common::{canonical, serve_one};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
@@ -30,7 +30,8 @@ use pegasus::core::{
 };
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::{
-    FiveTuple, FlowTable, FlowTableConfig, FlowTracker, StatFeatures, Trace, TracePacket, WINDOW,
+    FiveTuple, FlowTable, FlowTableConfig, FlowTracker, StatFeatures, Trace, TraceFrames,
+    TracePacket, WINDOW,
 };
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
@@ -85,6 +86,7 @@ fn unbounded_reference(
 fn bounded_streaming_matches_unbounded_when_capacity_suffices() {
     let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 10, seed: 77 });
     let deployment = train_mlp_b(&trace);
+    let trace = canonical(&trace);
     let reference = unbounded_reference(&deployment, &trace);
     assert!(!reference.is_empty());
 
@@ -96,7 +98,7 @@ fn bounded_streaming_matches_unbounded_when_capacity_suffices() {
             &deployment,
             EngineBuilder::new().shards(shards),
             TenantConfig::new().record_predictions(true).flow_table(tight),
-            Feed::Packets(&mut trace.source()),
+            &mut trace.frames(),
         );
         assert_eq!(report.table.evictions(), 0, "{shards} shards: nothing may be evicted");
         assert_eq!(report.table.occupancy, report.flows, "{shards} shards");
@@ -149,10 +151,7 @@ fn evicted_flow_rewarms_from_scratch_on_return() {
             TenantConfig::new().flow_capacity(1).record_predictions(true),
         )
         .expect("attaches");
-    let ingress = server.ingress();
-    for p in packets {
-        ingress.push(p).expect("pushes");
-    }
+    server.ingress().push_frame_source(&mut TraceFrames::new(&packets)).expect("pushes");
     let mut report = server.shutdown().expect("shuts down");
     let result = report.take_tenant(token).expect("tenant").result.expect("serves");
     assert_eq!(result.classified, 2, "one classification per completed window");
@@ -205,7 +204,7 @@ fn flow_pipeline_occupancy_matches_register_file_aliasing() {
             &deployment,
             EngineBuilder::new().shards(shards),
             TenantConfig::new(),
-            Feed::Packets(&mut trace.source()),
+            &mut trace.frames(),
         );
         assert_eq!(report.flows, expect_occupancy, "{shards} shards: occupied register slots");
         assert_eq!(report.table.occupancy, expect_occupancy, "{shards} shards");
@@ -274,7 +273,7 @@ fn churn_keeps_state_flat_while_evicting() {
         &deployment,
         EngineBuilder::new(),
         TenantConfig::new().flow_table(FlowTableConfig::with_capacity(capacity)),
-        Feed::Packets(&mut trace.source()),
+        &mut trace.frames(),
     );
     assert_eq!(report.table.capacity, capacity as u64);
     assert!(report.table.occupancy <= capacity as u64);

@@ -17,6 +17,9 @@
 //!   next packet, while a different-shape swap zeroes it and they re-warm
 //!   (1-shard engine, quiesced around every boundary).
 
+mod common;
+
+use common::canonical;
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::mlp_b::MlpB;
@@ -28,7 +31,8 @@ use pegasus::core::{
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::wire::build_frame;
 use pegasus::net::{
-    FiveTuple, FlowTracker, FrameSpec, RawFrame, RoutePredicate, StatFeatures, Trace, WINDOW,
+    FiveTuple, FlowTracker, FrameSpec, RawFrame, RoutePredicate, StatFeatures, Trace, TraceFrames,
+    WINDOW,
 };
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
@@ -121,7 +125,7 @@ fn segmented_reference(
     out
 }
 
-/// Streams `trace` with a quiesced swap at every bound, waits for all
+/// Streams `trace`'s frames with a quiesced swap at every bound, waits for all
 /// shards to converge to the last published epoch, and returns the final
 /// merged report.
 fn run_with_swaps(
@@ -142,9 +146,9 @@ fn run_with_swaps(
     let mut start = 0;
     for segment in 0..models.len() {
         let end = bounds.get(segment).copied().unwrap_or(trace.packets.len());
-        for pkt in &trace.packets[start..end] {
-            ingress.push(pkt.clone()).expect("pushes");
-        }
+        ingress
+            .push_frame_source(&mut TraceFrames::new(&trace.packets[start..end]))
+            .expect("pushes");
         quiesce(&ingress, &control, token, end as u64);
         if segment + 1 < models.len() {
             let swap = control
@@ -229,9 +233,7 @@ fn rejected_swap_is_free_and_does_not_drain_queues() {
         .expect("attaches");
 
     let queued = trace.packets.len().min(128);
-    for pkt in &trace.packets[..queued] {
-        ingress.push(pkt.clone()).expect("pushes");
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[..queued])).expect("pushes");
     let before = control.tenant_stats(token).expect("stats");
     assert_eq!(before.report.packets, 0, "packets must still be queued, not processed");
 
@@ -324,6 +326,7 @@ fn repeated_swaps_under_sustained_load_match_segmented_reference() {
     let data_rot = ModelData::new().with_stat(&stat_rot);
     let b = train_mlp(&data_rot, 5);
 
+    let trace = canonical(&trace);
     let n = trace.packets.len();
     let bounds = [n / 4, n / 2, 3 * n / 4];
     let models = [&a, &b, &a, &b];

@@ -1,18 +1,19 @@
-//! The bytes-to-verdict path is the structured path, bit for bit.
+//! The bytes-to-verdict path is the sequential replay, bit for bit.
 //!
-//! The engine has two front doors — structured [`TracePacket`]s
-//! (`IngressHandle::push`) and raw wire frames (`push_frame`) — into one
-//! column batch served by one `process_batch`. This suite proves the
-//! doors, every batch size (a batch of one is the scalar schedule) and
-//! every tenant interleave are the same engine — identical per-flow
-//! verdict sequences *and* identical flow-table counters at 1/2/4 shards,
-//! for a stateless pipeline (MLP-B) and the per-flow register pipeline
-//! (CNN-L) — and pins the checked-in golden capture: byte-exact round
-//! trips through the pcap writer and a frozen per-class verdict census.
+//! Raw wire frames (`push_frame`) are the engine's one input, appended to
+//! one column batch served by one `process_batch`. This suite holds every
+//! batch size (a batch of one is the scalar schedule) and every tenant
+//! interleave against an independent sequential replay of the
+//! [`TracePacket`]s the frames parse to — identical per-flow verdict
+//! sequences and packet counters, and flow-table counters that no batch
+//! shape moves, at 1/2/4 shards, for a stateless pipeline (MLP-B) and the
+//! per-flow register pipeline (CNN-L) — and pins the checked-in golden
+//! capture: byte-exact round trips through the pcap writer and a frozen
+//! per-class verdict census.
 
 mod common;
 
-use common::{serve_one, Feed};
+use common::{sequential_reference, serve_one};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::cnn_l::{CnnL, CnnLVariant};
 use pegasus::core::models::mlp_b::MlpB;
@@ -26,10 +27,11 @@ use pegasus::datasets::{
 };
 use pegasus::net::wire::{build_frame, encode_trace_packet, parse_frame};
 use pegasus::net::{
-    FiveTuple, FlowTableConfig, FrameSpec, PacketSource, PcapReader, PcapSource, PcapWriter,
-    RoutePredicate, Trace, TracePacket, DEFAULT_SNAPLEN,
+    FiveTuple, FlowTableConfig, FrameSpec, PcapReader, PcapSource, PcapWriter, RoutePredicate,
+    Trace, TracePacket, DEFAULT_SNAPLEN,
 };
 use pegasus::switch::SwitchConfig;
+use std::collections::HashMap;
 
 const FIXTURE_PATH: &str = "tests/fixtures/golden.pcap";
 /// The fixture's snaplen: small enough that long frames are genuinely
@@ -58,6 +60,49 @@ fn train_cnn(trace: &pegasus::net::Trace) -> Deployment<CnnL> {
         .expect("compiles")
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys")
+}
+
+/// The packets the capture's frames parse to, in capture order — what the
+/// engine serves (a snapped record keeps its captured payload and its
+/// original length).
+fn parsed(pcap: &[u8]) -> Vec<TracePacket> {
+    let mut reader = PcapReader::new(pcap).expect("header");
+    std::iter::from_fn(|| reader.next_record())
+        .map(|rec| {
+            let rec = rec.expect("well-formed record");
+            let wire_len = rec.orig_len.min(u32::from(u16::MAX)) as u16;
+            parse_frame(rec.data)
+                .expect("every frame parses")
+                .to_trace_packet(rec.ts_micros, wire_len)
+        })
+        .collect()
+}
+
+/// Sequential replay of `trace` through the switch simulator on a
+/// `shards`-shard layout: [`sequential_reference`] for a stateless
+/// pipeline; for a per-flow one, one fresh register-file fork per shard fed
+/// its flows' packets in order (verdicts depend on which flows share a
+/// shard's hash slots).
+fn replay<M: DataplaneNet>(
+    deployment: &Deployment<M>,
+    trace: &Trace,
+    shards: usize,
+) -> HashMap<FiveTuple, Vec<usize>> {
+    let Some(fc) = deployment.flow() else { return sequential_reference(deployment, trace) };
+    let arity = fc.pipeline().extractor_fields.len();
+    let mut forks: Vec<_> = (0..shards).map(|_| fc.fork()).collect();
+    let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
+    for pkt in &trace.packets {
+        let mut codes = vec![0.0f32; arity];
+        codes.iter_mut().zip(&pkt.payload_head).for_each(|(c, &b)| *c = f32::from(b));
+        let verdict = forks[pkt.flow.shard_of(shards)]
+            .on_packet_mut(pkt.flow.dataplane_hash(), pkt.ts_micros, pkt.wire_len, &codes)
+            .expect("packet");
+        if let Some(class) = verdict.predicted {
+            out.entry(pkt.flow).or_default().push(class);
+        }
+    }
+    out
 }
 
 /// Streams the capture through a `shards`-shard [`EngineServer`] handing
@@ -106,80 +151,57 @@ fn run_one<M: DataplaneNet>(
         deployment,
         EngineBuilder::new().shards(shards).batch(batch_frames),
         tenant.record_predictions(true),
-        Feed::Frames(&mut src),
+        &mut src,
     )
 }
 
-/// Streams the same capture through both front doors at every shard count
-/// and asserts the reports are indistinguishable.
-fn assert_raw_matches_structured<M: DataplaneNet>(deployment: &Deployment<M>, pcap: &[u8]) {
+/// Streams the capture at every shard count and batch shape and holds
+/// each run against the sequential replay of the packets its frames parse
+/// to, and its flow-table counters against the default-batch run's.
+fn assert_raw_matches_reference<M: DataplaneNet>(deployment: &Deployment<M>, pcap: &[u8]) {
+    let trace = Trace { packets: parsed(pcap), labels: Vec::new() };
+    let n = trace.packets.len();
     for shards in [1usize, 2, 4] {
-        let mut structured_src = PcapSource::from_bytes(pcap.to_vec()).expect("capture");
-        let (structured, structured_rejected) = serve_one(
-            deployment,
-            EngineBuilder::new().shards(shards),
-            TenantConfig::new().record_predictions(true),
-            Feed::Packets(&mut structured_src),
-        );
-        assert_eq!(structured_src.parse_errors(), 0, "fixture frames all parse");
-
-        let (raw, raw_rejected) = run_one(deployment, TenantConfig::new(), pcap, shards, 256);
-
-        assert_eq!(raw.packets, structured.packets, "{shards} shards: packet counts");
-        assert_eq!(raw.classified, structured.classified, "{shards} shards: classified");
-        assert_eq!(raw.warmup, structured.warmup, "{shards} shards: warmup");
-        assert_eq!(raw.flows, structured.flows, "{shards} shards: flows");
-        assert_eq!(raw.table, structured.table, "{shards} shards: flow-table counters");
-        assert_eq!(raw_rejected.total(), 0, "{shards} shards: nothing rejected");
-        assert_eq!(structured_rejected.total(), 0);
-
-        let raw_preds = raw.predictions.expect("recording requested");
-        let structured_preds = structured.predictions.expect("recording requested");
-        assert!(
-            structured.classified > 0,
-            "{shards} shards: capture too small to classify anything"
-        );
-        assert_eq!(raw_preds.len(), structured_preds.len(), "{shards} shards: flow sets differ");
-        for (flow, seq) in &structured_preds {
-            assert_eq!(
-                raw_preds.get(flow),
-                Some(seq),
-                "{shards} shards: flow {flow:?} diverged between bytes and structs"
-            );
-        }
+        let reference = replay(deployment, &trace, shards);
+        let classified: u64 = reference.values().map(|v| v.len() as u64).sum();
+        assert!(classified > 0, "{shards} shards: capture too small to classify anything");
 
         // The hand-off at pathological and friendly batch shapes:
         // single-frame batches (every packet a run of one — the scalar
         // schedule), a prime that forces misaligned partial flushes (7), an
         // exact divisor of the packet count (the final batch is full — no
-        // partial-flush epilogue at 1 shard), and 64 (a partial last
-        // batch). Every shape must reproduce the structured report bit for
-        // bit: counters, flow table, and every flow's verdict sequence.
-        let n = structured.packets as usize;
+        // partial-flush epilogue at 1 shard), 64 (a partial last batch) and
+        // the default 256. Every shape must reproduce the replay's
+        // counters and every flow's verdict sequence, and the same flow
+        // table.
         let exact = (2..=n.min(96)).rev().find(|d| n.is_multiple_of(*d)).unwrap_or(1);
-        for batch_frames in [1usize, 7, exact, 64] {
+        let mut base = None;
+        for batch_frames in [256usize, 1, 7, exact, 64] {
             let (b, rejected) =
                 run_one(deployment, TenantConfig::new(), pcap, shards, batch_frames);
+            let (flows, table) = *base.get_or_insert((b.flows, b.table));
             let tag = format!("{shards} shards, batch {batch_frames}");
-            assert_eq!(b.packets, structured.packets, "{tag}: packets");
-            assert_eq!(b.classified, structured.classified, "{tag}: classified");
-            assert_eq!(b.warmup, structured.warmup, "{tag}: warmup");
-            assert_eq!(b.flows, structured.flows, "{tag}: flows");
-            assert_eq!(b.table, structured.table, "{tag}: flow-table counters");
+            assert_eq!(b.packets, n as u64, "{tag}: packets");
+            assert_eq!(b.classified, classified, "{tag}: classified");
+            assert_eq!(b.warmup, b.packets - classified, "{tag}: warmup");
+            assert_eq!(b.flows, flows, "{tag}: flows");
+            assert_eq!(b.table, table, "{tag}: flow-table counters");
             assert_eq!(rejected.total(), 0, "{tag}: nothing rejected");
             let preds = b.predictions.expect("recording requested");
-            assert_eq!(preds.len(), structured_preds.len(), "{tag}: flow sets differ");
-            for (flow, seq) in &structured_preds {
+            assert_eq!(preds.len(), reference.len(), "{tag}: flow sets differ");
+            for (flow, seq) in &reference {
                 assert_eq!(
                     preds.get(flow),
                     Some(seq),
-                    "{tag}: flow {flow:?} diverged between batch shapes and structs"
+                    "{tag}: flow {flow:?} diverged from the sequential replay"
                 );
             }
         }
     }
 }
 
+/// The structured path is the sequential replay of the [`TracePacket`]s the
+/// served frames parse to.
 #[test]
 fn raw_path_matches_structured_path_mlp_b() {
     let spec = peerrush();
@@ -192,15 +214,15 @@ fn raw_path_matches_structured_path_mlp_b() {
     let pcap = synthesize_pcap(&spec, &cfg, DEFAULT_SNAPLEN);
     let trace = generate_trace(&spec, &GenConfig { flows_per_class: 12, seed: 21 });
     let deployment = train_mlp(&trace);
-    assert_raw_matches_structured(&deployment, &pcap);
+    assert_raw_matches_reference(&deployment, &pcap);
 }
 
 #[test]
 fn raw_path_matches_structured_path_cnn_l() {
     // The per-flow register pipeline consumes raw payload bytes, so the
     // frames carry full class-signature payloads; verdicts additionally
-    // depend on hash-slot aliasing, which both paths must reproduce
-    // identically at each shard count.
+    // depend on hash-slot aliasing, which the engine must reproduce
+    // exactly as the per-shard replay does at each shard count.
     let spec = iscxvpn();
     let stream_cfg = SyntheticConfig {
         flows_per_class: 3,
@@ -211,7 +233,7 @@ fn raw_path_matches_structured_path_cnn_l() {
     let pcap = synthesize_pcap(&spec, &stream_cfg, DEFAULT_SNAPLEN);
 
     let deployment = train_cnn(&generate_trace(&spec, &GenConfig { flows_per_class: 4, seed: 41 }));
-    assert_raw_matches_structured(&deployment, &pcap);
+    assert_raw_matches_reference(&deployment, &pcap);
 }
 
 /// Run splitting, the one thing the column hand-off adds: the golden
@@ -228,8 +250,8 @@ fn interleaved_tenants_split_into_runs_without_moving_a_verdict() {
 
     // Each capture as the packets its frames parse to, steered to one port.
     let steered = |pcap: Vec<u8>, port: u16| -> Vec<TracePacket> {
-        let mut src = PcapSource::from_bytes(pcap).expect("capture");
-        std::iter::from_fn(|| src.next_packet())
+        parsed(&pcap)
+            .into_iter()
             .map(|mut pkt| {
                 pkt.flow.dst_port = port;
                 pkt
@@ -255,11 +277,10 @@ fn interleaved_tenants_split_into_runs_without_moving_a_verdict() {
     let pcap = writer.into_bytes();
 
     // The MLP-B tenant's packets exactly as the engine will parse them.
-    let mut src = PcapSource::from_bytes(pcap.clone()).expect("capture");
     let packets: Vec<TracePacket> =
-        std::iter::from_fn(|| src.next_packet()).filter(|p| p.flow.dst_port == 443).collect();
+        parsed(&pcap).into_iter().filter(|p| p.flow.dst_port == 443).collect();
     assert_eq!(packets.len(), golden.len());
-    let reference = common::sequential_reference(&mlp, &Trace { packets, labels: Vec::new() });
+    let reference = sequential_reference(&mlp, &Trace { packets, labels: Vec::new() });
     assert!(!reference.is_empty(), "golden capture classifies nothing");
 
     for shards in [1usize, 2, 4] {

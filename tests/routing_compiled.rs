@@ -1,7 +1,8 @@
 //! Compiled tenant routing: the `CompiledRouter` must be bit-identical to
 //! a naive first-match `RoutePredicate` scan — over random predicate sets
 //! with overlaps and priority ties, pure and through the engine at 1/2/4
-//! shards — and the control plane built on it must hold its
+//! shards (where the parser turns ICMP tuples away before any rule sees
+//! them) — and the control plane built on it must hold its
 //! contracts: content-hash artifact dedup and the aggregate fleet SRAM
 //! budget. (That `stats` never waits on the dispatcher lock is a unit
 //! test beside the lock, in `engine::server`.)
@@ -10,11 +11,12 @@ use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::{ModelData, TrainSettings};
 use pegasus::core::{
-    Deployment, EngineBuilder, Pegasus, PegasusError, TenantConfig, TenantToken,
-    HOST_WINDOW_STATE_BITS,
+    Deployment, EngineBuilder, FramePush, IngressHandle, Pegasus, PegasusError, TenantConfig,
+    TenantToken, HOST_WINDOW_STATE_BITS,
 };
 use pegasus::datasets::{extract_views, generate_trace, peerrush, GenConfig};
-use pegasus::net::{CompiledRouter, FiveTuple, RoutePredicate, TracePacket};
+use pegasus::net::wire::encode_trace_packet;
+use pegasus::net::{CompiledRouter, FiveTuple, ParseError, RawFrame, RoutePredicate, TracePacket};
 use pegasus::switch::SwitchConfig;
 
 // --- seeded generators ----------------------------------------------------
@@ -164,15 +166,19 @@ fn mlp_deployment() -> Deployment<MlpB> {
         .expect("deploys")
 }
 
-fn packet(ft: FiveTuple, seq: u64) -> TracePacket {
-    TracePacket {
+/// Pushes packet `seq` of flow `ft` as its wire frame.
+fn push(ingress: &IngressHandle, ft: FiveTuple, seq: u64) -> FramePush {
+    let pkt = TracePacket {
         ts_micros: seq * 100,
         flow: ft,
         wire_len: 120,
         payload_head: Vec::new(),
         tcp_flags: 0x18,
         ttl: 64,
-    }
+    };
+    let mut frame = Vec::new();
+    encode_trace_packet(&pkt, &mut frame);
+    ingress.push_frame(RawFrame::new(pkt.ts_micros, &frame)).expect("pushes")
 }
 
 #[test]
@@ -204,8 +210,21 @@ fn engine_dispatch_matches_naive_scan_at_every_shard_count() {
             tokens.iter().zip(&predicates).map(|(t, p)| (t.id(), p.clone())).collect();
         let mut expected_routed = vec![0u64; tokens.len()];
         let mut expected_unrouted = 0u64;
+        let mut rejected = 0u64;
         for (seq, ft) in packets.iter().enumerate() {
-            let routed = ingress.push(packet(*ft, seq as u64)).expect("pushes");
+            let pushed = push(&ingress, *ft, seq as u64);
+            if ft.protocol == 1 {
+                // The wire parser rejects ICMP before routing: no rule
+                // ever sees the tuple, so the oracle does not tally it.
+                assert_eq!(pushed, FramePush::Rejected(ParseError::UnsupportedProtocol(1)));
+                rejected += 1;
+                continue;
+            }
+            let routed = match pushed {
+                FramePush::Routed => true,
+                FramePush::Unrouted => false,
+                FramePush::Rejected(e) => panic!("{shards} shards: {ft:?} rejected: {e}"),
+            };
             match naive_first_match(&rules, ft) {
                 Some(id) => {
                     assert!(routed, "{shards} shards: scan routed {ft:?}, engine dropped it");
@@ -220,6 +239,9 @@ fn engine_dispatch_matches_naive_scan_at_every_shard_count() {
         }
         ingress.flush().expect("flushes");
         let stats = control.stats().expect("stats");
+        assert!(rejected > 0, "the tuple pool must include ICMP");
+        assert_eq!(stats.parse_errors.unsupported, rejected, "{shards} shards");
+        assert_eq!(stats.parse_errors.total(), rejected, "{shards} shards");
         assert_eq!(stats.unrouted, expected_unrouted, "{shards} shards");
         for (pos, token) in tokens.iter().enumerate() {
             let tenant = stats.tenant(*token).expect("tenant present");
@@ -260,9 +282,9 @@ fn detach_recompiles_so_later_rules_take_over() {
         )
         .expect("attaches");
     let ft = FiveTuple::new(0x0a00_0001, 0x0a0a_0a05, 40000, 443, 6);
-    ingress.push(packet(ft, 0)).expect("pushes");
+    push(&ingress, ft, 0);
     control.detach(first).expect("detaches");
-    ingress.push(packet(ft, 1)).expect("pushes");
+    push(&ingress, ft, 1);
     ingress.flush().expect("flushes");
     let stats = control.stats().expect("stats");
     // Packet 1 went to the specific tenant; after its detach the same flow
@@ -301,7 +323,7 @@ fn identical_artifacts_are_shared_across_tenants() {
         for k in 0..11_000u64 {
             let dst_port = if k % 11 == 10 { 63_000 } else { 1024 + (k % tenants) as u16 };
             let ft = FiveTuple::new(0xc0a8_0101, 0xc0a8_0202, 40_000, dst_port, 6);
-            if ingress.push(packet(ft, k)).expect("pushes") {
+            if push(&ingress, ft, k) == FramePush::Routed {
                 routed += 1;
             } else {
                 unrouted += 1;

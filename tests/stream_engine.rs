@@ -9,11 +9,13 @@
 //! reference (`common::sequential_reference`) is an independent
 //! reimplementation of the per-packet path: one global `FlowTracker`,
 //! features extracted per packet, verdicts from `Deployment::classify`
-//! (the switch-simulator path, not the LUTs).
+//! (the switch-simulator path, not the LUTs). The engine is fed each
+//! trace's wire frames, the reference the packets they parse to
+//! (`common::canonical`).
 
 mod common;
 
-use common::{sequential_reference, serve_one, Feed};
+use common::{canonical, sequential_reference, serve_one};
 use pegasus::core::compile::CompileOptions;
 use pegasus::core::models::mlp_b::MlpB;
 use pegasus::core::models::rnn_b::RnnB;
@@ -21,12 +23,13 @@ use pegasus::core::models::{DataplaneNet, ModelData, StreamFeatures, TrainSettin
 use pegasus::core::{Deployment, EngineBuilder, Pegasus, StreamReport, SwapReport, TenantConfig};
 use pegasus::datasets::{extract_views, generate_trace, iscxvpn, peerrush, GenConfig};
 use pegasus::net::{
-    FiveTuple, FlowTracker, RoutePredicate, SeqFeatures, StatFeatures, Trace, WINDOW,
+    FiveTuple, FlowTracker, RoutePredicate, SeqFeatures, StatFeatures, Trace, TraceFrames, WINDOW,
 };
 use pegasus::switch::SwitchConfig;
 use std::collections::HashMap;
 
 fn assert_stream_matches_sequential<M: DataplaneNet>(deployment: &Deployment<M>, trace: &Trace) {
+    let trace = &canonical(trace);
     let reference = sequential_reference(deployment, trace);
     let total_classified: u64 = reference.values().map(|v| v.len() as u64).sum();
     assert!(total_classified > 0, "test trace too small to classify anything");
@@ -36,7 +39,7 @@ fn assert_stream_matches_sequential<M: DataplaneNet>(deployment: &Deployment<M>,
             deployment,
             EngineBuilder::new().shards(shards),
             TenantConfig::new().record_predictions(true),
-            Feed::Packets(&mut trace.source()),
+            &mut trace.frames(),
         );
         assert_eq!(report.shards.len(), shards);
         assert_eq!(report.packets, trace.packets.len() as u64, "{shards} shards");
@@ -166,8 +169,8 @@ fn quiesce(
     }
 }
 
-/// Streams `trace` through an [`EngineServer`] that starts on `first`,
-/// hot-swapping the tenant to each `(split, deployment)` of `swaps`
+/// Streams `trace`'s frames through an [`EngineServer`] that starts on
+/// `first`, hot-swapping the tenant to each `(split, deployment)` of `swaps`
 /// exactly at packet index `split` (ascending; quiescing first, so every
 /// epoch boundary is exact despite the stall-free apply).
 fn stream_with_midrun_swaps<M: DataplaneNet>(
@@ -187,17 +190,15 @@ fn stream_with_midrun_swaps<M: DataplaneNet>(
         .expect("attaches");
     let (mut pushed, mut reports) = (0, Vec::new());
     for &(split, next) in swaps {
-        for pkt in &trace.packets[pushed..split] {
-            ingress.push(pkt.clone()).expect("pushes");
-        }
+        ingress
+            .push_frame_source(&mut TraceFrames::new(&trace.packets[pushed..split]))
+            .expect("pushes");
         pushed = split;
         quiesce(&ingress, &control, token, split as u64);
         reports
             .push(control.swap(token, next.engine_artifact().expect("artifact")).expect("swaps"));
     }
-    for pkt in &trace.packets[pushed..] {
-        ingress.push(pkt.clone()).expect("pushes");
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[pushed..])).expect("pushes");
     let mut report = server.shutdown().expect("shuts down");
     let tenant = report.take_tenant(token).expect("tenant report");
     assert_eq!(tenant.routed_packets, trace.packets.len() as u64);
@@ -238,6 +239,7 @@ fn hot_swap_matches_sequential_classify_around_the_epoch() {
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys");
 
+    let trace = canonical(&trace);
     let split = trace.packets.len() / 2;
     let reference = sequential_reference_swap(&old, &new, &trace, split);
     // The swap must be observable: the retrained model disagrees with the
@@ -305,6 +307,7 @@ fn flow_pipeline_hot_swap_transplants_registers_matching_sequential_forks() {
         .deploy(&SwitchConfig::tofino2())
         .expect("deploys");
 
+    let trace = canonical(&trace);
     let (old_fc, new_fc) = (old.flow().expect("flow plane"), new.flow().expect("flow plane"));
     assert!(new_fc.state_compatible(old_fc), "same-shape CNN-L must be state-compatible");
     let arity = old_fc.pipeline().extractor_fields.len();
@@ -376,6 +379,7 @@ fn detach_under_load_drops_no_surviving_tenant_packets() {
         .expect("deploys");
 
     // Split on the median destination port so both tenants get traffic.
+    let trace = canonical(&trace);
     let mut ports: Vec<u16> = trace.packets.iter().map(|p| p.flow.dst_port).collect();
     ports.sort_unstable();
     let pivot = ports[ports.len() / 2];
@@ -409,9 +413,7 @@ fn detach_under_load_drops_no_surviving_tenant_packets() {
         .expect("attaches");
 
     let split = trace.packets.len() / 2;
-    for pkt in &trace.packets[..split] {
-        ingress.push(pkt.clone()).expect("pushes");
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[..split])).expect("pushes");
     // Detach under load: batches for both tenants are still queued.
     let gone = control.detach(ephemeral).expect("detaches");
     let gone_report = gone.result.expect("ephemeral tenant served cleanly");
@@ -422,9 +424,7 @@ fn detach_under_load_drops_no_surviving_tenant_packets() {
     // Its token is now dead.
     assert!(control.detach(ephemeral).is_err());
 
-    for pkt in &trace.packets[split..] {
-        ingress.push(pkt.clone()).expect("pushes");
-    }
+    ingress.push_frame_source(&mut TraceFrames::new(&trace.packets[split..])).expect("pushes");
     let stats = control.stats().expect("stats");
     assert_eq!(stats.tenants.len(), 1);
 
@@ -461,7 +461,7 @@ fn stream_reports_shard_partition_consistency() {
         &deployment,
         EngineBuilder::new().shards(4),
         TenantConfig::new(),
-        Feed::Packets(&mut trace.source()),
+        &mut trace.frames(),
     );
     assert_eq!(report.packets, report.shards.iter().map(|s| s.packets).sum::<u64>());
     assert_eq!(report.flows, report.shards.iter().map(|s| s.flows).sum::<u64>());
