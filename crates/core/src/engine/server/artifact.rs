@@ -30,12 +30,13 @@ pub struct EngineArtifact {
     /// deployed against (`register_bits_total`) — the ceiling per-tenant
     /// state budgets are validated under.
     pub(crate) state_budget_bits: u64,
-    /// Word-folded hash and byte length of [`content_bytes`](Self::content_bytes),
-    /// stamped once by the engine's admission pass on the way in (zero
-    /// until then): the cache's probe key, and what `ArtifactCounters`
-    /// sizes the artifact at.
+    /// [`content_bytes`](Self::content_bytes) and their lane-folded hash,
+    /// stamped once by the engine's admission pass on the way in (empty
+    /// and zero until then): the cache's probe key and the bytes a hit is
+    /// confirmed against, held — like the cached verdict — exactly as long
+    /// as the last `Arc`. `ArtifactCounters` sizes the artifact at them.
     content_hash: u64,
-    pub(super) content_len: u64,
+    pub(super) content: Vec<u8>,
 }
 
 /// What an artifact executes — program only on both planes: one
@@ -58,7 +59,7 @@ impl EngineArtifact {
             features,
             name: name.to_string(),
             content_hash: 0,
-            content_len: 0,
+            content: Vec::new(),
         }
     }
 
@@ -173,6 +174,8 @@ impl EngineArtifact {
     /// separate — each worker forks its own execution state from the
     /// shared program).
     fn content_bytes(&self) -> Vec<u8> {
+        #[cfg(test)]
+        CONTENT_ENCODES.with(|n| n.set(n.get() + 1));
         let mut w = serde::Writer::new();
         match &self.plane {
             ArtifactPlane::Stateless(dp) => {
@@ -201,23 +204,31 @@ impl EngineArtifact {
     }
 }
 
-/// An FNV-style fold over an artifact's content bytes, eight at a time —
-/// the dedup cache key. Each step XORs in one little-endian word (the tail
-/// zero-padded), multiplies by an odd constant and rotates: a bijection of
-/// the running hash for any fixed word, so a change confined to one word —
-/// any one-byte change — always changes the hash; the length is mixed in
-/// last, so a zero tail cannot pass for padding. Collisions are survivable
-/// (the cache confirms hits by comparing the full content bytes), so a
-/// fast non-cryptographic hash is enough.
+/// An FNV-style fold over an artifact's content bytes — the dedup cache
+/// key. Four independent lanes each take one little-endian word of every
+/// 32-byte block; the lanes are then folded in, followed by the remaining
+/// whole words, the tail (zero-padded) and the length. Each step XORs in a
+/// word, multiplies by an odd constant and rotates: a bijection of the
+/// running hash for any fixed word, so a change confined to one word —
+/// any one-byte change — changes its lane or its step, and so the hash;
+/// the length comes last, so a zero tail cannot pass for padding.
+/// Collisions are survivable (the cache confirms hits by comparing the
+/// full content bytes), so a fast non-cryptographic hash is enough.
 fn content_hash(bytes: &[u8]) -> u64 {
     let step = |h: u64, word: u64| (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
-    let mut h = words.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        step(h, u64::from_le_bytes(w.try_into().expect("exact chunks are 8 bytes")))
-    });
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    h = step(h, u64::from_le_bytes(tail));
+    let word = |w: &[u8; 8]| u64::from_le_bytes(*w);
+    let seed = 0xcbf2_9ce4_8422_2325u64;
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (blocks, rest) = words.as_chunks::<4>();
+    // Spelled out, not `map`ped: the four steps must stay independent
+    // instructions for the lanes to overlap.
+    let mut l = [0, 16, 32, 48].map(|r| seed.rotate_left(r));
+    for [a, b, c, d] in blocks {
+        l = [step(l[0], word(a)), step(l[1], word(b)), step(l[2], word(c)), step(l[3], word(d))];
+    }
+    let mut padded = [0u8; 8];
+    padded[..tail.len()].copy_from_slice(tail);
+    let h = l.into_iter().chain(rest.iter().chain([&padded]).map(word)).fold(seed, step);
     step(h, bytes.len() as u64)
 }
 
@@ -240,14 +251,16 @@ pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> 
 
 impl EngineShared {
     /// The one admission path attach and swap share: the incoming artifact
-    /// is content-encoded once and probed against every live one. A
-    /// byte-identical resident is returned as is — it was verified against
-    /// its switch model when it was first admitted, and its tenants share
-    /// it (their flow tables and stats stay per-tenant); the incoming copy
-    /// is dropped unserved. Only a miss runs the static verifier, and only
-    /// a clean artifact enters the cache, so a rejected one is re-verified
-    /// (and re-rejected) every time. The cache holds `Weak`s: a verdict is
-    /// remembered exactly as long as some tenant serves the artifact.
+    /// is content-encoded — once, its only encode — and the bytes it keeps
+    /// are probed against every live one's. A byte-identical resident is
+    /// returned as is — it was verified against its switch model when it
+    /// was first admitted, and its tenants share it (their flow tables and
+    /// stats stay per-tenant); the incoming copy and its bytes are dropped
+    /// unserved. Only a miss runs the static verifier, and only a clean
+    /// artifact enters the cache, so a rejected one is re-verified (and
+    /// re-rejected) every time. The cache holds `Weak`s: a verdict and the
+    /// bytes it was reached on are remembered exactly as long as some
+    /// tenant serves the artifact.
     ///
     /// Content bytes are everything [`EngineArtifact::verify_report`]
     /// reads except the `FlatProgram`, which deploy derives from the
@@ -256,10 +269,9 @@ impl EngineShared {
         &self,
         mut artifact: EngineArtifact,
     ) -> Result<Arc<EngineArtifact>, PegasusError> {
-        let bytes = artifact.content_bytes();
-        artifact.content_hash = content_hash(&bytes);
-        artifact.content_len = bytes.len() as u64;
-        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), &artifact, &bytes) {
+        artifact.content = artifact.content_bytes();
+        artifact.content_hash = content_hash(&artifact.content);
+        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), &artifact) {
             return Ok(resident);
         }
         // Verification runs outside the cache lock: admissions of other
@@ -271,52 +283,87 @@ impl EngineShared {
         // Re-probe under the lock: of two racing first admissions of one
         // content, the second finds the first's `Arc` here.
         let mut cache = lock(&self.artifact_cache);
-        if let Some(resident) = find_resident(&mut cache, &artifact, &bytes) {
+        if let Some(resident) = find_resident(&mut cache, &artifact) {
             return Ok(resident);
         }
+        // A resident holds its bytes, not the encoder's spare capacity.
+        artifact.content.shrink_to_fit();
         let arc = Arc::new(artifact);
         cache.push(Arc::downgrade(&arc));
         Ok(arc)
     }
 }
 
-/// The live cached artifact whose content bytes are `bytes` (`probe`'s,
-/// hash and length already stamped), pruning dead entries on the way.
-/// Hash and length are hints; equality is decided on the bytes,
-/// re-encoded only for a candidate both hints agree on.
+/// The live cached artifact whose content bytes equal `probe`'s (already
+/// stamped), pruning dead entries on the way. The hash is a hint; equality
+/// is decided on the bytes each resident kept from its own admission, so
+/// no resident is ever re-encoded.
 fn find_resident(
     cache: &mut Vec<Weak<EngineArtifact>>,
     probe: &EngineArtifact,
-    bytes: &[u8],
 ) -> Option<Arc<EngineArtifact>> {
     cache.retain(|cached| cached.strong_count() > 0);
     cache.iter().filter_map(Weak::upgrade).find(|existing| {
-        existing.content_hash == probe.content_hash
-            && existing.content_len == probe.content_len
-            && existing.content_bytes() == bytes
+        existing.content_hash == probe.content_hash && existing.content == probe.content
     })
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Artifacts content-encoded on this thread (tests hold every
+    /// admission to one encode, of the incoming copy, and residents to
+    /// none).
+    pub(crate) static CONTENT_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
-    use super::content_hash;
+    use super::{content_hash, find_resident};
+    use crate::engine::server::tests::tiny_artifact;
+    use std::sync::Arc;
 
     #[test]
     fn any_one_byte_change_changes_the_content_hash() {
-        // 37 bytes: four whole words and a five-byte tail.
-        let base: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(73)).collect();
-        let h = content_hash(&base);
-        for at in 0..base.len() {
-            for delta in [1u8, 0x80, 0xff] {
-                let mut changed = base.clone();
-                changed[at] ^= delta;
-                assert_ne!(content_hash(&changed), h, "byte {at} ^ {delta:#x}");
+        // 37 bytes: one whole block's worth of words and a five-byte tail;
+        // 77: two blocks, a remainder word and a tail; 101: three blocks
+        // and a tail.
+        for len in [37u8, 77, 101] {
+            let base: Vec<u8> = (0..len).map(|i| i.wrapping_mul(73)).collect();
+            let h = content_hash(&base);
+            for at in 0..base.len() {
+                for delta in [1u8, 0x80, 0xff] {
+                    let mut changed = base.clone();
+                    changed[at] ^= delta;
+                    assert_ne!(content_hash(&changed), h, "{len} bytes: byte {at} ^ {delta:#x}");
+                }
             }
+            // Zero padding does not pass for content: the length is mixed in.
+            let mut padded = base.clone();
+            padded.push(0);
+            assert_ne!(content_hash(&padded), h);
         }
-        // Zero padding does not pass for content: the length is mixed in.
-        let mut padded = base.clone();
-        padded.push(0);
-        assert_ne!(content_hash(&padded), h);
         assert_ne!(content_hash(&[]), content_hash(&[0]));
+    }
+
+    #[test]
+    fn a_resident_hash_and_length_on_other_bytes_miss() {
+        let stamped = |mut artifact: super::EngineArtifact| {
+            artifact.content = artifact.content_bytes();
+            artifact.content_hash = content_hash(&artifact.content);
+            artifact
+        };
+        let resident = Arc::new(stamped(tiny_artifact(5)));
+        let mut cache = vec![Arc::downgrade(&resident)];
+        // A forgery: the resident's hash over bytes of its length that
+        // differ in one place. Only the byte compare can turn it away.
+        let mut forged = stamped(tiny_artifact(5));
+        *forged.content.last_mut().expect("content is not empty") ^= 1;
+        assert_eq!(
+            (forged.content_hash, forged.content.len()),
+            (resident.content_hash, resident.content.len())
+        );
+        assert!(find_resident(&mut cache, &forged).is_none());
+        let copy = stamped(tiny_artifact(5));
+        assert!(Arc::ptr_eq(&find_resident(&mut cache, &copy).expect("hits"), &resident));
     }
 }

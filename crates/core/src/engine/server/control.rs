@@ -83,7 +83,7 @@ impl ControlHandle {
         let artifact = self.shared.admit_artifact(artifact)?;
         artifact.validate_state_budget(&cfg.flow_table)?;
         let token = {
-            let mut d = self.shared.lock_dispatch();
+            let mut d = self.shared.lock_dispatch()?;
             d.txs()?;
             self.shared.check_fleet_budget(0, artifact.state_cost_bits(&cfg.flow_table))?;
             let token = TenantToken(d.next_id);
@@ -136,13 +136,13 @@ impl ControlHandle {
     fn publish_router(&self) -> Result<(), PegasusError> {
         loop {
             let (gen, tenants) = {
-                let d = self.shared.lock_dispatch();
+                let d = self.shared.lock_dispatch()?;
                 d.txs()?;
                 (d.route_gen, self.shared.lock_tenants().clone())
             };
             let t0 = Instant::now();
             let routing = Arc::new(Routing::compile(tenants));
-            let mut d = self.shared.lock_dispatch();
+            let mut d = self.shared.lock_dispatch()?;
             d.txs()?;
             if d.route_gen == gen {
                 d.routing = routing;
@@ -210,7 +210,7 @@ impl ControlHandle {
         // dataplane-visible commit window below.
         let artifact = self.shared.admit_artifact(artifact)?;
         let t0 = Instant::now();
-        let d = self.shared.lock_dispatch();
+        let d = self.shared.lock_dispatch()?;
         d.txs()?;
         let tenant = self.shared.tenant(token)?;
         // Remaining gates, still before any mutation: the incoming
@@ -240,7 +240,7 @@ impl ControlHandle {
     pub fn detach(&self, token: TenantToken) -> Result<TenantReport, PegasusError> {
         let (ack_tx, ack_rx) = sync_channel::<TenantShardOut>(self.shared.shards);
         let tenant = {
-            let mut d = self.shared.lock_dispatch();
+            let mut d = self.shared.lock_dispatch()?;
             let tenant = self.shared.tenant(token)?;
             d.flush()?;
             let remaining = {
@@ -290,10 +290,10 @@ impl ControlHandle {
         for tenant in &set {
             let (stats, artifact) = tenant.snapshot();
             artifacts.tenants += 1;
-            artifacts.naive_bytes += artifact.content_len;
+            artifacts.naive_bytes += artifact.content.len() as u64;
             if !resident.iter().any(|seen| Arc::ptr_eq(seen, &artifact)) {
                 artifacts.unique_artifacts += 1;
-                artifacts.resident_bytes += artifact.content_len;
+                artifacts.resident_bytes += artifact.content.len() as u64;
                 resident.push(artifact);
             }
             tenants.push(stats);

@@ -63,15 +63,17 @@ impl Dispatch {
     }
 
     /// Sends every buffered partial batch, preserving push order ahead of
-    /// any control message the caller is about to enqueue.
+    /// any control message the caller is about to enqueue. A dead shard's
+    /// send fails without holding back the other shards' batches.
     pub(super) fn flush(&mut self) -> Result<(), PegasusError> {
         self.txs()?;
+        let mut sent = Ok(());
         for shard in 0..self.pending.len() {
             if !self.pending[shard].slots.is_empty() {
-                self.send_pending(shard)?;
+                sent = sent.and(self.send_pending(shard));
             }
         }
-        Ok(())
+        sent
     }
 
     /// Hands shard `shard`'s pending batch to its worker and starts a
@@ -110,7 +112,7 @@ impl IngressHandle {
         payload: &[u8],
     ) -> Result<bool, PegasusError> {
         let counters = &self.shared.counters;
-        let mut guard = self.shared.lock_dispatch();
+        let mut guard = self.shared.lock_dispatch()?;
         let d = &mut *guard;
         d.txs()?;
         let decision = d.routing.router.route(&flow);
@@ -205,6 +207,6 @@ impl IngressHandle {
     /// flush implicitly; call this when pausing a push loop so trailing
     /// packets are not held back by batching.
     pub fn flush(&self) -> Result<(), PegasusError> {
-        self.shared.lock_dispatch().flush()
+        self.shared.lock_dispatch()?.flush()
     }
 }

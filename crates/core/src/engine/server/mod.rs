@@ -180,11 +180,13 @@ struct EngineShared {
     tenants: Mutex<Vec<Arc<Tenant>>>,
     /// Engine-wide routing/parse counters (see [`SharedCounters`]).
     counters: SharedCounters,
-    /// The live artifacts, each verified clean when first admitted: attach
-    /// and swap probe it before the verifier, so a byte-identical copy is
-    /// served by the resident `Arc` without re-verifying. Weak, so a fully
-    /// detached artifact's memory (and its remembered verdict) is
-    /// reclaimed instead of pinned by the cache.
+    /// The live artifacts, each verified clean when first admitted and
+    /// holding the content bytes it was admitted on: attach and swap probe
+    /// it with the incoming copy's bytes before the verifier, so a
+    /// byte-identical copy is served by the resident `Arc` without
+    /// re-verifying, and no resident is re-encoded. Weak, so a fully
+    /// detached artifact's memory (its bytes and its remembered verdict)
+    /// is reclaimed instead of pinned by the cache.
     artifact_cache: Mutex<Vec<Weak<EngineArtifact>>>,
     /// The aggregate stateful-SRAM ceiling across all tenants, when set.
     fleet_budget_bits: Option<u64>,
@@ -198,9 +200,11 @@ impl EngineShared {
     /// Locks the dispatcher. Unlike the snapshot mutexes ([`lock`]), it
     /// does not recover from poison: its pending batches are mid-append
     /// state, which a thread that died holding it may have left torn — so
-    /// fail loudly instead.
-    fn lock_dispatch(&self) -> MutexGuard<'_, Dispatch> {
-        self.dispatch.lock().unwrap_or_else(|_| panic!("engine dispatcher poisoned"))
+    /// every push and control verb fails with
+    /// [`PegasusError::DispatcherPoisoned`], and only `shutdown` takes the
+    /// guard back, to discard them.
+    fn lock_dispatch(&self) -> Result<MutexGuard<'_, Dispatch>, PegasusError> {
+        self.dispatch.lock().map_err(|_| PegasusError::DispatcherPoisoned)
     }
 
     fn lock_tenants(&self) -> MutexGuard<'_, Vec<Arc<Tenant>>> {
@@ -385,10 +389,23 @@ impl EngineServer {
     /// Drains every queue, joins the workers, and returns terminal reports
     /// for all tenants still attached. Handles created from this server
     /// return [`PegasusError::EngineStopped`] afterwards.
+    ///
+    /// Shutdown contains two faults instead of failing on them. If a
+    /// thread died holding the dispatcher lock
+    /// ([`PegasusError::DispatcherPoisoned`]), the pending partial batches
+    /// may be torn mid-append: they are dropped unsent, and every tenant
+    /// reports what its shards served before. If a shard's worker thread
+    /// died, every tenant reports [`PegasusError::ShardPanicked`] for it
+    /// (their state there is lost), and the other shards are still joined.
     pub fn shutdown(self) -> Result<EngineReport, PegasusError> {
         let tenants = {
-            let mut d = self.shared.lock_dispatch();
-            d.flush()?;
+            let mut d = lock(&self.shared.dispatch);
+            if self.shared.dispatch.is_poisoned() {
+                d.pending.clear();
+            } else {
+                // A send fails only to a dead worker, and its join says so.
+                let _ = d.flush();
+            }
             // Dropping the senders closes each shard's channel; workers
             // drain what is queued and exit with their tenants' final state.
             d.txs = None;
@@ -401,8 +418,12 @@ impl EngineServer {
         let unrouted = self.shared.counters.unrouted.load(Ordering::Relaxed);
         let parse_errors = self.shared.counters.parse();
         let mut by_tenant: HashMap<u32, Vec<TenantShardOut>> = HashMap::new();
-        for handle in self.workers {
-            for (id, out) in handle.join().expect("shard worker panicked") {
+        for (shard, handle) in self.workers.into_iter().enumerate() {
+            let outs = handle.join().unwrap_or_else(|payload| {
+                let err = PegasusError::shard_panicked(shard, payload);
+                tenants.iter().map(|t| (t.token.0, TenantShardOut::lost(shard, &err))).collect()
+            });
+            for (id, out) in outs {
                 by_tenant.entry(id).or_default().push(out);
             }
         }
@@ -460,19 +481,36 @@ mod tests {
         crate::verify::VERIFIER_RUNS.with(|n| n.get())
     }
 
+    /// Artifacts content-encoded on this thread so far.
+    fn content_encodes() -> usize {
+        artifact::CONTENT_ENCODES.with(|n| n.get())
+    }
+
+    /// Leaves `mutex` poisoned by a thread that died holding it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _held = mutex.lock();
+                panic!("dies holding the lock");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
     fn published_of(shared: &EngineShared) -> Vec<(u64, Arc<EngineArtifact>)> {
         shared.lock_tenants().iter().map(|t| t.published()).collect()
     }
 
     #[test]
-    fn stats_returns_while_a_push_holds_the_dispatcher_lock() {
+    fn stats_returns_while_a_push_holds_the_dispatcher_lock() -> Result<(), PegasusError> {
         let server = EngineBuilder::new().shards(2).build().expect("builds");
         let control = server.control();
         let first = control.attach(tiny_artifact(5), TenantConfig::new().name("a")).expect("a");
         control.attach(tiny_artifact(5), TenantConfig::new().name("b")).expect("b");
         // Hold the dispatcher lock the way a push blocked on a full shard
         // queue does, and demand both snapshots from another thread.
-        let parked = server.shared.lock_dispatch();
+        let parked = server.shared.lock_dispatch()?;
         let (tx, rx) = sync_channel(1);
         std::thread::spawn(move || {
             let _ = tx.send((control.stats(), control.tenant_stats(first)));
@@ -486,6 +524,7 @@ mod tests {
         assert_eq!(stats.tenants[0].report.shards.len(), 2);
         assert_eq!(one.expect("tenant_stats succeeds").name, "a");
         server.shutdown().expect("shuts down");
+        Ok(())
     }
 
     #[test]
@@ -574,6 +613,36 @@ mod tests {
     }
 
     #[test]
+    fn every_admission_encodes_its_incoming_copy_once_and_no_resident() {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        // Building an artifact encodes nothing: only admission is counted.
+        let copies: Vec<EngineArtifact> = (0..4).map(|_| tiny_artifact(5)).collect();
+        let before = content_encodes();
+        let tokens: Vec<TenantToken> = copies
+            .into_iter()
+            .map(|a| control.attach(a, TenantConfig::new()).expect("attaches"))
+            .collect();
+        // A resident compared by re-encoding would add one per hit: 7.
+        assert_eq!(content_encodes() - before, 4, "four attaches of one content");
+
+        let (same, new) = (tiny_artifact(5), tiny_artifact(4));
+        let before = content_encodes();
+        control.swap(tokens[0], same).expect("swaps");
+        assert_eq!(content_encodes() - before, 1, "a same-content swap");
+        control.swap(tokens[1], new).expect("swaps");
+        assert_eq!(content_encodes() - before, 2, "a new-content swap");
+
+        // Two contents are resident now; a probe of either re-encodes neither.
+        let (first, second) = (tiny_artifact(5), tiny_artifact(4));
+        let before = content_encodes();
+        control.swap(tokens[2], second).expect("swaps");
+        control.attach(first, TenantConfig::new()).expect("attaches");
+        assert_eq!(content_encodes() - before, 2, "two hits over two residents");
+        server.shutdown().expect("shuts down");
+    }
+
+    #[test]
     fn racing_first_admissions_share_one_arc() {
         let server = EngineBuilder::new().build().expect("builds");
         let control = server.control();
@@ -597,16 +666,6 @@ mod tests {
 
     #[test]
     fn snapshot_locks_survive_a_thread_that_died_holding_them() {
-        fn poison<T: Send>(mutex: &Mutex<T>) {
-            std::thread::scope(|s| {
-                let died = s.spawn(|| {
-                    let _held = mutex.lock();
-                    panic!("dies holding the lock");
-                });
-                assert!(died.join().is_err());
-            });
-            assert!(mutex.is_poisoned());
-        }
         let server = EngineBuilder::new().shards(2).build().expect("builds");
         let control = server.control();
         let first = control.attach(tiny_artifact(5), TenantConfig::new()).expect("attaches");
@@ -624,6 +683,58 @@ mod tests {
         control.detach(first).expect("detaches");
         control.detach(second).expect("detaches");
         server.shutdown().expect("shuts down");
+    }
+
+    #[test]
+    fn a_poisoned_dispatcher_is_a_typed_error_and_shutdown_is_clean() {
+        let server = EngineBuilder::new().shards(2).build().expect("builds");
+        let (control, ingress) = (server.control(), server.ingress());
+        let token = control.attach(tiny_artifact(5), TenantConfig::new()).expect("attaches");
+        // One packet waits in a pending batch when the dispatcher dies.
+        let frame = build_frame(&FrameSpec::v4_tcp(1, 2, 3, 4, Vec::new()));
+        assert_eq!(ingress.push_frame(RawFrame::new(0, &frame)), Ok(FramePush::Routed));
+        poison(&server.shared.dispatch);
+
+        let poisoned = Err(PegasusError::DispatcherPoisoned);
+        assert_eq!(ingress.push_frame(RawFrame::new(1, &frame)).map(|_| ()), poisoned);
+        assert_eq!(ingress.flush(), poisoned);
+        assert_eq!(control.attach(tiny_artifact(4), TenantConfig::new()).map(|_| ()), poisoned);
+        assert_eq!(control.swap(token, tiny_artifact(4)).map(|_| ()), poisoned);
+        assert_eq!(control.detach(token).map(|_| ()), poisoned);
+        // The snapshots never take the dispatcher lock.
+        assert_eq!(control.stats().expect("stats").tenants.len(), 1);
+        assert_eq!(control.tenant_stats(token).expect("tenant_stats").routed_packets, 1);
+
+        // Shutdown drops the pending batch unsent and reports the tenant.
+        let report = server.shutdown().expect("shuts down");
+        let served = report.tenant(token).expect("reported").result.as_ref().expect("clean");
+        assert_eq!(served.packets, 0);
+    }
+
+    #[test]
+    fn a_dead_shard_fails_its_tenants_and_shutdown_still_reports() {
+        let mut server = EngineBuilder::new().shards(3).build().expect("builds");
+        let control = server.control();
+        let tokens: Vec<TenantToken> = (0..2)
+            .map(|_| control.attach(tiny_artifact(5), TenantConfig::new()).expect("attaches"))
+            .collect();
+        // Shard 1's handle now names a thread that died; the worker it
+        // replaces exits when shutdown closes its queue.
+        let replaced = std::mem::replace(
+            &mut server.workers[1],
+            std::thread::spawn(|| panic!("shard 1 died")),
+        );
+        let report = server.shutdown().expect("shuts down");
+        assert!(replaced.join().is_ok());
+        assert_eq!(report.tenants.len(), 2);
+        for token in tokens {
+            match &report.tenant(token).expect("reported").result {
+                Err(PegasusError::ShardPanicked { shard: 1, message }) => {
+                    assert_eq!(message, "shard 1 died")
+                }
+                other => panic!("expected ShardPanicked for shard 1, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,18 @@ pub(super) struct TenantShardOut {
     pub(super) err: Option<PegasusError>,
 }
 
+impl TenantShardOut {
+    /// What a shard whose worker died hands back for each tenant: nothing
+    /// served, and the error that says why.
+    pub(super) fn lost(shard: usize, err: &PegasusError) -> Self {
+        TenantShardOut {
+            stats: ShardStats::new(shard),
+            preds: HashMap::new(),
+            err: Some(err.clone()),
+        }
+    }
+}
+
 pub(super) enum ShardMsg {
     Batch(ShardBatch),
     /// Start serving this tenant. The record is all a worker needs: the
@@ -465,12 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn slot_churn_keeps_the_slot_vec_at_the_live_peak() {
+    fn slot_churn_keeps_the_slot_vec_at_the_live_peak() -> Result<(), PegasusError> {
         // An engine whose workers are replaced by three cores stepped here:
         // swapping in fresh queues closes the workers' ones, and they exit.
         let server = EngineBuilder::new().shards(3).build().expect("builds");
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| sync_channel::<ShardMsg>(8)).unzip();
-        server.shared.lock_dispatch().txs = Some(txs);
+        server.shared.lock_dispatch()?.txs = Some(txs);
         let control = server.control();
         let mut cores: Vec<ShardCore> = (0..3).map(ShardCore::new).collect();
         let drain = |cores: &mut Vec<ShardCore>| {
@@ -489,12 +501,12 @@ mod tests {
                 // the attach and its undo, and the slot is free again.
                 let (dead, _) = sync_channel::<ShardMsg>(1);
                 let real = std::mem::replace(
-                    &mut server.shared.lock_dispatch().txs.as_mut().expect("running")[1],
+                    &mut server.shared.lock_dispatch()?.txs.as_mut().expect("running")[1],
                     dead,
                 );
                 let attached = control.attach(artifact(), cfg());
                 assert_eq!(attached.map(|_| ()), Err(PegasusError::EngineStopped));
-                server.shared.lock_dispatch().txs.as_mut().expect("running")[1] = real;
+                server.shared.lock_dispatch()?.txs.as_mut().expect("running")[1] = real;
                 peak = peak.max(live.len() + 1);
             } else if attaches < 10_000
                 && (live.is_empty() || (live.len() < 8 && rng.gen_bool(0.5)))
@@ -523,6 +535,7 @@ mod tests {
             assert!(core.tenants.iter().all(Option::is_none));
         }
         server.shutdown().expect("shuts down");
+        Ok(())
     }
 
     /// One seeded schedule over one shard and two tenants whose even

@@ -82,9 +82,10 @@ pub struct ArtifactCounters {
     pub tenants: u64,
     /// Distinct compiled artifacts among them (by `Arc` identity).
     pub unique_artifacts: u64,
-    /// Bytes of compiled-artifact payload actually resident: each distinct
-    /// artifact (one shared `SwitchProgram`, no register cells) counted
-    /// once at its encoded size, however many tenants and shards hold it.
+    /// Content bytes actually resident: each distinct artifact (one shared
+    /// `SwitchProgram`, no register cells) keeps the encoded content it
+    /// was admitted on for the dedup compare, counted once however many
+    /// tenants and shards hold it.
     pub resident_bytes: u64,
     /// Bytes that would be resident without dedup (each tenant's artifact
     /// counted separately).

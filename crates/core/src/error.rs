@@ -132,6 +132,19 @@ pub enum PegasusError {
         /// The panic's message.
         message: String,
     },
+    /// A thread died holding the engine's dispatcher lock, so its pending
+    /// batches may be torn mid-append: pushes, `flush` and the control
+    /// verbs refuse to touch them. `stats` and `tenant_stats` still
+    /// answer, and `shutdown` drops the pending batches unsent.
+    DispatcherPoisoned,
+    /// A shard's worker thread died: every tenant it served reports this
+    /// at shutdown, since their state on that shard is lost.
+    ShardPanicked {
+        /// The dead shard.
+        shard: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for PegasusError {
@@ -204,6 +217,12 @@ impl fmt::Display for PegasusError {
             PegasusError::TenantPanicked { tenant, message } => {
                 write!(f, "tenant {tenant} was quarantined: serving it panicked: {message}")
             }
+            PegasusError::DispatcherPoisoned => {
+                write!(f, "a thread died holding the engine's dispatcher; shut the engine down")
+            }
+            PegasusError::ShardPanicked { shard, message } => {
+                write!(f, "shard {shard}'s worker panicked: {message}")
+            }
         }
     }
 }
@@ -211,11 +230,19 @@ impl fmt::Display for PegasusError {
 impl PegasusError {
     /// The quarantine error for a tenant whose run panicked with `payload`.
     pub(crate) fn panicked(tenant: u32, payload: Box<dyn std::any::Any + Send>) -> Self {
-        let message = match payload.downcast::<String>() {
-            Ok(message) => *message,
-            Err(payload) => payload.downcast_ref::<&str>().map_or("", |m| m).to_string(),
-        };
-        PegasusError::TenantPanicked { tenant, message }
+        PegasusError::TenantPanicked { tenant, message: panic_message(payload) }
+    }
+
+    /// The error for the tenants of a shard whose worker died with `payload`.
+    pub(crate) fn shard_panicked(shard: usize, payload: Box<dyn std::any::Any + Send>) -> Self {
+        PegasusError::ShardPanicked { shard, message: panic_message(payload) }
+    }
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("", |m| m).to_string(),
     }
 }
 
