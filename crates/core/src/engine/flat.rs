@@ -1536,7 +1536,7 @@ mod tests {
     }
 
     #[test]
-    fn deploy_flattens_once_and_attach_and_swap_never() {
+    fn one_content_flattens_and_verifies_once_across_deploys_attaches_and_a_swap() {
         use crate::engine::server::{EngineArtifact, EngineBuilder, TenantConfig};
         use crate::models::StreamFeatures;
         let mut prog = scorer();
@@ -1549,20 +1549,30 @@ mod tests {
             "flat_once",
         )
         .expect("compiles");
-        let flattens = || FLATTENS.with(|n| n.get());
+        let counts =
+            || (FLATTENS.with(|n| n.get()), crate::verify::VERIFIER_RUNS.with(|n| n.get()));
         let cfg = SwitchConfig::tofino2();
-        let deployed = |c| EngineArtifact::from_compiled_pipeline(c, StreamFeatures::Stat, &cfg);
-        let before = flattens();
-        let first = deployed(c.clone()).expect("deploys");
-        assert_eq!(flattens() - before, 1, "deploy verifies the FlatProgram it keeps");
-        let second = deployed(c).expect("deploys");
-        // Attach and swap verify on the calling thread, over the resident
-        // FlatProgram: nothing is flattened again.
+        let before = counts();
+        // Sixteen artifacts for sixteen attaches and one for the swap, built
+        // as the daemon's `ArtifactFile::deploy` builds them: no verifier
+        // run, no flatten.
+        let mut copies: Vec<EngineArtifact> = (0..17)
+            .map(|_| EngineArtifact::from_compiled_pipeline(c.clone(), StreamFeatures::Stat, &cfg))
+            .collect::<Result<_, _>>()
+            .expect("classifies");
+        assert_eq!(counts(), before, "building an artifact deployed it");
+        let same = copies.pop().expect("seventeen");
         let server = EngineBuilder::new().build().expect("builds");
         let control = server.control();
-        let token = control.attach(first, TenantConfig::new()).expect("attaches");
-        control.swap(token, second).expect("swaps");
-        assert_eq!(flattens() - before, 2, "attach/swap re-flattened");
+        let tokens: Vec<_> = copies
+            .into_iter()
+            .map(|a| control.attach(a, TenantConfig::new()).expect("attaches"))
+            .collect();
+        control.swap(tokens[0], same).expect("swaps");
+        // The first admission's one verifier run, with the flatten inside
+        // it; every later copy is a hit.
+        let (flattens, runs) = counts();
+        assert_eq!((flattens - before.0, runs - before.1), (1, 1), "flattens, verifier runs");
         server.shutdown().expect("shuts down");
     }
 

@@ -1,23 +1,44 @@
-//! The servable artifact and its admission: verified once, when first
-//! admitted, and deduplicated across tenants.
+//! The servable artifact and its admission: deployed — verified,
+//! flattened and loaded — once, when its content is first admitted, and
+//! deduplicated across tenants.
 
 use super::{lock, EngineShared};
+use crate::compile::CompiledPipeline;
 use crate::engine::HOST_WINDOW_STATE_BITS;
 use crate::error::PegasusError;
 use crate::flowpipe::{FlowPipeline, FlowProgram};
 use crate::models::StreamFeatures;
 use crate::runtime::DataplaneModel;
+use crate::verify::{verify_flow, verify_pipeline, VerifyReport};
 use pegasus_net::FlowTableConfig;
+use pegasus_switch::SwitchConfig;
 use std::sync::{Arc, Weak};
 
-/// A compiled-and-deployed model in the form the serving engine executes:
-/// the switch-side artifact (flattened LUTs or a per-flow register
-/// pipeline) plus its streaming feature family, detached from the trained
-/// float model. Obtained from
-/// [`Deployment::engine_artifact`](crate::pipeline::Deployment::engine_artifact);
-/// attach one per tenant, or hand a fresh one to
-/// [`ControlHandle::swap`](super::ControlHandle::swap).
+/// A compiled model in the form the serving engine admits: the switch-side
+/// pipeline (LUT tables or a per-flow register pipeline), the switch model
+/// it is to serve under and its streaming feature family, detached from
+/// the trained float model. It is a *content*, not a deployment: nothing
+/// is verified, flattened or loaded until the engine first admits its
+/// content, and a byte-identical copy of a resident content never is.
+/// Obtained from
+/// [`Deployment::engine_artifact`](crate::pipeline::Deployment::engine_artifact)
+/// or the `from_*` constructors; attach one per tenant, or hand a fresh
+/// one to [`ControlHandle::swap`](super::ControlHandle::swap).
 pub struct EngineArtifact {
+    pipeline: ArtifactPipeline,
+    switch: SwitchConfig,
+    features: StreamFeatures,
+}
+
+enum ArtifactPipeline {
+    Stateless(CompiledPipeline),
+    Flow(FlowPipeline),
+}
+
+/// An artifact the engine has admitted — the only form a tenant or a shard
+/// holds: the deployed plane, the content bytes it was admitted on and
+/// their hash, and the state accounting read off the loaded program.
+pub(crate) struct AdmittedArtifact {
     pub(crate) plane: ArtifactPlane,
     pub(crate) features: StreamFeatures,
     pub(crate) name: String,
@@ -25,21 +46,20 @@ pub struct EngineArtifact {
     /// real per-slot register SRAM for per-flow pipelines,
     /// [`HOST_WINDOW_STATE_BITS`] (the switch-side window mirror) for
     /// register-free ones.
-    pub(crate) state_bits_per_flow: u64,
+    state_bits_per_flow: u64,
     /// The stateful-SRAM budget of the switch model this artifact was
     /// deployed against (`register_bits_total`) — the ceiling per-tenant
     /// state budgets are validated under.
-    pub(crate) state_budget_bits: u64,
-    /// [`content_bytes`](Self::content_bytes) and their lane-folded hash,
-    /// stamped once by the engine's admission pass on the way in (empty
-    /// and zero until then): the cache's probe key and the bytes a hit is
+    state_budget_bits: u64,
+    /// [`EngineArtifact::content_bytes`] and their lane-folded hash, as
+    /// admission encoded them: the cache's probe key and the bytes a hit is
     /// confirmed against, held — like the cached verdict — exactly as long
     /// as the last `Arc`. `ArtifactCounters` sizes the artifact at them.
     content_hash: u64,
     pub(super) content: Vec<u8>,
 }
 
-/// What an artifact executes — program only on both planes: one
+/// What an admitted artifact executes — program only on both planes: one
 /// `SwitchProgram`, its `FlatProgram`, no register file, no scratch.
 pub(crate) enum ArtifactPlane {
     Stateless(Arc<DataplaneModel>),
@@ -47,85 +67,153 @@ pub(crate) enum ArtifactPlane {
 }
 
 impl EngineArtifact {
-    fn new(plane: ArtifactPlane, features: StreamFeatures, name: &str) -> Self {
-        let (state_bits_per_flow, switch) = match &plane {
-            ArtifactPlane::Stateless(dp) => (HOST_WINDOW_STATE_BITS, dp.switch_config()),
-            ArtifactPlane::Flow(p) => (p.state_bits_per_slot(), p.loaded.config()),
-        };
-        EngineArtifact {
-            state_bits_per_flow,
-            state_budget_bits: switch.register_bits_total,
-            plane,
-            features,
-            name: name.to_string(),
-            content_hash: 0,
-            content: Vec::new(),
-        }
-    }
-
-    pub(crate) fn stateless(dp: Arc<DataplaneModel>, features: StreamFeatures, name: &str) -> Self {
-        Self::new(ArtifactPlane::Stateless(dp), features, name)
-    }
-
-    pub(crate) fn flow(program: Arc<FlowProgram>, name: &str) -> Self {
-        // Flow pipelines consume raw packets; the feature tag is unused.
-        Self::new(ArtifactPlane::Flow(program), StreamFeatures::Seq, name)
-    }
-
-    /// Builds a servable artifact straight from a compiled stateless
-    /// pipeline by deploying it against `switch` — the path the control
-    /// daemon takes when it revives a persisted artifact file (there is
-    /// no live [`Deployment`](crate::pipeline::Deployment) to call
+    /// A servable artifact of a compiled stateless pipeline, to serve
+    /// under `switch` — the path the control daemon takes when it revives
+    /// a persisted artifact file (there is no live
+    /// [`Deployment`](crate::pipeline::Deployment) to call
     /// [`engine_artifact`](crate::pipeline::Deployment::engine_artifact)
-    /// on). Same gates as the builder path: deployment re-verifies the
-    /// pipeline, and score-only pipelines are rejected with
-    /// [`PegasusError::NotAClassifier`].
+    /// on). Cheap: the pipeline is kept as is, and the engine deploys it —
+    /// one verifier run against `switch`, one flatten, one load — when it
+    /// first admits this content. Score-only pipelines are rejected here
+    /// with [`PegasusError::NotAClassifier`]; a corrupt one is rejected by
+    /// attach or swap with [`PegasusError::Verify`].
     pub fn from_compiled_pipeline(
-        pipeline: crate::compile::CompiledPipeline,
+        pipeline: CompiledPipeline,
         features: StreamFeatures,
-        switch: &pegasus_switch::SwitchConfig,
+        switch: &SwitchConfig,
     ) -> Result<Self, PegasusError> {
-        let name = pipeline.program.name.clone();
         if pipeline.predicted_field.is_none() {
-            return Err(PegasusError::NotAClassifier { pipeline: name });
+            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
         }
-        let dp = DataplaneModel::deploy(pipeline, switch)?;
-        Ok(EngineArtifact::stateless(Arc::new(dp), features, &name))
+        let pipeline = ArtifactPipeline::Stateless(pipeline);
+        Ok(EngineArtifact { pipeline, switch: switch.clone(), features })
     }
 
-    /// Builds a servable artifact from a per-flow windowed pipeline by
-    /// deploying it against `switch` — the flow-plane counterpart of
-    /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline).
+    /// A servable artifact of a per-flow windowed pipeline, to serve under
+    /// `switch` — the flow-plane counterpart of
+    /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline),
+    /// equally cheap: nothing is verified, flattened or loaded before the
+    /// engine first admits this content.
     pub fn from_flow_pipeline(
         pipeline: FlowPipeline,
-        switch: &pegasus_switch::SwitchConfig,
+        switch: &SwitchConfig,
     ) -> Result<Self, PegasusError> {
-        let name = pipeline.program.name.clone();
         if pipeline.predicted_field.is_none() {
-            return Err(PegasusError::NotAClassifier { pipeline: name });
+            return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
         }
-        Ok(EngineArtifact::flow(FlowProgram::deploy(pipeline, switch)?, &name))
+        // Flow pipelines consume raw packets; the feature tag is unused.
+        let pipeline = ArtifactPipeline::Flow(pipeline);
+        Ok(EngineArtifact { pipeline, switch: switch.clone(), features: StreamFeatures::Seq })
     }
 
     /// The compiled program's name (diagnostics, default tenant name).
     pub fn name(&self) -> &str {
-        &self.name
+        match &self.pipeline {
+            ArtifactPipeline::Stateless(p) => &p.program.name,
+            ArtifactPipeline::Flow(p) => &p.program.name,
+        }
     }
 
     /// Stateful bits one tracked flow (one table slot) costs under this
-    /// artifact — per-slot register SRAM for per-flow pipelines, the
-    /// host window mirror for register-free ones.
+    /// artifact — per-slot register SRAM for per-flow pipelines (summed
+    /// off the register declarations), the host window mirror for
+    /// register-free ones.
     pub fn state_bits_per_flow(&self) -> u64 {
-        self.state_bits_per_flow
+        match &self.pipeline {
+            ArtifactPipeline::Stateless(_) => HOST_WINDOW_STATE_BITS,
+            ArtifactPipeline::Flow(p) => p.state_bits_per_slot(),
+        }
     }
 
     /// Per-flow register slots baked into the artifact (`None` for
     /// register-free pipelines, whose capacity is the tenant's host
-    /// flow-table choice instead).
+    /// flow-table choice instead, and for a per-flow pipeline whose hash
+    /// field is not declared — admission rejects that one).
     pub fn flow_slots(&self) -> Option<usize> {
-        match &self.plane {
-            ArtifactPlane::Flow(program) => Some(program.flow_slots()),
-            ArtifactPlane::Stateless(_) => None,
+        match &self.pipeline {
+            ArtifactPipeline::Flow(p) => p.hash_mask().map(|mask| mask as usize + 1),
+            ArtifactPipeline::Stateless(_) => None,
+        }
+    }
+
+    /// Runs the static verifier over the pipeline against the switch model
+    /// it is to serve under — the run attach and swap make when they first
+    /// admit this content (a byte-identical copy of a resident one is
+    /// served by the resident), so a corrupt artifact — however it was
+    /// produced — never reaches a serving shard. Flattens inside the run,
+    /// as admission does.
+    pub fn verify_report(&self) -> VerifyReport {
+        match &self.pipeline {
+            ArtifactPipeline::Stateless(p) => verify_pipeline(p, Some(&self.switch)),
+            ArtifactPipeline::Flow(p) => verify_flow(p, Some(&self.switch)),
+        }
+    }
+
+    /// The artifact's content identity for cross-tenant dedup: the
+    /// serialized compiled pipeline plus the switch model and feature
+    /// family it serves under. Two artifacts with equal content bytes are
+    /// interchangeable on every shard, so the engine shares one `Arc`
+    /// between their tenants (per-tenant flow tables and stats stay
+    /// separate — each worker forks its own execution state from the
+    /// shared program).
+    fn content_bytes(&self) -> Vec<u8> {
+        #[cfg(test)]
+        CONTENT_ENCODES.with(|n| n.set(n.get() + 1));
+        let mut w = serde::Writer::new();
+        match &self.pipeline {
+            ArtifactPipeline::Stateless(p) => {
+                w.write_u8(0);
+                serde::Serialize::serialize(p, &mut w);
+                serde::Serialize::serialize(&self.switch, &mut w);
+                serde::Serialize::serialize(&self.features, &mut w);
+            }
+            ArtifactPipeline::Flow(p) => {
+                w.write_u8(1);
+                serde::Serialize::serialize(p, &mut w);
+                serde::Serialize::serialize(&self.switch, &mut w);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// The admission miss path: one verifier run against the switch model,
+    /// flattening inside it (the `FlatProgram` proved is the one kept),
+    /// then the load onto the switch model.
+    fn deploy(self, content: Vec<u8>, hash: u64) -> Result<AdmittedArtifact, PegasusError> {
+        let name = self.name().to_string();
+        let switch = Some(&self.switch);
+        let plane = match self.pipeline {
+            ArtifactPipeline::Stateless(p) => ArtifactPlane::Stateless(Arc::new(
+                DataplaneModel::verify_and_load(p, &self.switch, switch)?,
+            )),
+            ArtifactPipeline::Flow(p) => {
+                ArtifactPlane::Flow(FlowProgram::deploy(p, &self.switch, switch)?)
+            }
+        };
+        Ok(AdmittedArtifact::new(plane, self.features, name, content, hash))
+    }
+}
+
+impl AdmittedArtifact {
+    pub(crate) fn new(
+        plane: ArtifactPlane,
+        features: StreamFeatures,
+        name: String,
+        content: Vec<u8>,
+        content_hash: u64,
+    ) -> Self {
+        let (state_bits_per_flow, switch) = match &plane {
+            ArtifactPlane::Stateless(dp) => (HOST_WINDOW_STATE_BITS, dp.switch_config()),
+            ArtifactPlane::Flow(p) => (p.state_bits_per_slot(), p.loaded.config()),
+        };
+        AdmittedArtifact {
+            state_bits_per_flow,
+            state_budget_bits: switch.register_bits_total,
+            plane,
+            features,
+            name,
+            content_hash,
+            content,
         }
     }
 
@@ -153,54 +241,17 @@ impl EngineArtifact {
         Ok(())
     }
 
-    /// Re-runs the static verifier over the artifact against the switch
-    /// configuration it was deployed on, over the very `FlatProgram` its
-    /// shards execute. Attach and swap call this on an artifact's first
-    /// admission (a byte-identical copy of a resident one is served by
-    /// the resident), so a corrupt artifact — however it was produced —
-    /// never reaches a serving shard.
-    pub fn verify_report(&self) -> crate::verify::VerifyReport {
-        match &self.plane {
-            ArtifactPlane::Stateless(dp) => dp.verify_report(),
-            ArtifactPlane::Flow(program) => program.verify_report(),
-        }
-    }
-
-    /// The artifact's content identity for cross-tenant dedup: the
-    /// serialized compiled pipeline plus the switch model and feature
-    /// family it serves under. Two artifacts with equal content bytes are
-    /// interchangeable on every shard, so the engine shares one `Arc`
-    /// between their tenants (per-tenant flow tables and stats stay
-    /// separate — each worker forks its own execution state from the
-    /// shared program).
-    fn content_bytes(&self) -> Vec<u8> {
-        #[cfg(test)]
-        CONTENT_ENCODES.with(|n| n.set(n.get() + 1));
-        let mut w = serde::Writer::new();
-        match &self.plane {
-            ArtifactPlane::Stateless(dp) => {
-                w.write_u8(0);
-                serde::Serialize::serialize(dp.pipeline(), &mut w);
-                serde::Serialize::serialize(dp.switch_config(), &mut w);
-                serde::Serialize::serialize(&self.features, &mut w);
-            }
-            ArtifactPlane::Flow(program) => {
-                w.write_u8(1);
-                serde::Serialize::serialize(&program.pipeline, &mut w);
-                serde::Serialize::serialize(program.loaded.config(), &mut w);
-            }
-        }
-        w.into_bytes()
-    }
-
     /// The stateful bits serving this artifact under `table` reserves:
     /// `capacity × bits-per-flow`, the capacity being the artifact's own
     /// register slot count for per-flow pipelines and the configured
     /// host-table capacity otherwise. The per-tenant check validates it;
     /// the engine sums it across the fleet.
     pub(super) fn state_cost_bits(&self, table: &FlowTableConfig) -> u64 {
-        let capacity = self.flow_slots().unwrap_or(table.capacity) as u64;
-        capacity.saturating_mul(self.state_bits_per_flow)
+        let capacity = match &self.plane {
+            ArtifactPlane::Flow(p) => p.flow_slots(),
+            ArtifactPlane::Stateless(_) => table.capacity,
+        };
+        (capacity as u64).saturating_mul(self.state_bits_per_flow)
     }
 }
 
@@ -241,7 +292,7 @@ fn content_hash(bytes: &[u8]) -> u64 {
 /// rebuilds from scratch.
 ///
 /// [`state_compatible`]: crate::flowpipe::FlowClassifier::state_compatible
-pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> bool {
+pub(super) fn swap_retains_state(old: &AdmittedArtifact, new: &AdmittedArtifact) -> bool {
     match (&old.plane, &new.plane) {
         (ArtifactPlane::Stateless(_), ArtifactPlane::Stateless(_)) => true,
         (ArtifactPlane::Flow(old), ArtifactPlane::Flow(new)) => new.state_compatible(old),
@@ -251,61 +302,62 @@ pub(super) fn swap_retains_state(old: &EngineArtifact, new: &EngineArtifact) -> 
 
 impl EngineShared {
     /// The one admission path attach and swap share: the incoming artifact
-    /// is content-encoded — once, its only encode — and the bytes it keeps
-    /// are probed against every live one's. A byte-identical resident is
+    /// is content-encoded — once, its only encode — and the bytes are
+    /// probed against every live one's. A byte-identical resident is
     /// returned as is — it was verified against its switch model when it
     /// was first admitted, and its tenants share it (their flow tables and
-    /// stats stay per-tenant); the incoming copy and its bytes are dropped
-    /// unserved. Only a miss runs the static verifier, and only a clean
-    /// artifact enters the cache, so a rejected one is re-verified (and
-    /// re-rejected) every time. The cache holds `Weak`s: a verdict and the
-    /// bytes it was reached on are remembered exactly as long as some
-    /// tenant serves the artifact.
+    /// stats stay per-tenant); the incoming copy, a pipeline whose tables
+    /// are a shared `Arc`, is dropped unserved and was never deployed. Only
+    /// a miss deploys: one verifier run against the switch model with the
+    /// flatten inside it, then the load. Only a clean artifact enters the
+    /// cache, so a rejected one is re-verified (and re-rejected) every
+    /// time. The cache holds `Weak`s: a verdict and the bytes it was
+    /// reached on are remembered exactly as long as some tenant serves the
+    /// artifact.
     ///
-    /// Content bytes are everything [`EngineArtifact::verify_report`]
-    /// reads except the `FlatProgram`, which deploy derives from the
-    /// serialized pipeline — so equal bytes mean an equal verdict.
+    /// Content bytes are everything the verifier reads: the `FlatProgram`
+    /// is derived from the serialized pipeline — so equal bytes mean an
+    /// equal verdict.
     pub(super) fn admit_artifact(
         &self,
-        mut artifact: EngineArtifact,
-    ) -> Result<Arc<EngineArtifact>, PegasusError> {
-        artifact.content = artifact.content_bytes();
-        artifact.content_hash = content_hash(&artifact.content);
-        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), &artifact) {
+        artifact: EngineArtifact,
+    ) -> Result<Arc<AdmittedArtifact>, PegasusError> {
+        let content = artifact.content_bytes();
+        let hash = content_hash(&content);
+        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), hash, &content) {
             return Ok(resident);
         }
-        // Verification runs outside the cache lock: admissions of other
+        // Deployment runs outside the cache lock: admissions of other
         // content never wait on it.
-        let report = artifact.verify_report();
-        if report.has_errors() {
-            return Err(PegasusError::Verify { report: Box::new(report) });
-        }
+        let mut admitted = artifact.deploy(content, hash)?;
         // Re-probe under the lock: of two racing first admissions of one
         // content, the second finds the first's `Arc` here.
         let mut cache = lock(&self.artifact_cache);
-        if let Some(resident) = find_resident(&mut cache, &artifact) {
+        if let Some(resident) = find_resident(&mut cache, hash, &admitted.content) {
             return Ok(resident);
         }
         // A resident holds its bytes, not the encoder's spare capacity.
-        artifact.content.shrink_to_fit();
-        let arc = Arc::new(artifact);
+        admitted.content.shrink_to_fit();
+        let arc = Arc::new(admitted);
         cache.push(Arc::downgrade(&arc));
         Ok(arc)
     }
 }
 
-/// The live cached artifact whose content bytes equal `probe`'s (already
-/// stamped), pruning dead entries on the way. The hash is a hint; equality
+/// The live cached artifact whose content bytes equal `content` (hashing to
+/// `hash`), pruning dead entries on the way. The hash is a hint; equality
 /// is decided on the bytes each resident kept from its own admission, so
 /// no resident is ever re-encoded.
 fn find_resident(
-    cache: &mut Vec<Weak<EngineArtifact>>,
-    probe: &EngineArtifact,
-) -> Option<Arc<EngineArtifact>> {
+    cache: &mut Vec<Weak<AdmittedArtifact>>,
+    hash: u64,
+    content: &[u8],
+) -> Option<Arc<AdmittedArtifact>> {
     cache.retain(|cached| cached.strong_count() > 0);
-    cache.iter().filter_map(Weak::upgrade).find(|existing| {
-        existing.content_hash == probe.content_hash && existing.content == probe.content
-    })
+    cache
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|existing| existing.content_hash == hash && existing.content == content)
 }
 
 #[cfg(test)]
@@ -347,23 +399,18 @@ mod tests {
 
     #[test]
     fn a_resident_hash_and_length_on_other_bytes_miss() {
-        let stamped = |mut artifact: super::EngineArtifact| {
-            artifact.content = artifact.content_bytes();
-            artifact.content_hash = content_hash(&artifact.content);
-            artifact
-        };
-        let resident = Arc::new(stamped(tiny_artifact(5)));
+        let content = tiny_artifact(5).content_bytes();
+        let hash = content_hash(&content);
+        let resident = Arc::new(tiny_artifact(5).deploy(content.clone(), hash).expect("deploys"));
         let mut cache = vec![Arc::downgrade(&resident)];
         // A forgery: the resident's hash over bytes of its length that
         // differ in one place. Only the byte compare can turn it away.
-        let mut forged = stamped(tiny_artifact(5));
-        *forged.content.last_mut().expect("content is not empty") ^= 1;
-        assert_eq!(
-            (forged.content_hash, forged.content.len()),
-            (resident.content_hash, resident.content.len())
-        );
-        assert!(find_resident(&mut cache, &forged).is_none());
-        let copy = stamped(tiny_artifact(5));
-        assert!(Arc::ptr_eq(&find_resident(&mut cache, &copy).expect("hits"), &resident));
+        let mut forged = content;
+        *forged.last_mut().expect("content is not empty") ^= 1;
+        assert_eq!(forged.len(), resident.content.len());
+        assert!(find_resident(&mut cache, resident.content_hash, &forged).is_none());
+        let copy = tiny_artifact(5).content_bytes();
+        let hit = find_resident(&mut cache, content_hash(&copy), &copy).expect("hits");
+        assert!(Arc::ptr_eq(&hit, &resident));
     }
 }

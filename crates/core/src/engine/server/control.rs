@@ -1,6 +1,6 @@
 //! The control verbs: attach, swap, detach, stats.
 
-use super::artifact::EngineArtifact;
+use super::artifact::{AdmittedArtifact, EngineArtifact};
 use super::ingress::Routing;
 use super::report::{EngineStats, TenantReport, TenantStats};
 use super::tenant::{OwnLine, Tenant, TenantConfig, TenantToken};
@@ -66,10 +66,10 @@ impl ControlHandle {
     /// The artifact is content-hashed and deduplicated against every live
     /// tenant's: attaching the same compiled program a thousand times
     /// keeps one copy resident (the tenants share one `Arc`; their flow
-    /// tables, routes, and stats stay separate) and verifies it once —
-    /// when it is first admitted. A byte-identical copy of a resident
-    /// artifact is served by the resident and never re-verified; any
-    /// other artifact is verified against its switch model and rejected
+    /// tables, routes, and stats stay separate) and deploys it — verify,
+    /// flatten, load — once, at its first admission. A byte-identical copy
+    /// of a resident artifact is served by the resident and never deployed;
+    /// any other artifact is verified against its switch model and rejected
     /// with [`PegasusError::Verify`] before the budgets are checked.
     pub fn attach(
         &self,
@@ -285,7 +285,7 @@ impl ControlHandle {
         let mut artifacts = ArtifactCounters::default();
         // Dedup is counted by `Arc` identity — what the tenants actually
         // share. Holding the `Arc`s until the end keeps addresses unique.
-        let mut resident: Vec<Arc<EngineArtifact>> = Vec::new();
+        let mut resident: Vec<Arc<AdmittedArtifact>> = Vec::new();
         let mut tenants = Vec::with_capacity(set.len());
         for tenant in &set {
             let (stats, artifact) = tenant.snapshot();

@@ -187,7 +187,7 @@ struct EngineShared {
     /// re-verifying, and no resident is re-encoded. Weak, so a fully
     /// detached artifact's memory (its bytes and its remembered verdict)
     /// is reclaimed instead of pinned by the cache.
-    artifact_cache: Mutex<Vec<Weak<EngineArtifact>>>,
+    artifact_cache: Mutex<Vec<Weak<artifact::AdmittedArtifact>>>,
     /// The aggregate stateful-SRAM ceiling across all tenants, when set.
     fleet_budget_bits: Option<u64>,
     /// Flipped by `shutdown` so lock-free paths (stats, frame-reject
@@ -437,9 +437,10 @@ impl EngineServer {
 
 #[cfg(test)]
 mod tests {
+    use super::artifact::{AdmittedArtifact, ArtifactPlane};
     use super::worker::broadcast_all_or_nothing;
     use super::*;
-    use crate::compile::{compile, CompileOptions, CompileTarget};
+    use crate::compile::{compile, CompileOptions, CompileTarget, CompiledPipeline};
     use crate::models::StreamFeatures;
     use crate::primitives::{MapFn, PrimitiveProgram};
     use crate::runtime::DataplaneModel;
@@ -452,12 +453,26 @@ mod tests {
     /// clustering depth (different depths give different content bytes).
     /// Attachable and swappable; it is never fed a packet here.
     pub(super) fn tiny_artifact(depth: usize) -> EngineArtifact {
-        let dm = tiny_model(depth);
-        EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "tiny")
+        let cfg = pegasus_switch::SwitchConfig::tofino2();
+        EngineArtifact::from_compiled_pipeline(tiny_pipeline(depth), StreamFeatures::Stat, &cfg)
+            .expect("classifies")
     }
 
     /// [`tiny_artifact`]'s deployed model.
     pub(super) fn tiny_model(depth: usize) -> DataplaneModel {
+        DataplaneModel::deploy(tiny_pipeline(depth), &pegasus_switch::SwitchConfig::tofino2())
+            .expect("deploys")
+    }
+
+    /// `dm` as the engine holds it once admitted, under the statistical
+    /// features (with no content bytes: it is never probed).
+    pub(super) fn admitted(dm: DataplaneModel) -> Arc<AdmittedArtifact> {
+        let plane = ArtifactPlane::Stateless(Arc::new(dm));
+        Arc::new(AdmittedArtifact::new(plane, StreamFeatures::Stat, "t".into(), Vec::new(), 0))
+    }
+
+    /// [`tiny_artifact`]'s compiled pipeline.
+    pub(super) fn tiny_pipeline(depth: usize) -> CompiledPipeline {
         let mut p = PrimitiveProgram::new(4);
         let segs = p.partition_strided(p.input, 2, 2);
         let w0 = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[2, 2]);
@@ -471,9 +486,7 @@ mod tests {
             .map(|i| (0..4u32).map(|j| ((i * 37 + j * 101 + i * i * 7) % 256) as f32).collect())
             .collect();
         let opts = CompileOptions { clustering_depth: depth, ..Default::default() };
-        let compiled =
-            compile(&p, &inputs, &opts, CompileTarget::Classify, "tiny").expect("compiles");
-        DataplaneModel::deploy(compiled, &pegasus_switch::SwitchConfig::tofino2()).expect("deploys")
+        compile(&p, &inputs, &opts, CompileTarget::Classify, "tiny").expect("compiles")
     }
 
     /// Pipelines verified on this thread so far.
@@ -498,7 +511,7 @@ mod tests {
         assert!(mutex.is_poisoned());
     }
 
-    fn published_of(shared: &EngineShared) -> Vec<(u64, Arc<EngineArtifact>)> {
+    fn published_of(shared: &EngineShared) -> Vec<(u64, Arc<AdmittedArtifact>)> {
         shared.lock_tenants().iter().map(|t| t.published()).collect()
     }
 
@@ -561,7 +574,7 @@ mod tests {
     fn a_resident_artifact_is_verified_once_while_it_is_resident() {
         let server = EngineBuilder::new().build().expect("builds");
         let control = server.control();
-        // Every artifact is built (deploy verifies it) before its count
+        // Every artifact is built (which verifies nothing) before its count
         // starts: only what attach and swap verify is counted.
         let copies: Vec<EngineArtifact> = (0..4).map(|_| tiny_artifact(5)).collect();
         let before = verifier_runs();
@@ -592,9 +605,11 @@ mod tests {
         // is verified, and rejected, on every attach.
         let corrupt: Vec<EngineArtifact> = (0..2)
             .map(|_| {
-                let mut dm = tiny_model(5);
-                dm.corrupt_first_entry();
-                EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt")
+                let mut pipeline = tiny_pipeline(5);
+                crate::runtime::corrupt_first_entry(&mut pipeline);
+                let cfg = pegasus_switch::SwitchConfig::tofino2();
+                EngineArtifact::from_compiled_pipeline(pipeline, StreamFeatures::Stat, &cfg)
+                    .expect("classifies")
             })
             .collect();
         let before = verifier_runs();

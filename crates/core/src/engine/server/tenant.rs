@@ -1,7 +1,7 @@
 //! The tenant: its token and attach-time config, the one shared record,
 //! and the shard-owned executor behind it.
 
-use super::artifact::{swap_retains_state, ArtifactPlane, EngineArtifact};
+use super::artifact::{swap_retains_state, AdmittedArtifact, ArtifactPlane};
 use super::lock;
 use super::report::{merge_report, TenantReport, TenantStats};
 use super::worker::TenantShardOut;
@@ -151,7 +151,7 @@ pub(super) struct Tenant {
     /// another's artifact. The control plane commits here first, then
     /// stores the hint with `Release`: a worker whose `Acquire` load sees
     /// the new epoch finds (at least) that publication.
-    pub(super) published: Mutex<(u64, Arc<EngineArtifact>)>,
+    pub(super) published: Mutex<(u64, Arc<AdmittedArtifact>)>,
     /// Worker-published counters, one cell per shard: written at the first
     /// batch boundary past `STATS_CADENCE` packets and whenever the shard
     /// idles, merged by `stats()` without signalling anyone.
@@ -175,7 +175,7 @@ impl Tenant {
     /// Commits a swap: the pair, then the epoch hint (`Release`), so a worker
     /// that sees the hint finds the artifact. Returns the epoch and whether
     /// state carries over (every shard's shape check, against the old one).
-    pub(super) fn commit(&self, artifact: Arc<EngineArtifact>) -> (u64, bool) {
+    pub(super) fn commit(&self, artifact: Arc<AdmittedArtifact>) -> (u64, bool) {
         let mut p = lock(&self.published);
         let retained = swap_retains_state(&p.1, &artifact);
         *p = (p.0 + 1, artifact);
@@ -184,7 +184,7 @@ impl Tenant {
     }
 
     /// The current publication, as one consistent pair.
-    pub(super) fn published(&self) -> (u64, Arc<EngineArtifact>) {
+    pub(super) fn published(&self) -> (u64, Arc<AdmittedArtifact>) {
         let p = lock(&self.published);
         (p.0, Arc::clone(&p.1))
     }
@@ -197,7 +197,7 @@ impl Tenant {
 
     /// The live snapshot, plus the artifact it describes (for the fleet's
     /// dedup accounting).
-    pub(super) fn snapshot(&self) -> (TenantStats, Arc<EngineArtifact>) {
+    pub(super) fn snapshot(&self) -> (TenantStats, Arc<AdmittedArtifact>) {
         let shards = self.shards.iter().map(|cell| lock(cell).clone());
         let report =
             merge_report(shards.collect(), self.attached.elapsed().as_nanos() as u64, None);
@@ -250,7 +250,7 @@ pub(super) enum TenantExec {
 }
 
 impl TenantExec {
-    pub(super) fn new(artifact: &EngineArtifact, table: FlowTableConfig) -> TenantExec {
+    pub(super) fn new(artifact: &AdmittedArtifact, table: FlowTableConfig) -> TenantExec {
         match &artifact.plane {
             ArtifactPlane::Stateless(dp) => TenantExec::Stateless(Box::new(StatelessShard::new(
                 dp.clone(),
@@ -264,7 +264,7 @@ impl TenantExec {
     /// Applies a hot swap; returns whether per-flow state was retained.
     /// O(1) in flows either way: a per-flow pipeline's register file stays
     /// where it is and only the program pointer moves.
-    pub(super) fn swap(&mut self, artifact: &EngineArtifact, table: FlowTableConfig) -> bool {
+    pub(super) fn swap(&mut self, artifact: &AdmittedArtifact, table: FlowTableConfig) -> bool {
         match (&mut *self, &artifact.plane) {
             (TenantExec::Stateless(shard), ArtifactPlane::Stateless(dp)) => {
                 // Host feature windows are keyed by five-tuple alone:

@@ -348,9 +348,9 @@ pub(super) fn broadcast_all_or_nothing(
 
 #[cfg(test)]
 mod tests {
-    use super::super::artifact::ArtifactPlane;
+    use super::super::artifact::{AdmittedArtifact, ArtifactPlane};
     use super::super::tenant::{OwnLine, TenantConfig, TenantToken};
-    use super::super::tests::{tiny_artifact, tiny_model};
+    use super::super::tests::{admitted, tiny_model, tiny_pipeline};
     use super::super::{EngineArtifact, EngineBuilder};
     use super::*;
     use crate::engine::flat::{past_entry_data_program, FlatProgram};
@@ -366,7 +366,7 @@ mod tests {
 
     /// A tenant record at slot `id` on one shard, recording predictions,
     /// its flow table cut to 64 slots.
-    fn record(id: u32, artifact: &Arc<EngineArtifact>) -> Arc<Tenant> {
+    fn record(id: u32, artifact: &Arc<AdmittedArtifact>) -> Arc<Tenant> {
         Arc::new(Tenant {
             token: TenantToken(id),
             slot: id,
@@ -406,7 +406,7 @@ mod tests {
     /// A stateless artifact over the statistical features that classifies
     /// every full-window packet as `class`: the tiny model with its flat
     /// program replaced by one default-action table.
-    fn constant_artifact(class: i64) -> EngineArtifact {
+    fn constant_artifact(class: i64) -> Arc<AdmittedArtifact> {
         let mut layout = PhvLayout::new();
         let ins: Vec<_> =
             (0..STAT_FEATURES).map(|i| layout.add_field(&format!("x{i}"), 8)).collect();
@@ -419,12 +419,12 @@ mod tests {
         prog.tables.push(t);
         let mut dm = tiny_model(5);
         dm.flat = FlatProgram::from_program(&prog, &ins, Some(out), &[], NumFormat::code8());
-        EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "constant")
+        admitted(dm)
     }
 
     #[test]
     fn a_batch_interval_is_split_over_its_runs_by_packet_count() {
-        let artifact = Arc::new(tiny_artifact(5));
+        let artifact = admitted(tiny_model(5));
         let mut core = ShardCore::new(0);
         step(&mut core, ShardMsg::Attach(record(0, &artifact)));
         step(&mut core, ShardMsg::Attach(record(1, &artifact)));
@@ -443,10 +443,10 @@ mod tests {
 
     #[test]
     fn a_panicking_run_quarantines_its_tenant_alone() {
-        let good = Arc::new(tiny_artifact(5));
+        let good = admitted(tiny_model(5));
         let mut dm = tiny_model(5);
         dm.flat = past_entry_data_program(STAT_FEATURES);
-        let bad = Arc::new(EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "short"));
+        let bad = admitted(dm);
         let (a, b) = (record(0, &good), record(1, &bad));
         let mut core = ShardCore::new(0);
         step(&mut core, ShardMsg::Attach(Arc::clone(&a)));
@@ -491,8 +491,11 @@ mod tests {
             }
         };
         let cfg = || TenantConfig::new().flow_capacity(8);
-        let model = Arc::new(tiny_model(5));
-        let artifact = || EngineArtifact::stateless(Arc::clone(&model), StreamFeatures::Stat, "t");
+        let (pipeline, switch) = (tiny_pipeline(5), pegasus_switch::SwitchConfig::tofino2());
+        let artifact = || {
+            EngineArtifact::from_compiled_pipeline(pipeline.clone(), StreamFeatures::Stat, &switch)
+                .expect("classifies")
+        };
         let mut rng = StdRng::seed_from_u64(7);
         let (mut live, mut peak, mut attaches) = (Vec::new(), 0, 0);
         while attaches < 10_000 || !live.is_empty() {
@@ -544,15 +547,15 @@ mod tests {
     /// interleaved at random — a publication may trail its core step past
     /// commits and snapshots, never past the next core step. Returns the
     /// first invariant broken.
-    fn schedule(seed: u64, artifacts: &[Arc<EngineArtifact>; 2]) -> Result<(), String> {
+    fn schedule(seed: u64, artifacts: &[Arc<AdmittedArtifact>; 2]) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let tenants = [record(0, &artifacts[0]), record(1, &artifacts[0])];
         let generation = |epoch: u64| &artifacts[(epoch % 2) as usize];
-        let runs = |wt: &WorkerTenant, artifact: &EngineArtifact| match (&wt.exec, &artifact.plane)
-        {
-            (TenantExec::Stateless(s), ArtifactPlane::Stateless(dp)) => Arc::ptr_eq(&s.dp, dp),
-            _ => false,
-        };
+        let runs =
+            |wt: &WorkerTenant, artifact: &AdmittedArtifact| match (&wt.exec, &artifact.plane) {
+                (TenantExec::Stateless(s), ArtifactPlane::Stateless(dp)) => Arc::ptr_eq(&s.dp, dp),
+                _ => false,
+            };
         let mut core = ShardCore::new(0);
         let mut expected = [[0usize; 3]; 2];
         for t in &tenants {
@@ -664,7 +667,7 @@ mod tests {
 
     #[test]
     fn seeded_schedules_hold_the_swap_protocol() {
-        let artifacts = [Arc::new(constant_artifact(1)), Arc::new(constant_artifact(2))];
+        let artifacts = [constant_artifact(1), constant_artifact(2)];
         for seed in 0..10_000 {
             if let Err(broken) = schedule(seed, &artifacts) {
                 panic!("seed {seed}: {broken}");

@@ -32,7 +32,7 @@ use crate::error::PegasusError;
 use crate::fuzzy::ClusterTree;
 use crate::numformat::NumFormat;
 use crate::primitives::PrimitiveProgram;
-use crate::verify::{verify_flow_with, VerifyReport};
+use crate::verify::verify_flow_with;
 use pegasus_net::FrameBatch;
 use pegasus_switch::{
     Action, AluOp, FieldId, KeyPart, LoadedProgram, MatchKind, Operand, PhvLayout, RegFile, RegId,
@@ -531,6 +531,22 @@ impl FlowPipeline {
             self.score_format,
         )
     }
+
+    /// The flow-hash mask the register index is cut to: the hash field's
+    /// width as low bits set. Read off the declarations with checked
+    /// indexing — `None` when the hash field is not declared — so an
+    /// unverified pipeline can be asked without panicking.
+    pub(crate) fn hash_mask(&self) -> Option<u32> {
+        let layout = &self.program.layout;
+        let bits = (self.hash_field.0 < layout.len()).then(|| layout.def(self.hash_field).bits)?;
+        Some(1u64.checked_shl(bits.into()).map_or(u64::MAX, |slots| slots - 1) as u32)
+    }
+
+    /// SRAM bits one register slot consumes: the summed element widths of
+    /// the per-flow arrays (code history, timestamp, warm-up counter).
+    pub(crate) fn state_bits_per_slot(&self) -> u64 {
+        self.program.registers.iter().map(|a| u64::from(a.width_bits)).sum()
+    }
 }
 
 /// The *program* half of a deployed flow pipeline — everything the control
@@ -552,25 +568,23 @@ pub(crate) struct FlowProgram {
 impl FlowProgram {
     /// [`FlowClassifier::deploy`] minus the register file. Flattens once,
     /// inside the verifier run: the [`FlatProgram`] proved is the one kept.
+    /// `verify_cfg` is the switch model the verifier's resource layer holds
+    /// the program to — the serving engine's first admission passes the
+    /// one it loads onto.
     pub(crate) fn deploy(
         pipeline: FlowPipeline,
         cfg: &SwitchConfig,
+        verify_cfg: Option<&SwitchConfig>,
     ) -> Result<Arc<Self>, PegasusError> {
-        let (report, flat) = verify_flow_with(&pipeline, None, || pipeline.flatten());
-        let Some(flat) = flat.filter(|_| !report.has_errors()) else {
+        let (report, flat) = verify_flow_with(&pipeline, verify_cfg, || pipeline.flatten());
+        // A clean report has checked the hash field is declared.
+        let (Some(flat), Some(hash_mask)) =
+            (flat.filter(|_| !report.has_errors()), pipeline.hash_mask())
+        else {
             return Err(PegasusError::Verify { report: Box::new(report) });
         };
         let loaded = Arc::clone(&pipeline.program).deploy(cfg)?;
-        let hash_bits = pipeline.program.layout.def(pipeline.hash_field).bits;
-        let hash_mask = ((1u64 << hash_bits) - 1) as u32;
         Ok(Arc::new(FlowProgram { pipeline, loaded, flat, hash_mask }))
-    }
-
-    /// Re-runs the static verifier against the switch configuration this
-    /// program was deployed on, over the [`FlatProgram`] it serves with —
-    /// nothing is flattened again.
-    pub(crate) fn verify_report(&self) -> VerifyReport {
-        verify_flow_with(&self.pipeline, Some(self.loaded.config()), || &self.flat).0
     }
 
     fn registers(&self) -> &[RegisterArray] {
@@ -581,10 +595,8 @@ impl FlowProgram {
         self.hash_mask as usize + 1
     }
 
-    /// SRAM bits one register slot consumes: the summed element widths of
-    /// the per-flow arrays (code history, timestamp, warm-up counter).
     pub(crate) fn state_bits_per_slot(&self) -> u64 {
-        self.registers().iter().map(|a| u64::from(a.width_bits)).sum()
+        self.pipeline.state_bits_per_slot()
     }
 
     pub(crate) fn state_compatible(&self, other: &FlowProgram) -> bool {
@@ -637,7 +649,7 @@ impl FlowClassifier {
     /// [`DeployError`](pegasus_switch::DeployError). Returns the deployed
     /// program's first [`fork`](FlowClassifier::fork).
     pub fn deploy(pipeline: FlowPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
-        Ok(FlowProgram::deploy(pipeline, cfg)?.fork())
+        Ok(FlowProgram::deploy(pipeline, cfg, None)?.fork())
     }
 
     /// The flattened replica [`process_batch`](FlowClassifier::process_batch)
@@ -1013,12 +1025,13 @@ mod tests {
                 .expect("deploys");
         assert_eq!(flattens() - before, 1, "deploy verifies the FlatProgram it keeps");
         assert_eq!(fc.flat().limb_keys(), 1);
-        // What attach and swap run, and what every shard does: over the
-        // resident program.
-        let report = fc.program.verify_report();
-        assert!(report.is_clean() && !report.has_code("V103"), "{report}");
+        // What every shard does: fork the resident program.
         let mut oracle = fc.fork();
-        assert_eq!(flattens() - before, 1, "verify_report/fork re-flattened");
+        assert_eq!(flattens() - before, 1, "fork re-flattened");
+        // What the engine's first admission runs: the verifier against the
+        // switch model.
+        let report = crate::verify::verify_flow(fc.pipeline(), Some(&SwitchConfig::tofino2()));
+        assert!(report.is_clean() && !report.has_code("V103"), "{report}");
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut batch = FrameBatch::with_capacity(300);

@@ -627,4 +627,43 @@ mod tests {
             CnnL::evaluate_on_trace(dp.flow().expect("per-flow"), &test).expect("replays").f1;
         assert!(dp_f1 > 0.4, "dataplane F1 {dp_f1} (float {float_f1})");
     }
+
+    #[test]
+    fn artifact_accessors_before_admission_match_the_deployed_program() {
+        use crate::engine::server::{EngineArtifact, EngineBuilder, TenantConfig};
+        let trace = generate_trace(&peerrush(), &GenConfig { flows_per_class: 6, seed: 3 });
+        let views = extract_views(&trace);
+        let m = CnnL::fit(
+            &views.raw,
+            &views.seq,
+            CnnLVariant::v44(),
+            &TrainSettings { epochs: 1, ..TrainSettings::quick() },
+        );
+        let data = ModelData::new().with_raw(&views.raw).with_seq(&views.seq);
+        let opts = CompileOptions { clustering_depth: 3, ..Default::default() };
+        let cfg = SwitchConfig::tofino2();
+        let dp = Pegasus::new(m).options(opts).compile(&data).expect("compiles");
+        let dp = dp.deploy(&cfg).expect("deploys");
+        let fc = dp.flow().expect("per-flow");
+        // Read off the undeployed pipeline's declarations, before any
+        // admission: the deployed program's slot count, and its register
+        // SRAM split evenly over those slots.
+        let artifact = dp.engine_artifact().expect("classifies");
+        assert_eq!(artifact.flow_slots(), Some(fc.flow_slots()));
+        let per_slot = artifact.state_bits_per_flow();
+        assert_eq!(per_slot, fc.program.state_bits_per_slot());
+        assert_eq!(per_slot * fc.flow_slots() as u64, fc.register_state_bits());
+
+        // A hash field the layout does not declare: the accessors answer
+        // without indexing past it, and admission rejects the pipeline.
+        let mut bad = fc.pipeline().clone();
+        bad.hash_field = pegasus_switch::FieldId(bad.program.layout.len());
+        let bad = EngineArtifact::from_flow_pipeline(bad, &cfg).expect("classifies");
+        assert_eq!((bad.flow_slots(), bad.state_bits_per_flow()), (None, per_slot));
+        let server = EngineBuilder::new().build().expect("builds");
+        let err = server.control().attach(bad, TenantConfig::new()).map(|_| ()).unwrap_err();
+        assert!(matches!(err, PegasusError::Verify { .. }), "{err:?}");
+        server.control().attach(artifact, TenantConfig::new()).expect("attaches");
+        server.shutdown().expect("shuts down");
+    }
 }

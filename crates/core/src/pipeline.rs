@@ -255,7 +255,7 @@ impl<M: DataplaneNet> Compiled<M> {
     pub fn deploy(self, cfg: &SwitchConfig) -> Result<Deployment<M>, PegasusError> {
         let plane = match self.artifact {
             Artifact::Single(pipeline) => {
-                Plane::Single(Arc::new(DataplaneModel::deploy(*pipeline, cfg)?))
+                Plane::Single(Box::new(DataplaneModel::deploy(*pipeline, cfg)?))
             }
             Artifact::Flow(flow) => Plane::Flow(FlowClassifier::deploy(*flow, cfg)?),
         };
@@ -263,13 +263,10 @@ impl<M: DataplaneNet> Compiled<M> {
     }
 }
 
-/// The deployed program sits behind an `Arc` on both planes (a
-/// [`FlowClassifier`] is the shared program plus this deployment's own
-/// register file) so a serving engine can hold the artifact (and keep
-/// serving it) independently of this deployment's lifetime —
-/// [`Deployment::engine_artifact`] just clones the handle.
+/// The deployed program on either plane (a [`FlowClassifier`] is the
+/// shared program plus this deployment's own register file).
 enum Plane {
-    Single(Arc<DataplaneModel>),
+    Single(Box<DataplaneModel>),
     Flow(FlowClassifier),
 }
 
@@ -348,18 +345,22 @@ impl<M: DataplaneNet> Deployment<M> {
         self.model
     }
 
-    /// The serving-engine view of this deployment: the compiled artifact
-    /// (flattened LUTs or per-flow register pipeline) plus its streaming
-    /// feature family, detached from the trained float model.
+    /// The serving-engine view of this deployment: the compiled pipeline
+    /// (LUT tables or per-flow register pipeline), the switch model it was
+    /// deployed on and its streaming feature family, detached from the
+    /// trained float model.
     ///
     /// Hand the artifact to
     /// [`ControlHandle::attach`](crate::engine::server::ControlHandle::attach)
     /// to serve it as one tenant of a long-lived
     /// [`EngineServer`](crate::engine::server::EngineServer), or to
     /// [`swap`](crate::engine::server::ControlHandle::swap) to hot-swap a
-    /// running tenant onto it. Cheap (an `Arc` clone): the engine shares
-    /// the deployed artifact rather than copying it, and the deployment
-    /// remains usable for [`classify`](Deployment::classify) /
+    /// running tenant onto it. Cheap: the pipeline's tables are an `Arc`
+    /// clone and nothing is verified, flattened or loaded here — the
+    /// engine deploys its own copy when it first admits this content (one
+    /// flatten beside this deployment's), and a byte-identical copy of a
+    /// resident content costs no deployment at all. The deployment remains
+    /// usable for [`classify`](Deployment::classify) /
     /// [`evaluate`](Deployment::evaluate) side-by-side.
     ///
     /// ```no_run
@@ -381,21 +382,17 @@ impl<M: DataplaneNet> Deployment<M> {
     /// Fails with [`PegasusError::NotAClassifier`] for score-only
     /// pipelines — the packet engine serves class verdicts.
     pub fn engine_artifact(&self) -> Result<EngineArtifact, PegasusError> {
-        let (program, predicted) = match &self.plane {
-            Plane::Single(dp) => (&dp.pipeline().program, dp.pipeline().predicted_field),
-            Plane::Flow(fc) => (&fc.pipeline().program, fc.pipeline().predicted_field),
-        };
-        if predicted.is_none() {
-            return Err(PegasusError::NotAClassifier { pipeline: program.name.clone() });
-        }
-        Ok(match &self.plane {
-            Plane::Single(dp) => EngineArtifact::stateless(
-                Arc::clone(dp),
+        match &self.plane {
+            Plane::Single(dp) => EngineArtifact::from_compiled_pipeline(
+                dp.pipeline().clone(),
                 self.model.stream_features(),
-                &program.name,
+                dp.switch_config(),
             ),
-            Plane::Flow(fc) => EngineArtifact::flow(Arc::clone(&fc.program), &program.name),
-        })
+            Plane::Flow(fc) => EngineArtifact::from_flow_pipeline(
+                fc.pipeline().clone(),
+                fc.program.loaded.config(),
+            ),
+        }
     }
 
     /// The per-flow classifier of windowed pipelines (`None` for stateless

@@ -14,7 +14,7 @@ use crate::compile::CompiledPipeline;
 use crate::engine::FlatProgram;
 use crate::error::PegasusError;
 use crate::primitives::{Primitive, PrimitiveProgram};
-use crate::verify::{verify_pipeline_with, VerifyReport};
+use crate::verify::verify_pipeline_with;
 use pegasus_nn::metrics::{pr_rc_f1, PrRcF1};
 use pegasus_nn::Dataset;
 use pegasus_switch::{FieldId, LoadedProgram, RegFile, ResourceReport, SwitchConfig};
@@ -55,33 +55,24 @@ impl DataplaneModel {
     /// engine executes (see [`flat`](DataplaneModel::flat)) — once, inside
     /// the verifier run, so the program proved in-bounds is the one kept.
     pub fn deploy(pipeline: CompiledPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
+        Self::verify_and_load(pipeline, cfg, None)
+    }
+
+    /// [`deploy`](DataplaneModel::deploy) with the verifier's resource
+    /// layer holding the program to `verify_cfg` — the serving engine's
+    /// first admission of a content passes the model it loads onto.
+    pub(crate) fn verify_and_load(
+        pipeline: CompiledPipeline,
+        cfg: &SwitchConfig,
+        verify_cfg: Option<&SwitchConfig>,
+    ) -> Result<Self, PegasusError> {
         let (report, flat) =
-            verify_pipeline_with(&pipeline, None, || FlatProgram::from_pipeline(&pipeline));
+            verify_pipeline_with(&pipeline, verify_cfg, || FlatProgram::from_pipeline(&pipeline));
         let Some(flat) = flat.filter(|_| !report.has_errors()) else {
             return Err(PegasusError::Verify { report: Box::new(report) });
         };
         let loaded = Arc::clone(&pipeline.program).deploy(cfg)?;
         Ok(DataplaneModel { pipeline, loaded, flat })
-    }
-
-    /// Re-runs the static verifier against the switch configuration this
-    /// model was deployed on, over the [`FlatProgram`] it serves with —
-    /// nothing is flattened again.
-    pub(crate) fn verify_report(&self) -> VerifyReport {
-        verify_pipeline_with(&self.pipeline, Some(self.switch_config()), || &self.flat).0
-    }
-
-    /// Corrupts the pipeline description after deploy, as a bit-rotted
-    /// artifact would be: the first entry names a nonexistent action
-    /// (`V003`).
-    #[cfg(test)]
-    pub(crate) fn corrupt_first_entry(&mut self) {
-        let t = Arc::make_mut(&mut self.pipeline.program)
-            .tables
-            .iter_mut()
-            .find(|t| !t.entries.is_empty())
-            .expect("has entries");
-        t.entries[0].action_idx = 999;
     }
 
     /// The compiled artifact.
@@ -205,6 +196,18 @@ impl DataplaneModel {
         };
         Ok(pr_rc_f1(&data.y, &preds, data.classes()))
     }
+}
+
+/// Corrupts a compiled pipeline as a bit-rotted artifact would be: the
+/// first entry names a nonexistent action (`V003`).
+#[cfg(test)]
+pub(crate) fn corrupt_first_entry(pipeline: &mut CompiledPipeline) {
+    let t = Arc::make_mut(&mut pipeline.program)
+        .tables
+        .iter_mut()
+        .find(|t| !t.entries.is_empty())
+        .expect("has entries");
+    t.entries[0].action_idx = 999;
 }
 
 /// Finds the top-level input partition of a (fused) program: the segment
@@ -389,20 +392,19 @@ mod tests {
     }
 
     /// A corrupted artifact must be turned away at the engine's door —
-    /// both attach and swap. The corrupt `DataplaneModel` is assembled
-    /// field-by-field here (this module owns the fields) because every
-    /// public path already rejects it earlier; the engine's own gate is
-    /// the last line, and this is the only way to exercise it.
+    /// both attach and swap. Building the artifact deploys nothing, so the
+    /// pipeline is corrupted before it is built, and the engine's one
+    /// verifier run at admission is the gate.
     #[test]
     fn engine_rejects_corrupted_artifact_at_attach_and_swap() {
         use crate::engine::server::{EngineArtifact, EngineBuilder, TenantConfig};
         use crate::error::PegasusError;
         use crate::models::StreamFeatures;
 
-        let build = || {
+        let build = |corrupt: bool| {
             let mut prog = scorer();
             fuse_basic(&mut prog);
-            let c = compile(
+            let mut c = compile(
                 &prog,
                 &inputs(1200, 11),
                 &CompileOptions { clustering_depth: 6, ..Default::default() },
@@ -410,11 +412,13 @@ mod tests {
                 "corrupt",
             )
             .expect("compiles");
-            DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap()
+            if corrupt {
+                corrupt_first_entry(&mut c);
+            }
+            let cfg = SwitchConfig::tofino2();
+            EngineArtifact::from_compiled_pipeline(c, StreamFeatures::Stat, &cfg).expect("builds")
         };
-        let mut dm = build();
-        dm.corrupt_first_entry();
-        let corrupt = EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt");
+        let corrupt = build(true);
 
         let server = EngineBuilder::new().build().expect("engine starts");
         let control = server.control();
@@ -427,12 +431,8 @@ mod tests {
         }
 
         // Swap: attach a clean artifact, then try to swap in a corrupt one.
-        let clean = EngineArtifact::stateless(Arc::new(build()), StreamFeatures::Stat, "clean");
-        let token = control.attach(clean, TenantConfig::new()).expect("clean attaches");
-        let mut dm = build();
-        dm.corrupt_first_entry();
-        let corrupt = EngineArtifact::stateless(Arc::new(dm), StreamFeatures::Stat, "corrupt");
-        let err = control.swap(token, corrupt).unwrap_err();
+        let token = control.attach(build(false), TenantConfig::new()).expect("clean attaches");
+        let err = control.swap(token, build(true)).unwrap_err();
         assert!(
             matches!(err, PegasusError::Verify { .. }),
             "swap must reject with Verify, got {err:?}"

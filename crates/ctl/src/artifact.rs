@@ -174,7 +174,8 @@ impl ArtifactFile {
         report.errors().count() as u64
     }
 
-    /// Deploys the payload into an engine-servable artifact (tables shared).
+    /// The payload as an engine-servable artifact (tables shared), undeployed:
+    /// the engine verifies, flattens and loads it at its first admission.
     pub fn deploy(&self) -> Result<EngineArtifact, PegasusError> {
         match &self.payload {
             ArtifactPayload::Stateless { features, pipeline } => {

@@ -253,16 +253,15 @@ impl Daemon {
             .map_err(|e| DegradedReason::Io { message: format!("{}: {e}", path.display()) })?;
         let file = ArtifactFile::from_bytes(&bytes)
             .map_err(|e| DegradedReason::Format { message: e.to_string() })?;
-        // `deploy` verifies what it flattens; its typed refusal is the reason.
-        let artifact = file.deploy().map_err(|e| match e {
+        let attached = file.deploy().and_then(|a| self.control.attach(a, tenant_config(record)));
+        // `attach` verifies the content at its first admission; its typed
+        // refusal is the reason.
+        attached.map_err(|e| match e {
             PegasusError::Verify { report } => {
                 DegradedReason::Verify { errors: report.errors().count() as u64 }
             }
             e => DegradedReason::Attach { message: e.to_string() },
-        })?;
-        self.control
-            .attach(artifact, tenant_config(record))
-            .map_err(|e| DegradedReason::Attach { message: e.to_string() })
+        })
     }
 
     /// Binds the socket and serves requests until a `shutdown` verb,
