@@ -23,13 +23,16 @@ use std::sync::{Arc, Weak};
 /// Obtained from
 /// [`Deployment::engine_artifact`](crate::pipeline::Deployment::engine_artifact)
 /// or the `from_*` constructors; attach one per tenant, or hand a fresh
-/// one to [`ControlHandle::swap`](super::ControlHandle::swap).
+/// one to [`ControlHandle::swap`](super::ControlHandle::swap). A clone
+/// shares the tables and is the same content.
+#[derive(Clone)]
 pub struct EngineArtifact {
     pipeline: ArtifactPipeline,
     switch: SwitchConfig,
     features: StreamFeatures,
 }
 
+#[derive(Clone)]
 enum ArtifactPipeline {
     Stateless(CompiledPipeline),
     Flow(FlowPipeline),
@@ -57,6 +60,14 @@ pub(crate) struct AdmittedArtifact {
     /// as the last `Arc`. `ArtifactCounters` sizes the artifact at them.
     content_hash: u64,
     pub(super) content: Vec<u8>,
+}
+
+/// A keep-alive of one admitted content, from
+/// [`ControlHandle::admit`](super::ControlHandle::admit): while it is held,
+/// the content stays resident, so an attach or swap of a byte-identical
+/// copy is served by the resident and runs no verifier.
+pub struct Admission {
+    pub(super) _resident: Arc<AdmittedArtifact>,
 }
 
 /// What an admitted artifact executes — program only on both planes: one

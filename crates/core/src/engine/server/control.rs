@@ -1,6 +1,6 @@
 //! The control verbs: attach, swap, detach, stats.
 
-use super::artifact::{AdmittedArtifact, EngineArtifact};
+use super::artifact::{Admission, AdmittedArtifact, EngineArtifact};
 use super::ingress::Routing;
 use super::report::{EngineStats, TenantReport, TenantStats};
 use super::tenant::{OwnLine, Tenant, TenantConfig, TenantToken};
@@ -126,6 +126,14 @@ impl ControlHandle {
         // publish it; the tenant serves from the moment this returns.
         self.publish_router()?;
         Ok(token)
+    }
+
+    /// Admits `artifact` as attach and swap do, with their refusals, but
+    /// attaches nothing: the content stays resident while the [`Admission`]
+    /// is held, so attaching or swapping in a copy of it runs no verifier.
+    pub fn admit(&self, artifact: EngineArtifact) -> Result<Admission, PegasusError> {
+        self.shared.lock_dispatch()?.txs()?;
+        Ok(Admission { _resident: self.shared.admit_artifact(artifact)? })
     }
 
     /// Recompiles the routing snapshot from the live tenant set *outside*

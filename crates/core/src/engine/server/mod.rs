@@ -79,7 +79,7 @@ mod report;
 mod tenant;
 mod worker;
 
-pub use artifact::EngineArtifact;
+pub use artifact::{Admission, EngineArtifact};
 pub use control::{ControlHandle, SwapReport};
 pub use ingress::{FramePush, IngressHandle};
 pub use report::{EngineReport, EngineStats, TenantReport, TenantStats};
@@ -625,6 +625,37 @@ mod tests {
         }
         assert_eq!(verifier_runs() - before, 2, "two attaches of one corrupt content");
         server.shutdown().expect("shuts down");
+    }
+
+    #[test]
+    fn a_held_admission_keeps_its_content_verified_once() {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        let artifact = tiny_artifact(5);
+        let before = verifier_runs();
+        let admission = control.admit(artifact.clone()).expect("admits");
+        assert_eq!(verifier_runs() - before, 1, "the admission");
+
+        // Sixteen attaches and a swap, each of a fresh copy, with no tenant
+        // attached before them: only the admission keeps the content resident.
+        let before = verifier_runs();
+        let tokens: Vec<TenantToken> = (0..16)
+            .map(|_| control.attach(artifact.clone(), TenantConfig::new()).expect("attaches"))
+            .collect();
+        control.swap(tokens[0], artifact.clone()).expect("swaps");
+        assert_eq!(verifier_runs() - before, 0, "16 attaches and a same-content swap");
+
+        // The cache holds `Weak`s only: with the admission and every tenant
+        // gone, the content is verified afresh.
+        drop(admission);
+        for token in tokens {
+            control.detach(token).expect("detaches");
+        }
+        let before = verifier_runs();
+        control.attach(artifact.clone(), TenantConfig::new()).expect("re-attaches");
+        assert_eq!(verifier_runs() - before, 1, "an attach after the last holder is gone");
+        server.shutdown().expect("shuts down");
+        assert_eq!(control.admit(artifact).map(|_| ()), Err(PegasusError::EngineStopped));
     }
 
     #[test]

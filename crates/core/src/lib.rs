@@ -72,8 +72,8 @@ pub mod runtime;
 pub mod verify;
 
 pub use engine::server::{
-    ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer, EngineStats,
-    FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
+    Admission, ControlHandle, EngineArtifact, EngineBuilder, EngineReport, EngineServer,
+    EngineStats, FramePush, IngressHandle, SwapReport, TenantConfig, TenantStats, TenantToken,
 };
 pub use engine::{
     ArtifactCounters, FlowTableCounters, ParseErrorCounters, RoutingCounters, StreamReport,

@@ -44,11 +44,11 @@
 //!
 //! # Cost
 //!
-//! Every check runs on every deploy and on an artifact's first admission
-//! by attach or swap (a restarted daemon re-verifies every artifact it
-//! revives; a byte-identical copy of a resident artifact is served by the
-//! resident without re-verifying), so each is kept near-linear in the
-//! artifact's entries `n`:
+//! Every check runs on every deploy and on a content's first admission —
+//! by attach, swap or `ControlHandle::admit`, which the daemon's `load`
+//! and its first use of a name after a restart call; a byte-identical
+//! copy of a resident artifact is served by the resident without
+//! re-verifying — so each is kept near-linear in the artifact's entries `n`:
 //!
 //! * structural checks and interval analysis — one pass over entries,
 //!   actions and LUT slots;

@@ -14,6 +14,7 @@ use pegasus_core::flowpipe::FlowPipeline;
 use pegasus_core::verify::{verify_flow, verify_pipeline};
 use pegasus_core::{EngineArtifact, PegasusError, StreamFeatures};
 use pegasus_switch::SwitchConfig;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First four bytes of every artifact file.
@@ -24,20 +25,22 @@ pub const ARTIFACT_MAGIC: [u8; 4] = *b"PEGA";
 /// (v1 shipped every register array's zeroed cells.)
 pub const ARTIFACT_FORMAT_VERSION: u32 = 2;
 
-/// Why a byte blob is not an artifact file.
+/// Why bytes are not a file of the format they claim. Both on-disk files
+/// — an artifact file and `registry.bin` — are one framing: a 4-byte
+/// magic, a `u32` format version, then the serde body.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArtifactError {
+pub enum FormatError {
     /// Shorter than the magic + version header.
     Truncated {
         /// Bytes present.
         len: usize,
     },
-    /// The first four bytes are not [`ARTIFACT_MAGIC`].
+    /// The first four bytes are not the format's magic.
     BadMagic {
         /// What was found instead.
         found: [u8; 4],
     },
-    /// The header version is not [`ARTIFACT_FORMAT_VERSION`].
+    /// The header version is not the one this build writes.
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u32,
@@ -48,24 +51,50 @@ pub enum ArtifactError {
     Decode(serde::DecodeError),
 }
 
-impl fmt::Display for ArtifactError {
+/// Why a byte blob is not an artifact file.
+pub type ArtifactError = FormatError;
+
+impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArtifactError::Truncated { len } => {
-                write!(f, "file too short for an artifact header ({len} bytes)")
-            }
-            ArtifactError::BadMagic { found } => {
-                write!(f, "bad magic {found:?} (expected {ARTIFACT_MAGIC:?})")
-            }
-            ArtifactError::UnsupportedVersion { found, supported } => {
+            FormatError::Truncated { len } => write!(f, "too short for a header ({len} bytes)"),
+            FormatError::BadMagic { found } => write!(f, "bad magic {found:?}"),
+            FormatError::UnsupportedVersion { found, supported } => {
                 write!(f, "format version {found} unsupported (this build reads {supported})")
             }
-            ArtifactError::Decode(e) => write!(f, "artifact body undecodable: {e}"),
+            FormatError::Decode(e) => write!(f, "body undecodable: {e}"),
         }
     }
 }
 
-impl std::error::Error for ArtifactError {}
+impl std::error::Error for FormatError {}
+
+/// Encodes `body` as a file of the format `magic` names: magic, version,
+/// serde body.
+pub(crate) fn encode_file<T: Serialize>(magic: [u8; 4], version: u32, body: &T) -> Vec<u8> {
+    serde::to_bytes(&(magic, version, body))
+}
+
+/// Decodes a file [`encode_file`] wrote, checking the header before
+/// touching the body.
+pub(crate) fn decode_file<'de, T: Deserialize<'de>>(
+    magic: [u8; 4],
+    version: u32,
+    bytes: &'de [u8],
+) -> Result<T, FormatError> {
+    let Some((header, body)) = bytes.split_first_chunk::<8>() else {
+        return Err(FormatError::Truncated { len: bytes.len() });
+    };
+    let [a, b, c, d, stamped @ ..] = *header;
+    if [a, b, c, d] != magic {
+        return Err(FormatError::BadMagic { found: [a, b, c, d] });
+    }
+    let found = u32::from_le_bytes(stamped);
+    if found != version {
+        return Err(FormatError::UnsupportedVersion { found, supported: version });
+    }
+    serde::from_bytes(body).map_err(FormatError::Decode)
+}
 
 /// The pipeline half of an artifact file.
 #[derive(Clone)]
@@ -119,31 +148,12 @@ impl fmt::Debug for ArtifactFile {
 impl ArtifactFile {
     /// Encodes the file: magic, version, serde body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body = serde::to_bytes(self);
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.extend_from_slice(&ARTIFACT_MAGIC);
-        out.extend_from_slice(&ARTIFACT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        encode_file(ARTIFACT_MAGIC, ARTIFACT_FORMAT_VERSION, self)
     }
 
     /// Decodes a file, checking the header before touching the body.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        if bytes.len() < 8 {
-            return Err(ArtifactError::Truncated { len: bytes.len() });
-        }
-        let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        if magic != ARTIFACT_MAGIC {
-            return Err(ArtifactError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != ARTIFACT_FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: ARTIFACT_FORMAT_VERSION,
-            });
-        }
-        serde::from_bytes(&bytes[8..]).map_err(ArtifactError::Decode)
+        decode_file(ARTIFACT_MAGIC, ARTIFACT_FORMAT_VERSION, bytes)
     }
 
     /// The compiled program's name.

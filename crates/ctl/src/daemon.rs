@@ -9,15 +9,24 @@
 //! locking at zero practical cost; the dataplane parallelism lives in
 //! the engine's shard threads, not here.
 //!
+//! # One admission per content
+//!
+//! `load` decodes the file and has the engine admit its content — the
+//! one verifier run, the flatten inside it — before it stores the file,
+//! so a refused artifact leaves nothing on disk. The daemon then pins
+//! the admitted content under the name ([`Admission`]): `attach` and
+//! `swap` hand the engine a clone, served by the resident, and read no
+//! file and run no verifier.
+//!
 //! # Crash recovery
 //!
 //! Every verb persists its effect to the registry **before** it is
 //! acknowledged, so the registry always describes what the operator was
-//! last told. On start the daemon replays it: for each tenant record (in
-//! attach order) it re-reads the artifact file, re-checks the `PEGA`
-//! header, re-deploys against the embedded switch model — which re-runs
-//! static verification over the program it is about to serve — and
-//! re-attaches under the recorded route and flow-table config. A tenant whose artifact fails any of those steps
+//! last told. On start the daemon replays it, tenant records in attach
+//! order: each artifact name's first use reads, decodes and admits its
+//! file once, against the embedded switch model, and every tenant
+//! re-attaches under its recorded route and flow-table config. A
+//! tenant whose artifact fails any of those steps
 //! comes back [`Degraded`](TenantRuntime::Degraded) with a typed
 //! [`DegradedReason`] — visible in `list`, refusing `swap`, and
 //! clearable with `detach` — instead of silently disappearing from the
@@ -28,14 +37,14 @@
 
 use crate::artifact::ArtifactFile;
 use crate::protocol::{
-    read_frame, write_frame, ArtifactInfo, DegradedReason, ErrorKind, ErrorReply, FrameError,
-    ListReply, Request, Response, TenantInfo, TenantState, WireTenantConfig, WireTenantReport,
+    read_frame, write_frame, ArtifactInfo, DegradedReason, ErrorKind, ErrorReply, ListReply,
+    Request, Response, TenantInfo, TenantState, WireTenantConfig, WireTenantReport,
 };
 use crate::registry::{ArtifactRecord, Registry, RegistryError, TenantRecord};
 use pegasus_core::engine::server::TenantReport;
 use pegasus_core::{
-    ControlHandle, EngineBuilder, EngineServer, IngressHandle, PegasusError, TenantConfig,
-    TenantToken,
+    Admission, ControlHandle, EngineArtifact, EngineBuilder, EngineServer, IngressHandle,
+    PegasusError, TenantConfig, TenantToken,
 };
 use pegasus_net::{PcapSource, RouteSummary};
 use std::collections::HashMap;
@@ -136,22 +145,29 @@ pub struct Daemon {
     control: ControlHandle,
     ingress: IngressHandle,
     tenants: HashMap<String, TenantRuntime>,
+    /// Each loaded artifact name's content, pinned resident in the engine.
+    pinned: HashMap<String, (EngineArtifact, Admission)>,
     socket: PathBuf,
 }
 
-fn engine_error_kind(e: &PegasusError) -> ErrorKind {
-    match e {
+/// Why an artifact name did not resolve to admitted content.
+enum Unresolved {
+    /// Not loaded, or its file is unreadable or undecodable.
+    File(DegradedReason),
+    /// The engine refused the content.
+    Engine(PegasusError),
+}
+
+fn engine_error(e: PegasusError) -> ErrorReply {
+    let kind = match &e {
         PegasusError::UnknownTenant { .. } => ErrorKind::UnknownTenant,
         PegasusError::Verify { .. } => ErrorKind::Verify,
         PegasusError::StateBudget { .. } => ErrorKind::StateBudget,
         PegasusError::NotAClassifier { .. } => ErrorKind::NotAClassifier,
         PegasusError::InvalidConfig { .. } => ErrorKind::BadRequest,
         _ => ErrorKind::Engine,
-    }
-}
-
-fn engine_error(e: PegasusError) -> ErrorReply {
-    ErrorReply { kind: engine_error_kind(&e), message: e.to_string() }
+    };
+    ErrorReply { kind, message: e.to_string() }
 }
 
 fn registry_error(e: RegistryError) -> ErrorReply {
@@ -183,15 +199,38 @@ fn artifact_info(r: &ArtifactRecord) -> ArtifactInfo {
     }
 }
 
-fn tenant_config(record: &TenantRecord) -> TenantConfig {
+/// The reason a tenant comes back degraded when the engine refuses it.
+fn degraded(e: PegasusError) -> DegradedReason {
+    match e {
+        PegasusError::Verify { report } => {
+            DegradedReason::Verify { errors: report.errors().count() as u64 }
+        }
+        e => DegradedReason::Attach { message: e.to_string() },
+    }
+}
+
+/// The reply to an attach or swap naming an artifact that did not resolve.
+fn unresolved_reply(name: &str, unresolved: Unresolved) -> ErrorReply {
+    let (kind, message) = match unresolved {
+        Unresolved::Engine(e) => return engine_error(e),
+        Unresolved::File(DegradedReason::MissingArtifact { .. }) => {
+            (ErrorKind::UnknownArtifact, format!("no loaded artifact named '{name}'"))
+        }
+        Unresolved::File(DegradedReason::Io { message }) => (ErrorKind::Io, message),
+        Unresolved::File(reason) => (ErrorKind::ArtifactFormat, reason.to_string()),
+    };
+    ErrorReply { kind, message }
+}
+
+fn tenant_config(name: &str, wire: &WireTenantConfig) -> TenantConfig {
     let mut cfg = TenantConfig::new()
-        .name(&record.name)
-        .route(record.route.clone())
-        .record_predictions(record.record_predictions);
-    if let Some(slots) = record.flow_capacity {
+        .name(name)
+        .route(wire.route.clone())
+        .record_predictions(wire.record_predictions);
+    if let Some(slots) = wire.flow_capacity {
         cfg = cfg.flow_capacity(slots);
     }
-    if let Some(packets) = record.idle_timeout_packets {
+    if let Some(packets) = wire.idle_timeout_packets {
         cfg = cfg.idle_timeout_packets(packets);
     }
     cfg
@@ -215,6 +254,7 @@ impl Daemon {
             control,
             ingress,
             tenants: HashMap::new(),
+            pinned: HashMap::new(),
             socket: config.socket.clone(),
         };
         let summary = daemon.recover();
@@ -244,24 +284,36 @@ impl Daemon {
 
     /// One tenant's recovery: every step that can reject gets its own
     /// typed reason.
-    fn reattach(&self, record: &TenantRecord) -> Result<TenantToken, DegradedReason> {
-        let Some(art) = self.registry.find_artifact(&record.artifact) else {
-            return Err(DegradedReason::MissingArtifact { artifact: record.artifact.clone() });
+    fn reattach(&mut self, record: &TenantRecord) -> Result<TenantToken, DegradedReason> {
+        let artifact = self.resolve(&record.artifact).map_err(|u| match u {
+            Unresolved::File(reason) => reason,
+            Unresolved::Engine(e) => degraded(e),
+        })?;
+        self.control.attach(artifact, tenant_config(&record.name, &record.config)).map_err(degraded)
+    }
+
+    /// The content loaded under `name`, pinned resident: attach, swap and
+    /// recovery resolve a name only here. A miss — the name's first use
+    /// since this daemon started — reads, decodes and admits its file once
+    /// and pins the result; every other call is a clone of the pin.
+    fn resolve(&mut self, name: &str) -> Result<EngineArtifact, Unresolved> {
+        if let Some((artifact, _)) = self.pinned.get(name) {
+            return Ok(artifact.clone());
+        }
+        let Some(record) = self.registry.find_artifact(name) else {
+            let artifact = name.to_string();
+            return Err(Unresolved::File(DegradedReason::MissingArtifact { artifact }));
         };
-        let path = self.registry.artifact_path(art);
-        let bytes = fs::read(&path)
-            .map_err(|e| DegradedReason::Io { message: format!("{}: {e}", path.display()) })?;
+        let path = self.registry.artifact_path(record);
+        let bytes = fs::read(&path).map_err(|e| {
+            Unresolved::File(DegradedReason::Io { message: format!("{}: {e}", path.display()) })
+        })?;
         let file = ArtifactFile::from_bytes(&bytes)
-            .map_err(|e| DegradedReason::Format { message: e.to_string() })?;
-        let attached = file.deploy().and_then(|a| self.control.attach(a, tenant_config(record)));
-        // `attach` verifies the content at its first admission; its typed
-        // refusal is the reason.
-        attached.map_err(|e| match e {
-            PegasusError::Verify { report } => {
-                DegradedReason::Verify { errors: report.errors().count() as u64 }
-            }
-            e => DegradedReason::Attach { message: e.to_string() },
-        })
+            .map_err(|e| Unresolved::File(DegradedReason::Format { message: e.to_string() }))?;
+        let artifact = file.deploy().map_err(Unresolved::Engine)?;
+        let admission = self.control.admit(artifact.clone()).map_err(Unresolved::Engine)?;
+        self.pinned.insert(name.to_string(), (artifact.clone(), admission));
+        Ok(artifact)
     }
 
     /// Binds the socket and serves requests until a `shutdown` verb,
@@ -305,7 +357,7 @@ impl Daemon {
                 Err(e) => {
                     let reply = Response::Error(ErrorReply {
                         kind: ErrorKind::BadRequest,
-                        message: frame_error_message(&e),
+                        message: format!("unreadable frame: {e}"),
                     });
                     let _ = write_frame(&mut stream, &serde::to_bytes(&reply));
                     return false;
@@ -353,6 +405,8 @@ impl Daemon {
         (response, false)
     }
 
+    /// Decodes and admits the artifact, then stores its file: a refused
+    /// artifact leaves no file and no record.
     fn load(&mut self, name: &str, bytes: &[u8]) -> Response {
         let file = match ArtifactFile::from_bytes(bytes) {
             Ok(file) => file,
@@ -363,36 +417,17 @@ impl Daemon {
                 })
             }
         };
-        let errors = file.verify_errors();
-        if errors > 0 {
-            return Response::Error(ErrorReply {
-                kind: ErrorKind::Verify,
-                message: format!("artifact failed verification with {errors} error(s)"),
-            });
-        }
+        let pin = match file.deploy().and_then(|a| Ok((a.clone(), self.control.admit(a)?))) {
+            Ok(pin) => pin,
+            Err(e) => return Response::Error(engine_error(e)),
+        };
         match self.registry.store_artifact(name, bytes, &file) {
-            Ok(record) => Response::Loaded(artifact_info(&record)),
+            Ok(record) => {
+                self.pinned.insert(name.to_string(), pin);
+                Response::Loaded(artifact_info(&record))
+            }
             Err(e) => Response::Error(registry_error(e)),
         }
-    }
-
-    /// Reads a loaded artifact back off disk and deploys it, classifying
-    /// each failure. Shared by attach and swap.
-    fn deploy_named(&self, artifact: &str) -> Result<pegasus_core::EngineArtifact, ErrorReply> {
-        let Some(record) = self.registry.find_artifact(artifact) else {
-            return Err(ErrorReply {
-                kind: ErrorKind::UnknownArtifact,
-                message: format!("no loaded artifact named '{artifact}'"),
-            });
-        };
-        let path = self.registry.artifact_path(record);
-        let bytes = fs::read(&path).map_err(|e| ErrorReply {
-            kind: ErrorKind::Io,
-            message: format!("{}: {e}", path.display()),
-        })?;
-        let file = ArtifactFile::from_bytes(&bytes)
-            .map_err(|e| ErrorReply { kind: ErrorKind::ArtifactFormat, message: e.to_string() })?;
-        file.deploy().map_err(engine_error)
     }
 
     fn attach(&mut self, tenant: &str, artifact: &str, config: WireTenantConfig) -> Response {
@@ -402,24 +437,18 @@ impl Daemon {
                 message: format!("tenant '{tenant}' already exists (detach it first)"),
             });
         }
-        let engine_artifact = match self.deploy_named(artifact) {
+        let engine_artifact = match self.resolve(artifact) {
             Ok(a) => a,
-            Err(e) => return Response::Error(e),
+            Err(e) => return Response::Error(unresolved_reply(artifact, e)),
         };
-        let record = TenantRecord {
-            name: tenant.to_string(),
-            artifact: artifact.to_string(),
-            route: config.route,
-            record_predictions: config.record_predictions,
-            flow_capacity: config.flow_capacity,
-            idle_timeout_packets: config.idle_timeout_packets,
-        };
-        let token = match self.control.attach(engine_artifact, tenant_config(&record)) {
+        let token = match self.control.attach(engine_artifact, tenant_config(tenant, &config)) {
             Ok(token) => token,
             Err(e) => return Response::Error(engine_error(e)),
         };
         // Persist only after the engine accepted: the registry must
         // never promise recovery of a tenant that was never serving.
+        let record =
+            TenantRecord { name: tenant.to_string(), artifact: artifact.to_string(), config };
         if let Err(e) = self.registry.record_attach(record) {
             let _ = self.control.detach(token);
             return Response::Error(registry_error(e));
@@ -446,9 +475,9 @@ impl Daemon {
                 })
             }
         };
-        let engine_artifact = match self.deploy_named(artifact) {
+        let engine_artifact = match self.resolve(artifact) {
             Ok(a) => a,
-            Err(e) => return Response::Error(e),
+            Err(e) => return Response::Error(unresolved_reply(artifact, e)),
         };
         let swap = match self.control.swap(token, engine_artifact) {
             Ok(swap) => swap,
@@ -537,7 +566,7 @@ impl Daemon {
                     name: record.name.clone(),
                     artifact: record.artifact.clone(),
                     state,
-                    route: RouteSummary::of(&record.route),
+                    route: RouteSummary::of(&record.config.route),
                 }
             })
             .collect();
@@ -564,22 +593,16 @@ impl Daemon {
     }
 }
 
-fn frame_error_message(e: &FrameError) -> String {
-    format!("unreadable frame: {e}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::artifact::ArtifactPayload;
     use std::sync::Arc;
 
-    /// Recovery deploys each recorded artifact exactly once, and a file that
-    /// decodes but no longer verifies degrades its tenant with the typed
-    /// `Verify` reason `deploy` itself reports — no separate verifier pass.
-    #[test]
-    fn corrupt_artifact_file_recovers_degraded_with_the_verify_reason() {
-        let dir = std::env::temp_dir().join(format!("pegasus-recover-{}", std::process::id()));
+    /// A fresh directory under the system temp dir, and a one-shard daemon
+    /// configuration whose state and socket live in it.
+    fn temp_daemon(tag: &str) -> (PathBuf, DaemonConfig) {
+        let dir = std::env::temp_dir().join(format!("pegasus-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let config = DaemonConfig {
             state_dir: dir.join("state"),
@@ -587,6 +610,20 @@ mod tests {
             shards: 1,
             batch: 16,
         };
+        (dir, config)
+    }
+
+    /// The files under the state directory's `artifacts/`.
+    fn stored_files(config: &DaemonConfig) -> usize {
+        fs::read_dir(config.state_dir.join("artifacts")).expect("lists").count()
+    }
+
+    /// Recovery deploys each recorded artifact exactly once, and a file that
+    /// decodes but no longer verifies degrades its tenant with the typed
+    /// `Verify` reason `deploy` itself reports — no separate verifier pass.
+    #[test]
+    fn corrupt_artifact_file_recovers_degraded_with_the_verify_reason() {
+        let (dir, config) = temp_daemon("recover");
         let mut file = crate::build::compile_mlp_b(7).expect("compiles");
 
         let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
@@ -611,6 +648,110 @@ mod tests {
         let (mut daemon, summary) = Daemon::start(&config).expect("daemon restarts");
         assert!(summary.serving.is_empty());
         assert_eq!(summary.degraded, [("t0".to_string(), DegradedReason::Verify { errors })]);
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `load` admits the content and the daemon keeps it: attach and swap by
+    /// the name read no file, so they serve even after the stored file has
+    /// rotted. Only a restart, the name's first use in a new process, reads
+    /// the file again — and degrades the tenant with the typed format reason.
+    #[test]
+    fn a_loaded_artifact_serves_without_rereading_its_file() {
+        let (dir, config) = temp_daemon("pinned");
+        let file = crate::build::compile_mlp_b(7).expect("compiles");
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/golden.pcap");
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        assert!(matches!(daemon.load("mlp", &file.to_bytes()), Response::Loaded(_)));
+        let record = daemon.registry.find_artifact("mlp").expect("recorded");
+        fs::write(daemon.registry.artifact_path(record), b"junk").expect("overwrite artifact");
+        let attached = daemon.attach("t0", "mlp", WireTenantConfig::default());
+        assert!(matches!(attached, Response::Attached { .. }), "{attached:?}");
+        let swapped = daemon.swap("t0", "mlp");
+        assert!(matches!(swapped, Response::Swapped { epoch: 1, .. }), "{swapped:?}");
+        let ingested = daemon.ingest_pcap(golden);
+        assert!(matches!(ingested, Response::Ingested { frames: 338 }), "{ingested:?}");
+        let report = daemon.server.take().expect("running").shutdown().expect("drains");
+        let served = report.tenants[0].result.as_ref().expect("served cleanly");
+        assert_eq!(served.packets, 338);
+
+        let (mut daemon, summary) = Daemon::start(&config).expect("daemon restarts");
+        assert!(summary.serving.is_empty());
+        match summary.degraded.as_slice() {
+            [(name, DegradedReason::Format { .. })] => assert_eq!(name, "t0"),
+            other => panic!("expected t0 degraded with a format reason, got {other:?}"),
+        }
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every refusal `load` can give is typed, and leaves no artifact file
+    /// and no registry record behind.
+    #[test]
+    fn refused_loads_leave_no_file_and_no_record() {
+        let (dir, config) = temp_daemon("refused");
+        let file = crate::build::compile_mlp_b(7).expect("compiles");
+        let with_pipeline = |edit: fn(&mut pegasus_core::compile::CompiledPipeline)| {
+            let mut file = file.clone();
+            let ArtifactPayload::Stateless { pipeline, .. } = &mut file.payload else {
+                panic!("MLP-B is stateless")
+            };
+            edit(pipeline);
+            file.to_bytes()
+        };
+        // Decodes, but an entry names a nonexistent action.
+        let corrupt = with_pipeline(|p| {
+            let tables = &mut Arc::make_mut(&mut p.program).tables;
+            let table = tables.iter_mut().find(|t| !t.entries.is_empty()).expect("entries");
+            table.entries[0].action_idx = 999;
+        });
+        let score_only = with_pipeline(|p| p.predicted_field = None);
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        for (bytes, kind) in [
+            (corrupt, ErrorKind::Verify),
+            (score_only, ErrorKind::NotAClassifier),
+            (b"junk".to_vec(), ErrorKind::ArtifactFormat),
+        ] {
+            match daemon.load("mlp", &bytes) {
+                Response::Error(e) => assert_eq!(e.kind, kind, "{}", e.message),
+                other => panic!("expected a {kind} refusal, got {other:?}"),
+            }
+            assert_eq!(stored_files(&config), 0, "a refused {kind} load stored its file");
+            assert!(daemon.registry.state().artifacts.is_empty());
+        }
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A verb whose registry write fails is refused and leaves nothing
+    /// behind: `list` does not show the tenant, and a restart does not
+    /// bring it back. A directory where the registry's temp file goes makes
+    /// the write fail for any user, root included.
+    #[test]
+    fn a_failed_registry_write_leaves_no_tenant() {
+        let (dir, config) = temp_daemon("unwritable");
+        let file = crate::build::compile_mlp_b(7).expect("compiles");
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        assert!(matches!(daemon.load("mlp", &file.to_bytes()), Response::Loaded(_)));
+        let blocker = config.state_dir.join("registry.bin.tmp");
+        fs::create_dir(&blocker).expect("block the registry write");
+        match daemon.attach("t0", "mlp", WireTenantConfig::default()) {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::Io, "{}", e.message),
+            other => panic!("expected an io refusal, got {other:?}"),
+        }
+        match daemon.list() {
+            Response::Listing(listing) => assert!(listing.tenants.is_empty(), "{listing:?}"),
+            other => panic!("expected a listing, got {other:?}"),
+        }
+        fs::remove_dir(&blocker).expect("unblock");
+        assert!(matches!(daemon.load("other", &file.to_bytes()), Response::Loaded(_)));
+        daemon.server.take().expect("running").shutdown().expect("drains");
+
+        let (mut daemon, summary) = Daemon::start(&config).expect("daemon restarts");
+        assert!(summary.serving.is_empty() && summary.degraded.is_empty(), "{summary:?}");
         daemon.server.take().expect("running").shutdown().expect("drains");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -11,11 +11,12 @@
 //! * [`daemon`] — `pegasusd`: owns an
 //!   [`EngineServer`](pegasus_core::engine::server::EngineServer), serves
 //!   a length-prefixed binary protocol over a Unix domain socket, and
-//!   keeps a persistent tenant registry on disk. Killing the daemon —
-//!   `kill -9` included — loses nothing: on restart it replays the
-//!   registry, re-verifies and re-deploys every artifact, and re-attaches
-//!   every tenant (tenants whose artifacts no longer verify come back in
-//!   a typed *degraded* state instead of silently vanishing).
+//!   keeps a persistent tenant registry on disk. `load` admits an artifact
+//!   once and the daemon keeps it: `attach` and `swap` read no file. A
+//!   `kill -9` loses nothing: on restart the daemon replays the registry,
+//!   admits each artifact once and re-attaches every tenant (one whose
+//!   artifact no longer decodes or verifies comes back in a typed
+//!   *degraded* state instead of silently vanishing).
 //! * [`protocol`] — the wire types and framing shared by daemon and
 //!   clients. Frames are a `u32` little-endian length prefix plus a
 //!   [`serde`]-encoded body; malformed frames (truncated prefix,

@@ -153,8 +153,8 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// Store an artifact file (full bytes, header included) under `name`.
-    /// The daemon re-verifies it against the embedded switch model before
-    /// accepting; versions bump on re-load of the same name.
+    /// The engine admits it — verifies it against the embedded switch
+    /// model — before the daemon stores it; versions bump on re-load.
     Load {
         /// Registry name for the artifact.
         name: String,

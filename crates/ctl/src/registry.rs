@@ -17,8 +17,8 @@
 //! a torn file. Artifact files themselves are immutable once written;
 //! re-loading a name writes a new version rather than overwriting.
 
-use crate::artifact::ArtifactFile;
-use pegasus_net::RoutePredicate;
+use crate::artifact::{decode_file, encode_file, ArtifactFile, FormatError};
+use crate::protocol::WireTenantConfig;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -40,46 +40,15 @@ pub enum RegistryError {
         /// The underlying error.
         error: io::Error,
     },
-    /// `registry.bin` is too short for its header.
-    Truncated {
-        /// Bytes present.
-        len: usize,
-    },
-    /// `registry.bin` does not start with [`REGISTRY_MAGIC`].
-    BadMagic {
-        /// What was found instead.
-        found: [u8; 4],
-    },
-    /// The registry header version is unsupported.
-    UnsupportedVersion {
-        /// Version stamped in the file.
-        found: u32,
-        /// Version this build understands.
-        supported: u32,
-    },
-    /// The registry body failed serde decoding.
-    Decode(serde::DecodeError),
+    /// `registry.bin` is not a registry of this build's format.
+    Format(FormatError),
 }
 
 impl fmt::Display for RegistryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RegistryError::Io { path, error } => {
-                write!(f, "{}: {error}", path.display())
-            }
-            RegistryError::Truncated { len } => {
-                write!(f, "registry file too short for a header ({len} bytes)")
-            }
-            RegistryError::BadMagic { found } => {
-                write!(f, "registry has bad magic {found:?} (expected {REGISTRY_MAGIC:?})")
-            }
-            RegistryError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "registry format version {found} unsupported (this build reads {supported})"
-                )
-            }
-            RegistryError::Decode(e) => write!(f, "registry body undecodable: {e}"),
+            RegistryError::Io { path, error } => write!(f, "{}: {error}", path.display()),
+            RegistryError::Format(e) => write!(f, "registry.bin: {e}"),
         }
     }
 }
@@ -106,8 +75,9 @@ pub struct ArtifactRecord {
 
 serde::impl_serde_struct!(ArtifactRecord { name, version, file, net, kind, bytes });
 
-/// One attached tenant — everything needed to re-create its
-/// [`TenantConfig`](pegasus_core::TenantConfig) on recovery.
+/// One attached tenant — its name, the artifact it serves and the
+/// configuration it was attached with, which recovery attaches it under
+/// again.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantRecord {
     /// Tenant name.
@@ -115,24 +85,11 @@ pub struct TenantRecord {
     /// Artifact it serves (registry name; resolved to the current
     /// version at attach/recovery time).
     pub artifact: String,
-    /// Routing predicate.
-    pub route: RoutePredicate,
-    /// Whether per-flow predictions are recorded.
-    pub record_predictions: bool,
-    /// Host flow-table capacity override.
-    pub flow_capacity: Option<usize>,
-    /// Idle-timeout override.
-    pub idle_timeout_packets: Option<u64>,
+    /// Routing and flow-table configuration, as attach received it.
+    pub config: WireTenantConfig,
 }
 
-serde::impl_serde_struct!(TenantRecord {
-    name,
-    artifact,
-    route,
-    record_predictions,
-    flow_capacity,
-    idle_timeout_packets,
-});
+serde::impl_serde_struct!(TenantRecord { name, artifact, config });
 
 /// The serialized registry body.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -167,34 +124,12 @@ impl Registry {
         fs::create_dir_all(&artifacts).map_err(|e| io_err(&artifacts, e))?;
         let path = dir.join("registry.bin");
         let state = match fs::read(&path) {
-            Ok(bytes) => Self::decode(&bytes)?,
+            Ok(bytes) => decode_file(REGISTRY_MAGIC, REGISTRY_FORMAT_VERSION, &bytes)
+                .map_err(RegistryError::Format)?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => RegistryFile::default(),
             Err(e) => return Err(io_err(&path, e)),
         };
         Ok(Registry { dir, state })
-    }
-
-    fn decode(bytes: &[u8]) -> Result<RegistryFile, RegistryError> {
-        if bytes.len() < 8 {
-            return Err(RegistryError::Truncated { len: bytes.len() });
-        }
-        let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        if magic != REGISTRY_MAGIC {
-            return Err(RegistryError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != REGISTRY_FORMAT_VERSION {
-            return Err(RegistryError::UnsupportedVersion {
-                found: version,
-                supported: REGISTRY_FORMAT_VERSION,
-            });
-        }
-        serde::from_bytes(&bytes[8..]).map_err(RegistryError::Decode)
-    }
-
-    /// The state directory root.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The current registry contents.
@@ -212,23 +147,27 @@ impl Registry {
         self.state.artifacts.iter().find(|a| a.name == name)
     }
 
-    /// Persists the registry atomically: temp file + rename.
-    fn save(&self) -> Result<(), RegistryError> {
-        let body = serde::to_bytes(&self.state);
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.extend_from_slice(&REGISTRY_MAGIC);
-        out.extend_from_slice(&REGISTRY_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&body);
+    /// Applies `change` to a copy of the registry and persists the copy
+    /// atomically (temp file + rename). Memory takes the change only once
+    /// the rename has landed: a failed write leaves memory and disk on the
+    /// same, old state.
+    fn update(&mut self, change: impl FnOnce(&mut RegistryFile)) -> Result<(), RegistryError> {
+        let mut next = self.state.clone();
+        change(&mut next);
         let tmp = self.dir.join("registry.bin.tmp");
-        fs::write(&tmp, &out).map_err(|e| io_err(&tmp, e))?;
+        let bytes = encode_file(REGISTRY_MAGIC, REGISTRY_FORMAT_VERSION, &next);
+        fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
         let path = self.dir.join("registry.bin");
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        self.state = next;
+        Ok(())
     }
 
     /// Stores an artifact file under `name`, bumping the version if the
     /// name already exists, and persists the registry. The raw bytes are
-    /// written as-is (header included) so recovery re-runs the exact
-    /// format checks a fresh `load` would.
+    /// written as-is (header included), so a restarted daemon decodes
+    /// exactly what `load` decoded. A file whose registry write fails is
+    /// removed again.
     pub fn store_artifact(
         &mut self,
         name: &str,
@@ -247,39 +186,43 @@ impl Registry {
             kind: parsed.kind().to_string(),
             bytes: bytes.len() as u64,
         };
-        match self.state.artifacts.iter_mut().find(|a| a.name == name) {
+        self.update(|state| match state.artifacts.iter_mut().find(|a| a.name == name) {
             Some(slot) => *slot = record.clone(),
-            None => self.state.artifacts.push(record.clone()),
-        }
-        self.save()?;
+            None => state.artifacts.push(record.clone()),
+        })
+        .inspect_err(|_| {
+            let _ = fs::remove_file(&path);
+        })?;
         Ok(record)
     }
 
     /// Records a tenant attach and persists.
     pub fn record_attach(&mut self, record: TenantRecord) -> Result<(), RegistryError> {
-        self.state.tenants.retain(|t| t.name != record.name);
-        self.state.tenants.push(record);
-        self.save()
+        self.update(|state| {
+            state.tenants.retain(|t| t.name != record.name);
+            state.tenants.push(record);
+        })
     }
 
     /// Repoints a tenant at another artifact (swap) and persists.
     pub fn record_swap(&mut self, tenant: &str, artifact: &str) -> Result<(), RegistryError> {
-        if let Some(t) = self.state.tenants.iter_mut().find(|t| t.name == tenant) {
-            t.artifact = artifact.to_string();
-        }
-        self.save()
+        self.update(|state| {
+            if let Some(t) = state.tenants.iter_mut().find(|t| t.name == tenant) {
+                t.artifact = artifact.to_string();
+            }
+        })
     }
 
     /// Removes a tenant (detach) and persists.
     pub fn record_detach(&mut self, tenant: &str) -> Result<(), RegistryError> {
-        self.state.tenants.retain(|t| t.name != tenant);
-        self.save()
+        self.update(|state| state.tenants.retain(|t| t.name != tenant))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pegasus_net::RoutePredicate;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -298,17 +241,19 @@ mod tests {
         reg.record_attach(TenantRecord {
             name: "t0".into(),
             artifact: "mlp".into(),
-            route: RoutePredicate::DstPort(443),
-            record_predictions: true,
-            flow_capacity: Some(1024),
-            idle_timeout_packets: None,
+            config: WireTenantConfig {
+                route: RoutePredicate::DstPort(443),
+                record_predictions: true,
+                flow_capacity: Some(1024),
+                idle_timeout_packets: None,
+            },
         })
         .expect("attach persists");
 
         let reopened = Registry::open(&dir).expect("reopen");
         assert_eq!(reopened.state().tenants.len(), 1);
         assert_eq!(reopened.state().tenants[0].name, "t0");
-        assert_eq!(reopened.state().tenants[0].route, RoutePredicate::DstPort(443));
+        assert_eq!(reopened.state().tenants[0].config.route, RoutePredicate::DstPort(443));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -318,12 +263,12 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(dir.join("registry.bin"), b"not a registry at all").expect("write junk");
         match Registry::open(&dir) {
-            Err(RegistryError::BadMagic { .. }) => {}
+            Err(RegistryError::Format(FormatError::BadMagic { .. })) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }
         fs::write(dir.join("registry.bin"), b"PG").expect("write short");
         match Registry::open(&dir) {
-            Err(RegistryError::Truncated { len: 2 }) => {}
+            Err(RegistryError::Format(FormatError::Truncated { len: 2 })) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
         let mut versioned = Vec::new();
@@ -331,7 +276,7 @@ mod tests {
         versioned.extend_from_slice(&99u32.to_le_bytes());
         fs::write(dir.join("registry.bin"), &versioned).expect("write future version");
         match Registry::open(&dir) {
-            Err(RegistryError::UnsupportedVersion { found: 99, .. }) => {}
+            Err(RegistryError::Format(FormatError::UnsupportedVersion { found: 99, .. })) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
@@ -344,17 +289,108 @@ mod tests {
         let mk = |cap: Option<usize>| TenantRecord {
             name: "t".into(),
             artifact: "a".into(),
-            route: RoutePredicate::Any,
-            record_predictions: false,
-            flow_capacity: cap,
-            idle_timeout_packets: None,
+            config: WireTenantConfig { flow_capacity: cap, ..WireTenantConfig::default() },
         };
         reg.record_attach(mk(Some(64))).expect("attach");
         reg.record_attach(mk(Some(128))).expect("re-attach replaces");
         assert_eq!(reg.state().tenants.len(), 1);
-        assert_eq!(reg.state().tenants[0].flow_capacity, Some(128));
+        assert_eq!(reg.state().tenants[0].config.flow_capacity, Some(128));
         reg.record_detach("t").expect("detach");
         assert!(reg.state().tenants.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `registry.bin` holding one artifact and one tenant, byte for byte:
+    /// the header, then every field in declaration order. Opening the file
+    /// and rewriting it unchanged must give back the same bytes.
+    #[test]
+    fn registry_file_bytes_are_pinned() {
+        let string = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+        let golden = [
+            &b"PGRG"[..],
+            &1u32.to_le_bytes(),
+            // artifacts: one record.
+            &1u32.to_le_bytes(),
+            &string("mlp"),
+            &2u32.to_le_bytes(),
+            &string("mlp-v2.pa"),
+            &string("mlp_b"),
+            &string("stateless"),
+            &4096u64.to_le_bytes(),
+            // tenants: one record.
+            &1u32.to_le_bytes(),
+            &string("t0"),
+            &string("mlp"),
+            &[1, 0xbb, 0x01], // route: DstPort(443)
+            &[1],             // record_predictions: true
+            &[1],             // flow_capacity: Some(1024)
+            &1024u64.to_le_bytes(),
+            &[0], // idle_timeout_packets: None
+        ]
+        .concat();
+        let dir = tmpdir("golden");
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join("registry.bin"), &golden).expect("write golden");
+        let mut reg = Registry::open(&dir).expect("golden registry opens");
+        let artifact = &reg.state().artifacts[0];
+        assert_eq!(
+            (artifact.name.as_str(), artifact.version, artifact.file.as_str()),
+            ("mlp", 2, "mlp-v2.pa")
+        );
+        assert_eq!((artifact.net.as_str(), artifact.kind.as_str()), ("mlp_b", "stateless"));
+        assert_eq!(artifact.bytes, 4096);
+        let tenant = &reg.state().tenants[0];
+        assert_eq!((tenant.name.as_str(), tenant.artifact.as_str()), ("t0", "mlp"));
+        reg.record_swap("t0", "mlp").expect("rewrites");
+        assert_eq!(fs::read(dir.join("registry.bin")).expect("reads back"), golden);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A registry write that fails changes nothing: not the file, and not
+    /// the state in memory, which would otherwise be persisted by the next
+    /// write that succeeds. A directory where the temp file goes makes the
+    /// write fail for any user, root included.
+    #[test]
+    fn a_failed_write_leaves_memory_on_the_persisted_state() {
+        use pegasus_core::compile::{CompileReport, CompiledPipeline};
+        use pegasus_core::numformat::NumFormat;
+        use pegasus_switch::{PhvLayout, SwitchConfig, SwitchProgram};
+
+        let dir = tmpdir("failed-write");
+        let mut reg = Registry::open(&dir).expect("open");
+        let tenant = |name: &str| TenantRecord {
+            name: name.into(),
+            artifact: "a".into(),
+            config: WireTenantConfig::default(),
+        };
+        reg.record_attach(tenant("t0")).expect("attach persists");
+        let persisted = reg.state().clone();
+        fs::create_dir(dir.join("registry.bin.tmp")).expect("block the temp file");
+
+        let pipeline = CompiledPipeline {
+            program: SwitchProgram::new("p", PhvLayout::new()).into(),
+            input_fields: vec![],
+            score_fields: vec![],
+            score_format: NumFormat::code8(),
+            predicted_field: None,
+            report: CompileReport::default(),
+        };
+        let payload = crate::artifact::ArtifactPayload::Stateless {
+            features: pegasus_core::StreamFeatures::Stat,
+            pipeline,
+        };
+        let file = ArtifactFile { switch: SwitchConfig::tofino2(), payload };
+        assert!(reg.store_artifact("a", &file.to_bytes(), &file).is_err());
+        assert!(reg.record_attach(tenant("t1")).is_err());
+        assert!(reg.record_swap("t0", "b").is_err());
+        assert!(reg.record_detach("t0").is_err());
+        assert_eq!(reg.state(), &persisted);
+        let stored = fs::read_dir(dir.join("artifacts")).expect("lists").count();
+        assert_eq!(stored, 0, "a refused store left its file behind");
+
+        fs::remove_dir(dir.join("registry.bin.tmp")).expect("unblock");
+        reg.record_detach("nobody").expect("the next write succeeds");
+        assert_eq!(Registry::open(&dir).expect("reopen").state(), &persisted);
         let _ = fs::remove_dir_all(&dir);
     }
 }
