@@ -105,7 +105,7 @@ fn bench_switch_pipeline() {
     let dp = pegasus_core::runtime::DataplaneModel::deploy(compiled, &SwitchConfig::tofino2())
         .expect("deploys");
     let sample: Vec<f32> = (0..16).map(|i| (i * 13 % 256) as f32).collect();
-    bench("switch_pipeline_per_packet_mlp", || {
+    bench("flat_classify_per_row_mlp", || {
         black_box(dp.classify(black_box(&sample)).expect("classifies"));
     });
 }

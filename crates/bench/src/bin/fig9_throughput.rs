@@ -114,7 +114,8 @@ fn main() {
     }
     out.push_str("\n(GPU* = all-core batched stand-in; see DESIGN.md substitutions)\n");
 
-    // Transparency: the simulator's own processing rate (not a hardware claim).
+    // Transparency: the flat executor's own one-thread rate (not a hardware
+    // claim): `classify` is a one-lane `FlatProgram::classify`.
     let settings = TrainSettings::quick();
     let m = MlpB::fit(&data.train.stat, None, &settings);
     let bundle = ModelData::new().with_stat(&data.train.stat);
@@ -124,9 +125,10 @@ fn main() {
     for r in 0..n {
         let _ = dp.classify(data.test.stat.x.row(r)).expect("classifies");
     }
-    let sim_rate = n as f64 / start.elapsed().as_secs_f64();
+    let flat_rate = n as f64 / start.elapsed().as_secs_f64();
     out.push_str(&format!(
-        "(simulator executes ~{sim_rate:.0} pkts/s on this host — simulation speed, not hardware)\n"
+        "(flat executor classifies ~{flat_rate:.0} rows/s on one thread of this host — host \
+         software speed, not hardware)\n"
     ));
 
     println!("{out}");

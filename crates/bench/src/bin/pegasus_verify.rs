@@ -23,7 +23,8 @@
 //!   500 rows: a stateless net on its training rows, once through the
 //!   one-lane `FlatProgram::classify`/`scores` and once — the path a
 //!   stateless shard serves — through `classify_batch` in runs of 64 lanes
-//!   and a ragged tail, against `DataplaneModel::classify`/`scores`; a
+//!   and a ragged tail, against the simulator oracle
+//!   `DataplaneModel::simulate_classify`/`simulate_scores`; a
 //!   per-flow net (CNN-L) through `FlowClassifier::process_batch` — runs
 //!   of 64 training-trace packets swept against one register file —
 //!   against `on_packet_mut` on a second fork, packet by packet. The
@@ -141,8 +142,8 @@ fn differential<M: DataplaneNet>(
     let mut mismatches = (0..rows)
         .filter(|&r| {
             let row = view.x.row(r);
-            flat.classify(row, &mut scratch) != dp.classify(row)
-                || flat.scores(row, &mut scratch) != dp.scores(row)
+            flat.classify(row, &mut scratch) != dp.simulate_classify(row)
+                || flat.scores(row, &mut scratch) != dp.simulate_scores(row)
         })
         .count();
     // The served path: the same rows through `classify_batch`, `RUN` lanes
@@ -154,7 +155,9 @@ fn differential<M: DataplaneNet>(
         let got = flat.classify_batch(&codes, run.len(), &mut batch, &mut classes);
         mismatches += run
             .enumerate()
-            .filter(|&(j, r)| got.clone().map(|()| classes[j]) != dp.classify(view.x.row(r)))
+            .filter(|&(j, r)| {
+                got.clone().map(|()| classes[j]) != dp.simulate_classify(view.x.row(r))
+            })
             .count();
     }
     FlatCheck::compared(flat, rows, mismatches)

@@ -12,8 +12,10 @@
 //!   regardless of model size (§7.5), so dataplane samples/s is packets/s:
 //!   `12.8 Tb/s ÷ (avg packet + overhead)` — workload-independent.
 //!
-//! The simulator's own packets/s is also reported for transparency; it is a
-//! *simulator* number, never a claim about hardware.
+//! The flat executor's own one-thread rows/s (`DataplaneModel::classify`,
+//! a one-lane `FlatProgram::classify` over pre-extracted rows) is also
+//! reported for transparency; it is a host software number, never a claim
+//! about hardware.
 //!
 //! None of these is a serving number. The figure compares model inference
 //! in a tight loop over pre-loaded tensors against an analytic line rate:

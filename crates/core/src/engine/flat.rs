@@ -1174,7 +1174,7 @@ impl FlatProgram {
     }
 
     /// Classifies one sample of feature codes (each in `[0, 255]`),
-    /// bit-identical to [`DataplaneModel::classify`](crate::runtime::DataplaneModel::classify).
+    /// bit-identical to [`DataplaneModel::simulate_classify`](crate::runtime::DataplaneModel::simulate_classify).
     pub fn classify(&self, codes: &[f32], s: &mut FlatScratch) -> Result<usize, PegasusError> {
         let pf = self
             .predicted_field
@@ -1458,7 +1458,7 @@ mod tests {
         for row in inputs(500, 12) {
             assert_eq!(
                 flat.classify(&row, &mut s).unwrap(),
-                dp.classify(&row).unwrap(),
+                dp.simulate_classify(&row).unwrap(),
                 "row {row:?}"
             );
         }
@@ -1482,7 +1482,7 @@ mod tests {
         let flat = FlatProgram::from_pipeline(dp.pipeline());
         let mut s = flat.scratch();
         for row in inputs(200, 14) {
-            assert_eq!(flat.scores(&row, &mut s).unwrap(), dp.scores(&row).unwrap());
+            assert_eq!(flat.scores(&row, &mut s).unwrap(), dp.simulate_scores(&row).unwrap());
         }
         // Classify on a Scores pipeline is the same typed error.
         assert!(matches!(
@@ -2504,12 +2504,13 @@ mod tests {
         let mut s = flat.scratch();
         // 127 → 0x7f00, inside the range; 128 → 0x8000, past it.
         for (code, want) in [(127.0, 1), (128.0, 2)] {
-            assert_eq!(dp.classify(&[code]).unwrap(), want);
+            assert_eq!(dp.simulate_classify(&[code]).unwrap(), want);
             assert_eq!(flat.classify(&[code], &mut s).unwrap(), want);
         }
         for code in 0..=255 {
             let code = [f32::from(code as u8)];
-            assert_eq!(flat.classify(&code, &mut s).unwrap(), dp.classify(&code).unwrap());
+            let want = dp.simulate_classify(&code).unwrap();
+            assert_eq!(flat.classify(&code, &mut s).unwrap(), want);
         }
     }
 }

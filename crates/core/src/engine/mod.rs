@@ -218,6 +218,9 @@ impl StatelessShard {
     /// classifying packet by packet — the differential suite in
     /// `tests/raw_path.rs` holds a run of one and a run of 64 to
     /// bit-identical verdicts *and* flow-table counters.
+    // Inlined into `TenantExec::process_batch` whichever codegen unit
+    // either lands in: a 64-tenant batch calls it once per run.
+    #[inline]
     pub(crate) fn process_batch(
         &mut self,
         batch: &FrameBatch,

@@ -786,8 +786,8 @@ impl FlowClassifier {
         Ok(())
     }
 
-    /// Processes one packet of a flow through the switch simulator (the
-    /// `_mut` suffix outlives the shared twin it used to distinguish).
+    /// Processes one packet of a flow through the switch simulator: the
+    /// oracle, on no serving or evaluation path.
     ///
     /// `extractor_codes` must match the spec's extractor input arity (empty
     /// for `LenIpd` pipelines). Timestamps are absolute microseconds.

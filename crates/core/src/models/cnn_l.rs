@@ -23,7 +23,8 @@ use crate::error::PegasusError;
 use crate::flowpipe::{build_flow_pipeline, FlowClassifier, FlowPipelineSpec, PacketCodes};
 use crate::fuzzy::ClusterTree;
 use crate::primitives::{MapFn, PrimitiveProgram, ValueId};
-use pegasus_net::{FiveTuple, Trace, WINDOW};
+use crate::runtime::EVAL_RUN;
+use pegasus_net::{FiveTuple, FrameBatch, Trace, WINDOW};
 use pegasus_nn::layers::{BatchNorm1d, Dense, NormMode, Relu};
 use pegasus_nn::loss::softmax_cross_entropy;
 use pegasus_nn::metrics::{pr_rc_f1, PrRcF1};
@@ -500,38 +501,40 @@ impl CnnL {
     }
 
     /// Replays a labeled trace through a deployed classifier, scoring every
-    /// full-window packet (the paper's packet-level evaluation). The replay
-    /// runs on a fresh-state [`fork`](FlowClassifier::fork) of its own, so
-    /// it neither disturbs nor needs exclusive access to `classifier` — a
-    /// serving engine may share it.
+    /// full-window packet (the paper's packet-level evaluation). Labelled
+    /// packets go through [`process_batch`](FlowClassifier::process_batch)
+    /// 64 at a time, as a flow shard serves them; unlabelled ones never
+    /// reach the registers. The replay runs on a fresh-state
+    /// [`fork`](FlowClassifier::fork), so a serving engine may share `classifier`.
     pub fn evaluate_on_trace(
         classifier: &FlowClassifier,
         trace: &Trace,
     ) -> Result<PrRcF1, PegasusError> {
         let mut classifier = classifier.fork();
-        let mut truth = Vec::new();
-        let mut preds = Vec::new();
+        // A verdict is clamped to the classes labelled up to its packet.
         let mut classes = 0;
-        for pkt in &trace.packets {
-            let Some(label) = trace.label_of(&pkt.flow) else { continue };
-            classes = classes.max(label + 1);
-            let codes: Vec<f32> = pkt
-                .payload_head
-                .iter()
-                .take(BYTES)
-                .map(|&b| f32::from(b))
-                .chain(std::iter::repeat(0.0))
-                .take(BYTES)
-                .collect();
-            let v = classifier.on_packet_mut(
-                flow_hash(&pkt.flow),
-                pkt.ts_micros,
-                pkt.wire_len,
-                &codes,
-            )?;
-            if let Some(p) = v.predicted {
-                truth.push(label);
-                preds.push(p.min(classes.saturating_sub(1)));
+        let labelled: Vec<_> = trace
+            .packets
+            .iter()
+            .filter_map(|pkt| {
+                let label = trace.label_of(&pkt.flow)?;
+                classes = classes.max(label + 1);
+                Some((pkt, label, classes))
+            })
+            .collect();
+        let (mut batch, mut verdicts) = (FrameBatch::with_capacity(EVAL_RUN), Vec::new());
+        let (mut truth, mut preds) = (Vec::new(), Vec::new());
+        for run in labelled.chunks(EVAL_RUN) {
+            batch.clear();
+            for (p, ..) in run {
+                batch.append(p.flow, p.ts_micros, p.wire_len, p.tcp_flags, p.ttl, &p.payload_head);
+            }
+            classifier.process_batch(&batch, 0..run.len(), &mut verdicts)?;
+            for (&(_, label, seen), verdict) in run.iter().zip(&verdicts) {
+                if let Some(p) = *verdict {
+                    truth.push(label);
+                    preds.push(p.min(seen - 1));
+                }
             }
         }
         Ok(pr_rc_f1(&truth, &preds, classes))

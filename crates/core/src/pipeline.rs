@@ -270,10 +270,10 @@ enum Plane {
     Flow(FlowClassifier),
 }
 
-/// Stage 3: a model loaded onto the switch simulator and serving.
+/// Stage 3: a verified model, flattened and loaded onto the switch model.
 ///
-/// Inference goes through the shared [`DataplaneModel`] runtime (stateless
-/// pipelines) or, for per-flow pipelines, packet-by-packet through a
+/// Inference runs the flattened program a shard serves with, through the
+/// shared [`DataplaneModel`] runtime (stateless pipelines) or a
 /// [`fork`](FlowClassifier::fork) of [`flow`](Deployment::flow). The
 /// trained float model stays accessible for side-by-side evaluation.
 pub struct Deployment<M: DataplaneNet> {

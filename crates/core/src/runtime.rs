@@ -1,14 +1,15 @@
-//! Deployed-model runtime: feeding feature codes through the switch.
+//! Deployed-model runtime: feeding feature codes through the dataplane.
 //!
 //! It holds one copy of the tables (the pipeline's `Arc<SwitchProgram>`,
 //! which its [`LoadedProgram`] shares), the [`FlatProgram`] baked from
 //! them and no per-flow state; the engine shares it whole by `Arc`.
 //!
-//! [`DataplaneModel`] is immutable once deployed: every inference method
-//! takes `&self` and each sample is independent of every other, so one
-//! deployed model can be shared across threads —
-//! [`classify_batch`](DataplaneModel::classify_batch) fans a batch out over
-//! std threads. Misuse returns [`PegasusError`] instead of panicking.
+//! Every verdict it hands out comes from the [`FlatProgram`], the executor
+//! a stateless shard serves with; the switch simulator runs only in
+//! [`simulate_classify`](DataplaneModel::simulate_classify) /
+//! [`simulate_scores`](DataplaneModel::simulate_scores), the oracle the
+//! differential suites hold that executor against. Every method takes
+//! `&self`; misuse returns [`PegasusError`] instead of panicking.
 
 use crate::compile::CompiledPipeline;
 use crate::engine::FlatProgram;
@@ -20,23 +21,17 @@ use pegasus_nn::Dataset;
 use pegasus_switch::{FieldId, LoadedProgram, RegFile, ResourceReport, SwitchConfig};
 use std::sync::Arc;
 
-/// Rows below this count are classified sequentially on the calling
-/// thread; batches of at least this many rows fan out across available
-/// cores.
-///
-/// Rationale: spawning OS threads costs tens of microseconds each, while
-/// one classification costs single-digit microseconds — below a few
-/// hundred rows the spawn overhead exceeds the work being split. The value
-/// is the crossover point measured on the repo's own pipelines (within an
-/// order of magnitude it is not sensitive).
-pub const BATCH_PARALLEL_THRESHOLD: usize = 256;
+/// Samples per executor sweep when a whole dataset or trace is replayed
+/// offline: the 64-lane run a shard serves.
+pub(crate) const EVAL_RUN: usize = 64;
 
-/// A compiled pipeline loaded onto the switch simulator, ready to classify.
+/// A verified compiled pipeline, flattened and loaded onto the switch
+/// model, ready to classify.
 pub struct DataplaneModel {
     pipeline: CompiledPipeline,
     loaded: LoadedProgram,
-    /// The flattened-LUT replica of the pipeline, baked once at deploy time
-    /// for the streaming engine's hot loop.
+    /// The flattened-LUT program, baked once at deploy time: what every
+    /// verdict, offline or served, comes from.
     pub(crate) flat: FlatProgram,
 }
 
@@ -51,9 +46,9 @@ impl DataplaneModel {
     /// [`DeployError`](pegasus_switch::DeployError) (richer than a `V204`
     /// diagnostic); the verifier's resource layer covers the same
     /// accounting when invoked with a config. The pipeline is baked into a
-    /// [`FlatProgram`] — the specialised replica the streaming
-    /// engine executes (see [`flat`](DataplaneModel::flat)) — once, inside
-    /// the verifier run, so the program proved in-bounds is the one kept.
+    /// [`FlatProgram`] — the executor every verdict comes from (see
+    /// [`flat`](DataplaneModel::flat)) — once, inside the verifier run, so
+    /// the program proved in-bounds is the one kept.
     pub fn deploy(pipeline: CompiledPipeline, cfg: &SwitchConfig) -> Result<Self, PegasusError> {
         Self::verify_and_load(pipeline, cfg, None)
     }
@@ -80,11 +75,12 @@ impl DataplaneModel {
         &self.pipeline
     }
 
-    /// The flattened-LUT replica of this pipeline — always `Some`: every
-    /// pipeline the verifier accepts flattens (the `Option` is kept for
-    /// callers written against the fallible form). Bit-identical to
-    /// [`classify`](DataplaneModel::classify) — asserted over whole traces
-    /// by the engine's determinism tests.
+    /// The flattened-LUT program [`classify`](DataplaneModel::classify) and
+    /// the engine run — always `Some`: every pipeline the verifier accepts
+    /// flattens (the `Option` is kept for callers written against the
+    /// fallible form). Bit-identical to
+    /// [`simulate_classify`](DataplaneModel::simulate_classify), which the
+    /// differential suites assert over whole traces.
     pub fn flat(&self) -> Option<&FlatProgram> {
         Some(&self.flat)
     }
@@ -100,45 +96,60 @@ impl DataplaneModel {
         self.loaded.config()
     }
 
-    /// Classifies one sample of feature codes (each in `[0, 255]`).
+    /// Classifies one sample of feature codes (each in `[0, 255]`): a
+    /// one-lane [`FlatProgram::classify`].
     pub fn classify(&self, codes: &[f32]) -> Result<usize, PegasusError> {
-        let phv = self.process(codes)?;
+        self.flat.classify(codes, &mut self.flat.scratch())
+    }
+
+    /// Classifies a batch of samples, one verdict per row, through one
+    /// reused scratch; a row of the wrong arity fails alone.
+    pub fn classify_batch(&self, rows: &[Vec<f32>]) -> Vec<Result<usize, PegasusError>> {
+        let mut scratch = self.flat.scratch();
+        rows.iter().map(|r| self.flat.classify(r, &mut scratch)).collect()
+    }
+
+    /// Decoded output scores of one sample: a one-lane
+    /// [`FlatProgram::scores`].
+    pub fn scores(&self, codes: &[f32]) -> Result<Vec<f32>, PegasusError> {
+        self.flat.scores(codes, &mut self.flat.scratch())
+    }
+
+    /// Evaluates classification quality over a dataset of code rows, swept
+    /// through [`FlatProgram::classify_batch`] 64 rows at a time plus a
+    /// ragged tail — the runs a stateless shard serves.
+    pub fn evaluate(&self, data: &Dataset) -> Result<PrRcF1, PegasusError> {
+        let n = data.len();
+        let (mut scratch, mut run) = (self.flat.batch_scratch(EVAL_RUN), Vec::new());
+        let mut preds = Vec::with_capacity(n);
+        for start in (0..n).step_by(EVAL_RUN) {
+            let lanes = EVAL_RUN.min(n - start);
+            let arity = data.x.row(start).len();
+            let codes = &data.x.data()[start * arity..][..lanes * arity];
+            self.flat.classify_batch(codes, lanes, &mut scratch, &mut run)?;
+            preds.extend_from_slice(&run);
+        }
+        Ok(pr_rc_f1(&data.y, &preds, data.classes()))
+    }
+
+    /// The switch simulator's class for one sample: the oracle the
+    /// differential suites hold [`classify`](DataplaneModel::classify)
+    /// against, not a serving path.
+    pub fn simulate_classify(&self, codes: &[f32]) -> Result<usize, PegasusError> {
+        let phv = self.simulate(codes)?;
         let f = self.pipeline.predicted_field.ok_or_else(|| PegasusError::NotAClassifier {
             pipeline: self.pipeline.program.name.clone(),
         })?;
         Ok(phv.get(f) as usize)
     }
 
-    /// Classifies a batch of samples, one verdict per row.
-    ///
-    /// Batches smaller than [`BATCH_PARALLEL_THRESHOLD`] run sequentially
-    /// on the calling thread — spawning workers for a handful of rows
-    /// costs more than it saves. Larger batches are split across OS
-    /// threads: the deployed model is shared by reference, the same
-    /// sharing contract the sharded streaming engine relies on.
-    pub fn classify_batch(&self, rows: &[Vec<f32>]) -> Vec<Result<usize, PegasusError>> {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if rows.len() < BATCH_PARALLEL_THRESHOLD || threads < 2 {
-            return rows.iter().map(|r| self.classify(r)).collect();
-        }
-        let chunk = rows.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || part.iter().map(|r| self.classify(r)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
-        })
-    }
-
-    /// Decoded output scores of one sample.
-    pub fn scores(&self, codes: &[f32]) -> Result<Vec<f32>, PegasusError> {
+    /// The switch simulator's decoded scores for one sample: the oracle
+    /// [`scores`](DataplaneModel::scores) is held against.
+    pub fn simulate_scores(&self, codes: &[f32]) -> Result<Vec<f32>, PegasusError> {
         if self.pipeline.score_fields.is_empty() {
             return Err(PegasusError::NoScores { pipeline: self.pipeline.program.name.clone() });
         }
-        let phv = self.process(codes)?;
+        let phv = self.simulate(codes)?;
         Ok(self
             .pipeline
             .score_fields
@@ -147,7 +158,7 @@ impl DataplaneModel {
             .collect())
     }
 
-    fn process(&self, codes: &[f32]) -> Result<pegasus_switch::Phv, PegasusError> {
+    fn simulate(&self, codes: &[f32]) -> Result<pegasus_switch::Phv, PegasusError> {
         if codes.len() != self.pipeline.input_fields.len() {
             return Err(PegasusError::FeatureCount {
                 expected: self.pipeline.input_fields.len(),
@@ -164,37 +175,6 @@ impl DataplaneModel {
         // Samples are independent: each starts from zeroed registers — an
         // empty, allocation-free file for every register-free pipeline.
         Ok(self.loaded.process(&inputs, &mut RegFile::new(&self.pipeline.program.registers)))
-    }
-
-    /// Evaluates classification quality over a dataset of code rows.
-    ///
-    /// Parallelizes like [`classify_batch`](DataplaneModel::classify_batch)
-    /// but chunks row-index ranges, so no copy of the dataset is made.
-    pub fn evaluate(&self, data: &Dataset) -> Result<PrRcF1, PegasusError> {
-        let n = data.len();
-        let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-        let preds: Vec<usize> = if n < BATCH_PARALLEL_THRESHOLD || threads < 2 {
-            (0..n).map(|r| self.classify(data.x.row(r))).collect::<Result<_, _>>()?
-        } else {
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(chunk)
-                    .map(|start| {
-                        scope.spawn(move || {
-                            (start..(start + chunk).min(n))
-                                .map(|r| self.classify(data.x.row(r)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("evaluate worker panicked"))
-                    .collect::<Result<_, _>>()
-            })?
-        };
-        Ok(pr_rc_f1(&data.y, &preds, data.classes()))
     }
 }
 
@@ -363,20 +343,17 @@ mod tests {
         assert_eq!(m.scores(&[1.0, 2.0, 3.0, 4.0]).expect("scores").len(), 2);
     }
 
-    #[test]
-    fn classify_batch_matches_sequential_and_shares_across_threads() {
+    fn deployed(target: CompileTarget, seed: u64) -> DataplaneModel {
         let mut prog = scorer();
         fuse_basic(&mut prog);
-        let c = compile(
-            &prog,
-            &inputs(1500, 7),
-            &CompileOptions { clustering_depth: 6, ..Default::default() },
-            CompileTarget::Classify,
-            "rt",
-        )
-        .expect("compiles");
-        let m = DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap();
-        // Above the parallel threshold so the threaded path actually runs.
+        let opts = CompileOptions { clustering_depth: 6, ..Default::default() };
+        let c = compile(&prog, &inputs(1500, seed), &opts, target, "rt").expect("compiles");
+        DataplaneModel::deploy(c, &SwitchConfig::tofino2()).unwrap()
+    }
+
+    #[test]
+    fn classify_batch_matches_one_lane_classify_and_a_bad_row_errors_alone() {
+        let m = deployed(CompileTarget::Classify, 7);
         let rows = inputs(600, 8);
         let batch: Vec<usize> =
             m.classify_batch(&rows).into_iter().map(|r| r.expect("classifies")).collect();
@@ -389,6 +366,41 @@ mod tests {
         let verdicts = m.classify_batch(&mixed);
         assert!(verdicts[..10].iter().all(|v| v.is_ok()));
         assert!(verdicts[10].is_err());
+    }
+
+    /// Every verdict the runtime hands out — one lane, a batch, a whole
+    /// evaluation in 64-row runs with a ragged tail (600 = 9 × 64 + 24) —
+    /// equals the switch simulator's, and so do its typed errors.
+    #[test]
+    fn evaluate_classify_batch_and_scores_match_the_simulator_oracle() {
+        let rows = inputs(600, 9);
+        let codes = || Tensor::from_vec(rows.iter().flatten().copied().collect(), &[600, 4]);
+        let m = deployed(CompileTarget::Classify, 10);
+        let want: Vec<usize> = rows.iter().map(|r| m.simulate_classify(r).unwrap()).collect();
+        let got: Vec<usize> = m.classify_batch(&rows).into_iter().map(Result::unwrap).collect();
+        assert_eq!(got, want);
+        // Labelled with the oracle's verdicts, a perfect score means every
+        // row of every run, the tail included, matched it.
+        let data = Dataset::new(codes(), want.clone());
+        assert!(want.contains(&0) && want.contains(&1), "both classes occur");
+        let eval = m.evaluate(&data).expect("evaluates");
+        assert_eq!(eval, pr_rc_f1(&want, &want, data.classes()));
+        assert_eq!(eval.f1, 1.0);
+        // One bad row of a mixed batch fails alone, with the one-row count.
+        let mut mixed = rows[..5].to_vec();
+        mixed.insert(2, vec![1.0]);
+        let verdicts = m.classify_batch(&mixed);
+        assert_eq!(verdicts[2], Err(PegasusError::FeatureCount { expected: 4, got: 1 }));
+        let rest: Vec<usize> = verdicts.iter().filter_map(|v| v.clone().ok()).collect();
+        assert_eq!(rest, want[..5]);
+
+        let scorer = deployed(CompileTarget::Scores, 11);
+        for row in &rows {
+            assert_eq!(scorer.scores(row).unwrap(), scorer.simulate_scores(row).unwrap());
+        }
+        let err = scorer.evaluate(&Dataset::new(codes(), want)).unwrap_err();
+        assert!(matches!(err, PegasusError::NotAClassifier { .. }), "{err:?}");
+        assert_eq!(scorer.simulate_classify(&rows[0]), Err(err));
     }
 
     /// A corrupted artifact must be turned away at the engine's door —

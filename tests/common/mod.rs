@@ -48,13 +48,15 @@ pub fn serve_one<M: DataplaneNet>(
 }
 
 /// Sequential reference: replay the trace through one tracker and the
-/// simulator runtime, recording per-flow classification sequences. Pass a
-/// [`canonical`] trace to compare against the engine.
+/// switch simulator (`simulate_classify`, the oracle — not the flattened
+/// program the engine serves), recording per-flow classification
+/// sequences. Pass a [`canonical`] trace to compare against the engine.
 pub fn sequential_reference<M: DataplaneNet>(
     deployment: &Deployment<M>,
     trace: &Trace,
 ) -> HashMap<FiveTuple, Vec<usize>> {
     let features = deployment.model().stream_features();
+    let oracle = deployment.dataplane().expect("stateless plane");
     let mut tracker = FlowTracker::new(WINDOW);
     let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
     for pkt in &trace.packets {
@@ -78,7 +80,7 @@ pub fn sequential_reference<M: DataplaneNet>(
                 SeqFeatures::extract(state).expect("window full").to_f32_interleaved()
             }
         };
-        let class = deployment.classify(&codes).expect("classifies");
+        let class = oracle.simulate_classify(&codes).expect("classifies");
         out.entry(pkt.flow).or_default().push(class);
     }
     out

@@ -48,8 +48,9 @@ fn train_mlp_b(trace: &Trace) -> Deployment<MlpB> {
         .expect("deploys")
 }
 
-/// Sequential replay through a genuinely unbounded map — the pre-refactor
-/// semantics the bounded table must reproduce when capacity suffices.
+/// Sequential replay through a genuinely unbounded map and the switch
+/// simulator — the pre-refactor semantics the bounded table must reproduce
+/// when capacity suffices.
 fn unbounded_reference(
     deployment: &Deployment<MlpB>,
     trace: &Trace,
@@ -59,6 +60,7 @@ fn unbounded_reference(
         // Far more slots than flows: observationally an unbounded map.
         FlowTableConfig::with_capacity(16 * trace.flow_count().max(1)),
     );
+    let oracle = deployment.dataplane().expect("stateless plane");
     let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
     for pkt in &trace.packets {
         let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
@@ -76,7 +78,7 @@ fn unbounded_reference(
             pkt.payload_head.len() as u16,
         )
         .to_f32();
-        let class = deployment.classify(&codes).expect("classifies");
+        let class = oracle.simulate_classify(&codes).expect("classifies");
         out.entry(pkt.flow).or_default().push(class);
     }
     out

@@ -92,7 +92,7 @@ fn quiesce(
 
 /// Sequential reference for a multi-swap run: one tracker whose windows
 /// survive every boundary, packets in segment `i` (delimited by
-/// `bounds`) classified by `models[i]`.
+/// `bounds`) classified by `models[i]`'s switch simulator.
 fn segmented_reference(
     models: &[&Deployment<MlpB>],
     bounds: &[usize],
@@ -119,7 +119,8 @@ fn segmented_reference(
         )
         .to_f32();
         let segment = bounds.iter().filter(|&&b| i >= b).count();
-        let class = models[segment].classify(&codes).expect("classifies");
+        let oracle = models[segment].dataplane().expect("stateless plane");
+        let class = oracle.simulate_classify(&codes).expect("classifies");
         out.entry(pkt.flow).or_default().push(class);
     }
     out

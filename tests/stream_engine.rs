@@ -8,8 +8,9 @@
 //! compiled tables are executed — never the verdicts. The sequential
 //! reference (`common::sequential_reference`) is an independent
 //! reimplementation of the per-packet path: one global `FlowTracker`,
-//! features extracted per packet, verdicts from `Deployment::classify`
-//! (the switch-simulator path, not the LUTs). The engine is fed each
+//! features extracted per packet, verdicts from
+//! `DataplaneModel::simulate_classify` (the switch simulator, not the
+//! LUTs). The engine is fed each
 //! trace's wire frames, the reference the packets they parse to
 //! (`common::canonical`).
 
@@ -135,7 +136,8 @@ fn sequential_reference_swap<M: DataplaneNet>(
             }
         };
         let model = if i < split { old } else { new };
-        let class = model.classify(&codes).expect("classifies");
+        let oracle = model.dataplane().expect("stateless plane");
+        let class = oracle.simulate_classify(&codes).expect("classifies");
         out.entry(pkt.flow).or_default().push(class);
     }
     out
