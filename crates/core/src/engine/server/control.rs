@@ -306,11 +306,11 @@ impl ControlHandle {
             }
             tenants.push(stats);
         }
-        let routing = self.shared.counters.routing();
+        let routing = self.shared.counters.routing.snapshot();
         Ok(EngineStats {
             tenants,
             unrouted: routing.unrouted,
-            parse_errors: self.shared.counters.parse(),
+            parse_errors: self.shared.counters.parse.snapshot(),
             routing,
             artifacts,
         })

@@ -4,6 +4,7 @@
 use super::tenant::Tenant;
 use super::worker::{ShardBatch, ShardMsg};
 use super::EngineShared;
+use crate::engine::stats::ParseErrorCounters;
 use crate::error::PegasusError;
 use pegasus_net::wire::parse_frame;
 use pegasus_net::{
@@ -111,7 +112,7 @@ impl IngressHandle {
         ttl: u8,
         payload: &[u8],
     ) -> Result<bool, PegasusError> {
-        let counters = &self.shared.counters;
+        let counters = &self.shared.counters.routing;
         let mut guard = self.shared.lock_dispatch()?;
         let d = &mut *guard;
         d.txs()?;
@@ -174,7 +175,9 @@ impl IngressHandle {
                 if self.shared.stopped.load(Ordering::Acquire) {
                     return Err(PegasusError::EngineStopped);
                 }
-                self.shared.counters.record_parse(e.kind());
+                let mut rejected = ParseErrorCounters::default();
+                rejected.record(e.kind());
+                self.shared.counters.parse.merge(&rejected);
                 Ok(FramePush::Rejected(e))
             }
         }

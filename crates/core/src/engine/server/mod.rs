@@ -85,11 +85,11 @@ pub use ingress::{FramePush, IngressHandle};
 pub use report::{EngineReport, EngineStats, TenantReport, TenantStats};
 pub use tenant::{TenantConfig, TenantToken};
 
-use crate::engine::stats::{ParseErrorCounters, RoutingCounters};
+use crate::engine::stats::{AtomicParseErrorCounters, AtomicRoutingCounters, RoutingCounters};
 use crate::error::PegasusError;
 use ingress::Dispatch;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -111,59 +111,15 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// atomics are for the readers, not the writers; all accesses relaxed).
 #[derive(Default)]
 struct SharedCounters {
-    unrouted: AtomicU64,
-    lut_hits: AtomicU64,
-    trie_hits: AtomicU64,
-    proto_hits: AtomicU64,
-    catchall_hits: AtomicU64,
-    residual_hits: AtomicU64,
-    residual_scans: AtomicU64,
-    rebuilds: AtomicU64,
-    last_rebuild_micros: AtomicU64,
-    parse_truncated: AtomicU64,
-    parse_checksum: AtomicU64,
-    parse_malformed: AtomicU64,
-    parse_unsupported: AtomicU64,
+    parse: AtomicParseErrorCounters,
+    routing: AtomicRoutingCounters,
 }
 
 impl SharedCounters {
-    fn record_parse(&self, kind: pegasus_net::ParseErrorKind) {
-        use pegasus_net::ParseErrorKind as K;
-        let cell = match kind {
-            K::Truncated => &self.parse_truncated,
-            K::Checksum => &self.parse_checksum,
-            K::Malformed => &self.parse_malformed,
-            K::Unsupported => &self.parse_unsupported,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn record_rebuild(&self, since: Instant) {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        self.last_rebuild_micros.store(since.elapsed().as_micros() as u64, Ordering::Relaxed);
-    }
-
-    fn parse(&self) -> ParseErrorCounters {
-        ParseErrorCounters {
-            truncated: self.parse_truncated.load(Ordering::Relaxed),
-            checksum: self.parse_checksum.load(Ordering::Relaxed),
-            malformed: self.parse_malformed.load(Ordering::Relaxed),
-            unsupported: self.parse_unsupported.load(Ordering::Relaxed),
-        }
-    }
-
-    fn routing(&self) -> RoutingCounters {
-        RoutingCounters {
-            lut_hits: self.lut_hits.load(Ordering::Relaxed),
-            trie_hits: self.trie_hits.load(Ordering::Relaxed),
-            proto_hits: self.proto_hits.load(Ordering::Relaxed),
-            catchall_hits: self.catchall_hits.load(Ordering::Relaxed),
-            residual_hits: self.residual_hits.load(Ordering::Relaxed),
-            residual_scans: self.residual_scans.load(Ordering::Relaxed),
-            unrouted: self.unrouted.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            last_rebuild_micros: self.last_rebuild_micros.load(Ordering::Relaxed),
-        }
+        let last_rebuild_micros = since.elapsed().as_micros() as u64;
+        let rebuild = RoutingCounters { rebuilds: 1, last_rebuild_micros, ..Default::default() };
+        self.routing.merge(&rebuild);
     }
 }
 
@@ -415,8 +371,8 @@ impl EngineServer {
             self.shared.stopped.store(true, Ordering::Release);
             std::mem::take(&mut *self.shared.lock_tenants())
         };
-        let unrouted = self.shared.counters.unrouted.load(Ordering::Relaxed);
-        let parse_errors = self.shared.counters.parse();
+        let unrouted = self.shared.counters.routing.unrouted.load(Ordering::Relaxed);
+        let parse_errors = self.shared.counters.parse.snapshot();
         let mut by_tenant: HashMap<u32, Vec<TenantShardOut>> = HashMap::new();
         for (shard, handle) in self.workers.into_iter().enumerate() {
             let outs = handle.join().unwrap_or_else(|payload| {
@@ -823,7 +779,8 @@ mod tests {
         assert_eq!(ingress.push_frame(RawFrame::new(0, &frame)), Err(PegasusError::EngineStopped));
         let junk = [0xde, 0xad, 0xbe, 0xef];
         assert_eq!(ingress.push_frame(RawFrame::new(1, &junk)), Err(PegasusError::EngineStopped));
-        assert_eq!(ingress.shared.counters.parse().total(), 0, "a stopped engine counts nothing");
+        let rejected = ingress.shared.counters.parse.snapshot().total();
+        assert_eq!(rejected, 0, "a stopped engine counts nothing");
         assert_eq!(ingress.flush().unwrap_err(), PegasusError::EngineStopped);
     }
 

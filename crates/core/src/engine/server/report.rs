@@ -2,8 +2,7 @@
 
 use super::tenant::TenantToken;
 use crate::engine::stats::{
-    ArtifactCounters, LatencyHistogram, ParseErrorCounters, RoutingCounters, ShardStats,
-    StreamReport, SwapCounters,
+    ArtifactCounters, ParseErrorCounters, RoutingCounters, ShardStats, StreamReport,
 };
 use crate::error::PegasusError;
 use pegasus_net::FiveTuple;
@@ -95,29 +94,15 @@ impl EngineReport {
     }
 }
 
+/// The tenant's report: its shards' counters folded by each field's
+/// declared rule, the per-shard counters kept alongside.
 pub(super) fn merge_report(
     shards: Vec<ShardStats>,
     elapsed_nanos: u64,
     predictions: Option<HashMap<FiveTuple, Vec<usize>>>,
 ) -> StreamReport {
-    let mut latency = LatencyHistogram::default();
-    let mut table = crate::engine::stats::FlowTableCounters::default();
-    // Seed the epoch at MAX so the min-merge reflects the slowest shard;
-    // an empty shard list degrades to 0.
-    let mut swap = SwapCounters { applied_epoch: u64::MAX, ..SwapCounters::default() };
-    let (mut packets, mut classified, mut warmup, mut flows) = (0u64, 0u64, 0u64, 0u64);
-    for s in &shards {
-        packets += s.packets;
-        classified += s.classified;
-        warmup += s.warmup;
-        flows += s.flows;
-        latency.merge(&s.latency);
-        table.merge(&s.table);
-        swap.merge(&s.swap);
-    }
-    if swap.applied_epoch == u64::MAX {
-        swap.applied_epoch = 0;
-    }
+    let ShardStats { packets, classified, warmup, flows, latency, table, swap, .. } =
+        ShardStats::fold(&shards);
     StreamReport {
         shards,
         packets,

@@ -5,26 +5,123 @@
 //! log₂-bucketed per-packet latency histogram (constant memory, mergeable
 //! across shards, good enough for mean/p50/p99 reporting without storing
 //! per-packet samples).
+//!
+//! # Counter families
+//!
+//! Each counter family is one `counter_family!` declaration that names
+//! every field once, with its doc and its merge rule. The struct, its
+//! `merge` and `fold`, its wire codec (declaration order is the wire
+//! order) and, for the two families ingress writes lock-free, its atomic
+//! twin all follow from that list. Adding a counter is one line in its
+//! family's declaration plus the statement that increments it.
 
 use crate::engine::server::{EngineStats, TenantStats, TenantToken};
 use pegasus_net::{FiveTuple, ParseErrorKind};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Counters of wire-format frames the raw ingress rejected, bucketed by
-/// [`ParseErrorKind`]. Mergeable across shards / the dispatcher by
-/// field-wise summation. A frame that fails to parse never reaches a
-/// tenant: it is counted here and dropped, the way a switch parser's
-/// no-match verdict sends a packet down the default path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParseErrorCounters {
-    /// Headers (or required options) ran past the end of the capture.
-    pub truncated: u64,
-    /// IPv4 header checksum mismatches.
-    pub checksum: u64,
-    /// Structurally invalid fields (bad IHL, bad version, nested VLAN…).
-    pub malformed: u64,
-    /// Layers the parser does not speak (ARP, ICMP, QinQ-free exotica).
-    pub unsupported: u64,
+/// Declares one counter family from one field list of `name: type => rule`.
+/// The rule is how two values merge: `sum` adds, `min` and `max` keep the
+/// extreme, `last` takes the incoming value (a gauge), `merge` folds a
+/// nested family or a [`LatencyHistogram`], and `first` keeps the value the
+/// fold started from (an index, not a count).
+///
+/// It emits the struct (attributes as written, every field `pub`), `merge`,
+/// `fold` and the `impl_serde_struct!` codec. `pub struct Name atomic Twin`
+/// also emits the crate-private `Twin`: an `AtomicU64` per field, a `merge`
+/// that applies the `sum` and `last` rules with relaxed atomics, and
+/// `snapshot`.
+macro_rules! counter_family {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident atomic $twin:ident { $($body:tt)* }
+    ) => {
+        counter_family! { $(#[$attr])* pub struct $name { $($body)* } }
+        counter_family! { @atomic $name $twin { $($body)* } }
+    };
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $( $(#[$doc:meta])* $field:ident: $ty:ty => $rule:ident, )+
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $name {
+            $( $(#[$doc])* pub $field: $ty, )+
+        }
+
+        impl $name {
+            /// Every field zero (histograms empty, nested families zeroed).
+            fn zero() -> Self {
+                Self { $( $field: Default::default(), )+ }
+            }
+
+            /// Folds `other` into `self`, each field by its declared rule.
+            pub fn merge(&mut self, other: &Self) {
+                $( counter_family!(@merge $rule, self.$field, other.$field); )+
+            }
+
+            /// `items` merged into the first of them, so a `min` or `first`
+            /// field is taken over real items; no items give all zeros.
+            pub fn fold<'a>(items: impl IntoIterator<Item = &'a Self>) -> Self {
+                let mut items = items.into_iter();
+                let mut acc = items.next().cloned().unwrap_or_else(Self::zero);
+                items.for_each(|item| acc.merge(item));
+                acc
+            }
+        }
+
+        serde::impl_serde_struct!($name { $($field),+ });
+    };
+    (@atomic $name:ident $twin:ident {
+        $( $(#[$doc:meta])* $field:ident: $ty:ty => $rule:ident, )+
+    }) => {
+        #[doc = concat!("[`", stringify!($name), "`] as atomics that ingress bumps and")]
+        /// `stats` reads, both without a lock.
+        #[derive(Default)]
+        pub(crate) struct $twin {
+            $( pub(crate) $field: AtomicU64, )+
+        }
+
+        impl $twin {
+            /// Merges `delta` in, each field by its declared rule.
+            pub(crate) fn merge(&self, delta: &$name) {
+                $( counter_family!(@atomic_merge $rule, self.$field, delta.$field); )+
+            }
+
+            /// The counters as of now.
+            pub(crate) fn snapshot(&self) -> $name {
+                $name { $( $field: self.$field.load(Relaxed), )+ }
+            }
+        }
+    };
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge min, $a:expr, $b:expr) => { $a = $a.min($b) };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@merge last, $a:expr, $b:expr) => { $a = $b };
+    (@merge merge, $a:expr, $b:expr) => { $a.merge(&$b) };
+    (@merge first, $a:expr, $b:expr) => {};
+    (@atomic_merge sum, $a:expr, $b:expr) => { $a.fetch_add($b, Relaxed) };
+    (@atomic_merge last, $a:expr, $b:expr) => { $a.store($b, Relaxed) };
+}
+
+counter_family! {
+    /// Counters of wire-format frames the raw ingress rejected, bucketed by
+    /// [`ParseErrorKind`]. Mergeable across shards / the dispatcher by
+    /// field-wise summation. A frame that fails to parse never reaches a
+    /// tenant: it is counted here and dropped, the way a switch parser's
+    /// no-match verdict sends a packet down the default path.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ParseErrorCounters atomic AtomicParseErrorCounters {
+        /// Headers (or required options) ran past the end of the capture.
+        truncated: u64 => sum,
+        /// IPv4 header checksum mismatches.
+        checksum: u64 => sum,
+        /// Structurally invalid fields (bad IHL, bad version, nested VLAN…).
+        malformed: u64 => sum,
+        /// Layers the parser does not speak (ARP, ICMP, QinQ-free exotica).
+        unsupported: u64 => sum,
+    }
 }
 
 impl ParseErrorCounters {
@@ -44,52 +141,56 @@ impl ParseErrorCounters {
     }
 }
 
-/// Counters of the engine's compiled routing plane: which structure
-/// resolved each packet, residual-scan work, and rebuild activity.
-/// Mergeable by field-wise summation except `last_rebuild_micros`, which
-/// is a gauge (most recent compile time).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoutingCounters {
-    /// Packets resolved by the dense destination-port LUT.
-    pub lut_hits: u64,
-    /// Packets resolved by the src/dst prefix tries.
-    pub trie_hits: u64,
-    /// Packets resolved by the protocol filter.
-    pub proto_hits: u64,
-    /// Packets resolved by a catch-all rule.
-    pub catchall_hits: u64,
-    /// Packets resolved by the residual predicate scan.
-    pub residual_hits: u64,
-    /// Total residual predicates evaluated across all lookups (scan work
-    /// actually done — stays near zero when every rule compiles).
-    pub residual_scans: u64,
-    /// Packets no tenant rule matched.
-    pub unrouted: u64,
-    /// Compiled-router rebuilds (attach/swap/detach recompiles).
-    pub rebuilds: u64,
-    /// Wall-clock microseconds the most recent rebuild took.
-    pub last_rebuild_micros: u64,
+counter_family! {
+    /// Counters of the engine's compiled routing plane: which structure
+    /// resolved each packet, residual-scan work, and rebuild activity.
+    /// Mergeable by field-wise summation except `last_rebuild_micros`, which
+    /// is a gauge (most recent compile time).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RoutingCounters atomic AtomicRoutingCounters {
+        /// Packets resolved by the dense destination-port LUT.
+        lut_hits: u64 => sum,
+        /// Packets resolved by the src/dst prefix tries.
+        trie_hits: u64 => sum,
+        /// Packets resolved by the protocol filter.
+        proto_hits: u64 => sum,
+        /// Packets resolved by a catch-all rule.
+        catchall_hits: u64 => sum,
+        /// Packets resolved by the residual predicate scan.
+        residual_hits: u64 => sum,
+        /// Total residual predicates evaluated across all lookups (scan work
+        /// actually done — stays near zero when every rule compiles).
+        residual_scans: u64 => sum,
+        /// Packets no tenant rule matched.
+        unrouted: u64 => sum,
+        /// Compiled-router rebuilds (attach/swap/detach recompiles).
+        rebuilds: u64 => sum,
+        /// Wall-clock microseconds the most recent rebuild took.
+        last_rebuild_micros: u64 => last,
+    }
 }
 
-/// Fleet-wide compiled-artifact accounting: how many tenants share how
-/// many distinct artifacts, and what content-hash dedup saves. Counted
-/// from what the tenants actually hold — two tenants share an artifact
-/// exactly when they hold the same `Arc` — not from what equal content
-/// should have been deduplicated to.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArtifactCounters {
-    /// Tenants currently attached.
-    pub tenants: u64,
-    /// Distinct compiled artifacts among them (by `Arc` identity).
-    pub unique_artifacts: u64,
-    /// Content bytes actually resident: each distinct artifact (one shared
-    /// `SwitchProgram`, no register cells) keeps the encoded content it
-    /// was admitted on for the dedup compare, counted once however many
-    /// tenants and shards hold it.
-    pub resident_bytes: u64,
-    /// Bytes that would be resident without dedup (each tenant's artifact
-    /// counted separately).
-    pub naive_bytes: u64,
+counter_family! {
+    /// Fleet-wide compiled-artifact accounting: how many tenants share how
+    /// many distinct artifacts, and what content-hash dedup saves. Counted
+    /// from what the tenants actually hold — two tenants share an artifact
+    /// exactly when they hold the same `Arc` — not from what equal content
+    /// should have been deduplicated to.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ArtifactCounters {
+        /// Tenants currently attached.
+        tenants: u64 => sum,
+        /// Distinct compiled artifacts among them (by `Arc` identity).
+        unique_artifacts: u64 => sum,
+        /// Content bytes actually resident: each distinct artifact (one shared
+        /// `SwitchProgram`, no register cells) keeps the encoded content it
+        /// was admitted on for the dedup compare, counted once however many
+        /// tenants and shards hold it.
+        resident_bytes: u64 => sum,
+        /// Bytes that would be resident without dedup (each tenant's artifact
+        /// counted separately).
+        naive_bytes: u64 => sum,
+    }
 }
 
 /// A log₂-bucketed latency histogram over nanoseconds.
@@ -183,130 +284,104 @@ impl LatencyHistogram {
     }
 }
 
-/// Occupancy and eviction counters of one bounded flow table (a shard's
-/// host tracker, or the hardware-faithful alias view of a per-flow
-/// register file). Mergeable across shards by field-wise summation —
-/// capacity sums too, because every shard owns its own table (the forked
-/// register-file model).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlowTableCounters {
-    /// Slots currently occupied (the shard's resident flows).
-    pub occupancy: u64,
-    /// Fixed slot capacity.
-    pub capacity: u64,
-    /// Entries reclaimed by idle-timeout aging (incl. in-place re-warms).
-    pub evictions_idle: u64,
-    /// Entries replaced under capacity pressure (table full).
-    pub evictions_capacity: u64,
-    /// Alias-mode slot-ownership changes — packets of a flow whose
-    /// register slot was owned by a different flow (hash collisions).
-    pub alias_collisions: u64,
-    /// Flow-state bytes: the preallocated slab, windows inline (host
-    /// tables), or the register SRAM the slots model (alias views). Flat
-    /// in the flow count by construction.
-    pub state_bytes: u64,
+counter_family! {
+    /// Occupancy and eviction counters of one bounded flow table (a shard's
+    /// host tracker, or the hardware-faithful alias view of a per-flow
+    /// register file). Mergeable across shards by field-wise summation —
+    /// capacity sums too, because every shard owns its own table (the forked
+    /// register-file model).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FlowTableCounters {
+        /// Slots currently occupied (the shard's resident flows).
+        occupancy: u64 => sum,
+        /// Fixed slot capacity.
+        capacity: u64 => sum,
+        /// Entries reclaimed by idle-timeout aging (incl. in-place re-warms).
+        evictions_idle: u64 => sum,
+        /// Entries replaced under capacity pressure (table full).
+        evictions_capacity: u64 => sum,
+        /// Alias-mode slot-ownership changes — packets of a flow whose
+        /// register slot was owned by a different flow (hash collisions).
+        alias_collisions: u64 => sum,
+        /// Flow-state bytes: the preallocated slab, windows inline (host
+        /// tables), or the register SRAM the slots model (alias views). Flat
+        /// in the flow count by construction.
+        state_bytes: u64 => sum,
+    }
 }
 
 impl FlowTableCounters {
-    /// Folds another table's counters into this one.
-    pub fn merge(&mut self, other: &FlowTableCounters) {
-        self.occupancy += other.occupancy;
-        self.capacity += other.capacity;
-        self.evictions_idle += other.evictions_idle;
-        self.evictions_capacity += other.evictions_capacity;
-        self.alias_collisions += other.alias_collisions;
-        self.state_bytes += other.state_bytes;
-    }
-
     /// All evictions (idle + capacity).
     pub fn evictions(&self) -> u64 {
         self.evictions_idle + self.evictions_capacity
     }
 }
 
-/// Hot-swap application progress for one shard (or, merged, a whole
-/// tenant).
-///
-/// Swaps are published epoch/RCU-style: the control plane stores the new
-/// artifact in the tenant record and each shard picks it up at its next
-/// run boundary, so these counters are how an operator watches an apply
-/// land — `applied_epoch` catching up to the control plane's epoch. There
-/// is nothing to watch after that: a state-compatible swap leaves each
-/// shard's flow state in place, so the apply *is* the whole swap.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SwapCounters {
-    /// Artifact epoch this shard last applied. In a merged report this is
-    /// the *minimum* across shards — the epoch every shard has reached —
-    /// so one lagging shard keeps the tenant's reported epoch honest.
-    pub applied_epoch: u64,
-    /// Swap publications this shard picked up at a packet/batch boundary.
-    pub swaps_applied: u64,
-    /// An upper bound on the nanoseconds the most recent apply took on
-    /// this shard — re-pointing the executor at the published artifact (an
-    /// `Arc` clone; a state-incompatible per-flow swap also zeroes a
-    /// register file). The shard reads its clock per batch, not per apply,
-    /// so this is the length of the clock interval the apply landed in: the
-    /// batch whose run adopted it, or the last batch and the idle pass
-    /// after it (0 if no interval was open). Merged reports keep the max
-    /// across shards.
-    pub last_apply_nanos: u64,
-}
-
-impl SwapCounters {
-    /// Folds another shard's swap counters into this one (see the field
-    /// docs for per-field merge semantics). Start the fold from the first
-    /// shard's counters, not `default()`, so the `applied_epoch` minimum
-    /// is taken over real values.
-    pub fn merge(&mut self, other: &SwapCounters) {
-        self.applied_epoch = self.applied_epoch.min(other.applied_epoch);
-        self.swaps_applied += other.swaps_applied;
-        self.last_apply_nanos = self.last_apply_nanos.max(other.last_apply_nanos);
+counter_family! {
+    /// Hot-swap application progress for one shard (or, merged, a whole
+    /// tenant).
+    ///
+    /// Swaps are published epoch/RCU-style: the control plane stores the new
+    /// artifact in the tenant record and each shard picks it up at its next
+    /// run boundary, so these counters are how an operator watches an apply
+    /// land — `applied_epoch` catching up to the control plane's epoch. There
+    /// is nothing to watch after that: a state-compatible swap leaves each
+    /// shard's flow state in place, so the apply *is* the whole swap.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SwapCounters {
+        /// Artifact epoch this shard last applied. In a merged report this is
+        /// the *minimum* across shards — the epoch every shard has reached —
+        /// so one lagging shard keeps the tenant's reported epoch honest.
+        applied_epoch: u64 => min,
+        /// Swap publications this shard picked up at a packet/batch boundary.
+        swaps_applied: u64 => sum,
+        /// An upper bound on the nanoseconds the most recent apply took on
+        /// this shard — re-pointing the executor at the published artifact (an
+        /// `Arc` clone; a state-incompatible per-flow swap also zeroes a
+        /// register file). The shard reads its clock per batch, not per apply,
+        /// so this is the length of the clock interval the apply landed in: the
+        /// batch whose run adopted it, or the last batch and the idle pass
+        /// after it (0 if no interval was open). Merged reports keep the max
+        /// across shards.
+        last_apply_nanos: u64 => max,
     }
 }
 
-/// One shard worker's counters.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Packets this shard consumed.
-    pub packets: u64,
-    /// Packets that produced a classification (flow window full).
-    pub classified: u64,
-    /// Packets swallowed by per-flow warm-up (window not yet full).
-    pub warmup: u64,
-    /// Flows resident on this shard — occupied flow-table slots. For
-    /// per-flow register pipelines this is the hardware-faithful count
-    /// (hash-colliding flows share a slot and count once).
-    pub flows: u64,
-    /// Nanoseconds spent serving packets (excludes queue waits and stats
-    /// publication). The worker reads its clock once per batch; each
-    /// batch's service time is split over its packets evenly, and this is
-    /// the sum of this tenant's packets' shares.
-    pub busy_nanos: u64,
-    /// Per-packet processing latency: each packet records its batch's
-    /// service time divided by the batch's served packets, so
-    /// `latency.count() == packets`.
-    pub latency: LatencyHistogram,
-    /// Occupancy/eviction/collision counters of this shard's flow table.
-    pub table: FlowTableCounters,
-    /// Hot-swap apply counters.
-    pub swap: SwapCounters,
+counter_family! {
+    /// One shard worker's counters.
+    #[derive(Clone, Debug)]
+    pub struct ShardStats {
+        /// Shard index (`0..shards`).
+        shard: usize => first,
+        /// Packets this shard consumed.
+        packets: u64 => sum,
+        /// Packets that produced a classification (flow window full).
+        classified: u64 => sum,
+        /// Packets swallowed by per-flow warm-up (window not yet full).
+        warmup: u64 => sum,
+        /// Flows resident on this shard — occupied flow-table slots. For
+        /// per-flow register pipelines this is the hardware-faithful count
+        /// (hash-colliding flows share a slot and count once).
+        flows: u64 => sum,
+        /// Nanoseconds spent serving packets (excludes queue waits and stats
+        /// publication). The worker reads its clock once per batch; each
+        /// batch's service time is split over its packets evenly, and this is
+        /// the sum of this tenant's packets' shares.
+        busy_nanos: u64 => sum,
+        /// Per-packet processing latency: each packet records its batch's
+        /// service time divided by the batch's served packets, so
+        /// `latency.count() == packets`.
+        latency: LatencyHistogram => merge,
+        /// Occupancy/eviction/collision counters of this shard's flow table.
+        table: FlowTableCounters => merge,
+        /// Hot-swap apply counters.
+        swap: SwapCounters => merge,
+    }
 }
 
 impl ShardStats {
     pub(crate) fn new(shard: usize) -> Self {
-        ShardStats {
-            shard,
-            packets: 0,
-            classified: 0,
-            warmup: 0,
-            flows: 0,
-            busy_nanos: 0,
-            latency: LatencyHistogram::default(),
-            table: FlowTableCounters::default(),
-            swap: SwapCounters::default(),
-        }
+        ShardStats { shard, ..ShardStats::zero() }
     }
 }
 
@@ -376,51 +451,14 @@ impl StreamReport {
 
 // --- serde (control-daemon wire format) --------------------------------
 //
-// The histogram's buckets are private, so its impl lives here with the
+// The counter families carry their codecs in their declarations. The
+// histogram's buckets are private, so its impl lives here with the
 // rest of the stats family; everything round-trips bit-exactly so the
 // daemon's `stats` verb reports the same numbers an in-process
 // `ControlHandle::stats` call would. The live snapshots themselves
 // (`EngineStats`, `TenantStats`) travel as they are, a token as its id.
 
-serde::impl_serde_struct!(ParseErrorCounters { truncated, checksum, malformed, unsupported });
-serde::impl_serde_struct!(RoutingCounters {
-    lut_hits,
-    trie_hits,
-    proto_hits,
-    catchall_hits,
-    residual_hits,
-    residual_scans,
-    unrouted,
-    rebuilds,
-    last_rebuild_micros,
-});
-serde::impl_serde_struct!(ArtifactCounters {
-    tenants,
-    unique_artifacts,
-    resident_bytes,
-    naive_bytes
-});
 serde::impl_serde_struct!(LatencyHistogram { buckets, count, sum_nanos, max_nanos });
-serde::impl_serde_struct!(FlowTableCounters {
-    occupancy,
-    capacity,
-    evictions_idle,
-    evictions_capacity,
-    alias_collisions,
-    state_bytes,
-});
-serde::impl_serde_struct!(SwapCounters { applied_epoch, swaps_applied, last_apply_nanos });
-serde::impl_serde_struct!(ShardStats {
-    shard,
-    packets,
-    classified,
-    warmup,
-    flows,
-    busy_nanos,
-    latency,
-    table,
-    swap,
-});
 serde::impl_serde_struct!(StreamReport {
     shards,
     packets,
@@ -499,6 +537,93 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_nanos(), 2000);
+    }
+
+    /// One shard's counters, every field distinct per shard; `applied_epoch`
+    /// is lowest on shard 1 and `last_apply_nanos` highest there.
+    fn shard(i: usize) -> ShardStats {
+        let k = i as u64;
+        let mut s = ShardStats::new(i);
+        (s.packets, s.classified, s.warmup, s.flows, s.busy_nanos) =
+            (100 + k, 60 + k, 40, 5 + k, 1_000 * (k + 1));
+        s.latency.record_n(250 << k, k + 1);
+        s.table = FlowTableCounters {
+            occupancy: 5 + k,
+            capacity: 1024,
+            evictions_idle: k,
+            evictions_capacity: 2 * k,
+            alias_collisions: 3 * k,
+            state_bytes: 4096,
+        };
+        s.swap = SwapCounters {
+            applied_epoch: [5, 3, 4][i],
+            swaps_applied: k,
+            last_apply_nanos: [70, 900, 40][i],
+        };
+        s
+    }
+
+    #[test]
+    fn shard_stats_fold_applies_each_declared_rule() {
+        let shards: Vec<ShardStats> = (0..3).map(shard).collect();
+        let all = ShardStats::fold(&shards);
+        assert_eq!(all.shard, 0, "the index is the first shard's, not a sum");
+        assert_eq!((all.packets, all.classified, all.warmup, all.flows), (303, 183, 120, 18));
+        assert_eq!(all.busy_nanos, 6_000);
+        assert_eq!(
+            all.table,
+            FlowTableCounters {
+                occupancy: 18,
+                capacity: 3 * 1024,
+                evictions_idle: 3,
+                evictions_capacity: 6,
+                alias_collisions: 9,
+                state_bytes: 3 * 4096,
+            }
+        );
+        assert_eq!(
+            all.swap,
+            SwapCounters { applied_epoch: 3, swaps_applied: 3, last_apply_nanos: 900 }
+        );
+        assert_eq!((all.latency.count(), all.latency.max_nanos()), (6, 1_000));
+
+        // One shard folds to itself; none folds to zeros — epoch 0, not MAX.
+        assert_eq!(serde::to_bytes(&ShardStats::fold([&shards[2]])), serde::to_bytes(&shards[2]));
+        let none = ShardStats::fold([]);
+        assert_eq!(serde::to_bytes(&none), serde::to_bytes(&ShardStats::new(0)));
+        assert_eq!((none.swap.applied_epoch, none.latency.count()), (0, 0));
+    }
+
+    #[test]
+    fn atomic_twins_snapshot_what_the_plain_counters_count() {
+        let deltas = [
+            RoutingCounters { lut_hits: 3, unrouted: 1, ..Default::default() },
+            RoutingCounters { residual_scans: 7, residual_hits: 2, ..Default::default() },
+            RoutingCounters { rebuilds: 1, last_rebuild_micros: 40, ..Default::default() },
+            RoutingCounters { rebuilds: 1, last_rebuild_micros: 25, ..Default::default() },
+        ];
+        let (twin, mut plain) = (AtomicRoutingCounters::default(), RoutingCounters::default());
+        for delta in &deltas {
+            twin.merge(delta);
+            plain.merge(delta);
+        }
+        // The ingress path bumps one field directly.
+        twin.trie_hits.fetch_add(1, Relaxed);
+        plain.trie_hits += 1;
+        assert_eq!(twin.snapshot(), plain);
+        assert_eq!((plain.rebuilds, plain.last_rebuild_micros), (2, 25), "a gauge keeps the last");
+
+        let (twin, mut plain) =
+            (AtomicParseErrorCounters::default(), ParseErrorCounters::default());
+        for kind in [ParseErrorKind::Truncated, ParseErrorKind::Checksum, ParseErrorKind::Truncated]
+        {
+            let mut one = ParseErrorCounters::default();
+            one.record(kind);
+            twin.merge(&one);
+            plain.record(kind);
+        }
+        assert_eq!(twin.snapshot(), plain);
+        assert_eq!((plain.truncated, plain.checksum, plain.total()), (2, 1, 3));
     }
 
     #[test]

@@ -32,6 +32,21 @@
 //! clearable with `detach` — instead of silently disappearing from the
 //! serving set.
 //!
+//! # Order and undo
+//!
+//! Each mutating verb orders its engine call and its registry write so
+//! that a failed write leaves the engine where the registry is:
+//!
+//! * `attach` and `swap` go to the engine first, then persist. On a failed
+//!   write `attach` detaches the new tenant again, and `swap` swaps the
+//!   tenant back to its recorded artifact (pinned, so no verifier runs);
+//!   the `io` reply names the undo's epoch, or says the undo failed too.
+//! * `detach` persists first, then goes to the engine: a failed write
+//!   changes nothing, and the tenant serves on under the same token.
+//!
+//! So after a failed write the reply (`io`), `list` and the engine agree,
+//! and a restart brings back the same tenants on the same artifacts.
+//!
 //! Engine tenant tokens are process-local and **renumber across
 //! restarts**; the durable tenant identity is its name.
 
@@ -484,7 +499,7 @@ impl Daemon {
             Err(e) => return Response::Error(engine_error(e)),
         };
         if let Err(e) = self.registry.record_swap(tenant, artifact) {
-            return Response::Error(registry_error(e));
+            return Response::Error(self.undo_swap(tenant, artifact, token, e));
         }
         Response::Swapped {
             tenant: tenant.to_string(),
@@ -494,19 +509,50 @@ impl Daemon {
         }
     }
 
+    /// Swaps `tenant` back from `artifact` to the artifact the registry
+    /// still records for it, after the write that would have recorded the
+    /// swap failed. The recorded artifact is pinned, so the swap back runs
+    /// no verifier. The reply is `io` either way; its message names the
+    /// undo's epoch, or says that the undo failed too.
+    fn undo_swap(
+        &mut self,
+        tenant: &str,
+        artifact: &str,
+        token: TenantToken,
+        e: RegistryError,
+    ) -> ErrorReply {
+        let recorded = self.registry.state().tenants.iter().find(|t| t.name == tenant);
+        let recorded = recorded.map(|t| t.artifact.clone()).unwrap_or_default();
+        let undo = match self.resolve(&recorded) {
+            Ok(back) => self.control.swap(token, back).map_err(|e| e.to_string()),
+            Err(unresolved) => Err(unresolved_reply(&recorded, unresolved).message),
+        };
+        let undone = match undo {
+            Ok(back) => {
+                format!("swap undone: '{tenant}' serves '{recorded}' at epoch {}", back.epoch)
+            }
+            Err(why) => {
+                format!(
+                    "the undo failed too ({why}): '{tenant}' serves '{artifact}' until a restart"
+                )
+            }
+        };
+        ErrorReply { kind: ErrorKind::Io, message: format!("registry: {e}; {undone}") }
+    }
+
     fn detach(&mut self, tenant: &str) -> Response {
         match self.tenants.get(tenant) {
+            // Persisted first: a failed write leaves the tenant serving.
             Some(TenantRuntime::Serving { token }) => {
                 let token = *token;
-                let report = match self.control.detach(token) {
-                    Ok(report) => report,
-                    Err(e) => return Response::Error(engine_error(e)),
-                };
                 if let Err(e) = self.registry.record_detach(tenant) {
                     return Response::Error(registry_error(e));
                 }
                 self.tenants.remove(tenant);
-                Response::Detached(Box::new(wire_tenant_report(report)))
+                match self.control.detach(token) {
+                    Ok(report) => Response::Detached(Box::new(wire_tenant_report(report))),
+                    Err(e) => Response::Error(engine_error(e)),
+                }
             }
             // Detaching a degraded tenant clears its registration — the
             // operator's path out of the degraded state.
@@ -721,6 +767,107 @@ mod tests {
             assert_eq!(stored_files(&config), 0, "a refused {kind} load stored its file");
             assert!(daemon.registry.state().artifacts.is_empty());
         }
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `list`'s tenants as `(name, artifact, state)`.
+    fn listed(daemon: &Daemon) -> Vec<(String, String, TenantState)> {
+        match daemon.list() {
+            Response::Listing(listing) => {
+                listing.tenants.into_iter().map(|t| (t.name, t.artifact, t.state)).collect()
+            }
+            other => panic!("expected a listing, got {other:?}"),
+        }
+    }
+
+    /// The engine token a serving tenant runs under.
+    fn serving_token(daemon: &Daemon, tenant: &str) -> TenantToken {
+        match daemon.tenants.get(tenant) {
+            Some(TenantRuntime::Serving { token }) => *token,
+            other => panic!("expected {tenant} serving, got {other:?}"),
+        }
+    }
+
+    /// A swap whose registry write fails is swapped back: the reply is `io`
+    /// and names the undo's epoch, and `list`, the engine and a restart all
+    /// agree that `t0` serves `a`. The sibling `t1` on `a` shows which
+    /// content the engine serves: the two share one resident artifact again.
+    #[test]
+    fn a_failed_registry_write_undoes_the_swap() {
+        let (dir, config) = temp_daemon("unswappable");
+        let a = crate::build::compile_mlp_b(7).expect("compiles");
+        let b = crate::build::compile_mlp_b(8).expect("compiles");
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        assert!(matches!(daemon.load("a", &a.to_bytes()), Response::Loaded(_)));
+        assert!(matches!(daemon.load("b", &b.to_bytes()), Response::Loaded(_)));
+        for tenant in ["t0", "t1"] {
+            let attached = daemon.attach(tenant, "a", WireTenantConfig::default());
+            assert!(matches!(attached, Response::Attached { .. }), "{attached:?}");
+        }
+        let token = serving_token(&daemon, "t0");
+        let blocker = config.state_dir.join("registry.bin.tmp");
+        fs::create_dir(&blocker).expect("block the registry write");
+        match daemon.swap("t0", "b") {
+            Response::Error(e) => {
+                assert_eq!(e.kind, ErrorKind::Io, "{}", e.message);
+                assert!(e.message.contains("serves 'a' at epoch 2"), "{}", e.message);
+            }
+            other => panic!("expected an io refusal, got {other:?}"),
+        }
+        let serving = TenantState::Serving { token: token.id(), epoch: 2 };
+        assert_eq!(listed(&daemon)[0], ("t0".into(), "a".into(), serving));
+        let stats = daemon.control.stats().expect("stats");
+        assert_eq!(stats.tenant(token).expect("attached").epoch, 2);
+        assert_eq!(stats.artifacts.unique_artifacts, 1, "t0 and t1 share a's content");
+        fs::remove_dir(&blocker).expect("unblock");
+        daemon.server.take().expect("running").shutdown().expect("drains");
+
+        let (mut daemon, summary) = Daemon::start(&config).expect("daemon restarts");
+        assert_eq!(summary.serving, ["t0", "t1"]);
+        assert_eq!(listed(&daemon)[0].1, "a");
+        assert_eq!(daemon.control.stats().expect("stats").artifacts.unique_artifacts, 1);
+        daemon.server.take().expect("running").shutdown().expect("drains");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A detach whose registry write fails changes nothing: the reply is
+    /// `io`, and the tenant serves on under the same token in `list` and
+    /// `stats`. Once the write can land, the detach returns the tenant's
+    /// report with every packet it served.
+    #[test]
+    fn a_failed_registry_write_keeps_the_detaching_tenant_serving() {
+        let (dir, config) = temp_daemon("undetachable");
+        let file = crate::build::compile_mlp_b(7).expect("compiles");
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/golden.pcap");
+
+        let (mut daemon, _) = Daemon::start(&config).expect("daemon starts");
+        assert!(matches!(daemon.load("mlp", &file.to_bytes()), Response::Loaded(_)));
+        let attached = daemon.attach("t0", "mlp", WireTenantConfig::default());
+        assert!(matches!(attached, Response::Attached { .. }), "{attached:?}");
+        let token = serving_token(&daemon, "t0");
+        let ingested = daemon.ingest_pcap(golden);
+        assert!(matches!(ingested, Response::Ingested { frames: 338 }), "{ingested:?}");
+        let blocker = config.state_dir.join("registry.bin.tmp");
+        fs::create_dir(&blocker).expect("block the registry write");
+        match daemon.detach("t0") {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::Io, "{}", e.message),
+            other => panic!("expected an io refusal, got {other:?}"),
+        }
+        let serving = TenantState::Serving { token: token.id(), epoch: 0 };
+        assert_eq!(listed(&daemon), [("t0".into(), "mlp".into(), serving)]);
+        assert!(daemon.control.stats().expect("stats").tenant(token).is_some());
+
+        fs::remove_dir(&blocker).expect("unblock");
+        match daemon.detach("t0") {
+            Response::Detached(r) => {
+                assert_eq!((r.token, r.error.as_deref()), (token.id(), None));
+                assert_eq!(r.report.expect("served").packets, 338);
+            }
+            other => panic!("expected the final report, got {other:?}"),
+        }
+        assert!(listed(&daemon).is_empty());
         daemon.server.take().expect("running").shutdown().expect("drains");
         let _ = fs::remove_dir_all(&dir);
     }

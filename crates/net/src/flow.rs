@@ -463,6 +463,7 @@ impl<V> FlowTable<V> {
     /// Admits one packet of `key`'s flow: finds (or creates, via `new`) its
     /// slot, advances the packet-count clock, applies aging/eviction, and
     /// returns what happened plus the flow's state.
+    #[inline]
     pub fn admit(&mut self, key: FiveTuple, new: impl FnOnce() -> V) -> (Admission, &mut V) {
         let (admission, _, value) = self.admit_indexed(key, new);
         (admission, value)
@@ -471,6 +472,9 @@ impl<V> FlowTable<V> {
     /// [`admit`](FlowTable::admit) that also reports the resolved slot
     /// index — the batched ingress feeds it back as the *hint* of the
     /// flow's next admission ([`admit_hinted`](FlowTable::admit_hinted)).
+    // Inlined, with `admit`, into the per-flow shard's packet loop: left to
+    // the inliner, it has been an out-of-line call per served packet.
+    #[inline]
     pub fn admit_indexed(
         &mut self,
         key: FiveTuple,
