@@ -235,6 +235,47 @@ mod tests {
         assert!(r.resources.is_some());
     }
 
+    /// FNV-1a over the bit pattern of every score `dp` gives `rows`.
+    fn fold_scores(h: u64, dp: &pegasus_core::runtime::DataplaneModel, rows: &Dataset) -> u64 {
+        (0..rows.len())
+            .flat_map(|r| dp.scores(rows.x.row(r)).expect("scores"))
+            .fold(h, |h, s| (h ^ u64::from(s.to_bits())).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The `--quick` tables print F1 to four decimals, so a one-ulp score
+    /// shift leaves every fixture byte-identical; this pins every score
+    /// bit of MLP-B and the AutoEncoder as `--quick` builds them on
+    /// PeerRush, over their test rows.
+    #[test]
+    fn quick_scores_fold_to_their_pinned_value() {
+        let cfg = BenchConfig { flows_per_class: 30, seed: 7, quick: true };
+        let p = prepare(&peerrush(), &cfg);
+        // `run_method`'s MLP-B at --quick: depth 5, no centroid fine-tune.
+        let bundle = ModelData::new()
+            .with_stat(&p.train.stat)
+            .with_seq(&p.train.seq)
+            .with_raw(&p.train.raw)
+            .with_validation(&p.val.stat, &p.val.seq);
+        let mlp = MlpB::train(&bundle, &cfg.train_settings()).expect("trains");
+        let opts =
+            CompileOptions { clustering_depth: 5, finetune_centroids: false, ..Default::default() };
+        let mlp = Pegasus::new(mlp)
+            .options(opts)
+            .compile(&bundle)
+            .expect("compiles")
+            .deploy(&SwitchConfig::tofino2())
+            .expect("deploys");
+        let ae = train_autoencoder(&p, &cfg);
+        let h =
+            fold_scores(0xcbf2_9ce4_8422_2325, mlp.dataplane().expect("stateless"), &p.test.stat);
+        let h = fold_scores(h, ae.dataplane().expect("stateless"), &p.test.seq);
+        assert_eq!(
+            (p.test.stat.len(), p.test.seq.len(), h),
+            (228, 228, 0x855a_1232_f8f2_e1c4),
+            "a score moved: compile, flatten or the flat executor changed"
+        );
+    }
+
     #[test]
     fn mlp_b_runs_end_to_end_quick() {
         let cfg = BenchConfig { flows_per_class: 12, seed: 3, quick: true };

@@ -23,13 +23,16 @@ use std::sync::{Arc, Weak};
 /// Obtained from
 /// [`Deployment::engine_artifact`](crate::pipeline::Deployment::engine_artifact)
 /// or the `from_*` constructors; attach one per tenant, or hand a fresh
-/// one to [`ControlHandle::swap`](super::ControlHandle::swap). A clone
-/// shares the tables and is the same content.
+/// one to [`ControlHandle::swap`](super::ControlHandle::swap). Its content
+/// bytes and hash are computed once, when it is built, and held while it
+/// lives; a clone shares the tables and those bytes: the same content.
 #[derive(Clone)]
 pub struct EngineArtifact {
     pipeline: ArtifactPipeline,
     switch: SwitchConfig,
     features: StreamFeatures,
+    content: Arc<[u8]>,
+    content_hash: u64,
 }
 
 #[derive(Clone)]
@@ -54,12 +57,12 @@ pub(crate) struct AdmittedArtifact {
     /// deployed against (`register_bits_total`) — the ceiling per-tenant
     /// state budgets are validated under.
     state_budget_bits: u64,
-    /// [`EngineArtifact::content_bytes`] and their lane-folded hash, as
-    /// admission encoded them: the cache's probe key and the bytes a hit is
-    /// confirmed against, held — like the cached verdict — exactly as long
-    /// as the last `Arc`. `ArtifactCounters` sizes the artifact at them.
+    /// The admitted [`EngineArtifact`]'s content bytes and lane-folded hash:
+    /// the cache's probe key and the bytes a hit is confirmed against, held
+    /// — like the cached verdict — exactly as long as the last `Arc`.
+    /// `ArtifactCounters` sizes the artifact at them.
     content_hash: u64,
-    pub(super) content: Vec<u8>,
+    pub(super) content: Arc<[u8]>,
 }
 
 /// A keep-alive of one admitted content, from
@@ -83,8 +86,8 @@ impl EngineArtifact {
     /// a persisted artifact file (there is no live
     /// [`Deployment`](crate::pipeline::Deployment) to call
     /// [`engine_artifact`](crate::pipeline::Deployment::engine_artifact)
-    /// on). Cheap: the pipeline is kept as is, and the engine deploys it —
-    /// one verifier run against `switch`, one flatten, one load — when it
+    /// on). Encodes the content once, here; the engine deploys it — one
+    /// verifier run against `switch`, one flatten, one load — when it
     /// first admits this content. Score-only pipelines are rejected here
     /// with [`PegasusError::NotAClassifier`]; a corrupt one is rejected by
     /// attach or swap with [`PegasusError::Verify`].
@@ -96,15 +99,14 @@ impl EngineArtifact {
         if pipeline.predicted_field.is_none() {
             return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
         }
-        let pipeline = ArtifactPipeline::Stateless(pipeline);
-        Ok(EngineArtifact { pipeline, switch: switch.clone(), features })
+        Ok(Self::new(ArtifactPipeline::Stateless(pipeline), switch, features))
     }
 
     /// A servable artifact of a per-flow windowed pipeline, to serve under
     /// `switch` — the flow-plane counterpart of
-    /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline),
-    /// equally cheap: nothing is verified, flattened or loaded before the
-    /// engine first admits this content.
+    /// [`from_compiled_pipeline`](EngineArtifact::from_compiled_pipeline):
+    /// one encode here, and nothing verified, flattened or loaded before
+    /// the engine first admits this content.
     pub fn from_flow_pipeline(
         pipeline: FlowPipeline,
         switch: &SwitchConfig,
@@ -113,8 +115,36 @@ impl EngineArtifact {
             return Err(PegasusError::NotAClassifier { pipeline: pipeline.program.name.clone() });
         }
         // Flow pipelines consume raw packets; the feature tag is unused.
-        let pipeline = ArtifactPipeline::Flow(pipeline);
-        Ok(EngineArtifact { pipeline, switch: switch.clone(), features: StreamFeatures::Seq })
+        Ok(Self::new(ArtifactPipeline::Flow(pipeline), switch, StreamFeatures::Seq))
+    }
+
+    /// The one constructor: encodes the artifact's content identity for
+    /// cross-tenant dedup — the serialized compiled pipeline plus the switch
+    /// model and feature family it serves under — and hashes it, once;
+    /// nothing mutates an artifact afterwards. Two artifacts with equal
+    /// content bytes are interchangeable on every shard, so the engine
+    /// shares one `Arc` between their tenants (per-tenant flow tables and
+    /// stats stay separate — each worker forks its own execution state).
+    fn new(pipeline: ArtifactPipeline, switch: &SwitchConfig, features: StreamFeatures) -> Self {
+        #[cfg(test)]
+        CONTENT_ENCODES.with(|n| n.set(n.get() + 1));
+        let mut w = serde::Writer::new();
+        match &pipeline {
+            ArtifactPipeline::Stateless(p) => {
+                w.write_u8(0);
+                serde::Serialize::serialize(p, &mut w);
+                serde::Serialize::serialize(switch, &mut w);
+                serde::Serialize::serialize(&features, &mut w);
+            }
+            ArtifactPipeline::Flow(p) => {
+                w.write_u8(1);
+                serde::Serialize::serialize(p, &mut w);
+                serde::Serialize::serialize(switch, &mut w);
+            }
+        }
+        let content: Arc<[u8]> = Arc::from(w.into_bytes());
+        let content_hash = content_hash(&content);
+        EngineArtifact { pipeline, switch: switch.clone(), features, content, content_hash }
     }
 
     /// The compiled program's name (diagnostics, default tenant name).
@@ -160,37 +190,10 @@ impl EngineArtifact {
         }
     }
 
-    /// The artifact's content identity for cross-tenant dedup: the
-    /// serialized compiled pipeline plus the switch model and feature
-    /// family it serves under. Two artifacts with equal content bytes are
-    /// interchangeable on every shard, so the engine shares one `Arc`
-    /// between their tenants (per-tenant flow tables and stats stay
-    /// separate — each worker forks its own execution state from the
-    /// shared program).
-    fn content_bytes(&self) -> Vec<u8> {
-        #[cfg(test)]
-        CONTENT_ENCODES.with(|n| n.set(n.get() + 1));
-        let mut w = serde::Writer::new();
-        match &self.pipeline {
-            ArtifactPipeline::Stateless(p) => {
-                w.write_u8(0);
-                serde::Serialize::serialize(p, &mut w);
-                serde::Serialize::serialize(&self.switch, &mut w);
-                serde::Serialize::serialize(&self.features, &mut w);
-            }
-            ArtifactPipeline::Flow(p) => {
-                w.write_u8(1);
-                serde::Serialize::serialize(p, &mut w);
-                serde::Serialize::serialize(&self.switch, &mut w);
-            }
-        }
-        w.into_bytes()
-    }
-
     /// The admission miss path: one verifier run against the switch model,
     /// flattening inside it (the `FlatProgram` proved is the one kept),
     /// then the load onto the switch model.
-    fn deploy(self, content: Vec<u8>, hash: u64) -> Result<AdmittedArtifact, PegasusError> {
+    fn deploy(self) -> Result<AdmittedArtifact, PegasusError> {
         let name = self.name().to_string();
         let switch = Some(&self.switch);
         let plane = match self.pipeline {
@@ -201,7 +204,7 @@ impl EngineArtifact {
                 ArtifactPlane::Flow(FlowProgram::deploy(p, &self.switch, switch)?)
             }
         };
-        Ok(AdmittedArtifact::new(plane, self.features, name, content, hash))
+        Ok(AdmittedArtifact::new(plane, self.features, name, self.content, self.content_hash))
     }
 }
 
@@ -210,7 +213,7 @@ impl AdmittedArtifact {
         plane: ArtifactPlane,
         features: StreamFeatures,
         name: String,
-        content: Vec<u8>,
+        content: Arc<[u8]>,
         content_hash: u64,
     ) -> Self {
         let (state_bits_per_flow, switch) = match &plane {
@@ -312,19 +315,19 @@ pub(super) fn swap_retains_state(old: &AdmittedArtifact, new: &AdmittedArtifact)
 }
 
 impl EngineShared {
-    /// The one admission path attach and swap share: the incoming artifact
-    /// is content-encoded — once, its only encode — and the bytes are
-    /// probed against every live one's. A byte-identical resident is
-    /// returned as is — it was verified against its switch model when it
-    /// was first admitted, and its tenants share it (their flow tables and
-    /// stats stay per-tenant); the incoming copy, a pipeline whose tables
-    /// are a shared `Arc`, is dropped unserved and was never deployed. Only
-    /// a miss deploys: one verifier run against the switch model with the
-    /// flatten inside it, then the load. Only a clean artifact enters the
-    /// cache, so a rejected one is re-verified (and re-rejected) every
-    /// time. The cache holds `Weak`s: a verdict and the bytes it was
-    /// reached on are remembered exactly as long as some tenant serves the
-    /// artifact.
+    /// The one admission path attach and swap share, which encodes nothing:
+    /// the hash and bytes the incoming artifact was built with are probed
+    /// against every live one's. A byte-identical resident is returned as
+    /// is — it was verified against its switch model when it was first
+    /// admitted, and its tenants share it (their flow tables and stats stay
+    /// per-tenant); the incoming copy, a pipeline whose tables are a shared
+    /// `Arc`, is dropped unserved and was never deployed. Only a miss
+    /// deploys — one verifier run against the switch model with the
+    /// flatten inside it, then the load — and moves the artifact's bytes
+    /// into the resident uncopied. Only a clean artifact enters the cache,
+    /// so a rejected one is re-verified (and re-rejected) every time. The
+    /// cache holds `Weak`s: a verdict and the bytes it was reached on are
+    /// remembered exactly as long as some tenant serves the artifact.
     ///
     /// Content bytes are everything the verifier reads: the `FlatProgram`
     /// is derived from the serialized pipeline — so equal bytes mean an
@@ -333,50 +336,52 @@ impl EngineShared {
         &self,
         artifact: EngineArtifact,
     ) -> Result<Arc<AdmittedArtifact>, PegasusError> {
-        let content = artifact.content_bytes();
-        let hash = content_hash(&content);
-        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), hash, &content) {
+        let (hash, content) = (artifact.content_hash, &artifact.content);
+        if let Some(resident) = find_resident(&mut lock(&self.artifact_cache), hash, content) {
             return Ok(resident);
         }
         // Deployment runs outside the cache lock: admissions of other
         // content never wait on it.
-        let mut admitted = artifact.deploy(content, hash)?;
+        let admitted = artifact.deploy()?;
         // Re-probe under the lock: of two racing first admissions of one
         // content, the second finds the first's `Arc` here.
         let mut cache = lock(&self.artifact_cache);
         if let Some(resident) = find_resident(&mut cache, hash, &admitted.content) {
             return Ok(resident);
         }
-        // A resident holds its bytes, not the encoder's spare capacity.
-        admitted.content.shrink_to_fit();
         let arc = Arc::new(admitted);
         cache.push(Arc::downgrade(&arc));
         Ok(arc)
     }
 }
 
-/// The live cached artifact whose content bytes equal `content` (hashing to
-/// `hash`), pruning dead entries on the way. The hash is a hint; equality
-/// is decided on the bytes each resident kept from its own admission, so
-/// no resident is ever re-encoded.
+/// The live cached artifact whose content equals `content` (hashing to
+/// `hash`), pruning dead entries on the way. The hash is a hint; a hit is
+/// the resident's own allocation (a clone of its artifact) or, for an
+/// independently built copy, equal bytes.
 fn find_resident(
     cache: &mut Vec<Weak<AdmittedArtifact>>,
     hash: u64,
-    content: &[u8],
+    content: &Arc<[u8]>,
 ) -> Option<Arc<AdmittedArtifact>> {
     cache.retain(|cached| cached.strong_count() > 0);
-    cache
-        .iter()
-        .filter_map(Weak::upgrade)
-        .find(|existing| existing.content_hash == hash && existing.content == content)
+    cache.iter().filter_map(Weak::upgrade).find(|existing| {
+        existing.content_hash == hash
+            && (Arc::ptr_eq(&existing.content, content) || {
+                #[cfg(test)]
+                CONTENT_COMPARES.with(|n| n.set(n.get() + 1));
+                existing.content[..] == content[..]
+            })
+    })
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Artifacts content-encoded on this thread (tests hold every
-    /// admission to one encode, of the incoming copy, and residents to
-    /// none).
+    /// Artifacts content-encoded on this thread (tests hold every build to
+    /// one encode, and admission to none).
     pub(crate) static CONTENT_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Full content compares `find_resident` made on this thread.
+    pub(crate) static CONTENT_COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -410,18 +415,19 @@ mod tests {
 
     #[test]
     fn a_resident_hash_and_length_on_other_bytes_miss() {
-        let content = tiny_artifact(5).content_bytes();
-        let hash = content_hash(&content);
-        let resident = Arc::new(tiny_artifact(5).deploy(content.clone(), hash).expect("deploys"));
+        let artifact = tiny_artifact(5);
+        let content = Arc::clone(&artifact.content);
+        let resident = Arc::new(artifact.deploy().expect("deploys"));
         let mut cache = vec![Arc::downgrade(&resident)];
         // A forgery: the resident's hash over bytes of its length that
         // differ in one place. Only the byte compare can turn it away.
-        let mut forged = content;
+        let mut forged = content.to_vec();
         *forged.last_mut().expect("content is not empty") ^= 1;
         assert_eq!(forged.len(), resident.content.len());
-        assert!(find_resident(&mut cache, resident.content_hash, &forged).is_none());
-        let copy = tiny_artifact(5).content_bytes();
-        let hit = find_resident(&mut cache, content_hash(&copy), &copy).expect("hits");
+        assert!(find_resident(&mut cache, resident.content_hash, &Arc::from(forged)).is_none());
+        let copy = tiny_artifact(5);
+        assert!(!Arc::ptr_eq(&copy.content, &content), "two builds, two allocations");
+        let hit = find_resident(&mut cache, copy.content_hash, &copy.content).expect("hits");
         assert!(Arc::ptr_eq(&hit, &resident));
     }
 }

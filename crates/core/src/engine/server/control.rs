@@ -63,14 +63,15 @@ impl ControlHandle {
     /// the fleet-wide sum of those costs is checked too, rejecting with
     /// [`PegasusError::FleetStateBudget`].
     ///
-    /// The artifact is content-hashed and deduplicated against every live
-    /// tenant's: attaching the same compiled program a thousand times
-    /// keeps one copy resident (the tenants share one `Arc`; their flow
-    /// tables, routes, and stats stay separate) and deploys it — verify,
-    /// flatten, load — once, at its first admission. A byte-identical copy
-    /// of a resident artifact is served by the resident and never deployed;
-    /// any other artifact is verified against its switch model and rejected
-    /// with [`PegasusError::Verify`] before the budgets are checked.
+    /// The artifact is deduplicated by the content hash and bytes it was
+    /// built with — attach encodes nothing: attaching the same compiled
+    /// program a thousand times keeps one copy resident (the tenants share
+    /// one `Arc`; their flow tables, routes, and stats stay separate) and
+    /// deploys it — verify, flatten, load — once, at its first admission.
+    /// A clone of a resident's artifact (shared bytes) or a byte-identical
+    /// copy is served by the resident and never deployed; any other
+    /// artifact is verified against its switch model and rejected with
+    /// [`PegasusError::Verify`] before the budgets are checked.
     pub fn attach(
         &self,
         artifact: EngineArtifact,

@@ -138,9 +138,9 @@ struct EngineShared {
     counters: SharedCounters,
     /// The live artifacts, each verified clean when first admitted and
     /// holding the content bytes it was admitted on: attach and swap probe
-    /// it with the incoming copy's bytes before the verifier, so a
-    /// byte-identical copy is served by the resident `Arc` without
-    /// re-verifying, and no resident is re-encoded. Weak, so a fully
+    /// it with the bytes the incoming copy was built with before the
+    /// verifier, so a byte-identical copy is served by the resident `Arc`
+    /// without re-verifying, and nothing is encoded. Weak, so a fully
     /// detached artifact's memory (its bytes and its remembered verdict)
     /// is reclaimed instead of pinned by the cache.
     artifact_cache: Mutex<Vec<Weak<artifact::AdmittedArtifact>>>,
@@ -424,7 +424,7 @@ mod tests {
     /// features (with no content bytes: it is never probed).
     pub(super) fn admitted(dm: DataplaneModel) -> Arc<AdmittedArtifact> {
         let plane = ArtifactPlane::Stateless(Arc::new(dm));
-        Arc::new(AdmittedArtifact::new(plane, StreamFeatures::Stat, "t".into(), Vec::new(), 0))
+        Arc::new(AdmittedArtifact::new(plane, StreamFeatures::Stat, "t".into(), Arc::from([]), 0))
     }
 
     /// [`tiny_artifact`]'s compiled pipeline.
@@ -453,6 +453,11 @@ mod tests {
     /// Artifacts content-encoded on this thread so far.
     fn content_encodes() -> usize {
         artifact::CONTENT_ENCODES.with(|n| n.get())
+    }
+
+    /// Full content compares admission made on this thread so far.
+    fn content_compares() -> usize {
+        artifact::CONTENT_COMPARES.with(|n| n.get())
     }
 
     /// Leaves `mutex` poisoned by a thread that died holding it.
@@ -615,32 +620,71 @@ mod tests {
     }
 
     #[test]
-    fn every_admission_encodes_its_incoming_copy_once_and_no_resident() {
+    fn an_artifact_encodes_its_content_once_when_built_and_admission_never() {
         let server = EngineBuilder::new().build().expect("builds");
         let control = server.control();
-        // Building an artifact encodes nothing: only admission is counted.
-        let copies: Vec<EngineArtifact> = (0..4).map(|_| tiny_artifact(5)).collect();
         let before = content_encodes();
-        let tokens: Vec<TenantToken> = copies
-            .into_iter()
-            .map(|a| control.attach(a, TenantConfig::new()).expect("attaches"))
+        let artifact = tiny_artifact(5);
+        assert_eq!(content_encodes() - before, 1, "building an artifact");
+
+        // A clone shares the bytes: admitting it, hit or miss, encodes nothing.
+        let before = content_encodes();
+        let copy = artifact.clone();
+        let tokens: Vec<TenantToken> = (0..4)
+            .map(|_| control.attach(copy.clone(), TenantConfig::new()).expect("attaches"))
             .collect();
-        // A resident compared by re-encoding would add one per hit: 7.
-        assert_eq!(content_encodes() - before, 4, "four attaches of one content");
+        control.swap(tokens[0], artifact.clone()).expect("swaps");
+        let admission = control.admit(artifact).expect("admits");
+        assert_eq!(content_encodes() - before, 0, "a clone, 4 attaches, a swap and an admit");
 
-        let (same, new) = (tiny_artifact(5), tiny_artifact(4));
+        // A new content pays its one encode where it is built, not where
+        // it is admitted.
         let before = content_encodes();
-        control.swap(tokens[0], same).expect("swaps");
-        assert_eq!(content_encodes() - before, 1, "a same-content swap");
+        let new = tiny_artifact(4);
+        assert_eq!(content_encodes() - before, 1, "building the new content");
         control.swap(tokens[1], new).expect("swaps");
-        assert_eq!(content_encodes() - before, 2, "a new-content swap");
+        assert_eq!(content_encodes() - before, 1, "a new-content swap");
+        drop(admission);
+        server.shutdown().expect("shuts down");
+    }
 
-        // Two contents are resident now; a probe of either re-encodes neither.
-        let (first, second) = (tiny_artifact(5), tiny_artifact(4));
-        let before = content_encodes();
-        control.swap(tokens[2], second).expect("swaps");
-        control.attach(first, TenantConfig::new()).expect("attaches");
-        assert_eq!(content_encodes() - before, 2, "two hits over two residents");
+    #[test]
+    fn a_hit_compares_bytes_only_for_an_independently_built_copy() {
+        let server = EngineBuilder::new().build().expect("builds");
+        let control = server.control();
+        let artifact = tiny_artifact(5);
+        let first = control.attach(artifact.clone(), TenantConfig::new()).expect("attaches");
+
+        // A clone of the resident's artifact shares its bytes: no compare.
+        let before = content_compares();
+        control.attach(artifact, TenantConfig::new()).expect("attaches");
+        assert_eq!(content_compares() - before, 0, "a clone hits by allocation");
+
+        // Built twice, two allocations: the hit is confirmed on the bytes.
+        let before = content_compares();
+        control.swap(first, tiny_artifact(5)).expect("swaps");
+        assert_eq!(content_compares() - before, 1, "an independent copy hits by bytes");
+        let held = published_of(&server.shared);
+        assert!(Arc::ptr_eq(&held[0].1, &held[1].1));
+
+        // One table datum apart: a different content, deployed on its own.
+        let mut pipeline = tiny_pipeline(5);
+        let table = Arc::make_mut(&mut pipeline.program)
+            .tables
+            .iter_mut()
+            .find(|t| t.entries.iter().any(|e| !e.action_data.is_empty()))
+            .expect("a table carries action data");
+        let entry = table.entries.iter_mut().find(|e| !e.action_data.is_empty()).expect("found");
+        entry.action_data[0] ^= 1;
+        let cfg = pegasus_switch::SwitchConfig::tofino2();
+        let changed = EngineArtifact::from_compiled_pipeline(pipeline, StreamFeatures::Stat, &cfg)
+            .expect("classifies");
+        let before = verifier_runs();
+        control.swap(first, changed).expect("swaps");
+        assert_eq!(verifier_runs() - before, 1, "a one-datum change misses and deploys");
+        let held = published_of(&server.shared);
+        assert!(!Arc::ptr_eq(&held[0].1, &held[1].1));
+        assert_eq!(control.stats().expect("stats").artifacts.unique_artifacts, 2);
         server.shutdown().expect("shuts down");
     }
 

@@ -355,12 +355,12 @@ impl<M: DataplaneNet> Deployment<M> {
     /// to serve it as one tenant of a long-lived
     /// [`EngineServer`](crate::engine::server::EngineServer), or to
     /// [`swap`](crate::engine::server::ControlHandle::swap) to hot-swap a
-    /// running tenant onto it. Cheap: the pipeline's tables are an `Arc`
-    /// clone and nothing is verified, flattened or loaded here — the
-    /// engine deploys its own copy when it first admits this content (one
-    /// flatten beside this deployment's), and a byte-identical copy of a
-    /// resident content costs no deployment at all. The deployment remains
-    /// usable for [`classify`](Deployment::classify) /
+    /// running tenant onto it. The pipeline's tables are an `Arc` clone and
+    /// the content is encoded here, once (a clone shares it); nothing is
+    /// verified, flattened or loaded — the engine deploys its own copy when
+    /// it first admits this content (one flatten beside this deployment's),
+    /// and a byte-identical copy of a resident content costs no deployment
+    /// at all. The deployment remains usable for [`classify`](Deployment::classify) /
     /// [`evaluate`](Deployment::evaluate) side-by-side.
     ///
     /// ```no_run

@@ -185,7 +185,8 @@ impl ArtifactFile {
     }
 
     /// The payload as an engine-servable artifact (tables shared), undeployed:
-    /// the engine verifies, flattens and loads it at its first admission.
+    /// its content is encoded here, once, and the engine verifies, flattens
+    /// and loads it at its first admission.
     pub fn deploy(&self) -> Result<EngineArtifact, PegasusError> {
         match &self.payload {
             ArtifactPayload::Stateless { features, pipeline } => {

@@ -16,21 +16,23 @@
 //! so a refused artifact leaves nothing on disk. The daemon then pins
 //! the admitted content under the name ([`Admission`]): `attach` and
 //! `swap` hand the engine a clone, served by the resident, and read no
-//! file and run no verifier.
+//! file, run no verifier, encode nothing and compare no bytes: the clone
+//! shares the content bytes the resident was admitted on.
 //!
 //! # Crash recovery
 //!
 //! Every verb persists its effect to the registry **before** it is
 //! acknowledged, so the registry always describes what the operator was
-//! last told. On start the daemon replays it, tenant records in attach
-//! order: each artifact name's first use reads, decodes and admits its
-//! file once, against the embedded switch model, and every tenant
-//! re-attaches under its recorded route and flow-table config. A
-//! tenant whose artifact fails any of those steps
-//! comes back [`Degraded`](TenantRuntime::Degraded) with a typed
-//! [`DegradedReason`] — visible in `list`, refusing `swap`, and
-//! clearable with `detach` — instead of silently disappearing from the
-//! serving set.
+//! last told — across a process crash (`kill -9`), not a power loss: the
+//! registry and artifact writes are never fsynced (see
+//! [`registry`](crate::registry)). On start the daemon replays it, tenant
+//! records in attach order: each artifact name's first use reads,
+//! decodes and admits its file once, against the embedded switch model,
+//! and every tenant re-attaches under its recorded route and flow-table
+//! config. A tenant whose artifact fails any of those steps comes back
+//! [`Degraded`](TenantRuntime::Degraded) with a typed [`DegradedReason`]
+//! — visible in `list`, refusing `swap`, and clearable with `detach` —
+//! instead of silently disappearing from the serving set.
 //!
 //! # Order and undo
 //!

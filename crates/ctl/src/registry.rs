@@ -12,9 +12,12 @@
 //! `registry.bin` is the single source of truth for what should be
 //! serving: every `load`, `attach`, `swap`, and `detach` rewrites it
 //! **atomically** (write to a temp file in the same directory, then
-//! rename over the old one) before the verb is acknowledged, so a crash
-//! at any instant leaves either the old registry or the new one — never
-//! a torn file. Artifact files themselves are immutable once written;
+//! rename over the old one) before the verb is acknowledged, so a process
+//! crash (`kill -9`) at any instant leaves either the old registry or the
+//! new one — never a torn file. Nothing is fsynced — not the temp file,
+//! the rename, nor a `.pa` file — so this is not power-loss durable: an
+//! OS crash or power cut may lose acknowledged verbs or leave a torn or
+//! empty file. Artifact files themselves are immutable once written;
 //! re-loading a name writes a new version rather than overwriting.
 
 use crate::artifact::{decode_file, encode_file, ArtifactFile, FormatError};
