@@ -40,9 +40,10 @@
 //! swap-epoch check and one `process_batch` call on that tenant's shard
 //! state (`StatelessShard` or `FlowShard`), which is the *only* packet
 //! entry point either has. The clock is read once per batch, not per run:
-//! the batch's service time is split over its runs by packet count. A single-tenant batch is one run, a many-tenant
-//! interleave degenerates to runs of one, and scalar processing is a batch
-//! of one: there is no second loop to select.
+//! the batch's service time is split over its runs by packet count. A
+//! single-tenant batch is one run, a many-tenant interleave degenerates to
+//! runs of one, and scalar processing is a batch of one: there is no
+//! second loop to select.
 //!
 //! Three properties fall out of hashing flows to shards by their
 //! *bidirectional* five-tuple key ([`pegasus_net::FiveTuple::shard_of`]):
@@ -125,14 +126,11 @@ pub(crate) struct StatelessShard {
     /// Per-run state (all reused across runs, allocation-free in steady
     /// state): lane-major code slab of the run's full-window packets,
     /// their positions in the verdict slice, the classes the LUT sweep
-    /// produced, the batch execution scratch, and the per-run flow → slot
-    /// cache that turns repeat packets of one flow into hinted O(1)
-    /// admissions.
+    /// produced, and the batch execution scratch.
     batch_scratch: FlatBatchScratch,
     batch_codes: Vec<f32>,
     batch_rows: Vec<usize>,
     batch_classes: Vec<usize>,
-    slot_cache: Vec<(FiveTuple, usize)>,
 }
 
 impl StatelessShard {
@@ -149,7 +147,6 @@ impl StatelessShard {
             batch_codes: Vec::new(),
             batch_rows: Vec::new(),
             batch_classes: Vec::new(),
-            slot_cache: Vec::new(),
         }
     }
 
@@ -205,11 +202,10 @@ impl StatelessShard {
     }
 
     /// The shard's one packet entry point: serves frames `run` of `batch`
-    /// (one tenant's run). Resolves every frame's flow slot sequentially
-    /// (per-packet admission clock semantics are part of the bit-identity
-    /// contract), using a per-run flow → slot cache so repeat packets of
-    /// one flow skip the probe chain, then defers all full-window
-    /// classifications to one [`FlatProgram::classify_batch`] sweep.
+    /// (one tenant's run). Admits every frame to its flow's slot in
+    /// arrival order (per-packet admission clock semantics are part of the
+    /// bit-identity contract), then defers all full-window classifications
+    /// to one [`FlatProgram::classify_batch`] sweep.
     /// `verdicts[j]` is the verdict for frame `run.start + j` — `None`
     /// while the flow is still warming up.
     ///
@@ -231,7 +227,6 @@ impl StatelessShard {
         verdicts.resize(run.len(), None);
         self.batch_codes.clear();
         self.batch_rows.clear();
-        self.slot_cache.clear();
         let flows = &batch.flows()[run.clone()];
         let ts = &batch.ts_micros()[run.clone()];
         let wires = &batch.wire_lens()[run.clone()];
@@ -239,14 +234,7 @@ impl StatelessShard {
         let ttls = &batch.ttls()[run.clone()];
         let plens = &batch.payload_lens()[run];
         for (j, &flow) in flows.iter().enumerate() {
-            let cached = self.slot_cache.iter().position(|(f, _)| *f == flow);
-            let hint = cached.map(|p| self.slot_cache[p].1);
-            let (obs, _, idx, state) =
-                self.tracker.observe_admit_hinted(flow, ts[j], wires[j], hint);
-            match cached {
-                Some(p) => self.slot_cache[p].1 = idx,
-                None => self.slot_cache.push((flow, idx)),
-            }
+            let (obs, _, state) = self.tracker.observe_admit(flow, ts[j], wires[j]);
             if !state.window_full() {
                 continue;
             }
@@ -304,10 +292,8 @@ impl StatelessShard {
 /// mirrors, slot for slot, which flow currently owns each register entry,
 /// so `flows` is the *hardware-faithful* count — hash-colliding flows
 /// share a slot and count once — and every ownership change surfaces as an
-/// `alias_collisions` tick. The old code kept an unbounded
-/// `HashSet<FiveTuple>` here, which both lied about the hardware (it
-/// counted flows the registers had already aliased together) and grew
-/// without bound under churn.
+/// `alias_collisions` tick. Its memory is fixed at the register file's
+/// slot count, however many flows churn through.
 pub(crate) struct FlowShard {
     fc: FlowClassifier,
     slots: FlowTable<()>,

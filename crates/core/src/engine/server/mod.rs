@@ -24,10 +24,11 @@
 //!   via epoch/RCU publication — the control plane validates, commits the
 //!   new `Arc` into the tenant record, and returns without draining a
 //!   single queue; each shard adopts the new epoch in front of the next
-//!   run of that tenant's packets. Flow feature windows and per-flow register files are
-//!   *retained* across swaps of compatible pipelines — migrated slot by
-//!   slot as flows are touched under the new epoch — so established flows
-//!   keep classifying without re-warming (the table-entry-rewrite story);
+//!   run of that tenant's packets. Flow feature windows and per-flow
+//!   register files are *retained* across swaps of compatible pipelines —
+//!   they stay in place and the shard re-points at the new program — so
+//!   established flows keep classifying without re-warming (the
+//!   table-entry-rewrite story);
 //! * [`detach`](ControlHandle::detach) drains a tenant's in-flight batches
 //!   and returns its final report without disturbing other tenants;
 //! * [`stats`](ControlHandle::stats) snapshots live per-tenant/per-shard

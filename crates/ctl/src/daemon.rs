@@ -23,16 +23,17 @@
 //!
 //! Every verb persists its effect to the registry **before** it is
 //! acknowledged, so the registry always describes what the operator was
-//! last told — across a process crash (`kill -9`), not a power loss: the
-//! registry and artifact writes are never fsynced (see
-//! [`registry`](crate::registry)). On start the daemon replays it, tenant
-//! records in attach order: each artifact name's first use reads,
-//! decodes and admits its file once, against the embedded switch model,
-//! and every tenant re-attaches under its recorded route and flow-table
-//! config. A tenant whose artifact fails any of those steps comes back
-//! [`Degraded`](TenantRuntime::Degraded) with a typed [`DegradedReason`]
-//! — visible in `list`, refusing `swap`, and clearable with `detach` —
-//! instead of silently disappearing from the serving set.
+//! last told — across a process crash (`kill -9`), an OS crash or a power
+//! loss: each registry and artifact write is synced, file and directory,
+//! before it returns (see [`registry`](crate::registry)). On start the
+//! daemon replays it, tenant records in attach order: each artifact
+//! name's first use reads, decodes and admits its file once, against the
+//! embedded switch model, and every tenant re-attaches under its recorded
+//! route and flow-table config. A tenant whose artifact fails any of
+//! those steps comes back [`Degraded`](TenantRuntime::Degraded) with a
+//! typed [`DegradedReason`] — visible in `list`, refusing `swap`, and
+//! clearable with `detach` — instead of silently disappearing from the
+//! serving set.
 //!
 //! # Order and undo
 //!

@@ -11,20 +11,21 @@
 //!
 //! `registry.bin` is the single source of truth for what should be
 //! serving: every `load`, `attach`, `swap`, and `detach` rewrites it
-//! **atomically** (write to a temp file in the same directory, then
-//! rename over the old one) before the verb is acknowledged, so a process
-//! crash (`kill -9`) at any instant leaves either the old registry or the
-//! new one — never a torn file. Nothing is fsynced — not the temp file,
-//! the rename, nor a `.pa` file — so this is not power-loss durable: an
-//! OS crash or power cut may lose acknowledged verbs or leave a torn or
-//! empty file. Artifact files themselves are immutable once written;
-//! re-loading a name writes a new version rather than overwriting.
+//! **atomically and durably** before the verb is acknowledged. The bytes
+//! go to a temp file in the same directory, which is `sync_all`ed and
+//! renamed over the old file, and then the directory is `sync_all`ed. A
+//! crash at any instant — a process crash (`kill -9`), an OS crash or a
+//! power cut — leaves the old file or the new one, never a torn file, and
+//! once the write has returned it leaves the new one. A `.pa` file is
+//! written the same way into `artifacts/` before the registry names it. Artifact files themselves are immutable
+//! once written; re-loading a name writes a new version rather than
+//! overwriting.
 
 use crate::artifact::{decode_file, encode_file, ArtifactFile, FormatError};
 use crate::protocol::WireTenantConfig;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// First four bytes of `registry.bin`.
@@ -116,6 +117,25 @@ fn io_err(path: &Path, error: io::Error) -> RegistryError {
     RegistryError::Io { path: path.to_path_buf(), error }
 }
 
+/// Replaces `dir/name` with `bytes` so that the new file survives a power
+/// cut once this returns: the bytes go to `name.tmp`, which is synced and
+/// renamed over `name`, and then `dir` is synced so the rename is on disk.
+/// A write that fails before the rename removes its temp file and leaves
+/// `name` as it was.
+fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), RegistryError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let path = dir.join(name);
+    let written = fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .map_err(|e| io_err(&tmp, e))
+        .and_then(|()| fs::rename(&tmp, &path).map_err(|e| io_err(&path, e)));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written?;
+    fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))
+}
+
 impl Registry {
     /// Opens (or initializes) a state directory. A missing directory or
     /// missing `registry.bin` means a fresh, empty registry; a present
@@ -151,17 +171,14 @@ impl Registry {
     }
 
     /// Applies `change` to a copy of the registry and persists the copy
-    /// atomically (temp file + rename). Memory takes the change only once
-    /// the rename has landed: a failed write leaves memory and disk on the
-    /// same, old state.
+    /// ([`write_durably`]). Memory takes the change only once the write
+    /// has landed: a write that fails before its rename leaves memory and
+    /// disk on the same, old state.
     fn update(&mut self, change: impl FnOnce(&mut RegistryFile)) -> Result<(), RegistryError> {
         let mut next = self.state.clone();
         change(&mut next);
-        let tmp = self.dir.join("registry.bin.tmp");
         let bytes = encode_file(REGISTRY_MAGIC, REGISTRY_FORMAT_VERSION, &next);
-        fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-        let path = self.dir.join("registry.bin");
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_durably(&self.dir, "registry.bin", &bytes)?;
         self.state = next;
         Ok(())
     }
@@ -179,8 +196,9 @@ impl Registry {
     ) -> Result<ArtifactRecord, RegistryError> {
         let version = self.find_artifact(name).map_or(1, |a| a.version + 1);
         let file = format!("{name}-v{version}.pa");
-        let path = self.dir.join("artifacts").join(&file);
-        fs::write(&path, bytes).map_err(|e| io_err(&path, e))?;
+        let artifacts = self.dir.join("artifacts");
+        write_durably(&artifacts, &file, bytes)?;
+        let path = artifacts.join(&file);
         let record = ArtifactRecord {
             name: name.to_string(),
             version,

@@ -66,7 +66,7 @@ pub fn extract_views(trace: &Trace) -> SampleViews {
             Some(l) => l,
             None => continue, // unlabeled flows contribute no samples
         };
-        let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
+        let (obs, _, state) = tracker.observe_admit(pkt.flow, pkt.ts_micros, pkt.wire_len);
         let hist = payload_hist.entry(pkt.flow).or_default();
         hist.push(pkt.payload_head.clone());
         if hist.len() > WINDOW {

@@ -227,7 +227,7 @@ mod tests {
         let mut t = FlowTracker::new(WINDOW);
         let flow = FiveTuple::new(1, 2, 3, 4, 6);
         for i in 0..n_packets {
-            t.observe(flow, (i as u64) * 1000, 100 + i as u16);
+            t.observe_admit(flow, (i as u64) * 1000, 100 + i as u16);
         }
         t
     }

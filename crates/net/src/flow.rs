@@ -91,8 +91,9 @@ impl FiveTuple {
     }
 }
 
-/// One packet observation within a flow, as [`FlowTracker::observe`]
-/// returns it (the window keeps only its [`WindowObs`] part).
+/// One packet observation within a flow, as
+/// [`FlowTracker::observe_admit`] returns it (the window keeps only its
+/// [`WindowObs`] part).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketObs {
     /// Wire length in bytes.
@@ -159,8 +160,6 @@ impl std::ops::Deref for FlowWindow {
 pub struct FlowState {
     /// Packets seen.
     pub packets: u64,
-    /// Bytes seen.
-    pub bytes: u64,
     /// Timestamp of the previous packet (for IPD computation).
     pub last_ts_micros: u64,
     /// Minimum wire length seen.
@@ -179,7 +178,6 @@ impl FlowState {
     fn new(window_cap: usize) -> Self {
         FlowState {
             packets: 0,
-            bytes: 0,
             last_ts_micros: 0,
             min_len: u16::MAX,
             max_len: 0,
@@ -192,7 +190,6 @@ impl FlowState {
     fn observe(&mut self, ts_micros: u64, wire_len: u16) -> PacketObs {
         let ipd = if self.packets == 0 { 0 } else { ts_micros.saturating_sub(self.last_ts_micros) };
         self.packets += 1;
-        self.bytes += u64::from(wire_len);
         self.last_ts_micros = ts_micros;
         self.min_len = self.min_len.min(wire_len);
         self.max_len = self.max_len.max(wire_len);
@@ -301,8 +298,7 @@ impl Admission {
     }
 }
 
-/// Cumulative counters of a [`FlowTable`] (never reset by
-/// [`clear`](FlowTable::clear)).
+/// Cumulative counters of a [`FlowTable`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowTableStats {
     /// Entries reclaimed by idle-timeout aging (including in-place
@@ -469,13 +465,12 @@ impl<V> FlowTable<V> {
         (admission, value)
     }
 
-    /// [`admit`](FlowTable::admit) that also reports the resolved slot
-    /// index — the batched ingress feeds it back as the *hint* of the
-    /// flow's next admission ([`admit_hinted`](FlowTable::admit_hinted)).
-    // Inlined, with `admit`, into the per-flow shard's packet loop: left to
-    // the inliner, it has been an out-of-line call per served packet.
+    /// [`admit`](FlowTable::admit)'s body, which also reports the resolved
+    /// slot index (the reference-model tests check it).
+    // Inlined, with `admit`, into both shards' packet loops: left to the
+    // inliner, it has been an out-of-line call per served packet.
     #[inline]
-    pub fn admit_indexed(
+    fn admit_indexed(
         &mut self,
         key: FiveTuple,
         new: impl FnOnce() -> V,
@@ -541,43 +536,6 @@ impl<V> FlowTable<V> {
         (admission, idx, &mut slot.value)
     }
 
-    /// [`admit_indexed`](FlowTable::admit_indexed) with a slot *hint* from
-    /// a previous admission of the same flow — the batched ingress's fast
-    /// path for the second and later packets of a flow inside one batch.
-    ///
-    /// When the hinted slot still holds `key` and has not aged out, the
-    /// probe chain is skipped entirely: one slot load replaces the
-    /// cache-missing home→slot walk. Entries never move between slots, so
-    /// a live hit at the hinted slot is exactly the hit the probe would
-    /// have found; in every other case (stale hint, evicted entry, idle
-    /// timeout, alias mode) this falls back to the full admission path —
-    /// the outcome, counters and clock are identical to calling
-    /// `admit_indexed`, packet for packet.
-    pub fn admit_hinted(
-        &mut self,
-        key: FiveTuple,
-        hint: usize,
-        new: impl FnOnce() -> V,
-    ) -> (Admission, usize, &mut V) {
-        if !self.cfg.alias && hint < self.slots.len() {
-            let timeout = self.cfg.idle_timeout_packets;
-            // The clock value the full path would probe under (it ticks
-            // before probing), so the idle check agrees bit for bit.
-            let clock = self.clock + 1;
-            let live = matches!(
-                &self.slots[hint],
-                Some(s) if s.key == key && !(timeout > 0 && clock - s.last_seen > timeout)
-            );
-            if live {
-                self.clock = clock;
-                let slot = self.slots[hint].as_mut().expect("hinted slot occupied");
-                slot.last_seen = clock;
-                return (Admission::Existing, hint, &mut slot.value);
-            }
-        }
-        self.admit_indexed(key, new)
-    }
-
     /// Looks up a resident flow's state (aging applies at
     /// [`admit`](FlowTable::admit) time only; an idle entry still reads).
     pub fn get(&self, key: &FiveTuple) -> Option<&V> {
@@ -616,13 +574,8 @@ impl<V> FlowTable<V> {
         self.stats
     }
 
-    /// Packets admitted over the table's lifetime (the aging clock).
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
     /// Slots examined by admission over the table's lifetime: probe walks
-    /// plus reach rescans (a hinted hit and alias mode examine none here).
+    /// plus reach rescans (alias mode examines none here).
     /// The exact, deterministic witness of admission cost — a count, not a
     /// duration.
     pub fn probe_steps(&self) -> u64 {
@@ -635,14 +588,6 @@ impl<V> FlowTable<V> {
     pub fn slab_bytes(&self) -> u64 {
         (self.slots.len() * std::mem::size_of::<Option<Slot<V>>>()
             + self.reach.len() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Empties every slot (counters and the clock keep running — a
-    /// cleared table is a fresh register file, not a fresh switch).
-    pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.occupied = 0;
-        self.reach.fill(0);
     }
 
     /// Iterates resident flows **sorted by five-tuple**, so downstream
@@ -683,21 +628,13 @@ impl FlowTracker {
         FlowTracker { table: FlowTable::new(table), window_cap }
     }
 
-    /// Records a packet, returning the observation (with computed IPD) and
-    /// a reference to the updated flow state.
-    pub fn observe(
-        &mut self,
-        flow: FiveTuple,
-        ts_micros: u64,
-        wire_len: u16,
-    ) -> (PacketObs, &FlowState) {
-        let (obs, _, state) = self.observe_admit(flow, ts_micros, wire_len);
-        (obs, state)
-    }
-
-    /// [`observe`](FlowTracker::observe) that also reports what the table
-    /// did with the flow (evictions, aliasing, re-warms) — the serving
-    /// engine's counters come from here.
+    /// Records a packet of `flow`: admits it to the table, returning the
+    /// observation (with computed IPD), what the table did with the flow
+    /// (evictions, aliasing, re-warms — the serving engine's counters come
+    /// from here) and the updated flow state.
+    // Inlined into the stateless shard's packet loop, across the crate
+    // boundary, as `FlowTable::admit` is.
+    #[inline]
     pub fn observe_admit(
         &mut self,
         flow: FiveTuple,
@@ -708,26 +645,6 @@ impl FlowTracker {
         let (admission, state) = self.table.admit(flow, || FlowState::new(window_cap));
         let obs = state.observe(ts_micros, wire_len);
         (obs, admission, &*state)
-    }
-
-    /// [`observe_admit`](FlowTracker::observe_admit) with a slot hint from
-    /// a previous admission of the same flow, reporting the resolved slot
-    /// index back — the batched ingress's per-batch flow cache feeds this
-    /// ([`FlowTable::admit_hinted`] has the exact-equivalence contract).
-    pub fn observe_admit_hinted(
-        &mut self,
-        flow: FiveTuple,
-        ts_micros: u64,
-        wire_len: u16,
-        hint: Option<usize>,
-    ) -> (PacketObs, Admission, usize, &FlowState) {
-        let window_cap = self.window_cap;
-        let (admission, idx, state) = match hint {
-            Some(h) => self.table.admit_hinted(flow, h, || FlowState::new(window_cap)),
-            None => self.table.admit_indexed(flow, || FlowState::new(window_cap)),
-        };
-        let obs = state.observe(ts_micros, wire_len);
-        (obs, admission, idx, &*state)
     }
 
     /// Looks up a flow's state.
@@ -784,18 +701,18 @@ mod tests {
     #[test]
     fn ipd_computed_between_packets() {
         let mut t = FlowTracker::new(4);
-        let (o1, _) = t.observe(ft(1), 1000, 100);
+        let (o1, _, _) = t.observe_admit(ft(1), 1000, 100);
         assert_eq!(o1.ipd_micros, 0);
-        let (o2, _) = t.observe(ft(1), 1500, 200);
+        let (o2, _, _) = t.observe_admit(ft(1), 1500, 200);
         assert_eq!(o2.ipd_micros, 500);
     }
 
     #[test]
     fn min_max_stats_track() {
         let mut t = FlowTracker::new(4);
-        t.observe(ft(1), 0, 100);
-        t.observe(ft(1), 10, 1500);
-        t.observe(ft(1), 1000, 40);
+        t.observe_admit(ft(1), 0, 100);
+        t.observe_admit(ft(1), 10, 1500);
+        t.observe_admit(ft(1), 1000, 40);
         let s = t.get(&ft(1)).unwrap();
         assert_eq!(s.min_len, 40);
         assert_eq!(s.max_len, 1500);
@@ -807,9 +724,9 @@ mod tests {
     #[test]
     fn window_is_bounded_and_ordered() {
         let mut t = FlowTracker::new(2);
-        t.observe(ft(1), 0, 1);
-        t.observe(ft(1), 1, 2);
-        t.observe(ft(1), 2, 3);
+        t.observe_admit(ft(1), 0, 1);
+        t.observe_admit(ft(1), 1, 2);
+        t.observe_admit(ft(1), 2, 3);
         let s = t.get(&ft(1)).unwrap();
         assert_eq!(s.window.len(), 2);
         assert_eq!(s.window[0].wire_len, 2);
@@ -820,8 +737,8 @@ mod tests {
     #[test]
     fn flows_are_independent() {
         let mut t = FlowTracker::new(4);
-        t.observe(ft(1), 0, 100);
-        t.observe(ft(2), 5, 200);
+        t.observe_admit(ft(1), 0, 100);
+        t.observe_admit(ft(2), 5, 200);
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(&ft(1)).unwrap().packets, 1);
         assert_eq!(t.get(&ft(2)).unwrap().max_len, 200);
@@ -858,7 +775,7 @@ mod tests {
         let mut t = FlowTracker::new(2);
         // Insertion order deliberately scrambled relative to tuple order.
         for n in [9u32, 1, 7, 3, 5] {
-            t.observe(ft(n), 0, 10);
+            t.observe_admit(ft(n), 0, 10);
         }
         let keys: Vec<u32> = t.iter().map(|(f, _)| f.src_ip).collect();
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
@@ -871,7 +788,7 @@ mod tests {
         let mut t = FlowTracker::bounded(2, FlowTableConfig::with_capacity(4));
         for i in 0..6u64 {
             for n in 1..=3u32 {
-                t.observe(ft(n), i * 100, 100 + n as u16);
+                t.observe_admit(ft(n), i * 100, 100 + n as u16);
             }
         }
         assert_eq!(t.len(), 3);
@@ -886,9 +803,9 @@ mod tests {
         // Capacity 2: flows A and B fill the table; C must evict the
         // least-recently-seen (A). When A returns it re-warms from scratch.
         let mut t = FlowTracker::bounded(4, FlowTableConfig::with_capacity(2));
-        t.observe(ft(1), 0, 10); // A
-        t.observe(ft(2), 1, 10); // B
-        t.observe(ft(2), 2, 10); // B again: A is now LRU
+        t.observe_admit(ft(1), 0, 10); // A
+        t.observe_admit(ft(2), 1, 10); // B
+        t.observe_admit(ft(2), 2, 10); // B again: A is now LRU
         let (_, adm, _) = t.observe_admit(ft(3), 3, 10); // C evicts A
         assert_eq!(adm, Admission::EvictedCapacity);
         assert_eq!(t.len(), 2);
@@ -904,18 +821,18 @@ mod tests {
     fn idle_flows_age_out_on_the_packet_clock() {
         let cfg = FlowTableConfig { capacity: 8, idle_timeout_packets: 3, alias: false };
         let mut t = FlowTracker::bounded(4, cfg);
-        t.observe(ft(1), 0, 10);
+        t.observe_admit(ft(1), 0, 10);
         // Two packets of other flows: at flow 1's next admission the clock
         // has advanced 3 ticks since it was last seen (its own admission
         // ticks too) — exactly the timeout, not yet expired (strict
         // inequality).
-        t.observe(ft(2), 1, 10);
-        t.observe(ft(2), 2, 10);
+        t.observe_admit(ft(2), 1, 10);
+        t.observe_admit(ft(2), 2, 10);
         let (_, adm, _) = t.observe_admit(ft(1), 4, 10);
         assert_eq!(adm, Admission::Existing, "at the boundary the flow is still live");
         // Now push it past the timeout and watch it re-warm in place.
         for i in 0..4u64 {
-            t.observe(ft(2), 5 + i, 10);
+            t.observe_admit(ft(2), 5 + i, 10);
         }
         let (_, adm, state) = t.observe_admit(ft(1), 20, 10);
         assert_eq!(adm, Admission::Rewarmed);
@@ -929,84 +846,21 @@ mod tests {
         // flow falls back to capacity-pressure replacement...
         let cfg = FlowTableConfig { capacity: 1, idle_timeout_packets: 2, alias: false };
         let mut t = FlowTracker::bounded(4, cfg);
-        t.observe(ft(1), 0, 10);
+        t.observe_admit(ft(1), 0, 10);
         let (_, adm, _) = t.observe_admit(ft(2), 10, 10);
         assert_eq!(adm, Admission::EvictedCapacity);
         // ...but an idle-expired resident is reclaimed as EvictedIdle.
         let cfg2 = FlowTableConfig { capacity: 2, idle_timeout_packets: 2, alias: false };
         let mut t2 = FlowTracker::bounded(4, cfg2);
-        t2.observe(ft(1), 0, 10);
+        t2.observe_admit(ft(1), 0, 10);
         for i in 1..=4u64 {
-            t2.observe(ft(2), i, 10); // ticks the clock; flow 1 goes idle
+            t2.observe_admit(ft(2), i, 10); // ticks the clock; flow 1 goes idle
         }
         let (_, adm, _) = t2.observe_admit(ft(3), 5, 10);
         assert_eq!(adm, Admission::EvictedIdle);
         assert_eq!(t2.table_stats().evicted_idle, 1);
         assert!(t2.get(&ft(1)).is_none(), "the idle flow lost its slot");
         assert!(t2.get(&ft(2)).is_some(), "the live flow kept its slot");
-    }
-
-    /// The hinted fast path is observationally identical to the probed
-    /// path over a churning workload — same admission sequence, same slot
-    /// indices, same cumulative stats — even when hints go stale through
-    /// evictions and idle timeouts (those must fall back).
-    #[test]
-    fn hinted_admission_is_exactly_the_probed_admission() {
-        let cfg = FlowTableConfig { capacity: 8, idle_timeout_packets: 6, alias: false };
-        let mut probed = FlowTracker::bounded(2, cfg);
-        let mut hinted = FlowTracker::bounded(2, cfg);
-        let mut hints: std::collections::HashMap<FiveTuple, usize> =
-            std::collections::HashMap::new();
-        // Deterministic churn over 24 flows through 8 slots: plenty of
-        // capacity evictions, idle re-warms, and repeat packets.
-        let mut x = 0x2545_f491u64;
-        for step in 0..4000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let flow = ft(((x >> 33) % 24) as u32 + 1);
-            let (obs_a, adm_a, state_a) = probed.observe_admit(flow, step, 64);
-            let (pkts_a, win_a) = (state_a.packets, state_a.window_full());
-            let hint = hints.get(&flow).copied();
-            let (obs_b, adm_b, idx, state_b) = hinted.observe_admit_hinted(flow, step, 64, hint);
-            assert_eq!(adm_b, adm_a, "step {step}: admission diverged");
-            assert_eq!(obs_b, obs_a, "step {step}: observation diverged");
-            assert_eq!((state_b.packets, state_b.window_full()), (pkts_a, win_a));
-            hints.insert(flow, idx);
-        }
-        assert_eq!(hinted.table_stats(), probed.table_stats());
-        assert_eq!(hinted.len(), probed.len());
-        let s = probed.table_stats();
-        assert!(s.evicted_idle + s.evicted_capacity > 0, "workload must actually churn");
-    }
-
-    #[test]
-    fn stale_hint_falls_back_to_the_probe_path() {
-        // Flow A at a known slot; then A is LRU-evicted by C. A's old hint
-        // now names C's slot — admit_hinted must fall back and re-admit A
-        // exactly like the unhinted path (fresh state, capacity eviction).
-        let cfg = FlowTableConfig::with_capacity(2);
-        let mut t = FlowTable::new(cfg);
-        let (adm, a_slot, _) = t.admit_indexed(ft(1), || 0u32);
-        assert_eq!(adm, Admission::Fresh);
-        t.admit(ft(2), || 0); // B
-        t.admit(ft(2), || 0); // B again: A is LRU
-        let (adm, _, _) = t.admit_indexed(ft(3), || 0); // C evicts A
-        assert_eq!(adm, Admission::EvictedCapacity);
-        let (adm, idx, _) = t.admit_hinted(ft(1), a_slot, || 7);
-        assert_eq!(adm, Admission::EvictedCapacity, "stale hint must not resurrect A");
-        assert_ne!((adm, idx), (Admission::Existing, a_slot));
-        assert_eq!(t.stats().evicted_capacity, 2);
-
-        // And a hint at an idle-expired entry re-warms instead of touching.
-        let cfg = FlowTableConfig { capacity: 4, idle_timeout_packets: 2, alias: false };
-        let mut t = FlowTable::new(cfg);
-        let (_, slot, _) = t.admit_indexed(ft(1), || 1u32);
-        for _ in 0..4 {
-            t.admit(ft(2), || 2); // clock ticks; flow 1 goes idle
-        }
-        let (adm, idx, v) = t.admit_hinted(ft(1), slot, || 9);
-        assert_eq!(adm, Admission::Rewarmed, "idle entry must re-warm, not fast-path");
-        assert_eq!(idx, slot);
-        assert_eq!(*v, 9, "re-warm rebuilt the value");
     }
 
     #[test]
@@ -1016,7 +870,7 @@ mod tests {
         // state (window, counters), exactly like the switch's hash-indexed
         // registers, not reset it.
         let mut t = FlowTracker::bounded(2, FlowTableConfig::aliased(1));
-        t.observe(ft(1), 0, 10);
+        t.observe_admit(ft(1), 0, 10);
         let (_, adm, state) = t.observe_admit(ft(2), 1, 20);
         assert_eq!(adm, Admission::Aliased);
         assert_eq!(state.packets, 2, "aliased flow inherits the resident state");
@@ -1281,26 +1135,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_slots_but_keeps_counters() {
-        let mut t = FlowTable::<u8>::new(FlowTableConfig::with_capacity(2));
-        t.admit(ft(1), || 0);
-        t.admit(ft(2), || 0);
-        t.admit(ft(3), || 0); // eviction
-        assert_eq!(t.stats().evicted_capacity, 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats().evicted_capacity, 1, "stats are cumulative");
-        assert_eq!(t.stats().peak_occupancy, 2);
-        let (adm, _) = t.admit(ft(1), || 0);
-        assert_eq!(adm, Admission::Fresh);
-    }
-
-    #[test]
     fn slab_bytes_is_flat_under_churn() {
         let mut t = FlowTracker::bounded(4, FlowTableConfig::with_capacity(64));
         let before = t.state_bytes();
         for n in 0..10_000u32 {
-            t.observe(ft(n), u64::from(n), 100);
+            t.observe_admit(ft(n), u64::from(n), 100);
         }
         assert_eq!(t.len(), 64);
         // Windows live in the slots: the state is the slab, before and after.
@@ -1313,6 +1152,11 @@ mod tests {
     /// life, oldest first. It restarts empty on every fresh-state admission
     /// (new, re-warmed, idle- or capacity-evicted) and carries over on an
     /// alias takeover, IPD included.
+    /// The slot a resident `key` occupies.
+    fn slot_of<V>(table: &FlowTable<V>, key: &FiveTuple) -> usize {
+        table.slots.iter().position(|s| matches!(s, Some(s) if s.key == *key)).expect("resident")
+    }
+
     #[test]
     fn inline_window_is_the_tail_of_a_vecdeque_model() {
         use std::collections::VecDeque;
@@ -1338,9 +1182,9 @@ mod tests {
                     // thirteen mice (they churn the table).
                     let n = if next() & 3 != 0 { next() % 3 } else { 3 + next() % 13 };
                     let wire_len = 40 + (next() % 1460) as u16;
-                    let (obs, adm, idx, state) =
-                        t.observe_admit_hinted(scattered(n as u32), ts, wire_len, None);
-                    let (want, prev) = &mut model[idx];
+                    let flow = scattered(n as u32);
+                    let (obs, adm, &state) = t.observe_admit(flow, ts, wire_len);
+                    let (want, prev) = &mut model[slot_of(&t.table, &flow)];
                     if adm.fresh_state() {
                         want.clear();
                         *prev = None;
@@ -1382,5 +1226,13 @@ mod tests {
         fn copy<T: Copy>() {}
         copy::<FlowState>();
         assert!(std::mem::size_of::<WindowObs>() <= 16);
+    }
+
+    /// The host flow slot's size, pinned: a field added to the slot every
+    /// packet touches is a visible, reviewed change (and `flow.state_kb`
+    /// moves with it).
+    #[test]
+    fn a_flow_slot_is_208_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Slot<FlowState>>>(), 208);
     }
 }

@@ -60,7 +60,7 @@ pub fn sequential_reference<M: DataplaneNet>(
     let mut tracker = FlowTracker::new(WINDOW);
     let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
     for pkt in &trace.packets {
-        let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
+        let (obs, _, state) = tracker.observe_admit(pkt.flow, pkt.ts_micros, pkt.wire_len);
         if !state.window_full() {
             continue;
         }

@@ -63,7 +63,7 @@ fn unbounded_reference(
     let oracle = deployment.dataplane().expect("stateless plane");
     let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
     for pkt in &trace.packets {
-        let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
+        let (obs, _, state) = tracker.observe_admit(pkt.flow, pkt.ts_micros, pkt.wire_len);
         if !state.window_full() {
             continue;
         }

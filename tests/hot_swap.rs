@@ -103,7 +103,7 @@ fn segmented_reference(
     let mut tracker = FlowTracker::new(WINDOW);
     let mut out: HashMap<FiveTuple, Vec<usize>> = HashMap::new();
     for (i, pkt) in trace.packets.iter().enumerate() {
-        let (obs, state) = tracker.observe(pkt.flow, pkt.ts_micros, pkt.wire_len);
+        let (obs, _, state) = tracker.observe_admit(pkt.flow, pkt.ts_micros, pkt.wire_len);
         if !state.window_full() {
             continue;
         }
